@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use bhut_geom::{plummer, PlummerSpec};
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
-    eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails,
+    eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
     InteractionBuffers,
 };
 use bhut_tree::{accel_batch_m2p, BarnesHutMac, KernelPrecision};
@@ -29,9 +29,9 @@ fn bench_simd(c: &mut Criterion) {
     let mut buffers: Vec<InteractionBuffers> = Vec::with_capacity(schedule.len());
     for &leaf in &schedule {
         let mut buf = InteractionBuffers::new();
+        buf.set_fill_f32(true);
         gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-        resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut buf, None);
-        buf.prepare_f32();
+        resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, None);
         buffers.push(buf);
     }
 

@@ -11,7 +11,8 @@
 //! Three end-to-end force-evaluation legs on a Plummer model, best-of-reps:
 //!
 //! * `scalar_mac` — per-node MAC classification (`mac_batch: false`), the
-//!   pre-vectorization walk and the speedup denominator;
+//!   reference classifier and the speedup denominator (the lane-fused tail
+//!   resolve is common to every leg);
 //! * `simd_mac`  — batched sibling classification through the
 //!   [`bhut_tree::GroupMac`] SIMD path (the default); its f64 forces must
 //!   be **bitwise identical** to `scalar_mac`'s;
@@ -338,8 +339,8 @@ fn main() {
     // Bitwise reference for the replay: a cache-*free* scalar-MAC walk down
     // the same leaf-cell bucket path (`list_reuse` on, budget 0, so every
     // leaf misses and walks fresh). This crosses the classify path
-    // (SIMD vs scalar), the mixed-tail resolve (lanes vs scalar), and the
-    // replay-vs-fresh-walk split in one comparison. The *legacy* rewalk is
+    // (SIMD vs scalar) and the replay-vs-fresh-walk split in one
+    // comparison. The *legacy* rewalk is
     // deliberately not the reference: `gather_group` walks the tight member
     // bounding box while the cached path walks the leaf cell, a documented
     // ULP-level difference in summation that predates neither path being

@@ -101,40 +101,16 @@ impl MultipoleTree {
         emit: impl FnMut(u32, f64, Vec3, u64),
     ) -> TraversalStats {
         gather_group(tree, particles, leaf, mac, buf);
-        self.eval_gathered(tree, particles, leaf, mac, eps, buf, emit)
+        let precision = KernelPrecision::default();
+        self.eval_gathered_masked(tree, particles, leaf, mac, eps, precision, buf, None, emit)
     }
 
-    /// The kernel half of [`MultipoleTree::eval_group`]: evaluate every
-    /// member of `leaf` against slabs already filled by
+    /// The kernel half of [`MultipoleTree::eval_group`]: evaluate the members
+    /// of `leaf` against slabs already filled by
     /// [`bhut_tree::group::gather_group`] for that same leaf. Splitting the
     /// walk from the kernels lets callers time the two phases separately.
-    #[allow(clippy::too_many_arguments)] // mirrors eval_group's signature
-    pub fn eval_gathered(
-        &self,
-        tree: &Tree,
-        particles: &[Particle],
-        leaf: NodeId,
-        mac: &impl GroupMac,
-        eps: f64,
-        buf: &InteractionBuffers,
-        emit: impl FnMut(u32, f64, Vec3, u64),
-    ) -> TraversalStats {
-        self.eval_gathered_masked(
-            tree,
-            particles,
-            leaf,
-            mac,
-            eps,
-            KernelPrecision::default(),
-            buf,
-            None,
-            emit,
-        )
-    }
-
-    /// [`MultipoleTree::eval_gathered`] restricted to an active subset:
-    /// members with `active[pi] == false` are skipped entirely while the
-    /// shared slabs keep every source. `None` evaluates all members through
+    /// Members with `active[pi] == false` are skipped entirely while the
+    /// shared slabs keep every source; `None` evaluates all members through
     /// the identical code path (see
     /// [`bhut_tree::group::eval_gathered_monopole_masked`]).
     ///
@@ -143,7 +119,7 @@ impl MultipoleTree {
     /// (expansion kernels are short polynomial loops per node — they are not
     /// slab-shaped, so vectorizing them is not worth diverging their
     /// rounding).
-    #[allow(clippy::too_many_arguments)] // mirrors eval_gathered + mask
+    #[allow(clippy::too_many_arguments)] // eval_group's inputs plus mask and precision
     pub fn eval_gathered_masked(
         &self,
         tree: &Tree,

@@ -353,7 +353,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
             }
             ActiveSet::from_mask(mask)
         };
-        let fr = sim.compute_forces_active_profiled(&all, &active);
+        let fr = sim.compute_forces_substep(&all, &active, true, false);
         let t_force = now();
         if step + 1 == cfg.steps {
             last_forces = owned
@@ -488,7 +488,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
             }
             ActiveSet::from_mask(mask)
         };
-        let fr = sim.compute_forces_active_profiled(&all, &active);
+        let fr = sim.compute_forces_substep(&all, &active, true, false);
         last_forces = owned
             .iter()
             .map(|q| (q.id, fr.accels[q.id as usize], fr.potentials[q.id as usize]))

@@ -30,9 +30,6 @@ pub struct SimulationConfig {
     /// Record an `O(n²)` energy report every this many steps (0 = never —
     /// the default for large runs).
     pub diag_every: usize,
-    /// Evaluate forces with grouped tree walks and batched kernels (the
-    /// default); `false` switches back to the per-particle reference path.
-    pub grouped: bool,
     /// Attach a phase-level [`StepProfile`] to every this-many-th step's
     /// report (0 = never, the default). Profiled steps pay the span/counter
     /// bookkeeping; unprofiled steps run the plain force path.
@@ -40,8 +37,7 @@ pub struct SimulationConfig {
     /// Global-dt leapfrog (default) or hierarchical block timesteps (S12).
     pub timestep: TimestepMode,
     /// Arithmetic of the grouped force kernels: vectorized f64 (default),
-    /// mixed f32/f64, or the exact scalar-f64 reference. Ignored when
-    /// `grouped` is false — the per-particle path is always scalar f64.
+    /// mixed f32/f64, or the exact scalar-f64 reference.
     pub precision: KernelPrecision,
     /// Under [`TimestepMode::Block`], evaluate the fine-rung (masked)
     /// substeps against the tree frozen by the last synchronized substep,
@@ -55,6 +51,8 @@ pub struct SimulationConfig {
 // Hand-written so `precision` defaults when absent — snapshots written
 // before the SIMD kernels embed configs without the field, and the vendored
 // serde derive rejects missing fields (and can't handle the enum anyway).
+// Unknown keys are ignored, which is what lets configs written while there
+// was a `grouped` switch still load.
 impl Serialize for SimulationConfig {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
@@ -65,7 +63,6 @@ impl Serialize for SimulationConfig {
             ("leaf_capacity".to_string(), self.leaf_capacity.to_value()),
             ("threads".to_string(), self.threads.to_value()),
             ("diag_every".to_string(), self.diag_every.to_value()),
-            ("grouped".to_string(), self.grouped.to_value()),
             ("profile_every".to_string(), self.profile_every.to_value()),
             ("timestep".to_string(), self.timestep.to_value()),
             ("precision".to_string(), Value::Str(self.precision.as_str().to_string())),
@@ -99,7 +96,6 @@ impl Deserialize for SimulationConfig {
             leaf_capacity: req(v, "leaf_capacity")?,
             threads: req(v, "threads")?,
             diag_every: req(v, "diag_every")?,
-            grouped: req(v, "grouped")?,
             profile_every: req(v, "profile_every")?,
             timestep: req(v, "timestep")?,
             precision,
@@ -118,7 +114,6 @@ impl Default for SimulationConfig {
             leaf_capacity: 8,
             threads: 1,
             diag_every: 0,
-            grouped: true,
             profile_every: 0,
             timestep: TimestepMode::Global,
             precision: KernelPrecision::default(),
@@ -170,11 +165,7 @@ impl Simulation {
             eps: config.eps,
             leaf_capacity: config.leaf_capacity,
             partitioning: bhut_threads::Partitioning::MortonZones,
-            eval_mode: if config.grouped {
-                bhut_threads::EvalMode::Grouped
-            } else {
-                bhut_threads::EvalMode::PerParticle
-            },
+            eval_mode: bhut_threads::EvalMode::Grouped,
             precision: config.precision,
             mac_batch: true,
             list_reuse: config.list_reuse,
@@ -631,6 +622,18 @@ mod tests {
             assert_eq!(x.pos, y.pos);
             assert_eq!(x.vel, y.vel);
         }
+    }
+
+    #[test]
+    fn legacy_config_with_grouped_key_loads_and_drops_it() {
+        // Configs and snapshots written while `SimulationConfig` had a
+        // `grouped` switch carry the key; it is ignored on load and gone
+        // from whatever is written back.
+        let json = serde_json::to_string(&SimulationConfig::default()).unwrap();
+        assert!(!json.contains("grouped"));
+        let legacy = json.replacen('{', "{\"grouped\":true,", 1);
+        let cfg: SimulationConfig = serde_json::from_str(&legacy).unwrap();
+        assert_eq!(serde_json::to_string(&cfg).unwrap(), json);
     }
 
     #[test]

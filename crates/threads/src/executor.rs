@@ -8,8 +8,7 @@ use bhut_timestep::ActiveSet;
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
     eval_gathered_monopole_masked, gather_group, gather_group_cached, leaf_schedule,
-    leaf_schedule_active, resolve_mixed_tails, resolve_mixed_tails_lanes, InteractionBuffers,
-    WalkCache,
+    leaf_schedule_active, resolve_mixed_tails_lanes, InteractionBuffers, WalkCache,
 };
 use bhut_tree::traverse::TraversalStats;
 use bhut_tree::{BarnesHutMac, GroupMac, KernelPrecision, NodeId, ScalarClassify, Tree};
@@ -188,20 +187,6 @@ impl ThreadSim {
         self.cached_tree = None;
     }
 
-    /// Drop the frozen tree and every per-thread interaction-list cache, as
-    /// a rebuild would; the next computation re-walks everything. Exposed so
-    /// callers (and the bench harness) can compare reuse against the
-    /// cache-free path on identical inputs.
-    pub fn purge_walk_caches(&mut self) {
-        self.cached_tree = None;
-        self.tree_generation += 1;
-        for s in &self.scratch {
-            let mut s = s.lock().unwrap();
-            s.cache.clear();
-            let _ = s.cache.take_stats();
-        }
-    }
-
     /// Per-particle interaction counts measured by the last force
     /// computation (the costzones weights), indexed by particle id. `None`
     /// before the first step. The multi-process backend reads these to
@@ -239,16 +224,6 @@ impl ThreadSim {
         active: &ActiveSet,
     ) -> ForceResult {
         self.compute(particles, false, Some(active), false)
-    }
-
-    /// [`ThreadSim::compute_forces_active`] with the phase-level profile
-    /// attached, mirroring [`ThreadSim::compute_forces_profiled`].
-    pub fn compute_forces_active_profiled(
-        &mut self,
-        particles: &[Particle],
-        active: &ActiveSet,
-    ) -> ForceResult {
-        self.compute(particles, true, Some(active), false)
     }
 
     /// One block-substep force computation: like
@@ -353,6 +328,13 @@ impl ThreadSim {
             }
         };
 
+        // Costzones weights are only valid while the particle set has the
+        // same cardinality (ids are positional).
+        let zone_work = self
+            .prev_work
+            .as_deref()
+            .filter(|w| cfg.partitioning == Partitioning::MortonZones && w.len() == n);
+
         // Workers stage results in their own scratch; the main thread
         // scatters after the join, so no shared result locks exist.
         let per_thread: Vec<(u64, TraversalStats, WorkerObs)> = match cfg.eval_mode {
@@ -363,82 +345,26 @@ impl ThreadSim {
                     Some(m) => leaf_schedule_active(&tree, m),
                     None => leaf_schedule(&tree),
                 };
-                // One grouped evaluation of leaf `id` into this thread's
-                // scratch; returns its traversal stats. The fused entry
-                // points delegate to this same gather + masked-eval split,
-                // so threading the mask here changes nothing when it's off.
-                let eval_leaf = |s: &mut Scratch, leaf: NodeId| -> TraversalStats {
-                    let Scratch { buf, out, cache } = s;
-                    if cfg.list_reuse {
-                        gather_group_cached(&tree, particles, leaf, &mac, buf, cache, generation);
-                    } else {
-                        gather_group(&tree, particles, leaf, &mac, buf);
-                    }
-                    if mtree.is_none() {
-                        // Monopole path: flatten the mixed frontiers into
-                        // per-member tail slabs so evaluation is pure slab
-                        // arithmetic (the multipole path keeps its
-                        // degree-aware per-member replay). The vectorized
-                        // walk fuses the replays into member-lane
-                        // traversals; `mac_batch: false` pins the scalar
-                        // resolve as the reference path.
-                        if cfg.mac_batch {
-                            resolve_mixed_tails_lanes(&tree, particles, leaf, &mac, buf, mask);
-                        } else {
-                            resolve_mixed_tails(&tree, particles, leaf, &mac, buf, mask);
-                        }
-                    }
-                    match &mtree {
-                        Some(mt) => mt.eval_gathered_masked(
-                            &tree,
-                            particles,
-                            leaf,
-                            &mac,
-                            cfg.eps,
-                            cfg.precision,
-                            buf,
-                            mask,
-                            |pi, phi, acc, it| out.push((pi, phi, acc, it)),
-                        ),
-                        None => eval_gathered_monopole_masked(
-                            &tree,
-                            particles,
-                            leaf,
-                            &mac,
-                            cfg.eps,
-                            cfg.precision,
-                            buf,
-                            mask,
-                            |pi, phi, acc, it| out.push((pi, phi, acc, it)),
-                        ),
-                    }
-                };
-                // The profiled variant splits the shared walk from the
-                // batched kernels and harvests the classification counters.
-                let run_leaves = |t: usize,
-                                  ids: &[NodeId],
-                                  w: &mut WorkerObs|
-                 -> (u64, TraversalStats) {
+                // The one leaf loop: gather → resolve → eval per leaf into
+                // this thread's scratch. A profiled run additionally splits
+                // the walk's clock from the kernels' and harvests the
+                // classification counters; the force arithmetic is the same.
+                let run_range = |t: usize, ids: &[NodeId], w: &mut WorkerObs| -> TraversalStats {
                     let mut s = scratch[t].lock().unwrap();
-                    // Fill the f32 mirrors during the gather itself
-                    // (instead of converting after the fact) whenever
+                    let Scratch { buf, out, cache } = &mut *s;
+                    // Fill the f32 mirrors during the gather itself whenever
                     // the kernels will read them.
-                    s.buf.set_fill_f32(cfg.precision == KernelPrecision::MixedF32);
+                    buf.set_fill_f32(cfg.precision == KernelPrecision::MixedF32);
                     let mut stats = TraversalStats::default();
-                    if !profiled {
-                        for &leaf in ids {
-                            stats.merge(eval_leaf(&mut s, leaf));
-                        }
-                        return (stats.interactions(), stats);
-                    }
                     let mut c = Counters::default();
-                    // Discard lane counts and cache stats a previous
-                    // unprofiled run may have left in this scratch.
-                    s.buf.take_lane_counters();
-                    let _ = s.cache.take_stats();
+                    if profiled {
+                        // Discard lane counts and cache stats a previous
+                        // unprofiled run may have left in this scratch.
+                        buf.take_lane_counters();
+                        let _ = cache.take_stats();
+                    }
                     for &leaf in ids {
-                        let Scratch { buf, out, cache } = &mut *s;
-                        let t0 = bhut_obs::now();
+                        let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                         if cfg.list_reuse {
                             gather_group_cached(
                                 &tree, particles, leaf, &mac, buf, cache, generation,
@@ -447,13 +373,14 @@ impl ThreadSim {
                             gather_group(&tree, particles, leaf, &mac, buf);
                         }
                         if mtree.is_none() {
-                            if cfg.mac_batch {
-                                resolve_mixed_tails_lanes(&tree, particles, leaf, &mac, buf, mask);
-                            } else {
-                                resolve_mixed_tails(&tree, particles, leaf, &mac, buf, mask);
-                            }
+                            // Monopole path: flatten the mixed frontiers into
+                            // per-member tail slabs so evaluation is pure
+                            // slab arithmetic (the multipole path keeps its
+                            // degree-aware per-member replay).
+                            resolve_mixed_tails_lanes(&tree, particles, leaf, &mac, buf, mask);
                         }
-                        let t1 = bhut_obs::now();
+                        let t1 = if profiled { bhut_obs::now() } else { 0.0 };
+                        let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));
                         let st = match &mtree {
                             Some(mt) => mt.eval_gathered_masked(
                                 &tree,
@@ -464,7 +391,7 @@ impl ThreadSim {
                                 cfg.precision,
                                 buf,
                                 mask,
-                                |pi, phi, acc, it| out.push((pi, phi, acc, it)),
+                                emit,
                             ),
                             None => eval_gathered_monopole_masked(
                                 &tree,
@@ -475,94 +402,45 @@ impl ThreadSim {
                                 cfg.precision,
                                 buf,
                                 mask,
-                                |pi, phi, acc, it| out.push((pi, phi, acc, it)),
+                                emit,
                             ),
                         };
-                        w.walk_s += t1 - t0;
-                        w.kernel_s += bhut_obs::now() - t1;
-                        c.p2p += st.p2p;
-                        c.m2p += st.p2n;
-                        c.mac_tests += st.mac_tests;
-                        c.nodes_opened += buf.nodes_opened;
-                        c.group_accept += buf.node_ids.len() as u64;
-                        c.group_reject += buf.class_reject;
-                        c.group_mixed += buf.mixed.len() as u64;
-                        let (lane_slots, lane_useful) = buf.take_lane_counters();
-                        c.lane_slots += lane_slots;
-                        c.lane_useful += lane_useful;
+                        if profiled {
+                            w.walk_s += t1 - t0;
+                            w.kernel_s += bhut_obs::now() - t1;
+                            c.nodes_opened += buf.nodes_opened;
+                            c.group_accept += buf.node_ids.len() as u64;
+                            c.group_reject += buf.class_reject;
+                            c.group_mixed += buf.mixed.len() as u64;
+                            let (lane_slots, lane_useful) = buf.take_lane_counters();
+                            c.lane_slots += lane_slots;
+                            c.lane_useful += lane_useful;
+                        }
                         stats.merge(st);
                     }
-                    let (hits, misses) = s.cache.take_stats();
-                    c.list_hits += hits;
-                    c.list_misses += misses;
-                    c.list_bytes += s.cache.bytes() as u64;
-                    counters[t].add(&c);
-                    (stats.interactions(), stats)
-                };
-                let run_span = |t: usize, ids: &[NodeId]| -> (u64, TraversalStats, WorkerObs) {
-                    let mut w = WorkerObs::default();
                     if profiled {
-                        w.start = bhut_obs::now();
+                        c.p2p = stats.p2p;
+                        c.m2p = stats.p2n;
+                        c.mac_tests = stats.mac_tests;
+                        let (hits, misses) = cache.take_stats();
+                        c.list_hits = hits;
+                        c.list_misses = misses;
+                        c.list_bytes = cache.bytes() as u64;
+                        counters[t].add(&c);
                     }
-                    let (i, st) = run_leaves(t, ids, &mut w);
-                    if profiled {
-                        w.end = bhut_obs::now();
-                    }
-                    (i, st, w)
+                    stats
                 };
-                match cfg.partitioning {
-                    Partitioning::StaticBlocks => {
-                        // Equal particle counts per thread, at leaf
-                        // granularity.
-                        let weights: Vec<u64> =
-                            leaves.iter().map(|&l| tree.node(l).count() as u64).collect();
-                        let bounds = split_by_weight(&weights, cfg.threads);
-                        fork_join(cfg.threads, |t| run_span(t, &leaves[bounds[t]..bounds[t + 1]]))
-                    }
-                    Partitioning::MortonZones => {
-                        // Costzones over leaf groups: weight each leaf by its
-                        // members' measured work from the previous step.
-                        let weights: Vec<u64> = match &self.prev_work {
-                            Some(w) if w.len() == n => leaves
-                                .iter()
-                                .map(|&l| {
-                                    tree.particles_under(l)
-                                        .iter()
-                                        .map(|&pi| w[pi as usize] + 1)
-                                        .sum()
-                                })
-                                .collect(),
-                            _ => leaves.iter().map(|&l| tree.node(l).count() as u64).collect(),
-                        };
-                        let bounds = split_by_weight(&weights, cfg.threads);
-                        fork_join(cfg.threads, |t| run_span(t, &leaves[bounds[t]..bounds[t + 1]]))
-                    }
-                    Partitioning::SelfScheduling { block } => {
-                        // Convert the particle block size to a leaf count.
-                        let leaf_block = (block / cfg.leaf_capacity.max(1)).max(1);
-                        let sched = BlockScheduler::new(leaves.len(), leaf_block);
-                        fork_join(cfg.threads, |t| {
-                            let mut w = WorkerObs::default();
-                            if profiled {
-                                w.start = bhut_obs::now();
-                            }
-                            let mut inter = 0;
-                            let mut stats = TraversalStats::default();
-                            while let Some((a, b)) = sched.grab() {
-                                let (i, s) = run_leaves(t, &leaves[a..b], &mut w);
-                                inter += i;
-                                stats.merge(s);
-                            }
-                            if profiled {
-                                w.end = bhut_obs::now();
-                            }
-                            (inter, stats, w)
-                        })
-                    }
-                }
+                // Static blocks: equal particle counts per thread, at leaf
+                // granularity. Costzones: weight each leaf by its members'
+                // measured work from the previous step.
+                let weight = |&l: &NodeId| match zone_work {
+                    Some(w) => tree.particles_under(l).iter().map(|&pi| w[pi as usize] + 1).sum(),
+                    None => tree.node(l).count() as u64,
+                };
+                dispatch(&cfg, profiled, &leaves, weight, cfg.leaf_capacity.max(1), run_range)
             }
             EvalMode::PerParticle => {
-                let run_range = |t: usize, positions: &[u32]| -> (u64, TraversalStats) {
+                let run_range = |t: usize, positions: &[u32], _: &mut WorkerObs| {
                     let mut s = scratch[t].lock().unwrap();
                     let mut stats = TraversalStats::default();
                     for &pi in positions {
@@ -583,54 +461,10 @@ impl ThreadSim {
                             ..Default::default()
                         });
                     }
-                    (stats.interactions(), stats)
+                    stats
                 };
-                let run_span = |t: usize, positions: &[u32]| -> (u64, TraversalStats, WorkerObs) {
-                    let mut w = WorkerObs::default();
-                    if profiled {
-                        w.start = bhut_obs::now();
-                    }
-                    let (i, st) = run_range(t, positions);
-                    if profiled {
-                        w.end = bhut_obs::now();
-                    }
-                    (i, st, w)
-                };
-                match cfg.partitioning {
-                    Partitioning::StaticBlocks => {
-                        let bounds = equal_bounds(n, cfg.threads);
-                        fork_join(cfg.threads, |t| run_span(t, &order[bounds[t]..bounds[t + 1]]))
-                    }
-                    Partitioning::MortonZones => {
-                        // Carried weights are only valid while the particle
-                        // set has the same cardinality (ids are positional).
-                        let bounds = match &self.prev_work {
-                            Some(w) if w.len() == n => weighted_bounds(order, w, cfg.threads),
-                            _ => equal_bounds(n, cfg.threads),
-                        };
-                        fork_join(cfg.threads, |t| run_span(t, &order[bounds[t]..bounds[t + 1]]))
-                    }
-                    Partitioning::SelfScheduling { block } => {
-                        let sched = BlockScheduler::new(n, block);
-                        fork_join(cfg.threads, |t| {
-                            let mut w = WorkerObs::default();
-                            if profiled {
-                                w.start = bhut_obs::now();
-                            }
-                            let mut inter = 0;
-                            let mut stats = TraversalStats::default();
-                            while let Some((a, b)) = sched.grab() {
-                                let (i, s) = run_range(t, &order[a..b]);
-                                inter += i;
-                                stats.merge(s);
-                            }
-                            if profiled {
-                                w.end = bhut_obs::now();
-                            }
-                            (inter, stats, w)
-                        })
-                    }
-                }
+                let weight = |&pi: &u32| zone_work.map_or(0, |w| w[pi as usize]);
+                dispatch(&cfg, profiled, order, weight, 1, run_range)
             }
         };
 
@@ -730,9 +564,58 @@ impl ThreadSim {
     }
 }
 
-/// `threads + 1` equal-count boundaries over `n` items.
-fn equal_bounds(n: usize, threads: usize) -> Vec<usize> {
-    (0..=threads).map(|t| n * t / threads).collect()
+/// The one partition dispatch: run `run_range(thread, &items[a..b], obs)`
+/// over all of `items` (leaves or particles, in Morton order) on
+/// `cfg.threads` workers and return each worker's interaction count, stats
+/// and wall-clock window.
+///
+/// [`Partitioning::StaticBlocks`] and [`Partitioning::MortonZones`] give
+/// each worker one contiguous range of ≈ equal total `weight` (the caller's
+/// `weight` is the static or the measured one); under
+/// [`Partitioning::SelfScheduling`] workers grab blocks of `block /
+/// particles_per_item` items from a shared counter until none are left.
+fn dispatch<T: Sync>(
+    cfg: &ThreadConfig,
+    profiled: bool,
+    items: &[T],
+    weight: impl Fn(&T) -> u64,
+    particles_per_item: usize,
+    run_range: impl Fn(usize, &[T], &mut WorkerObs) -> TraversalStats + Sync,
+) -> Vec<(u64, TraversalStats, WorkerObs)> {
+    enum Plan {
+        Ranges(Vec<usize>),
+        Blocks(BlockScheduler),
+    }
+    let plan = match cfg.partitioning {
+        Partitioning::SelfScheduling { block } => {
+            Plan::Blocks(BlockScheduler::new(items.len(), block / particles_per_item))
+        }
+        Partitioning::StaticBlocks | Partitioning::MortonZones => {
+            let weights: Vec<u64> = items.iter().map(weight).collect();
+            Plan::Ranges(split_by_weight(&weights, cfg.threads))
+        }
+    };
+    fork_join(cfg.threads, |t| {
+        let mut w = WorkerObs::default();
+        if profiled {
+            w.start = bhut_obs::now();
+        }
+        let mut stats = TraversalStats::default();
+        match &plan {
+            Plan::Ranges(bounds) => {
+                stats = run_range(t, &items[bounds[t]..bounds[t + 1]], &mut w);
+            }
+            Plan::Blocks(sched) => {
+                while let Some((a, b)) = sched.grab() {
+                    stats.merge(run_range(t, &items[a..b], &mut w));
+                }
+            }
+        }
+        if profiled {
+            w.end = bhut_obs::now();
+        }
+        (stats.interactions(), stats, w)
+    })
 }
 
 /// `parts + 1` boundaries over a weighted item sequence such that each part
@@ -752,26 +635,6 @@ fn split_by_weight(weights: &[u64], parts: usize) -> Vec<usize> {
         bounds.push(weights.len());
     }
     bounds.push(weights.len());
-    bounds
-}
-
-/// Costzones boundaries: split the in-order sequence so each zone carries
-/// ≈ equal measured work.
-fn weighted_bounds(order: &[u32], work: &[u64], threads: usize) -> Vec<usize> {
-    let total: u64 = order.iter().map(|&pi| work[pi as usize] + 1).sum();
-    let per = total as f64 / threads as f64;
-    let mut bounds = vec![0usize];
-    let mut acc = 0u64;
-    for (t, &pi) in order.iter().enumerate() {
-        if acc as f64 >= per * bounds.len() as f64 && bounds.len() < threads {
-            bounds.push(t);
-        }
-        acc += work[pi as usize] + 1;
-    }
-    while bounds.len() < threads {
-        bounds.push(order.len());
-    }
-    bounds.push(order.len());
     bounds
 }
 
@@ -1128,7 +991,7 @@ mod tests {
         let mut a = ThreadSim::new(config(3, Partitioning::MortonZones));
         let mut b = ThreadSim::new(config(3, Partitioning::MortonZones));
         let plain = a.compute_forces_active(&set.particles, &active);
-        let prof = b.compute_forces_active_profiled(&set.particles, &active);
+        let prof = b.compute_forces_substep(&set.particles, &active, true, false);
         assert_eq!(plain.stats, prof.stats);
         for i in 0..set.len() {
             assert_eq!(plain.accels[i], prof.accels[i]);
@@ -1246,12 +1109,6 @@ mod tests {
         let r = sim.compute_forces_substep(&set.particles, &full, true, false);
         let p = r.profile.unwrap();
         assert!(p.totals.list_misses > 0 && p.totals.list_hits == 0, "rebuild must evict");
-        // And purging is as good as a rebuild.
-        let _ = sim.compute_forces_substep(&set.particles, &full, false, true);
-        sim.purge_walk_caches();
-        let r = sim.compute_forces_substep(&set.particles, &full, true, true);
-        let p = r.profile.unwrap();
-        assert_eq!(p.totals.list_hits, 0, "purged caches cannot hit");
     }
 
     /// Reuse silently degrades to a rebuild when it would be unsound: a

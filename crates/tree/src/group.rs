@@ -14,11 +14,16 @@
 //! * **RejectAll** — every member rejects; an internal node is expanded, a
 //!   leaf's particles are appended to the shared P2P slab.
 //! * **Mixed** — the bucket straddles the acceptance boundary; the subtree
-//!   root is recorded and replayed per member through the exact per-particle
-//!   walk ([`for_each_interaction_from`]). [`resolve_mixed_tails`] can run
-//!   the replays at gather time, flattening each member's mixed
-//!   interactions into a per-member SoA tail segment so the evaluation
-//!   phase stays pure slab arithmetic.
+//!   root is recorded, and [`resolve_mixed_tails_targets`] replays the exact
+//!   per-particle walk ([`crate::traverse::for_each_interaction_from`]) from
+//!   it for every target, flattening each target's mixed interactions into
+//!   its own SoA tail segment so the evaluation phase is pure slab
+//!   arithmetic.
+//!
+//! A *target* is a position plus the particle id to leave out
+//! ([`QueryTarget`]). The pipeline is `gather → resolve → eval`, and it is
+//! the same for a leaf's (active) members and for a batch of query points —
+//! the member entry points only build the target list from the leaf.
 //!
 //! Because the walk only descends on RejectAll, every member's individual
 //! walk is guaranteed to reach each shared or mixed frontier node, which
@@ -33,9 +38,7 @@ use crate::kernel::{
 use crate::mac::{GroupClass, GroupMac, Mac};
 use crate::mac_simd::NodeBatch;
 use crate::node::{Node, NodeId, Tree, NIL};
-use crate::traverse::{
-    accel_kernel, for_each_interaction_from, potential_kernel, Interaction, TraversalStats,
-};
+use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_simd::{AlignedF32Slab, AlignedF64Slab, AlignedU32Slab, KernelPrecision, PAD_MULTIPLE};
 use std::cell::Cell;
@@ -72,23 +75,24 @@ pub struct InteractionBuffers {
     pub pmass: AlignedF64Slab,
     pub pid: AlignedU32Slab,
     /// Roots of subtrees that straddle the acceptance boundary for this
-    /// bucket; replayed per member.
+    /// bucket; resolved per target into the tail slabs (the degree-k
+    /// evaluation replays them per member itself).
     pub mixed: Vec<NodeId>,
-    /// Per-member tail slabs: the mixed-frontier interactions of every
-    /// member, resolved by [`resolve_mixed_tails`] into one SoA segment per
-    /// member (monopole sources only — node centers of mass and particle
-    /// positions look identical to the kernel). Segments are padded in place
-    /// to [`PAD_MULTIPLE`] with zero-mass sentinels, so each starts
+    /// Per-target tail slabs: the mixed-frontier interactions of every
+    /// target, resolved by [`resolve_mixed_tails_targets`] into one SoA
+    /// segment per target (monopole sources only — node centers of mass and
+    /// particle positions look identical to the kernel). Segments are padded
+    /// in place to [`PAD_MULTIPLE`] with zero-mass sentinels, so each starts
     /// lane-aligned and the kernels never straddle a ragged boundary.
     pub tail_x: AlignedF64Slab,
     pub tail_y: AlignedF64Slab,
     pub tail_z: AlignedF64Slab,
     pub tail_m: AlignedF64Slab,
-    /// One span per member ordinal (the order of `tree.particles_under`);
-    /// empty until [`resolve_mixed_tails`] runs.
+    /// One span per target ordinal (for a leaf: its active members in the
+    /// order of `tree.particles_under`); empty until
+    /// [`resolve_mixed_tails_targets`] runs.
     tails: Vec<TailSpan>,
-    /// Whether `tails` describes the current gather (evaluation then skips
-    /// the per-member mixed replay entirely).
+    /// Whether `tails` describes the current gather; evaluation requires it.
     tails_ready: bool,
     /// MAC tests charged to *each* member by the shared walk (AcceptAll +
     /// RejectAll classifications of non-singleton nodes).
@@ -108,8 +112,8 @@ pub struct InteractionBuffers {
     /// `lane_useful / lane_slots` is the SIMD lane utilization.
     pub lane_useful: Cell<u64>,
     /// f32 mirrors of the padded f64 slabs for
-    /// [`KernelPrecision::MixedF32`]; filled on demand by
-    /// [`InteractionBuffers::prepare_f32`].
+    /// [`KernelPrecision::MixedF32`]; filled during the gather when
+    /// [`InteractionBuffers::set_fill_f32`] is on.
     com_x32: AlignedF32Slab,
     com_y32: AlignedF32Slab,
     com_z32: AlignedF32Slab,
@@ -121,15 +125,15 @@ pub struct InteractionBuffers {
     /// Whether the f32 mirrors reflect the current slab contents.
     f32_ready: bool,
     /// Sticky mode bit: when set, [`gather_group`] fills the f32 mirrors
-    /// *during* the gather (one `as f32` per pushed source) instead of
-    /// requiring a whole-slab [`InteractionBuffers::prepare_f32`] conversion
-    /// pass afterwards. Identical mirror contents either way — the executor
-    /// sets this for [`KernelPrecision::MixedF32`] so the mixed mode helps
-    /// the walk phase too.
+    /// *during* the gather (one `as f32` per pushed source). Callers set it
+    /// whenever the kernels will run in [`KernelPrecision::MixedF32`].
     fill_f32: bool,
-    /// Per-lane accumulators for [`resolve_mixed_tails_lanes`]: one
-    /// `[x, y, z, mass]` list per member lane, reused across leaves.
+    /// Per-lane accumulators for [`resolve_mixed_tails_targets`]: one
+    /// `[x, y, z, mass]` list per target lane, reused across gathers.
     lane_scratch: Vec<Vec<[f64; 4]>>,
+    /// DFS stack of the lane-masked mixed replay, kept to avoid a
+    /// reallocation per mixed root per lane chunk.
+    mixed_stack: Vec<MultiEntry>,
     /// Largest P2P / M2P slab fills since the last shrink window, recorded
     /// by [`InteractionBuffers::clear`].
     hwm_p2p: usize,
@@ -228,9 +232,7 @@ impl InteractionBuffers {
     }
 
     /// Fill the f32 mirrors during the gather itself (see the field doc).
-    /// Takes effect at the next [`InteractionBuffers::clear`]; a later
-    /// [`InteractionBuffers::prepare_f32`] still works and overwrites the
-    /// mirrors with identical contents.
+    /// Takes effect at the next [`InteractionBuffers::clear`].
     pub fn set_fill_f32(&mut self, on: bool) {
         self.fill_f32 = on;
     }
@@ -279,8 +281,7 @@ impl InteractionBuffers {
         self.pid.pad_to(PAD_MULTIPLE, u32::MAX);
         if self.fill_f32 {
             // The f64 sentinels are 0.0, and `0.0f64 as f32 == 0.0f32`, so
-            // the gathered mirrors end up bitwise-equal to what
-            // [`InteractionBuffers::prepare_f32`] would build.
+            // each mirror is the element-wise `as f32` of its padded slab.
             self.com_x32.pad_to(PAD_MULTIPLE, 0.0);
             self.com_y32.pad_to(PAD_MULTIPLE, 0.0);
             self.com_z32.pad_to(PAD_MULTIPLE, 0.0);
@@ -291,26 +292,6 @@ impl InteractionBuffers {
             self.pmass32.pad_to(PAD_MULTIPLE, 0.0);
             self.f32_ready = true;
         }
-    }
-
-    /// Fill the f32 mirror slabs from the current (padded) f64 slabs.
-    /// Required before evaluating with [`KernelPrecision::MixedF32`]; the
-    /// other precisions never read the mirrors.
-    pub fn prepare_f32(&mut self) {
-        fn mirror(dst: &mut AlignedF32Slab, src: &AlignedF64Slab) {
-            dst.clear();
-            dst.extend(src.padded().iter().map(|&v| v as f32));
-            dst.pad_to(PAD_MULTIPLE, 0.0);
-        }
-        mirror(&mut self.com_x32, &self.com_x);
-        mirror(&mut self.com_y32, &self.com_y);
-        mirror(&mut self.com_z32, &self.com_z);
-        mirror(&mut self.node_mass32, &self.node_mass);
-        mirror(&mut self.px32, &self.px);
-        mirror(&mut self.py32, &self.py);
-        mirror(&mut self.pz32, &self.pz);
-        mirror(&mut self.pmass32, &self.pmass);
-        self.f32_ready = true;
     }
 
     fn note_high_water(&mut self) {
@@ -373,8 +354,8 @@ impl InteractionBuffers {
     }
 
     /// Acceleration + potential at `pos` from the M2P monopole slab, with
-    /// the per-precision kernel. [`KernelPrecision::MixedF32`] requires a
-    /// prior [`InteractionBuffers::prepare_f32`].
+    /// the per-precision kernel. [`KernelPrecision::MixedF32`] requires
+    /// [`InteractionBuffers::set_fill_f32`] to have been on for the gather.
     pub fn eval_m2p(&self, pos: Vec3, eps: f64, precision: KernelPrecision) -> (Vec3, f64) {
         match precision {
             KernelPrecision::ScalarF64 => {
@@ -474,13 +455,7 @@ impl InteractionBuffers {
         }
     }
 
-    /// Whether [`resolve_mixed_tails`] has run for the current gather.
-    #[inline(always)]
-    pub fn tails_ready(&self) -> bool {
-        self.tails_ready
-    }
-
-    /// Acceleration + potential at `pos` from member ordinal `k`'s resolved
+    /// Acceleration + potential at `pos` from target ordinal `k`'s resolved
     /// tail segment, plus the traversal stats its replay recorded.
     ///
     /// Tails always run in f64: they hold the near-field, accuracy-critical
@@ -534,7 +509,7 @@ impl InteractionBuffers {
     fn assert_f32_ready(&self) {
         assert!(
             self.f32_ready,
-            "MixedF32 evaluation requires InteractionBuffers::prepare_f32 after gather_group"
+            "MixedF32 evaluation requires InteractionBuffers::set_fill_f32(true) before the gather"
         );
     }
 }
@@ -903,102 +878,50 @@ fn walk_bucket(
     buf.pad();
 }
 
-/// Resolve the gathered mixed frontiers into per-member tail slabs, so the
-/// evaluation phase is pure slab arithmetic.
-///
-/// For each (active) member this replays the exact per-particle walk from
-/// every mixed root — the same walk [`eval_gathered_monopole_masked`] would
-/// otherwise run per member during *evaluation* — and records the emitted
-/// monopole sources (node centers of mass, leaf particles) as one SoA
-/// segment per member. The member itself is excluded by the walk's
-/// `skip_id`, so the segments need no id masking and evaluate with the M2P
-/// kernel. Interaction sets, per-member stats, and walk order are identical
-/// to the replay; only the summation grouping changes (each member's tail
-/// is now summed before being added to its slab contributions).
-///
-/// This moves the traversal cost of the mixed frontier out of the kernel
-/// phase and into the gather/walk phase where it belongs, and lets the tail
-/// interactions run through the vector kernels instead of one scalar
-/// evaluation per emitted interaction.
-///
-/// Members with `active[pi] == false` get an empty segment (their replay
-/// would have been skipped anyway). Call after [`gather_group`] on the same
-/// `buf`; [`gather_group`] invalidates the tails again.
-pub fn resolve_mixed_tails(
-    tree: &Tree,
-    particles: &[Particle],
+/// A target of the grouped force path: an evaluation position plus the
+/// particle id to exclude from direct interactions (`u32::MAX` = exclude
+/// nothing; no particle carries that id — it is the slab padding sentinel).
+/// A leaf member is the target `(its position, its own id)`; the skip id is
+/// also how a query placed *at* a particle's position reproduces the
+/// simulation's self-excluded force on that particle.
+pub type QueryTarget = (Vec3, u32);
+
+/// The (active) members of `leaf` as `(particle index, particle)`, in
+/// `tree.particles_under` order — the one place the member entry points
+/// turn a leaf into a target list, so resolve and eval agree on ordinals.
+fn leaf_targets<'a>(
+    tree: &'a Tree,
+    particles: &'a [Particle],
     leaf: NodeId,
-    mac: &impl GroupMac,
-    buf: &mut InteractionBuffers,
-    active: Option<&[bool]>,
-) {
+    active: Option<&'a [bool]>,
+) -> impl Iterator<Item = (u32, &'a Particle)> {
     let members = if tree.is_empty() { &[][..] } else { tree.particles_under(leaf) };
-    buf.tails.clear();
-    let mixed = std::mem::take(&mut buf.mixed);
-    for &pi in members {
-        let start = buf.tail_x.len() as u32;
-        let mut span = TailSpan { start, end: start, ..TailSpan::default() };
-        let skipped = active.is_some_and(|mask| !mask[pi as usize]);
-        if !skipped && !mixed.is_empty() {
-            let p = &particles[pi as usize];
-            for &root in &mixed {
-                let st =
-                    for_each_interaction_from(tree, root, particles, p.pos, Some(p.id), mac, |i| {
-                        let (pos, mass) = match i {
-                            Interaction::Node(id) => {
-                                let n = tree.node(id);
-                                (n.com, n.mass)
-                            }
-                            Interaction::Particle(qi) => {
-                                let q = &particles[qi as usize];
-                                (q.pos, q.mass)
-                            }
-                        };
-                        buf.tail_x.push(pos.x);
-                        buf.tail_y.push(pos.y);
-                        buf.tail_z.push(pos.z);
-                        buf.tail_m.push(mass);
-                    });
-                span.stats.merge(st);
-            }
-            span.len = buf.tail_x.len() as u32 - start;
-            // Pad the segment in place with zero-mass sentinels so the next
-            // segment starts on a lane boundary and the vector kernel never
-            // reads a ragged tail.
-            while !buf.tail_x.len().is_multiple_of(PAD_MULTIPLE) {
-                buf.tail_x.push(0.0);
-                buf.tail_y.push(0.0);
-                buf.tail_z.push(0.0);
-                buf.tail_m.push(0.0);
-            }
-            span.end = buf.tail_x.len() as u32;
-        }
-        buf.tails.push(span);
-    }
-    buf.mixed = mixed;
-    buf.tails_ready = true;
+    members
+        .iter()
+        .filter(move |&&pi| active.is_none_or(|mask| mask[pi as usize]))
+        .map(move |&pi| (pi, &particles[pi as usize]))
 }
 
-/// One stack entry of the member-lane mixed replay: a node plus the set of
-/// lanes (bit `l` = member lane `l`) that still descend through it.
-#[derive(Clone, Copy)]
+/// One stack entry of the lane-masked mixed replay: a node plus the set of
+/// lanes (bit `l` = target lane `l`) that still descend through it.
+#[derive(Debug, Clone, Copy)]
 struct MultiEntry {
     id: NodeId,
     mask: u8,
 }
 
-/// Replay the mixed frontier under `root` for up to 8 members in one
+/// Replay the mixed frontier under `root` for up to 8 targets in one
 /// traversal.
 ///
 /// Per lane this makes exactly the decisions of
-/// [`for_each_interaction_from`]`(tree, root, …, pts[l], Some(skips[l]),
-/// mac, …)` — the same [`Mac::accept`] call on the same operands — but a
-/// node shared by several members' walks is fetched and expanded once, with
-/// a lane bitmask tracking who still descends. A lane that accepts a node
-/// records the interaction and drops out of the subtree; the subtree is
+/// [`crate::traverse::for_each_interaction_from`]`(tree, root, …, pts[l],
+/// skips[l], mac, …)` — the same [`Mac::accept`] call on the same operands —
+/// but a node shared by several targets' walks is fetched and expanded once,
+/// with a lane bitmask tracking who still descends. A lane that accepts a
+/// node records the interaction and drops out of the subtree; the subtree is
 /// opened only for the lanes that rejected. Each lane's emitted sequence is
 /// its own depth-first order, so accumulating per lane and concatenating in
-/// member order reproduces the scalar replay bit for bit — interactions,
+/// target order reproduces the per-target walk bit for bit — interactions,
 /// order, and [`TraversalStats`] alike.
 #[allow(clippy::too_many_arguments)] // per-lane inputs are separate slices by design
 fn walk_mixed_multi(
@@ -1008,15 +931,13 @@ fn walk_mixed_multi(
     pts: &[Vec3],
     skips: &[u32],
     mac: &impl Mac,
-    init_mask: u8,
+    stack: &mut Vec<MultiEntry>,
     acc: &mut [Vec<[f64; 4]>],
     stats: &mut [TraversalStats; 8],
 ) {
-    debug_assert!(pts.len() <= 8 && pts.len() == skips.len());
-    if init_mask == 0 {
-        return;
-    }
-    let mut stack: Vec<MultiEntry> = vec![MultiEntry { id: root, mask: init_mask }];
+    debug_assert!((1..=8).contains(&pts.len()) && pts.len() == skips.len());
+    stack.clear();
+    stack.push(MultiEntry { id: root, mask: u8::MAX >> (8 - pts.len()) });
     while let Some(e) = stack.pop() {
         let node = tree.node(e.id);
         let count = node.count();
@@ -1076,17 +997,95 @@ fn walk_mixed_multi(
     }
 }
 
-/// [`resolve_mixed_tails`] with the per-member replays fused into
-/// member-lane traversals: each mixed root is walked once per ≤8-member
-/// chunk instead of once per member, amortizing node fetches, stack
-/// traffic, and leaf scans across the lanes.
+/// Resolve the gathered mixed frontiers into per-target tail slabs, so the
+/// evaluation phase is pure slab arithmetic.
 ///
-/// Output contract is identical to [`resolve_mixed_tails`] — tail slab
-/// contents, per-member spans, padding, and replay stats are bit-for-bit
-/// the same, because every lane makes the scalar walk's exact decisions in
-/// the scalar walk's exact order. The executor selects this variant on its
-/// vectorized-walk path (`mac_batch`) and keeps the scalar resolve as the
-/// pinned reference.
+/// For each target this replays the exact per-particle walk from every mixed
+/// root and records the emitted monopole sources (node centers of mass, leaf
+/// particles) as one SoA segment per target, in target order. The target's
+/// skip id is excluded by the walk itself, so the segments need no id
+/// masking and evaluate with the M2P kernel. The replays are fused into
+/// lane-masked traversals (`walk_mixed_multi`): each mixed root is walked
+/// once per chunk of ≤8 targets, amortizing node fetches, stack traffic and
+/// leaf scans across the lanes, while every lane keeps its own walk's
+/// decisions and emit order.
+///
+/// This moves the traversal cost of the mixed frontier out of the kernel
+/// phase and into the gather/walk phase where it belongs, and lets the tail
+/// interactions run through the vector kernels.
+///
+/// Call after a gather on the same `buf` (which invalidates the tails
+/// again), with the targets — same order — later passed to the evaluation.
+pub fn resolve_mixed_tails_targets(
+    tree: &Tree,
+    particles: &[Particle],
+    targets: impl IntoIterator<Item = QueryTarget>,
+    mac: &impl GroupMac,
+    buf: &mut InteractionBuffers,
+) {
+    buf.tails.clear();
+    let mixed = std::mem::take(&mut buf.mixed);
+    let mut stack = std::mem::take(&mut buf.mixed_stack);
+    let mut scratch = std::mem::take(&mut buf.lane_scratch);
+    scratch.resize(8, Vec::new());
+    let mut targets = targets.into_iter();
+    loop {
+        let mut pts = [Vec3::ZERO; 8];
+        let mut skips = [u32::MAX; 8];
+        let mut lanes = 0;
+        for (pos, skip) in targets.by_ref().take(8) {
+            pts[lanes] = pos;
+            skips[lanes] = skip;
+            scratch[lanes].clear();
+            lanes += 1;
+        }
+        if lanes == 0 {
+            break;
+        }
+        let mut stats = [TraversalStats::default(); 8];
+        for &root in &mixed {
+            walk_mixed_multi(
+                tree,
+                root,
+                particles,
+                &pts[..lanes],
+                &skips[..lanes],
+                mac,
+                &mut stack,
+                &mut scratch,
+                &mut stats,
+            );
+        }
+        for (lane, st) in scratch[..lanes].iter().zip(stats) {
+            let start = buf.tail_x.len() as u32;
+            for src in lane {
+                buf.tail_x.push(src[0]);
+                buf.tail_y.push(src[1]);
+                buf.tail_z.push(src[2]);
+                buf.tail_m.push(src[3]);
+            }
+            let len = buf.tail_x.len() as u32 - start;
+            // Pad the segment in place with zero-mass sentinels so the next
+            // segment starts on a lane boundary and the vector kernel never
+            // reads a ragged tail.
+            while !buf.tail_x.len().is_multiple_of(PAD_MULTIPLE) {
+                buf.tail_x.push(0.0);
+                buf.tail_y.push(0.0);
+                buf.tail_z.push(0.0);
+                buf.tail_m.push(0.0);
+            }
+            buf.tails.push(TailSpan { start, end: buf.tail_x.len() as u32, len, stats: st });
+        }
+    }
+    buf.lane_scratch = scratch;
+    buf.mixed_stack = stack;
+    buf.mixed = mixed;
+    buf.tails_ready = true;
+}
+
+/// [`resolve_mixed_tails_targets`] for the members of `leaf` gathered by
+/// [`gather_group`] / [`gather_group_cached`]: the targets are the members
+/// with `active[pi] != false`, each skipping itself.
 pub fn resolve_mixed_tails_lanes(
     tree: &Tree,
     particles: &[Particle],
@@ -1095,195 +1094,45 @@ pub fn resolve_mixed_tails_lanes(
     buf: &mut InteractionBuffers,
     active: Option<&[bool]>,
 ) {
-    let members = if tree.is_empty() { &[][..] } else { tree.particles_under(leaf) };
-    buf.tails.clear();
-    let mixed = std::mem::take(&mut buf.mixed);
-    let mut scratch = std::mem::take(&mut buf.lane_scratch);
-    scratch.resize(8, Vec::new());
-    for chunk in members.chunks(8) {
-        let mut pts = [Vec3::ZERO; 8];
-        let mut skips = [u32::MAX; 8];
-        let mut init_mask = 0u8;
-        for (l, &pi) in chunk.iter().enumerate() {
-            let p = &particles[pi as usize];
-            pts[l] = p.pos;
-            skips[l] = p.id;
-            scratch[l].clear();
-            let skipped = active.is_some_and(|mask| !mask[pi as usize]);
-            if !skipped && !mixed.is_empty() {
-                init_mask |= 1 << l;
-            }
-        }
-        let mut stats = [TraversalStats::default(); 8];
-        for &root in &mixed {
-            walk_mixed_multi(
-                tree,
-                root,
-                particles,
-                &pts[..chunk.len()],
-                &skips[..chunk.len()],
-                mac,
-                init_mask,
-                &mut scratch,
-                &mut stats,
-            );
-        }
-        for (l, &pi) in chunk.iter().enumerate() {
-            let start = buf.tail_x.len() as u32;
-            let mut span = TailSpan { start, end: start, ..TailSpan::default() };
-            let skipped = active.is_some_and(|mask| !mask[pi as usize]);
-            if !skipped && !mixed.is_empty() {
-                for src in &scratch[l] {
-                    buf.tail_x.push(src[0]);
-                    buf.tail_y.push(src[1]);
-                    buf.tail_z.push(src[2]);
-                    buf.tail_m.push(src[3]);
-                }
-                span.stats = stats[l];
-                span.len = buf.tail_x.len() as u32 - start;
-                while !buf.tail_x.len().is_multiple_of(PAD_MULTIPLE) {
-                    buf.tail_x.push(0.0);
-                    buf.tail_y.push(0.0);
-                    buf.tail_z.push(0.0);
-                    buf.tail_m.push(0.0);
-                }
-                span.end = buf.tail_x.len() as u32;
-            }
-            buf.tails.push(span);
-        }
-    }
-    buf.lane_scratch = scratch;
-    buf.mixed = mixed;
-    buf.tails_ready = true;
+    let targets = leaf_targets(tree, particles, leaf, active).map(|(_, p)| (p.pos, p.id));
+    resolve_mixed_tails_targets(tree, particles, targets, mac, buf);
 }
 
-/// A field-query target: an evaluation position plus the particle id to
-/// exclude from direct interactions (`u32::MAX` = exclude nothing). The
-/// skip id is how a query placed *at* a particle's position reproduces the
-/// simulation's own self-excluded force on that particle.
-pub type QueryTarget = (Vec3, u32);
-
-/// [`resolve_mixed_tails`] for arbitrary query targets: replay the mixed
-/// frontier gathered by [`gather_group_targets`] once per target, flattening
-/// each target's unsettled interactions into a per-target SoA tail segment.
-/// Targets must be the same batch (same order) later passed to
-/// [`eval_gathered_targets`]; each target's skip id drives the replay's
-/// self-exclusion.
-pub fn resolve_mixed_tails_targets(
-    tree: &Tree,
-    particles: &[Particle],
-    targets: &[QueryTarget],
-    mac: &impl GroupMac,
-    buf: &mut InteractionBuffers,
-) {
-    buf.tails.clear();
-    let mixed = std::mem::take(&mut buf.mixed);
-    for &(pos, skip) in targets {
-        let start = buf.tail_x.len() as u32;
-        let mut span = TailSpan { start, end: start, ..TailSpan::default() };
-        if !mixed.is_empty() {
-            let skip = (skip != u32::MAX).then_some(skip);
-            for &root in &mixed {
-                let st = for_each_interaction_from(tree, root, particles, pos, skip, mac, |i| {
-                    let (src, mass) = match i {
-                        Interaction::Node(id) => {
-                            let n = tree.node(id);
-                            (n.com, n.mass)
-                        }
-                        Interaction::Particle(qi) => {
-                            let q = &particles[qi as usize];
-                            (q.pos, q.mass)
-                        }
-                    };
-                    buf.tail_x.push(src.x);
-                    buf.tail_y.push(src.y);
-                    buf.tail_z.push(src.z);
-                    buf.tail_m.push(mass);
-                });
-                span.stats.merge(st);
-            }
-            span.len = buf.tail_x.len() as u32 - start;
-            while !buf.tail_x.len().is_multiple_of(PAD_MULTIPLE) {
-                buf.tail_x.push(0.0);
-                buf.tail_y.push(0.0);
-                buf.tail_z.push(0.0);
-                buf.tail_m.push(0.0);
-            }
-            span.end = buf.tail_x.len() as u32;
-        }
-        buf.tails.push(span);
-    }
-    buf.mixed = mixed;
-    buf.tails_ready = true;
-}
-
-/// Evaluate a batch of query targets against slabs gathered by
-/// [`gather_group_targets`] for a bucket bounding them all.
+/// The one monopole evaluation: every target against the gathered slabs and
+/// its own resolved tail segment. `targets` yields `(key, position, skip id,
+/// self hits)` in the order given to [`resolve_mixed_tails_targets`];
+/// `emit(key, phi, accel, interactions)` is called once per target.
 ///
-/// `emit(target_ordinal, phi, accel, interactions)` is called once per
-/// target, in order. Per-target results are identical (to summation-order
-/// rounding; stats exactly) to the individual per-point walk
-/// [`crate::accel_on`]`(tree, particles, pos, skip, mac, eps)` — the
-/// group-MAC bracketing guarantees every target of the bucket agrees with
-/// the shared classification, and each target's skip id masks its own
-/// particle out of the near field exactly as the per-particle sweep does.
+/// *Self hits* is how often the skip id occurs in the P2P slab: a masked
+/// self-entry contributes nothing and is not an interaction, so it is
+/// subtracted to keep the stats equal to the per-point walk's.
 ///
-/// `precision` behaves as in [`eval_gathered_monopole_masked`]:
-/// [`KernelPrecision::MixedF32`] requires a prior
-/// [`InteractionBuffers::prepare_f32`], and the mixed frontier always runs
-/// in f64 — via per-target tail slabs when [`resolve_mixed_tails_targets`]
-/// has run, otherwise through the scalar per-interaction replay.
-#[allow(clippy::too_many_arguments)] // mirrors eval_gathered_monopole_masked
-pub fn eval_gathered_targets(
-    tree: &Tree,
-    particles: &[Particle],
-    targets: &[QueryTarget],
-    mac: &impl GroupMac,
+/// The slab kernels run in `precision`; tails always run in f64 (see
+/// [`InteractionBuffers::eval_tail`]). Under [`KernelPrecision::F64`] one
+/// fused kernel call and one horizontal-sum reduction cover the
+/// accepted-node slab, the id-masked near-field slab and the tail segment —
+/// per-target call overhead is the dominant cost left after vectorization.
+fn eval_targets<K>(
+    buf: &InteractionBuffers,
     eps: f64,
     precision: KernelPrecision,
-    buf: &InteractionBuffers,
-    mut emit: impl FnMut(usize, f64, Vec3, u64),
+    targets: impl Iterator<Item = (K, Vec3, u32, u64)>,
+    mut emit: impl FnMut(K, f64, Vec3, u64),
 ) -> TraversalStats {
+    assert!(buf.tails_ready, "evaluation requires resolve_mixed_tails_* after the gather");
     let mut stats = TraversalStats::default();
-    if tree.is_empty() {
-        for (k, _) in targets.iter().enumerate() {
-            emit(k, 0.0, Vec3::ZERO, 0);
-        }
-        return stats;
-    }
     let shared_p2n = buf.node_ids.len() as u64;
-    for (k, &(pos, skip)) in targets.iter().enumerate() {
-        // A target's masked self-entry (skip id present in the near-field
-        // slab) contributes nothing and is not an interaction; subtract it
-        // so stats match the per-point walk exactly.
-        let self_hits = if skip == u32::MAX {
-            0
-        } else {
-            buf.pid.iter().filter(|&&id| id == skip).count() as u64
-        };
+    for (k, (key, pos, skip, self_hits)) in targets.enumerate() {
         let mut target = TraversalStats {
             p2n: shared_p2n,
             p2p: buf.px.len() as u64 - self_hits,
             mac_tests: buf.shared_mac_tests,
         };
-        let (mut acc, mut phi) = if precision == KernelPrecision::F64 {
-            // Fused slab path, as in the member evaluation: one kernel call
-            // covers the accepted-node slab, the id-masked near-field slab,
-            // and this target's resolved tail segment.
-            let tail = if buf.tails_ready {
-                let span = &buf.tails[k];
-                target.merge(span.stats);
-                let (a, b) = (span.start as usize, span.end as usize);
-                buf.count_lanes(b - a, span.len as usize);
-                SlabView {
-                    xs: &buf.tail_x[a..b],
-                    ys: &buf.tail_y[a..b],
-                    zs: &buf.tail_z[a..b],
-                    ms: &buf.tail_m[a..b],
-                }
-            } else {
-                SlabView::EMPTY
-            };
+        let (acc, phi) = if precision == KernelPrecision::F64 {
+            let span = &buf.tails[k];
+            target.merge(span.stats);
+            let (a, b) = (span.start as usize, span.end as usize);
+            buf.count_lanes(b - a, span.len as usize);
             buf.count_lanes(
                 buf.com_x.padded_len() + buf.px.padded_len(),
                 buf.com_x.len() + buf.px.len(),
@@ -1308,53 +1157,66 @@ pub fn eval_gathered_targets(
                     ms: buf.pmass.padded(),
                 },
                 buf.pid.padded(),
-                tail,
+                SlabView {
+                    xs: &buf.tail_x[a..b],
+                    ys: &buf.tail_y[a..b],
+                    zs: &buf.tail_z[a..b],
+                    ms: &buf.tail_m[a..b],
+                },
                 eps * eps,
             );
             (Vec3::new(ax, ay, az), ph)
         } else {
             let (acc_n, phi_n) = buf.eval_m2p(pos, eps, precision);
             let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-            let (mut acc, mut phi) = (acc_n + acc_p, phi_n + phi_p);
-            if buf.tails_ready {
-                let (acc_t, phi_t, st) = buf.eval_tail(k, pos, eps, precision);
-                acc += acc_t;
-                phi += phi_t;
-                target.merge(st);
-            }
-            (acc, phi)
+            let (acc_t, phi_t, st) = buf.eval_tail(k, pos, eps, precision);
+            target.merge(st);
+            (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
         };
-        if !buf.tails_ready {
-            let skip = (skip != u32::MAX).then_some(skip);
-            for &root in &buf.mixed {
-                let st =
-                    for_each_interaction_from(tree, root, particles, pos, skip, mac, |i| match i {
-                        Interaction::Node(id) => {
-                            let n = tree.node(id);
-                            acc += accel_kernel(pos, n.com, n.mass, eps);
-                            phi += potential_kernel(pos, n.com, n.mass, eps);
-                        }
-                        Interaction::Particle(qi) => {
-                            let q = &particles[qi as usize];
-                            acc += accel_kernel(pos, q.pos, q.mass, eps);
-                            phi += potential_kernel(pos, q.pos, q.mass, eps);
-                        }
-                    });
-                target.merge(st);
-            }
-        }
-        emit(k, phi, acc, target.interactions());
+        emit(key, phi, acc, target.interactions());
         stats.merge(target);
     }
     stats
 }
 
+/// Evaluate a batch of query targets against slabs gathered by
+/// [`gather_group_targets`] for a bucket bounding them all, and tails
+/// resolved by [`resolve_mixed_tails_targets`] for the same targets.
+///
+/// `emit(target_ordinal, phi, accel, interactions)` is called once per
+/// target, in order. Per-target results are identical (to summation-order
+/// rounding; stats exactly) to the individual per-point walk
+/// [`crate::accel_on`]`(tree, particles, pos, skip, mac, eps)` — the
+/// group-MAC bracketing guarantees every target of the bucket agrees with
+/// the shared classification, and each target's skip id masks its own
+/// particle out of the near field exactly as the per-particle sweep does.
+///
+/// `precision` behaves as in [`eval_gathered_monopole_masked`].
+pub fn eval_gathered_targets(
+    targets: &[QueryTarget],
+    eps: f64,
+    precision: KernelPrecision,
+    buf: &InteractionBuffers,
+    emit: impl FnMut(usize, f64, Vec3, u64),
+) -> TraversalStats {
+    let targets = targets.iter().enumerate().map(|(k, &(pos, skip))| {
+        let self_hits = if skip == u32::MAX {
+            0
+        } else {
+            buf.pid.iter().filter(|&&id| id == skip).count() as u64
+        };
+        (k, pos, skip, self_hits)
+    });
+    eval_targets(buf, eps, precision, targets, emit)
+}
+
 /// Batched monopole M2P: acceleration and potential at `point` due to the
 /// SoA source slab `(xs, ys, zs, ms)`, Plummer-softened by `eps`.
 ///
-/// Per-interaction arithmetic is identical to [`accel_kernel`] /
-/// [`potential_kernel`] (same operations, same rounding), so a grouped
-/// evaluation differs from the per-particle one only in summation order.
+/// Per-interaction arithmetic is identical to
+/// [`crate::traverse::accel_kernel`] / [`crate::traverse::potential_kernel`]
+/// (same operations, same rounding), so a grouped evaluation differs from
+/// the per-particle one only in summation order.
 #[inline]
 pub fn accel_batch_m2p(
     point: Vec3,
@@ -1424,7 +1286,8 @@ pub fn accel_batch_p2p(
 }
 
 /// Monopole potential + acceleration for every particle under `leaf`, via
-/// one grouped walk. `emit(particle_index, phi, accel, interactions)` is
+/// one grouped walk: `gather → resolve → eval` in one call, at the default
+/// kernel precision. `emit(particle_index, phi, accel, interactions)` is
 /// called once per member; the returned stats equal the sum of what
 /// per-particle walks would have produced (`p2p`, `p2n`, and `mac_tests`
 /// all match exactly).
@@ -1438,165 +1301,47 @@ pub fn eval_group_monopole(
     emit: impl FnMut(u32, f64, Vec3, u64),
 ) -> TraversalStats {
     gather_group(tree, particles, leaf, mac, buf);
-    eval_gathered_monopole(tree, particles, leaf, mac, eps, buf, emit)
+    resolve_mixed_tails_lanes(tree, particles, leaf, mac, buf, None);
+    let precision = KernelPrecision::default();
+    eval_gathered_monopole_masked(tree, particles, leaf, mac, eps, precision, buf, None, emit)
 }
 
-/// The kernel half of [`eval_group_monopole`]: evaluate every member of
-/// `leaf` against slabs already filled by [`gather_group`] for that same
-/// leaf. Splitting the walk (gather) from the kernels (this) lets callers
-/// time the two phases separately.
-pub fn eval_gathered_monopole(
-    tree: &Tree,
-    particles: &[Particle],
-    leaf: NodeId,
-    mac: &impl GroupMac,
-    eps: f64,
-    buf: &InteractionBuffers,
-    emit: impl FnMut(u32, f64, Vec3, u64),
-) -> TraversalStats {
-    eval_gathered_monopole_masked(
-        tree,
-        particles,
-        leaf,
-        mac,
-        eps,
-        KernelPrecision::default(),
-        buf,
-        None,
-        emit,
-    )
-}
-
-/// [`eval_gathered_monopole`] restricted to an active subset: members with
-/// `active[pi] == false` are skipped entirely (no kernels, no stats, no
-/// `emit`), while the shared slabs — which already contain every source,
-/// active or not — are reused untouched. `active == None` evaluates every
-/// member with literally the same code path, which is what makes the masked
-/// and unmasked walks bit-identical on their common members.
+/// The kernel third of the pipeline for a leaf: evaluate the members of
+/// `leaf` against slabs filled by [`gather_group`] and tails resolved by
+/// [`resolve_mixed_tails_lanes`] for that same leaf and the same `active`.
+/// Splitting the walk (gather + resolve) from the kernels (this) lets
+/// callers time the two phases separately.
+///
+/// Members with `active[pi] == false` are not targets at all (no kernels,
+/// no stats, no `emit`), while the shared slabs — which already contain
+/// every source, active or not — are reused untouched. `active == None`
+/// evaluates every member with literally the same code path, which is what
+/// makes the masked and unmasked walks bit-identical on their common
+/// members.
 ///
 /// `precision` selects the slab-kernel arithmetic (see [`KernelPrecision`]);
-/// the mixed frontier always runs in f64 — via the per-member tail slabs
-/// when [`resolve_mixed_tails`] has run, otherwise through the exact scalar
-/// per-interaction replay. [`KernelPrecision::MixedF32`] requires the
-/// caller to have run [`InteractionBuffers::prepare_f32`] after the gather.
-#[allow(clippy::too_many_arguments)] // mirrors eval_gathered_monopole + mask
+/// the per-member tails always run in f64. [`KernelPrecision::MixedF32`]
+/// requires [`InteractionBuffers::set_fill_f32`] to have been on for the
+/// gather. `_mac` is unused — every MAC decision was taken by the gather
+/// and the resolve — and stays in the signature for its callers.
+#[allow(clippy::too_many_arguments)] // the pipeline's inputs plus mask and precision
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
     particles: &[Particle],
     leaf: NodeId,
-    mac: &impl GroupMac,
+    _mac: &impl GroupMac,
     eps: f64,
     precision: KernelPrecision,
     buf: &InteractionBuffers,
     active: Option<&[bool]>,
-    mut emit: impl FnMut(u32, f64, Vec3, u64),
+    emit: impl FnMut(u32, f64, Vec3, u64),
 ) -> TraversalStats {
-    let mut stats = TraversalStats::default();
-    if tree.is_empty() {
-        return stats;
-    }
-    let n_members = tree.particles_under(leaf).len();
-    if n_members == 0 {
-        return stats;
-    }
-    let shared_p2n = buf.node_ids.len() as u64;
-    let shared_p2p = buf.px.len() as u64 - buf.self_in_p2p as u64;
-    for k in 0..n_members {
-        let pi = tree.particles_under(leaf)[k];
-        if let Some(mask) = active {
-            if !mask[pi as usize] {
-                continue;
-            }
-        }
-        let p = &particles[pi as usize];
-        let mut member =
-            TraversalStats { p2n: shared_p2n, p2p: shared_p2p, mac_tests: buf.shared_mac_tests };
-        let (mut acc, mut phi) = if precision == KernelPrecision::F64 {
-            // Fused slab path: one kernel call and one horizontal-sum
-            // reduction covers the accepted-node slab, the id-masked
-            // near-field slab, and — once [`resolve_mixed_tails`] has run —
-            // this member's private tail segment. Per-member call overhead
-            // is the dominant cost left after vectorization, so the three
-            // logical evaluations share a single accumulator set.
-            let tail = if buf.tails_ready {
-                let span = &buf.tails[k];
-                member.merge(span.stats);
-                let (a, b) = (span.start as usize, span.end as usize);
-                buf.count_lanes(b - a, span.len as usize);
-                SlabView {
-                    xs: &buf.tail_x[a..b],
-                    ys: &buf.tail_y[a..b],
-                    zs: &buf.tail_z[a..b],
-                    ms: &buf.tail_m[a..b],
-                }
-            } else {
-                SlabView::EMPTY
-            };
-            buf.count_lanes(
-                buf.com_x.padded_len() + buf.px.padded_len(),
-                buf.com_x.len() + buf.px.len(),
-            );
-            let (ax, ay, az, ph) = accel_slab_member_f64(
-                p.pos.x,
-                p.pos.y,
-                p.pos.z,
-                p.id,
-                SlabView {
-                    xs: buf.com_x.padded(),
-                    ys: buf.com_y.padded(),
-                    zs: buf.com_z.padded(),
-                    ms: buf.node_mass.padded(),
-                },
-                SlabView {
-                    xs: buf.px.padded(),
-                    ys: buf.py.padded(),
-                    zs: buf.pz.padded(),
-                    ms: buf.pmass.padded(),
-                },
-                buf.pid.padded(),
-                tail,
-                eps * eps,
-            );
-            (Vec3::new(ax, ay, az), ph)
-        } else {
-            let (acc_n, phi_n) = buf.eval_m2p(p.pos, eps, precision);
-            let (acc_p, phi_p) = buf.eval_p2p(p.pos, p.id, eps, precision);
-            let (mut acc, mut phi) = (acc_n + acc_p, phi_n + phi_p);
-            if buf.tails_ready {
-                // Mixed frontiers were resolved into per-member tail slabs
-                // at gather time ([`resolve_mixed_tails`]); evaluation is
-                // pure slab arithmetic.
-                let (acc_t, phi_t, st) = buf.eval_tail(k, p.pos, eps, precision);
-                acc += acc_t;
-                phi += phi_t;
-                member.merge(st);
-            }
-            (acc, phi)
-        };
-        if !buf.tails_ready {
-            for &root in &buf.mixed {
-                let st =
-                    for_each_interaction_from(tree, root, particles, p.pos, Some(p.id), mac, |i| {
-                        match i {
-                            Interaction::Node(id) => {
-                                let n = tree.node(id);
-                                acc += accel_kernel(p.pos, n.com, n.mass, eps);
-                                phi += potential_kernel(p.pos, n.com, n.mass, eps);
-                            }
-                            Interaction::Particle(qi) => {
-                                let q = &particles[qi as usize];
-                                acc += accel_kernel(p.pos, q.pos, q.mass, eps);
-                                phi += potential_kernel(p.pos, q.pos, q.mass, eps);
-                            }
-                        }
-                    });
-                member.merge(st);
-            }
-        }
-        emit(pi, phi, acc, member.interactions());
-        stats.merge(member);
-    }
-    stats
+    // Each member finds itself in the P2P slab exactly once iff the walk
+    // appended its own leaf — an O(1) count, no id scan.
+    let self_hits = buf.self_in_p2p as u64;
+    let targets =
+        leaf_targets(tree, particles, leaf, active).map(|(pi, p)| (pi, p.pos, p.id, self_hits));
+    eval_targets(buf, eps, precision, targets, emit)
 }
 
 /// All leaves of `tree` in Morton (in-order) sequence — the group schedule.
@@ -1641,10 +1386,44 @@ mod tests {
     use super::*;
     use crate::build::{build, BuildParams};
     use crate::mac::{BarnesHutMac, MinDistMac};
-    use crate::traverse::{accel_on, potential_at};
+    use crate::traverse::{
+        accel_kernel, accel_on, for_each_interaction_from, potential_at, potential_kernel,
+        Interaction,
+    };
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
 
     const EPS: f64 = 1e-4;
+
+    /// What `emit` reports for one target: key, potential, acceleration,
+    /// interaction count.
+    type Emitted = Vec<(u32, f64, Vec3, u64)>;
+
+    /// `resolve → eval` of `leaf`'s (active) members on slabs `buf` already
+    /// holds for it.
+    fn eval_gathered_leaf(
+        tree: &Tree,
+        particles: &[Particle],
+        leaf: NodeId,
+        mac: &impl GroupMac,
+        precision: KernelPrecision,
+        mask: Option<&[bool]>,
+        buf: &mut InteractionBuffers,
+    ) -> (Emitted, TraversalStats) {
+        resolve_mixed_tails_lanes(tree, particles, leaf, mac, buf, mask);
+        let mut out = Vec::new();
+        let st = eval_gathered_monopole_masked(
+            tree,
+            particles,
+            leaf,
+            mac,
+            EPS,
+            precision,
+            buf,
+            mask,
+            |pi, phi, acc, it| out.push((pi, phi, acc, it)),
+        );
+        (out, st)
+    }
 
     fn assert_group_matches_per_particle(
         set: &bhut_geom::ParticleSet,
@@ -1817,106 +1596,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_then_eval_matches_fused_eval() {
-        // The split API (gather_group + eval_gathered_monopole) is what the
-        // instrumented executor times; it must equal the fused call exactly.
-        let set = plummer(PlummerSpec { n: 400, seed: 11, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
-        for leaf in leaf_schedule(&tree) {
-            let mut fused = Vec::new();
-            let st_a = eval_group_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                &mut buf_a,
-                |pi, phi, acc, it| fused.push((pi, phi, acc, it)),
-            );
-            let mut split = Vec::new();
-            gather_group(&tree, &set.particles, leaf, &mac, &mut buf_b);
-            let st_b = eval_gathered_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                &buf_b,
-                |pi, phi, acc, it| split.push((pi, phi, acc, it)),
-            );
-            assert_eq!(st_a, st_b);
-            assert_eq!(fused, split);
-        }
-    }
-
-    #[test]
-    fn resolved_tails_match_scalar_replay() {
-        // Resolving the mixed frontier into per-member tail slabs re-groups
-        // the tail summation (tail summed before being folded into the slab
-        // partials) but keeps interaction sets, stats, and walk order
-        // identical to the per-interaction scalar replay. Values therefore
-        // agree to rounding, counters exactly.
-        let set = plummer(PlummerSpec { n: 600, seed: 23, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let active: Vec<bool> = (0..set.len()).map(|i| i % 4 != 1).collect();
-        let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
-        let tol = 1e-12;
-        for mask in [None, Some(active.as_slice())] {
-            let mut any_tail = false;
-            for leaf in leaf_schedule(&tree) {
-                let mut replay = Vec::new();
-                gather_group(&tree, &set.particles, leaf, &mac, &mut buf_a);
-                let st_a = eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &mac,
-                    EPS,
-                    KernelPrecision::F64,
-                    &buf_a,
-                    mask,
-                    |pi, phi, acc, it| replay.push((pi, phi, acc, it)),
-                );
-                let mut resolved = Vec::new();
-                gather_group(&tree, &set.particles, leaf, &mac, &mut buf_b);
-                resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut buf_b, mask);
-                any_tail |= buf_b.tail_x.padded_len() > 0;
-                let st_b = eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &mac,
-                    EPS,
-                    KernelPrecision::F64,
-                    &buf_b,
-                    mask,
-                    |pi, phi, acc, it| resolved.push((pi, phi, acc, it)),
-                );
-                assert_eq!(st_a, st_b);
-                assert_eq!(replay.len(), resolved.len());
-                for (&(pi_a, phi_a, acc_a, it_a), &(pi_b, phi_b, acc_b, it_b)) in
-                    replay.iter().zip(&resolved)
-                {
-                    assert_eq!(pi_a, pi_b);
-                    assert_eq!(it_a, it_b, "interaction count differs for particle {pi_a}");
-                    assert!(
-                        (phi_a - phi_b).abs() <= tol * phi_a.abs().max(1.0),
-                        "phi {phi_b} vs replay {phi_a} for particle {pi_a}"
-                    );
-                    assert!(
-                        acc_a.dist(acc_b) <= tol * acc_a.norm().max(1.0),
-                        "acc {acc_b:?} vs replay {acc_a:?} for particle {pi_a}"
-                    );
-                }
-            }
-            assert!(any_tail, "test tree produced no mixed tails to resolve");
-        }
-    }
-
-    #[test]
     fn masked_eval_is_bitwise_restriction_of_full_eval() {
         // Active-set evaluation must agree bit-for-bit with the full grouped
         // walk on the active members, and touch nothing else.
@@ -1926,38 +1605,26 @@ mod tests {
         // Every third particle active.
         let active: Vec<bool> = (0..set.len()).map(|i| i % 3 == 0).collect();
         let mut buf = InteractionBuffers::new();
+        let precision = KernelPrecision::default();
         let mut full: Vec<Option<(f64, Vec3, u64)>> = vec![None; set.len()];
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            eval_gathered_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                &buf,
-                |pi, phi, acc, it| {
-                    full[pi as usize] = Some((phi, acc, it));
-                },
-            );
+            let (out, _) =
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
+            for (pi, phi, acc, it) in out {
+                full[pi as usize] = Some((phi, acc, it));
+            }
         }
         let mut masked: Vec<Option<(f64, Vec3, u64)>> = vec![None; set.len()];
         let sched = leaf_schedule_active(&tree, &active);
         for &leaf in &sched {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            eval_gathered_monopole_masked(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                KernelPrecision::default(),
-                &buf,
-                Some(&active),
-                |pi, phi, acc, it| {
-                    masked[pi as usize] = Some((phi, acc, it));
-                },
-            );
+            let mask = Some(active.as_slice());
+            let (out, _) =
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, mask, &mut buf);
+            for (pi, phi, acc, it) in out {
+                masked[pi as usize] = Some((phi, acc, it));
+            }
         }
         for i in 0..set.len() {
             if active[i] {
@@ -1981,27 +1648,15 @@ mod tests {
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
         let mac = BarnesHutMac::new(0.67);
         let mut buf = InteractionBuffers::new();
+        buf.set_fill_f32(true);
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            buf.prepare_f32();
-            let run = |precision: KernelPrecision, buf: &InteractionBuffers| {
-                let mut out: Vec<(u32, f64, Vec3, u64)> = Vec::new();
-                eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &mac,
-                    EPS,
-                    precision,
-                    buf,
-                    None,
-                    |pi, phi, acc, it| out.push((pi, phi, acc, it)),
-                );
-                out
+            let mut run = |precision: KernelPrecision| {
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf).0
             };
-            let scalar = run(KernelPrecision::ScalarF64, &buf);
-            let simd = run(KernelPrecision::F64, &buf);
-            let mixed = run(KernelPrecision::MixedF32, &buf);
+            let scalar = run(KernelPrecision::ScalarF64);
+            let simd = run(KernelPrecision::F64);
+            let mixed = run(KernelPrecision::MixedF32);
             assert_eq!(scalar.len(), simd.len());
             assert_eq!(scalar.len(), mixed.len());
             for ((s, v), m) in scalar.iter().zip(&simd).zip(&mixed) {
@@ -2025,8 +1680,21 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "prepare_f32")]
-    fn mixed_without_prepare_panics() {
+    #[should_panic(expected = "set_fill_f32")]
+    fn mixed_without_fill_f32_panics() {
+        let set = uniform_cube(50, 1.0, 3);
+        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let mut buf = InteractionBuffers::new();
+        let leaf = leaf_schedule(&tree)[0];
+        gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
+        let precision = KernelPrecision::MixedF32;
+        eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
+    }
+
+    #[test]
+    #[should_panic(expected = "resolve_mixed_tails")]
+    fn eval_without_resolve_panics() {
         let set = uniform_cube(50, 1.0, 3);
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
         let mac = BarnesHutMac::new(0.67);
@@ -2039,7 +1707,7 @@ mod tests {
             leaf,
             &mac,
             EPS,
-            KernelPrecision::MixedF32,
+            KernelPrecision::F64,
             &buf,
             None,
             |_, _, _, _| {},
@@ -2118,17 +1786,7 @@ mod tests {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
             for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64] {
                 buf.take_lane_counters();
-                eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &mac,
-                    EPS,
-                    precision,
-                    &buf,
-                    None,
-                    |_, _, _, _| {},
-                );
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
                 let (slots, useful) = buf.take_lane_counters();
                 assert!(useful > 0);
                 if precision == KernelPrecision::ScalarF64 {
@@ -2143,7 +1801,7 @@ mod tests {
 
     /// Arbitrary query points, arbitrarily bucketed, must reproduce the
     /// per-point walk exactly: stats field-for-field, values to rounding —
-    /// with and without tail resolution, for every precision.
+    /// for every precision.
     #[test]
     fn target_eval_matches_per_point_walk() {
         let set = plummer(PlummerSpec { n: 600, seed: 41, ..Default::default() });
@@ -2156,55 +1814,44 @@ mod tests {
         points.push(Vec3::new(10.0, 10.0, 10.0));
         points.push(Vec3::new(-25.0, 3.0, 0.1));
         let mut buf = InteractionBuffers::new();
+        buf.set_fill_f32(true);
         for chunk in points.chunks(16) {
             let targets: Vec<QueryTarget> = chunk.iter().map(|&p| (p, u32::MAX)).collect();
             let bucket = Aabb::bounding(chunk.iter().copied()).unwrap();
-            for resolve in [false, true] {
-                gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf);
-                if resolve {
-                    resolve_mixed_tails_targets(&tree, &set.particles, &targets, &mac, &mut buf);
-                }
-                buf.prepare_f32();
-                for precision in
-                    [KernelPrecision::ScalarF64, KernelPrecision::F64, KernelPrecision::MixedF32]
-                {
-                    let mut calls = 0usize;
-                    eval_gathered_targets(
-                        &tree,
-                        &set.particles,
-                        &targets,
-                        &mac,
-                        EPS,
-                        precision,
-                        &buf,
-                        |k, phi, acc, it| {
-                            assert_eq!(k, calls);
-                            calls += 1;
-                            let pos = targets[k].0;
-                            let (acc_ref, st) =
-                                accel_on(&tree, &set.particles, pos, None, &mac, EPS);
-                            let (phi_ref, _) =
-                                potential_at(&tree, &set.particles, pos, None, &mac, EPS);
-                            assert_eq!(it, st.interactions(), "target {k}");
-                            // MixedF32 tolerance is looser than the member
-                            // sweep's 1e-4: these query points sit ~1e-3
-                            // from a particle, and f32 rounding of the
-                            // offset is amplified by the near-singular 1/r²
-                            // there.
-                            let tol =
-                                if precision == KernelPrecision::MixedF32 { 2e-3 } else { 1e-12 };
-                            assert!(
-                                (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
-                                "phi {phi} vs {phi_ref}, target {k}, {precision:?}"
-                            );
-                            assert!(
-                                acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
-                                "acc {acc:?} vs {acc_ref:?}, target {k}, {precision:?}"
-                            );
-                        },
+            gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf);
+            resolve_mixed_tails_targets(
+                &tree,
+                &set.particles,
+                targets.iter().copied(),
+                &mac,
+                &mut buf,
+            );
+            for precision in
+                [KernelPrecision::ScalarF64, KernelPrecision::F64, KernelPrecision::MixedF32]
+            {
+                let mut calls = 0usize;
+                eval_gathered_targets(&targets, EPS, precision, &buf, |k, phi, acc, it| {
+                    assert_eq!(k, calls);
+                    calls += 1;
+                    let pos = targets[k].0;
+                    let (acc_ref, st) = accel_on(&tree, &set.particles, pos, None, &mac, EPS);
+                    let (phi_ref, _) = potential_at(&tree, &set.particles, pos, None, &mac, EPS);
+                    assert_eq!(it, st.interactions(), "target {k}");
+                    // MixedF32 tolerance is looser than the member sweep's
+                    // 1e-4: these query points sit ~1e-3 from a particle,
+                    // and f32 rounding of the offset is amplified by the
+                    // near-singular 1/r² there.
+                    let tol = if precision == KernelPrecision::MixedF32 { 2e-3 } else { 1e-12 };
+                    assert!(
+                        (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
+                        "phi {phi} vs {phi_ref}, target {k}, {precision:?}"
                     );
-                    assert_eq!(calls, targets.len());
-                }
+                    assert!(
+                        acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
+                        "acc {acc:?} vs {acc_ref:?}, target {k}, {precision:?}"
+                    );
+                });
+                assert_eq!(calls, targets.len());
             }
         }
     }
@@ -2220,20 +1867,10 @@ mod tests {
         let (mut buf_m, mut buf_t) = (InteractionBuffers::new(), InteractionBuffers::new());
         for leaf in leaf_schedule(&tree) {
             // Reference: the simulation's own grouped member evaluation.
-            let mut member_out = Vec::new();
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf_m);
-            resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut buf_m, None);
-            eval_gathered_monopole_masked(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                KernelPrecision::F64,
-                &buf_m,
-                None,
-                |pi, phi, acc, it| member_out.push((pi, phi, acc, it)),
-            );
+            let precision = KernelPrecision::F64;
+            let (member_out, _) =
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf_m);
             // Query path: same positions as targets, same bucket geometry.
             let members = tree.particles_under(leaf);
             let targets: Vec<QueryTarget> = members
@@ -2245,18 +1882,17 @@ mod tests {
                 .collect();
             let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
             gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf_t);
-            resolve_mixed_tails_targets(&tree, &set.particles, &targets, &mac, &mut buf_t);
-            let mut query_out = Vec::new();
-            eval_gathered_targets(
+            resolve_mixed_tails_targets(
                 &tree,
                 &set.particles,
-                &targets,
+                targets.iter().copied(),
                 &mac,
-                EPS,
-                KernelPrecision::F64,
-                &buf_t,
-                |k, phi, acc, it| query_out.push((members[k], phi, acc, it)),
+                &mut buf_t,
             );
+            let mut query_out = Vec::new();
+            eval_gathered_targets(&targets, EPS, precision, &buf_t, |k, phi, acc, it| {
+                query_out.push((members[k], phi, acc, it))
+            });
             assert_eq!(member_out.len(), query_out.len());
             for (&(pi_m, phi_m, acc_m, it_m), &(pi_q, phi_q, acc_q, it_q)) in
                 member_out.iter().zip(&query_out)
@@ -2282,21 +1918,14 @@ mod tests {
         let mut buf = InteractionBuffers::new();
         let targets = vec![(Vec3::new(0.5, 0.5, 0.5), u32::MAX)];
         let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
-        gather_group_targets(&tree, &[], &bucket, &BarnesHutMac::new(0.67), &mut buf);
+        let mac = BarnesHutMac::new(0.67);
+        gather_group_targets(&tree, &[], &bucket, &mac, &mut buf);
+        resolve_mixed_tails_targets(&tree, &[], targets.iter().copied(), &mac, &mut buf);
         let mut calls = 0;
-        eval_gathered_targets(
-            &tree,
-            &[],
-            &targets,
-            &BarnesHutMac::new(0.67),
-            EPS,
-            KernelPrecision::F64,
-            &buf,
-            |_, phi, acc, it| {
-                calls += 1;
-                assert_eq!((phi, acc, it), (0.0, Vec3::ZERO, 0));
-            },
-        );
+        eval_gathered_targets(&targets, EPS, KernelPrecision::F64, &buf, |_, phi, acc, it| {
+            calls += 1;
+            assert_eq!((phi, acc, it), (0.0, Vec3::ZERO, 0));
+        });
         assert_eq!(calls, 1);
     }
 
@@ -2368,32 +1997,10 @@ mod tests {
                 gather_group(&tree, &set.particles, leaf, &simd_mac, &mut buf_a);
                 gather_group(&tree, &set.particles, leaf, &scalar_mac, &mut buf_b);
                 assert_buffers_bitwise(&buf_a, &buf_b, &format!("seed {seed} leaf {leaf}"));
-                resolve_mixed_tails(&tree, &set.particles, leaf, &simd_mac, &mut buf_a, None);
-                resolve_mixed_tails(&tree, &set.particles, leaf, &scalar_mac, &mut buf_b, None);
-                let mut out_a = Vec::new();
-                eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &simd_mac,
-                    EPS,
-                    KernelPrecision::F64,
-                    &buf_a,
-                    None,
-                    |pi, phi, acc, it| out_a.push((pi, phi, acc, it)),
-                );
-                let mut out_b = Vec::new();
-                eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &scalar_mac,
-                    EPS,
-                    KernelPrecision::F64,
-                    &buf_b,
-                    None,
-                    |pi, phi, acc, it| out_b.push((pi, phi, acc, it)),
-                );
+                let (ps, f64s) = (&set.particles, KernelPrecision::F64);
+                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, f64s, None, &mut buf_a);
+                let out_b =
+                    eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, f64s, None, &mut buf_b);
                 assert_eq!(out_a, out_b, "forces must be bitwise-identical (leaf {leaf})");
             }
         }
@@ -2517,51 +2124,6 @@ mod tests {
         assert_eq!(h, 1);
     }
 
-    /// Filling the f32 mirrors during the gather must be indistinguishable
-    /// from the two-pass `prepare_f32` conversion: identical MixedF32
-    /// evaluation results on every leaf.
-    #[test]
-    fn fill_f32_gather_matches_prepare_f32_bitwise() {
-        let set = plummer(PlummerSpec { n: 500, seed: 61, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut direct = InteractionBuffers::new();
-        direct.set_fill_f32(true);
-        let mut two_pass = InteractionBuffers::new();
-        for leaf in leaf_schedule(&tree) {
-            gather_group(&tree, &set.particles, leaf, &mac, &mut direct);
-            resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut direct, None);
-            gather_group(&tree, &set.particles, leaf, &mac, &mut two_pass);
-            resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut two_pass, None);
-            two_pass.prepare_f32();
-            let run = |buf: &InteractionBuffers| {
-                let mut out: Vec<(u32, f64, Vec3, u64)> = Vec::new();
-                eval_gathered_monopole_masked(
-                    &tree,
-                    &set.particles,
-                    leaf,
-                    &mac,
-                    EPS,
-                    KernelPrecision::MixedF32,
-                    buf,
-                    None,
-                    |pi, phi, acc, it| out.push((pi, phi, acc, it)),
-                );
-                out
-            };
-            assert_eq!(run(&direct), run(&two_pass), "leaf {leaf}");
-        }
-        // And prepare_f32 on a fill_f32 buffer is a no-op for results.
-        let leaf = leaf_schedule(&tree)[0];
-        gather_group(&tree, &set.particles, leaf, &mac, &mut direct);
-        let (acc_a, phi_a) =
-            direct.eval_m2p(Vec3::new(0.1, 0.2, 0.3), EPS, KernelPrecision::MixedF32);
-        direct.prepare_f32();
-        let (acc_b, phi_b) =
-            direct.eval_m2p(Vec3::new(0.1, 0.2, 0.3), EPS, KernelPrecision::MixedF32);
-        assert_eq!((acc_a, phi_a), (acc_b, phi_b));
-    }
-
     /// Deterministic sequence mirror of the executor-level proptest: any mix
     /// of rebuilds (generation bumps), substeps (drifts), and mask changes
     /// leaves cached and cache-disabled forces bitwise-identical.
@@ -2589,24 +2151,10 @@ mod tests {
             let mask: Option<Vec<bool>> =
                 (op == 'm').then(|| (0..particles.len()).map(|i| i % 3 != step % 3).collect());
             for leaf in leaf_schedule(&tree) {
-                let run = |buf: &mut InteractionBuffers,
-                           cache: &mut WalkCache|
-                 -> Vec<(u32, f64, Vec3, u64)> {
+                let run = |buf: &mut InteractionBuffers, cache: &mut WalkCache| {
                     gather_group_cached(&tree, &particles, leaf, &mac, buf, cache, generation);
-                    resolve_mixed_tails(&tree, &particles, leaf, &mac, buf, mask.as_deref());
-                    let mut out = Vec::new();
-                    eval_gathered_monopole_masked(
-                        &tree,
-                        &particles,
-                        leaf,
-                        &mac,
-                        EPS,
-                        KernelPrecision::F64,
-                        buf,
-                        mask.as_deref(),
-                        |pi, phi, acc, it| out.push((pi, phi, acc, it)),
-                    );
-                    out
+                    let (precision, mask) = (KernelPrecision::F64, mask.as_deref());
+                    eval_gathered_leaf(&tree, &particles, leaf, &mac, precision, mask, buf)
                 };
                 let out_a = run(&mut buf_a, &mut cache);
                 let out_b = run(&mut buf_b, &mut no_cache);
@@ -2617,88 +2165,100 @@ mod tests {
         assert!(h > 0, "the sequence must exercise actual replays");
     }
 
-    /// The member-lane tail resolve must reproduce the scalar per-member
-    /// replay bit for bit: tail slab contents, span bounds, padding, replay
-    /// stats, and the final evaluated forces — across leaf capacities
-    /// (chunking at 8 lanes), MAC variants, and activity masks.
-    #[test]
-    fn lane_resolved_tails_match_scalar_resolve_bitwise() {
-        for (n, alpha, cap) in [(500, 0.6, 8), (700, 0.9, 16), (300, 0.4, 3)] {
-            let set = plummer(PlummerSpec { n, seed: 11 + n as u64, ..Default::default() });
-            let tree = build(&set.particles, BuildParams::with_leaf_capacity(cap));
-            let mac = BarnesHutMac::new(alpha);
-            let md = MinDistMac::new(alpha);
-            let masks: [Option<Vec<bool>>; 2] = [None, Some((0..n).map(|i| i % 3 != 1).collect())];
-            let mut buf_a = InteractionBuffers::new();
-            let mut buf_b = InteractionBuffers::new();
-            for mask in &masks {
-                for leaf in leaf_schedule(&tree) {
-                    gather_group(&tree, &set.particles, leaf, &mac, &mut buf_a);
-                    resolve_mixed_tails(
-                        &tree,
-                        &set.particles,
-                        leaf,
-                        &mac,
-                        &mut buf_a,
-                        mask.as_deref(),
-                    );
-                    gather_group(&tree, &set.particles, leaf, &mac, &mut buf_b);
-                    resolve_mixed_tails_lanes(
-                        &tree,
-                        &set.particles,
-                        leaf,
-                        &mac,
-                        &mut buf_b,
-                        mask.as_deref(),
-                    );
-                    let ctx = format!("n={n} alpha={alpha} cap={cap} leaf={leaf}");
-                    assert_eq!(buf_a.tails.len(), buf_b.tails.len(), "{ctx}");
-                    for (sa, sb) in buf_a.tails.iter().zip(&buf_b.tails) {
-                        assert_eq!(
-                            (sa.start, sa.end, sa.len, sa.stats),
-                            (sb.start, sb.end, sb.len, sb.stats),
-                            "{ctx}"
-                        );
-                    }
-                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                    assert_eq!(bits(&buf_a.tail_x), bits(&buf_b.tail_x), "{ctx}");
-                    assert_eq!(bits(&buf_a.tail_y), bits(&buf_b.tail_y), "{ctx}");
-                    assert_eq!(bits(&buf_a.tail_z), bits(&buf_b.tail_z), "{ctx}");
-                    assert_eq!(bits(&buf_a.tail_m), bits(&buf_b.tail_m), "{ctx}");
-                    let eval = |buf: &InteractionBuffers| {
-                        let mut out = Vec::new();
-                        eval_gathered_monopole_masked(
-                            &tree,
-                            &set.particles,
-                            leaf,
-                            &mac,
-                            EPS,
-                            KernelPrecision::F64,
-                            buf,
-                            mask.as_deref(),
-                            |pi, phi, acc, it| {
-                                out.push((
-                                    pi,
-                                    phi.to_bits(),
-                                    acc.x.to_bits(),
-                                    acc.y.to_bits(),
-                                    acc.z.to_bits(),
-                                    it,
-                                ))
-                            },
-                        );
-                        out
+    /// The oracle for the one resolve: target `k`'s tail segment holds, bit
+    /// for bit and in order, what the per-particle walk
+    /// [`for_each_interaction_from`] emits for it over the mixed roots of
+    /// the current gather, with equal [`TraversalStats`], and is padded with
+    /// zero-mass sentinels to a lane boundary. Returns the interactions
+    /// compared.
+    fn assert_tails_are_the_walk(
+        tree: &Tree,
+        particles: &[Particle],
+        targets: &[QueryTarget],
+        mac: &impl GroupMac,
+        buf: &InteractionBuffers,
+        ctx: &str,
+    ) -> usize {
+        assert_eq!(buf.tails.len(), targets.len(), "{ctx}: one span per target");
+        let mut compared = 0;
+        for (k, &(pos, skip)) in targets.iter().enumerate() {
+            let skip = (skip != u32::MAX).then_some(skip);
+            let mut want: Vec<[u64; 4]> = Vec::new();
+            let mut want_stats = TraversalStats::default();
+            for &root in &buf.mixed {
+                let st = for_each_interaction_from(tree, root, particles, pos, skip, mac, |i| {
+                    let (src, mass) = match i {
+                        Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
+                        Interaction::Particle(qi) => {
+                            (particles[qi as usize].pos, particles[qi as usize].mass)
+                        }
                     };
-                    assert_eq!(eval(&buf_a), eval(&buf_b), "{ctx}");
-                    // The MinDist MAC exercises a different accept geometry.
-                    gather_group(&tree, &set.particles, leaf, &md, &mut buf_a);
-                    resolve_mixed_tails(&tree, &set.particles, leaf, &md, &mut buf_a, None);
-                    gather_group(&tree, &set.particles, leaf, &md, &mut buf_b);
-                    resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &md, &mut buf_b, None);
-                    assert_eq!(bits(&buf_a.tail_x), bits(&buf_b.tail_x), "{ctx} mindist");
-                    assert_eq!(bits(&buf_a.tail_m), bits(&buf_b.tail_m), "{ctx} mindist");
+                    want.push([src.x, src.y, src.z, mass].map(f64::to_bits));
+                });
+                want_stats.merge(st);
+            }
+            let span = buf.tails[k];
+            assert_eq!(span.stats, want_stats, "{ctx}: target {k} stats");
+            let (a, b) = (span.start as usize, span.end as usize);
+            let got: Vec<[u64; 4]> = (a..a + span.len as usize)
+                .map(|i| {
+                    [buf.tail_x[i], buf.tail_y[i], buf.tail_z[i], buf.tail_m[i]].map(f64::to_bits)
+                })
+                .collect();
+            assert_eq!(got, want, "{ctx}: target {k} segment");
+            assert!(a % PAD_MULTIPLE == 0 && b % PAD_MULTIPLE == 0, "{ctx}: lane alignment");
+            assert!(buf.tail_m[a + span.len as usize..b].iter().all(|&m| m == 0.0), "{ctx}");
+            compared += want.len();
+        }
+        compared
+    }
+
+    #[test]
+    fn resolved_tails_are_the_per_target_walk_bitwise() {
+        fn check(mac: &(impl GroupMac + Copy), name: &str) {
+            let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
+            let ps = &set.particles;
+            // Capacity 12: some leaves span two lane chunks, most one.
+            let tree = build(ps, BuildParams::with_leaf_capacity(12));
+            let active: Vec<bool> = (0..set.len()).map(|i| i % 3 != 1).collect();
+            let mut buf = InteractionBuffers::new();
+            let mut compared = 0;
+            // Leaf members, with and without an active mask.
+            for mask in [None, Some(active.as_slice())] {
+                for leaf in leaf_schedule(&tree) {
+                    gather_group(&tree, ps, leaf, mac, &mut buf);
+                    resolve_mixed_tails_lanes(&tree, ps, leaf, mac, &mut buf, mask);
+                    let targets: Vec<QueryTarget> =
+                        leaf_targets(&tree, ps, leaf, mask).map(|(_, p)| (p.pos, p.id)).collect();
+                    let ctx = format!("{name} leaf {leaf} masked {}", mask.is_some());
+                    compared += assert_tails_are_the_walk(&tree, ps, &targets, mac, &buf, &ctx);
                 }
             }
+            // Point buckets of 16 (two lane chunks): at particle positions
+            // with skip ids, and off-particle without.
+            for (b, run) in tree.order.chunks(16).enumerate() {
+                for skip_ids in [true, false] {
+                    let targets: Vec<QueryTarget> = run
+                        .iter()
+                        .map(|&pi| {
+                            let p = &ps[pi as usize];
+                            if skip_ids {
+                                (p.pos, p.id)
+                            } else {
+                                (p.pos + Vec3::new(1.3e-3, -2.1e-3, 0.7e-3), u32::MAX)
+                            }
+                        })
+                        .collect();
+                    let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+                    gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
+                    resolve_mixed_tails_targets(&tree, ps, targets.iter().copied(), mac, &mut buf);
+                    let ctx = format!("{name} bucket {b} skip ids {skip_ids}");
+                    compared += assert_tails_are_the_walk(&tree, ps, &targets, mac, &buf, &ctx);
+                }
+            }
+            assert!(compared > 0, "{name}: the test tree produced no mixed tails");
         }
+        check(&BarnesHutMac::new(0.67), "bh");
+        check(&MinDistMac::new(0.8), "min-dist");
     }
 }

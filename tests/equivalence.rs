@@ -17,7 +17,7 @@ use barnes_hut::timestep::{ActiveSet, BlockConfig, TimestepMode};
 use barnes_hut::tree::build::{build, build_in_cell, BuildParams};
 use barnes_hut::tree::group::{
     eval_gathered_monopole_masked, eval_group_monopole, gather_group, leaf_schedule,
-    resolve_mixed_tails, InteractionBuffers,
+    resolve_mixed_tails_lanes, InteractionBuffers,
 };
 use barnes_hut::tree::traverse::TraversalStats;
 use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac, MinDistMac};
@@ -353,12 +353,12 @@ proptest! {
                 );
                 out
             };
-            // Replay path (tails unresolved), full and masked; then the
-            // tails-resolved path. Each must put the SIMD kernels within
-            // 1e-12 relative of the scalar grouped loop.
-            let compare = |active: Option<&[bool]>, buf: &InteractionBuffers| {
-                let scalar = run(KernelPrecision::ScalarF64, active, buf);
-                let simd = run(KernelPrecision::F64, active, buf);
+            // Full and masked: each must put the SIMD kernels within 1e-12
+            // relative of the scalar grouped loop.
+            let mut compare = |active: Option<&[bool]>| {
+                resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, active);
+                let scalar = run(KernelPrecision::ScalarF64, active, &buf);
+                let simd = run(KernelPrecision::F64, active, &buf);
                 prop_assert_eq!(scalar.len(), simd.len());
                 for (a, b) in scalar.iter().zip(&simd) {
                     prop_assert_eq!(a.0, b.0);
@@ -374,10 +374,8 @@ proptest! {
                 }
                 Ok(())
             };
-            compare(None, &buf)?;
-            compare(Some(mask.as_slice()), &buf)?;
-            resolve_mixed_tails(&tree, &set.particles, leaf, &mac, &mut buf, None);
-            compare(None, &buf)?;
+            compare(None)?;
+            compare(Some(mask.as_slice()))?;
         }
     }
 
@@ -395,11 +393,12 @@ proptest! {
         let eps = 1e-4;
         let n = set.len();
         let mut buf = InteractionBuffers::new();
+        buf.set_fill_f32(true);
         let mut acc_f64 = vec![Vec3::ZERO; n];
         let mut acc_mixed = vec![Vec3::ZERO; n];
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            buf.prepare_f32();
+            resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, None);
             eval_gathered_monopole_masked(
                 &tree, &set.particles, leaf, &mac, eps, KernelPrecision::F64, &buf, None,
                 |pi, _, acc, _| acc_f64[pi as usize] = acc,

@@ -1,0 +1,75 @@
+//! The three entries into the grouped force pipeline (`gather → resolve →
+//! eval` in `tree::group`) against the per-particle walk itself, on one
+//! seeded Plummer set: the full executor sweep, a masked block substep that
+//! replays cached interaction lists, and a served field query at particle
+//! positions. Values agree to 1e-12 relative; interaction counts exactly.
+
+use barnes_hut::geom::{plummer, Particle, PlummerSpec, Vec3};
+use barnes_hut::threads::{ThreadConfig, ThreadSim};
+use barnes_hut::timestep::ActiveSet;
+use barnes_hut::tree::{accel_on, potential_at, BarnesHutMac, KernelPrecision, QueryTarget, Tree};
+use bhut_serve::{FieldQuery, TreeEpoch};
+
+const TOL: f64 = 1e-12;
+
+/// Acceleration, potential and interaction count of the per-particle walk
+/// for particle `p` — what every pipeline entry must reproduce.
+fn walk(tree: &Tree, ps: &[Particle], p: &Particle, cfg: &ThreadConfig) -> (Vec3, f64, u64) {
+    let mac = BarnesHutMac::new(cfg.alpha);
+    let (acc, st) = accel_on(tree, ps, p.pos, Some(p.id), &mac, cfg.eps);
+    let (phi, _) = potential_at(tree, ps, p.pos, Some(p.id), &mac, cfg.eps);
+    (acc, phi, st.interactions())
+}
+
+fn assert_close(acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
+    assert!(acc.dist(want.0) <= TOL * want.0.norm().max(1.0), "{ctx}: acc {acc:?} vs {:?}", want.0);
+    assert!((phi - want.1).abs() <= TOL * want.1.abs().max(1.0), "{ctx}: phi {phi} vs {}", want.1);
+}
+
+#[test]
+fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
+    let set = plummer(PlummerSpec { n: 800, seed: 5, ..Default::default() });
+    let ps = &set.particles;
+    let cfg = ThreadConfig { threads: 2, list_reuse: true, ..Default::default() };
+    let mut sim = ThreadSim::new(cfg);
+    let tree = sim.build_tree(ps);
+    let reference: Vec<(Vec3, f64, u64)> = ps.iter().map(|p| walk(&tree, ps, p, &cfg)).collect();
+
+    // 1. The full sweep (which also freezes the tree and fills the caches).
+    let full = sim.compute_forces(ps);
+    let work = sim.work_weights().expect("a computation records its work").to_vec();
+    for (i, want) in reference.iter().enumerate() {
+        assert_close(
+            full.accels[i],
+            full.potentials[i],
+            *want,
+            &format!("full sweep, particle {i}"),
+        );
+        assert_eq!(work[i], want.2, "full sweep, particle {i}: interactions");
+    }
+    assert_eq!(full.stats.interactions(), reference.iter().map(|r| r.2).sum::<u64>());
+
+    // 2. A masked substep on the frozen tree, replaying the cached lists.
+    let mask: Vec<bool> = (0..ps.len()).map(|i| i % 3 == 0).collect();
+    let sub = sim.compute_forces_substep(ps, &ActiveSet::from_mask(mask.clone()), true, true);
+    let hits = sub.profile.as_ref().expect("profiled").totals.list_hits;
+    assert!(hits > 0, "the substep must replay cached lists");
+    let work = sim.work_weights().expect("a computation records its work");
+    let mut active_interactions = 0;
+    for (i, want) in reference.iter().enumerate().filter(|(i, _)| mask[*i]) {
+        assert_close(sub.accels[i], sub.potentials[i], *want, &format!("substep, particle {i}"));
+        assert_eq!(work[i], want.2, "substep, particle {i}: interactions");
+        active_interactions += want.2;
+    }
+    assert_eq!(sub.stats.interactions(), active_interactions);
+
+    // 3. A served query at the particle positions, each skipping itself.
+    let points: Vec<QueryTarget> = ps.iter().map(|p| (p.pos, p.id)).collect();
+    let epoch = TreeEpoch::standalone(1, tree, ps.clone(), cfg.alpha, cfg.eps);
+    let mut out = Vec::new();
+    let stats = FieldQuery::new(16).eval(&epoch, &points, KernelPrecision::F64, &mut out);
+    for (i, want) in reference.iter().enumerate() {
+        assert_close(out[i].acc, out[i].phi, *want, &format!("served query, point {i}"));
+    }
+    assert_eq!(stats.interactions(), reference.iter().map(|r| r.2).sum::<u64>());
+}
