@@ -84,8 +84,7 @@ fn bench_force_eval(c: &mut Criterion) {
 fn bench_group_walk(c: &mut Criterion) {
     // The tentpole comparison: full-sweep potential+acceleration for every
     // particle, per-particle walks vs grouped walks + batched kernels.
-    // Single-threaded so the ratio is the kernel-level speedup; the numbers
-    // in results/group_walk.json come from the same pair of loops.
+    // Single-threaded so the ratio is the kernel-level speedup.
     let mut g = c.benchmark_group("group_walk");
     g.sample_size(10);
     let mac = BarnesHutMac::new(0.67);

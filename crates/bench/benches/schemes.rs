@@ -29,10 +29,13 @@ fn bench_schemes(c: &mut Criterion) {
 fn bench_threads(c: &mut Criterion) {
     let set = dataset_scaled("g_160535", 0.02);
     let mut g = c.benchmark_group("shared_memory_force");
-    for (name, part) in [
-        ("static", Partitioning::StaticBlocks),
-        ("morton_zones", Partitioning::MortonZones),
-        ("self_sched", Partitioning::SelfScheduling { block: 64 }),
+    // `morton_zones_profiled` against `morton_zones` is the cost of the
+    // phase instrumentation (DESIGN.md §3b holds it under 2 %).
+    for (name, part, profiled) in [
+        ("static", Partitioning::StaticBlocks, false),
+        ("morton_zones", Partitioning::MortonZones, false),
+        ("morton_zones_profiled", Partitioning::MortonZones, true),
+        ("self_sched", Partitioning::SelfScheduling { block: 64 }, false),
     ] {
         g.bench_with_input(BenchmarkId::from_parameter(name), &part, |b, &part| {
             let mut sim = ThreadSim::new(ThreadConfig {
@@ -41,7 +44,14 @@ fn bench_threads(c: &mut Criterion) {
                 ..Default::default()
             });
             let _ = sim.compute_forces(&set.particles); // warm the zone weights
-            b.iter(|| sim.compute_forces(&set.particles).stats.interactions())
+            b.iter(|| {
+                let result = if profiled {
+                    sim.compute_forces_profiled(&set.particles)
+                } else {
+                    sim.compute_forces(&set.particles)
+                };
+                result.stats.interactions()
+            })
         });
     }
     g.finish();

@@ -1,9 +1,9 @@
 //! Kernel-precision benchmarks for the vectorised force kernels: the
 //! gathered slab kernels at each [`KernelPrecision`], plus the raw batch
 //! M2P/P2P entry points, on the same Plummer slabs the grouped executor
-//! produces. The committed end-to-end numbers live in `results/simd.json`
-//! (produced by the `simd` bin); this group tracks the same kernels under
-//! Criterion for statistically robust local comparisons.
+//! produces. The end-to-end number is `spine`'s `tree.kernel_ms` on
+//! `plummer50k_t1`; this group compares the precisions under Criterion,
+//! including `MixedF32`, which no spine workload runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -25,7 +25,7 @@ fn bench_simd(c: &mut Criterion) {
     let schedule = leaf_schedule(&tree);
 
     // Pre-gather every leaf once; the benchmark then times only the kernel
-    // phase, which is what `results/simd.json` gates.
+    // phase.
     let mut buffers: Vec<InteractionBuffers> = Vec::with_capacity(schedule.len());
     for &leaf in &schedule {
         let mut buf = InteractionBuffers::new();

@@ -1,8 +1,8 @@
 //! Shared CI-gate plumbing for the bench binaries.
 //!
-//! Every perf-gate bin (`profile`, `simd`, `timestep`, `proc_compare`)
-//! builds one [`GateTable`]: a named list of pass/fail checks with the
-//! measured value and the limit it was held to. [`GateTable::finish`]
+//! Both gate bins (`proc_compare`, `chaos`) build one [`GateTable`]: a
+//! named list of pass/fail checks with the measured value and the limit it
+//! was held to. [`GateTable::finish`]
 //! prints the table, mirrors it into `$GITHUB_STEP_SUMMARY` when running
 //! under GitHub Actions (so the verdict is readable on the run page
 //! without expanding logs), and exits nonzero if any check failed.

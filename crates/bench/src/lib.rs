@@ -7,7 +7,10 @@
 //! one load-balance cycle — and returns a [`text::Table`] with the same rows
 //! the paper prints. `cargo run -p bhut-bench --bin tables` drives them; the
 //! Criterion benches under `benches/` cover the micro-level and ablation
-//! measurements.
+//! measurements. Two gate bins share [`gate`]: `proc_compare` (simulator
+//! prediction vs a real multi-process run) and `chaos` (fault injection and
+//! recovery). Wall-clock speed of the step, the served query and the mesh is
+//! measured by the `spine/` package, not here.
 //!
 //! Absolute numbers come from the simulated machine's cost model
 //! (nCUBE2/CM5 presets); the reproduction target is the *shape*: which
@@ -15,7 +18,6 @@
 //! efficiency rises and falls.
 
 pub mod gate;
-pub mod rss;
 pub mod runner;
 pub mod tables;
 pub mod text;

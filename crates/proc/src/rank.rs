@@ -230,6 +230,21 @@ fn assemble(n: usize, views: &[Vec<u8>]) -> Result<Vec<Particle>, ProcError> {
     Ok(all)
 }
 
+/// Fold the all-gathered `(id, weight)` views into a dense id-indexed load
+/// vector (ids no rank reported stay at zero load).
+fn assemble_weights(n: usize, views: &[Vec<u8>]) -> Result<Vec<f64>, ProcError> {
+    let mut w = vec![0.0f64; n];
+    for bytes in views {
+        for (id, wt) in decode_weights(bytes).map_err(protocol)? {
+            let slot = w
+                .get_mut(id as usize)
+                .ok_or_else(|| protocol(format!("weight for particle id {id} out of range")))?;
+            *slot = wt as f64;
+        }
+    }
+    Ok(w)
+}
+
 /// Run the full step loop on this rank. Deterministic: the outcome is a
 /// pure function of `cfg` and the transport's `(rank, size)`.
 pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, ProcError> {
@@ -390,12 +405,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
                 let mine: Vec<(u32, u64)> =
                     owned.iter().map(|q| (q.id, weights[q.id as usize])).collect();
                 let views = all_gather(t, tags::WEIGHTS, &encode_weights(&mine))?;
-                let mut w = vec![0.0f64; n];
-                for bytes in &views {
-                    for (id, wt) in decode_weights(bytes).map_err(protocol)? {
-                        w[id as usize] = wt as f64;
-                    }
-                }
+                let w = assemble_weights(n, &views)?;
                 let tree = sim.build_tree(&all);
                 let part = Partition::costzones_weighted(&tree, &w, p);
                 owned.iter().map(|q| part.owner_of_particle[q.id as usize]).collect()
@@ -562,6 +572,19 @@ mod tests {
         let tail = tail.split(";ckpt_every").next().unwrap().to_string();
         let back = ProcConfig::decode(&tail).unwrap();
         assert_eq!(back, legacy);
+    }
+
+    #[test]
+    fn hostile_weight_views_fail_the_run_instead_of_panicking() {
+        let good = encode_weights(&[(0, 5), (2, 7)]);
+        assert_eq!(assemble_weights(3, std::slice::from_ref(&good)).unwrap(), [5.0, 0.0, 7.0]);
+        // A peer naming an id past the particle count.
+        let out_of_range = encode_weights(&[(1, 1), (3, 9)]);
+        let err = assemble_weights(3, &[good.clone(), out_of_range]).unwrap_err();
+        assert!(matches!(&err, ProcError::Protocol(m) if m.contains("out of range")), "{err:?}");
+        // A view cut mid-pair.
+        let truncated = good[..good.len() - 1].to_vec();
+        assert!(matches!(assemble_weights(3, &[truncated]), Err(ProcError::Protocol(_))));
     }
 
     /// Kill a rank mid-run (loopback fault injection), then resume from the

@@ -50,8 +50,9 @@ pub enum KernelPrecision {
     #[default]
     F64,
     /// f32 lane arithmetic with per-target f64 accumulation. Lane roundoff
-    /// (~1e-6 relative) sits far below the θ-MAC discretization error, which
-    /// the `simd` bench bin verifies against the direct-sum reference.
+    /// (~1e-6 relative) sits far below the θ-MAC discretization error; tests
+    /// in `bhut-tree`, `bhut-threads` and `bhut-serve` hold it to ≤1e-4 of
+    /// the f64 kernels.
     MixedF32,
     /// The original scalar loops, bit-identical to the per-particle walk's
     /// kernels — the accuracy and performance baseline.

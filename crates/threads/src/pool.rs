@@ -22,36 +22,6 @@ pub fn fork_join<R: Send>(threads: usize, f: impl Fn(usize) -> R + Sync) -> Vec<
     })
 }
 
-/// Partition `&mut [T]` into `parts` contiguous chunks with the given
-/// boundaries (`bounds[i]..bounds[i+1]`), handing each to a worker.
-pub fn for_each_zone<T: Send, R: Send>(
-    data: &mut [T],
-    bounds: &[usize],
-    f: impl Fn(usize, &mut [T]) -> R + Sync,
-) -> Vec<R> {
-    let parts = bounds.len() - 1;
-    assert!(parts > 0 && bounds[parts] == data.len());
-    if parts == 1 {
-        return vec![f(0, data)];
-    }
-    // Split the slice along the boundaries, then run scoped workers.
-    let mut chunks: Vec<&mut [T]> = Vec::with_capacity(parts);
-    let mut rest = data;
-    let mut prev = 0;
-    for &b in &bounds[1..] {
-        let (head, tail) = rest.split_at_mut(b - prev);
-        chunks.push(head);
-        rest = tail;
-        prev = b;
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> =
-            chunks.into_iter().enumerate().map(|(t, chunk)| s.spawn(move || f(t, chunk))).collect();
-        handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-    })
-}
-
 /// A shared work counter for block self-scheduling: each call hands out the
 /// next block of `block` indices below `total`.
 pub struct BlockScheduler {
@@ -90,29 +60,6 @@ mod tests {
     fn fork_join_single_thread_runs_inline() {
         let out = fork_join(1, |t| t + 7);
         assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn zones_cover_disjoint_slices() {
-        let mut data: Vec<u32> = (0..100).collect();
-        let bounds = vec![0, 30, 30, 77, 100];
-        let lens = for_each_zone(&mut data, &bounds, |t, chunk| {
-            for v in chunk.iter_mut() {
-                *v += 1000 * (t as u32 + 1);
-            }
-            chunk.len()
-        });
-        assert_eq!(lens, vec![30, 0, 47, 23]);
-        assert_eq!(data[0], 1000);
-        assert_eq!(data[30], 3030);
-        assert_eq!(data[99], 4099);
-    }
-
-    #[test]
-    #[should_panic]
-    fn zones_require_full_coverage() {
-        let mut data = [0u8; 10];
-        let _ = for_each_zone(&mut data, &[0, 5], |_, _| ());
     }
 
     #[test]

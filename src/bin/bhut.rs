@@ -58,6 +58,11 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
 
 fn load(flags: &HashMap<String, String>) -> (String, barnes_hut::geom::ParticleSet) {
     let name = flags.get("dataset").cloned().unwrap_or_else(|| usage());
+    if barnes_hut::geom::datasets::spec(&name).is_none() {
+        let names: Vec<&str> = PAPER_DATASETS.iter().map(|d| d.name).collect();
+        eprintln!("unknown --dataset {name:?}; valid names: {}", names.join(", "));
+        usage();
+    }
     let scale: f64 = get(flags, "scale", 1.0);
     (name.clone(), dataset_scaled(&name, scale))
 }

@@ -115,3 +115,19 @@ fn snapshot_roundtrip_via_facade() {
     assert_eq!(snap.particles.len(), 64);
     std::fs::remove_file(&path).ok();
 }
+
+/// An unknown `--dataset` is a usage error naming the valid instances,
+/// not a panic out of `dataset_scaled`.
+#[test]
+fn cli_rejects_an_unknown_dataset_with_usage() {
+    for cmd in ["forces", "simulate", "schemes"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bhut"))
+            .args([cmd, "--dataset", "nope"])
+            .output()
+            .expect("run bhut");
+        assert_eq!(out.status.code(), Some(2), "bhut {cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(barnes_hut::geom::PAPER_DATASETS[0].name), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}
