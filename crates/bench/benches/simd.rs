@@ -1,11 +1,10 @@
 //! Kernel-precision benchmarks for the vectorised force kernels: the
-//! gathered slab kernels at each [`KernelPrecision`], plus the raw batch
-//! M2P/P2P entry points, on the same Plummer slabs the grouped executor
-//! produces. The end-to-end number is `spine`'s `tree.kernel_ms` on
-//! `plummer50k_t1`; this group compares the precisions under Criterion,
-//! including `MixedF32`, which no spine workload runs.
+//! gathered slab kernels at each [`KernelPrecision`], on the same Plummer
+//! slabs the grouped executor produces. The end-to-end number is `spine`'s
+//! `tree.kernel_ms` on `plummer50k_t1`; this group compares the precisions
+//! under Criterion, including `MixedF32`, which no spine workload runs.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bhut_geom::{plummer, PlummerSpec};
 use bhut_tree::build::{build, BuildParams};
@@ -13,7 +12,7 @@ use bhut_tree::group::{
     eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
     InteractionBuffers,
 };
-use bhut_tree::{accel_batch_m2p, BarnesHutMac, KernelPrecision};
+use bhut_tree::{BarnesHutMac, KernelPrecision};
 
 const EPS: f64 = 1e-4;
 
@@ -60,19 +59,6 @@ fn bench_simd(c: &mut Criterion) {
             },
         );
     }
-
-    // Raw batch M2P throughput on one representative slab, per precision.
-    let slab =
-        buffers.iter().max_by_key(|b| b.node_ids.len()).expect("schedule is non-empty for n=20k");
-    let target = set.particles[0].pos;
-    for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64, KernelPrecision::MixedF32] {
-        g.bench_with_input(
-            BenchmarkId::new("batch_m2p", format!("{precision:?}")),
-            &precision,
-            |b, &precision| b.iter(|| slab.eval_m2p(black_box(target), EPS, precision)),
-        );
-    }
-    let _ = accel_batch_m2p; // keep the public batch API linked into the bench
     g.finish();
 }
 

@@ -15,9 +15,9 @@
 
 use crate::evalcore::EvalEnv;
 use crate::partition::Partition;
-use bhut_geom::Particle;
 use bhut_multipole::flops::{series_words_3d, FUNCTION_SHIP_WORDS, RESULT_WORDS};
-use bhut_tree::{Mac, NodeId, Tree, NIL};
+use bhut_tree::traverse::walk;
+use bhut_tree::{Mac, NodeId};
 use std::collections::HashSet;
 
 /// Communication volumes (in words) of the two paradigms for one force
@@ -66,10 +66,15 @@ pub fn compare_shipping<M: Mac>(
         cmp.function_words += remote.len() as u64 * (FUNCTION_SHIP_WORDS + RESULT_WORDS);
 
         // Data shipping: continue *into* remote subtrees, fetching every
-        // node the traversal touches (its record must be local to apply the
-        // MAC / read children). Fetches are deduplicated per processor.
+        // node the traversal touches (its record must be resident to apply
+        // the MAC / read children; a leaf's particle data comes with its
+        // record). Fetches are deduplicated per processor.
+        let mine = &mut fetched[me];
         for &(_, branch) in &remote {
-            walk_fetching(env, particle, branch, me, &mut fetched);
+            let fetch = |id, _| {
+                mine.insert(id);
+            };
+            walk(tree, branch, particle.pos, env.mac, |_| false, fetch);
         }
     }
     for set in &fetched {
@@ -77,40 +82,6 @@ pub fn compare_shipping<M: Mac>(
     }
     cmp.data_words = cmp.fetched_nodes * series_words_3d(degree);
     cmp
-}
-
-/// Continue the traversal below a remote branch, recording fetched nodes.
-fn walk_fetching<M: Mac>(
-    env: &EvalEnv<'_, M>,
-    particle: &Particle,
-    root: NodeId,
-    me: usize,
-    fetched: &mut [HashSet<NodeId>],
-) {
-    let tree: &Tree = env.tree;
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        let node = tree.node(id);
-        if node.count() == 0 {
-            continue;
-        }
-        // The node's record must be resident to test/evaluate it.
-        fetched[me].insert(id);
-        if node.count() == 1 {
-            continue;
-        }
-        if env.mac.accept(&node.cell, node.com, particle.pos) {
-            continue;
-        }
-        if node.is_leaf() {
-            continue; // leaf particle data fetched with the node record
-        }
-        for &c in &node.children {
-            if c != NIL {
-                stack.push(c);
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 
 use bhut_geom::{Particle, Vec3};
 use bhut_multipole::{interaction_flops, MultipoleTree, MAC_FLOPS};
-use bhut_tree::traverse::{accel_kernel, potential_kernel};
-use bhut_tree::{Mac, NodeId, Tree, NIL};
+use bhut_tree::traverse::{accel_kernel, potential_kernel, walk, Visit};
+use bhut_tree::{Mac, NodeId, Tree};
 
 /// Everything the evaluation kernels need to see, shared by all processors
 /// of a simulated machine. (In the real machine each processor holds its
@@ -69,10 +69,16 @@ pub fn eval_owned<M: Mac>(
     skip_id: Option<u32>,
     me: usize,
     owner_of_node: &[i32],
-    mut node_loads: Option<&mut [u64]>,
+    node_loads: Option<&mut [u64]>,
     remote: &mut Vec<(usize, NodeId)>,
 ) -> EvalResult {
-    walk(env, 0, point, skip_id, Some((me, owner_of_node, remote)), &mut node_loads)
+    let is_remote = |id: NodeId| {
+        let o = owner_of_node[id as usize];
+        o >= 0 && o != me as i32
+    };
+    // MAC failed on a remote branch: ship the particle to its owner.
+    let ship = |id: NodeId| remote.push((owner_of_node[id as usize] as usize, id));
+    eval(env, 0, point, skip_id, is_remote, ship, node_loads)
 }
 
 /// Serve a shipped particle: evaluate the entire subtree under `root`
@@ -83,113 +89,73 @@ pub fn eval_from<M: Mac>(
     root: NodeId,
     point: Vec3,
     skip_id: Option<u32>,
-    mut node_loads: Option<&mut [u64]>,
+    node_loads: Option<&mut [u64]>,
 ) -> EvalResult {
-    walk(env, root, point, skip_id, None, &mut node_loads)
+    eval(env, root, point, skip_id, |_| false, |_| {}, node_loads)
 }
 
-/// Ownership context for a local walk: (my rank, node owners, remote sink).
-type Ownership<'a> = (usize, &'a [i32], &'a mut Vec<(usize, NodeId)>);
-
-fn walk<M: Mac>(
+/// The evaluation sink over [`walk`]: the kernels, the flop model and the
+/// load counters for every node the walk reports. Nodes for which
+/// `is_remote` holds are opaque to the walk; each one it cuts goes to `ship`.
+fn eval<M: Mac>(
     env: &EvalEnv<'_, M>,
     root: NodeId,
     point: Vec3,
     skip_id: Option<u32>,
-    mut ownership: Option<Ownership<'_>>,
-    node_loads: &mut Option<&mut [u64]>,
+    is_remote: impl Fn(NodeId) -> bool,
+    mut ship: impl FnMut(NodeId),
+    mut node_loads: Option<&mut [u64]>,
 ) -> EvalResult {
     let tree = env.tree;
     let mut r = EvalResult::default();
-    if tree.is_empty() {
-        return r;
-    }
-    let mut stack: Vec<NodeId> = vec![root];
-    while let Some(id) = stack.pop() {
+    let monopole = |r: &mut EvalResult, src: Vec3, m: f64| {
+        r.phi += potential_kernel(point, src, m, env.eps);
+        r.acc += accel_kernel(point, src, m, env.eps);
+    };
+    let direct = |r: &mut EvalResult, src: Vec3, m: f64| {
+        r.p2p += 1;
+        r.flops += interaction_flops(0);
+        monopole(r, src, m);
+    };
+    walk(tree, root, point, env.mac, &is_remote, |id, visit| {
         let node = tree.node(id);
-        let count = node.count();
-        if count == 0 {
-            continue;
+        if visit != Visit::Singleton {
+            r.mac_tests += 1;
+            r.flops += MAC_FLOPS;
         }
-        let is_remote = match &ownership {
-            Some((me, owners, _)) => {
-                let o = owners[id as usize];
-                o >= 0 && o != *me as i32
-            }
-            None => false,
-        };
-        if count == 1 {
-            // A singleton is a direct interaction. For remote singleton
-            // branches the broadcast record (mass at COM) *is* the particle,
-            // so the interaction is exact and local either way.
-            if is_remote {
-                r.p2p += 1;
-                r.flops += interaction_flops(0);
-                r.phi += potential_kernel(point, node.com, node.mass, env.eps);
-                r.acc += accel_kernel(point, node.com, node.mass, env.eps);
-                if let Some(loads) = node_loads.as_deref_mut() {
-                    loads[id as usize] += 1;
-                }
-            } else {
-                let pi = tree.order[node.start as usize];
-                let p = &env.particles[pi as usize];
-                if Some(p.id) != skip_id {
-                    r.p2p += 1;
-                    r.flops += interaction_flops(0);
-                    r.phi += potential_kernel(point, p.pos, p.mass, env.eps);
-                    r.acc += accel_kernel(point, p.pos, p.mass, env.eps);
-                    if let Some(loads) = node_loads.as_deref_mut() {
-                        loads[id as usize] += 1;
+        let before = r.interactions();
+        match visit {
+            // For a remote singleton branch the broadcast record (mass at
+            // COM) *is* the particle, so the interaction is exact and local.
+            Visit::Singleton if is_remote(id) => direct(&mut r, node.com, node.mass),
+            Visit::Singleton | Visit::Leaf => {
+                for &pi in tree.particles_under(id) {
+                    let p = &env.particles[pi as usize];
+                    if Some(p.id) != skip_id {
+                        direct(&mut r, p.pos, p.mass);
                     }
                 }
             }
-            continue;
-        }
-        r.mac_tests += 1;
-        r.flops += MAC_FLOPS;
-        if env.mac.accept(&node.cell, node.com, point) {
-            r.p2n += 1;
-            r.flops += interaction_flops(env.degree);
-            match env.mtree {
-                Some(mt) => {
-                    let (phi, acc) = mt.expansions[id as usize].eval(point);
-                    r.phi += phi;
-                    r.acc += acc;
-                }
-                None => {
-                    r.phi += potential_kernel(point, node.com, node.mass, env.eps);
-                    r.acc += accel_kernel(point, node.com, node.mass, env.eps);
-                }
-            }
-            if let Some(loads) = node_loads.as_deref_mut() {
-                loads[id as usize] += 1;
-            }
-        } else if is_remote {
-            // MAC failed on a remote branch: ship the particle to its owner.
-            if let Some((_, owners, remote)) = &mut ownership {
-                remote.push((owners[id as usize] as usize, id));
-            }
-        } else if node.is_leaf() {
-            for &pi in tree.particles_under(id) {
-                let p = &env.particles[pi as usize];
-                if Some(p.id) != skip_id {
-                    r.p2p += 1;
-                    r.flops += interaction_flops(0);
-                    r.phi += potential_kernel(point, p.pos, p.mass, env.eps);
-                    r.acc += accel_kernel(point, p.pos, p.mass, env.eps);
-                    if let Some(loads) = node_loads.as_deref_mut() {
-                        loads[id as usize] += 1;
+            Visit::Accepted => {
+                r.p2n += 1;
+                r.flops += interaction_flops(env.degree);
+                match env.mtree {
+                    Some(mt) => {
+                        let (phi, acc) = mt.expansions[id as usize].eval(point);
+                        r.phi += phi;
+                        r.acc += acc;
                     }
+                    None => monopole(&mut r, node.com, node.mass),
                 }
             }
-        } else {
-            for &c in node.children.iter().rev() {
-                if c != NIL {
-                    stack.push(c);
-                }
-            }
+            Visit::Cut => ship(id),
+            Visit::Opened => {}
         }
-    }
+        // Every interaction is charged to the node it was computed at.
+        if let Some(loads) = node_loads.as_deref_mut() {
+            loads[id as usize] += r.interactions() - before;
+        }
+    });
     r
 }
 
@@ -252,6 +218,39 @@ mod tests {
                 want_phi
             );
             assert!(total.acc.dist(want_acc) < 1e-9 * want_acc.norm().max(1.0));
+        }
+    }
+
+    /// The two engines are one: with nothing remote, the ownership-aware
+    /// evaluation is the plain per-target walk, bit for bit and count for
+    /// count.
+    #[test]
+    fn with_every_node_local_eval_is_the_plain_walk() {
+        let (tree, part, set) = setup(1);
+        let mac = BarnesHutMac::new(0.7);
+        let env = EvalEnv {
+            tree: &tree,
+            particles: &set.particles,
+            mtree: None,
+            mac: &mac,
+            eps: EPS,
+            degree: 0,
+        };
+        for p in set.iter().take(100) {
+            let (phi, stats) =
+                bhut_tree::potential_at(&tree, &set.particles, p.pos, Some(p.id), &mac, EPS);
+            let (acc, _) = bhut_tree::accel_on(&tree, &set.particles, p.pos, Some(p.id), &mac, EPS);
+            let mut remote = Vec::new();
+            let owned =
+                eval_owned(&env, p.pos, Some(p.id), 0, &part.owner_of_node, None, &mut remote);
+            assert!(remote.is_empty());
+            for r in [owned, eval_from(&env, 0, p.pos, Some(p.id), None)] {
+                assert_eq!(r.phi.to_bits(), phi.to_bits());
+                assert_eq!(r.acc, acc);
+                let got =
+                    bhut_tree::TraversalStats { p2n: r.p2n, p2p: r.p2p, mac_tests: r.mac_tests };
+                assert_eq!(got, stats);
+            }
         }
     }
 

@@ -8,21 +8,20 @@
 //! * [`Span`] — the **one** span schema shared by simulated traces
 //!   (`bhut_machine::Trace` re-uses this type) and wall-clock profiles, so
 //!   both plot on a single Gantt chart,
-//! * [`Counters`] / [`SharedCounters`] — plain and per-thread atomic work
-//!   counters (interactions, nodes opened, group accept/reject/mixed
-//!   classifications, P2P vs. M2P work, message traffic),
+//! * [`Counters`] — work counters (interactions, nodes opened, group
+//!   accept/reject/mixed classifications, P2P vs. M2P work, message
+//!   traffic), one per worker, merged after the join,
 //! * [`StepProfile`] — a per-time-step bundle of spans + counters with
 //!   utilization / imbalance / phase-share queries, serializable to JSON,
-//! * [`now`] / [`Stopwatch`] — a process-epoch wall clock that the `record`
-//!   feature (default on) compiles down to a constant when disabled, erasing
-//!   all instrumentation cost.
+//! * [`now`] / [`Stopwatch`] — a process-epoch wall clock. Instrumented
+//!   code reads it only on a profiled call, so an unprofiled run never
+//!   touches it.
 //!
 //! Spans carry `f64` seconds: wall-clock seconds since an arbitrary
 //! per-profile origin on the real path, virtual machine seconds on the
 //! simulated path. Only relative placement matters for plotting.
 
 use serde::{Deserialize, Serialize, Value};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Canonical phase names used by the instrumented crates. Free-form strings
 /// are allowed everywhere; these constants just keep the spelling consistent
@@ -300,114 +299,13 @@ impl Counters {
     }
 }
 
-/// Per-thread atomic counter slot. Each worker owns one slot and bumps it
-/// with relaxed adds (uncontended); the coordinating thread snapshots after
-/// the join.
-#[derive(Debug, Default)]
-pub struct SharedCounters {
-    p2p: AtomicU64,
-    m2p: AtomicU64,
-    mac_tests: AtomicU64,
-    nodes_opened: AtomicU64,
-    group_accept: AtomicU64,
-    group_reject: AtomicU64,
-    group_mixed: AtomicU64,
-    requests: AtomicU64,
-    messages: AtomicU64,
-    words: AtomicU64,
-    lane_slots: AtomicU64,
-    lane_useful: AtomicU64,
-    list_hits: AtomicU64,
-    list_misses: AtomicU64,
-    list_bytes: AtomicU64,
-}
-
-impl SharedCounters {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn reset(&self) {
-        for a in [
-            &self.p2p,
-            &self.m2p,
-            &self.mac_tests,
-            &self.nodes_opened,
-            &self.group_accept,
-            &self.group_reject,
-            &self.group_mixed,
-            &self.requests,
-            &self.messages,
-            &self.words,
-            &self.lane_slots,
-            &self.lane_useful,
-            &self.list_hits,
-            &self.list_misses,
-            &self.list_bytes,
-        ] {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Accumulate `c` into this slot (relaxed; single-writer by convention).
-    pub fn add(&self, c: &Counters) {
-        self.p2p.fetch_add(c.p2p, Ordering::Relaxed);
-        self.m2p.fetch_add(c.m2p, Ordering::Relaxed);
-        self.mac_tests.fetch_add(c.mac_tests, Ordering::Relaxed);
-        self.nodes_opened.fetch_add(c.nodes_opened, Ordering::Relaxed);
-        self.group_accept.fetch_add(c.group_accept, Ordering::Relaxed);
-        self.group_reject.fetch_add(c.group_reject, Ordering::Relaxed);
-        self.group_mixed.fetch_add(c.group_mixed, Ordering::Relaxed);
-        self.requests.fetch_add(c.requests, Ordering::Relaxed);
-        self.messages.fetch_add(c.messages, Ordering::Relaxed);
-        self.words.fetch_add(c.words, Ordering::Relaxed);
-        self.lane_slots.fetch_add(c.lane_slots, Ordering::Relaxed);
-        self.lane_useful.fetch_add(c.lane_useful, Ordering::Relaxed);
-        self.list_hits.fetch_add(c.list_hits, Ordering::Relaxed);
-        self.list_misses.fetch_add(c.list_misses, Ordering::Relaxed);
-        self.list_bytes.fetch_add(c.list_bytes, Ordering::Relaxed);
-    }
-
-    pub fn snapshot(&self) -> Counters {
-        Counters {
-            p2p: self.p2p.load(Ordering::Relaxed),
-            m2p: self.m2p.load(Ordering::Relaxed),
-            mac_tests: self.mac_tests.load(Ordering::Relaxed),
-            nodes_opened: self.nodes_opened.load(Ordering::Relaxed),
-            group_accept: self.group_accept.load(Ordering::Relaxed),
-            group_reject: self.group_reject.load(Ordering::Relaxed),
-            group_mixed: self.group_mixed.load(Ordering::Relaxed),
-            requests: self.requests.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            words: self.words.load(Ordering::Relaxed),
-            lane_slots: self.lane_slots.load(Ordering::Relaxed),
-            lane_useful: self.lane_useful.load(Ordering::Relaxed),
-            list_hits: self.list_hits.load(Ordering::Relaxed),
-            list_misses: self.list_misses.load(Ordering::Relaxed),
-            list_bytes: self.list_bytes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Seconds since the process-wide epoch. With the `record` feature disabled
-/// this is a constant `0.0` — every span collapses to zero width and the
-/// clock read disappears from the binary.
-#[cfg(feature = "record")]
+/// Seconds since the process-wide epoch (the first call).
 pub fn now() -> f64 {
     use std::sync::OnceLock;
     use std::time::Instant;
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
 }
-
-/// Erased clock: always `0.0` (the `record` feature is off).
-#[cfg(not(feature = "record"))]
-pub fn now() -> f64 {
-    0.0
-}
-
-/// Whether phase timing is compiled in.
-pub const RECORDING: bool = cfg!(feature = "record");
 
 /// A tiny split timer over [`now`].
 #[derive(Debug, Clone, Copy)]
@@ -787,21 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn shared_counters_accumulate_and_reset() {
-        let s = SharedCounters::new();
-        s.add(&Counters { p2p: 5, m2p: 2, mac_tests: 7, ..Default::default() });
-        s.add(&Counters { p2p: 1, nodes_opened: 3, ..Default::default() });
-        let snap = s.snapshot();
-        assert_eq!(snap.p2p, 6);
-        assert_eq!(snap.m2p, 2);
-        assert_eq!(snap.mac_tests, 7);
-        assert_eq!(snap.nodes_opened, 3);
-        assert_eq!(snap.interactions(), 8);
-        s.reset();
-        assert_eq!(s.snapshot(), Counters::default());
-    }
-
-    #[test]
     fn counters_merge_all_fields() {
         let mut a = Counters {
             p2p: 1,
@@ -837,13 +720,6 @@ mod tests {
         let c = Counters { list_hits: 9, list_misses: 3, ..Default::default() };
         assert!((c.list_hit_rate() - 0.75).abs() < 1e-12);
         assert_eq!(Counters::default().list_hit_rate(), 0.0);
-        let s = SharedCounters::new();
-        s.add(&c);
-        s.add(&Counters { list_hits: 1, list_bytes: 64, ..Default::default() });
-        let snap = s.snapshot();
-        assert_eq!(snap.list_hits, 10);
-        assert_eq!(snap.list_misses, 3);
-        assert_eq!(snap.list_bytes, 64);
     }
 
     /// Counter JSONs committed before the list-reuse fields existed (and any
@@ -868,12 +744,6 @@ mod tests {
         let c = Counters { lane_slots: 80, lane_useful: 60, ..Default::default() };
         assert!((c.lane_utilization() - 0.75).abs() < 1e-12);
         assert_eq!(Counters::default().lane_utilization(), 1.0);
-        let s = SharedCounters::new();
-        s.add(&c);
-        s.add(&Counters { lane_slots: 20, lane_useful: 20, ..Default::default() });
-        let snap = s.snapshot();
-        assert_eq!(snap.lane_slots, 100);
-        assert_eq!(snap.lane_useful, 80);
     }
 
     #[test]
@@ -882,11 +752,7 @@ mod tests {
         let a = sw.lap();
         let b = sw.elapsed();
         assert!(a >= 0.0 && b >= 0.0);
-        if RECORDING {
-            assert!(now() >= 0.0);
-        } else {
-            assert_eq!(now(), 0.0);
-        }
+        assert!(now() >= 0.0);
     }
 
     #[test]

@@ -177,11 +177,15 @@ impl ProcConfig {
                     if v.len() % 2 != 0 {
                         return Err("ckpt_dir: odd-length hex".into());
                     }
-                    let bytes: Vec<u8> = (0..v.len())
-                        .step_by(2)
-                        .map(|i| u8::from_str_radix(&v[i..i + 2], 16))
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| format!("ckpt_dir: {e}"))?;
+                    // Pair up *bytes*, not chars: the value comes from the
+                    // environment and need not be ASCII.
+                    let nibble = |b: u8| (b as char).to_digit(16).map(|d| d as u8);
+                    let bytes: Vec<u8> = v
+                        .as_bytes()
+                        .chunks(2)
+                        .map(|pair| Some(nibble(pair[0])? << 4 | nibble(pair[1])?))
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| format!("ckpt_dir: not hex: {v:?}"))?;
                     cfg.ckpt_dir =
                         Some(String::from_utf8(bytes).map_err(|e| format!("ckpt_dir: {e}"))?);
                 }
@@ -453,8 +457,8 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         };
         rec(phase::EXCHANGE, t0, t_ex, traffic_ex.0 - traffic0.0);
         // Split the force interval by the executor's own sub-phase profile
-        // (build / walk / kernel); if the clock is compiled out the totals
-        // are zero and the whole interval lands under `force`.
+        // (build / walk / kernel); a force call that recorded no time there
+        // has zero totals, and the whole interval lands under `force`.
         let sub = fr.profile.as_ref();
         let b = sub.map_or(0.0, |pr| pr.phase_total(phase::BUILD));
         let wk = sub.map_or(0.0, |pr| pr.phase_total(phase::WALK) + pr.phase_total(phase::EVAL));
@@ -565,6 +569,10 @@ mod tests {
         assert_eq!(back, cfg);
         assert_eq!(back.dt.to_bits(), cfg.dt.to_bits());
         assert!(ProcConfig::decode("bogus").is_err());
+        // A hostile directory value is an error, never a panic: non-hex
+        // ASCII, and a multi-byte character straddling a byte pair.
+        assert!(ProcConfig::decode("ckpt_dir=zz").is_err());
+        assert!(ProcConfig::decode("ckpt_dir=aéb").is_err());
         // Configs encoded before the checkpoint fields existed still decode,
         // with those fields defaulted.
         let legacy = ProcConfig::default();
@@ -750,9 +758,7 @@ mod tests {
         let merged = StepProfile::from_rank_profiles(
             outcomes.iter().map(|o| o.profiles[0].clone()).collect(),
         );
-        if bhut_obs::RECORDING {
-            let shares = bhut_machine::PhaseShares::from_profile(&merged);
-            assert!(shares.is_normalized(), "{shares:?}");
-        }
+        let shares = bhut_machine::PhaseShares::from_profile(&merged);
+        assert!(shares.is_normalized(), "{shares:?}");
     }
 }

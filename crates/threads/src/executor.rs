@@ -3,7 +3,7 @@
 use crate::pool::{fork_join, BlockScheduler};
 use bhut_geom::{Particle, Vec3};
 use bhut_multipole::MultipoleTree;
-use bhut_obs::{phase, Counters, SharedCounters, Span, StepProfile};
+use bhut_obs::{phase, Counters, Span, StepProfile};
 use bhut_timestep::ActiveSet;
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
@@ -128,26 +128,26 @@ struct Scratch {
     cache: WalkCache,
 }
 
-/// Per-worker wall-clock observations from one profiled force computation.
-/// On the grouped path the walk (gather) and kernel (batched evaluation)
-/// durations are accumulated separately; the per-particle path fuses them.
+/// Per-worker observations from one profiled force computation: the
+/// wall-clock window and the work counters. On the grouped path the walk
+/// (gather) and kernel (batched evaluation) durations are accumulated
+/// separately; the per-particle path fuses them.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerObs {
     start: f64,
     end: f64,
     walk_s: f64,
     kernel_s: f64,
+    counters: Counters,
 }
 
 /// A reusable shared-memory simulator; carries per-particle work weights
-/// across steps for [`Partitioning::MortonZones`], per-thread evaluation
-/// scratch across steps for both eval modes, and per-thread atomic work
-/// counters for the profiled path.
+/// across steps for [`Partitioning::MortonZones`] and per-thread evaluation
+/// scratch across steps for both eval modes.
 pub struct ThreadSim {
     pub config: ThreadConfig,
     prev_work: Option<Vec<u64>>,
     scratch: Vec<Mutex<Scratch>>,
-    counters: Vec<SharedCounters>,
     /// The tree frozen by the last computation, kept only under
     /// [`ThreadConfig::list_reuse`] so substeps can re-walk (or replay) it.
     cached_tree: Option<Tree>,
@@ -159,15 +159,7 @@ impl ThreadSim {
     pub fn new(config: ThreadConfig) -> Self {
         assert!(config.threads > 0);
         let scratch = (0..config.threads).map(|_| Mutex::new(Scratch::default())).collect();
-        let counters = (0..config.threads).map(|_| SharedCounters::new()).collect();
-        ThreadSim {
-            config,
-            prev_work: None,
-            scratch,
-            counters,
-            cached_tree: None,
-            tree_generation: 0,
-        }
+        ThreadSim { config, prev_work: None, scratch, cached_tree: None, tree_generation: 0 }
     }
 
     /// Set every per-thread interaction-list cache's byte budget. 0 disables
@@ -204,8 +196,7 @@ impl ThreadSim {
 
     /// [`ThreadSim::compute_forces`] plus a phase-level [`StepProfile`]:
     /// per-worker build/walk/kernel/scatter spans and work counters. Results
-    /// are identical to the unprofiled call; only wall-clock reads are added
-    /// (erased entirely when the `profile` feature is off).
+    /// are identical to the unprofiled call; only wall-clock reads are added.
     pub fn compute_forces_profiled(&mut self, particles: &[Particle]) -> ForceResult {
         self.compute(particles, true, None, false)
     }
@@ -291,20 +282,11 @@ impl ThreadSim {
         let mask: Option<&[bool]> = active.filter(|a| !a.is_full()).map(|a| a.mask());
 
         // Threads may have been reconfigured since `new`; grow the scratch
-        // and counter pools to match (never shrink — capacity is cheap).
+        // pool to match (never shrink — capacity is cheap).
         while self.scratch.len() < cfg.threads {
             self.scratch.push(Mutex::new(Scratch::default()));
         }
-        while self.counters.len() < cfg.threads {
-            self.counters.push(SharedCounters::new());
-        }
-        if profiled {
-            for c in &self.counters[..cfg.threads] {
-                c.reset();
-            }
-        }
         let scratch = &self.scratch;
-        let counters = &self.counters;
 
         // Evaluation targets in Morton order so contiguous zones are
         // spatially compact (cache locality + balanced tails). Borrowed, not
@@ -426,7 +408,7 @@ impl ThreadSim {
                         c.list_hits = hits;
                         c.list_misses = misses;
                         c.list_bytes = cache.bytes() as u64;
-                        counters[t].add(&c);
+                        w.counters.merge(&c);
                     }
                     stats
                 };
@@ -440,7 +422,7 @@ impl ThreadSim {
                 dispatch(&cfg, profiled, &leaves, weight, cfg.leaf_capacity.max(1), run_range)
             }
             EvalMode::PerParticle => {
-                let run_range = |t: usize, positions: &[u32], _: &mut WorkerObs| {
+                let run_range = |t: usize, positions: &[u32], w: &mut WorkerObs| {
                     let mut s = scratch[t].lock().unwrap();
                     let mut stats = TraversalStats::default();
                     for &pi in positions {
@@ -454,7 +436,7 @@ impl ThreadSim {
                         s.out.push((pi, phi, acc, st.interactions()));
                     }
                     if profiled {
-                        counters[t].add(&Counters {
+                        w.counters.merge(&Counters {
                             p2p: stats.p2p,
                             m2p: stats.p2n,
                             mac_tests: stats.mac_tests,
@@ -507,9 +489,11 @@ impl ThreadSim {
             let mut prof = StepProfile::new(cfg.threads);
             let rel = |t: f64| (t - t_origin).max(0.0);
             prof.record(Span::new(0, 0, phase::BUILD, 0.0, rel(t_build_end)));
-            // Workers that never ran still get (possibly zero-width) spans,
-            // so the phase structure is identical with the clock erased.
+            // Workers that never ran still get (zero-width) spans and zero
+            // counters, so the profile's shape depends only on `threads`.
             for (t, (_, _, w)) in per_thread.iter().enumerate() {
+                prof.totals.merge(&w.counters);
+                prof.per_worker.push(w.counters);
                 match cfg.eval_mode {
                     EvalMode::Grouped => {
                         // Walk and kernel interleave per leaf; their
@@ -531,11 +515,6 @@ impl ThreadSim {
                 }
             }
             prof.record(Span::new(0, 2, phase::SCATTER, rel(t_scatter), rel(bhut_obs::now())));
-            for c in counters.iter().take(cfg.threads) {
-                let snap = c.snapshot();
-                prof.totals.merge(&snap);
-                prof.per_worker.push(snap);
-            }
             prof.wall_s = rel(bhut_obs::now());
             prof
         });
@@ -567,7 +546,7 @@ impl ThreadSim {
 /// The one partition dispatch: run `run_range(thread, &items[a..b], obs)`
 /// over all of `items` (leaves or particles, in Morton order) on
 /// `cfg.threads` workers and return each worker's interaction count, stats
-/// and wall-clock window.
+/// and observations.
 ///
 /// [`Partitioning::StaticBlocks`] and [`Partitioning::MortonZones`] give
 /// each worker one contiguous range of ≈ equal total `weight` (the caller's
@@ -895,14 +874,12 @@ mod tests {
         for want in ["build", "walk", "kernel", "scatter"] {
             assert!(phases.iter().any(|p| p == want), "missing phase {want}: {phases:?}");
         }
-        if bhut_obs::RECORDING {
-            assert!(prof.wall_s > 0.0);
-            assert!(prof.phase_total("walk") + prof.phase_total("kernel") > 0.0);
-            // Spans are well-formed intervals within the step window.
-            for s in &prof.spans {
-                assert!(s.end >= s.start && s.start >= 0.0);
-                assert!(s.end <= prof.wall_s + 1e-9);
-            }
+        assert!(prof.wall_s > 0.0);
+        assert!(prof.phase_total("walk") + prof.phase_total("kernel") > 0.0);
+        // Spans are well-formed intervals within the step window.
+        for s in &prof.spans {
+            assert!(s.end >= s.start && s.start >= 0.0);
+            assert!(s.end <= prof.wall_s + 1e-9);
         }
         // Per-particle mode reports a fused eval phase instead.
         let mut pp = ThreadSim::new(ThreadConfig {

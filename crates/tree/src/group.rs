@@ -31,10 +31,7 @@
 //! the per-particle walk: identical [`TraversalStats`] and per-interaction
 //! arithmetic, with only the summation order changed.
 
-use crate::kernel::{
-    accel_slab_m2p_f32, accel_slab_m2p_f64, accel_slab_member_f64, accel_slab_p2p_f32,
-    accel_slab_p2p_f64, SlabView,
-};
+use crate::kernel::{accel_slab_m2p_f32, accel_slab_member_f64, accel_slab_p2p_f32, SlabView};
 use crate::mac::{GroupClass, GroupMac, Mac};
 use crate::mac_simd::NodeBatch;
 use crate::node::{Node, NodeId, Tree, NIL};
@@ -353,51 +350,12 @@ impl InteractionBuffers {
         self.lane_useful.set(self.lane_useful.get() + useful as u64);
     }
 
-    /// Acceleration + potential at `pos` from the M2P monopole slab, with
-    /// the per-precision kernel. [`KernelPrecision::MixedF32`] requires
-    /// [`InteractionBuffers::set_fill_f32`] to have been on for the gather.
-    pub fn eval_m2p(&self, pos: Vec3, eps: f64, precision: KernelPrecision) -> (Vec3, f64) {
-        match precision {
-            KernelPrecision::ScalarF64 => {
-                // The scalar path walks only the logical entries; every
-                // processed slot is useful.
-                self.count_lanes(self.node_ids.len(), self.node_ids.len());
-                accel_batch_m2p(pos, &self.com_x, &self.com_y, &self.com_z, &self.node_mass, eps)
-            }
-            KernelPrecision::F64 => {
-                self.count_lanes(self.com_x.padded_len(), self.com_x.len());
-                let (ax, ay, az, phi) = accel_slab_m2p_f64(
-                    pos.x,
-                    pos.y,
-                    pos.z,
-                    self.com_x.padded(),
-                    self.com_y.padded(),
-                    self.com_z.padded(),
-                    self.node_mass.padded(),
-                    eps * eps,
-                );
-                (Vec3::new(ax, ay, az), phi)
-            }
-            KernelPrecision::MixedF32 => {
-                self.assert_f32_ready();
-                self.count_lanes(self.com_x.padded_len(), self.com_x.len());
-                let (ax, ay, az, phi) = accel_slab_m2p_f32(
-                    pos.x as f32,
-                    pos.y as f32,
-                    pos.z as f32,
-                    self.com_x32.padded(),
-                    self.com_y32.padded(),
-                    self.com_z32.padded(),
-                    self.node_mass32.padded(),
-                    (eps * eps) as f32,
-                );
-                (Vec3::new(ax, ay, az), phi)
-            }
-        }
-    }
-
     /// Acceleration + potential at `pos` from the P2P particle slab (the
     /// entry with id `target_id` masked out), with the per-precision kernel.
+    /// [`KernelPrecision::MixedF32`] requires
+    /// [`InteractionBuffers::set_fill_f32`] to have been on for the gather.
+    /// The near-field half of the degree-k evaluation in `bhut-multipole`,
+    /// and of [`eval_gathered_targets`] outside [`KernelPrecision::F64`].
     pub fn eval_p2p(
         &self,
         pos: Vec3,
@@ -421,24 +379,22 @@ impl InteractionBuffers {
             }
             KernelPrecision::F64 => {
                 self.count_lanes(self.px.padded_len(), self.px.len());
-                let (ax, ay, az, phi) = accel_slab_p2p_f64(
+                split(accel_slab_member_f64(
                     pos.x,
                     pos.y,
                     pos.z,
                     target_id,
-                    self.px.padded(),
-                    self.py.padded(),
-                    self.pz.padded(),
-                    self.pmass.padded(),
+                    SlabView::EMPTY,
+                    self.parts_view(),
                     self.pid.padded(),
+                    SlabView::EMPTY,
                     eps * eps,
-                );
-                (Vec3::new(ax, ay, az), phi)
+                ))
             }
             KernelPrecision::MixedF32 => {
                 self.assert_f32_ready();
                 self.count_lanes(self.px.padded_len(), self.px.len());
-                let (ax, ay, az, phi) = accel_slab_p2p_f32(
+                split(accel_slab_p2p_f32(
                     pos.x as f32,
                     pos.y as f32,
                     pos.z as f32,
@@ -449,60 +405,40 @@ impl InteractionBuffers {
                     self.pmass32.padded(),
                     self.pid.padded(),
                     (eps * eps) as f32,
-                );
-                (Vec3::new(ax, ay, az), phi)
+                ))
             }
         }
     }
 
-    /// Acceleration + potential at `pos` from target ordinal `k`'s resolved
-    /// tail segment, plus the traversal stats its replay recorded.
-    ///
-    /// Tails always run in f64: they hold the near-field, accuracy-critical
-    /// interactions the group MAC could not settle, and they are too short
-    /// to be worth mirroring into f32 — so [`KernelPrecision::MixedF32`]
-    /// shares the f64 slab kernel here, and only
-    /// [`KernelPrecision::ScalarF64`] takes the scalar loop.
-    fn eval_tail(
-        &self,
-        k: usize,
-        pos: Vec3,
-        eps: f64,
-        precision: KernelPrecision,
-    ) -> (Vec3, f64, TraversalStats) {
-        let span = &self.tails[k];
-        let (a, b) = (span.start as usize, span.end as usize);
-        if a == b {
-            return (Vec3::ZERO, 0.0, span.stats);
+    /// The padded accepted-node slab, as the f64 kernel takes it.
+    fn nodes_view(&self) -> SlabView<'_> {
+        SlabView {
+            xs: self.com_x.padded(),
+            ys: self.com_y.padded(),
+            zs: self.com_z.padded(),
+            ms: self.node_mass.padded(),
         }
-        let (acc, phi) = match precision {
-            KernelPrecision::ScalarF64 => {
-                self.count_lanes(span.len as usize, span.len as usize);
-                accel_batch_m2p(
-                    pos,
-                    &self.tail_x[a..a + span.len as usize],
-                    &self.tail_y[a..a + span.len as usize],
-                    &self.tail_z[a..a + span.len as usize],
-                    &self.tail_m[a..a + span.len as usize],
-                    eps,
-                )
-            }
-            KernelPrecision::F64 | KernelPrecision::MixedF32 => {
-                self.count_lanes(b - a, span.len as usize);
-                let (ax, ay, az, phi) = accel_slab_m2p_f64(
-                    pos.x,
-                    pos.y,
-                    pos.z,
-                    &self.tail_x[a..b],
-                    &self.tail_y[a..b],
-                    &self.tail_z[a..b],
-                    &self.tail_m[a..b],
-                    eps * eps,
-                );
-                (Vec3::new(ax, ay, az), phi)
-            }
-        };
-        (acc, phi, span.stats)
+    }
+
+    /// The padded near-field particle slab (ids in `pid`).
+    fn parts_view(&self) -> SlabView<'_> {
+        SlabView {
+            xs: self.px.padded(),
+            ys: self.py.padded(),
+            zs: self.pz.padded(),
+            ms: self.pmass.padded(),
+        }
+    }
+
+    /// Elements `a..b` of the tail slabs: a target's padded segment, or its
+    /// logical prefix.
+    fn tail_view(&self, a: usize, b: usize) -> SlabView<'_> {
+        SlabView {
+            xs: &self.tail_x[a..b],
+            ys: &self.tail_y[a..b],
+            zs: &self.tail_z[a..b],
+            ms: &self.tail_m[a..b],
+        }
     }
 
     #[inline(always)]
@@ -512,6 +448,12 @@ impl InteractionBuffers {
             "MixedF32 evaluation requires InteractionBuffers::set_fill_f32(true) before the gather"
         );
     }
+}
+
+/// A slab kernel's `(ax, ay, az, phi)` as acceleration and potential.
+#[inline(always)]
+fn split((ax, ay, az, phi): (f64, f64, f64, f64)) -> (Vec3, f64) {
+    (Vec3::new(ax, ay, az), phi)
 }
 
 /// Walk the tree once for the bucket of particles under `leaf`, filling
@@ -1107,11 +1049,15 @@ pub fn resolve_mixed_tails_lanes(
 /// self-entry contributes nothing and is not an interaction, so it is
 /// subtracted to keep the stats equal to the per-point walk's.
 ///
-/// The slab kernels run in `precision`; tails always run in f64 (see
-/// [`InteractionBuffers::eval_tail`]). Under [`KernelPrecision::F64`] one
-/// fused kernel call and one horizontal-sum reduction cover the
-/// accepted-node slab, the id-masked near-field slab and the tail segment —
-/// per-target call overhead is the dominant cost left after vectorization.
+/// The shared slabs run in `precision`. Tails always run in f64: they hold
+/// the near-field, accuracy-critical interactions the group MAC could not
+/// settle, and they are too short to be worth mirroring into f32 — so
+/// [`KernelPrecision::MixedF32`] sends them through the f64 kernel, and only
+/// [`KernelPrecision::ScalarF64`] takes the scalar loop. Under
+/// [`KernelPrecision::F64`] one fused kernel call and one horizontal-sum
+/// reduction cover the accepted-node slab, the id-masked near-field slab and
+/// the tail segment — per-target call overhead is the dominant cost left
+/// after vectorization; the other two precisions add three partial sums.
 fn eval_targets<K>(
     buf: &InteractionBuffers,
     eps: f64,
@@ -1122,56 +1068,79 @@ fn eval_targets<K>(
     assert!(buf.tails_ready, "evaluation requires resolve_mixed_tails_* after the gather");
     let mut stats = TraversalStats::default();
     let shared_p2n = buf.node_ids.len() as u64;
+    let (n_nodes, n_nodes_padded) = (buf.com_x.len(), buf.com_x.padded_len());
     for (k, (key, pos, skip, self_hits)) in targets.enumerate() {
+        let span = &buf.tails[k];
         let mut target = TraversalStats {
             p2n: shared_p2n,
             p2p: buf.px.len() as u64 - self_hits,
             mac_tests: buf.shared_mac_tests,
         };
-        let (acc, phi) = if precision == KernelPrecision::F64 {
-            let span = &buf.tails[k];
-            target.merge(span.stats);
-            let (a, b) = (span.start as usize, span.end as usize);
-            buf.count_lanes(b - a, span.len as usize);
-            buf.count_lanes(
-                buf.com_x.padded_len() + buf.px.padded_len(),
-                buf.com_x.len() + buf.px.len(),
-            );
-            let (ax, ay, az, ph) = accel_slab_member_f64(
-                pos.x,
-                pos.y,
-                pos.z,
-                // Padding sentinels carry id u32::MAX with zero mass, so a
-                // no-skip target masking u32::MAX changes nothing.
-                skip,
-                SlabView {
-                    xs: buf.com_x.padded(),
-                    ys: buf.com_y.padded(),
-                    zs: buf.com_z.padded(),
-                    ms: buf.node_mass.padded(),
-                },
-                SlabView {
-                    xs: buf.px.padded(),
-                    ys: buf.py.padded(),
-                    zs: buf.pz.padded(),
-                    ms: buf.pmass.padded(),
-                },
-                buf.pid.padded(),
-                SlabView {
-                    xs: &buf.tail_x[a..b],
-                    ys: &buf.tail_y[a..b],
-                    zs: &buf.tail_z[a..b],
-                    ms: &buf.tail_m[a..b],
-                },
-                eps * eps,
-            );
-            (Vec3::new(ax, ay, az), ph)
-        } else {
-            let (acc_n, phi_n) = buf.eval_m2p(pos, eps, precision);
-            let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-            let (acc_t, phi_t, st) = buf.eval_tail(k, pos, eps, precision);
-            target.merge(st);
-            (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
+        target.merge(span.stats);
+        let (a, b, len) = (span.start as usize, span.end as usize, span.len as usize);
+        let (acc, phi) = match precision {
+            KernelPrecision::F64 => {
+                buf.count_lanes(b - a, len);
+                buf.count_lanes(n_nodes_padded + buf.px.padded_len(), n_nodes + buf.px.len());
+                split(accel_slab_member_f64(
+                    pos.x,
+                    pos.y,
+                    pos.z,
+                    // Padding sentinels carry id u32::MAX with zero mass, so a
+                    // no-skip target masking u32::MAX changes nothing.
+                    skip,
+                    buf.nodes_view(),
+                    buf.parts_view(),
+                    buf.pid.padded(),
+                    buf.tail_view(a, b),
+                    eps * eps,
+                ))
+            }
+            KernelPrecision::MixedF32 => {
+                buf.assert_f32_ready();
+                buf.count_lanes(n_nodes_padded, n_nodes);
+                let (acc_n, phi_n) = split(accel_slab_m2p_f32(
+                    pos.x as f32,
+                    pos.y as f32,
+                    pos.z as f32,
+                    buf.com_x32.padded(),
+                    buf.com_y32.padded(),
+                    buf.com_z32.padded(),
+                    buf.node_mass32.padded(),
+                    (eps * eps) as f32,
+                ));
+                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
+                // The tail through the f64 kernel alone; an empty segment
+                // adds exact zeros and counts no lanes.
+                let (acc_t, phi_t) = if a == b {
+                    (Vec3::ZERO, 0.0)
+                } else {
+                    buf.count_lanes(b - a, len);
+                    split(accel_slab_member_f64(
+                        pos.x,
+                        pos.y,
+                        pos.z,
+                        skip,
+                        SlabView::EMPTY,
+                        SlabView::EMPTY,
+                        &[],
+                        buf.tail_view(a, b),
+                        eps * eps,
+                    ))
+                };
+                (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
+            }
+            KernelPrecision::ScalarF64 => {
+                // The scalar loops walk only the logical entries; every
+                // processed slot is useful.
+                buf.count_lanes(n_nodes + len, n_nodes + len);
+                let (acc_n, phi_n) =
+                    accel_batch_m2p(pos, &buf.com_x, &buf.com_y, &buf.com_z, &buf.node_mass, eps);
+                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
+                let t = buf.tail_view(a, a + len);
+                let (acc_t, phi_t) = accel_batch_m2p(pos, t.xs, t.ys, t.zs, t.ms, eps);
+                (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
+            }
         };
         emit(key, phi, acc, target.interactions());
         stats.merge(target);

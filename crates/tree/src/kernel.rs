@@ -6,7 +6,11 @@
 //! ragged tail: padding sentinels carry zero mass, so their lanes contribute
 //! exactly zero.
 //!
-//! Each kernel has up to three bodies dispatched at runtime by
+//! There is one f64 kernel, [`accel_slab_member_f64`] — accepted nodes,
+//! id-masked near field and tail segment in one call; a caller with only
+//! some of the three passes [`SlabView::EMPTY`] for the rest — and an f32
+//! pair, [`accel_slab_m2p_f32`] / [`accel_slab_p2p_f32`]. The f64 kernel has
+//! three bodies and the f32 kernels two, dispatched at runtime by
 //! [`bhut_simd::isa`]:
 //!
 //! * a **portable** body on the [`bhut_simd`] lane types — safe code, the
@@ -18,7 +22,7 @@
 //!   into per-lane branches (sinking the "expensive" sqrt behind the `r² >
 //!   0` guard), which re-scalarizes the hot loop. Explicit intrinsics make
 //!   the 256-bit shape unconditional.
-//! * an **AVX-512** body for the f64 kernels only: the same chunk
+//! * an **AVX-512** body for the f64 kernel only: the same chunk
 //!   arithmetic at eight lanes, with each 512-bit result split lo/hi into
 //!   the 256-bit accumulators in lane order — i.e. exactly the operations
 //!   the AVX2 body would perform on two consecutive 4-lane chunks, so the
@@ -66,77 +70,10 @@
 //! ([`bhut_simd::F64w`]), so single-precision roundoff does not compound
 //! with slab length.
 
-use bhut_simd::{F32_LANES, F64_LANES};
-
-/// Monopole M2P over a padded f64 slab: returns `(ax, ay, az, phi)` at
-/// `(px, py, pz)` with Plummer softening `eps2 = ε²`.
-#[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
-pub fn accel_slab_m2p_f64(
-    px: f64,
-    py: f64,
-    pz: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    eps2: f64,
-) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(xs.len() % F64_LANES, 0, "slab must be padded to the lane width");
-    // SAFETY (both arms): `isa()` returned the tier only after runtime
-    // feature detection (AVX-512F implies the AVX2+FMA tier).
-    #[cfg(target_arch = "x86_64")]
-    match bhut_simd::isa() {
-        bhut_simd::Isa::Avx512 => {
-            return unsafe { avx512::accel_slab_m2p_f64(px, py, pz, xs, ys, zs, ms, eps2) }
-        }
-        bhut_simd::Isa::Avx2 => {
-            return unsafe { avx2::accel_slab_m2p_f64(px, py, pz, xs, ys, zs, ms, eps2) }
-        }
-        bhut_simd::Isa::Portable => {}
-    }
-    portable::accel_slab_m2p_f64(px, py, pz, xs, ys, zs, ms, eps2)
-}
-
-/// Monopole P2P over a padded f64 particle slab: as [`accel_slab_m2p_f64`],
-/// with the lane whose id equals `target_id` masked to zero mass. Padding
-/// sentinels carry id `u32::MAX` and zero mass, so they contribute nothing
-/// either way.
-#[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
-pub fn accel_slab_p2p_f64(
-    px: f64,
-    py: f64,
-    pz: f64,
-    target_id: u32,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    ids: &[u32],
-    eps2: f64,
-) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(xs.len() % F64_LANES, 0, "slab must be padded to the lane width");
-    debug_assert_eq!(xs.len(), ids.len());
-    // SAFETY (both arms): `isa()` returned the tier only after runtime
-    // feature detection (AVX-512F implies the AVX2+FMA tier).
-    #[cfg(target_arch = "x86_64")]
-    match bhut_simd::isa() {
-        bhut_simd::Isa::Avx512 => {
-            return unsafe {
-                avx512::accel_slab_p2p_f64(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
-            }
-        }
-        bhut_simd::Isa::Avx2 => {
-            return unsafe {
-                avx2::accel_slab_p2p_f64(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
-            }
-        }
-        bhut_simd::Isa::Portable => {}
-    }
-    portable::accel_slab_p2p_f64(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
-}
+use bhut_simd::{F32_LANES, PAD_MULTIPLE};
 
 /// A borrowed view of one padded SoA slab (positions + masses), bundling the
-/// four parallel slices the f64 kernels walk together.
+/// four parallel slices the f64 kernel walks together.
 #[derive(Clone, Copy)]
 pub struct SlabView<'a> {
     pub xs: &'a [f64],
@@ -153,7 +90,11 @@ impl<'a> SlabView<'a> {
 /// Fused per-member evaluation: one call accumulates the accepted-node M2P
 /// slab, the id-masked near-field P2P slab, and the member's private tail
 /// segment into a *single* set of lane accumulators, reduced by one
-/// horizontal sum at the end.
+/// horizontal sum at the end. Returns `(ax, ay, az, phi)` at `(px, py, pz)`
+/// with Plummer softening `eps2 = ε²`. The lane of `parts` whose id equals
+/// `target_id` is masked to zero mass; padding sentinels carry id `u32::MAX`
+/// and zero mass, so they contribute nothing either way. Every view is a
+/// whole number of [`PAD_MULTIPLE`] chunks.
 ///
 /// This is the hot entry point of the grouped executor. Relative to three
 /// separate kernel calls it saves two dispatches, two splat preambles and
@@ -174,9 +115,9 @@ pub fn accel_slab_member_f64(
     tail: SlabView<'_>,
     eps2: f64,
 ) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(nodes.xs.len() % F64_LANES, 0, "node slab must be padded");
-    debug_assert_eq!(parts.xs.len() % F64_LANES, 0, "particle slab must be padded");
-    debug_assert_eq!(tail.xs.len() % F64_LANES, 0, "tail segment must be padded");
+    debug_assert_eq!(nodes.xs.len() % PAD_MULTIPLE, 0, "node slab must be padded");
+    debug_assert_eq!(parts.xs.len() % PAD_MULTIPLE, 0, "particle slab must be padded");
+    debug_assert_eq!(tail.xs.len() % PAD_MULTIPLE, 0, "tail segment must be padded");
     debug_assert_eq!(parts.xs.len(), ids.len());
     // SAFETY (both arms): `isa()` returned the tier only after runtime
     // feature detection (AVX-512F implies the AVX2+FMA tier).
@@ -221,7 +162,7 @@ pub fn accel_slab_m2p_f32(
 }
 
 /// Mixed-precision P2P over the f32 mirror slabs, target id masked as in
-/// [`accel_slab_p2p_f64`].
+/// [`accel_slab_member_f64`].
 #[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
 pub fn accel_slab_p2p_f32(
     px: f32,
@@ -294,72 +235,6 @@ mod portable {
             let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
             let inv = r2.max(floorv).rsqrt_nr();
             let im = masked_mass_f64(&parts.ms[i..], &ids[i..], target_id).mul(inv);
-            phv = phv.add(im);
-            let w = im.mul(inv).mul(inv);
-            axv = axv.add(dx.mul(w));
-            ayv = ayv.add(dy.mul(w));
-            azv = azv.add(dz.mul(w));
-        }
-        (axv.hsum(), ayv.hsum(), azv.hsum(), -phv.hsum())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn accel_slab_m2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (F64s::splat(px), F64s::splat(py), F64s::splat(pz));
-        let eps2v = F64s::splat(eps2);
-        let floorv = F64s::splat(R2_FLOOR_F64);
-        let (mut axv, mut ayv, mut azv) = (F64s::zero(), F64s::zero(), F64s::zero());
-        let mut phv = F64s::zero();
-        for i in (0..xs.len()).step_by(F64_LANES) {
-            let dx = F64s::load(&xs[i..]).sub(pxv);
-            let dy = F64s::load(&ys[i..]).sub(pyv);
-            let dz = F64s::load(&zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt_nr();
-            let im = F64s::load(&ms[i..]).mul(inv);
-            phv = phv.add(im);
-            let w = im.mul(inv).mul(inv);
-            axv = axv.add(dx.mul(w));
-            ayv = ayv.add(dy.mul(w));
-            azv = azv.add(dz.mul(w));
-        }
-        (axv.hsum(), ayv.hsum(), azv.hsum(), -phv.hsum())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn accel_slab_p2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        target_id: u32,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        ids: &[u32],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (F64s::splat(px), F64s::splat(py), F64s::splat(pz));
-        let eps2v = F64s::splat(eps2);
-        let floorv = F64s::splat(R2_FLOOR_F64);
-        let (mut axv, mut ayv, mut azv) = (F64s::zero(), F64s::zero(), F64s::zero());
-        let mut phv = F64s::zero();
-        for i in (0..xs.len()).step_by(F64_LANES) {
-            let dx = F64s::load(&xs[i..]).sub(pxv);
-            let dy = F64s::load(&ys[i..]).sub(pyv);
-            let dz = F64s::load(&zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt_nr();
-            let im = masked_mass_f64(&ms[i..], &ids[i..], target_id).mul(inv);
             phv = phv.add(im);
             let w = im.mul(inv).mul(inv);
             axv = axv.add(dx.mul(w));
@@ -446,7 +321,7 @@ mod avx2 {
     use core::arch::x86_64::*;
 
     /// `rsqrt_nr(max(r², floor))` — the branch-free singularity guard plus
-    /// the division-free Newton–Raphson rsqrt shared by all f64 kernels.
+    /// the division-free Newton–Raphson rsqrt of the f64 kernel.
     /// `_mm256_max_pd` has the `a > b ? a : b` convention the portable
     /// [`bhut_simd::F64s::max`] mirrors; the seed/refine sequence is
     /// op-for-op [`bhut_simd::rsqrt_nr_f64`] (`_mm256_sub_epi64` is the
@@ -454,7 +329,7 @@ mod avx2 {
     /// `fma(-a, b, c)` that `f64::mul_add` computes) — so the bodies stay
     /// bit-identical.
     #[inline(always)]
-    pub(super) unsafe fn floored_rsqrt_pd(r2: __m256d) -> __m256d {
+    unsafe fn floored_rsqrt_pd(r2: __m256d) -> __m256d {
         let x = _mm256_max_pd(r2, _mm256_set1_pd(bhut_simd::R2_FLOOR_F64));
         let xh = _mm256_mul_pd(_mm256_set1_pd(0.5), x);
         let three_half = _mm256_set1_pd(1.5);
@@ -484,7 +359,7 @@ mod avx2 {
         ((a[0] + a[1]) + a[2]) + a[3]
     }
 
-    /// 4-wide accumulator set shared by the f64 bodies.
+    /// 4-wide accumulator set shared by the AVX2 and AVX-512 f64 bodies.
     #[derive(Clone, Copy)]
     pub(super) struct Acc4 {
         pub(super) ax: __m256d,
@@ -509,7 +384,7 @@ mod avx2 {
     /// One 4-lane M2P chunk at slab offset `i`, accumulated into `acc`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn m2p_chunk_f64(
+    unsafe fn m2p_chunk_f64(
         acc: &mut Acc4,
         i: usize,
         xs: &[f64],
@@ -544,7 +419,7 @@ mod avx2 {
     /// (an `_mm_set1_epi32` splat) masked to zero mass.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
-    pub(super) unsafe fn p2p_chunk_f64(
+    unsafe fn p2p_chunk_f64(
         acc: &mut Acc4,
         i: usize,
         xs: &[f64],
@@ -601,54 +476,9 @@ mod avx2 {
         *hi = _mm256_add_pd(*hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn accel_slab_m2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm256_set1_pd(px), _mm256_set1_pd(py), _mm256_set1_pd(pz));
-        let eps2v = _mm256_set1_pd(eps2);
-        let mut acc = Acc4::zero();
-        for i in (0..xs.len()).step_by(4) {
-            m2p_chunk_f64(&mut acc, i, xs, ys, zs, ms, pxv, pyv, pzv, eps2v);
-        }
-        acc.finish()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn accel_slab_p2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        target_id: u32,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        ids: &[u32],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm256_set1_pd(px), _mm256_set1_pd(py), _mm256_set1_pd(pz));
-        let eps2v = _mm256_set1_pd(eps2);
-        let target = _mm_set1_epi32(target_id as i32);
-        let mut acc = Acc4::zero();
-        for i in (0..xs.len()).step_by(4) {
-            p2p_chunk_f64(&mut acc, i, xs, ys, zs, ms, ids, target, pxv, pyv, pzv, eps2v);
-        }
-        acc.finish()
-    }
-
-    /// Fused member body: same chunk arithmetic as the single-slab kernels,
-    /// accumulated into one [`Acc4`] in the order nodes → tail → particles
-    /// (matching the portable body exactly).
+    /// Fused member body: the two chunk helpers accumulated into one
+    /// [`Acc4`] in the order nodes → tail → particles (matching the portable
+    /// body exactly).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn accel_slab_member_f64(
@@ -773,7 +603,7 @@ mod avx2 {
     }
 }
 
-/// Explicit 512-bit bodies for the f64 kernels. Same chunk arithmetic as
+/// Explicit 512-bit body for the f64 kernel. Same chunk arithmetic as
 /// [`avx2`] at eight lanes: every elementwise op is the correctly-rounded
 /// IEEE counterpart of two consecutive 4-lane AVX2 chunks, and each 512-bit
 /// result is folded lo-then-hi into the shared 256-bit [`avx2::Acc4`] — the
@@ -782,16 +612,15 @@ mod avx2 {
 /// because the NR rsqrt is pure mul/FMA: with a hardware sqrt+div the
 /// 256-bit-wide divider would serialize the doubled lanes right back.
 ///
-/// Slabs are padded to [`bhut_simd::PAD_MULTIPLE`] (8) in practice, but the
-/// public contract only promises a multiple of [`F64_LANES`] (4), so each
-/// loop finishes a possible trailing 4-lane chunk with the AVX2 helper.
+/// Every view is a whole number of [`bhut_simd::PAD_MULTIPLE`] (8) chunks —
+/// the kernel's contract — so the loops have no trailing 4-lane chunk.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx2::{self, Acc4};
+    use super::avx2::Acc4;
     use super::SlabView;
     use core::arch::x86_64::*;
 
-    /// Eight-lane [`avx2::floored_rsqrt_pd`]: same clamp, same seed
+    /// Eight-lane `avx2::floored_rsqrt_pd`: same clamp, same seed
     /// subtract, same four FNMA-refined Newton steps.
     #[inline(always)]
     unsafe fn floored_rsqrt_pd8(r2: __m512d) -> __m512d {
@@ -900,83 +729,6 @@ mod avx512 {
         add_lo_hi(&mut acc.az, _mm512_mul_pd(dz, w));
     }
 
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn accel_slab_m2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm512_set1_pd(px), _mm512_set1_pd(py), _mm512_set1_pd(pz));
-        let eps2v = _mm512_set1_pd(eps2);
-        let mut acc = Acc4::zero();
-        let n8 = xs.len() & !7;
-        for i in (0..n8).step_by(8) {
-            m2p_chunk8_f64(&mut acc, i, xs, ys, zs, ms, pxv, pyv, pzv, eps2v);
-        }
-        if n8 < xs.len() {
-            avx2::m2p_chunk_f64(
-                &mut acc,
-                n8,
-                xs,
-                ys,
-                zs,
-                ms,
-                _mm512_castpd512_pd256(pxv),
-                _mm512_castpd512_pd256(pyv),
-                _mm512_castpd512_pd256(pzv),
-                _mm512_castpd512_pd256(eps2v),
-            );
-        }
-        acc.finish()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx512f,avx2,fma")]
-    pub unsafe fn accel_slab_p2p_f64(
-        px: f64,
-        py: f64,
-        pz: f64,
-        target_id: u32,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        ms: &[f64],
-        ids: &[u32],
-        eps2: f64,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm512_set1_pd(px), _mm512_set1_pd(py), _mm512_set1_pd(pz));
-        let eps2v = _mm512_set1_pd(eps2);
-        let target = _mm256_set1_epi32(target_id as i32);
-        let mut acc = Acc4::zero();
-        let n8 = xs.len() & !7;
-        for i in (0..n8).step_by(8) {
-            p2p_chunk8_f64(&mut acc, i, xs, ys, zs, ms, ids, target, pxv, pyv, pzv, eps2v);
-        }
-        if n8 < xs.len() {
-            avx2::p2p_chunk_f64(
-                &mut acc,
-                n8,
-                xs,
-                ys,
-                zs,
-                ms,
-                ids,
-                _mm_set1_epi32(target_id as i32),
-                _mm512_castpd512_pd256(pxv),
-                _mm512_castpd512_pd256(pyv),
-                _mm512_castpd512_pd256(pzv),
-                _mm512_castpd512_pd256(eps2v),
-            );
-        }
-        acc.finish()
-    }
-
     /// Fused member body: nodes → tail → particles into one [`Acc4`],
     /// matching the AVX2 and portable bodies exactly.
     #[allow(clippy::too_many_arguments)]
@@ -994,48 +746,19 @@ mod avx512 {
     ) -> (f64, f64, f64, f64) {
         let (pxv, pyv, pzv) = (_mm512_set1_pd(px), _mm512_set1_pd(py), _mm512_set1_pd(pz));
         let eps2v = _mm512_set1_pd(eps2);
-        let (px4, py4, pz4, eps24) = (
-            _mm512_castpd512_pd256(pxv),
-            _mm512_castpd512_pd256(pyv),
-            _mm512_castpd512_pd256(pzv),
-            _mm512_castpd512_pd256(eps2v),
-        );
         let target = _mm256_set1_epi32(target_id as i32);
         let mut acc = Acc4::zero();
         for slab in [nodes, tail] {
-            let n8 = slab.xs.len() & !7;
-            for i in (0..n8).step_by(8) {
+            for i in (0..slab.xs.len()).step_by(8) {
                 m2p_chunk8_f64(
                     &mut acc, i, slab.xs, slab.ys, slab.zs, slab.ms, pxv, pyv, pzv, eps2v,
                 );
             }
-            if n8 < slab.xs.len() {
-                avx2::m2p_chunk_f64(
-                    &mut acc, n8, slab.xs, slab.ys, slab.zs, slab.ms, px4, py4, pz4, eps24,
-                );
-            }
         }
-        let n8 = parts.xs.len() & !7;
-        for i in (0..n8).step_by(8) {
+        for i in (0..parts.xs.len()).step_by(8) {
             p2p_chunk8_f64(
                 &mut acc, i, parts.xs, parts.ys, parts.zs, parts.ms, ids, target, pxv, pyv, pzv,
                 eps2v,
-            );
-        }
-        if n8 < parts.xs.len() {
-            avx2::p2p_chunk_f64(
-                &mut acc,
-                n8,
-                parts.xs,
-                parts.ys,
-                parts.zs,
-                parts.ms,
-                ids,
-                _mm_set1_epi32(target_id as i32),
-                px4,
-                py4,
-                pz4,
-                eps24,
             );
         }
         acc.finish()
@@ -1099,58 +822,88 @@ mod tests {
         out
     }
 
-    #[test]
-    fn f64_slab_kernels_match_scalar_batch_within_1e12() {
-        for n in [0usize, 1, 3, 8, 37, 200] {
-            let s = make_slabs(n, 42 + n as u64);
-            let p = Vec3::new(0.13, -0.27, 0.61);
-            let (acc_ref, phi_ref) = accel_batch_m2p(p, &s.xs, &s.ys, &s.zs, &s.ms, EPS);
-            let (ax, ay, az, phi) = accel_slab_m2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                EPS * EPS,
-            );
-            let tol = 1e-12;
-            assert!(acc_ref.dist(Vec3::new(ax, ay, az)) <= tol * acc_ref.norm().max(1.0), "n={n}");
-            assert!((phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0), "n={n}");
-
-            let target = if n > 0 { (n / 2) as u32 } else { 0 };
-            let (acc_ref, phi_ref) =
-                accel_batch_p2p(p, target, &s.xs, &s.ys, &s.zs, &s.ms, &s.ids, EPS);
-            let (ax, ay, az, phi) = accel_slab_p2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                target,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                s.ids.padded(),
-                EPS * EPS,
-            );
-            assert!(acc_ref.dist(Vec3::new(ax, ay, az)) <= tol * acc_ref.norm().max(1.0), "n={n}");
-            assert!((phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0), "n={n}");
-        }
-    }
-
     fn view(s: &Slabs) -> SlabView<'_> {
         SlabView { xs: s.xs.padded(), ys: s.ys.padded(), zs: s.zs.padded(), ms: s.ms.padded() }
     }
 
+    /// One call of the f64 kernel: a target and the three slabs it sees.
+    struct Case<'a> {
+        p: Vec3,
+        target: u32,
+        nodes: &'a Slabs,
+        parts: &'a Slabs,
+        tail: &'a Slabs,
+        eps2: f64,
+    }
+
+    /// Run `case` through the body of one ISA tier, or `None` if this host
+    /// cannot execute that tier.
+    fn run_tier(tier: bhut_simd::Isa, c: &Case<'_>) -> Option<(f64, f64, f64, f64)> {
+        let Case { p, target, nodes, parts, tail, eps2 } = *c;
+        let (n, q, ids, t) = (view(nodes), view(parts), parts.ids.padded(), view(tail));
+        match tier {
+            bhut_simd::Isa::Portable => {
+                Some(portable::accel_slab_member_f64(p.x, p.y, p.z, target, n, q, ids, t, eps2))
+            }
+            #[cfg(target_arch = "x86_64")]
+            bhut_simd::Isa::Avx2 => (is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("fma"))
+            .then(|| {
+                // SAFETY: AVX2 and FMA were detected on this host just above.
+                unsafe { avx2::accel_slab_member_f64(p.x, p.y, p.z, target, n, q, ids, t, eps2) }
+            }),
+            #[cfg(target_arch = "x86_64")]
+            bhut_simd::Isa::Avx512 => (is_x86_feature_detected!("avx512f")
+                && is_x86_feature_detected!("avx2")
+                && is_x86_feature_detected!("fma"))
+            .then(|| {
+                // SAFETY: AVX-512F, AVX2 and FMA were detected just above.
+                unsafe { avx512::accel_slab_member_f64(p.x, p.y, p.z, target, n, q, ids, t, eps2) }
+            }),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => None,
+        }
+    }
+
+    /// The dispatched kernel on `case`.
+    fn member(c: &Case<'_>) -> (f64, f64, f64, f64) {
+        accel_slab_member_f64(
+            c.p.x,
+            c.p.y,
+            c.p.z,
+            c.target,
+            view(c.nodes),
+            view(c.parts),
+            c.parts.ids.padded(),
+            view(c.tail),
+            c.eps2,
+        )
+    }
+
+    /// `(nodes, parts, tail)` lengths: all three present, each pair empty
+    /// (the shapes the degree-k near field and the MixedF32 tails call
+    /// with), everything empty, and lengths that pad to one or many chunks.
+    const SHAPES: [(usize, usize, usize); 10] = [
+        (0, 0, 0),
+        (5, 0, 0),
+        (0, 4, 0),
+        (0, 0, 17),
+        (5, 3, 0),
+        (0, 9, 17),
+        (13, 16, 5),
+        (40, 16, 7),
+        (64, 7, 33),
+        (200, 333, 37),
+    ];
+
     #[test]
-    fn fused_member_kernel_matches_three_scalar_batches_within_1e12() {
-        for (nn, np, nt) in [(0usize, 0usize, 0usize), (5, 3, 0), (0, 9, 17), (40, 16, 7)] {
+    fn member_kernel_matches_three_scalar_batches_within_1e12() {
+        for (nn, np, nt) in SHAPES {
             let nodes = make_slabs(nn, 11 + nn as u64);
             let parts = make_slabs(np, 23 + np as u64);
             let tail = make_slabs(nt, 31 + nt as u64);
             let p = Vec3::new(0.31, 0.07, -0.55);
-            let target = 1u32;
+            let target = if np > 0 { (np / 2) as u32 } else { 0 };
             let (an, pn) = accel_batch_m2p(p, &nodes.xs, &nodes.ys, &nodes.zs, &nodes.ms, EPS);
             let (ap, pp) = accel_batch_p2p(
                 p, target, &parts.xs, &parts.ys, &parts.zs, &parts.ms, &parts.ids, EPS,
@@ -1158,17 +911,14 @@ mod tests {
             let (at, pt) = accel_batch_m2p(p, &tail.xs, &tail.ys, &tail.zs, &tail.ms, EPS);
             let acc_ref = an + ap + at;
             let phi_ref = pn + pp + pt;
-            let (ax, ay, az, phi) = accel_slab_member_f64(
-                p.x,
-                p.y,
-                p.z,
+            let (ax, ay, az, phi) = member(&Case {
+                p,
                 target,
-                view(&nodes),
-                view(&parts),
-                parts.ids.padded(),
-                view(&tail),
-                EPS * EPS,
-            );
+                nodes: &nodes,
+                parts: &parts,
+                tail: &tail,
+                eps2: EPS * EPS,
+            });
             let tol = 1e-12;
             assert!(
                 acc_ref.dist(Vec3::new(ax, ay, az)) <= tol * acc_ref.norm().max(1.0),
@@ -1178,42 +928,36 @@ mod tests {
         }
     }
 
+    /// The dispatcher only ever picks one tier per host, so compare the body
+    /// of *every* tier this host can execute against the portable reference:
+    /// all perform the same IEEE operations in the same order.
     #[test]
-    fn dispatched_member_kernel_is_bitwise_the_portable_body() {
-        for (nn, np, nt) in [(0usize, 4usize, 0usize), (13, 16, 5), (64, 7, 33)] {
+    fn every_runnable_member_body_is_bitwise_the_portable_body() {
+        use bhut_simd::Isa;
+        for (nn, np, nt) in SHAPES {
             let nodes = make_slabs(nn, 301 + nn as u64);
             let parts = make_slabs(np, 401 + np as u64);
             let tail = make_slabs(nt, 501 + nt as u64);
-            let p = Vec3::new(-0.2, 0.9, 0.4);
-            let target = (np / 2) as u32;
-            let got = accel_slab_member_f64(
-                p.x,
-                p.y,
-                p.z,
-                target,
-                view(&nodes),
-                view(&parts),
-                parts.ids.padded(),
-                view(&tail),
-                EPS * EPS,
-            );
-            let want = portable::accel_slab_member_f64(
-                p.x,
-                p.y,
-                p.z,
-                target,
-                view(&nodes),
-                view(&parts),
-                parts.ids.padded(),
-                view(&tail),
-                EPS * EPS,
-            );
-            assert_eq!(got, want, "member f64, n={nn}/{np}/{nt}");
+            let case = Case {
+                p: Vec3::new(-0.2, 0.9, 0.4),
+                target: (np / 2) as u32,
+                nodes: &nodes,
+                parts: &parts,
+                tail: &tail,
+                eps2: EPS * EPS,
+            };
+            let want = run_tier(Isa::Portable, &case).expect("portable always runs");
+            assert_eq!(member(&case), want, "dispatched, n={nn}/{np}/{nt}");
+            for tier in [Isa::Avx2, Isa::Avx512] {
+                if let Some(got) = run_tier(tier, &case) {
+                    assert_eq!(got, want, "{tier:?}, n={nn}/{np}/{nt}");
+                }
+            }
         }
     }
 
     #[test]
-    fn dispatched_kernels_are_bitwise_the_portable_bodies() {
+    fn dispatched_f32_kernels_are_bitwise_the_portable_bodies() {
         // The AVX2 bodies perform the same IEEE operations in the same
         // order as the portable ones, so on AVX2 hardware the public
         // (dispatched) kernels must agree with the portable bodies bit for
@@ -1223,53 +967,6 @@ mod tests {
             let s = make_slabs(n, 1000 + n as u64);
             let p = Vec3::new(-0.4, 0.8, 0.2);
             let target = (n / 3) as u32;
-            let got = accel_slab_m2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                EPS * EPS,
-            );
-            let want = portable::accel_slab_m2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                EPS * EPS,
-            );
-            assert_eq!(got, want, "m2p f64, n={n}");
-            let got = accel_slab_p2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                target,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                s.ids.padded(),
-                EPS * EPS,
-            );
-            let want = portable::accel_slab_p2p_f64(
-                p.x,
-                p.y,
-                p.z,
-                target,
-                s.xs.padded(),
-                s.ys.padded(),
-                s.zs.padded(),
-                s.ms.padded(),
-                s.ids.padded(),
-                EPS * EPS,
-            );
-            assert_eq!(got, want, "p2p f64, n={n}");
-
             let xs = to_f32(&s.xs);
             let ys = to_f32(&s.ys);
             let zs = to_f32(&s.zs);
@@ -1333,27 +1030,18 @@ mod tests {
             s.pad_to(PAD_MULTIPLE * 4, 0.0);
         }
         b.ids.pad_to(PAD_MULTIPLE * 4, u32::MAX);
-        let p = Vec3::new(0.5, 0.5, 0.5);
-        let ra = accel_slab_m2p_f64(
-            p.x,
-            p.y,
-            p.z,
-            a.xs.padded(),
-            a.ys.padded(),
-            a.zs.padded(),
-            a.ms.padded(),
-            EPS * EPS,
-        );
-        let rb = accel_slab_m2p_f64(
-            p.x,
-            p.y,
-            p.z,
-            b.xs.padded(),
-            b.ys.padded(),
-            b.zs.padded(),
-            b.ms.padded(),
-            EPS * EPS,
-        );
+        let none = make_slabs(0, 1);
+        let at = |nodes: &Slabs| {
+            member(&Case {
+                p: Vec3::new(0.5, 0.5, 0.5),
+                target: 4,
+                nodes,
+                parts: nodes,
+                tail: &none,
+                eps2: EPS * EPS,
+            })
+        };
+        let (ra, rb) = (at(&a), at(&b));
         assert_eq!(ra, rb);
     }
 
@@ -1364,30 +1052,12 @@ mod tests {
         let s = make_slabs(5, 3);
         // Evaluate exactly on top of source 2.
         let p = Vec3::new(s.xs[2], s.ys[2], s.zs[2]);
-        let (ax, ay, az, phi) = accel_slab_m2p_f64(
-            p.x,
-            p.y,
-            p.z,
-            s.xs.padded(),
-            s.ys.padded(),
-            s.zs.padded(),
-            s.ms.padded(),
-            0.0,
-        );
+        // The source sits in the node slab and, under an id that matches
+        // nothing, in the particle slab too: only the r² guard protects.
+        let none = make_slabs(0, 1);
+        let (ax, ay, az, phi) =
+            member(&Case { p, target: u32::MAX - 1, nodes: &s, parts: &s, tail: &none, eps2: 0.0 });
         assert!(ax.is_finite() && ay.is_finite() && az.is_finite() && phi.is_finite());
-        let (bx, by, bz, bphi) = accel_slab_p2p_f64(
-            p.x,
-            p.y,
-            p.z,
-            u32::MAX - 1, // no id matches; only the r² guard protects
-            s.xs.padded(),
-            s.ys.padded(),
-            s.zs.padded(),
-            s.ms.padded(),
-            s.ids.padded(),
-            0.0,
-        );
-        assert!(bx.is_finite() && by.is_finite() && bz.is_finite() && bphi.is_finite());
         // The f32 path hits the same guard.
         let xs = to_f32(&s.xs);
         let ys = to_f32(&s.ys);

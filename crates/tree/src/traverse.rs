@@ -5,16 +5,22 @@
 //! expanded and the process is repeated for each of the (four or eight)
 //! children."
 //!
-//! The traversal core [`for_each_interaction`] is generic over an interaction
-//! sink, so the same walk serves
+//! One function, [`walk`], owns the descent for a single target point: the
+//! stack, the empty and singleton cases, the MAC test and the child order.
+//! It reports every non-empty node it pops with a [`Visit`] outcome, and
+//! everything that evaluates one target is a sink over those reports:
 //!
-//! * monopole force / potential evaluation ([`accel_on`], [`potential_at`]),
-//! * degree-k multipole evaluation (in `bhut-multipole`),
+//! * [`for_each_interaction`] turns them into [`Interaction`]s, which serve
+//!   monopole force / potential evaluation ([`accel_on`], [`potential_at`]),
+//!   degree-k multipole evaluation (in `bhut-multipole`) and the mixed-tail
+//!   replay of the degree-k grouped path;
 //! * per-node *load* accounting ([`accumulate_loads`]) — "each node in the
 //!   tree keeps track of the number of particles it interacts with" (§3.3) —
-//!   which is what the SPDA/DPDA balancers consume, and
-//! * the function-shipping engine in `bhut-core`, which cuts the walk at
-//!   non-local branch nodes.
+//!   which is what the SPDA/DPDA balancers consume;
+//! * the function-shipping engine in `bhut-core` (`evalcore`), which marks
+//!   non-local branch nodes opaque so the walk is *cut* there, and its
+//!   data-shipping comparator (`dataship`), which records every node the
+//!   walk reports.
 
 use crate::mac::Mac;
 use crate::node::{NodeId, Tree, NIL};
@@ -55,14 +61,60 @@ pub enum Interaction {
     Particle(u32),
 }
 
+/// What [`walk`] did with one non-empty node it popped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visit {
+    /// The node holds exactly one particle: a direct interaction, with no
+    /// MAC test — expanding a singleton buys nothing.
+    Singleton,
+    /// The MAC accepted the node.
+    Accepted,
+    /// The MAC rejected a leaf: its particles interact directly.
+    Leaf,
+    /// The MAC rejected an internal node; its children are visited next.
+    Opened,
+    /// The MAC rejected an opaque node: the walk does not look below it.
+    Cut,
+}
+
+/// The per-target descent of §2, from `root`: pop a node, skip it if empty,
+/// apply `mac` unless it is a singleton, and on rejection push the children
+/// (octant order) — except below a node for which `opaque` holds, which may
+/// be tested but never opened. Every non-empty popped node is reported to
+/// `visit` with what happened to it; every outcome but [`Visit::Singleton`]
+/// cost one MAC test.
+pub fn walk(
+    tree: &Tree,
+    root: NodeId,
+    point: Vec3,
+    mac: &impl Mac,
+    opaque: impl Fn(NodeId) -> bool,
+    mut visit: impl FnMut(NodeId, Visit),
+) {
+    if tree.is_empty() {
+        return;
+    }
+    let mut stack: Vec<NodeId> = vec![root];
+    while let Some(id) = stack.pop() {
+        let node = tree.node(id);
+        let outcome = match node.count() {
+            0 => continue,
+            1 => Visit::Singleton,
+            _ if mac.accept(&node.cell, node.com, point) => Visit::Accepted,
+            _ if opaque(id) => Visit::Cut,
+            _ if node.is_leaf() => Visit::Leaf,
+            _ => {
+                stack.extend(node.children.iter().rev().filter(|&&c| c != NIL));
+                Visit::Opened
+            }
+        };
+        visit(id, outcome);
+    }
+}
+
 /// Walk the tree for a target at `point`, applying `mac`, and deliver every
 /// approved interaction to `sink`. `skip_id` excludes one particle id (the
 /// target itself) from direct sums.
-///
-/// The walk expands a node when the MAC rejects it *and* it has children;
-/// a rejected leaf degenerates to direct particle–particle interactions.
-/// Single-particle leaves skip the MAC and interact directly — expanding a
-/// singleton buys nothing.
 pub fn for_each_interaction(
     tree: &Tree,
     particles: &[Particle],
@@ -87,43 +139,25 @@ pub fn for_each_interaction_from(
     mut sink: impl FnMut(Interaction),
 ) -> TraversalStats {
     let mut stats = TraversalStats::default();
-    if tree.is_empty() {
-        return stats;
-    }
-    let mut stack: Vec<NodeId> = vec![root];
-    while let Some(id) = stack.pop() {
-        let node = tree.node(id);
-        let count = node.count();
-        if count == 0 {
-            continue;
-        }
-        if count == 1 {
-            let pi = tree.order[node.start as usize];
-            if Some(particles[pi as usize].id) != skip_id {
-                stats.p2p += 1;
-                sink(Interaction::Particle(pi));
+    let report = |id, visit| {
+        stats.mac_tests += (visit != Visit::Singleton) as u64;
+        match visit {
+            Visit::Accepted => {
+                stats.p2n += 1;
+                sink(Interaction::Node(id));
             }
-            continue;
-        }
-        stats.mac_tests += 1;
-        if mac.accept(&node.cell, node.com, point) {
-            stats.p2n += 1;
-            sink(Interaction::Node(id));
-        } else if node.is_leaf() {
-            for &pi in tree.particles_under(id) {
-                if Some(particles[pi as usize].id) != skip_id {
-                    stats.p2p += 1;
-                    sink(Interaction::Particle(pi));
+            Visit::Singleton | Visit::Leaf => {
+                for &pi in tree.particles_under(id) {
+                    if Some(particles[pi as usize].id) != skip_id {
+                        stats.p2p += 1;
+                        sink(Interaction::Particle(pi));
+                    }
                 }
             }
-        } else {
-            for &c in node.children.iter().rev() {
-                if c != NIL {
-                    stack.push(c);
-                }
-            }
+            Visit::Opened | Visit::Cut => {}
         }
-    }
+    };
+    walk(tree, root, point, mac, |_| false, report);
     stats
 }
 

@@ -3,14 +3,20 @@
 //! seeded Plummer set: the full executor sweep, a masked block substep that
 //! replays cached interaction lists, and a served field query at particle
 //! positions. Values agree to 1e-12 relative; interaction counts exactly.
+//! A second case drives the two sweeps that reach the f64 slab kernel with
+//! only one of its three slabs: degree 2 (near field only) against
+//! `MultipoleTree::eval`, and `MixedF32` (tails only) against the walk.
 
 use barnes_hut::geom::{plummer, Particle, PlummerSpec, Vec3};
+use barnes_hut::multipole::MultipoleTree;
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::ActiveSet;
 use barnes_hut::tree::{accel_on, potential_at, BarnesHutMac, KernelPrecision, QueryTarget, Tree};
 use bhut_serve::{FieldQuery, TreeEpoch};
 
 const TOL: f64 = 1e-12;
+/// f32 lanes with f64 accumulation: single-precision noise per interaction.
+const MIXED_TOL: f64 = 1e-4;
 
 /// Acceleration, potential and interaction count of the per-particle walk
 /// for particle `p` — what every pipeline entry must reproduce.
@@ -22,8 +28,12 @@ fn walk(tree: &Tree, ps: &[Particle], p: &Particle, cfg: &ThreadConfig) -> (Vec3
 }
 
 fn assert_close(acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
-    assert!(acc.dist(want.0) <= TOL * want.0.norm().max(1.0), "{ctx}: acc {acc:?} vs {:?}", want.0);
-    assert!((phi - want.1).abs() <= TOL * want.1.abs().max(1.0), "{ctx}: phi {phi} vs {}", want.1);
+    assert_within(TOL, acc, phi, want, ctx);
+}
+
+fn assert_within(tol: f64, acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
+    assert!(acc.dist(want.0) <= tol * want.0.norm().max(1.0), "{ctx}: acc {acc:?} vs {:?}", want.0);
+    assert!((phi - want.1).abs() <= tol * want.1.abs().max(1.0), "{ctx}: phi {phi} vs {}", want.1);
 }
 
 #[test]
@@ -72,4 +82,45 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
         assert_close(out[i].acc, out[i].phi, *want, &format!("served query, point {i}"));
     }
     assert_eq!(stats.interactions(), reference.iter().map(|r| r.2).sum::<u64>());
+}
+
+/// A full two-thread sweep under `cfg` against `reference(tree, particle)`:
+/// values within `tol`, interaction counts exactly.
+fn sweep_equals(
+    ctx: &str,
+    cfg: ThreadConfig,
+    tol: f64,
+    ps: &[Particle],
+    reference: impl Fn(&Tree, &Particle) -> (Vec3, f64, u64),
+) {
+    let mut sim = ThreadSim::new(cfg);
+    let tree = sim.build_tree(ps);
+    let out = sim.compute_forces(ps);
+    let work = sim.work_weights().expect("a computation records its work");
+    let mut interactions = 0;
+    for (i, p) in ps.iter().enumerate() {
+        let want = reference(&tree, p);
+        assert_within(tol, out.accels[i], out.potentials[i], want, &format!("{ctx}, particle {i}"));
+        assert_eq!(work[i], want.2, "{ctx}, particle {i}: interactions");
+        interactions += want.2;
+    }
+    assert_eq!(out.stats.interactions(), interactions, "{ctx}");
+}
+
+#[test]
+fn degree_two_and_mixed_precision_sweeps_equal_their_per_particle_walks() {
+    let set = plummer(PlummerSpec { n: 600, seed: 9, ..Default::default() });
+    let ps = &set.particles;
+
+    let cfg = ThreadConfig { threads: 2, degree: 2, ..Default::default() };
+    let mac = BarnesHutMac::new(cfg.alpha);
+    let mtree = MultipoleTree::new(&ThreadSim::new(cfg).build_tree(ps), ps, 2);
+    sweep_equals("degree 2", cfg, TOL, ps, |tree, p| {
+        let (phi, acc, st) = mtree.eval(tree, ps, p.pos, Some(p.id), &mac, cfg.eps);
+        (acc, phi, st.interactions())
+    });
+
+    let cfg =
+        ThreadConfig { threads: 2, precision: KernelPrecision::MixedF32, ..Default::default() };
+    sweep_equals("MixedF32", cfg, MIXED_TOL, ps, |tree, p| walk(tree, ps, p, &cfg));
 }
