@@ -104,16 +104,16 @@ fn bench_group_walk(c: &mut Criterion) {
                 sum
             })
         });
-        let leaves = leaf_schedule(&tree);
+        let units = leaf_schedule(&tree);
         let mut buf = InteractionBuffers::new();
         g.bench_with_input(BenchmarkId::new("grouped", n), &set, |b, set| {
             b.iter(|| {
                 let mut sum = 0.0;
-                for &leaf in &leaves {
+                for &unit in &units {
                     eval_group_monopole(
                         &tree,
                         &set.particles,
-                        leaf,
+                        unit,
                         &mac,
                         eps,
                         &mut buf,

@@ -23,14 +23,14 @@ fn bench_simd(c: &mut Criterion) {
     let mac = BarnesHutMac::new(0.67);
     let schedule = leaf_schedule(&tree);
 
-    // Pre-gather every leaf once; the benchmark then times only the kernel
+    // Pre-gather every walk unit once; the benchmark then times only the kernel
     // phase.
     let mut buffers: Vec<InteractionBuffers> = Vec::with_capacity(schedule.len());
-    for &leaf in &schedule {
+    for &unit in &schedule {
         let mut buf = InteractionBuffers::new();
         buf.set_fill_f32(true);
-        gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-        resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, None);
+        gather_group(&tree, &set.particles, unit, &mac, &mut buf);
+        resolve_mixed_tails_lanes(&tree, &set.particles, unit, &mac, &mut buf, None);
         buffers.push(buf);
     }
 
@@ -41,11 +41,11 @@ fn bench_simd(c: &mut Criterion) {
             |b, &precision| {
                 b.iter(|| {
                     let mut sink = 0.0f64;
-                    for (&leaf, buf) in schedule.iter().zip(&buffers) {
+                    for (&unit, buf) in schedule.iter().zip(&buffers) {
                         eval_gathered_monopole_masked(
                             &tree,
                             &set.particles,
-                            leaf,
+                            unit,
                             &mac,
                             EPS,
                             precision,

@@ -82,9 +82,10 @@ impl MultipoleTree {
         (phi, acc, stats)
     }
 
-    /// Degree-k grouped evaluation for every particle under `leaf`, via one
-    /// shared walk (see [`bhut_tree::group`]). MAC-accepted nodes are
-    /// evaluated through their expansions from the shared slab; direct
+    /// Degree-k grouped evaluation for every particle under `unit` (a node
+    /// from [`bhut_tree::group::leaf_schedule`]), via one shared walk (see
+    /// [`bhut_tree::group`]). MAC-accepted nodes are evaluated through
+    /// their expansions from the shared slab; direct
     /// interactions go through the batched P2P kernel; boundary-straddling
     /// subtrees are replayed per member. Interaction-for-interaction
     /// identical to [`MultipoleTree::eval`] — same stats, same terms, only
@@ -94,20 +95,20 @@ impl MultipoleTree {
         &self,
         tree: &Tree,
         particles: &[Particle],
-        leaf: NodeId,
+        unit: NodeId,
         mac: &impl GroupMac,
         eps: f64,
         buf: &mut InteractionBuffers,
         emit: impl FnMut(u32, f64, Vec3, u64),
     ) -> TraversalStats {
-        gather_group(tree, particles, leaf, mac, buf);
+        gather_group(tree, particles, unit, mac, buf);
         let precision = KernelPrecision::default();
-        self.eval_gathered_masked(tree, particles, leaf, mac, eps, precision, buf, None, emit)
+        self.eval_gathered_masked(tree, particles, unit, mac, eps, precision, buf, None, emit)
     }
 
     /// The kernel half of [`MultipoleTree::eval_group`]: evaluate the members
-    /// of `leaf` against slabs already filled by
-    /// [`bhut_tree::group::gather_group`] for that same leaf. Splitting the
+    /// of `unit` against slabs already filled by
+    /// [`bhut_tree::group::gather_group`] for that same unit. Splitting the
     /// walk from the kernels lets callers time the two phases separately.
     /// Members with `active[pi] == false` are skipped entirely while the
     /// shared slabs keep every source; `None` evaluates all members through
@@ -124,7 +125,7 @@ impl MultipoleTree {
         &self,
         tree: &Tree,
         particles: &[Particle],
-        leaf: NodeId,
+        unit: NodeId,
         mac: &impl GroupMac,
         eps: f64,
         precision: KernelPrecision,
@@ -136,14 +137,8 @@ impl MultipoleTree {
         if tree.is_empty() {
             return stats;
         }
-        let n_members = tree.particles_under(leaf).len();
-        if n_members == 0 {
-            return stats;
-        }
         let shared_p2n = buf.node_ids.len() as u64;
-        let shared_p2p = buf.px.len() as u64 - buf.self_in_p2p as u64;
-        for k in 0..n_members {
-            let pi = tree.particles_under(leaf)[k];
+        for (k, &pi) in tree.particles_under(unit).iter().enumerate() {
             if let Some(mask) = active {
                 if !mask[pi as usize] {
                     continue;
@@ -158,7 +153,9 @@ impl MultipoleTree {
             }
             let mut member = TraversalStats {
                 p2n: shared_p2n,
-                p2p: shared_p2p,
+                // A member whose own leaf sits in the shared slab masks one
+                // entry — itself — which is not an interaction.
+                p2p: buf.px.len() as u64 - buf.self_in_p2p(k) as u64,
                 mac_tests: buf.shared_mac_tests,
             };
             for &root in &buf.mixed {

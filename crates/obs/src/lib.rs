@@ -191,15 +191,21 @@ pub struct Counters {
     pub p2p: u64,
     /// Particle–node interactions (MAC-accepted multipole evaluations).
     pub m2p: u64,
-    /// Multipole acceptance tests charged.
+    /// Multipole acceptance tests charged, as the per-target-equivalent
+    /// count: a test the shared walk made once for a whole unit is charged
+    /// to every member, so this equals what per-particle walks would make
+    /// and cannot show what grouping saves — `group_accept + group_reject +
+    /// group_mixed` is the classification work actually done.
     pub mac_tests: u64,
-    /// Internal nodes expanded during group walks.
+    /// Internal nodes expanded during the shared walks, once per walk unit.
     pub nodes_opened: u64,
-    /// Group-MAC classifications that accepted the node for every member.
+    /// Group-MAC classifications, one per node per walk unit, that accepted
+    /// the node for every member.
     pub group_accept: u64,
     /// Group-MAC classifications that rejected the node for every member.
     pub group_reject: u64,
-    /// Group-MAC classifications that straddled the acceptance boundary.
+    /// Group-MAC classifications that straddled the acceptance boundary
+    /// (the unit's members then walk on below that node one by one).
     pub group_mixed: u64,
     /// Particles shipped to remote processors (simulated path).
     pub requests: u64,
@@ -269,7 +275,7 @@ impl Counters {
         }
     }
 
-    /// Fraction of leaf gathers served by interaction-list replay
+    /// Fraction of unit gathers served by interaction-list replay
     /// (`list_hits / (list_hits + list_misses)`); 0.0 when reuse never ran.
     pub fn list_hit_rate(&self) -> f64 {
         let total = self.list_hits + self.list_misses;

@@ -45,8 +45,8 @@ impl EnergyReport {
         let mac = BarnesHutMac::new(alpha);
         let mut buf = InteractionBuffers::default();
         let mut phi = vec![0.0f64; particles.len()];
-        for leaf in leaf_schedule(&tree) {
-            eval_group_monopole(&tree, particles, leaf, &mac, eps, &mut buf, |pi, p, _, _| {
+        for unit in leaf_schedule(&tree) {
+            eval_group_monopole(&tree, particles, unit, &mac, eps, &mut buf, |pi, p, _, _| {
                 phi[pi as usize] = p;
             });
         }

@@ -41,7 +41,7 @@ pub struct SimulationConfig {
     pub precision: KernelPrecision,
     /// Under [`TimestepMode::Block`], evaluate the fine-rung (masked)
     /// substeps against the tree frozen by the last synchronized substep,
-    /// replaying cached per-leaf interaction lists instead of rebuilding and
+    /// replaying cached per-unit interaction lists instead of rebuilding and
     /// re-walking (Valdarnini-style list reuse). Synchronized substeps
     /// always rebuild. Off by default; no effect under
     /// [`TimestepMode::Global`].

@@ -487,6 +487,24 @@ macro_rules! aligned_slab {
                 self.padded = self.len;
             }
 
+            /// Append the `vs.len()` elements `vs` yields with one capacity
+            /// check and straight stores — the bulk form of [`Self::push`],
+            /// and like it invalidates any padding. Taking an iterator lets
+            /// the caller append one column of array-of-structs scratch.
+            #[inline]
+            pub fn extend_exact(&mut self, vs: impl ExactSizeIterator<Item = $elem>) {
+                let end = self.len + vs.len();
+                if self.blocks.len() * $per < end {
+                    self.blocks.resize(end.div_ceil($per), $block([$zero; $per]));
+                }
+                let len = self.len;
+                for (slot, v) in self.flat_mut()[len..end].iter_mut().zip(vs) {
+                    *slot = v;
+                }
+                self.len = end;
+                self.padded = end;
+            }
+
             /// Extend the slab with `sentinel` until its padded length is a
             /// multiple of `multiple` (the logical length is unchanged).
             pub fn pad_to(&mut self, multiple: usize, sentinel: $elem) {
@@ -726,6 +744,34 @@ mod tests {
         assert_eq!(s.len(), 0);
         assert_eq!(s.padded_len(), 0);
         assert!(s.capacity() >= 16, "clear keeps capacity");
+    }
+
+    #[test]
+    fn slab_extend_exact_equals_repeated_push() {
+        let vs: Vec<f64> = (0..21).map(|i| i as f64 * 0.5).collect();
+        // Ragged starts and lengths, across block boundaries and from empty.
+        for (head, cut) in [(0usize, 21usize), (3, 5), (8, 8), (11, 0), (5, 19)] {
+            let (mut bulk, mut pushed) = (AlignedF64Slab::new(), AlignedF64Slab::new());
+            for s in [&mut bulk, &mut pushed] {
+                for i in 0..head {
+                    s.push(-(i as f64));
+                }
+                s.pad_to(PAD_MULTIPLE, 7.0);
+            }
+            bulk.extend_exact(vs[..cut].iter().copied());
+            for &v in &vs[..cut] {
+                pushed.push(v);
+            }
+            assert_eq!(&bulk[..], &pushed[..], "head {head} cut {cut}");
+            assert_eq!(bulk.len(), head + cut);
+            if cut > 0 {
+                assert_eq!(bulk.padded_len(), bulk.len(), "a bulk append invalidates the padding");
+            }
+            bulk.pad_to(PAD_MULTIPLE, 0.0);
+            pushed.pad_to(PAD_MULTIPLE, 0.0);
+            assert_eq!(bulk.padded(), pushed.padded());
+            assert_eq!(bulk.padded().as_ptr() as usize % SLAB_ALIGN, 0, "64B alignment is kept");
+        }
     }
 
     #[test]

@@ -32,7 +32,8 @@ pub enum Partitioning {
 /// How forces are evaluated once the tree is built.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
-    /// One tree walk per leaf bucket feeding SoA batched kernels
+    /// One tree walk per unit of [`bhut_tree::group::leaf_schedule`] (a
+    /// subtree of a few neighbouring leaves) feeding SoA batched kernels
     /// ([`bhut_tree::group`]). Interaction-for-interaction identical to
     /// [`EvalMode::PerParticle`]; the default.
     #[default]
@@ -61,7 +62,7 @@ pub struct ThreadConfig {
     /// one-node-per-test classification; both make bitwise-identical
     /// decisions, so forces are unchanged either way.
     pub mac_batch: bool,
-    /// Cache each leaf's gathered interaction list and replay it on block
+    /// Cache each unit's gathered interaction list and replay it on block
     /// substeps that reuse the frozen tree
     /// ([`ThreadSim::compute_forces_substep`] with `reuse = true`). Off by
     /// default; full steps always rebuild and re-walk.
@@ -122,7 +123,7 @@ impl ForceResult {
 struct Scratch {
     buf: InteractionBuffers,
     out: Vec<(u32, f64, Vec3, u64)>,
-    /// Per-leaf interaction lists for frozen-tree substep replay
+    /// Per-unit interaction lists for frozen-tree substep replay
     /// ([`ThreadConfig::list_reuse`]); generation-keyed, so a rebuild
     /// (which bumps the generation) evicts everything.
     cache: WalkCache,
@@ -221,7 +222,7 @@ impl ThreadSim {
     /// [`ThreadSim::compute_forces_active`] (optionally profiled), and —
     /// when `reuse` is true and [`ThreadConfig::list_reuse`] is on — walking
     /// the tree frozen by the previous call instead of rebuilding, replaying
-    /// each scheduled leaf's cached interaction list when its members still
+    /// each scheduled unit's cached interaction list when its members still
     /// sit inside the frozen bucket. With `reuse` false (or the feature off)
     /// this is exactly the rebuild path, bit for bit.
     pub fn compute_forces_substep(
@@ -321,13 +322,13 @@ impl ThreadSim {
         // scatters after the join, so no shared result locks exist.
         let per_thread: Vec<(u64, TraversalStats, WorkerObs)> = match cfg.eval_mode {
             EvalMode::Grouped => {
-                // A masked run schedules only leaves holding at least one
+                // A masked run schedules only units holding at least one
                 // active member; the walks themselves still see every source.
-                let leaves = match mask {
+                let units = match mask {
                     Some(m) => leaf_schedule_active(&tree, m),
                     None => leaf_schedule(&tree),
                 };
-                // The one leaf loop: gather → resolve → eval per leaf into
+                // The one unit loop: gather → resolve → eval per unit into
                 // this thread's scratch. A profiled run additionally splits
                 // the walk's clock from the kernels' and harvests the
                 // classification counters; the force arithmetic is the same.
@@ -345,21 +346,21 @@ impl ThreadSim {
                         buf.take_lane_counters();
                         let _ = cache.take_stats();
                     }
-                    for &leaf in ids {
+                    for &unit in ids {
                         let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                         if cfg.list_reuse {
                             gather_group_cached(
-                                &tree, particles, leaf, &mac, buf, cache, generation,
+                                &tree, particles, unit, &mac, buf, cache, generation,
                             );
                         } else {
-                            gather_group(&tree, particles, leaf, &mac, buf);
+                            gather_group(&tree, particles, unit, &mac, buf);
                         }
                         if mtree.is_none() {
                             // Monopole path: flatten the mixed frontiers into
                             // per-member tail slabs so evaluation is pure
                             // slab arithmetic (the multipole path keeps its
                             // degree-aware per-member replay).
-                            resolve_mixed_tails_lanes(&tree, particles, leaf, &mac, buf, mask);
+                            resolve_mixed_tails_lanes(&tree, particles, unit, &mac, buf, mask);
                         }
                         let t1 = if profiled { bhut_obs::now() } else { 0.0 };
                         let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));
@@ -367,7 +368,7 @@ impl ThreadSim {
                             Some(mt) => mt.eval_gathered_masked(
                                 &tree,
                                 particles,
-                                leaf,
+                                unit,
                                 &mac,
                                 cfg.eps,
                                 cfg.precision,
@@ -378,7 +379,7 @@ impl ThreadSim {
                             None => eval_gathered_monopole_masked(
                                 &tree,
                                 particles,
-                                leaf,
+                                unit,
                                 &mac,
                                 cfg.eps,
                                 cfg.precision,
@@ -412,14 +413,18 @@ impl ThreadSim {
                     }
                     stats
                 };
-                // Static blocks: equal particle counts per thread, at leaf
-                // granularity. Costzones: weight each leaf by its members'
+                // Static blocks: equal particle counts per thread, at unit
+                // granularity. Costzones: weight each unit by its members'
                 // measured work from the previous step.
-                let weight = |&l: &NodeId| match zone_work {
-                    Some(w) => tree.particles_under(l).iter().map(|&pi| w[pi as usize] + 1).sum(),
-                    None => tree.node(l).count() as u64,
+                let weight = |&u: &NodeId| match zone_work {
+                    Some(w) => tree.particles_under(u).iter().map(|&pi| w[pi as usize] + 1).sum(),
+                    None => tree.node(u).count() as u64,
                 };
-                dispatch(&cfg, profiled, &leaves, weight, cfg.leaf_capacity.max(1), run_range)
+                // Self-scheduling blocks are sized in particles: convert at
+                // the schedule's own mean population, not the leaf capacity.
+                let scheduled: usize = units.iter().map(|&u| tree.node(u).count() as usize).sum();
+                let per_unit = (scheduled / units.len().max(1)).max(1);
+                dispatch(&cfg, profiled, &units, weight, per_unit, run_range)
             }
             EvalMode::PerParticle => {
                 let run_range = |t: usize, positions: &[u32], w: &mut WorkerObs| {
@@ -496,7 +501,7 @@ impl ThreadSim {
                 prof.per_worker.push(w.counters);
                 match cfg.eval_mode {
                     EvalMode::Grouped => {
-                        // Walk and kernel interleave per leaf; their
+                        // Walk and kernel interleave per unit; their
                         // accumulated durations are reported as contiguous
                         // sub-intervals of the worker's evaluation window.
                         let s = rel(w.start);
@@ -544,7 +549,7 @@ impl ThreadSim {
 }
 
 /// The one partition dispatch: run `run_range(thread, &items[a..b], obs)`
-/// over all of `items` (leaves or particles, in Morton order) on
+/// over all of `items` (units or particles, in Morton order) on
 /// `cfg.threads` workers and return each worker's interaction count, stats
 /// and observations.
 ///
@@ -1065,7 +1070,7 @@ mod tests {
 
     /// A rebuild (any non-reusing computation) bumps the tree generation,
     /// which must evict every cached list: the next sweep misses everywhere.
-    /// Static blocks keep the leaf→thread assignment stable across calls, so
+    /// Static blocks keep the unit→thread assignment stable across calls, so
     /// within one generation a repeated full sweep is a pure replay.
     #[test]
     fn rebuild_evicts_executor_list_caches() {

@@ -1,12 +1,12 @@
-//! Grouped tree walks: one traversal per leaf bucket instead of one per
-//! particle.
+//! Grouped tree walks: one traversal per *walk unit* — a subtree of a few
+//! neighbouring leaves — instead of one per particle.
 //!
 //! The per-particle walk ([`crate::traverse`]) re-discovers nearly the same
-//! interaction list for every particle of a leaf — neighbors in space agree
-//! on all but the closest nodes. A grouped walk runs the multipole
-//! acceptance test once per node against the *bucket* (the tight bounding
-//! box of the leaf's particles), using [`GroupMac::classify`] to bracket the
-//! per-member decision:
+//! interaction list for every particle of a neighbourhood — neighbors in
+//! space agree on all but the closest nodes. A grouped walk runs the
+//! multipole acceptance test once per node against the *bucket* (the tight
+//! bounding box of the unit's particles), using [`GroupMac::classify`] to
+//! bracket the per-member decision:
 //!
 //! * **AcceptAll** — every member accepts; the node's monopole goes into a
 //!   shared structure-of-arrays M2P slab, evaluated once per member by a
@@ -22,14 +22,25 @@
 //!
 //! A *target* is a position plus the particle id to leave out
 //! ([`QueryTarget`]). The pipeline is `gather → resolve → eval`, and it is
-//! the same for a leaf's (active) members and for a batch of query points —
-//! the member entry points only build the target list from the leaf.
+//! the same for a unit's (active) members and for a batch of query points —
+//! the member entry points only build the target list from the unit.
 //!
 //! Because the walk only descends on RejectAll, every member's individual
 //! walk is guaranteed to reach each shared or mixed frontier node, which
 //! makes the grouped evaluation *interaction-for-interaction identical* to
 //! the per-particle walk: identical [`TraversalStats`] and per-interaction
-//! arithmetic, with only the summation order changed.
+//! arithmetic, with only the summation order changed. That argument uses the
+//! bucket only through the [`GroupMac`] bracket (AcceptAll ⇒ every point of
+//! the bucket accepts, RejectAll ⇒ every point rejects), so it holds for
+//! *any* bucket: a leaf, a subtree of several leaves, a run of query points.
+//! What the bucket's size trades is cost — a larger one amortizes the shared
+//! walk over more targets and leaves more nodes Mixed for the resolve — and
+//! [`leaf_schedule`] picks it: the maximal subtrees of at most 32 particles
+//! (a private constant, `UNIT_TARGETS`). The one thing that is per *leaf*
+//! and not per unit is self-exclusion: a member finds itself in the shared
+//! P2P slab iff the walk appended its own leaf there
+//! ([`InteractionBuffers::self_in_p2p`]); members of the unit's other
+//! leaves leave themselves out in the tail walk instead.
 
 use crate::kernel::{accel_slab_m2p_f32, accel_slab_member_f64, accel_slab_p2p_f32, SlabView};
 use crate::mac::{GroupClass, GroupMac, Mac};
@@ -46,7 +57,7 @@ use std::collections::HashMap;
 const SHRINK_FLOOR: usize = 4096;
 
 /// Reusable structure-of-arrays scratch for grouped walks. Allocate once per
-/// worker thread; [`gather_group`] refills it for every leaf without
+/// worker thread; [`gather_group`] refills it for every unit without
 /// releasing capacity (call [`InteractionBuffers::maybe_shrink`] between
 /// steps to give back capacity a transient dense group pinned).
 ///
@@ -85,7 +96,7 @@ pub struct InteractionBuffers {
     pub tail_y: AlignedF64Slab,
     pub tail_z: AlignedF64Slab,
     pub tail_m: AlignedF64Slab,
-    /// One span per target ordinal (for a leaf: its active members in the
+    /// One span per target ordinal (for a unit: its active members in the
     /// order of `tree.particles_under`); empty until
     /// [`resolve_mixed_tails_targets`] runs.
     tails: Vec<TailSpan>,
@@ -99,9 +110,14 @@ pub struct InteractionBuffers {
     pub class_reject: u64,
     /// Internal nodes expanded (children pushed) during the shared walk.
     pub nodes_opened: u64,
-    /// Whether the target leaf's own particles were appended to the P2P slab
-    /// (each member then finds itself in the slab exactly once).
-    pub self_in_p2p: bool,
+    /// The gathered unit's range of `tree.order` (empty for a bucket of
+    /// query targets, which are not tree particles).
+    unit: (u32, u32),
+    /// Per member ordinal of the unit: whether the shared walk appended that
+    /// member's own leaf to the P2P slab, so the member finds itself there
+    /// exactly once. The other members meet their leaf in the tail walk,
+    /// which leaves out the skip id itself.
+    self_cover: Vec<bool>,
     /// Kernel lane slots processed (padded slab length × members evaluated);
     /// `Cell` because evaluation holds the buffers by shared reference.
     pub lane_slots: Cell<u64>,
@@ -214,7 +230,8 @@ impl InteractionBuffers {
         self.shared_mac_tests = 0;
         self.class_reject = 0;
         self.nodes_opened = 0;
-        self.self_in_p2p = false;
+        self.unit = (0, 0);
+        self.self_cover.clear();
         self.f32_ready = false;
         if self.fill_f32 {
             self.com_x32.clear();
@@ -260,6 +277,32 @@ impl InteractionBuffers {
             self.pz32.push(p.pos.z as f32);
             self.pmass32.push(p.mass as f32);
         }
+    }
+
+    /// Append `tree.order[start..start + count]` — a leaf's particles, or a
+    /// singleton node's — to the P2P slab, and record which members of the
+    /// gathered unit now find themselves in it.
+    fn push_leaf(&mut self, tree: &Tree, particles: &[Particle], start: u32, count: u32) {
+        for &pi in &tree.order[start as usize..(start + count) as usize] {
+            self.push_particle(&particles[pi as usize]);
+        }
+        let (lo, hi) = (start.max(self.unit.0), (start + count).min(self.unit.1));
+        if lo < hi {
+            self.self_cover[(lo - self.unit.0) as usize..(hi - self.unit.0) as usize].fill(true);
+        }
+    }
+
+    /// Name the unit the (just cleared) buffers are about to gather.
+    fn set_unit(&mut self, node: &Node) {
+        self.unit = (node.start, node.end);
+        self.self_cover.resize(node.count() as usize, false);
+    }
+
+    /// Whether member `k` of the gathered unit (its ordinal in
+    /// `tree.particles_under`) is itself an entry of the P2P slab. Such a
+    /// member's id-masked self-entry is not an interaction.
+    pub fn self_in_p2p(&self, k: usize) -> bool {
+        self.self_cover[k]
     }
 
     /// Pad every slab to [`PAD_MULTIPLE`] with zero-mass sentinels
@@ -456,15 +499,16 @@ fn split((ax, ay, az, phi): (f64, f64, f64, f64)) -> (Vec3, f64) {
     (Vec3::new(ax, ay, az), phi)
 }
 
-/// Walk the tree once for the bucket of particles under `leaf`, filling
-/// `buf` with the shared M2P/P2P slabs and the mixed subtree roots.
+/// Walk the tree once for the bucket of particles under `unit` — any node,
+/// in practice one from [`leaf_schedule`] — filling `buf` with the shared
+/// M2P/P2P slabs and the mixed subtree roots.
 ///
-/// Returns the number of members. `buf` is cleared first; an empty leaf (or
+/// Returns the number of members. `buf` is cleared first; an empty unit (or
 /// empty tree) leaves it empty and returns 0.
 pub fn gather_group(
     tree: &Tree,
     particles: &[Particle],
-    leaf: NodeId,
+    unit: NodeId,
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
 ) -> usize {
@@ -472,27 +516,28 @@ pub fn gather_group(
     if tree.is_empty() {
         return 0;
     }
-    let members = tree.particles_under(leaf);
+    let members = tree.particles_under(unit);
     if members.is_empty() {
         return 0;
     }
+    buf.set_unit(tree.node(unit));
     let bucket = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
         .expect("non-empty member set");
-    walk_bucket(tree, particles, &bucket, Some(leaf), mac, buf, None);
+    walk_bucket(tree, particles, &bucket, mac, buf, None);
     members.len()
 }
 
-/// A leaf bucket's classification outcome, frozen for replay: the accepted
+/// A unit bucket's classification outcome, frozen for replay: the accepted
 /// node ids, the ids of nodes whose particles went to the P2P slab (in walk
-/// order), the mixed roots, and the walk's counters. Slab *contents* are
-/// re-read from the tree and particle array at replay time, so a cached
-/// list never holds stale coordinates.
+/// order), the mixed roots, and the walk's counters. Slab *contents* — and
+/// with them which members find themselves in the P2P slab — are re-read
+/// from the tree and particle array at replay time, so a cached list never
+/// holds stale coordinates.
 #[derive(Debug, Clone, Default)]
 struct CachedList {
     node_ids: Vec<NodeId>,
     direct: Vec<NodeId>,
     mixed: Vec<NodeId>,
-    self_in_p2p: bool,
     shared_mac_tests: u64,
     class_reject: u64,
     nodes_opened: u64,
@@ -508,11 +553,11 @@ impl CachedList {
 
 /// Default per-cache memory budget (per worker thread): stop inserting new
 /// lists once this many bytes of cached ids are held. Hits keep replaying;
-/// uncached leaves fall back to a fresh walk.
+/// uncached units fall back to a fresh walk.
 pub const WALK_CACHE_DEFAULT_BUDGET: usize = 64 << 20;
 
 /// Per-worker cache of frozen interaction lists for [`gather_group_cached`],
-/// keyed on leaf id and pinned to one tree *generation* — a counter the
+/// keyed on unit id and pinned to one tree *generation* — a counter the
 /// caller bumps on every rebuild. Any generation change evicts everything
 /// (the node ids of the old tree mean nothing in the new one).
 #[derive(Debug)]
@@ -596,23 +641,23 @@ impl WalkCache {
 /// The caller owns a `generation` counter that it bumps on every tree
 /// rebuild; passing it here (re-)pins `cache` to the current tree, evicting
 /// stale lists. The walk bucket is chosen *deterministically and
-/// cache-independently*: the leaf's own cell when it still contains every
-/// member's current position (the common case — under block timesteps the
-/// tree is frozen across substeps and members drift only slightly), else
+/// cache-independently*: the unit node's own cell when it still contains
+/// every member's current position (the common case — under block timesteps
+/// the tree is frozen across substeps and members drift only slightly), else
 /// the tight bounding box as in [`gather_group`]. Because the bucket choice
 /// never depends on cache state, replaying a cached list refills the slabs
 /// *bitwise-identically* to re-walking — same nodes, same order, same
 /// current-coordinate payloads — which is what the cache-disabled
 /// equivalence proptests pin down.
 ///
-/// Members that drifted outside their frozen leaf cell take the uncached
+/// Members that drifted outside their unit's frozen cell take the uncached
 /// tight-bucket walk (counted as a miss, never inserted): the cell no
-/// longer bounds them, so neither the cached list nor the leaf-cell bucket
+/// longer bounds them, so neither the cached list nor the unit-cell bucket
 /// is valid for them.
 pub fn gather_group_cached(
     tree: &Tree,
     particles: &[Particle],
-    leaf: NodeId,
+    unit: NodeId,
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
     cache: &mut WalkCache,
@@ -623,11 +668,12 @@ pub fn gather_group_cached(
     if tree.is_empty() {
         return 0;
     }
-    let members = tree.particles_under(leaf);
+    let members = tree.particles_under(unit);
     if members.is_empty() {
         return 0;
     }
-    let cell = &tree.node(leaf).cell;
+    buf.set_unit(tree.node(unit));
+    let cell = &tree.node(unit).cell;
     let in_cell = members.iter().all(|&pi| cell.contains(particles[pi as usize].pos));
     if !in_cell {
         // Drifted out of the frozen cell: fall back to the tight bucket,
@@ -635,22 +681,20 @@ pub fn gather_group_cached(
         cache.misses += 1;
         let bucket = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
             .expect("non-empty member set");
-        walk_bucket(tree, particles, &bucket, Some(leaf), mac, buf, None);
+        walk_bucket(tree, particles, &bucket, mac, buf, None);
         return members.len();
     }
-    if let Some(list) = cache.map.get(&leaf) {
+    if let Some(list) = cache.map.get(&unit) {
         cache.hits += 1;
         for &id in &list.node_ids {
             let n = tree.node(id);
             buf.push_node(id, n.com, n.mass);
         }
         for &d in &list.direct {
-            for &pi in tree.particles_under(d) {
-                buf.push_particle(&particles[pi as usize]);
-            }
+            let n = tree.node(d);
+            buf.push_leaf(tree, particles, n.start, n.count());
         }
         buf.mixed.extend_from_slice(&list.mixed);
-        buf.self_in_p2p = list.self_in_p2p;
         buf.shared_mac_tests = list.shared_mac_tests;
         buf.class_reject = list.class_reject;
         buf.nodes_opened = list.nodes_opened;
@@ -659,19 +703,18 @@ pub fn gather_group_cached(
     }
     cache.misses += 1;
     let mut direct = Vec::new();
-    walk_bucket(tree, particles, cell, Some(leaf), mac, buf, Some(&mut direct));
+    walk_bucket(tree, particles, cell, mac, buf, Some(&mut direct));
     if cache.bytes < cache.budget {
         let list = CachedList {
             node_ids: buf.node_ids.clone(),
             direct,
             mixed: buf.mixed.clone(),
-            self_in_p2p: buf.self_in_p2p,
             shared_mac_tests: buf.shared_mac_tests,
             class_reject: buf.class_reject,
             nodes_opened: buf.nodes_opened,
         };
         cache.bytes += list.bytes();
-        cache.map.insert(leaf, list);
+        cache.map.insert(unit, list);
     }
     members.len()
 }
@@ -679,7 +722,7 @@ pub fn gather_group_cached(
 /// Walk the tree once for an *arbitrary* bucket of query targets — field
 /// evaluation points that are not particles of the tree — filling `buf`
 /// with the shared M2P/P2P slabs and mixed subtree roots exactly as
-/// [`gather_group`] does for a leaf's members.
+/// [`gather_group`] does for a unit's members.
 ///
 /// `bucket` must bound every target the caller will evaluate against this
 /// gather (typically `Aabb::bounding` of a Morton-sorted run of query
@@ -688,9 +731,10 @@ pub fn gather_group_cached(
 /// bucket accepts, RejectAll ⇒ every point rejects, so each target's
 /// interaction set is identical to its individual walk regardless of which
 /// other targets share the bucket. No target is a tree particle here, so
-/// nothing is marked `self_in_p2p`; per-target self-exclusion (for query
-/// points placed *at* particle positions) rides on the skip ids passed to
-/// [`resolve_mixed_tails_targets`] / [`eval_gathered_targets`].
+/// there is no unit and no member to mark as its own source; per-target
+/// self-exclusion (for query points placed *at* particle positions) rides on
+/// the skip ids passed to [`resolve_mixed_tails_targets`] /
+/// [`eval_gathered_targets`].
 pub fn gather_group_targets(
     tree: &Tree,
     particles: &[Particle],
@@ -702,12 +746,12 @@ pub fn gather_group_targets(
     if tree.is_empty() {
         return;
     }
-    walk_bucket(tree, particles, bucket, None, mac, buf, None);
+    walk_bucket(tree, particles, bucket, mac, buf, None);
 }
 
-/// The classification walk shared by [`gather_group`] (bucket = a leaf's
-/// members, `self_leaf = Some`), [`gather_group_targets`] (bucket = a batch
-/// of query points, `self_leaf = None`), and [`gather_group_cached`] misses
+/// The classification walk shared by [`gather_group`] (bucket = a unit's
+/// members, named to `buf` beforehand), [`gather_group_targets`] (bucket = a
+/// batch of query points, no unit), and [`gather_group_cached`] misses
 /// (`record = Some`: collects the ids of nodes whose particles were pushed
 /// to the P2P slab, in push order, for replay). Fills and pads `buf`.
 ///
@@ -723,7 +767,6 @@ fn walk_bucket(
     tree: &Tree,
     particles: &[Particle],
     bucket: &Aabb,
-    self_leaf: Option<NodeId>,
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
     mut record: Option<&mut Vec<NodeId>>,
@@ -749,13 +792,9 @@ fn walk_bucket(
         if e.count == 1 {
             // Same special case as the per-particle walk: singletons skip
             // the MAC and interact directly.
-            let pi = tree.order[e.start as usize];
-            buf.push_particle(&particles[pi as usize]);
+            buf.push_leaf(tree, particles, e.start, 1);
             if let Some(rec) = record.as_deref_mut() {
                 rec.push(e.id);
-            }
-            if Some(e.id) == self_leaf {
-                buf.self_in_p2p = true;
             }
             continue;
         }
@@ -768,14 +807,9 @@ fn walk_bucket(
                 buf.shared_mac_tests += 1;
                 buf.class_reject += 1;
                 if e.is_leaf {
-                    for &pi in &tree.order[e.start as usize..(e.start + e.count) as usize] {
-                        buf.push_particle(&particles[pi as usize]);
-                    }
+                    buf.push_leaf(tree, particles, e.start, e.count);
                     if let Some(rec) = record.as_deref_mut() {
                         rec.push(e.id);
-                    }
-                    if Some(e.id) == self_leaf {
-                        buf.self_in_p2p = true;
                     }
                 } else {
                     buf.nodes_opened += 1;
@@ -823,25 +857,27 @@ fn walk_bucket(
 /// A target of the grouped force path: an evaluation position plus the
 /// particle id to exclude from direct interactions (`u32::MAX` = exclude
 /// nothing; no particle carries that id — it is the slab padding sentinel).
-/// A leaf member is the target `(its position, its own id)`; the skip id is
+/// A unit member is the target `(its position, its own id)`; the skip id is
 /// also how a query placed *at* a particle's position reproduces the
 /// simulation's self-excluded force on that particle.
 pub type QueryTarget = (Vec3, u32);
 
-/// The (active) members of `leaf` as `(particle index, particle)`, in
-/// `tree.particles_under` order — the one place the member entry points
-/// turn a leaf into a target list, so resolve and eval agree on ordinals.
-fn leaf_targets<'a>(
+/// The (active) members of `unit` as `(member ordinal, particle index,
+/// particle)`, in `tree.particles_under` order — the one place the member
+/// entry points turn a unit into a target list, so resolve and eval agree
+/// on the order of targets.
+fn unit_targets<'a>(
     tree: &'a Tree,
     particles: &'a [Particle],
-    leaf: NodeId,
+    unit: NodeId,
     active: Option<&'a [bool]>,
-) -> impl Iterator<Item = (u32, &'a Particle)> {
-    let members = if tree.is_empty() { &[][..] } else { tree.particles_under(leaf) };
+) -> impl Iterator<Item = (usize, u32, &'a Particle)> {
+    let members = if tree.is_empty() { &[][..] } else { tree.particles_under(unit) };
     members
         .iter()
-        .filter(move |&&pi| active.is_none_or(|mask| mask[pi as usize]))
-        .map(move |&pi| (pi, &particles[pi as usize]))
+        .enumerate()
+        .filter(move |&(_, &pi)| active.is_none_or(|mask| mask[pi as usize]))
+        .map(move |(k, &pi)| (k, pi, &particles[pi as usize]))
 }
 
 /// One stack entry of the lane-masked mixed replay: a node plus the set of
@@ -849,11 +885,16 @@ fn leaf_targets<'a>(
 #[derive(Debug, Clone, Copy)]
 struct MultiEntry {
     id: NodeId,
-    mask: u8,
+    mask: u32,
 }
 
-/// Replay the mixed frontier under `root` for up to 8 targets in one
-/// traversal.
+/// Targets one lane-masked replay carries (the bits of [`MultiEntry::mask`]):
+/// as many as a schedule unit holds, so each mixed root is walked once per
+/// unit.
+const REPLAY_LANES: usize = u32::BITS as usize;
+
+/// Replay the mixed frontier under `root` for up to [`REPLAY_LANES`] targets
+/// in one traversal.
 ///
 /// Per lane this makes exactly the decisions of
 /// [`crate::traverse::for_each_interaction_from`]`(tree, root, …, pts[l],
@@ -875,11 +916,25 @@ fn walk_mixed_multi(
     mac: &impl Mac,
     stack: &mut Vec<MultiEntry>,
     acc: &mut [Vec<[f64; 4]>],
-    stats: &mut [TraversalStats; 8],
+    stats: &mut [TraversalStats; REPLAY_LANES],
 ) {
-    debug_assert!((1..=8).contains(&pts.len()) && pts.len() == skips.len());
+    debug_assert!((1..=REPLAY_LANES).contains(&pts.len()) && pts.len() == skips.len());
+    // Particle `q` as a source of every lane in `lanes` but its own.
+    let emit_particle = |q: &Particle,
+                         mut lanes: u32,
+                         acc: &mut [Vec<[f64; 4]>],
+                         stats: &mut [TraversalStats; REPLAY_LANES]| {
+        while lanes != 0 {
+            let l = lanes.trailing_zeros() as usize;
+            lanes &= lanes - 1;
+            if q.id != skips[l] {
+                stats[l].p2p += 1;
+                acc[l].push([q.pos.x, q.pos.y, q.pos.z, q.mass]);
+            }
+        }
+    };
     stack.clear();
-    stack.push(MultiEntry { id: root, mask: u8::MAX >> (8 - pts.len()) });
+    stack.push(MultiEntry { id: root, mask: u32::MAX >> (REPLAY_LANES - pts.len()) });
     while let Some(e) = stack.pop() {
         let node = tree.node(e.id);
         let count = node.count();
@@ -888,19 +943,10 @@ fn walk_mixed_multi(
         }
         if count == 1 {
             let pi = tree.order[node.start as usize];
-            let q = &particles[pi as usize];
-            let mut m = e.mask;
-            while m != 0 {
-                let l = m.trailing_zeros() as usize;
-                m &= m - 1;
-                if q.id != skips[l] {
-                    stats[l].p2p += 1;
-                    acc[l].push([q.pos.x, q.pos.y, q.pos.z, q.mass]);
-                }
-            }
+            emit_particle(&particles[pi as usize], e.mask, acc, stats);
             continue;
         }
-        let mut reject: u8 = 0;
+        let mut reject: u32 = 0;
         let mut m = e.mask;
         while m != 0 {
             let l = m.trailing_zeros() as usize;
@@ -918,16 +964,7 @@ fn walk_mixed_multi(
         }
         if node.is_leaf() {
             for &pi in tree.particles_under(e.id) {
-                let q = &particles[pi as usize];
-                let mut m = reject;
-                while m != 0 {
-                    let l = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if q.id != skips[l] {
-                        stats[l].p2p += 1;
-                        acc[l].push([q.pos.x, q.pos.y, q.pos.z, q.mass]);
-                    }
-                }
+                emit_particle(&particles[pi as usize], reject, acc, stats);
             }
         } else {
             for &c in node.children.iter().rev() {
@@ -948,7 +985,7 @@ fn walk_mixed_multi(
 /// skip id is excluded by the walk itself, so the segments need no id
 /// masking and evaluate with the M2P kernel. The replays are fused into
 /// lane-masked traversals (`walk_mixed_multi`): each mixed root is walked
-/// once per chunk of ≤8 targets, amortizing node fetches, stack traffic and
+/// once per chunk of ≤32 targets, amortizing node fetches, stack traffic and
 /// leaf scans across the lanes, while every lane keeps its own walk's
 /// decisions and emit order.
 ///
@@ -969,13 +1006,13 @@ pub fn resolve_mixed_tails_targets(
     let mixed = std::mem::take(&mut buf.mixed);
     let mut stack = std::mem::take(&mut buf.mixed_stack);
     let mut scratch = std::mem::take(&mut buf.lane_scratch);
-    scratch.resize(8, Vec::new());
+    scratch.resize(REPLAY_LANES, Vec::new());
     let mut targets = targets.into_iter();
     loop {
-        let mut pts = [Vec3::ZERO; 8];
-        let mut skips = [u32::MAX; 8];
+        let mut pts = [Vec3::ZERO; REPLAY_LANES];
+        let mut skips = [u32::MAX; REPLAY_LANES];
         let mut lanes = 0;
-        for (pos, skip) in targets.by_ref().take(8) {
+        for (pos, skip) in targets.by_ref().take(REPLAY_LANES) {
             pts[lanes] = pos;
             skips[lanes] = skip;
             scratch[lanes].clear();
@@ -984,7 +1021,7 @@ pub fn resolve_mixed_tails_targets(
         if lanes == 0 {
             break;
         }
-        let mut stats = [TraversalStats::default(); 8];
+        let mut stats = [TraversalStats::default(); REPLAY_LANES];
         for &root in &mixed {
             walk_mixed_multi(
                 tree,
@@ -1000,23 +1037,18 @@ pub fn resolve_mixed_tails_targets(
         }
         for (lane, st) in scratch[..lanes].iter().zip(stats) {
             let start = buf.tail_x.len() as u32;
-            for src in lane {
-                buf.tail_x.push(src[0]);
-                buf.tail_y.push(src[1]);
-                buf.tail_z.push(src[2]);
-                buf.tail_m.push(src[3]);
-            }
-            let len = buf.tail_x.len() as u32 - start;
+            let len = lane.len();
             // Pad the segment in place with zero-mass sentinels so the next
             // segment starts on a lane boundary and the vector kernel never
             // reads a ragged tail.
-            while !buf.tail_x.len().is_multiple_of(PAD_MULTIPLE) {
-                buf.tail_x.push(0.0);
-                buf.tail_y.push(0.0);
-                buf.tail_z.push(0.0);
-                buf.tail_m.push(0.0);
+            let pad = len.next_multiple_of(PAD_MULTIPLE) - len;
+            let tail = [&mut buf.tail_x, &mut buf.tail_y, &mut buf.tail_z, &mut buf.tail_m];
+            for (c, slab) in tail.into_iter().enumerate() {
+                slab.extend_exact(lane.iter().map(|src| src[c]));
+                slab.extend_exact(std::iter::repeat_n(0.0, pad));
             }
-            buf.tails.push(TailSpan { start, end: buf.tail_x.len() as u32, len, stats: st });
+            let (end, len) = (buf.tail_x.len() as u32, len as u32);
+            buf.tails.push(TailSpan { start, end, len, stats: st });
         }
     }
     buf.lane_scratch = scratch;
@@ -1025,18 +1057,18 @@ pub fn resolve_mixed_tails_targets(
     buf.tails_ready = true;
 }
 
-/// [`resolve_mixed_tails_targets`] for the members of `leaf` gathered by
+/// [`resolve_mixed_tails_targets`] for the members of `unit` gathered by
 /// [`gather_group`] / [`gather_group_cached`]: the targets are the members
 /// with `active[pi] != false`, each skipping itself.
 pub fn resolve_mixed_tails_lanes(
     tree: &Tree,
     particles: &[Particle],
-    leaf: NodeId,
+    unit: NodeId,
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
     active: Option<&[bool]>,
 ) {
-    let targets = leaf_targets(tree, particles, leaf, active).map(|(_, p)| (p.pos, p.id));
+    let targets = unit_targets(tree, particles, unit, active).map(|(_, _, p)| (p.pos, p.id));
     resolve_mixed_tails_targets(tree, particles, targets, mac, buf);
 }
 
@@ -1254,7 +1286,7 @@ pub fn accel_batch_p2p(
     (Vec3::new(ax, ay, az), phi)
 }
 
-/// Monopole potential + acceleration for every particle under `leaf`, via
+/// Monopole potential + acceleration for every particle under `unit`, via
 /// one grouped walk: `gather → resolve → eval` in one call, at the default
 /// kernel precision. `emit(particle_index, phi, accel, interactions)` is
 /// called once per member; the returned stats equal the sum of what
@@ -1263,21 +1295,21 @@ pub fn accel_batch_p2p(
 pub fn eval_group_monopole(
     tree: &Tree,
     particles: &[Particle],
-    leaf: NodeId,
+    unit: NodeId,
     mac: &impl GroupMac,
     eps: f64,
     buf: &mut InteractionBuffers,
     emit: impl FnMut(u32, f64, Vec3, u64),
 ) -> TraversalStats {
-    gather_group(tree, particles, leaf, mac, buf);
-    resolve_mixed_tails_lanes(tree, particles, leaf, mac, buf, None);
+    gather_group(tree, particles, unit, mac, buf);
+    resolve_mixed_tails_lanes(tree, particles, unit, mac, buf, None);
     let precision = KernelPrecision::default();
-    eval_gathered_monopole_masked(tree, particles, leaf, mac, eps, precision, buf, None, emit)
+    eval_gathered_monopole_masked(tree, particles, unit, mac, eps, precision, buf, None, emit)
 }
 
-/// The kernel third of the pipeline for a leaf: evaluate the members of
-/// `leaf` against slabs filled by [`gather_group`] and tails resolved by
-/// [`resolve_mixed_tails_lanes`] for that same leaf and the same `active`.
+/// The kernel third of the pipeline for a unit: evaluate the members of
+/// `unit` against slabs filled by [`gather_group`] and tails resolved by
+/// [`resolve_mixed_tails_lanes`] for that same unit and the same `active`.
 /// Splitting the walk (gather + resolve) from the kernels (this) lets
 /// callers time the two phases separately.
 ///
@@ -1297,7 +1329,7 @@ pub fn eval_group_monopole(
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
     particles: &[Particle],
-    leaf: NodeId,
+    unit: NodeId,
     _mac: &impl GroupMac,
     eps: f64,
     precision: KernelPrecision,
@@ -1305,49 +1337,62 @@ pub fn eval_gathered_monopole_masked(
     active: Option<&[bool]>,
     emit: impl FnMut(u32, f64, Vec3, u64),
 ) -> TraversalStats {
-    // Each member finds itself in the P2P slab exactly once iff the walk
-    // appended its own leaf — an O(1) count, no id scan.
-    let self_hits = buf.self_in_p2p as u64;
-    let targets =
-        leaf_targets(tree, particles, leaf, active).map(|(pi, p)| (pi, p.pos, p.id, self_hits));
+    // A member finds itself in the P2P slab exactly once iff the walk
+    // appended its own leaf — an O(1) lookup, no id scan.
+    let targets = unit_targets(tree, particles, unit, active)
+        .map(|(k, pi, p)| (pi, p.pos, p.id, buf.self_in_p2p(k) as u64));
     eval_targets(buf, eps, precision, targets, emit)
 }
 
-/// All leaves of `tree` in Morton (in-order) sequence — the group schedule.
-/// Every particle lies under exactly one returned leaf.
-pub fn leaf_schedule(tree: &Tree) -> Vec<NodeId> {
-    let mut leaves = Vec::new();
-    if tree.is_empty() {
-        return leaves;
-    }
-    tree.walk(|id, _| {
+/// Most targets one walk serves: a unit of the schedule is a maximal
+/// subtree holding at most this many particles. Per unit the gather costs
+/// about the same whatever its population, while the resolve grows with the
+/// looser bucket. Of {16, 32, 64}, 64 was ~10 % faster still, but holds
+/// every member's resolved tail at once and raised the two-thread
+/// workload's peak RSS by 21 % against the benchmark's 25 % bound; 32 is
+/// the fastest that leaves peak RSS within 3 % (CHANGES.md, PR 16).
+const UNIT_TARGETS: u32 = 32;
+
+/// The units of `tree` that `keep` in Morton (in-order) sequence: every
+/// maximal subtree of at most [`UNIT_TARGETS`] particles, and every leaf
+/// above that (a leaf cannot be split, so it stays a unit of its own).
+fn unit_schedule(tree: &Tree, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
+    let mut units = Vec::new();
+    let mut stack: Vec<NodeId> = if tree.is_empty() { vec![] } else { vec![0] };
+    while let Some(id) = stack.pop() {
         let n = tree.node(id);
-        if n.is_leaf() && n.count() > 0 {
-            leaves.push(id);
+        if n.count() == 0 {
+            continue;
         }
-    });
-    leaves
+        if n.is_leaf() || n.count() <= UNIT_TARGETS {
+            if keep(id) {
+                units.push(id);
+            }
+        } else {
+            // Reversed, so the children pop in octant (Morton) order.
+            stack.extend(n.children.iter().rev().filter(|&&c| c != NIL));
+        }
+    }
+    units
 }
 
-/// The group schedule restricted to an active subset: leaves in Morton
-/// sequence that contain at least one particle with `active[pi] == true`.
-/// Leaves of only-inactive particles are never walked — their members still
-/// act as sources through other groups' slabs, but cost no target work.
+/// The walk units of `tree` in Morton (in-order) sequence — the group
+/// schedule. A unit is a node id: the maximal subtrees of at most
+/// `UNIT_TARGETS` (32) particles, so one walk serves a few neighbouring
+/// leaves (the name predates that: the unit used to be the leaf). Every
+/// particle lies under exactly one returned unit, and the units' ranges of
+/// `tree.order` are consecutive.
+pub fn leaf_schedule(tree: &Tree) -> Vec<NodeId> {
+    unit_schedule(tree, |_| true)
+}
+
+/// The group schedule restricted to an active subset: the units of
+/// [`leaf_schedule`] that contain at least one particle with
+/// `active[pi] == true`. Units of only-inactive particles are never walked —
+/// their members still act as sources through other units' slabs, but cost
+/// no target work.
 pub fn leaf_schedule_active(tree: &Tree, active: &[bool]) -> Vec<NodeId> {
-    let mut leaves = Vec::new();
-    if tree.is_empty() {
-        return leaves;
-    }
-    tree.walk(|id, _| {
-        let n = tree.node(id);
-        if n.is_leaf()
-            && n.count() > 0
-            && tree.particles_under(id).iter().any(|&pi| active[pi as usize])
-        {
-            leaves.push(id);
-        }
-    });
-    leaves
+    unit_schedule(tree, |id| tree.particles_under(id).iter().any(|&pi| active[pi as usize]))
 }
 
 #[cfg(test)]
@@ -1928,6 +1973,99 @@ mod tests {
         assert_eq!(st.interactions(), 0);
     }
 
+    /// The schedule's contract on `tree` under `mask`, checked against the
+    /// tree itself: the units tile `tree.order` in Morton order, each is a
+    /// maximal subtree within the cap (or an unsplittable leaf above it),
+    /// and the active schedule is the full one filtered by the mask.
+    fn assert_schedule_contract(tree: &Tree, mask: &[bool]) {
+        let units = leaf_schedule(tree);
+        let mut parent = vec![None; tree.len()];
+        for id in 0..tree.len() as NodeId {
+            for c in tree.children_of(id) {
+                parent[c as usize] = Some(id);
+            }
+        }
+        let mut cursor = 0;
+        for &u in &units {
+            let n = tree.node(u);
+            assert!(n.count() > 0, "unit {u} is empty");
+            assert_eq!(n.start, cursor, "unit {u} does not continue the Morton run");
+            cursor = n.end;
+            assert!(n.count() <= UNIT_TARGETS || n.is_leaf(), "unit {u} exceeds the cap");
+            if let Some(up) = parent[u as usize] {
+                assert!(tree.node(up).count() > UNIT_TARGETS, "unit {u} is not maximal");
+            }
+        }
+        assert_eq!(cursor as usize, tree.order.len(), "units must cover tree.order");
+        let filtered: Vec<NodeId> = units
+            .iter()
+            .copied()
+            .filter(|&u| tree.particles_under(u).iter().any(|&pi| mask[pi as usize]))
+            .collect();
+        assert_eq!(leaf_schedule_active(tree, mask), filtered);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #[test]
+        fn schedule_units_tile_the_morton_order(
+            n in 0usize..700,
+            s in 1usize..2 * UNIT_TARGETS as usize,
+            seed in 0u64..1000,
+            coincident: bool,
+            stride in 1usize..9,
+        ) {
+            let mut set = uniform_cube(n, 1.0, seed);
+            if coincident {
+                // One depth-capped leaf holding everything: above the cap
+                // whenever n is.
+                for p in &mut set.particles {
+                    p.pos = Vec3::new(0.25, 0.5, 0.75);
+                }
+            }
+            let tree = build(&set.particles, BuildParams::with_leaf_capacity(s));
+            let mask: Vec<bool> = (0..n).map(|i| i % stride == 0).collect();
+            assert_schedule_contract(&tree, &mask);
+            assert_schedule_contract(&tree, &vec![false; n]);
+        }
+    }
+
+    #[test]
+    fn schedule_edge_cases() {
+        // n = 0 and n = 1.
+        let tree = build(&[], BuildParams::default());
+        assert_schedule_contract(&tree, &[]);
+        assert!(leaf_schedule(&tree).is_empty());
+        let one = uniform_cube(1, 1.0, 1);
+        let tree = build(&one.particles, BuildParams::default());
+        assert_schedule_contract(&tree, &[true]);
+        assert_eq!(leaf_schedule(&tree).len(), 1);
+        // All-coincident points: the depth cap leaves one leaf above the
+        // unit cap, which stays a unit of its own — and still evaluates.
+        let cap = UNIT_TARGETS as usize;
+        let mut heap = uniform_cube(cap + 18, 1.0, 2);
+        for p in &mut heap.particles {
+            p.pos = Vec3::new(0.5, 0.5, 0.5);
+        }
+        let tree = build(&heap.particles, BuildParams::with_leaf_capacity(8));
+        let units = leaf_schedule(&tree);
+        assert_eq!(units.len(), 1);
+        assert!(tree.node(units[0]).is_leaf() && tree.node(units[0]).count() as usize == cap + 18);
+        assert_group_matches_per_particle(&heap, &BarnesHutMac::new(0.67), 8);
+        // leaf_capacity above the cap: full leaves are units, never split.
+        let set = plummer(PlummerSpec { n: 900, seed: 3, ..Default::default() });
+        let tree = build(&set.particles, BuildParams::with_leaf_capacity(2 * cap));
+        assert_schedule_contract(&tree, &vec![true; set.len()]);
+        assert!(leaf_schedule(&tree).iter().any(|&u| tree.node(u).count() > UNIT_TARGETS));
+        assert_group_matches_per_particle(&set, &BarnesHutMac::new(0.67), 2 * cap);
+        // And the default shape: units span several leaves, so there are
+        // far fewer walks than leaves.
+        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
+        let units = leaf_schedule(&tree);
+        assert!(units.iter().any(|&u| !tree.node(u).is_leaf()));
+        assert!(units.len() * 2 < tree.leaf_count(), "{} units", units.len());
+    }
+
     /// Every observable of two gathers must match bitwise: slab contents
     /// (logical and padding), ids, counters, flags.
     fn assert_buffers_bitwise(a: &InteractionBuffers, b: &InteractionBuffers, ctx: &str) {
@@ -1945,7 +2083,7 @@ mod tests {
         assert_eq!(a.shared_mac_tests, b.shared_mac_tests, "{ctx}: shared_mac_tests");
         assert_eq!(a.class_reject, b.class_reject, "{ctx}: class_reject");
         assert_eq!(a.nodes_opened, b.nodes_opened, "{ctx}: nodes_opened");
-        assert_eq!(a.self_in_p2p, b.self_in_p2p, "{ctx}: self_in_p2p");
+        assert_eq!(a.self_cover, b.self_cover, "{ctx}: self_cover");
     }
 
     /// The SIMD-batched walk must be indistinguishable from the scalar
@@ -2057,8 +2195,8 @@ mod tests {
         assert_eq!((h, m), (0, 1));
     }
 
-    /// A member drifting *outside* its frozen leaf cell invalidates the
-    /// leaf-cell bucket; the gather must fall back to the tight bucket
+    /// A member drifting *outside* its unit's frozen cell invalidates the
+    /// unit-cell bucket; the gather must fall back to the tight bucket
     /// (uncached) and still agree bitwise with the cache-free path.
     #[test]
     fn drifted_members_fall_back_to_tight_bucket() {
@@ -2073,8 +2211,11 @@ mod tests {
             gather_group_cached(&tree, &particles, leaf, &mac, &mut buf, &mut cache, 1);
         }
         cache.take_stats();
-        // Throw the first member of the first leaf far away.
-        let leaf = leaves[0];
+        // Throw the first member of the first multi-leaf unit far away.
+        let leaf = *leaves
+            .iter()
+            .find(|&&u| !tree.node(u).is_leaf())
+            .expect("a 400-body tree at s = 8 has internal-node units");
         let pi = tree.particles_under(leaf)[0] as usize;
         particles[pi].pos += Vec3::new(1e3, 1e3, 1e3);
         let mut fresh = WalkCache::new();
@@ -2082,12 +2223,11 @@ mod tests {
         let mut buf_b = InteractionBuffers::new();
         gather_group_cached(&tree, &particles, leaf, &mac, &mut buf, &mut cache, 1);
         gather_group_cached(&tree, &particles, leaf, &mac, &mut buf_b, &mut fresh, 1);
-        assert_buffers_bitwise(&buf, &buf_b, "drifted leaf");
+        assert_buffers_bitwise(&buf, &buf_b, "drifted unit");
         let (h, m) = cache.take_stats();
         assert_eq!((h, m), (0, 1), "a drifted bucket is a miss, not a stale hit");
-        // Other leaves still hit.
-        let other = leaves[leaves.len() - 1];
-        assert_ne!(other, leaf);
+        // Other units still hit.
+        let other = *leaves.iter().rev().find(|&&u| u != leaf).expect("more than one unit");
         gather_group_cached(&tree, &particles, other, &mac, &mut buf, &mut cache, 1);
         let (h, _) = cache.take_stats();
         assert_eq!(h, 1);
@@ -2107,6 +2247,7 @@ mod tests {
         no_cache.set_budget(0);
         let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
         let mut generation = 1u64;
+        let mut internal_units = 0;
         // r = rebuild, s = substep (drift), m = toggled mask on/off
         for (step, op) in "srsmsrmssm".chars().enumerate() {
             match op {
@@ -2120,6 +2261,7 @@ mod tests {
             let mask: Option<Vec<bool>> =
                 (op == 'm').then(|| (0..particles.len()).map(|i| i % 3 != step % 3).collect());
             for leaf in leaf_schedule(&tree) {
+                internal_units += usize::from(!tree.node(leaf).is_leaf());
                 let run = |buf: &mut InteractionBuffers, cache: &mut WalkCache| {
                     gather_group_cached(&tree, &particles, leaf, &mac, buf, cache, generation);
                     let (precision, mask) = (KernelPrecision::F64, mask.as_deref());
@@ -2132,6 +2274,7 @@ mod tests {
         }
         let (h, _) = cache.take_stats();
         assert!(h > 0, "the sequence must exercise actual replays");
+        assert!(internal_units > 0, "the sequence must replay multi-leaf units");
     }
 
     /// The oracle for the one resolve: target `k`'s tail segment holds, bit
@@ -2187,7 +2330,7 @@ mod tests {
         fn check(mac: &(impl GroupMac + Copy), name: &str) {
             let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
             let ps = &set.particles;
-            // Capacity 12: some leaves span two lane chunks, most one.
+            // Capacity 12: units of a few members up to a full replay chunk.
             let tree = build(ps, BuildParams::with_leaf_capacity(12));
             let active: Vec<bool> = (0..set.len()).map(|i| i % 3 != 1).collect();
             let mut buf = InteractionBuffers::new();
@@ -2197,15 +2340,16 @@ mod tests {
                 for leaf in leaf_schedule(&tree) {
                     gather_group(&tree, ps, leaf, mac, &mut buf);
                     resolve_mixed_tails_lanes(&tree, ps, leaf, mac, &mut buf, mask);
-                    let targets: Vec<QueryTarget> =
-                        leaf_targets(&tree, ps, leaf, mask).map(|(_, p)| (p.pos, p.id)).collect();
+                    let targets: Vec<QueryTarget> = unit_targets(&tree, ps, leaf, mask)
+                        .map(|(_, _, p)| (p.pos, p.id))
+                        .collect();
                     let ctx = format!("{name} leaf {leaf} masked {}", mask.is_some());
                     compared += assert_tails_are_the_walk(&tree, ps, &targets, mac, &buf, &ctx);
                 }
             }
-            // Point buckets of 16 (two lane chunks): at particle positions
-            // with skip ids, and off-particle without.
-            for (b, run) in tree.order.chunks(16).enumerate() {
+            // Point buckets of 40 (two replay chunks, 32 + 8): at particle
+            // positions with skip ids, and off-particle without.
+            for (b, run) in tree.order.chunks(40).enumerate() {
                 for skip_ids in [true, false] {
                     let targets: Vec<QueryTarget> = run
                         .iter()

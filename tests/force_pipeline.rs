@@ -6,11 +6,17 @@
 //! A second case drives the two sweeps that reach the f64 slab kernel with
 //! only one of its three slabs: degree 2 (near field only) against
 //! `MultipoleTree::eval`, and `MixedF32` (tails only) against the walk.
+//! A third picks the walk units whose members split between the shared
+//! near-field slab and a mixed root, where self-exclusion is per member.
 
 use barnes_hut::geom::{plummer, Particle, PlummerSpec, Vec3};
 use barnes_hut::multipole::MultipoleTree;
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::ActiveSet;
+use barnes_hut::tree::group::{
+    eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
+    InteractionBuffers,
+};
 use barnes_hut::tree::{accel_on, potential_at, BarnesHutMac, KernelPrecision, QueryTarget, Tree};
 use bhut_serve::{FieldQuery, TreeEpoch};
 
@@ -123,4 +129,63 @@ fn degree_two_and_mixed_precision_sweeps_equal_their_per_particle_walks() {
     let cfg =
         ThreadConfig { threads: 2, precision: KernelPrecision::MixedF32, ..Default::default() };
     sweep_equals("MixedF32", cfg, MIXED_TOL, ps, |tree, p| walk(tree, ps, p, &cfg));
+}
+
+/// A multi-leaf walk unit can hold one leaf that the shared walk appended
+/// to the near-field slab (its members find themselves there, id-masked) and
+/// another that sits below a mixed root (its members leave themselves out in
+/// the tail walk). Both kinds of member must count and sum exactly as the
+/// per-particle walk does, and a masked evaluation must reproduce the full
+/// one's rows bit for bit.
+#[test]
+fn units_split_between_the_shared_slab_and_a_mixed_root_are_exact_per_member() {
+    let set = plummer(PlummerSpec { n: 3000, seed: 13, ..Default::default() });
+    let ps = &set.particles;
+    let cfg = ThreadConfig { threads: 1, ..Default::default() };
+    let mac = BarnesHutMac::new(cfg.alpha);
+    let tree = ThreadSim::new(cfg).build_tree(ps);
+    let mask: Vec<bool> = (0..ps.len()).map(|i| i % 2 == 0).collect();
+    let mut buf = InteractionBuffers::new();
+    let mut split_units = 0;
+    for unit in leaf_schedule(&tree) {
+        gather_group(&tree, ps, unit, &mac, &mut buf);
+        let node = tree.node(unit);
+        let members = 0..node.count() as usize;
+        let in_slab = members.clone().filter(|&k| buf.self_in_p2p(k)).count();
+        let behind_mixed = members
+            .filter(|&k| {
+                let at = node.start + k as u32;
+                !buf.self_in_p2p(k)
+                    && buf
+                        .mixed
+                        .iter()
+                        .any(|&r| (tree.node(r).start..tree.node(r).end).contains(&at))
+            })
+            .count();
+        if node.is_leaf() || in_slab == 0 || behind_mixed == 0 {
+            continue;
+        }
+        split_units += 1;
+        let mut rows = |active: Option<&[bool]>| {
+            resolve_mixed_tails_lanes(&tree, ps, unit, &mac, &mut buf, active);
+            let mut rows = Vec::new();
+            let emit = |pi, phi, acc, it| rows.push((pi, phi, acc, it));
+            let precision = KernelPrecision::F64;
+            eval_gathered_monopole_masked(
+                &tree, ps, unit, &mac, cfg.eps, precision, &buf, active, emit,
+            );
+            rows
+        };
+        let full = rows(None);
+        assert_eq!(full.len(), node.count() as usize);
+        for &(pi, phi, acc, interactions) in &full {
+            let want = walk(&tree, ps, &ps[pi as usize], &cfg);
+            assert_close(acc, phi, want, &format!("unit {unit}, particle {pi}"));
+            assert_eq!(interactions, want.2, "unit {unit}, particle {pi}: interactions");
+        }
+        let masked = rows(Some(&mask));
+        let want: Vec<_> = full.iter().copied().filter(|row| mask[row.0 as usize]).collect();
+        assert_eq!(masked, want, "unit {unit}: masked rows");
+    }
+    assert!(split_units > 0, "no unit splits between the shared slab and a mixed root");
 }
