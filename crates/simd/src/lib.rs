@@ -475,6 +475,17 @@ macro_rules! aligned_slab {
                 self.padded = 0;
             }
 
+            /// Keep the first `len` logical elements and drop the rest
+            /// (a no-op when the slab is not longer), keeping capacity.
+            /// Like a push, this invalidates any padding: the slots from
+            /// `len` on hold stale values until [`Self::pad_to`] or later
+            /// pushes rewrite them.
+            #[inline]
+            pub fn truncate(&mut self, len: usize) {
+                self.len = self.len.min(len);
+                self.padded = self.len;
+            }
+
             #[inline(always)]
             pub fn push(&mut self, v: $elem) {
                 let (b, j) = (self.len / $per, self.len % $per);
@@ -772,6 +783,42 @@ mod tests {
             assert_eq!(bulk.padded(), pushed.padded());
             assert_eq!(bulk.padded().as_ptr() as usize % SLAB_ALIGN, 0, "64B alignment is kept");
         }
+    }
+
+    #[test]
+    fn slab_truncate_then_refill_equals_a_fresh_fill() {
+        let vs: Vec<f64> = (0..37).map(|i| 1.0 + i as f64).collect();
+        // Cuts at, before and after a pad boundary, to empty, and past the end.
+        for (fill, keep, more) in [(37usize, 11usize, 9usize), (16, 8, 3), (21, 0, 5), (9, 40, 2)] {
+            let (mut cut, mut fresh) = (AlignedF64Slab::new(), AlignedF64Slab::new());
+            cut.extend_exact(vs[..fill].iter().copied());
+            cut.pad_to(PAD_MULTIPLE, -1.0);
+            cut.truncate(keep);
+            let kept = keep.min(fill);
+            assert_eq!(cut.len(), kept, "fill {fill} keep {keep}");
+            assert_eq!(cut.padded_len(), kept, "a truncate invalidates the padding");
+            assert_eq!(&cut[..], &vs[..kept]);
+            fresh.extend_exact(vs[..kept].iter().copied());
+            for &v in &vs[..more] {
+                cut.push(-v);
+                fresh.push(-v);
+            }
+            cut.pad_to(PAD_MULTIPLE, 0.0);
+            fresh.pad_to(PAD_MULTIPLE, 0.0);
+            assert_eq!(cut.padded(), fresh.padded(), "fill {fill} keep {keep}: stale slots leak");
+            assert_eq!(cut.padded().as_ptr() as usize % SLAB_ALIGN, 0, "64B alignment is kept");
+            assert!(cut.capacity() >= fill, "truncate keeps capacity");
+        }
+        // The f32 and u32 slabs share the body; one ragged cut each.
+        let (mut f, mut u) = (AlignedF32Slab::new(), AlignedU32Slab::new());
+        f.extend_exact((0..19).map(|i| i as f32));
+        u.extend_exact(0..19u32);
+        f.truncate(5);
+        u.truncate(5);
+        f.pad_to(PAD_MULTIPLE, 0.0);
+        u.pad_to(PAD_MULTIPLE, u32::MAX);
+        assert_eq!(f.padded(), &[0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0]);
+        assert_eq!(u.padded(), &[0, 1, 2, 3, 4, u32::MAX, u32::MAX, u32::MAX]);
     }
 
     #[test]

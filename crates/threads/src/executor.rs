@@ -7,8 +7,8 @@ use bhut_obs::{phase, Counters, Span, StepProfile};
 use bhut_timestep::ActiveSet;
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
-    eval_gathered_monopole_masked, gather_group, gather_group_cached, leaf_schedule,
-    leaf_schedule_active, resolve_mixed_tails_lanes, InteractionBuffers, WalkCache,
+    eval_gathered_monopole_masked, leaf_schedule, leaf_schedule_active, GroupSweep,
+    InteractionBuffers, WalkCache,
 };
 use bhut_tree::traverse::TraversalStats;
 use bhut_tree::{BarnesHutMac, GroupMac, KernelPrecision, NodeId, ScalarClassify, Tree};
@@ -346,22 +346,26 @@ impl ThreadSim {
                         buf.take_lane_counters();
                         let _ = cache.take_stats();
                     }
+                    // The sweep holds the tree, the particles and this
+                    // thread's slabs for the whole range, so each unit is
+                    // gathered through the ancestor levels it shares with
+                    // the one before instead of from the root.
+                    let mut sweep = GroupSweep::new(&tree, particles, &mac, buf);
                     for &unit in ids {
                         let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                         if cfg.list_reuse {
-                            gather_group_cached(
-                                &tree, particles, unit, &mac, buf, cache, generation,
-                            );
+                            sweep.gather_cached(unit, cache, generation);
                         } else {
-                            gather_group(&tree, particles, unit, &mac, buf);
+                            sweep.gather(unit);
                         }
                         if mtree.is_none() {
                             // Monopole path: flatten the mixed frontiers into
                             // per-member tail slabs so evaluation is pure
                             // slab arithmetic (the multipole path keeps its
                             // degree-aware per-member replay).
-                            resolve_mixed_tails_lanes(&tree, particles, unit, &mac, buf, mask);
+                            sweep.resolve(unit, mask);
                         }
+                        let buf = sweep.buffers();
                         let t1 = if profiled { bhut_obs::now() } else { 0.0 };
                         let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));
                         let st = match &mtree {

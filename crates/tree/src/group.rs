@@ -41,10 +41,46 @@
 //! P2P slab iff the walk appended its own leaf there
 //! ([`InteractionBuffers::self_in_p2p`]); members of the unit's other
 //! leaves leave themselves out in the tail walk instead.
+//!
+//! # One walk, three uses
+//!
+//! There is one classification loop, the private `settle_level`: classify a
+//! list of roots against a bucket, append what settles, hand back what stays
+//! Mixed. [`gather_group_targets`] and a [`gather_group_cached`] miss are one
+//! level from the root against their bucket. A unit's members are gathered
+//! *through the unit's ancestors* ([`GroupSweep`], of which [`gather_group`]
+//! is the one-unit case): the shared slabs are the concatenation, level by
+//! level from the root down to the unit's parent and then the unit itself,
+//! of what each level's bucket — the ancestor's cell; for the unit, the tight
+//! box of its members — settles out of what the level above left Mixed. Every
+//! one of those buckets contains every member, so the bracket argument above
+//! applies level by level and per-member exactness needs nothing else. Both
+//! shipped [`GroupMac::classify`] bodies are in addition *monotone* in the
+//! bucket (the distance bracket of a box contains that of any box inside it,
+//! in floating point as well), so a node settles at some level exactly as the
+//! tight box alone would have settled it: the accepted nodes, the direct
+//! leaves, the mixed roots and their order, and all counters are those of
+//! the single from-root walk; only the row order of the shared slabs is by
+//! level. What this buys is that the slabs are a *stack*: Morton-consecutive
+//! units share all but their last one or two ancestors (on the 50k Plummer a
+//! unit has 7.2 levels, its own included, 6.06 of them already in the
+//! buffers), so a sweep rewinds to the deepest shared level and walks only
+//! below it.
+//!
+//! The chain lives in the buffers but only a [`GroupSweep`] can extend it,
+//! and the sweep borrows the tree, the particles, the MAC and the buffers
+//! for as long as it exists: the tree cannot be rebuilt, a particle cannot
+//! move and nobody else can write the buffers while a chain is live, every
+//! sweep starts from an empty chain, and every other gather clears it. So a
+//! stale chain cannot be expressed, and there is no key or generation to
+//! check. A unit whose members are not all inside its parent's cell — only
+//! possible when particles moved after the build — gets no chain at all: one
+//! level from the root against its tight box, decided from the tree, the
+//! particles and the unit alone, so a sweep and a one-shot gather agree on it.
 
 use crate::kernel::{accel_slab_m2p_f32, accel_slab_member_f64, accel_slab_p2p_f32, SlabView};
 use crate::mac::{GroupClass, GroupMac, Mac};
-use crate::mac_simd::NodeBatch;
+use crate::mac_simd::{NodeBatch, MAC_BATCH};
 use crate::node::{Node, NodeId, Tree, NIL};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
@@ -155,37 +191,55 @@ pub struct InteractionBuffers {
     hwm_tail: usize,
     /// DFS stack of pre-classified nodes, kept to avoid reallocation.
     stack: Vec<WalkEntry>,
+    /// Nodes whose particles the walk appended to the P2P slab, in append
+    /// order: what [`gather_group_cached`] freezes for replay, and what a
+    /// [`GroupSweep`] re-marks `self_cover` from after rewinding.
+    direct: Vec<NodeId>,
+    /// The ancestor chain of a [`GroupSweep`]: `levels[..depth]` are the
+    /// settled levels the shared slabs currently hold, root first; entries
+    /// past `depth` only keep their allocations for reuse.
+    levels: Vec<ChainLevel>,
+    depth: usize,
+    /// Scratch for the ancestors a [`GroupSweep`] still has to walk.
+    path: Vec<NodeId>,
 }
 
-/// One pre-classified stack entry of the batched walk: everything the pop
-/// needs (class, population, slab payload) is captured when the node's
-/// *parent* is opened, so consuming an entry touches the node array again
-/// only to open it further.
+/// Where the shared slabs and counters stood at some point of a gather —
+/// what [`InteractionBuffers::rewind`] restores.
+#[derive(Debug, Clone, Copy, Default)]
+struct Mark {
+    /// `node_ids.len()`, which is also the M2P slab's logical length.
+    nodes: usize,
+    /// The P2P slab's logical length.
+    parts: usize,
+    direct: usize,
+    shared_mac_tests: u64,
+    class_reject: u64,
+    nodes_opened: u64,
+}
+
+/// One settled ancestor level of a [`GroupSweep`]'s chain.
+#[derive(Debug, Clone, Default)]
+struct ChainLevel {
+    /// The ancestor whose cell was this level's bucket.
+    node: NodeId,
+    /// What the level left Mixed, in depth-first order: the next level's
+    /// roots.
+    frontier: Vec<NodeId>,
+    /// The buffers right after the level.
+    mark: Mark,
+}
+
+/// One pre-classified stack entry of the batched walk: the class and the
+/// population (empty nodes and singletons are never tested), captured when
+/// the node was classified together with its siblings. Twelve bytes: the
+/// payload of an accepted or opened node is read from the node itself at the
+/// pop, which measured faster than carrying it through the stack.
 #[derive(Debug, Clone, Copy)]
 struct WalkEntry {
     id: NodeId,
-    /// `node.start` — with `count`, locates `tree.order[start..start+count]`.
-    start: u32,
     count: u32,
     class: GroupClass,
-    is_leaf: bool,
-    com: Vec3,
-    mass: f64,
-}
-
-impl WalkEntry {
-    #[inline(always)]
-    fn new(id: NodeId, node: &Node, class: GroupClass) -> Self {
-        WalkEntry {
-            id,
-            start: node.start,
-            count: node.count(),
-            class,
-            is_leaf: node.is_leaf(),
-            com: node.com,
-            mass: node.mass,
-        }
-    }
 }
 
 /// One member's resolved mixed-frontier segment in the tail slabs, plus the
@@ -209,17 +263,39 @@ impl InteractionBuffers {
 
     /// Empty all slabs, keeping capacity.
     pub fn clear(&mut self) {
+        self.depth = 0;
+        self.rewind(Mark::default());
+    }
+
+    /// Where the shared slabs and counters stand now.
+    fn mark(&self) -> Mark {
+        Mark {
+            nodes: self.node_ids.len(),
+            parts: self.px.len(),
+            direct: self.direct.len(),
+            shared_mac_tests: self.shared_mac_tests,
+            class_reject: self.class_reject,
+            nodes_opened: self.nodes_opened,
+        }
+    }
+
+    /// Cut the shared slabs and counters back to `to` and drop everything
+    /// that belongs to the gathered unit alone (mixed roots, tails, the
+    /// unit's range and self-cover marks), keeping capacity. The slabs are
+    /// left unpadded.
+    fn rewind(&mut self, to: Mark) {
         self.note_high_water();
-        self.node_ids.clear();
-        self.com_x.clear();
-        self.com_y.clear();
-        self.com_z.clear();
-        self.node_mass.clear();
-        self.px.clear();
-        self.py.clear();
-        self.pz.clear();
-        self.pmass.clear();
-        self.pid.clear();
+        self.node_ids.truncate(to.nodes);
+        self.com_x.truncate(to.nodes);
+        self.com_y.truncate(to.nodes);
+        self.com_z.truncate(to.nodes);
+        self.node_mass.truncate(to.nodes);
+        self.px.truncate(to.parts);
+        self.py.truncate(to.parts);
+        self.pz.truncate(to.parts);
+        self.pmass.truncate(to.parts);
+        self.pid.truncate(to.parts);
+        self.direct.truncate(to.direct);
         self.mixed.clear();
         self.tail_x.clear();
         self.tail_y.clear();
@@ -227,21 +303,21 @@ impl InteractionBuffers {
         self.tail_m.clear();
         self.tails.clear();
         self.tails_ready = false;
-        self.shared_mac_tests = 0;
-        self.class_reject = 0;
-        self.nodes_opened = 0;
+        self.shared_mac_tests = to.shared_mac_tests;
+        self.class_reject = to.class_reject;
+        self.nodes_opened = to.nodes_opened;
         self.unit = (0, 0);
         self.self_cover.clear();
         self.f32_ready = false;
         if self.fill_f32 {
-            self.com_x32.clear();
-            self.com_y32.clear();
-            self.com_z32.clear();
-            self.node_mass32.clear();
-            self.px32.clear();
-            self.py32.clear();
-            self.pz32.clear();
-            self.pmass32.clear();
+            self.com_x32.truncate(to.nodes);
+            self.com_y32.truncate(to.nodes);
+            self.com_z32.truncate(to.nodes);
+            self.node_mass32.truncate(to.nodes);
+            self.px32.truncate(to.parts);
+            self.py32.truncate(to.parts);
+            self.pz32.truncate(to.parts);
+            self.pmass32.truncate(to.parts);
         }
     }
 
@@ -279,23 +355,36 @@ impl InteractionBuffers {
         }
     }
 
-    /// Append `tree.order[start..start + count]` — a leaf's particles, or a
-    /// singleton node's — to the P2P slab, and record which members of the
-    /// gathered unit now find themselves in it.
-    fn push_leaf(&mut self, tree: &Tree, particles: &[Particle], start: u32, count: u32) {
-        for &pi in &tree.order[start as usize..(start + count) as usize] {
+    /// Append the particles under `id` — a leaf, or a singleton node — to
+    /// the P2P slab, and record which members of the gathered unit now find
+    /// themselves in it.
+    fn push_leaf(&mut self, tree: &Tree, particles: &[Particle], id: NodeId) {
+        for &pi in tree.particles_under(id) {
             self.push_particle(&particles[pi as usize]);
         }
-        let (lo, hi) = (start.max(self.unit.0), (start + count).min(self.unit.1));
+        self.direct.push(id);
+        let node = tree.node(id);
+        self.cover(node.start, node.end);
+    }
+
+    /// Mark the members of the gathered unit inside `tree.order[start..end]`
+    /// as present in the P2P slab.
+    fn cover(&mut self, start: u32, end: u32) {
+        let (lo, hi) = (start.max(self.unit.0), end.min(self.unit.1));
         if lo < hi {
             self.self_cover[(lo - self.unit.0) as usize..(hi - self.unit.0) as usize].fill(true);
         }
     }
 
-    /// Name the unit the (just cleared) buffers are about to gather.
-    fn set_unit(&mut self, node: &Node) {
+    /// Name the unit the (just rewound) buffers are about to gather, marking
+    /// the members the kept part of the P2P slab already holds.
+    fn set_unit(&mut self, tree: &Tree, node: &Node) {
         self.unit = (node.start, node.end);
         self.self_cover.resize(node.count() as usize, false);
+        for i in 0..self.direct.len() {
+            let kept = tree.node(self.direct[i]);
+            self.cover(kept.start, kept.end);
+        }
     }
 
     /// Whether member `k` of the gathered unit (its ordinal in
@@ -455,33 +544,27 @@ impl InteractionBuffers {
 
     /// The padded accepted-node slab, as the f64 kernel takes it.
     fn nodes_view(&self) -> SlabView<'_> {
-        SlabView {
-            xs: self.com_x.padded(),
-            ys: self.com_y.padded(),
-            zs: self.com_z.padded(),
-            ms: self.node_mass.padded(),
-        }
+        SlabView::new(
+            self.com_x.padded(),
+            self.com_y.padded(),
+            self.com_z.padded(),
+            self.node_mass.padded(),
+        )
     }
 
     /// The padded near-field particle slab (ids in `pid`).
     fn parts_view(&self) -> SlabView<'_> {
-        SlabView {
-            xs: self.px.padded(),
-            ys: self.py.padded(),
-            zs: self.pz.padded(),
-            ms: self.pmass.padded(),
-        }
+        SlabView::new(self.px.padded(), self.py.padded(), self.pz.padded(), self.pmass.padded())
     }
 
-    /// Elements `a..b` of the tail slabs: a target's padded segment, or its
-    /// logical prefix.
+    /// Elements `a..b` of the tail slabs: a target's padded segment.
     fn tail_view(&self, a: usize, b: usize) -> SlabView<'_> {
-        SlabView {
-            xs: &self.tail_x[a..b],
-            ys: &self.tail_y[a..b],
-            zs: &self.tail_z[a..b],
-            ms: &self.tail_m[a..b],
-        }
+        SlabView::new(
+            &self.tail_x[a..b],
+            &self.tail_y[a..b],
+            &self.tail_z[a..b],
+            &self.tail_m[a..b],
+        )
     }
 
     #[inline(always)]
@@ -504,7 +587,8 @@ fn split((ax, ay, az, phi): (f64, f64, f64, f64)) -> (Vec3, f64) {
 /// M2P/P2P slabs and the mixed subtree roots.
 ///
 /// Returns the number of members. `buf` is cleared first; an empty unit (or
-/// empty tree) leaves it empty and returns 0.
+/// empty tree) leaves it empty and returns 0. This is a [`GroupSweep`] of
+/// one unit, so a sweep leaves exactly these buffers after every unit.
 pub fn gather_group(
     tree: &Tree,
     particles: &[Particle],
@@ -512,19 +596,164 @@ pub fn gather_group(
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
 ) -> usize {
-    buf.clear();
-    if tree.is_empty() {
-        return 0;
+    GroupSweep::new(tree, particles, mac, buf).gather(unit)
+}
+
+/// A worker's pass over consecutive units of one tree, gathering each
+/// *through its ancestors* instead of from the root.
+///
+/// The shared slabs of a unit are built level by level: for every proper
+/// ancestor, root first, classify what the level above left Mixed against
+/// the ancestor's cell (the root level starts from the root itself), append
+/// what settles — AcceptAll nodes, RejectAll leaves — and keep the rest as
+/// the next level's roots; the last level does the same against the tight
+/// box of the unit's members and leaves [`InteractionBuffers::mixed`]. The
+/// slabs are therefore a stack of levels, and Morton-consecutive units share
+/// all but the deepest few: moving on rewinds the slabs to the deepest level
+/// whose node still contains the next unit and walks only the levels below.
+///
+/// Every bucket of the chain contains every member, so by the [`GroupMac`]
+/// bracket each member's interaction set is exactly its own walk's, as for
+/// any bucket. Both shipped `classify` bodies are moreover monotone in the
+/// bucket — AcceptAll or RejectAll for a box holds for every box inside it —
+/// so a node settles at some level exactly as the tight box alone would have
+/// settled it: accepted ids, direct leaves, mixed roots (in the same
+/// depth-first order) and all counters equal the single from-root walk's,
+/// and only the row order of the shared slabs differs.
+///
+/// The guard borrows the tree, the particles, the MAC and the buffers for
+/// its whole life, and is the only thing that can change the buffers
+/// meanwhile, so the chain it keeps in them always describes *this* tree and
+/// *these* positions; it starts empty, and every other gather clears it.
+/// What a level leaves depends only on the levels above it, never on which
+/// units came before, so [`GroupSweep::gather`] fills the buffers bitwise as
+/// [`gather_group`] does.
+pub struct GroupSweep<'a, M> {
+    tree: &'a Tree,
+    particles: &'a [Particle],
+    mac: &'a M,
+    buf: &'a mut InteractionBuffers,
+}
+
+impl<'a, M: GroupMac> GroupSweep<'a, M> {
+    /// Start a sweep with an empty chain; `buf` is cleared.
+    pub fn new(
+        tree: &'a Tree,
+        particles: &'a [Particle],
+        mac: &'a M,
+        buf: &'a mut InteractionBuffers,
+    ) -> Self {
+        buf.clear();
+        GroupSweep { tree, particles, mac, buf }
     }
-    let members = tree.particles_under(unit);
-    if members.is_empty() {
-        return 0;
+
+    /// The buffers as the last [`GroupSweep::gather`] /
+    /// [`GroupSweep::resolve`] left them, for evaluation.
+    pub fn buffers(&self) -> &InteractionBuffers {
+        self.buf
     }
-    buf.set_unit(tree.node(unit));
-    let bucket = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
-        .expect("non-empty member set");
-    walk_bucket(tree, particles, &bucket, mac, buf, None);
-    members.len()
+
+    /// [`gather_group_cached`] into the sweep's buffers: a hit bypasses the
+    /// walk and a miss walks the unit's cell from the root, so either way the
+    /// chain is empty afterwards and the next [`GroupSweep::gather`] starts
+    /// at the root.
+    pub fn gather_cached(&mut self, unit: NodeId, cache: &mut WalkCache, generation: u64) -> usize {
+        let (tree, particles) = (self.tree, self.particles);
+        gather_group_cached(tree, particles, unit, self.mac, self.buf, cache, generation)
+    }
+
+    /// [`resolve_mixed_tails_lanes`] for the unit just gathered.
+    pub fn resolve(&mut self, unit: NodeId, active: Option<&[bool]>) {
+        resolve_mixed_tails_lanes(self.tree, self.particles, unit, self.mac, self.buf, active);
+    }
+
+    /// Gather `unit` as [`gather_group`] does, reusing the levels of the
+    /// chain it shares with the previous unit. Returns the number of
+    /// members.
+    ///
+    /// A unit whose members are not all inside its parent's cell (particles
+    /// that moved since the tree was built) is walked from the root against
+    /// its tight box alone, like a unit without ancestors: the nesting the
+    /// chain relies on does not hold for it.
+    pub fn gather(&mut self, unit: NodeId) -> usize {
+        let (tree, particles, mac) = (self.tree, self.particles, self.mac);
+        let buf = &mut *self.buf;
+        let members = if tree.is_empty() { &[][..] } else { tree.particles_under(unit) };
+        if members.is_empty() {
+            buf.clear();
+            return 0;
+        }
+        let node = tree.node(unit);
+        let tight = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
+            .expect("non-empty member set");
+        let mut levels = std::mem::take(&mut buf.levels);
+        let mut path = std::mem::take(&mut buf.path);
+
+        // Keep the levels whose node holds the unit and more: node ranges
+        // nest along a root path, so these are proper ancestors of the unit.
+        let mut depth = buf.depth;
+        while depth > 0 {
+            let a = tree.node(levels[depth - 1].node);
+            if a.start <= node.start && node.end <= a.end && a.count() > node.count() {
+                break;
+            }
+            depth -= 1;
+        }
+        // The proper ancestors still to walk, down to the unit's parent.
+        path.clear();
+        let mut cur = if depth > 0 { levels[depth - 1].node } else { 0 };
+        if depth == 0 && unit != 0 {
+            path.push(0);
+        }
+        while cur != unit {
+            let below = tree.children_of(cur).find(|&c| {
+                let c = tree.node(c);
+                c.start <= node.start && node.end <= c.end
+            });
+            match below {
+                Some(c) if c == unit => break,
+                Some(c) => {
+                    path.push(c);
+                    cur = c;
+                }
+                // `unit` is not below `cur` (it is not a node of this tree's
+                // root path at all): nothing to share.
+                None => {
+                    depth = 0;
+                    path.clear();
+                    break;
+                }
+            }
+        }
+        let parent = path.last().copied().or_else(|| (depth > 0).then(|| levels[depth - 1].node));
+        if parent.is_some_and(|p| !tree.node(p).cell.contains_box(&tight)) {
+            depth = 0;
+            path.clear();
+        }
+
+        buf.rewind(if depth > 0 { levels[depth - 1].mark } else { Mark::default() });
+        buf.set_unit(tree, node);
+        for &ancestor in &path {
+            if levels.len() == depth {
+                levels.push(ChainLevel::default());
+            }
+            let (above, below) = levels.split_at_mut(depth);
+            let roots = above.last().map_or(&[0][..], |l| &l.frontier);
+            let level = &mut below[0];
+            level.node = ancestor;
+            level.frontier.clear();
+            let cell = &tree.node(ancestor).cell;
+            settle_level(tree, particles, roots, cell, mac, buf, &mut level.frontier);
+            level.mark = buf.mark();
+            depth += 1;
+        }
+        let roots = levels[..depth].last().map_or(&[0][..], |l| &l.frontier);
+        settle_last_level(tree, particles, roots, &tight, mac, buf);
+        buf.levels = levels;
+        buf.path = path;
+        buf.depth = depth;
+        members.len()
+    }
 }
 
 /// A unit bucket's classification outcome, frozen for replay: the accepted
@@ -672,7 +901,7 @@ pub fn gather_group_cached(
     if members.is_empty() {
         return 0;
     }
-    buf.set_unit(tree.node(unit));
+    buf.set_unit(tree, tree.node(unit));
     let cell = &tree.node(unit).cell;
     let in_cell = members.iter().all(|&pi| cell.contains(particles[pi as usize].pos));
     if !in_cell {
@@ -681,7 +910,7 @@ pub fn gather_group_cached(
         cache.misses += 1;
         let bucket = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
             .expect("non-empty member set");
-        walk_bucket(tree, particles, &bucket, mac, buf, None);
+        settle_last_level(tree, particles, &[0], &bucket, mac, buf);
         return members.len();
     }
     if let Some(list) = cache.map.get(&unit) {
@@ -691,8 +920,7 @@ pub fn gather_group_cached(
             buf.push_node(id, n.com, n.mass);
         }
         for &d in &list.direct {
-            let n = tree.node(d);
-            buf.push_leaf(tree, particles, n.start, n.count());
+            buf.push_leaf(tree, particles, d);
         }
         buf.mixed.extend_from_slice(&list.mixed);
         buf.shared_mac_tests = list.shared_mac_tests;
@@ -702,12 +930,11 @@ pub fn gather_group_cached(
         return members.len();
     }
     cache.misses += 1;
-    let mut direct = Vec::new();
-    walk_bucket(tree, particles, cell, mac, buf, Some(&mut direct));
+    settle_last_level(tree, particles, &[0], cell, mac, buf);
     if cache.bytes < cache.budget {
         let list = CachedList {
             node_ids: buf.node_ids.clone(),
-            direct,
+            direct: buf.direct.clone(),
             mixed: buf.mixed.clone(),
             shared_mac_tests: buf.shared_mac_tests,
             class_reject: buf.class_reject,
@@ -746,112 +973,121 @@ pub fn gather_group_targets(
     if tree.is_empty() {
         return;
     }
-    walk_bucket(tree, particles, bucket, mac, buf, None);
+    settle_last_level(tree, particles, &[0], bucket, mac, buf);
 }
 
-/// The classification walk shared by [`gather_group`] (bucket = a unit's
-/// members, named to `buf` beforehand), [`gather_group_targets`] (bucket = a
-/// batch of query points, no unit), and [`gather_group_cached`] misses
-/// (`record = Some`: collects the ids of nodes whose particles were pushed
-/// to the P2P slab, in push order, for replay). Fills and pads `buf`.
-///
-/// Nodes are classified *in batch* when their parent is opened
-/// ([`GroupMac::classify_batch`] — up to all 8 children per call, SIMD on
-/// the concrete MACs), and consumed from the stack with their stored class.
-/// Children are pushed in reverse so pops process them in forward order:
-/// traversal order, slab fill order, and every counter are exactly those of
-/// the one-classify-per-pop scalar walk, and the batch classifiers are
-/// decision-bitwise-identical — so f64 forces are unchanged down to the
-/// bit.
-fn walk_bucket(
+/// The level that completes a gather: settle `roots` against `bucket`,
+/// leave what stays Mixed in [`InteractionBuffers::mixed`], and pad the
+/// slabs. With `roots = [root]` on cleared buffers this is the whole
+/// single-bucket walk — [`gather_group_targets`] (bucket = a batch of query
+/// points), [`gather_group_cached`] misses (bucket = the unit's cell, or its
+/// members' tight box once they have left it), and a [`GroupSweep`] unit
+/// without ancestors.
+fn settle_last_level(
     tree: &Tree,
     particles: &[Particle],
+    roots: &[NodeId],
     bucket: &Aabb,
     mac: &impl GroupMac,
     buf: &mut InteractionBuffers,
-    mut record: Option<&mut Vec<NodeId>>,
+) {
+    let mut mixed = std::mem::take(&mut buf.mixed);
+    settle_level(tree, particles, roots, bucket, mac, buf, &mut mixed);
+    buf.mixed = mixed;
+    buf.pad();
+}
+
+/// Classify `nodes` against `bucket` — one [`GroupMac::classify_batch`] call
+/// for those of two or more particles; singletons and empty nodes are never
+/// tested and keep a placeholder class — and push them on `stack` so that
+/// they pop in the order given.
+#[inline(always)]
+fn push_classified(
+    tree: &Tree,
+    nodes: impl Iterator<Item = NodeId>,
+    bucket: &Aabb,
+    mac: &impl GroupMac,
+    batch: &mut NodeBatch,
+    stack: &mut Vec<WalkEntry>,
+) {
+    batch.clear();
+    let first = stack.len();
+    for id in nodes {
+        let node = tree.node(id);
+        if node.count() >= 2 {
+            batch.push(&node.cell, node.com);
+        }
+        stack.push(WalkEntry { id, count: node.count(), class: GroupClass::Mixed });
+    }
+    if !batch.is_empty() {
+        let classes = mac.classify_batch(batch, bucket);
+        let tested = stack[first..].iter_mut().filter(|e| e.count >= 2);
+        for (e, class) in tested.zip(classes) {
+            e.class = class;
+        }
+    }
+    stack[first..].reverse();
+}
+
+/// The one classification walk: settle the subtrees under `roots` against
+/// `bucket`. AcceptAll nodes go to the M2P slab, RejectAll leaves (and
+/// singletons, which like the per-particle walk skip the MAC) to the P2P
+/// slab, RejectAll internal nodes are opened, and the roots of what stays
+/// Mixed are appended to `mixed`, in depth-first order. `buf` is appended
+/// to, not cleared, and left unpadded.
+///
+/// Nodes are classified *in batch* — the roots in runs of [`MAC_BATCH`], an
+/// opened node's children together ([`GroupMac::classify_batch`], SIMD on
+/// the concrete MACs) — and consumed from the stack with their stored class,
+/// in the order given: traversal order, slab fill order and every counter
+/// are exactly those of a one-classify-per-pop scalar walk, and the batch
+/// classifiers are decision-bitwise-identical — so forces do not depend on
+/// the classifier down to the bit.
+fn settle_level(
+    tree: &Tree,
+    particles: &[Particle],
+    roots: &[NodeId],
+    bucket: &Aabb,
+    mac: &impl GroupMac,
+    buf: &mut InteractionBuffers,
+    mixed: &mut Vec<NodeId>,
 ) {
     let mut stack = std::mem::take(&mut buf.stack);
     stack.clear();
-    {
-        let root = tree.node(0);
-        // The class of count ≤ 1 entries is never read; Mixed is a harmless
-        // placeholder.
-        let class = if root.count() >= 2 {
-            mac.classify(&root.cell, root.com, bucket)
-        } else {
-            GroupClass::Mixed
-        };
-        stack.push(WalkEntry::new(0, root, class));
-    }
     let mut batch = NodeBatch::new();
-    while let Some(e) = stack.pop() {
-        if e.count == 0 {
-            continue;
-        }
-        if e.count == 1 {
-            // Same special case as the per-particle walk: singletons skip
-            // the MAC and interact directly.
-            buf.push_leaf(tree, particles, e.start, 1);
-            if let Some(rec) = record.as_deref_mut() {
-                rec.push(e.id);
+    for run in roots.chunks(MAC_BATCH) {
+        push_classified(tree, run.iter().copied(), bucket, mac, &mut batch, &mut stack);
+        while let Some(e) = stack.pop() {
+            if e.count == 0 {
+                continue;
             }
-            continue;
-        }
-        match e.class {
-            GroupClass::AcceptAll => {
-                buf.shared_mac_tests += 1;
-                buf.push_node(e.id, e.com, e.mass);
+            if e.count == 1 {
+                buf.push_leaf(tree, particles, e.id);
+                continue;
             }
-            GroupClass::RejectAll => {
-                buf.shared_mac_tests += 1;
-                buf.class_reject += 1;
-                if e.is_leaf {
-                    buf.push_leaf(tree, particles, e.start, e.count);
-                    if let Some(rec) = record.as_deref_mut() {
-                        rec.push(e.id);
-                    }
-                } else {
-                    buf.nodes_opened += 1;
+            match e.class {
+                GroupClass::AcceptAll => {
+                    buf.shared_mac_tests += 1;
                     let node = tree.node(e.id);
-                    // Pack the non-NIL children; batch-classify the
-                    // non-singleton ones in one MAC call.
-                    batch.clear();
-                    let mut kids: [WalkEntry; 8] = [e; 8];
-                    let mut nk = 0usize;
-                    for &c in node.children.iter() {
-                        if c == NIL {
-                            continue;
-                        }
-                        let ch = tree.node(c);
-                        if ch.count() >= 2 {
-                            batch.push(&ch.cell, ch.com);
-                        }
-                        kids[nk] = WalkEntry::new(c, ch, GroupClass::Mixed);
-                        nk += 1;
-                    }
-                    if !batch.is_empty() {
-                        let classes = mac.classify_batch(&batch, bucket);
-                        let mut bi = 0usize;
-                        for k in kids[..nk].iter_mut() {
-                            if k.count >= 2 {
-                                k.class = classes[bi];
-                                bi += 1;
-                            }
-                        }
-                    }
-                    for k in kids[..nk].iter().rev() {
-                        stack.push(*k);
+                    buf.push_node(e.id, node.com, node.mass);
+                }
+                GroupClass::RejectAll => {
+                    buf.shared_mac_tests += 1;
+                    buf.class_reject += 1;
+                    let node = tree.node(e.id);
+                    if node.is_leaf() {
+                        buf.push_leaf(tree, particles, e.id);
+                    } else {
+                        buf.nodes_opened += 1;
+                        let children = tree.children_of(e.id);
+                        push_classified(tree, children, bucket, mac, &mut batch, &mut stack);
                     }
                 }
-            }
-            GroupClass::Mixed => {
-                buf.mixed.push(e.id);
+                GroupClass::Mixed => mixed.push(e.id),
             }
         }
     }
     buf.stack = stack;
-    buf.pad();
 }
 
 /// A target of the grouped force path: an evaluation position plus the
@@ -1101,6 +1337,7 @@ fn eval_targets<K>(
     let mut stats = TraversalStats::default();
     let shared_p2n = buf.node_ids.len() as u64;
     let (n_nodes, n_nodes_padded) = (buf.com_x.len(), buf.com_x.padded_len());
+    let (nodes, parts) = (buf.nodes_view(), buf.parts_view());
     for (k, (key, pos, skip, self_hits)) in targets.enumerate() {
         let span = &buf.tails[k];
         let mut target = TraversalStats {
@@ -1121,8 +1358,8 @@ fn eval_targets<K>(
                     // Padding sentinels carry id u32::MAX with zero mass, so a
                     // no-skip target masking u32::MAX changes nothing.
                     skip,
-                    buf.nodes_view(),
-                    buf.parts_view(),
+                    nodes,
+                    parts,
                     buf.pid.padded(),
                     buf.tail_view(a, b),
                     eps * eps,
@@ -1169,8 +1406,10 @@ fn eval_targets<K>(
                 let (acc_n, phi_n) =
                     accel_batch_m2p(pos, &buf.com_x, &buf.com_y, &buf.com_z, &buf.node_mass, eps);
                 let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-                let t = buf.tail_view(a, a + len);
-                let (acc_t, phi_t) = accel_batch_m2p(pos, t.xs, t.ys, t.zs, t.ms, eps);
+                let t = a..a + len;
+                let (tx, ty, tz) =
+                    (&buf.tail_x[t.clone()], &buf.tail_y[t.clone()], &buf.tail_z[t.clone()]);
+                let (acc_t, phi_t) = accel_batch_m2p(pos, tx, ty, tz, &buf.tail_m[t], eps);
                 (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
             }
         };
@@ -2067,7 +2306,8 @@ mod tests {
     }
 
     /// Every observable of two gathers must match bitwise: slab contents
-    /// (logical and padding), ids, counters, flags.
+    /// (logical and padding, and the f32 mirrors when they are filled), ids,
+    /// counters, flags.
     fn assert_buffers_bitwise(a: &InteractionBuffers, b: &InteractionBuffers, ctx: &str) {
         assert_eq!(a.node_ids, b.node_ids, "{ctx}: node_ids");
         assert_eq!(a.com_x.padded(), b.com_x.padded(), "{ctx}: com_x");
@@ -2079,11 +2319,258 @@ mod tests {
         assert_eq!(a.pz.padded(), b.pz.padded(), "{ctx}: pz");
         assert_eq!(a.pmass.padded(), b.pmass.padded(), "{ctx}: pmass");
         assert_eq!(a.pid.padded(), b.pid.padded(), "{ctx}: pid");
+        assert_eq!(a.direct, b.direct, "{ctx}: direct leaves");
         assert_eq!(a.mixed, b.mixed, "{ctx}: mixed roots");
         assert_eq!(a.shared_mac_tests, b.shared_mac_tests, "{ctx}: shared_mac_tests");
         assert_eq!(a.class_reject, b.class_reject, "{ctx}: class_reject");
         assert_eq!(a.nodes_opened, b.nodes_opened, "{ctx}: nodes_opened");
+        assert_eq!(a.unit, b.unit, "{ctx}: unit range");
         assert_eq!(a.self_cover, b.self_cover, "{ctx}: self_cover");
+        assert_eq!((a.fill_f32, a.f32_ready), (b.fill_f32, b.f32_ready), "{ctx}: f32 flags");
+        if a.fill_f32 {
+            assert_eq!(a.com_x32.padded(), b.com_x32.padded(), "{ctx}: com_x32");
+            assert_eq!(a.com_y32.padded(), b.com_y32.padded(), "{ctx}: com_y32");
+            assert_eq!(a.com_z32.padded(), b.com_z32.padded(), "{ctx}: com_z32");
+            assert_eq!(a.node_mass32.padded(), b.node_mass32.padded(), "{ctx}: node_mass32");
+            assert_eq!(a.px32.padded(), b.px32.padded(), "{ctx}: px32");
+            assert_eq!(a.py32.padded(), b.py32.padded(), "{ctx}: py32");
+            assert_eq!(a.pz32.padded(), b.pz32.padded(), "{ctx}: pz32");
+            assert_eq!(a.pmass32.padded(), b.pmass32.padded(), "{ctx}: pmass32");
+        }
+    }
+
+    /// A [`GroupSweep`] over `units`, in that order, must leave after every
+    /// unit exactly the buffers a one-shot [`gather_group`] of it leaves.
+    /// Returns the ancestor levels the sweep reused.
+    fn assert_sweep_is_one_shot(
+        tree: &Tree,
+        ps: &[Particle],
+        mac: &impl GroupMac,
+        units: &[NodeId],
+        fill_f32: bool,
+        ctx: &str,
+    ) -> usize {
+        let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
+        swept.set_fill_f32(fill_f32);
+        fresh.set_fill_f32(fill_f32);
+        let mut sweep = GroupSweep::new(tree, ps, mac, &mut swept);
+        let mut reused = 0;
+        for (i, &unit) in units.iter().enumerate() {
+            let held = sweep.buf.depth;
+            let members = sweep.gather(unit);
+            assert_eq!(members, gather_group(tree, ps, unit, mac, &mut fresh), "{ctx}: members");
+            let ctx = format!("{ctx}: unit {unit} (#{i})");
+            assert_buffers_bitwise(sweep.buffers(), &fresh, &ctx);
+            // The one-shot chain is the whole chain: what the sweep kept of
+            // the previous unit's plus what it walked.
+            assert_eq!(sweep.buf.depth, fresh.depth, "{ctx}: chain depth");
+            reused += held.min(sweep.buf.depth);
+        }
+        reused
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+        #[test]
+        fn sweep_leaves_the_one_shot_buffers_after_every_unit(
+            n in 0usize..600,
+            s in 1usize..24,
+            seed in 0u64..1000,
+            coincident: bool,
+            stride in 1usize..6,
+            which_mac in 0usize..3,
+            alpha_pick in 0usize..3,
+            fill_f32: bool,
+        ) {
+            let mut set = plummer(PlummerSpec { n, seed, ..Default::default() });
+            if coincident {
+                for p in &mut set.particles {
+                    p.pos = Vec3::new(0.25, 0.5, 0.75);
+                }
+            }
+            let ps = &set.particles;
+            let tree = build(ps, BuildParams::with_leaf_capacity(s));
+            let units = leaf_schedule(&tree);
+            let mask: Vec<bool> = (0..n).map(|i| (i + seed as usize).is_multiple_of(stride)).collect();
+            let orders: [(&str, Vec<NodeId>); 5] = [
+                ("in order", units.clone()),
+                ("skipping", units.iter().copied().step_by(stride).collect()),
+                ("active", leaf_schedule_active(&tree, &mask)),
+                ("reversed", units.iter().rev().copied().collect()),
+                // Any node is a unit: the root (no ancestors), internal
+                // nodes, a node right after its own ancestor or descendant.
+                ("every node", (0..tree.len() as NodeId).step_by(stride).collect()),
+            ];
+            let alpha = [0.4, 0.67, 1.0][alpha_pick];
+            for (name, order) in &orders {
+                let ctx = format!("n {n} s {s} seed {seed} {name}");
+                match which_mac {
+                    0 => assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, fill_f32, &ctx),
+                    1 => assert_sweep_is_one_shot(&tree, ps, &MinDistMac::new(alpha), order, fill_f32, &ctx),
+                    _ => {
+                        let mac = crate::mac_simd::ScalarClassify(BarnesHutMac::new(alpha));
+                        assert_sweep_is_one_shot(&tree, ps, &mac, order, fill_f32, &ctx)
+                    }
+                };
+            }
+        }
+    }
+
+    #[test]
+    fn sweep_edge_cases() {
+        let mac = BarnesHutMac::new(0.67);
+        // n = 0: nothing to schedule, and any gather is empty.
+        let tree = build(&[], BuildParams::default());
+        assert_sweep_is_one_shot(&tree, &[], &mac, &[0, 0], true, "empty tree");
+        // n = 1 and a unit that is the root: no ancestors, no chain.
+        for n in [1, 20] {
+            let set = uniform_cube(n, 1.0, 3);
+            let tree = build(&set.particles, BuildParams::default());
+            assert_eq!(leaf_schedule(&tree), [0], "n = {n}: the root is the only unit");
+            let reused =
+                assert_sweep_is_one_shot(&tree, &set.particles, &mac, &[0, 0], true, "root");
+            assert_eq!(reused, 0);
+        }
+        // All-coincident points: one depth-capped leaf above the unit cap.
+        let mut heap = uniform_cube(50, 1.0, 2);
+        for p in &mut heap.particles {
+            p.pos = Vec3::new(0.5, 0.5, 0.5);
+        }
+        let tree = build(&heap.particles, BuildParams::with_leaf_capacity(8));
+        let units = leaf_schedule(&tree);
+        assert_sweep_is_one_shot(&tree, &heap.particles, &mac, &units, false, "coincident");
+        // And the shape the sweep is for: a clustered set, where consecutive
+        // units share most of their ancestors.
+        let set = plummer(PlummerSpec { n: 3000, seed: 5, ..Default::default() });
+        let tree = build(&set.particles, BuildParams::default());
+        let units = leaf_schedule(&tree);
+        let reused =
+            assert_sweep_is_one_shot(&tree, &set.particles, &mac, &units, false, "plummer");
+        assert!(reused > 2 * units.len(), "only {reused} levels reused over {} units", units.len());
+        // A cached gather in the middle of a sweep leaves no chain behind.
+        let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
+        let mut cache = WalkCache::new();
+        let mut sweep = GroupSweep::new(&tree, &set.particles, &mac, &mut swept);
+        for (i, &unit) in units.iter().enumerate().take(60) {
+            if i % 3 == 1 {
+                sweep.gather_cached(unit, &mut cache, 1);
+                assert_eq!(sweep.buf.depth, 0);
+            } else {
+                sweep.gather(unit);
+                gather_group(&tree, &set.particles, unit, &mac, &mut fresh);
+                assert_buffers_bitwise(
+                    sweep.buffers(),
+                    &fresh,
+                    &format!("after a cached gather, #{i}"),
+                );
+            }
+        }
+    }
+
+    /// What the chain settles is what one walk from the root against the
+    /// unit's tight box settles: the same accepted nodes, direct leaves and
+    /// counters, and the same mixed roots in the same order — only the rows
+    /// of the shared slabs come in level order.
+    #[test]
+    fn chain_settles_exactly_what_the_single_bucket_walk_settles() {
+        fn check(mac: &impl GroupMac, name: &str) {
+            let set = plummer(PlummerSpec { n: 2500, seed: 77, ..Default::default() });
+            let ps = &set.particles;
+            let tree = build(ps, BuildParams::with_leaf_capacity(8));
+            let (mut chain, mut single) = (InteractionBuffers::new(), InteractionBuffers::new());
+            let (mut levels, mut reordered) = (0, 0);
+            // Schedule units, then every seventh node as a unit of its own.
+            let units = leaf_schedule(&tree);
+            for unit in units.into_iter().chain((0..tree.len() as NodeId).step_by(7)) {
+                gather_group(&tree, ps, unit, mac, &mut chain);
+                let tight = Aabb::bounding(
+                    tree.particles_under(unit).iter().map(|&pi| ps[pi as usize].pos),
+                )
+                .expect("every node of a built tree holds a particle");
+                gather_group_targets(&tree, ps, &tight, mac, &mut single);
+                let ctx = format!("{name} unit {unit}");
+                let sorted = |ids: &[NodeId]| {
+                    let mut ids = ids.to_vec();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(sorted(&chain.node_ids), sorted(&single.node_ids), "{ctx}: accepted");
+                assert_eq!(sorted(&chain.direct), sorted(&single.direct), "{ctx}: direct leaves");
+                assert_eq!(chain.mixed, single.mixed, "{ctx}: mixed roots");
+                assert_eq!(chain.px.len(), single.px.len(), "{ctx}: near-field particles");
+                assert_eq!(chain.shared_mac_tests, single.shared_mac_tests, "{ctx}: mac tests");
+                assert_eq!(chain.class_reject, single.class_reject, "{ctx}: rejects");
+                assert_eq!(chain.nodes_opened, single.nodes_opened, "{ctx}: opened");
+                levels += chain.depth;
+                reordered += usize::from(chain.node_ids != single.node_ids);
+            }
+            assert!(levels > 0, "{name}: no unit had an ancestor level");
+            assert!(reordered > 0, "{name}: the chain never changed the row order");
+        }
+        for alpha in [0.4, 0.67, 1.0] {
+            check(&BarnesHutMac::new(alpha), &format!("bh {alpha}"));
+        }
+        check(&MinDistMac::new(0.8), "min-dist");
+    }
+
+    /// A member that left its parent's cell since the tree was built breaks
+    /// the nesting the chain relies on; its unit takes the single-level walk
+    /// against the tight box — and stays exact per member on the stale tree.
+    #[test]
+    fn a_member_outside_its_parents_cell_takes_the_single_level_walk() {
+        let set = plummer(PlummerSpec { n: 1500, seed: 83, ..Default::default() });
+        let mut ps = set.particles.clone();
+        let tree = build(&ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let units = leaf_schedule(&tree);
+        let at = units.len() / 2;
+        let unit = units[at];
+        let moved = tree.particles_under(unit)[0] as usize;
+        ps[moved].pos += Vec3::new(0.9, -0.7, 0.8);
+        let (mut swept, mut fresh, mut single) =
+            (InteractionBuffers::new(), InteractionBuffers::new(), InteractionBuffers::new());
+        let mut sweep = GroupSweep::new(&tree, &ps, &mac, &mut swept);
+        let mut fell_back = false;
+        for &u in &units[at - 3..at + 3] {
+            sweep.gather(u);
+            gather_group(&tree, &ps, u, &mac, &mut fresh);
+            assert_buffers_bitwise(sweep.buffers(), &fresh, &format!("unit {u}"));
+            if u == unit {
+                // Row for row the walk of the tight box alone, no chain kept.
+                let tight =
+                    Aabb::bounding(tree.particles_under(u).iter().map(|&pi| ps[pi as usize].pos));
+                gather_group_targets(&tree, &ps, &tight.unwrap(), &mac, &mut single);
+                assert_eq!(sweep.buf.depth, 0);
+                assert_eq!(sweep.buffers().node_ids, single.node_ids);
+                assert_eq!(sweep.buffers().pid.padded(), single.pid.padded());
+                assert_eq!(sweep.buffers().mixed, single.mixed);
+                fell_back = true;
+            } else {
+                assert!(sweep.buf.depth > 0, "unit {u} has ancestors to share");
+            }
+            sweep.resolve(u, None);
+            let emit = |pi: u32, phi: f64, acc: Vec3, it: u64| {
+                let p = &ps[pi as usize];
+                let (acc_ref, st) = accel_on(&tree, &ps, p.pos, Some(p.id), &mac, EPS);
+                let (phi_ref, _) = potential_at(&tree, &ps, p.pos, Some(p.id), &mac, EPS);
+                assert_eq!(it, st.interactions(), "particle {pi}: interactions");
+                assert!((phi - phi_ref).abs() <= 1e-12 * phi_ref.abs().max(1.0), "particle {pi}");
+                assert!(acc.dist(acc_ref) <= 1e-12 * acc_ref.norm().max(1.0), "particle {pi}");
+            };
+            let f64s = KernelPrecision::F64;
+            eval_gathered_monopole_masked(
+                &tree,
+                &ps,
+                u,
+                &mac,
+                EPS,
+                f64s,
+                sweep.buffers(),
+                None,
+                emit,
+            );
+        }
+        assert!(fell_back);
     }
 
     /// The SIMD-batched walk must be indistinguishable from the scalar

@@ -74,17 +74,46 @@ use bhut_simd::{F32_LANES, PAD_MULTIPLE};
 
 /// A borrowed view of one padded SoA slab (positions + masses), bundling the
 /// four parallel slices the f64 kernel walks together.
+///
+/// The vector bodies load whole [`PAD_MULTIPLE`] chunks from all four columns
+/// without bounds checks, so a view can only be made by [`SlabView::new`],
+/// which checks what they rely on: equal column lengths, a whole number of
+/// chunks.
 #[derive(Clone, Copy)]
 pub struct SlabView<'a> {
-    pub xs: &'a [f64],
-    pub ys: &'a [f64],
-    pub zs: &'a [f64],
-    pub ms: &'a [f64],
+    xs: &'a [f64],
+    ys: &'a [f64],
+    zs: &'a [f64],
+    ms: &'a [f64],
 }
 
 impl<'a> SlabView<'a> {
     /// An empty view (a zero-length slab is trivially padded).
     pub const EMPTY: SlabView<'static> = SlabView { xs: &[], ys: &[], zs: &[], ms: &[] };
+
+    /// View four equally long columns holding a whole number of
+    /// [`PAD_MULTIPLE`] chunks.
+    ///
+    /// # Panics
+    /// If the columns differ in length or the length is not a multiple of
+    /// [`PAD_MULTIPLE`] — a caller passing an unpadded slab is a bug, and
+    /// the kernels would read past it.
+    #[inline]
+    pub fn new(xs: &'a [f64], ys: &'a [f64], zs: &'a [f64], ms: &'a [f64]) -> Self {
+        assert_columns([xs, ys, zs, ms], PAD_MULTIPLE);
+        SlabView { xs, ys, zs, ms }
+    }
+
+    /// Elements per column, padding included.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.xs.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.xs.is_empty()
+    }
 }
 
 /// Fused per-member evaluation: one call accumulates the accepted-node M2P
@@ -93,8 +122,10 @@ impl<'a> SlabView<'a> {
 /// horizontal sum at the end. Returns `(ax, ay, az, phi)` at `(px, py, pz)`
 /// with Plummer softening `eps2 = ε²`. The lane of `parts` whose id equals
 /// `target_id` is masked to zero mass; padding sentinels carry id `u32::MAX`
-/// and zero mass, so they contribute nothing either way. Every view is a
-/// whole number of [`PAD_MULTIPLE`] chunks.
+/// and zero mass, so they contribute nothing either way.
+///
+/// # Panics
+/// If `ids` is not as long as `parts`.
 ///
 /// This is the hot entry point of the grouped executor. Relative to three
 /// separate kernel calls it saves two dispatches, two splat preambles and
@@ -115,12 +146,13 @@ pub fn accel_slab_member_f64(
     tail: SlabView<'_>,
     eps2: f64,
 ) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(nodes.xs.len() % PAD_MULTIPLE, 0, "node slab must be padded");
-    debug_assert_eq!(parts.xs.len() % PAD_MULTIPLE, 0, "particle slab must be padded");
-    debug_assert_eq!(tail.xs.len() % PAD_MULTIPLE, 0, "tail segment must be padded");
-    debug_assert_eq!(parts.xs.len(), ids.len());
+    assert_eq!(parts.len(), ids.len(), "one id per near-field slab entry");
     // SAFETY (both arms): `isa()` returned the tier only after runtime
-    // feature detection (AVX-512F implies the AVX2+FMA tier).
+    // feature detection (AVX-512F implies the AVX2+FMA tier). The bodies'
+    // unchecked loads stay inside the slabs: every `SlabView` holds four
+    // equally long columns of whole `PAD_MULTIPLE` chunks (checked by
+    // `SlabView::new`, the only constructor), and `ids` was just checked to
+    // be as long as `parts`.
     #[cfg(target_arch = "x86_64")]
     match bhut_simd::isa() {
         bhut_simd::Isa::Avx512 => {
@@ -138,6 +170,15 @@ pub fn accel_slab_member_f64(
     portable::accel_slab_member_f64(px, py, pz, target_id, nodes, parts, ids, tail, eps2)
 }
 
+/// What the vector bodies' unchecked chunk loads rely on, checked in release
+/// builds too: equally long columns of whole `chunk`-element chunks.
+#[inline]
+fn assert_columns<T>(columns: [&[T]; 4], chunk: usize) {
+    let n = columns[0].len();
+    assert!(columns.iter().all(|c| c.len() == n), "slab columns must be equally long");
+    assert!(n.is_multiple_of(chunk), "slab must be padded to {chunk} elements");
+}
+
 /// Mixed-precision M2P: f32 lane arithmetic over the f32 mirror slabs, each
 /// 8-lane chunk widened into f64 accumulators. Returns f64
 /// `(ax, ay, az, phi)`.
@@ -152,10 +193,11 @@ pub fn accel_slab_m2p_f32(
     ms: &[f32],
     eps2: f32,
 ) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(xs.len() % F32_LANES, 0, "slab must be padded to the lane width");
+    assert_columns([xs, ys, zs, ms], F32_LANES);
     #[cfg(target_arch = "x86_64")]
     if bhut_simd::isa() != bhut_simd::Isa::Portable {
-        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA.
+        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA, and the
+        // columns were just checked to be equally long whole chunks.
         return unsafe { avx2::accel_slab_m2p_f32(px, py, pz, xs, ys, zs, ms, eps2) };
     }
     portable::accel_slab_m2p_f32(px, py, pz, xs, ys, zs, ms, eps2)
@@ -176,11 +218,12 @@ pub fn accel_slab_p2p_f32(
     ids: &[u32],
     eps2: f32,
 ) -> (f64, f64, f64, f64) {
-    debug_assert_eq!(xs.len() % F32_LANES, 0, "slab must be padded to the lane width");
-    debug_assert_eq!(xs.len(), ids.len());
+    assert_columns([xs, ys, zs, ms], F32_LANES);
+    assert_eq!(xs.len(), ids.len(), "one id per near-field slab entry");
     #[cfg(target_arch = "x86_64")]
     if bhut_simd::isa() != bhut_simd::Isa::Portable {
-        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA.
+        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA, and the
+        // columns and ids were just checked to be equally long whole chunks.
         return unsafe {
             avx2::accel_slab_p2p_f32(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
         };
@@ -479,6 +522,10 @@ mod avx2 {
     /// Fused member body: the two chunk helpers accumulated into one
     /// [`Acc4`] in the order nodes → tail → particles (matching the portable
     /// body exactly).
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA, and `ids` must be as long as
+    /// `parts` (the views themselves guarantee whole, equally long chunks).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn accel_slab_member_f64(
@@ -731,6 +778,11 @@ mod avx512 {
 
     /// Fused member body: nodes → tail → particles into one [`Acc4`],
     /// matching the AVX2 and portable bodies exactly.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, AVX2 and FMA, and `ids` must be as
+    /// long as `parts` (the views themselves guarantee whole, equally long
+    /// chunks).
     #[allow(clippy::too_many_arguments)]
     #[target_feature(enable = "avx512f,avx2,fma")]
     pub unsafe fn accel_slab_member_f64(
@@ -823,7 +875,7 @@ mod tests {
     }
 
     fn view(s: &Slabs) -> SlabView<'_> {
-        SlabView { xs: s.xs.padded(), ys: s.ys.padded(), zs: s.zs.padded(), ms: s.ms.padded() }
+        SlabView::new(s.xs.padded(), s.ys.padded(), s.zs.padded(), s.ms.padded())
     }
 
     /// One call of the f64 kernel: a target and the three slabs it sees.
@@ -1019,6 +1071,46 @@ mod tests {
             );
             assert_eq!(got, want, "p2p f32, n={n}");
         }
+    }
+
+    /// The unchecked loads of the vector bodies rest on these refusals, so
+    /// they must hold in release builds too (`assert!`, not `debug_assert!`).
+    #[test]
+    fn ragged_or_unequal_views_are_refused() {
+        let refused = |f: fn()| std::panic::catch_unwind(f).is_err();
+        const COL: [f64; 16] = [0.0; 16];
+        fn view(x: usize, y: usize, z: usize, m: usize) -> usize {
+            SlabView::new(&COL[..x], &COL[..y], &COL[..z], &COL[..m]).len()
+        }
+        // A column that is not a whole number of chunks.
+        assert!(refused(|| _ = view(11, 11, 11, 11)));
+        // Whole chunks, but one column shorter than the others.
+        assert!(refused(|| _ = view(16, 16, 8, 16)));
+        assert!(refused(|| _ = view(8, 16, 16, 16)));
+        // Fewer ids than near-field entries.
+        assert!(refused(|| {
+            let parts = SlabView::new(&COL, &COL, &COL, &COL);
+            let ids = [u32::MAX; 8];
+            let e = SlabView::EMPTY;
+            accel_slab_member_f64(0.0, 0.0, 0.0, 0, e, parts, &ids, e, 1e-6);
+        }));
+        // The f32 pair takes bare columns and makes the same two checks.
+        assert!(refused(|| {
+            let c = [0.0f32; 16];
+            accel_slab_m2p_f32(0.0, 0.0, 0.0, &c[..12], &c[..12], &c[..12], &c[..12], 1e-6);
+        }));
+        assert!(refused(|| {
+            let c = [0.0f32; 16];
+            accel_slab_p2p_f32(0.0, 0.0, 0.0, 0, &c, &c, &c[..8], &c, &[0; 16], 1e-6);
+        }));
+        assert!(refused(|| {
+            let c = [0.0f32; 16];
+            accel_slab_p2p_f32(0.0, 0.0, 0.0, 0, &c, &c, &c, &c, &[0; 8], 1e-6);
+        }));
+        // What is accepted: whole, equal columns — the empty view included.
+        let ok = SlabView::new(&COL, &COL, &COL, &COL);
+        assert_eq!((ok.len(), SlabView::EMPTY.len()), (16, 0));
+        assert!(SlabView::new(&[], &[], &[], &[]).is_empty());
     }
 
     #[test]

@@ -8,6 +8,9 @@
 //! `MultipoleTree::eval`, and `MixedF32` (tails only) against the walk.
 //! A third picks the walk units whose members split between the shared
 //! near-field slab and a mixed root, where self-exclusion is per member.
+//! A fourth holds the executor's sweep — which gathers each unit through the
+//! ancestor levels it shares with the one before — to the one-shot public
+//! calls, bit for bit.
 
 use barnes_hut::geom::{plummer, Particle, PlummerSpec, Vec3};
 use barnes_hut::multipole::MultipoleTree;
@@ -188,4 +191,56 @@ fn units_split_between_the_shared_slab_and_a_mixed_root_are_exact_per_member() {
         assert_eq!(masked, want, "unit {unit}: masked rows");
     }
     assert!(split_units > 0, "no unit splits between the shared slab and a mixed root");
+}
+
+/// `compute_forces` gathers a worker's units incrementally (`GroupSweep`);
+/// whoever drives the pipeline from outside — the benchmark's traced replica
+/// does — makes the three public calls per unit of `leaf_schedule`, each
+/// gather starting from an empty chain. Both must produce the same bits, at
+/// one thread and at two (different ranges, so different chains).
+#[test]
+fn compute_forces_is_bitwise_the_three_public_calls_per_unit() {
+    let set = plummer(PlummerSpec { n: 4000, seed: 21, ..Default::default() });
+    let ps = &set.particles;
+    for threads in [1, 2] {
+        let cfg = ThreadConfig { threads, ..Default::default() };
+        let mac = BarnesHutMac::new(cfg.alpha);
+        let mut sim = ThreadSim::new(cfg);
+        let tree = sim.build_tree(ps);
+        let swept = sim.compute_forces(ps);
+
+        let mut buf = InteractionBuffers::new();
+        let mut accels = vec![Vec3::ZERO; ps.len()];
+        let mut potentials = vec![0.0; ps.len()];
+        let mut interactions = 0;
+        for unit in leaf_schedule(&tree) {
+            gather_group(&tree, ps, unit, &mac, &mut buf);
+            resolve_mixed_tails_lanes(&tree, ps, unit, &mac, &mut buf, None);
+            let emit = |pi: u32, phi: f64, acc: Vec3, _| {
+                accels[pi as usize] = acc;
+                potentials[pi as usize] = phi;
+            };
+            let st = eval_gathered_monopole_masked(
+                &tree,
+                ps,
+                unit,
+                &mac,
+                cfg.eps,
+                cfg.precision,
+                &buf,
+                None,
+                emit,
+            );
+            interactions += st.interactions();
+        }
+        for i in 0..ps.len() {
+            let (a, b) = (swept.accels[i], accels[i]);
+            assert_eq!(
+                [a.x, a.y, a.z, swept.potentials[i]].map(f64::to_bits),
+                [b.x, b.y, b.z, potentials[i]].map(f64::to_bits),
+                "{threads} thread(s), particle {i}"
+            );
+        }
+        assert_eq!(swept.stats.interactions(), interactions, "{threads} thread(s)");
+    }
 }
