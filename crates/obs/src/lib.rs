@@ -218,11 +218,13 @@ pub struct Counters {
     pub lane_slots: u64,
     /// Lane slots that carried real sources rather than padding sentinels.
     pub lane_useful: u64,
-    /// Interaction-list cache replays (block substeps that skipped the walk).
+    /// Replays of the interaction-list cache, which no longer exists: nothing
+    /// writes this field, it stays because the benchmark harness reads it,
+    /// and it loads from counter JSONs that carry it.
     pub list_hits: u64,
-    /// Interaction-list cache misses (gathers that walked the tree).
+    /// Misses of the same cache; unwritten, kept like `list_hits`.
     pub list_misses: u64,
-    /// Bytes held by the interaction-list caches when the step finished.
+    /// Bytes the same cache held; unwritten, kept like `list_hits`.
     pub list_bytes: u64,
 }
 
@@ -272,17 +274,6 @@ impl Counters {
             1.0
         } else {
             self.lane_useful as f64 / self.lane_slots as f64
-        }
-    }
-
-    /// Fraction of unit gathers served by interaction-list replay
-    /// (`list_hits / (list_hits + list_misses)`); 0.0 when reuse never ran.
-    pub fn list_hit_rate(&self) -> f64 {
-        let total = self.list_hits + self.list_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.list_hits as f64 / total as f64
         }
     }
 
@@ -719,13 +710,6 @@ mod tests {
         assert_eq!(a.list_hits, 12);
         assert_eq!(a.list_misses, 4);
         assert_eq!(a.list_bytes, 2048);
-    }
-
-    #[test]
-    fn list_hit_rate_ratio() {
-        let c = Counters { list_hits: 9, list_misses: 3, ..Default::default() };
-        assert!((c.list_hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(Counters::default().list_hit_rate(), 0.0);
     }
 
     /// Counter JSONs committed before the list-reuse fields existed (and any

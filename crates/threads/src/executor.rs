@@ -8,7 +8,7 @@ use bhut_timestep::ActiveSet;
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
     eval_gathered_monopole_masked, leaf_schedule, leaf_schedule_active, GroupSweep,
-    InteractionBuffers, WalkCache,
+    InteractionBuffers,
 };
 use bhut_tree::traverse::TraversalStats;
 use bhut_tree::{BarnesHutMac, GroupMac, KernelPrecision, NodeId, ScalarClassify, Tree};
@@ -62,10 +62,12 @@ pub struct ThreadConfig {
     /// one-node-per-test classification; both make bitwise-identical
     /// decisions, so forces are unchanged either way.
     pub mac_batch: bool,
-    /// Cache each unit's gathered interaction list and replay it on block
-    /// substeps that reuse the frozen tree
-    /// ([`ThreadSim::compute_forces_substep`] with `reuse = true`). Off by
-    /// default; full steps always rebuild and re-walk.
+    /// Keep the tree of each computation, so that a block substep asking
+    /// for it ([`ThreadSim::compute_forces_substep`] with `reuse = true`)
+    /// walks that frozen tree at the particles' current positions instead of
+    /// rebuilding. Off by default; every other computation rebuilds. No
+    /// interaction list is kept between substeps — the name is older than
+    /// that and is pinned by the benchmark harness.
     pub list_reuse: bool,
 }
 
@@ -123,10 +125,6 @@ impl ForceResult {
 struct Scratch {
     buf: InteractionBuffers,
     out: Vec<(u32, f64, Vec3, u64)>,
-    /// Per-unit interaction lists for frozen-tree substep replay
-    /// ([`ThreadConfig::list_reuse`]); generation-keyed, so a rebuild
-    /// (which bumps the generation) evicts everything.
-    cache: WalkCache,
 }
 
 /// Per-worker observations from one profiled force computation: the
@@ -150,28 +148,15 @@ pub struct ThreadSim {
     prev_work: Option<Vec<u64>>,
     scratch: Vec<Mutex<Scratch>>,
     /// The tree frozen by the last computation, kept only under
-    /// [`ThreadConfig::list_reuse`] so substeps can re-walk (or replay) it.
+    /// [`ThreadConfig::list_reuse`] so substeps can re-walk it.
     cached_tree: Option<Tree>,
-    /// Bumped on every rebuild; keys the per-thread interaction-list caches.
-    tree_generation: u64,
 }
 
 impl ThreadSim {
     pub fn new(config: ThreadConfig) -> Self {
         assert!(config.threads > 0);
         let scratch = (0..config.threads).map(|_| Mutex::new(Scratch::default())).collect();
-        ThreadSim { config, prev_work: None, scratch, cached_tree: None, tree_generation: 0 }
-    }
-
-    /// Set every per-thread interaction-list cache's byte budget. 0 disables
-    /// list caching entirely while keeping frozen-tree substeps — the
-    /// reference path the reuse tests and benches compare against. Applies
-    /// to the scratch pool as currently sized; a later thread-count increase
-    /// allocates fresh caches at the default budget.
-    pub fn set_walk_cache_budget(&mut self, bytes: usize) {
-        for s in &self.scratch {
-            s.lock().unwrap().cache.set_budget(bytes);
-        }
+        ThreadSim { config, prev_work: None, scratch, cached_tree: None }
     }
 
     /// Drop carried load state (costzones weights and the frozen tree).
@@ -221,10 +206,12 @@ impl ThreadSim {
     /// One block-substep force computation: like
     /// [`ThreadSim::compute_forces_active`] (optionally profiled), and —
     /// when `reuse` is true and [`ThreadConfig::list_reuse`] is on — walking
-    /// the tree frozen by the previous call instead of rebuilding, replaying
-    /// each scheduled unit's cached interaction list when its members still
-    /// sit inside the frozen bucket. With `reuse` false (or the feature off)
-    /// this is exactly the rebuild path, bit for bit.
+    /// the tree frozen by the previous call instead of rebuilding: the same
+    /// sweep over the same kind of units, with sources and targets at their
+    /// current positions and cells and centres of mass as built, so every
+    /// active particle gets exactly its own walk of that tree. With `reuse`
+    /// false (or the field off) this is exactly the rebuild path, bit for
+    /// bit.
     pub fn compute_forces_substep(
         &mut self,
         particles: &[Particle],
@@ -262,18 +249,14 @@ impl ThreadSim {
     ) -> ForceResult {
         let cfg = self.config;
         let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
-        // A reusing substep walks the frozen tree; anything else rebuilds
-        // and bumps the generation, which evicts every cached list. A frozen
-        // tree is only trusted while the particle set keeps its cardinality.
+        // A reusing substep walks the frozen tree; anything else rebuilds. A
+        // frozen tree is only trusted while the particle set keeps its
+        // cardinality.
         let cached = (cfg.list_reuse && reuse)
             .then(|| self.cached_tree.take())
             .flatten()
             .filter(|t| t.order.len() == particles.len());
-        let tree = cached.unwrap_or_else(|| {
-            self.tree_generation += 1;
-            self.eval_tree(particles)
-        });
-        let generation = self.tree_generation;
+        let tree = cached.unwrap_or_else(|| self.eval_tree(particles));
         let mtree = (cfg.degree > 0).then(|| MultipoleTree::new(&tree, particles, cfg.degree));
         let t_build_end = if profiled { bhut_obs::now() } else { 0.0 };
         let n = particles.len();
@@ -334,17 +317,16 @@ impl ThreadSim {
                 // classification counters; the force arithmetic is the same.
                 let run_range = |t: usize, ids: &[NodeId], w: &mut WorkerObs| -> TraversalStats {
                     let mut s = scratch[t].lock().unwrap();
-                    let Scratch { buf, out, cache } = &mut *s;
+                    let Scratch { buf, out } = &mut *s;
                     // Fill the f32 mirrors during the gather itself whenever
                     // the kernels will read them.
                     buf.set_fill_f32(cfg.precision == KernelPrecision::MixedF32);
                     let mut stats = TraversalStats::default();
                     let mut c = Counters::default();
                     if profiled {
-                        // Discard lane counts and cache stats a previous
-                        // unprofiled run may have left in this scratch.
+                        // Discard lane counts a previous unprofiled run may
+                        // have left in this scratch.
                         buf.take_lane_counters();
-                        let _ = cache.take_stats();
                     }
                     // The sweep holds the tree, the particles and this
                     // thread's slabs for the whole range, so each unit is
@@ -353,11 +335,7 @@ impl ThreadSim {
                     let mut sweep = GroupSweep::new(&tree, particles, &mac, buf);
                     for &unit in ids {
                         let t0 = if profiled { bhut_obs::now() } else { 0.0 };
-                        if cfg.list_reuse {
-                            sweep.gather_cached(unit, cache, generation);
-                        } else {
-                            sweep.gather(unit);
-                        }
+                        sweep.gather(unit);
                         if mtree.is_none() {
                             // Monopole path: flatten the mixed frontiers into
                             // per-member tail slabs so evaluation is pure
@@ -409,10 +387,6 @@ impl ThreadSim {
                         c.p2p = stats.p2p;
                         c.m2p = stats.p2n;
                         c.mac_tests = stats.mac_tests;
-                        let (hits, misses) = cache.take_stats();
-                        c.list_hits = hits;
-                        c.list_misses = misses;
-                        c.list_bytes = cache.bytes() as u64;
                         w.counters.merge(&c);
                     }
                     stats
@@ -489,7 +463,7 @@ impl ThreadSim {
             s.buf.maybe_shrink();
         }
         self.prev_work = Some(work);
-        // Freeze the tree for the next fine-rung substep to replay against.
+        // Freeze the tree for the next fine-rung substep to walk.
         if cfg.list_reuse {
             self.cached_tree = Some(tree);
         }
@@ -702,12 +676,42 @@ mod tests {
         assert!(balanced.imbalance() < 1.25, "zones imbalance {}", balanced.imbalance());
     }
 
+    /// What the realised max/mean over OS threads depends on is the box; what
+    /// self-scheduling guarantees is that every unit is evaluated once and
+    /// that no block it hands out is a large share of the sweep, so the
+    /// threads can finish together however they are scheduled.
     #[test]
     fn self_scheduling_balances_without_history() {
+        let (threads, block) = (4, 32);
         let set = plummer(PlummerSpec { n: 3000, seed: 8, ..Default::default() });
-        let mut sim = ThreadSim::new(config(4, Partitioning::SelfScheduling { block: 32 }));
+        let mut sim = ThreadSim::new(config(threads, Partitioning::SelfScheduling { block }));
         let out = sim.compute_forces(&set.particles);
-        assert!(out.imbalance() < 1.5, "imbalance {}", out.imbalance());
+        assert_eq!(out.per_thread_interactions.len(), threads);
+        assert_eq!(out.per_thread_interactions.iter().sum::<u64>(), out.stats.interactions());
+        let fixed = ThreadSim::new(config(threads, Partitioning::StaticBlocks))
+            .compute_forces(&set.particles);
+        assert_results_bitwise(&out, &fixed, "self-scheduling vs static blocks");
+        // The grain: blocks are runs of `block / mean unit population` units.
+        let tree = sim.build_tree(&set.particles);
+        let units = leaf_schedule(&tree);
+        let per_block = (block / (set.len() / units.len())).max(1);
+        let work = sim.work_weights().expect("measured by the computation above");
+        let costliest = units
+            .chunks(per_block)
+            .map(|run| {
+                run.iter()
+                    .flat_map(|&u| tree.particles_under(u))
+                    .map(|&pi| work[pi as usize])
+                    .sum::<u64>()
+            })
+            .max()
+            .expect("3000 bodies make at least one block");
+        let total = out.stats.interactions();
+        assert_eq!(work.iter().sum::<u64>(), total);
+        assert!(
+            costliest * 2 * (threads as u64) < total,
+            "a block of {costliest} interactions out of {total} on {threads} threads"
+        );
     }
 
     #[test]
@@ -1012,10 +1016,12 @@ mod tests {
         }
     }
 
-    /// Small deterministic position drift, like a leapfrog substep's.
+    /// Deterministic position drift between substeps, up to 1.2e-2: enough
+    /// to change which nodes a walk accepts and to carry some members out of
+    /// their parent's cell.
     fn drift(particles: &mut [Particle], k: u64) {
         for (i, p) in particles.iter_mut().enumerate() {
-            let s = 1e-5 * ((i as u64 * 37 + k * 101) % 13) as f64;
+            let s = 1e-3 * ((i as u64 * 37 + k * 101) % 13) as f64;
             p.pos += Vec3::new(s, -0.5 * s, 0.25 * s);
         }
     }
@@ -1027,74 +1033,6 @@ mod tests {
             assert_eq!(a.accels[i], b.accels[i], "{ctx}: accel {i}");
             assert_eq!(a.potentials[i], b.potentials[i], "{ctx}: potential {i}");
         }
-    }
-
-    /// List replay on frozen-tree substeps must be bitwise-invisible: a sim
-    /// whose caches can hold lists and one whose caches are budgeted to zero
-    /// (every gather re-walks the same frozen tree) produce identical
-    /// forces, while the profile shows the first actually replaying.
-    #[test]
-    fn list_reuse_substeps_are_bitwise_identical_to_cache_free() {
-        let set = plummer(PlummerSpec { n: 700, seed: 33, ..Default::default() });
-        let mk = || {
-            ThreadSim::new(ThreadConfig {
-                list_reuse: true,
-                ..config(2, Partitioning::MortonZones)
-            })
-        };
-        let mut a = mk();
-        let mut b = mk();
-        b.set_walk_cache_budget(0);
-        let mut pa = set.particles.clone();
-        let mut pb = set.particles.clone();
-        let full = ActiveSet::all(set.len());
-        let ra = a.compute_forces_substep(&pa, &full, true, false);
-        let rb = b.compute_forces_substep(&pb, &full, true, false);
-        assert_results_bitwise(&ra, &rb, "full step");
-        let prof = ra.profile.as_ref().unwrap();
-        assert_eq!(prof.totals.list_hits, 0, "a fresh generation cannot hit");
-        assert!(prof.totals.list_misses > 0);
-        assert!(prof.totals.list_bytes > 0, "the full step fills the caches");
-        for sub in 0..3u64 {
-            drift(&mut pa, sub);
-            drift(&mut pb, sub);
-            let m: Vec<bool> = (0..set.len()).map(|i| i % 3 == sub as usize).collect();
-            let act = ActiveSet::from_mask(m);
-            let ra = a.compute_forces_substep(&pa, &act, true, true);
-            let rb = b.compute_forces_substep(&pb, &act, true, true);
-            assert_results_bitwise(&ra, &rb, &format!("substep {sub}"));
-            let pa = ra.profile.as_ref().unwrap();
-            let pb = rb.profile.as_ref().unwrap();
-            assert!(pa.totals.list_hits > 0, "substep {sub} must replay cached lists");
-            assert_eq!(pb.totals.list_hits, 0, "a zero-budget cache can never hit");
-            assert_eq!(pb.totals.list_bytes, 0);
-            assert!(pa.totals.list_hit_rate() > 0.5, "substep {sub}");
-        }
-    }
-
-    /// A rebuild (any non-reusing computation) bumps the tree generation,
-    /// which must evict every cached list: the next sweep misses everywhere.
-    /// Static blocks keep the unit→thread assignment stable across calls, so
-    /// within one generation a repeated full sweep is a pure replay.
-    #[test]
-    fn rebuild_evicts_executor_list_caches() {
-        let set = plummer(PlummerSpec { n: 600, seed: 35, ..Default::default() });
-        let mut sim = ThreadSim::new(ThreadConfig {
-            list_reuse: true,
-            ..config(2, Partitioning::StaticBlocks)
-        });
-        let full = ActiveSet::all(set.len());
-        let r = sim.compute_forces_substep(&set.particles, &full, true, false);
-        let p = r.profile.unwrap();
-        assert!(p.totals.list_misses > 0 && p.totals.list_hits == 0);
-        // Frozen-tree substep, positions unchanged: pure replay.
-        let r = sim.compute_forces_substep(&set.particles, &full, true, true);
-        let p = r.profile.unwrap();
-        assert!(p.totals.list_hits > 0 && p.totals.list_misses == 0);
-        // A full step rebuilds: generation bump, every gather misses again.
-        let r = sim.compute_forces_substep(&set.particles, &full, true, false);
-        let p = r.profile.unwrap();
-        assert!(p.totals.list_misses > 0 && p.totals.list_hits == 0, "rebuild must evict");
     }
 
     /// Reuse silently degrades to a rebuild when it would be unsound: a
@@ -1111,8 +1049,6 @@ mod tests {
         let active = ActiveSet::all(fewer.len());
         let r = sim.compute_forces_substep(fewer, &active, true, true);
         assert_eq!(r.accels.len(), 400);
-        let p = r.profile.as_ref().unwrap();
-        assert_eq!(p.totals.list_hits, 0, "a rebuilt generation cannot hit");
         // Against a fresh sim on the same input: identical.
         let mut fresh = ThreadSim::new(ThreadConfig {
             list_reuse: true,
@@ -1122,64 +1058,104 @@ mod tests {
         assert_results_bitwise(&r, &want, "degraded reuse");
     }
 
+    /// Run `ops` — 0 rebuild (a full step), 1 drift then a masked `reuse`
+    /// substep, 2 mask change, 3 precision change — on a 1-thread and a
+    /// 2-thread sim and hold every computation against the per-particle walk
+    /// of the tree it must have walked: the one built from the positions at
+    /// the last rebuild, evaluated at the positions of now. Returns whether
+    /// some substep's interaction count differs from the walk of a tree
+    /// rebuilt at its positions, i.e. whether the sequence could tell a
+    /// frozen tree from a rebuilt one at all.
+    fn frozen_tree_substeps_are_the_walk_of_that_tree(ops: &[u8], seed: u64) -> bool {
+        let set = plummer(PlummerSpec { n: 250, seed, ..Default::default() });
+        let mk = |threads| {
+            ThreadSim::new(ThreadConfig {
+                list_reuse: true,
+                ..config(threads, Partitioning::MortonZones)
+            })
+        };
+        let (mut one, mut two) = (mk(1), mk(2));
+        let mac = BarnesHutMac::new(one.config.alpha);
+        let eps = one.config.eps;
+        let mut ps = set.particles.clone();
+        let mut mask: Vec<bool> = (0..ps.len()).map(|i| i % 2 == 0).collect();
+        let mut frozen: Option<Tree> = None;
+        let mut told_apart = false;
+        for (k, &op) in ops.iter().enumerate() {
+            let ctx = format!("op {k} ({op})");
+            let (a, b, active) = match op {
+                0 => {
+                    frozen = Some(one.build_tree(&ps));
+                    let all = vec![true; ps.len()];
+                    (one.compute_forces(&ps), two.compute_forces(&ps), all)
+                }
+                1 => {
+                    drift(&mut ps, k as u64);
+                    // Nothing frozen yet: the substep has to build.
+                    frozen.get_or_insert_with(|| one.build_tree(&ps));
+                    let act = ActiveSet::from_mask(mask.clone());
+                    let a = one.compute_forces_substep(&ps, &act, false, true);
+                    let b = two.compute_forces_substep(&ps, &act, false, true);
+                    (a, b, mask.clone())
+                }
+                2 => {
+                    mask = (0..ps.len()).map(|i| (i + k) % 3 != 0).collect();
+                    continue;
+                }
+                _ => {
+                    let next = match one.config.precision {
+                        KernelPrecision::F64 => KernelPrecision::MixedF32,
+                        KernelPrecision::MixedF32 => KernelPrecision::ScalarF64,
+                        KernelPrecision::ScalarF64 => KernelPrecision::F64,
+                    };
+                    one.config.precision = next;
+                    two.config.precision = next;
+                    continue;
+                }
+            };
+            assert_results_bitwise(&a, &b, &format!("{ctx}: 1 thread vs 2"));
+            let tree = frozen.as_ref().expect("set by the rebuild or the first substep");
+            let rebuilt = one.build_tree(&ps);
+            // Mixed f32 shares the traversal, not the last digits.
+            let tol = if one.config.precision == KernelPrecision::MixedF32 { 1e-4 } else { 1e-12 };
+            let work = one.work_weights().expect("a computation ran");
+            let (mut walked, mut on_rebuilt) = (0, 0);
+            for (i, p) in ps.iter().enumerate() {
+                if !active[i] {
+                    assert_eq!((a.accels[i], a.potentials[i]), (Vec3::ZERO, 0.0), "{ctx}: row {i}");
+                    continue;
+                }
+                let (acc, st) = bhut_tree::accel_on(tree, &ps, p.pos, Some(p.id), &mac, eps);
+                let (phi, _) = bhut_tree::potential_at(tree, &ps, p.pos, Some(p.id), &mac, eps);
+                assert_eq!(work[i], st.interactions(), "{ctx}: interactions of {i}");
+                assert!(a.accels[i].dist(acc) <= tol * acc.norm().max(1.0), "{ctx}: accel {i}");
+                assert!((a.potentials[i] - phi).abs() <= tol * phi.abs().max(1.0), "{ctx}: {i}");
+                walked += st.interactions();
+                let (_, st) = bhut_tree::accel_on(&rebuilt, &ps, p.pos, Some(p.id), &mac, eps);
+                on_rebuilt += st.interactions();
+            }
+            assert_eq!(a.stats.interactions(), walked, "{ctx}: total interactions");
+            told_apart |= walked != on_rebuilt;
+        }
+        told_apart
+    }
+
+    /// Two drifted substeps on the tree of one rebuild: the counts are those
+    /// of the stale tree and not those of a fresh one, so nothing rebuilt.
+    #[test]
+    fn reuse_substeps_walk_the_frozen_tree_not_a_rebuilt_one() {
+        assert!(frozen_tree_substeps_are_the_walk_of_that_tree(&[0, 1, 2, 1, 3, 1, 0, 1], 40));
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
-        /// The ISSUE's invalidation contract: ANY sequence of {rebuild,
-        /// substep, mask change, precision change} yields forces
-        /// bitwise-identical to the cache-disabled path, with generation
-        /// bumps always evicting (checked by mirroring every op on a sim
-        /// whose caches never hold anything).
         #[test]
-        fn cached_sequences_match_cache_free_bitwise(
+        fn any_block_sequence_is_the_walk_of_the_frozen_tree(
             ops in proptest::collection::vec(0u8..4, 1..10),
             seed in 0u64..1_000,
         ) {
-            let set = plummer(PlummerSpec { n: 250, seed: seed.wrapping_add(7), ..Default::default() });
-            let mk = || {
-                ThreadSim::new(ThreadConfig {
-                    list_reuse: true,
-                    ..config(2, Partitioning::MortonZones)
-                })
-            };
-            let mut a = mk();
-            let mut b = mk();
-            b.set_walk_cache_budget(0);
-            let mut pa = set.particles.clone();
-            let mut pb = set.particles.clone();
-            let mut mask: Vec<bool> = (0..set.len()).map(|i| i % 2 == 0).collect();
-            for (k, &op) in ops.iter().enumerate() {
-                match op {
-                    // Rebuild: a full step, generation bump, caches evicted.
-                    0 => {
-                        let ra = a.compute_forces(&pa);
-                        let rb = b.compute_forces(&pb);
-                        assert_results_bitwise(&ra, &rb, &format!("op {k}: rebuild"));
-                    }
-                    // Substep: drift, then a frozen-tree masked evaluation.
-                    1 => {
-                        drift(&mut pa, k as u64);
-                        drift(&mut pb, k as u64);
-                        let act = ActiveSet::from_mask(mask.clone());
-                        let ra = a.compute_forces_substep(&pa, &act, false, true);
-                        let rb = b.compute_forces_substep(&pb, &act, false, true);
-                        assert_results_bitwise(&ra, &rb, &format!("op {k}: substep"));
-                    }
-                    // Mask change: rotate which third is active.
-                    2 => {
-                        mask = (0..set.len()).map(|i| (i + k) % 3 != 0).collect();
-                    }
-                    // Precision change: cached lists are precision-blind.
-                    _ => {
-                        let next = match a.config.precision {
-                            KernelPrecision::MixedF32 => KernelPrecision::F64,
-                            _ => KernelPrecision::MixedF32,
-                        };
-                        a.config.precision = next;
-                        b.config.precision = next;
-                    }
-                }
-            }
+            frozen_tree_substeps_are_the_walk_of_that_tree(&ops, seed);
         }
     }
 

@@ -42,14 +42,15 @@
 //! ([`InteractionBuffers::self_in_p2p`]); members of the unit's other
 //! leaves leave themselves out in the tail walk instead.
 //!
-//! # One walk, three uses
+//! # One walk, two uses
 //!
 //! There is one classification loop, the private `settle_level`: classify a
 //! list of roots against a bucket, append what settles, hand back what stays
-//! Mixed. [`gather_group_targets`] and a [`gather_group_cached`] miss are one
-//! level from the root against their bucket. A unit's members are gathered
-//! *through the unit's ancestors* ([`GroupSweep`], of which [`gather_group`]
-//! is the one-unit case): the shared slabs are the concatenation, level by
+//! Mixed. [`gather_group_targets`] is one level from the root against a bucket
+//! of query targets. A unit's members are gathered *through the unit's
+//! ancestors* ([`GroupSweep`], of which [`gather_group`] is the one-unit
+//! case), on a freshly built tree and on one its particles have drifted away
+//! from alike: the shared slabs are the concatenation, level by
 //! level from the root down to the unit's parent and then the unit itself,
 //! of what each level's bucket — the ancestor's cell; for the unit, the tight
 //! box of its members — settles out of what the level above left Mixed. Every
@@ -86,7 +87,6 @@ use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_simd::{AlignedF32Slab, AlignedF64Slab, AlignedU32Slab, KernelPrecision, PAD_MULTIPLE};
 use std::cell::Cell;
-use std::collections::HashMap;
 
 /// Below this many elements, slab capacity is noise — the shrink policy
 /// never releases it.
@@ -192,8 +192,8 @@ pub struct InteractionBuffers {
     /// DFS stack of pre-classified nodes, kept to avoid reallocation.
     stack: Vec<WalkEntry>,
     /// Nodes whose particles the walk appended to the P2P slab, in append
-    /// order: what [`gather_group_cached`] freezes for replay, and what a
-    /// [`GroupSweep`] re-marks `self_cover` from after rewinding.
+    /// order: what a [`GroupSweep`] re-marks `self_cover` from after
+    /// rewinding.
     direct: Vec<NodeId>,
     /// The ancestor chain of a [`GroupSweep`]: `levels[..depth]` are the
     /// settled levels the shared slabs currently hold, root first; entries
@@ -653,15 +653,6 @@ impl<'a, M: GroupMac> GroupSweep<'a, M> {
         self.buf
     }
 
-    /// [`gather_group_cached`] into the sweep's buffers: a hit bypasses the
-    /// walk and a miss walks the unit's cell from the root, so either way the
-    /// chain is empty afterwards and the next [`GroupSweep::gather`] starts
-    /// at the root.
-    pub fn gather_cached(&mut self, unit: NodeId, cache: &mut WalkCache, generation: u64) -> usize {
-        let (tree, particles) = (self.tree, self.particles);
-        gather_group_cached(tree, particles, unit, self.mac, self.buf, cache, generation)
-    }
-
     /// [`resolve_mixed_tails_lanes`] for the unit just gathered.
     pub fn resolve(&mut self, unit: NodeId, active: Option<&[bool]>) {
         resolve_mixed_tails_lanes(self.tree, self.particles, unit, self.mac, self.buf, active);
@@ -756,196 +747,6 @@ impl<'a, M: GroupMac> GroupSweep<'a, M> {
     }
 }
 
-/// A unit bucket's classification outcome, frozen for replay: the accepted
-/// node ids, the ids of nodes whose particles went to the P2P slab (in walk
-/// order), the mixed roots, and the walk's counters. Slab *contents* — and
-/// with them which members find themselves in the P2P slab — are re-read
-/// from the tree and particle array at replay time, so a cached list never
-/// holds stale coordinates.
-#[derive(Debug, Clone, Default)]
-struct CachedList {
-    node_ids: Vec<NodeId>,
-    direct: Vec<NodeId>,
-    mixed: Vec<NodeId>,
-    shared_mac_tests: u64,
-    class_reject: u64,
-    nodes_opened: u64,
-}
-
-impl CachedList {
-    fn bytes(&self) -> usize {
-        std::mem::size_of::<Self>()
-            + std::mem::size_of::<NodeId>()
-                * (self.node_ids.capacity() + self.direct.capacity() + self.mixed.capacity())
-    }
-}
-
-/// Default per-cache memory budget (per worker thread): stop inserting new
-/// lists once this many bytes of cached ids are held. Hits keep replaying;
-/// uncached units fall back to a fresh walk.
-pub const WALK_CACHE_DEFAULT_BUDGET: usize = 64 << 20;
-
-/// Per-worker cache of frozen interaction lists for [`gather_group_cached`],
-/// keyed on unit id and pinned to one tree *generation* — a counter the
-/// caller bumps on every rebuild. Any generation change evicts everything
-/// (the node ids of the old tree mean nothing in the new one).
-#[derive(Debug)]
-pub struct WalkCache {
-    generation: u64,
-    map: HashMap<NodeId, CachedList>,
-    bytes: usize,
-    budget: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for WalkCache {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WalkCache {
-    pub fn new() -> Self {
-        WalkCache {
-            generation: 0,
-            map: HashMap::new(),
-            bytes: 0,
-            budget: WALK_CACHE_DEFAULT_BUDGET,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
-    /// Cap the cached-id bytes (0 disables caching entirely: every gather
-    /// walks fresh, which is the reference path the bitwise tests compare
-    /// against).
-    pub fn set_budget(&mut self, bytes: usize) {
-        self.budget = bytes;
-    }
-
-    /// Pin the cache to `generation`, evicting every cached list if it
-    /// differs from the current one.
-    pub fn set_generation(&mut self, generation: u64) {
-        if self.generation != generation {
-            self.map.clear();
-            self.bytes = 0;
-            self.generation = generation;
-        }
-    }
-
-    pub fn generation(&self) -> u64 {
-        self.generation
-    }
-
-    /// Number of cached lists.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Approximate bytes held by cached lists.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// Drop every cached list (the generation is kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.bytes = 0;
-    }
-
-    /// Take and zero the hit/miss counters accumulated since the last call.
-    pub fn take_stats(&mut self) -> (u64, u64) {
-        (std::mem::take(&mut self.hits), std::mem::take(&mut self.misses))
-    }
-}
-
-/// [`gather_group`] with interaction-list reuse across substeps of a frozen
-/// tree.
-///
-/// The caller owns a `generation` counter that it bumps on every tree
-/// rebuild; passing it here (re-)pins `cache` to the current tree, evicting
-/// stale lists. The walk bucket is chosen *deterministically and
-/// cache-independently*: the unit node's own cell when it still contains
-/// every member's current position (the common case — under block timesteps
-/// the tree is frozen across substeps and members drift only slightly), else
-/// the tight bounding box as in [`gather_group`]. Because the bucket choice
-/// never depends on cache state, replaying a cached list refills the slabs
-/// *bitwise-identically* to re-walking — same nodes, same order, same
-/// current-coordinate payloads — which is what the cache-disabled
-/// equivalence proptests pin down.
-///
-/// Members that drifted outside their unit's frozen cell take the uncached
-/// tight-bucket walk (counted as a miss, never inserted): the cell no
-/// longer bounds them, so neither the cached list nor the unit-cell bucket
-/// is valid for them.
-pub fn gather_group_cached(
-    tree: &Tree,
-    particles: &[Particle],
-    unit: NodeId,
-    mac: &impl GroupMac,
-    buf: &mut InteractionBuffers,
-    cache: &mut WalkCache,
-    generation: u64,
-) -> usize {
-    cache.set_generation(generation);
-    buf.clear();
-    if tree.is_empty() {
-        return 0;
-    }
-    let members = tree.particles_under(unit);
-    if members.is_empty() {
-        return 0;
-    }
-    buf.set_unit(tree, tree.node(unit));
-    let cell = &tree.node(unit).cell;
-    let in_cell = members.iter().all(|&pi| cell.contains(particles[pi as usize].pos));
-    if !in_cell {
-        // Drifted out of the frozen cell: fall back to the tight bucket,
-        // uncached (identical to what a cache-free run would do here).
-        cache.misses += 1;
-        let bucket = Aabb::bounding(members.iter().map(|&pi| particles[pi as usize].pos))
-            .expect("non-empty member set");
-        settle_last_level(tree, particles, &[0], &bucket, mac, buf);
-        return members.len();
-    }
-    if let Some(list) = cache.map.get(&unit) {
-        cache.hits += 1;
-        for &id in &list.node_ids {
-            let n = tree.node(id);
-            buf.push_node(id, n.com, n.mass);
-        }
-        for &d in &list.direct {
-            buf.push_leaf(tree, particles, d);
-        }
-        buf.mixed.extend_from_slice(&list.mixed);
-        buf.shared_mac_tests = list.shared_mac_tests;
-        buf.class_reject = list.class_reject;
-        buf.nodes_opened = list.nodes_opened;
-        buf.pad();
-        return members.len();
-    }
-    cache.misses += 1;
-    settle_last_level(tree, particles, &[0], cell, mac, buf);
-    if cache.bytes < cache.budget {
-        let list = CachedList {
-            node_ids: buf.node_ids.clone(),
-            direct: buf.direct.clone(),
-            mixed: buf.mixed.clone(),
-            shared_mac_tests: buf.shared_mac_tests,
-            class_reject: buf.class_reject,
-            nodes_opened: buf.nodes_opened,
-        };
-        cache.bytes += list.bytes();
-        cache.map.insert(unit, list);
-    }
-    members.len()
-}
-
 /// Walk the tree once for an *arbitrary* bucket of query targets — field
 /// evaluation points that are not particles of the tree — filling `buf`
 /// with the shared M2P/P2P slabs and mixed subtree roots exactly as
@@ -980,9 +781,7 @@ pub fn gather_group_targets(
 /// leave what stays Mixed in [`InteractionBuffers::mixed`], and pad the
 /// slabs. With `roots = [root]` on cleared buffers this is the whole
 /// single-bucket walk — [`gather_group_targets`] (bucket = a batch of query
-/// points), [`gather_group_cached`] misses (bucket = the unit's cell, or its
-/// members' tight box once they have left it), and a [`GroupSweep`] unit
-/// without ancestors.
+/// points) and a [`GroupSweep`] unit without ancestors.
 fn settle_last_level(
     tree: &Tree,
     particles: &[Particle],
@@ -1294,8 +1093,8 @@ pub fn resolve_mixed_tails_targets(
 }
 
 /// [`resolve_mixed_tails_targets`] for the members of `unit` gathered by
-/// [`gather_group`] / [`gather_group_cached`]: the targets are the members
-/// with `active[pi] != false`, each skipping itself.
+/// [`gather_group`]: the targets are the members with `active[pi] != false`,
+/// each skipping itself.
 pub fn resolve_mixed_tails_lanes(
     tree: &Tree,
     particles: &[Particle],
@@ -2369,6 +2168,20 @@ mod tests {
         reused
     }
 
+    /// Move particles under a tree that stays as built, the way the substeps
+    /// of a block step do: every particle by up to `scale` (at 1e-4 a member
+    /// stays inside its parent's cell), and with `far` every `far`-th one
+    /// right out of it.
+    fn drift(particles: &mut [Particle], k: u64, scale: f64, far: Option<usize>) {
+        for (i, p) in particles.iter_mut().enumerate() {
+            let s = scale * ((i as u64 * 37 + k * 101) % 13) as f64;
+            p.pos += Vec3::new(s, -0.5 * s, 0.25 * s);
+            if far.is_some_and(|every| i % every == 0) {
+                p.pos += Vec3::new(0.9, -0.7, 0.8);
+            }
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
         #[test]
@@ -2381,6 +2194,7 @@ mod tests {
             which_mac in 0usize..3,
             alpha_pick in 0usize..3,
             fill_f32: bool,
+            drifted in 0usize..3,
         ) {
             let mut set = plummer(PlummerSpec { n, seed, ..Default::default() });
             if coincident {
@@ -2388,8 +2202,16 @@ mod tests {
                     p.pos = Vec3::new(0.25, 0.5, 0.75);
                 }
             }
+            let tree = build(&set.particles, BuildParams::with_leaf_capacity(s));
+            // The tree is the one built above; the particles may have moved
+            // since, a little (the chain holds) or out of their parent's cell
+            // (the unit is walked from the root).
+            match drifted {
+                0 => {}
+                1 => drift(&mut set.particles, seed, 1e-4, None),
+                _ => drift(&mut set.particles, seed, 1e-4, Some(stride + 6)),
+            }
             let ps = &set.particles;
-            let tree = build(ps, BuildParams::with_leaf_capacity(s));
             let units = leaf_schedule(&tree);
             let mask: Vec<bool> = (0..n).map(|i| (i + seed as usize).is_multiple_of(stride)).collect();
             let orders: [(&str, Vec<NodeId>); 5] = [
@@ -2403,7 +2225,7 @@ mod tests {
             ];
             let alpha = [0.4, 0.67, 1.0][alpha_pick];
             for (name, order) in &orders {
-                let ctx = format!("n {n} s {s} seed {seed} {name}");
+                let ctx = format!("n {n} s {s} seed {seed} drifted {drifted} {name}");
                 match which_mac {
                     0 => assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, fill_f32, &ctx),
                     1 => assert_sweep_is_one_shot(&tree, ps, &MinDistMac::new(alpha), order, fill_f32, &ctx),
@@ -2447,24 +2269,16 @@ mod tests {
         let reused =
             assert_sweep_is_one_shot(&tree, &set.particles, &mac, &units, false, "plummer");
         assert!(reused > 2 * units.len(), "only {reused} levels reused over {} units", units.len());
-        // A cached gather in the middle of a sweep leaves no chain behind.
-        let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
-        let mut cache = WalkCache::new();
-        let mut sweep = GroupSweep::new(&tree, &set.particles, &mac, &mut swept);
-        for (i, &unit) in units.iter().enumerate().take(60) {
-            if i % 3 == 1 {
-                sweep.gather_cached(unit, &mut cache, 1);
-                assert_eq!(sweep.buf.depth, 0);
-            } else {
-                sweep.gather(unit);
-                gather_group(&tree, &set.particles, unit, &mac, &mut fresh);
-                assert_buffers_bitwise(
-                    sweep.buffers(),
-                    &fresh,
-                    &format!("after a cached gather, #{i}"),
-                );
-            }
-        }
+        // The same under particles that drifted a little since the build (a
+        // block substep on the frozen tree): the chain is still what is
+        // reused. Thrown far out of their cells, those units lose it.
+        let mut ps = set.particles.clone();
+        drift(&mut ps, 1, 1e-4, None);
+        let near = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, false, "small drift");
+        assert!(near > 2 * units.len(), "only {near} levels reused after a small drift");
+        drift(&mut ps, 2, 1e-4, Some(3));
+        let far = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, false, "large drift");
+        assert!(far < near, "{far} levels reused with a third of the particles thrown out");
     }
 
     /// What the chain settles is what one walk from the root against the
@@ -2598,170 +2412,6 @@ mod tests {
                 assert_eq!(out_a, out_b, "forces must be bitwise-identical (leaf {leaf})");
             }
         }
-    }
-
-    /// Drift positions a little between "substeps" of a frozen tree, the way
-    /// block timesteps do.
-    fn drift(particles: &mut [Particle], k: u64) {
-        for (i, p) in particles.iter_mut().enumerate() {
-            let s = 1e-4 * ((i as u64 * 37 + k * 101) % 13) as f64;
-            p.pos += Vec3::new(s, -0.5 * s, 0.25 * s);
-        }
-    }
-
-    /// Replaying a cached interaction list must refill the slabs
-    /// bitwise-identically to re-walking the frozen tree with the same
-    /// deterministic bucket — across substeps that drift the particles.
-    #[test]
-    fn cached_gather_replay_is_bitwise_identical_to_rewalk() {
-        let set = plummer(PlummerSpec { n: 500, seed: 51, ..Default::default() });
-        let mut particles = set.particles.clone();
-        let tree = build(&particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut cache = WalkCache::new();
-        // The reference cache never holds anything: budget 0 means every
-        // gather is a fresh walk with the identical bucket choice.
-        let mut no_cache = WalkCache::new();
-        no_cache.set_budget(0);
-        let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
-        let generation = 1;
-        let mut hits = 0u64;
-        for substep in 0..4 {
-            for leaf in leaf_schedule(&tree) {
-                let na = gather_group_cached(
-                    &tree, &particles, leaf, &mac, &mut buf_a, &mut cache, generation,
-                );
-                let nb = gather_group_cached(
-                    &tree,
-                    &particles,
-                    leaf,
-                    &mac,
-                    &mut buf_b,
-                    &mut no_cache,
-                    generation,
-                );
-                assert_eq!(na, nb);
-                assert_buffers_bitwise(&buf_a, &buf_b, &format!("substep {substep} leaf {leaf}"));
-            }
-            let (h, _) = cache.take_stats();
-            hits += h;
-            let (h0, _) = no_cache.take_stats();
-            assert_eq!(h0, 0, "a zero-budget cache can never hit");
-            assert!(no_cache.is_empty() && no_cache.bytes() == 0);
-            drift(&mut particles, substep as u64);
-        }
-        assert!(hits > 0, "frozen-tree substeps must actually replay cached lists");
-    }
-
-    #[test]
-    fn generation_bump_always_evicts() {
-        let set = plummer(PlummerSpec { n: 300, seed: 53, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut cache = WalkCache::new();
-        let mut buf = InteractionBuffers::new();
-        let leaves = leaf_schedule(&tree);
-        for &leaf in &leaves {
-            gather_group_cached(&tree, &set.particles, leaf, &mac, &mut buf, &mut cache, 1);
-        }
-        assert_eq!(cache.len(), leaves.len());
-        assert!(cache.bytes() > 0);
-        let (h, m) = cache.take_stats();
-        assert_eq!((h, m), (0, leaves.len() as u64), "first sweep misses everywhere");
-        // Same generation: all hits, nothing evicted.
-        for &leaf in &leaves {
-            gather_group_cached(&tree, &set.particles, leaf, &mac, &mut buf, &mut cache, 1);
-        }
-        let (h, m) = cache.take_stats();
-        assert_eq!((h, m), (leaves.len() as u64, 0), "second sweep replays everywhere");
-        // Generation bump (a rebuild): everything evicted, sweep misses.
-        gather_group_cached(&tree, &set.particles, leaves[0], &mac, &mut buf, &mut cache, 2);
-        assert_eq!(cache.generation(), 2);
-        assert_eq!(cache.len(), 1, "old generation's lists are gone");
-        let (h, m) = cache.take_stats();
-        assert_eq!((h, m), (0, 1));
-    }
-
-    /// A member drifting *outside* its unit's frozen cell invalidates the
-    /// unit-cell bucket; the gather must fall back to the tight bucket
-    /// (uncached) and still agree bitwise with the cache-free path.
-    #[test]
-    fn drifted_members_fall_back_to_tight_bucket() {
-        let set = plummer(PlummerSpec { n: 400, seed: 59, ..Default::default() });
-        let mut particles = set.particles.clone();
-        let tree = build(&particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut cache = WalkCache::new();
-        let mut buf = InteractionBuffers::new();
-        let leaves = leaf_schedule(&tree);
-        for &leaf in &leaves {
-            gather_group_cached(&tree, &particles, leaf, &mac, &mut buf, &mut cache, 1);
-        }
-        cache.take_stats();
-        // Throw the first member of the first multi-leaf unit far away.
-        let leaf = *leaves
-            .iter()
-            .find(|&&u| !tree.node(u).is_leaf())
-            .expect("a 400-body tree at s = 8 has internal-node units");
-        let pi = tree.particles_under(leaf)[0] as usize;
-        particles[pi].pos += Vec3::new(1e3, 1e3, 1e3);
-        let mut fresh = WalkCache::new();
-        fresh.set_budget(0);
-        let mut buf_b = InteractionBuffers::new();
-        gather_group_cached(&tree, &particles, leaf, &mac, &mut buf, &mut cache, 1);
-        gather_group_cached(&tree, &particles, leaf, &mac, &mut buf_b, &mut fresh, 1);
-        assert_buffers_bitwise(&buf, &buf_b, "drifted unit");
-        let (h, m) = cache.take_stats();
-        assert_eq!((h, m), (0, 1), "a drifted bucket is a miss, not a stale hit");
-        // Other units still hit.
-        let other = *leaves.iter().rev().find(|&&u| u != leaf).expect("more than one unit");
-        gather_group_cached(&tree, &particles, other, &mac, &mut buf, &mut cache, 1);
-        let (h, _) = cache.take_stats();
-        assert_eq!(h, 1);
-    }
-
-    /// Deterministic sequence mirror of the executor-level proptest: any mix
-    /// of rebuilds (generation bumps), substeps (drifts), and mask changes
-    /// leaves cached and cache-disabled forces bitwise-identical.
-    #[test]
-    fn cached_eval_sequence_is_bitwise_cache_free() {
-        let set = plummer(PlummerSpec { n: 400, seed: 67, ..Default::default() });
-        let mut particles = set.particles.clone();
-        let mut tree = build(&particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut cache = WalkCache::new();
-        let mut no_cache = WalkCache::new();
-        no_cache.set_budget(0);
-        let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
-        let mut generation = 1u64;
-        let mut internal_units = 0;
-        // r = rebuild, s = substep (drift), m = toggled mask on/off
-        for (step, op) in "srsmsrmssm".chars().enumerate() {
-            match op {
-                'r' => {
-                    tree = build(&particles, BuildParams::with_leaf_capacity(8));
-                    generation += 1;
-                }
-                's' => drift(&mut particles, step as u64),
-                _ => {}
-            }
-            let mask: Option<Vec<bool>> =
-                (op == 'm').then(|| (0..particles.len()).map(|i| i % 3 != step % 3).collect());
-            for leaf in leaf_schedule(&tree) {
-                internal_units += usize::from(!tree.node(leaf).is_leaf());
-                let run = |buf: &mut InteractionBuffers, cache: &mut WalkCache| {
-                    gather_group_cached(&tree, &particles, leaf, &mac, buf, cache, generation);
-                    let (precision, mask) = (KernelPrecision::F64, mask.as_deref());
-                    eval_gathered_leaf(&tree, &particles, leaf, &mac, precision, mask, buf)
-                };
-                let out_a = run(&mut buf_a, &mut cache);
-                let out_b = run(&mut buf_b, &mut no_cache);
-                assert_eq!(out_a, out_b, "step {step} op {op} leaf {leaf}");
-            }
-        }
-        let (h, _) = cache.take_stats();
-        assert!(h > 0, "the sequence must exercise actual replays");
-        assert!(internal_units > 0, "the sequence must replay multi-leaf units");
     }
 
     /// The oracle for the one resolve: target `k`'s tail segment holds, bit

@@ -35,8 +35,8 @@ pub use binary::BinaryTree;
 pub use build::BuildParams;
 pub use group::{
     accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, eval_group_monopole, gather_group,
-    gather_group_cached, gather_group_targets, leaf_schedule, resolve_mixed_tails_targets,
-    InteractionBuffers, QueryTarget, WalkCache,
+    gather_group_targets, leaf_schedule, resolve_mixed_tails_targets, InteractionBuffers,
+    QueryTarget,
 };
 pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac, MinDistMac};
 pub use mac_simd::{NodeBatch, ScalarClassify, MAC_BATCH};

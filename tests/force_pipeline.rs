@@ -1,8 +1,9 @@
 //! The three entries into the grouped force pipeline (`gather → resolve →
 //! eval` in `tree::group`) against the per-particle walk itself, on one
-//! seeded Plummer set: the full executor sweep, a masked block substep that
-//! replays cached interaction lists, and a served field query at particle
-//! positions. Values agree to 1e-12 relative; interaction counts exactly.
+//! seeded Plummer set: the full executor sweep, a masked block substep on the
+//! tree that sweep froze with the particles moved on since, and a served
+//! field query at particle positions. Values agree to 1e-12 relative;
+//! interaction counts exactly.
 //! A second case drives the two sweeps that reach the f64 slab kernel with
 //! only one of its three slabs: degree 2 (near field only) against
 //! `MultipoleTree::eval`, and `MixedF32` (tails only) against the walk.
@@ -54,7 +55,7 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
     let tree = sim.build_tree(ps);
     let reference: Vec<(Vec3, f64, u64)> = ps.iter().map(|p| walk(&tree, ps, p, &cfg)).collect();
 
-    // 1. The full sweep (which also freezes the tree and fills the caches).
+    // 1. The full sweep (which also freezes the tree).
     let full = sim.compute_forces(ps);
     let work = sim.work_weights().expect("a computation records its work").to_vec();
     for (i, want) in reference.iter().enumerate() {
@@ -68,19 +69,28 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
     }
     assert_eq!(full.stats.interactions(), reference.iter().map(|r| r.2).sum::<u64>());
 
-    // 2. A masked substep on the frozen tree, replaying the cached lists.
+    // 2. A masked substep on the frozen tree, after the particles drifted:
+    // the walk of that tree — cells and centres of mass as built — at the
+    // positions of now, which is not the walk of a tree rebuilt from them.
+    let mut moved = ps.clone();
+    for (i, p) in moved.iter_mut().enumerate() {
+        let s = 1e-3 * ((i * 37) % 13) as f64;
+        p.pos += Vec3::new(s, -0.5 * s, 0.25 * s);
+    }
     let mask: Vec<bool> = (0..ps.len()).map(|i| i % 3 == 0).collect();
-    let sub = sim.compute_forces_substep(ps, &ActiveSet::from_mask(mask.clone()), true, true);
-    let hits = sub.profile.as_ref().expect("profiled").totals.list_hits;
-    assert!(hits > 0, "the substep must replay cached lists");
+    let sub = sim.compute_forces_substep(&moved, &ActiveSet::from_mask(mask.clone()), true, true);
     let work = sim.work_weights().expect("a computation records its work");
-    let mut active_interactions = 0;
-    for (i, want) in reference.iter().enumerate().filter(|(i, _)| mask[*i]) {
-        assert_close(sub.accels[i], sub.potentials[i], *want, &format!("substep, particle {i}"));
+    let rebuilt = sim.build_tree(&moved);
+    let (mut active_interactions, mut on_rebuilt) = (0, 0);
+    for (i, p) in moved.iter().enumerate().filter(|(i, _)| mask[*i]) {
+        let want = walk(&tree, &moved, p, &cfg);
+        assert_close(sub.accels[i], sub.potentials[i], want, &format!("substep, particle {i}"));
         assert_eq!(work[i], want.2, "substep, particle {i}: interactions");
         active_interactions += want.2;
+        on_rebuilt += walk(&rebuilt, &moved, p, &cfg).2;
     }
     assert_eq!(sub.stats.interactions(), active_interactions);
+    assert_ne!(active_interactions, on_rebuilt, "the drift must tell the two trees apart");
 
     // 3. A served query at the particle positions, each skipping itself.
     let points: Vec<QueryTarget> = ps.iter().map(|p| (p.pos, p.id)).collect();
