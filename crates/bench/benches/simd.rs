@@ -1,6 +1,7 @@
 //! Kernel-precision benchmarks for the vectorised force kernels: the
-//! gathered slab kernels at each [`KernelPrecision`], on the same Plummer
-//! slabs the grouped executor produces. The end-to-end number is `spine`'s
+//! evaluation of gathered units (slab kernels plus the mixed-frontier
+//! replay) at each [`KernelPrecision`], on the same Plummer slabs the
+//! grouped executor produces. The end-to-end number is `spine`'s
 //! `tree.kernel_ms` on `plummer50k_t1`; this group compares the precisions
 //! under Criterion, including `MixedF32`, which no spine workload runs.
 
@@ -9,8 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use bhut_geom::{plummer, PlummerSpec};
 use bhut_tree::build::{build, BuildParams};
 use bhut_tree::group::{
-    eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
-    InteractionBuffers,
+    eval_gathered_monopole_masked, gather_group, leaf_schedule, InteractionBuffers,
 };
 use bhut_tree::{BarnesHutMac, KernelPrecision};
 
@@ -23,14 +23,13 @@ fn bench_simd(c: &mut Criterion) {
     let mac = BarnesHutMac::new(0.67);
     let schedule = leaf_schedule(&tree);
 
-    // Pre-gather every walk unit once; the benchmark then times only the kernel
-    // phase.
+    // Pre-gather every walk unit once; the benchmark then times only the
+    // evaluation.
     let mut buffers: Vec<InteractionBuffers> = Vec::with_capacity(schedule.len());
     for &unit in &schedule {
         let mut buf = InteractionBuffers::new();
         buf.set_fill_f32(true);
         gather_group(&tree, &set.particles, unit, &mac, &mut buf);
-        resolve_mixed_tails_lanes(&tree, &set.particles, unit, &mac, &mut buf, None);
         buffers.push(buf);
     }
 

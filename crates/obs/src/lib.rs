@@ -29,9 +29,12 @@ use serde::{Deserialize, Serialize, Value};
 pub mod phase {
     /// Octree (and multipole) construction.
     pub const BUILD: &str = "build";
-    /// Grouped tree walk: MAC classification and slab gathering.
+    /// Grouped tree walk: the shared gather of a walk unit (group-MAC
+    /// classification and slab filling), nothing per target.
     pub const WALK: &str = "walk";
-    /// Batched M2P/P2P kernels plus mixed-frontier replays.
+    /// Everything per target: the lane-parallel replay of the gather's
+    /// mixed frontier (walk and arithmetic in one pass) plus the batched
+    /// M2P/P2P slab kernels.
     pub const KERNEL: &str = "kernel";
     /// Fused walk+kernel evaluation (the per-particle reference path).
     pub const EVAL: &str = "eval";
@@ -213,10 +216,12 @@ pub struct Counters {
     pub messages: u64,
     /// Words sent (bin traffic; simulated path).
     pub words: u64,
-    /// SIMD kernel lane slots processed (padded slab length × targets);
-    /// equals `lane_useful` on the scalar kernel path.
+    /// SIMD lane slots the evaluation computed: padded slab length ×
+    /// targets, plus every lane of every chunk the mixed-frontier replay ran
+    /// its arithmetic on; equals `lane_useful` on the scalar kernel path.
     pub lane_slots: u64,
-    /// Lane slots that carried real sources rather than padding sentinels.
+    /// Lane slots that carried a real interaction rather than a padding
+    /// sentinel or an idle replay lane.
     pub lane_useful: u64,
     /// Replays of the interaction-list cache, which no longer exists: nothing
     /// writes this field, it stays because the benchmark harness reads it,
@@ -339,7 +344,12 @@ impl Default for Stopwatch {
 ///
 /// Real runs fill `spans` with wall-clock intervals relative to the step
 /// start; simulated runs fill them with virtual-clock intervals. Both use
-/// the same schema, so one plotting script draws either.
+/// the same schema, so one plotting script draws either. On the threaded
+/// executor's grouped path a worker's evaluation splits into a
+/// [`phase::WALK`] span (the shared gathers) and a [`phase::KERNEL`] span
+/// (the per-target evaluation, mixed-frontier replay included): the
+/// boundary is shared work against per-target work, not tree traversal
+/// against arithmetic.
 #[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct StepProfile {
     /// Time-step number (0 when profiled outside a simulation).

@@ -7,7 +7,7 @@
 //! grouped tree walk each — the same amortization the simulation's force
 //! sweep gets from real leaves, but for points the tree has never seen.
 //! Each bucket goes through [`gather_group_targets`] →
-//! [`resolve_mixed_tails_targets`] → [`eval_gathered_targets`], which the
+//! [`eval_gathered_targets`], which the
 //! tree crate guarantees (and tests) to be per-point identical to the
 //! individual walk for *any* bucketing, so results do not depend on batch
 //! composition or on how the scheduler coalesced requests.
@@ -15,8 +15,8 @@
 use bhut_geom::{Aabb, Vec3};
 use bhut_tree::build::morton_code;
 use bhut_tree::{
-    eval_gathered_targets, gather_group_targets, resolve_mixed_tails_targets, BarnesHutMac,
-    InteractionBuffers, KernelPrecision, QueryTarget, TraversalStats,
+    eval_gathered_targets, gather_group_targets, BarnesHutMac, InteractionBuffers, KernelPrecision,
+    QueryTarget, TraversalStats,
 };
 
 use crate::epoch::TreeEpoch;
@@ -91,15 +91,11 @@ impl FieldQuery {
                 continue;
             };
             gather_group_targets(&epoch.tree, &epoch.particles, &bb, &mac, &mut self.buf);
-            resolve_mixed_tails_targets(
+            let st = eval_gathered_targets(
                 &epoch.tree,
                 &epoch.particles,
-                self.bucket.iter().copied(),
-                &mac,
-                &mut self.buf,
-            );
-            let st = eval_gathered_targets(
                 &self.bucket,
+                &mac,
                 epoch.eps,
                 precision,
                 &self.buf,

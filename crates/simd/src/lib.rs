@@ -106,6 +106,7 @@ static ISA_CACHE: AtomicU8 = AtomicU8::new(ISA_UNKNOWN);
 
 /// The instruction set dispatched kernels run under on this machine,
 /// probed once per process and cached.
+#[inline]
 pub fn isa() -> Isa {
     match ISA_CACHE.load(Ordering::Relaxed) {
         ISA_AVX512 => Isa::Avx512,
@@ -498,24 +499,6 @@ macro_rules! aligned_slab {
                 self.padded = self.len;
             }
 
-            /// Append the `vs.len()` elements `vs` yields with one capacity
-            /// check and straight stores — the bulk form of [`Self::push`],
-            /// and like it invalidates any padding. Taking an iterator lets
-            /// the caller append one column of array-of-structs scratch.
-            #[inline]
-            pub fn extend_exact(&mut self, vs: impl ExactSizeIterator<Item = $elem>) {
-                let end = self.len + vs.len();
-                if self.blocks.len() * $per < end {
-                    self.blocks.resize(end.div_ceil($per), $block([$zero; $per]));
-                }
-                let len = self.len;
-                for (slot, v) in self.flat_mut()[len..end].iter_mut().zip(vs) {
-                    *slot = v;
-                }
-                self.len = end;
-                self.padded = end;
-            }
-
             /// Extend the slab with `sentinel` until its padded length is a
             /// multiple of `multiple` (the logical length is unchanged).
             pub fn pad_to(&mut self, multiple: usize, sentinel: $elem) {
@@ -758,47 +741,19 @@ mod tests {
     }
 
     #[test]
-    fn slab_extend_exact_equals_repeated_push() {
-        let vs: Vec<f64> = (0..21).map(|i| i as f64 * 0.5).collect();
-        // Ragged starts and lengths, across block boundaries and from empty.
-        for (head, cut) in [(0usize, 21usize), (3, 5), (8, 8), (11, 0), (5, 19)] {
-            let (mut bulk, mut pushed) = (AlignedF64Slab::new(), AlignedF64Slab::new());
-            for s in [&mut bulk, &mut pushed] {
-                for i in 0..head {
-                    s.push(-(i as f64));
-                }
-                s.pad_to(PAD_MULTIPLE, 7.0);
-            }
-            bulk.extend_exact(vs[..cut].iter().copied());
-            for &v in &vs[..cut] {
-                pushed.push(v);
-            }
-            assert_eq!(&bulk[..], &pushed[..], "head {head} cut {cut}");
-            assert_eq!(bulk.len(), head + cut);
-            if cut > 0 {
-                assert_eq!(bulk.padded_len(), bulk.len(), "a bulk append invalidates the padding");
-            }
-            bulk.pad_to(PAD_MULTIPLE, 0.0);
-            pushed.pad_to(PAD_MULTIPLE, 0.0);
-            assert_eq!(bulk.padded(), pushed.padded());
-            assert_eq!(bulk.padded().as_ptr() as usize % SLAB_ALIGN, 0, "64B alignment is kept");
-        }
-    }
-
-    #[test]
     fn slab_truncate_then_refill_equals_a_fresh_fill() {
         let vs: Vec<f64> = (0..37).map(|i| 1.0 + i as f64).collect();
         // Cuts at, before and after a pad boundary, to empty, and past the end.
         for (fill, keep, more) in [(37usize, 11usize, 9usize), (16, 8, 3), (21, 0, 5), (9, 40, 2)] {
             let (mut cut, mut fresh) = (AlignedF64Slab::new(), AlignedF64Slab::new());
-            cut.extend_exact(vs[..fill].iter().copied());
+            cut.extend(vs[..fill].iter().copied());
             cut.pad_to(PAD_MULTIPLE, -1.0);
             cut.truncate(keep);
             let kept = keep.min(fill);
             assert_eq!(cut.len(), kept, "fill {fill} keep {keep}");
             assert_eq!(cut.padded_len(), kept, "a truncate invalidates the padding");
             assert_eq!(&cut[..], &vs[..kept]);
-            fresh.extend_exact(vs[..kept].iter().copied());
+            fresh.extend(vs[..kept].iter().copied());
             for &v in &vs[..more] {
                 cut.push(-v);
                 fresh.push(-v);
@@ -811,8 +766,8 @@ mod tests {
         }
         // The f32 and u32 slabs share the body; one ragged cut each.
         let (mut f, mut u) = (AlignedF32Slab::new(), AlignedU32Slab::new());
-        f.extend_exact((0..19).map(|i| i as f32));
-        u.extend_exact(0..19u32);
+        f.extend((0..19).map(|i| i as f32));
+        u.extend(0..19u32);
         f.truncate(5);
         u.truncate(5);
         f.pad_to(PAD_MULTIPLE, 0.0);

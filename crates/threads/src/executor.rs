@@ -129,7 +129,8 @@ struct Scratch {
 
 /// Per-worker observations from one profiled force computation: the
 /// wall-clock window and the work counters. On the grouped path the walk
-/// (gather) and kernel (batched evaluation) durations are accumulated
+/// (the shared gather) and kernel (the evaluation: per-target replay of the
+/// mixed frontier plus the slab kernels) durations are accumulated
 /// separately; the per-particle path fuses them.
 #[derive(Debug, Clone, Copy, Default)]
 struct WorkerObs {
@@ -311,10 +312,12 @@ impl ThreadSim {
                     Some(m) => leaf_schedule_active(&tree, m),
                     None => leaf_schedule(&tree),
                 };
-                // The one unit loop: gather → resolve → eval per unit into
-                // this thread's scratch. A profiled run additionally splits
-                // the walk's clock from the kernels' and harvests the
-                // classification counters; the force arithmetic is the same.
+                // The one unit loop: gather → eval per unit into this
+                // thread's scratch. A profiled run additionally splits the
+                // gather's clock (WALK) from the evaluation's (KERNEL: the
+                // mixed-frontier replay and the slab kernels) and harvests
+                // the classification counters; the force arithmetic is the
+                // same.
                 let run_range = |t: usize, ids: &[NodeId], w: &mut WorkerObs| -> TraversalStats {
                     let mut s = scratch[t].lock().unwrap();
                     let Scratch { buf, out } = &mut *s;
@@ -336,13 +339,6 @@ impl ThreadSim {
                     for &unit in ids {
                         let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                         sweep.gather(unit);
-                        if mtree.is_none() {
-                            // Monopole path: flatten the mixed frontiers into
-                            // per-member tail slabs so evaluation is pure
-                            // slab arithmetic (the multipole path keeps its
-                            // degree-aware per-member replay).
-                            sweep.resolve(unit, mask);
-                        }
                         let buf = sweep.buffers();
                         let t1 = if profiled { bhut_obs::now() } else { 0.0 };
                         let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));

@@ -14,16 +14,15 @@
 //! * **RejectAll** — every member rejects; an internal node is expanded, a
 //!   leaf's particles are appended to the shared P2P slab.
 //! * **Mixed** — the bucket straddles the acceptance boundary; the subtree
-//!   root is recorded, and [`resolve_mixed_tails_targets`] replays the exact
-//!   per-particle walk ([`crate::traverse::for_each_interaction_from`]) from
-//!   it for every target, flattening each target's mixed interactions into
-//!   its own SoA tail segment so the evaluation phase is pure slab
-//!   arithmetic.
+//!   root is recorded and replayed lane-parallel during evaluation: the
+//!   exact per-particle walk ([`crate::traverse::for_each_interaction_from`])
+//!   from it for up to 32 targets per traversal, each lane accumulating what
+//!   its walk accepts on the spot ([`crate::replay`]).
 //!
 //! A *target* is a position plus the particle id to leave out
-//! ([`QueryTarget`]). The pipeline is `gather → resolve → eval`, and it is
-//! the same for a unit's (active) members and for a batch of query points —
-//! the member entry points only build the target list from the unit.
+//! ([`QueryTarget`]). The pipeline is `gather → eval`, and it is the same
+//! for a unit's (active) members and for a batch of query points — the
+//! member entry points only build the target list from the unit.
 //!
 //! Because the walk only descends on RejectAll, every member's individual
 //! walk is guaranteed to reach each shared or mixed frontier node, which
@@ -34,13 +33,13 @@
 //! the bucket accepts, RejectAll ⇒ every point rejects), so it holds for
 //! *any* bucket: a leaf, a subtree of several leaves, a run of query points.
 //! What the bucket's size trades is cost — a larger one amortizes the shared
-//! walk over more targets and leaves more nodes Mixed for the resolve — and
-//! [`leaf_schedule`] picks it: the maximal subtrees of at most 32 particles
-//! (a private constant, `UNIT_TARGETS`). The one thing that is per *leaf*
+//! walk over more targets and leaves more nodes Mixed for the replay — and
+//! [`leaf_schedule`] picks it: the maximal subtrees of at most `UNIT_TARGETS`
+//! particles (a private constant). The one thing that is per *leaf*
 //! and not per unit is self-exclusion: a member finds itself in the shared
 //! P2P slab iff the walk appended its own leaf there
 //! ([`InteractionBuffers::self_in_p2p`]); members of the unit's other
-//! leaves leave themselves out in the tail walk instead.
+//! leaves leave themselves out in the replay instead.
 //!
 //! # One walk, two uses
 //!
@@ -64,7 +63,7 @@
 //! the single from-root walk; only the row order of the shared slabs is by
 //! level. What this buys is that the slabs are a *stack*: Morton-consecutive
 //! units share all but their last one or two ancestors (on the 50k Plummer a
-//! unit has 7.2 levels, its own included, 6.06 of them already in the
+//! unit has 6.6 levels, its own included, 5.46 of them already in the
 //! buffers), so a sweep rewinds to the deepest shared level and walks only
 //! below it.
 //!
@@ -83,6 +82,7 @@ use crate::kernel::{accel_slab_m2p_f32, accel_slab_member_f64, accel_slab_p2p_f3
 use crate::mac::{GroupClass, GroupMac, Mac};
 use crate::mac_simd::{NodeBatch, MAC_BATCH};
 use crate::node::{Node, NodeId, Tree, NIL};
+use crate::replay::{ReplayLanes, REPLAY_LANES};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_simd::{AlignedF32Slab, AlignedF64Slab, AlignedU32Slab, KernelPrecision, PAD_MULTIPLE};
@@ -119,25 +119,9 @@ pub struct InteractionBuffers {
     pub pmass: AlignedF64Slab,
     pub pid: AlignedU32Slab,
     /// Roots of subtrees that straddle the acceptance boundary for this
-    /// bucket; resolved per target into the tail slabs (the degree-k
-    /// evaluation replays them per member itself).
+    /// bucket, in depth-first order; the evaluation replays them per target
+    /// ([`crate::replay`]; the degree-k evaluation has its own replay).
     pub mixed: Vec<NodeId>,
-    /// Per-target tail slabs: the mixed-frontier interactions of every
-    /// target, resolved by [`resolve_mixed_tails_targets`] into one SoA
-    /// segment per target (monopole sources only — node centers of mass and
-    /// particle positions look identical to the kernel). Segments are padded
-    /// in place to [`PAD_MULTIPLE`] with zero-mass sentinels, so each starts
-    /// lane-aligned and the kernels never straddle a ragged boundary.
-    pub tail_x: AlignedF64Slab,
-    pub tail_y: AlignedF64Slab,
-    pub tail_z: AlignedF64Slab,
-    pub tail_m: AlignedF64Slab,
-    /// One span per target ordinal (for a unit: its active members in the
-    /// order of `tree.particles_under`); empty until
-    /// [`resolve_mixed_tails_targets`] runs.
-    tails: Vec<TailSpan>,
-    /// Whether `tails` describes the current gather; evaluation requires it.
-    tails_ready: bool,
     /// MAC tests charged to *each* member by the shared walk (AcceptAll +
     /// RejectAll classifications of non-singleton nodes).
     pub shared_mac_tests: u64,
@@ -151,13 +135,16 @@ pub struct InteractionBuffers {
     unit: (u32, u32),
     /// Per member ordinal of the unit: whether the shared walk appended that
     /// member's own leaf to the P2P slab, so the member finds itself there
-    /// exactly once. The other members meet their leaf in the tail walk,
-    /// which leaves out the skip id itself.
+    /// exactly once. The other members meet their leaf in the replay, which
+    /// leaves out the skip id itself.
     self_cover: Vec<bool>,
-    /// Kernel lane slots processed (padded slab length × members evaluated);
-    /// `Cell` because evaluation holds the buffers by shared reference.
+    /// Lane slots the evaluation computed: padded slab length × targets for
+    /// the slab kernels, plus every lane of every chunk the mixed-frontier
+    /// replay ran its interaction arithmetic on. `Cell` because evaluation
+    /// holds the buffers by shared reference.
     pub lane_slots: Cell<u64>,
-    /// Lane slots carrying real sources (logical slab length × members) —
+    /// Lane slots carrying a real interaction (logical slab length ×
+    /// targets, plus the replay lanes that interacted) —
     /// `lane_useful / lane_slots` is the SIMD lane utilization.
     pub lane_useful: Cell<u64>,
     /// f32 mirrors of the padded f64 slabs for
@@ -177,18 +164,10 @@ pub struct InteractionBuffers {
     /// *during* the gather (one `as f32` per pushed source). Callers set it
     /// whenever the kernels will run in [`KernelPrecision::MixedF32`].
     fill_f32: bool,
-    /// Per-lane accumulators for [`resolve_mixed_tails_targets`]: one
-    /// `[x, y, z, mass]` list per target lane, reused across gathers.
-    lane_scratch: Vec<Vec<[f64; 4]>>,
-    /// DFS stack of the lane-masked mixed replay, kept to avoid a
-    /// reallocation per mixed root per lane chunk.
-    mixed_stack: Vec<MultiEntry>,
     /// Largest P2P / M2P slab fills since the last shrink window, recorded
     /// by [`InteractionBuffers::clear`].
     hwm_p2p: usize,
     hwm_m2p: usize,
-    /// Largest tail fill since the last shrink window.
-    hwm_tail: usize,
     /// DFS stack of pre-classified nodes, kept to avoid reallocation.
     stack: Vec<WalkEntry>,
     /// Nodes whose particles the walk appended to the P2P slab, in append
@@ -242,20 +221,6 @@ struct WalkEntry {
     class: GroupClass,
 }
 
-/// One member's resolved mixed-frontier segment in the tail slabs, plus the
-/// traversal stats its replay produced (kept so evaluation can report
-/// exactly what the per-member walk would have).
-#[derive(Debug, Clone, Copy, Default)]
-struct TailSpan {
-    /// Padded segment bounds in the tail slabs (`end - start` is a lane
-    /// multiple).
-    start: u32,
-    end: u32,
-    /// Logical (unpadded) interaction count in the segment.
-    len: u32,
-    stats: TraversalStats,
-}
-
 impl InteractionBuffers {
     pub fn new() -> Self {
         Self::default()
@@ -280,8 +245,8 @@ impl InteractionBuffers {
     }
 
     /// Cut the shared slabs and counters back to `to` and drop everything
-    /// that belongs to the gathered unit alone (mixed roots, tails, the
-    /// unit's range and self-cover marks), keeping capacity. The slabs are
+    /// that belongs to the gathered unit alone (mixed roots, the unit's
+    /// range and self-cover marks), keeping capacity. The slabs are
     /// left unpadded.
     fn rewind(&mut self, to: Mark) {
         self.note_high_water();
@@ -297,12 +262,6 @@ impl InteractionBuffers {
         self.pid.truncate(to.parts);
         self.direct.truncate(to.direct);
         self.mixed.clear();
-        self.tail_x.clear();
-        self.tail_y.clear();
-        self.tail_z.clear();
-        self.tail_m.clear();
-        self.tails.clear();
-        self.tails_ready = false;
         self.shared_mac_tests = to.shared_mac_tests;
         self.class_reject = to.class_reject;
         self.nodes_opened = to.nodes_opened;
@@ -426,7 +385,6 @@ impl InteractionBuffers {
     fn note_high_water(&mut self) {
         self.hwm_p2p = self.hwm_p2p.max(self.px.len());
         self.hwm_m2p = self.hwm_m2p.max(self.com_x.len());
-        self.hwm_tail = self.hwm_tail.max(self.tail_x.len());
     }
 
     /// High-water-mark shrink: if a slab family's capacity exceeds 4× the
@@ -459,16 +417,8 @@ impl InteractionBuffers {
             self.com_z32.shrink_to(keep);
             self.node_mass32.shrink_to(keep);
         }
-        if oversized(self.hwm_tail, self.tail_x.capacity()) {
-            let keep = (2 * self.hwm_tail).max(SHRINK_FLOOR);
-            self.tail_x.shrink_to(keep);
-            self.tail_y.shrink_to(keep);
-            self.tail_z.shrink_to(keep);
-            self.tail_m.shrink_to(keep);
-        }
         self.hwm_p2p = 0;
         self.hwm_m2p = 0;
-        self.hwm_tail = 0;
     }
 
     /// Take and zero the lane-utilization counters (slots, useful).
@@ -519,7 +469,6 @@ impl InteractionBuffers {
                     SlabView::EMPTY,
                     self.parts_view(),
                     self.pid.padded(),
-                    SlabView::EMPTY,
                     eps * eps,
                 ))
             }
@@ -555,16 +504,6 @@ impl InteractionBuffers {
     /// The padded near-field particle slab (ids in `pid`).
     fn parts_view(&self) -> SlabView<'_> {
         SlabView::new(self.px.padded(), self.py.padded(), self.pz.padded(), self.pmass.padded())
-    }
-
-    /// Elements `a..b` of the tail slabs: a target's padded segment.
-    fn tail_view(&self, a: usize, b: usize) -> SlabView<'_> {
-        SlabView::new(
-            &self.tail_x[a..b],
-            &self.tail_y[a..b],
-            &self.tail_z[a..b],
-            &self.tail_m[a..b],
-        )
     }
 
     #[inline(always)]
@@ -647,15 +586,10 @@ impl<'a, M: GroupMac> GroupSweep<'a, M> {
         GroupSweep { tree, particles, mac, buf }
     }
 
-    /// The buffers as the last [`GroupSweep::gather`] /
-    /// [`GroupSweep::resolve`] left them, for evaluation.
+    /// The buffers as the last [`GroupSweep::gather`] left them, for
+    /// evaluation.
     pub fn buffers(&self) -> &InteractionBuffers {
         self.buf
-    }
-
-    /// [`resolve_mixed_tails_lanes`] for the unit just gathered.
-    pub fn resolve(&mut self, unit: NodeId, active: Option<&[bool]>) {
-        resolve_mixed_tails_lanes(self.tree, self.particles, unit, self.mac, self.buf, active);
     }
 
     /// Gather `unit` as [`gather_group`] does, reusing the levels of the
@@ -761,8 +695,7 @@ impl<'a, M: GroupMac> GroupSweep<'a, M> {
 /// other targets share the bucket. No target is a tree particle here, so
 /// there is no unit and no member to mark as its own source; per-target
 /// self-exclusion (for query points placed *at* particle positions) rides on
-/// the skip ids passed to [`resolve_mixed_tails_targets`] /
-/// [`eval_gathered_targets`].
+/// the skip ids passed to [`eval_gathered_targets`].
 pub fn gather_group_targets(
     tree: &Tree,
     particles: &[Particle],
@@ -898,9 +831,8 @@ fn settle_level(
 pub type QueryTarget = (Vec3, u32);
 
 /// The (active) members of `unit` as `(member ordinal, particle index,
-/// particle)`, in `tree.particles_under` order — the one place the member
-/// entry points turn a unit into a target list, so resolve and eval agree
-/// on the order of targets.
+/// particle)`, in `tree.particles_under` order — how the member entry point
+/// turns a unit into a target list.
 fn unit_targets<'a>(
     tree: &'a Tree,
     particles: &'a [Particle],
@@ -915,312 +847,150 @@ fn unit_targets<'a>(
         .map(move |(k, &pi)| (k, pi, &particles[pi as usize]))
 }
 
-/// One stack entry of the lane-masked mixed replay: a node plus the set of
-/// lanes (bit `l` = target lane `l`) that still descend through it.
-#[derive(Debug, Clone, Copy)]
-struct MultiEntry {
-    id: NodeId,
-    mask: u32,
-}
-
-/// Targets one lane-masked replay carries (the bits of [`MultiEntry::mask`]):
-/// as many as a schedule unit holds, so each mixed root is walked once per
-/// unit.
-const REPLAY_LANES: usize = u32::BITS as usize;
-
-/// Replay the mixed frontier under `root` for up to [`REPLAY_LANES`] targets
-/// in one traversal.
-///
-/// Per lane this makes exactly the decisions of
-/// [`crate::traverse::for_each_interaction_from`]`(tree, root, …, pts[l],
-/// skips[l], mac, …)` — the same [`Mac::accept`] call on the same operands —
-/// but a node shared by several targets' walks is fetched and expanded once,
-/// with a lane bitmask tracking who still descends. A lane that accepts a
-/// node records the interaction and drops out of the subtree; the subtree is
-/// opened only for the lanes that rejected. Each lane's emitted sequence is
-/// its own depth-first order, so accumulating per lane and concatenating in
-/// target order reproduces the per-target walk bit for bit — interactions,
-/// order, and [`TraversalStats`] alike.
-#[allow(clippy::too_many_arguments)] // per-lane inputs are separate slices by design
-fn walk_mixed_multi(
-    tree: &Tree,
-    root: NodeId,
-    particles: &[Particle],
-    pts: &[Vec3],
-    skips: &[u32],
-    mac: &impl Mac,
-    stack: &mut Vec<MultiEntry>,
-    acc: &mut [Vec<[f64; 4]>],
-    stats: &mut [TraversalStats; REPLAY_LANES],
-) {
-    debug_assert!((1..=REPLAY_LANES).contains(&pts.len()) && pts.len() == skips.len());
-    // Particle `q` as a source of every lane in `lanes` but its own.
-    let emit_particle = |q: &Particle,
-                         mut lanes: u32,
-                         acc: &mut [Vec<[f64; 4]>],
-                         stats: &mut [TraversalStats; REPLAY_LANES]| {
-        while lanes != 0 {
-            let l = lanes.trailing_zeros() as usize;
-            lanes &= lanes - 1;
-            if q.id != skips[l] {
-                stats[l].p2p += 1;
-                acc[l].push([q.pos.x, q.pos.y, q.pos.z, q.mass]);
-            }
-        }
-    };
-    stack.clear();
-    stack.push(MultiEntry { id: root, mask: u32::MAX >> (REPLAY_LANES - pts.len()) });
-    while let Some(e) = stack.pop() {
-        let node = tree.node(e.id);
-        let count = node.count();
-        if count == 0 {
-            continue;
-        }
-        if count == 1 {
-            let pi = tree.order[node.start as usize];
-            emit_particle(&particles[pi as usize], e.mask, acc, stats);
-            continue;
-        }
-        let mut reject: u32 = 0;
-        let mut m = e.mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            stats[l].mac_tests += 1;
-            if mac.accept(&node.cell, node.com, pts[l]) {
-                stats[l].p2n += 1;
-                acc[l].push([node.com.x, node.com.y, node.com.z, node.mass]);
-            } else {
-                reject |= 1 << l;
-            }
-        }
-        if reject == 0 {
-            continue;
-        }
-        if node.is_leaf() {
-            for &pi in tree.particles_under(e.id) {
-                emit_particle(&particles[pi as usize], reject, acc, stats);
-            }
-        } else {
-            for &c in node.children.iter().rev() {
-                if c != NIL {
-                    stack.push(MultiEntry { id: c, mask: reject });
-                }
-            }
-        }
-    }
-}
-
-/// Resolve the gathered mixed frontiers into per-target tail slabs, so the
-/// evaluation phase is pure slab arithmetic.
-///
-/// For each target this replays the exact per-particle walk from every mixed
-/// root and records the emitted monopole sources (node centers of mass, leaf
-/// particles) as one SoA segment per target, in target order. The target's
-/// skip id is excluded by the walk itself, so the segments need no id
-/// masking and evaluate with the M2P kernel. The replays are fused into
-/// lane-masked traversals (`walk_mixed_multi`): each mixed root is walked
-/// once per chunk of ≤32 targets, amortizing node fetches, stack traffic and
-/// leaf scans across the lanes, while every lane keeps its own walk's
-/// decisions and emit order.
-///
-/// This moves the traversal cost of the mixed frontier out of the kernel
-/// phase and into the gather/walk phase where it belongs, and lets the tail
-/// interactions run through the vector kernels.
-///
-/// Call after a gather on the same `buf` (which invalidates the tails
-/// again), with the targets — same order — later passed to the evaluation.
-pub fn resolve_mixed_tails_targets(
-    tree: &Tree,
-    particles: &[Particle],
-    targets: impl IntoIterator<Item = QueryTarget>,
-    mac: &impl GroupMac,
-    buf: &mut InteractionBuffers,
-) {
-    buf.tails.clear();
-    let mixed = std::mem::take(&mut buf.mixed);
-    let mut stack = std::mem::take(&mut buf.mixed_stack);
-    let mut scratch = std::mem::take(&mut buf.lane_scratch);
-    scratch.resize(REPLAY_LANES, Vec::new());
-    let mut targets = targets.into_iter();
-    loop {
-        let mut pts = [Vec3::ZERO; REPLAY_LANES];
-        let mut skips = [u32::MAX; REPLAY_LANES];
-        let mut lanes = 0;
-        for (pos, skip) in targets.by_ref().take(REPLAY_LANES) {
-            pts[lanes] = pos;
-            skips[lanes] = skip;
-            scratch[lanes].clear();
-            lanes += 1;
-        }
-        if lanes == 0 {
-            break;
-        }
-        let mut stats = [TraversalStats::default(); REPLAY_LANES];
-        for &root in &mixed {
-            walk_mixed_multi(
-                tree,
-                root,
-                particles,
-                &pts[..lanes],
-                &skips[..lanes],
-                mac,
-                &mut stack,
-                &mut scratch,
-                &mut stats,
-            );
-        }
-        for (lane, st) in scratch[..lanes].iter().zip(stats) {
-            let start = buf.tail_x.len() as u32;
-            let len = lane.len();
-            // Pad the segment in place with zero-mass sentinels so the next
-            // segment starts on a lane boundary and the vector kernel never
-            // reads a ragged tail.
-            let pad = len.next_multiple_of(PAD_MULTIPLE) - len;
-            let tail = [&mut buf.tail_x, &mut buf.tail_y, &mut buf.tail_z, &mut buf.tail_m];
-            for (c, slab) in tail.into_iter().enumerate() {
-                slab.extend_exact(lane.iter().map(|src| src[c]));
-                slab.extend_exact(std::iter::repeat_n(0.0, pad));
-            }
-            let (end, len) = (buf.tail_x.len() as u32, len as u32);
-            buf.tails.push(TailSpan { start, end, len, stats: st });
-        }
-    }
-    buf.lane_scratch = scratch;
-    buf.mixed_stack = stack;
-    buf.mixed = mixed;
-    buf.tails_ready = true;
-}
-
-/// [`resolve_mixed_tails_targets`] for the members of `unit` gathered by
-/// [`gather_group`]: the targets are the members with `active[pi] != false`,
-/// each skipping itself.
+/// Does nothing: the mixed frontier is no longer resolved into per-target
+/// tail slabs between the gather and the evaluation — the evaluation
+/// replays it itself ([`crate::replay`]). The name survives, with its old
+/// signature, only because the benchmark harness under `spine/` calls it
+/// between [`gather_group`] and [`eval_gathered_monopole_masked`]; the next
+/// `benchmark` PR (ROADMAP direction 1e) drops that call and deletes this
+/// function.
 pub fn resolve_mixed_tails_lanes(
-    tree: &Tree,
-    particles: &[Particle],
-    unit: NodeId,
-    mac: &impl GroupMac,
-    buf: &mut InteractionBuffers,
-    active: Option<&[bool]>,
+    _tree: &Tree,
+    _particles: &[Particle],
+    _unit: NodeId,
+    _mac: &impl GroupMac,
+    _buf: &mut InteractionBuffers,
+    _active: Option<&[bool]>,
 ) {
-    let targets = unit_targets(tree, particles, unit, active).map(|(_, _, p)| (p.pos, p.id));
-    resolve_mixed_tails_targets(tree, particles, targets, mac, buf);
 }
 
 /// The one monopole evaluation: every target against the gathered slabs and
-/// its own resolved tail segment. `targets` yields `(key, position, skip id,
-/// self hits)` in the order given to [`resolve_mixed_tails_targets`];
-/// `emit(key, phi, accel, interactions)` is called once per target.
+/// its own walks below the gather's mixed roots. `targets` yields `(key,
+/// position, skip id, self hits)`; `emit(key, phi, accel, interactions)` is
+/// called once per target, in order.
 ///
 /// *Self hits* is how often the skip id occurs in the P2P slab: a masked
 /// self-entry contributes nothing and is not an interaction, so it is
 /// subtracted to keep the stats equal to the per-point walk's.
 ///
-/// The shared slabs run in `precision`. Tails always run in f64: they hold
-/// the near-field, accuracy-critical interactions the group MAC could not
-/// settle, and they are too short to be worth mirroring into f32 — so
-/// [`KernelPrecision::MixedF32`] sends them through the f64 kernel, and only
-/// [`KernelPrecision::ScalarF64`] takes the scalar loop. Under
-/// [`KernelPrecision::F64`] one fused kernel call and one horizontal-sum
-/// reduction cover the accepted-node slab, the id-masked near-field slab and
-/// the tail segment — per-target call overhead is the dominant cost left
-/// after vectorization; the other two precisions add three partial sums.
-fn eval_targets<K>(
+/// Targets are taken [`REPLAY_LANES`] at a time. A chunk first replays the
+/// mixed roots lane-parallel — each lane testing, descending and
+/// accumulating exactly as its own per-point walk would — and then every
+/// target of it makes one slab-kernel call over the shared slabs and adds
+/// its lane's sums. A lane's sums depend on nothing but its own target, so
+/// neither does the result: not on the chunk, the lane, or the mask that
+/// chose the other targets.
+///
+/// The shared slabs run in `precision`. The replay always runs in f64: it
+/// covers the near-field, accuracy-critical interactions the group MAC could
+/// not settle — so [`KernelPrecision::MixedF32`] replays with the f64 slab
+/// arithmetic, and only [`KernelPrecision::ScalarF64`] with the exact scalar
+/// kernels. Under [`KernelPrecision::F64`] one fused kernel call and one
+/// horizontal-sum reduction cover the accepted-node slab and the id-masked
+/// near-field slab — per-target call overhead is the dominant cost left
+/// after vectorization; the other two precisions add two partial sums.
+#[allow(clippy::too_many_arguments)] // the pipeline's inputs plus the target stream
+fn eval_targets<K: Copy>(
+    tree: &Tree,
+    particles: &[Particle],
+    mac: &impl Mac,
     buf: &InteractionBuffers,
     eps: f64,
     precision: KernelPrecision,
-    targets: impl Iterator<Item = (K, Vec3, u32, u64)>,
+    mut targets: impl Iterator<Item = (K, Vec3, u32, u64)>,
     mut emit: impl FnMut(K, f64, Vec3, u64),
 ) -> TraversalStats {
-    assert!(buf.tails_ready, "evaluation requires resolve_mixed_tails_* after the gather");
     let mut stats = TraversalStats::default();
     let shared_p2n = buf.node_ids.len() as u64;
     let (n_nodes, n_nodes_padded) = (buf.com_x.len(), buf.com_x.padded_len());
     let (nodes, parts) = (buf.nodes_view(), buf.parts_view());
-    for (k, (key, pos, skip, self_hits)) in targets.enumerate() {
-        let span = &buf.tails[k];
-        let mut target = TraversalStats {
-            p2n: shared_p2n,
-            p2p: buf.px.len() as u64 - self_hits,
-            mac_tests: buf.shared_mac_tests,
-        };
-        target.merge(span.stats);
-        let (a, b, len) = (span.start as usize, span.end as usize, span.len as usize);
-        let (acc, phi) = match precision {
-            KernelPrecision::F64 => {
-                buf.count_lanes(b - a, len);
-                buf.count_lanes(n_nodes_padded + buf.px.padded_len(), n_nodes + buf.px.len());
-                split(accel_slab_member_f64(
-                    pos.x,
-                    pos.y,
-                    pos.z,
-                    // Padding sentinels carry id u32::MAX with zero mass, so a
-                    // no-skip target masking u32::MAX changes nothing.
-                    skip,
-                    nodes,
-                    parts,
-                    buf.pid.padded(),
-                    buf.tail_view(a, b),
-                    eps * eps,
-                ))
-            }
-            KernelPrecision::MixedF32 => {
-                buf.assert_f32_ready();
-                buf.count_lanes(n_nodes_padded, n_nodes);
-                let (acc_n, phi_n) = split(accel_slab_m2p_f32(
-                    pos.x as f32,
-                    pos.y as f32,
-                    pos.z as f32,
-                    buf.com_x32.padded(),
-                    buf.com_y32.padded(),
-                    buf.com_z32.padded(),
-                    buf.node_mass32.padded(),
-                    (eps * eps) as f32,
-                ));
-                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-                // The tail through the f64 kernel alone; an empty segment
-                // adds exact zeros and counts no lanes.
-                let (acc_t, phi_t) = if a == b {
-                    (Vec3::ZERO, 0.0)
-                } else {
-                    buf.count_lanes(b - a, len);
+    let mut lanes = ReplayLanes::new();
+    // What the lanes do not hold of their targets: key and self hits.
+    let mut seated: [Option<(K, u64)>; REPLAY_LANES] = [None; REPLAY_LANES];
+    // Replay lanes that interacted: one per interaction below a mixed root.
+    let mut replayed = 0;
+    loop {
+        lanes.clear();
+        for (key, pos, skip, self_hits) in targets.by_ref().take(REPLAY_LANES) {
+            seated[lanes.len()] = Some((key, self_hits));
+            lanes.push(pos, skip);
+        }
+        if lanes.len() == 0 {
+            break;
+        }
+        lanes.replay(tree, particles, &buf.mixed, mac, eps, precision);
+        for (l, seat) in seated[..lanes.len()].iter_mut().enumerate() {
+            let (key, self_hits) = seat.take().expect("seated with its lane above");
+            let (pos, skip) = lanes.target(l);
+            let mut target = TraversalStats {
+                p2n: shared_p2n,
+                p2p: buf.px.len() as u64 - self_hits,
+                mac_tests: buf.shared_mac_tests,
+            };
+            let below_mixed = lanes.stats(l);
+            replayed += below_mixed.interactions();
+            target.merge(below_mixed);
+            let (acc, phi) = match precision {
+                KernelPrecision::F64 => {
+                    buf.count_lanes(n_nodes_padded + buf.px.padded_len(), n_nodes + buf.px.len());
                     split(accel_slab_member_f64(
                         pos.x,
                         pos.y,
                         pos.z,
+                        // Padding sentinels carry id u32::MAX with zero mass,
+                        // so a no-skip target masking u32::MAX changes
+                        // nothing.
                         skip,
-                        SlabView::EMPTY,
-                        SlabView::EMPTY,
-                        &[],
-                        buf.tail_view(a, b),
+                        nodes,
+                        parts,
+                        buf.pid.padded(),
                         eps * eps,
                     ))
-                };
-                (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
-            }
-            KernelPrecision::ScalarF64 => {
-                // The scalar loops walk only the logical entries; every
-                // processed slot is useful.
-                buf.count_lanes(n_nodes + len, n_nodes + len);
-                let (acc_n, phi_n) =
-                    accel_batch_m2p(pos, &buf.com_x, &buf.com_y, &buf.com_z, &buf.node_mass, eps);
-                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-                let t = a..a + len;
-                let (tx, ty, tz) =
-                    (&buf.tail_x[t.clone()], &buf.tail_y[t.clone()], &buf.tail_z[t.clone()]);
-                let (acc_t, phi_t) = accel_batch_m2p(pos, tx, ty, tz, &buf.tail_m[t], eps);
-                (acc_n + acc_p + acc_t, phi_n + phi_p + phi_t)
-            }
-        };
-        emit(key, phi, acc, target.interactions());
-        stats.merge(target);
+                }
+                KernelPrecision::MixedF32 => {
+                    buf.assert_f32_ready();
+                    buf.count_lanes(n_nodes_padded, n_nodes);
+                    let (acc_n, phi_n) = split(accel_slab_m2p_f32(
+                        pos.x as f32,
+                        pos.y as f32,
+                        pos.z as f32,
+                        buf.com_x32.padded(),
+                        buf.com_y32.padded(),
+                        buf.com_z32.padded(),
+                        buf.node_mass32.padded(),
+                        (eps * eps) as f32,
+                    ));
+                    let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
+                    (acc_n + acc_p, phi_n + phi_p)
+                }
+                KernelPrecision::ScalarF64 => {
+                    // The scalar loops walk only the logical entries; every
+                    // processed slot is useful.
+                    buf.count_lanes(n_nodes, n_nodes);
+                    let (acc_n, phi_n) = accel_batch_m2p(
+                        pos,
+                        &buf.com_x,
+                        &buf.com_y,
+                        &buf.com_z,
+                        &buf.node_mass,
+                        eps,
+                    );
+                    let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
+                    (acc_n + acc_p, phi_n + phi_p)
+                }
+            };
+            let (acc_m, phi_m) = lanes.sums(l);
+            emit(key, phi + phi_m, acc + acc_m, target.interactions());
+            stats.merge(target);
+        }
     }
+    buf.count_lanes(lanes.take_lane_slots() as usize, replayed as usize);
     stats
 }
 
 /// Evaluate a batch of query targets against slabs gathered by
-/// [`gather_group_targets`] for a bucket bounding them all, and tails
-/// resolved by [`resolve_mixed_tails_targets`] for the same targets.
+/// [`gather_group_targets`] on `tree` and `particles` for a bucket bounding
+/// them all, with the `mac` of that gather.
 ///
 /// `emit(target_ordinal, phi, accel, interactions)` is called once per
 /// target, in order. Per-target results are identical (to summation-order
@@ -1231,8 +1001,12 @@ fn eval_targets<K>(
 /// particle out of the near field exactly as the per-particle sweep does.
 ///
 /// `precision` behaves as in [`eval_gathered_monopole_masked`].
+#[allow(clippy::too_many_arguments)] // the pipeline's inputs plus precision
 pub fn eval_gathered_targets(
+    tree: &Tree,
+    particles: &[Particle],
     targets: &[QueryTarget],
+    mac: &impl GroupMac,
     eps: f64,
     precision: KernelPrecision,
     buf: &InteractionBuffers,
@@ -1246,7 +1020,7 @@ pub fn eval_gathered_targets(
         };
         (k, pos, skip, self_hits)
     });
-    eval_targets(buf, eps, precision, targets, emit)
+    eval_targets(tree, particles, mac, buf, eps, precision, targets, emit)
 }
 
 /// Batched monopole M2P: acceleration and potential at `point` due to the
@@ -1325,8 +1099,8 @@ pub fn accel_batch_p2p(
 }
 
 /// Monopole potential + acceleration for every particle under `unit`, via
-/// one grouped walk: `gather → resolve → eval` in one call, at the default
-/// kernel precision. `emit(particle_index, phi, accel, interactions)` is
+/// one grouped walk: `gather → eval` in one call, at the default kernel
+/// precision. `emit(particle_index, phi, accel, interactions)` is
 /// called once per member; the returned stats equal the sum of what
 /// per-particle walks would have produced (`p2p`, `p2n`, and `mac_tests`
 /// all match exactly).
@@ -1340,16 +1114,15 @@ pub fn eval_group_monopole(
     emit: impl FnMut(u32, f64, Vec3, u64),
 ) -> TraversalStats {
     gather_group(tree, particles, unit, mac, buf);
-    resolve_mixed_tails_lanes(tree, particles, unit, mac, buf, None);
     let precision = KernelPrecision::default();
     eval_gathered_monopole_masked(tree, particles, unit, mac, eps, precision, buf, None, emit)
 }
 
-/// The kernel third of the pipeline for a unit: evaluate the members of
-/// `unit` against slabs filled by [`gather_group`] and tails resolved by
-/// [`resolve_mixed_tails_lanes`] for that same unit and the same `active`.
-/// Splitting the walk (gather + resolve) from the kernels (this) lets
-/// callers time the two phases separately.
+/// The evaluation half of the pipeline for a unit: evaluate the members of
+/// `unit` against slabs filled by [`gather_group`] (or a [`GroupSweep`]) for
+/// that same unit on the same `tree` and `particles`, replaying the gather's
+/// mixed roots per member with the same `mac`. Splitting the gather from
+/// the evaluation (this) lets callers time the two phases separately.
 ///
 /// Members with `active[pi] == false` are not targets at all (no kernels,
 /// no stats, no `emit`), while the shared slabs — which already contain
@@ -1359,16 +1132,15 @@ pub fn eval_group_monopole(
 /// members.
 ///
 /// `precision` selects the slab-kernel arithmetic (see [`KernelPrecision`]);
-/// the per-member tails always run in f64. [`KernelPrecision::MixedF32`]
+/// the per-member replay always runs in f64. [`KernelPrecision::MixedF32`]
 /// requires [`InteractionBuffers::set_fill_f32`] to have been on for the
-/// gather. `_mac` is unused — every MAC decision was taken by the gather
-/// and the resolve — and stays in the signature for its callers.
+/// gather.
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus mask and precision
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
     particles: &[Particle],
     unit: NodeId,
-    _mac: &impl GroupMac,
+    mac: &impl GroupMac,
     eps: f64,
     precision: KernelPrecision,
     buf: &InteractionBuffers,
@@ -1379,17 +1151,36 @@ pub fn eval_gathered_monopole_masked(
     // appended its own leaf — an O(1) lookup, no id scan.
     let targets = unit_targets(tree, particles, unit, active)
         .map(|(k, pi, p)| (pi, p.pos, p.id, buf.self_in_p2p(k) as u64));
-    eval_targets(buf, eps, precision, targets, emit)
+    eval_targets(tree, particles, mac, buf, eps, precision, targets, emit)
 }
 
 /// Most targets one walk serves: a unit of the schedule is a maximal
 /// subtree holding at most this many particles. Per unit the gather costs
-/// about the same whatever its population, while the resolve grows with the
-/// looser bucket. Of {16, 32, 64}, 64 was ~10 % faster still, but holds
-/// every member's resolved tail at once and raised the two-thread
-/// workload's peak RSS by 21 % against the benchmark's 25 % bound; 32 is
-/// the fastest that leaves peak RSS within 3 % (CHANGES.md, PR 16).
-const UNIT_TARGETS: u32 = 32;
+/// about the same whatever its population, so a larger unit buys fewer
+/// gathers; what it costs is a looser bucket, which leaves more of each
+/// member's interactions below Mixed roots, where the evaluation replays
+/// them per lane instead of reading them from the shared slabs. Nothing of a
+/// unit is resident but the shared slabs and one chunk of ≤ 32 replay lanes,
+/// so the cap does not move peak RSS. `op_ms_p10`, ms (spine, seed 1, three
+/// alternating rounds of 6 s, 2-vCPU box; CHANGES.md PR 24):
+///
+/// | cap | `plummer50k_t1` | `plummer50k_t2` | `block20k_reuse` | `mesh2_dpda50k` | degree-2 step, n = 5k |
+/// |---|---|---|---|---|---|
+/// | 32 | 125.0 | 70.3 | 240.1 | 80.4 | 259 |
+/// | 64 | 108.3 | 58.6 | 192.3 | 68.6 | — |
+/// | 128 | 93.2 | 54.2 | 159.4 | 62.9 | 272 |
+/// | 256 | 93.9 | 52.6 | 153.1 | 59.0 | 291 |
+///
+/// (`serve50k_closed` buckets by `group_size`, not by this, and read
+/// 2.93–2.98 ms under all four.) 256 is no faster than 128 on the
+/// single-thread step and 3–6 % faster elsewhere, inside or next to the
+/// run-to-run quartiles; it halves the number of units the partitioners
+/// balance with, and the degree-k evaluation — which replays the mixed roots
+/// per member in scalar code, and has no benchmark row — pays 7 % more for
+/// it. 128 is the last step that wins everywhere it is measured. Units above
+/// 32 members replay in chunks of 32 lanes; a 64-lane mask was measured at
+/// this cap and lost (evaluation 80 → 89 ms per 50k sweep).
+const UNIT_TARGETS: u32 = 128;
 
 /// The units of `tree` that `keep` in Morton (in-order) sequence: every
 /// maximal subtree of at most [`UNIT_TARGETS`] particles, and every leaf
@@ -1416,7 +1207,7 @@ fn unit_schedule(tree: &Tree, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
 
 /// The walk units of `tree` in Morton (in-order) sequence — the group
 /// schedule. A unit is a node id: the maximal subtrees of at most
-/// `UNIT_TARGETS` (32) particles, so one walk serves a few neighbouring
+/// `UNIT_TARGETS` (128) particles, so one walk serves a neighbourhood of
 /// leaves (the name predates that: the unit used to be the leaf). Every
 /// particle lies under exactly one returned unit, and the units' ranges of
 /// `tree.order` are consecutive.
@@ -1438,10 +1229,7 @@ mod tests {
     use super::*;
     use crate::build::{build, BuildParams};
     use crate::mac::{BarnesHutMac, MinDistMac};
-    use crate::traverse::{
-        accel_kernel, accel_on, for_each_interaction_from, potential_at, potential_kernel,
-        Interaction,
-    };
+    use crate::traverse::{accel_kernel, accel_on, potential_at, potential_kernel};
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
 
     const EPS: f64 = 1e-4;
@@ -1450,7 +1238,7 @@ mod tests {
     /// interaction count.
     type Emitted = Vec<(u32, f64, Vec3, u64)>;
 
-    /// `resolve → eval` of `leaf`'s (active) members on slabs `buf` already
+    /// The evaluation of `leaf`'s (active) members on slabs `buf` already
     /// holds for it.
     fn eval_gathered_leaf(
         tree: &Tree,
@@ -1459,9 +1247,8 @@ mod tests {
         mac: &impl GroupMac,
         precision: KernelPrecision,
         mask: Option<&[bool]>,
-        buf: &mut InteractionBuffers,
+        buf: &InteractionBuffers,
     ) -> (Emitted, TraversalStats) {
-        resolve_mixed_tails_lanes(tree, particles, leaf, mac, buf, mask);
         let mut out = Vec::new();
         let st = eval_gathered_monopole_masked(
             tree,
@@ -1662,7 +1449,7 @@ mod tests {
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
             let (out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
             for (pi, phi, acc, it) in out {
                 full[pi as usize] = Some((phi, acc, it));
             }
@@ -1673,7 +1460,7 @@ mod tests {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
             let mask = Some(active.as_slice());
             let (out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, mask, &mut buf);
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, mask, &buf);
             for (pi, phi, acc, it) in out {
                 masked[pi as usize] = Some((phi, acc, it));
             }
@@ -1703,8 +1490,8 @@ mod tests {
         buf.set_fill_f32(true);
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            let mut run = |precision: KernelPrecision| {
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf).0
+            let run = |precision: KernelPrecision| {
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf).0
             };
             let scalar = run(KernelPrecision::ScalarF64);
             let simd = run(KernelPrecision::F64);
@@ -1741,29 +1528,7 @@ mod tests {
         let leaf = leaf_schedule(&tree)[0];
         gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
         let precision = KernelPrecision::MixedF32;
-        eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
-    }
-
-    #[test]
-    #[should_panic(expected = "resolve_mixed_tails")]
-    fn eval_without_resolve_panics() {
-        let set = uniform_cube(50, 1.0, 3);
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut buf = InteractionBuffers::new();
-        let leaf = leaf_schedule(&tree)[0];
-        gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-        eval_gathered_monopole_masked(
-            &tree,
-            &set.particles,
-            leaf,
-            &mac,
-            EPS,
-            KernelPrecision::F64,
-            &buf,
-            None,
-            |_, _, _, _| {},
-        );
+        eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
     }
 
     #[test]
@@ -1836,16 +1601,24 @@ mod tests {
         let mut buf = InteractionBuffers::new();
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
+            // A member that finds itself in the near-field slab fills a lane
+            // there without interacting.
+            let members = tree.node(leaf).count() as usize;
+            let self_hits = (0..members).filter(|&k| buf.self_in_p2p(k)).count() as u64;
             for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64] {
                 buf.take_lane_counters();
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf);
+                let (_, st) =
+                    eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
                 let (slots, useful) = buf.take_lane_counters();
                 assert!(useful > 0);
+                // Slabs and replay alike: one useful lane per interaction.
+                assert_eq!(useful, st.interactions() + self_hits);
                 if precision == KernelPrecision::ScalarF64 {
                     assert_eq!(slots, useful, "scalar path has no padding overhead");
                 } else {
+                    // Padded slab chunks, and replay chunks as wide as the
+                    // ISA tier makes them.
                     assert!(slots >= useful);
-                    assert_eq!(slots % bhut_simd::PAD_MULTIPLE as u64, 0);
                 }
             }
         }
@@ -1871,18 +1644,12 @@ mod tests {
             let targets: Vec<QueryTarget> = chunk.iter().map(|&p| (p, u32::MAX)).collect();
             let bucket = Aabb::bounding(chunk.iter().copied()).unwrap();
             gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf);
-            resolve_mixed_tails_targets(
-                &tree,
-                &set.particles,
-                targets.iter().copied(),
-                &mac,
-                &mut buf,
-            );
             for precision in
                 [KernelPrecision::ScalarF64, KernelPrecision::F64, KernelPrecision::MixedF32]
             {
                 let mut calls = 0usize;
-                eval_gathered_targets(&targets, EPS, precision, &buf, |k, phi, acc, it| {
+                let ps = &set.particles;
+                let each = |k: usize, phi: f64, acc: Vec3, it: u64| {
                     assert_eq!(k, calls);
                     calls += 1;
                     let pos = targets[k].0;
@@ -1902,7 +1669,8 @@ mod tests {
                         acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
                         "acc {acc:?} vs {acc_ref:?}, target {k}, {precision:?}"
                     );
-                });
+                };
+                eval_gathered_targets(&tree, ps, &targets, &mac, EPS, precision, &buf, each);
                 assert_eq!(calls, targets.len());
             }
         }
@@ -1922,7 +1690,7 @@ mod tests {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf_m);
             let precision = KernelPrecision::F64;
             let (member_out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &mut buf_m);
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf_m);
             // Query path: same positions as targets, same bucket geometry.
             let members = tree.particles_under(leaf);
             let targets: Vec<QueryTarget> = members
@@ -1934,17 +1702,10 @@ mod tests {
                 .collect();
             let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
             gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf_t);
-            resolve_mixed_tails_targets(
-                &tree,
-                &set.particles,
-                targets.iter().copied(),
-                &mac,
-                &mut buf_t,
-            );
             let mut query_out = Vec::new();
-            eval_gathered_targets(&targets, EPS, precision, &buf_t, |k, phi, acc, it| {
-                query_out.push((members[k], phi, acc, it))
-            });
+            let each = |k: usize, phi, acc, it| query_out.push((members[k], phi, acc, it));
+            let ps = &set.particles;
+            eval_gathered_targets(&tree, ps, &targets, &mac, EPS, precision, &buf_t, each);
             assert_eq!(member_out.len(), query_out.len());
             for (&(pi_m, phi_m, acc_m, it_m), &(pi_q, phi_q, acc_q, it_q)) in
                 member_out.iter().zip(&query_out)
@@ -1972,12 +1733,12 @@ mod tests {
         let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
         let mac = BarnesHutMac::new(0.67);
         gather_group_targets(&tree, &[], &bucket, &mac, &mut buf);
-        resolve_mixed_tails_targets(&tree, &[], targets.iter().copied(), &mac, &mut buf);
         let mut calls = 0;
-        eval_gathered_targets(&targets, EPS, KernelPrecision::F64, &buf, |_, phi, acc, it| {
+        let each = |_, phi, acc, it| {
             calls += 1;
             assert_eq!((phi, acc, it), (0.0, Vec3::ZERO, 0));
-        });
+        };
+        eval_gathered_targets(&tree, &[], &targets, &mac, EPS, KernelPrecision::F64, &buf, each);
         assert_eq!(calls, 1);
     }
 
@@ -2362,7 +2123,6 @@ mod tests {
             } else {
                 assert!(sweep.buf.depth > 0, "unit {u} has ancestors to share");
             }
-            sweep.resolve(u, None);
             let emit = |pi: u32, phi: f64, acc: Vec3, it: u64| {
                 let p = &ps[pi as usize];
                 let (acc_ref, st) = accel_on(&tree, &ps, p.pos, Some(p.id), &mac, EPS);
@@ -2406,109 +2166,10 @@ mod tests {
                 gather_group(&tree, &set.particles, leaf, &scalar_mac, &mut buf_b);
                 assert_buffers_bitwise(&buf_a, &buf_b, &format!("seed {seed} leaf {leaf}"));
                 let (ps, f64s) = (&set.particles, KernelPrecision::F64);
-                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, f64s, None, &mut buf_a);
-                let out_b =
-                    eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, f64s, None, &mut buf_b);
+                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, f64s, None, &buf_a);
+                let out_b = eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, f64s, None, &buf_b);
                 assert_eq!(out_a, out_b, "forces must be bitwise-identical (leaf {leaf})");
             }
         }
-    }
-
-    /// The oracle for the one resolve: target `k`'s tail segment holds, bit
-    /// for bit and in order, what the per-particle walk
-    /// [`for_each_interaction_from`] emits for it over the mixed roots of
-    /// the current gather, with equal [`TraversalStats`], and is padded with
-    /// zero-mass sentinels to a lane boundary. Returns the interactions
-    /// compared.
-    fn assert_tails_are_the_walk(
-        tree: &Tree,
-        particles: &[Particle],
-        targets: &[QueryTarget],
-        mac: &impl GroupMac,
-        buf: &InteractionBuffers,
-        ctx: &str,
-    ) -> usize {
-        assert_eq!(buf.tails.len(), targets.len(), "{ctx}: one span per target");
-        let mut compared = 0;
-        for (k, &(pos, skip)) in targets.iter().enumerate() {
-            let skip = (skip != u32::MAX).then_some(skip);
-            let mut want: Vec<[u64; 4]> = Vec::new();
-            let mut want_stats = TraversalStats::default();
-            for &root in &buf.mixed {
-                let st = for_each_interaction_from(tree, root, particles, pos, skip, mac, |i| {
-                    let (src, mass) = match i {
-                        Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
-                        Interaction::Particle(qi) => {
-                            (particles[qi as usize].pos, particles[qi as usize].mass)
-                        }
-                    };
-                    want.push([src.x, src.y, src.z, mass].map(f64::to_bits));
-                });
-                want_stats.merge(st);
-            }
-            let span = buf.tails[k];
-            assert_eq!(span.stats, want_stats, "{ctx}: target {k} stats");
-            let (a, b) = (span.start as usize, span.end as usize);
-            let got: Vec<[u64; 4]> = (a..a + span.len as usize)
-                .map(|i| {
-                    [buf.tail_x[i], buf.tail_y[i], buf.tail_z[i], buf.tail_m[i]].map(f64::to_bits)
-                })
-                .collect();
-            assert_eq!(got, want, "{ctx}: target {k} segment");
-            assert!(a % PAD_MULTIPLE == 0 && b % PAD_MULTIPLE == 0, "{ctx}: lane alignment");
-            assert!(buf.tail_m[a + span.len as usize..b].iter().all(|&m| m == 0.0), "{ctx}");
-            compared += want.len();
-        }
-        compared
-    }
-
-    #[test]
-    fn resolved_tails_are_the_per_target_walk_bitwise() {
-        fn check(mac: &(impl GroupMac + Copy), name: &str) {
-            let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
-            let ps = &set.particles;
-            // Capacity 12: units of a few members up to a full replay chunk.
-            let tree = build(ps, BuildParams::with_leaf_capacity(12));
-            let active: Vec<bool> = (0..set.len()).map(|i| i % 3 != 1).collect();
-            let mut buf = InteractionBuffers::new();
-            let mut compared = 0;
-            // Leaf members, with and without an active mask.
-            for mask in [None, Some(active.as_slice())] {
-                for leaf in leaf_schedule(&tree) {
-                    gather_group(&tree, ps, leaf, mac, &mut buf);
-                    resolve_mixed_tails_lanes(&tree, ps, leaf, mac, &mut buf, mask);
-                    let targets: Vec<QueryTarget> = unit_targets(&tree, ps, leaf, mask)
-                        .map(|(_, _, p)| (p.pos, p.id))
-                        .collect();
-                    let ctx = format!("{name} leaf {leaf} masked {}", mask.is_some());
-                    compared += assert_tails_are_the_walk(&tree, ps, &targets, mac, &buf, &ctx);
-                }
-            }
-            // Point buckets of 40 (two replay chunks, 32 + 8): at particle
-            // positions with skip ids, and off-particle without.
-            for (b, run) in tree.order.chunks(40).enumerate() {
-                for skip_ids in [true, false] {
-                    let targets: Vec<QueryTarget> = run
-                        .iter()
-                        .map(|&pi| {
-                            let p = &ps[pi as usize];
-                            if skip_ids {
-                                (p.pos, p.id)
-                            } else {
-                                (p.pos + Vec3::new(1.3e-3, -2.1e-3, 0.7e-3), u32::MAX)
-                            }
-                        })
-                        .collect();
-                    let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
-                    gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
-                    resolve_mixed_tails_targets(&tree, ps, targets.iter().copied(), mac, &mut buf);
-                    let ctx = format!("{name} bucket {b} skip ids {skip_ids}");
-                    compared += assert_tails_are_the_walk(&tree, ps, &targets, mac, &buf, &ctx);
-                }
-            }
-            assert!(compared > 0, "{name}: the test tree produced no mixed tails");
-        }
-        check(&BarnesHutMac::new(0.67), "bh");
-        check(&MinDistMac::new(0.8), "min-dist");
     }
 }

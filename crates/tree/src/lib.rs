@@ -28,6 +28,7 @@ pub mod kernel;
 pub mod mac;
 pub mod mac_simd;
 pub mod node;
+pub mod replay;
 pub mod traverse;
 
 pub use bhut_simd::KernelPrecision;
@@ -35,8 +36,7 @@ pub use binary::BinaryTree;
 pub use build::BuildParams;
 pub use group::{
     accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, eval_group_monopole, gather_group,
-    gather_group_targets, leaf_schedule, resolve_mixed_tails_targets, InteractionBuffers,
-    QueryTarget,
+    gather_group_targets, leaf_schedule, InteractionBuffers, QueryTarget,
 };
 pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac, MinDistMac};
 pub use mac_simd::{NodeBatch, ScalarClassify, MAC_BATCH};

@@ -14,6 +14,7 @@
 //! center of mass sits far off-center).
 
 use crate::mac_simd::{NodeBatch, MAC_BATCH};
+use crate::replay::LanePoints;
 use bhut_geom::{Aabb, Vec3};
 
 /// Decides whether a particle–node interaction may be approximated by the
@@ -23,12 +24,46 @@ pub trait Mac {
     /// `point`.
     fn accept(&self, cell: &Aabb, com: Vec3, point: Vec3) -> bool;
 
+    /// [`Mac::accept`] for the lanes of `live` (bit `l` = the point in lane
+    /// `l` of `pts`) at once: the returned mask has bit `l` set iff lane `l`
+    /// is in `live` and accepts the node. The default asks `accept` lane by
+    /// lane, so every implementor is exact by construction; the two shipped
+    /// MACs override it with the vector bodies in [`crate::mac_simd`], which
+    /// decide every lane exactly as `accept` does.
+    #[inline]
+    fn accept_lanes(&self, cell: &Aabb, com: Vec3, pts: &LanePoints, live: u32) -> u32 {
+        accept_lanes_scalar(self, cell, com, pts, live)
+    }
+
     /// Number of floating-point operations one acceptance test costs in the
     /// paper's machine model (§5.2.1: "The MAC routine requires 14 floating
     /// point instructions").
     fn flops(&self) -> u64 {
         14
     }
+}
+
+/// [`Mac::accept_lanes`] by one [`Mac::accept`] per live lane: the trait's
+/// default, and what the shipped overrides fall back to where there is no
+/// vector unit to use (computing dead lanes in scalar code costs more than
+/// it saves).
+#[inline]
+pub fn accept_lanes_scalar<M: Mac + ?Sized>(
+    mac: &M,
+    cell: &Aabb,
+    com: Vec3,
+    pts: &LanePoints,
+    live: u32,
+) -> u32 {
+    let (mut rest, mut accepted) = (live, 0);
+    while rest != 0 {
+        let l = rest.trailing_zeros() as usize;
+        rest &= rest - 1;
+        if mac.accept(cell, com, Vec3::new(pts.x[l], pts.y[l], pts.z[l])) {
+            accepted |= 1 << l;
+        }
+    }
+    accepted
 }
 
 /// The classic Barnes–Hut α-criterion: accept iff `side / dist(com) < α`.
@@ -51,6 +86,11 @@ impl Mac for BarnesHutMac {
         let side = cell.side();
         let d2 = com.dist_sq(point);
         side * side < self.alpha * self.alpha * d2
+    }
+
+    #[inline]
+    fn accept_lanes(&self, cell: &Aabb, com: Vec3, pts: &LanePoints, live: u32) -> u32 {
+        crate::mac_simd::accept_lanes_bh(self, cell, com, pts, live)
     }
 }
 
@@ -75,6 +115,11 @@ impl Mac for MinDistMac {
         let side = cell.side();
         let d2 = cell.dist_sq_to(point);
         side * side < self.alpha * self.alpha * d2
+    }
+
+    #[inline]
+    fn accept_lanes(&self, cell: &Aabb, com: Vec3, pts: &LanePoints, live: u32) -> u32 {
+        crate::mac_simd::accept_lanes_md(self, cell, com, pts, live)
     }
 }
 

@@ -1,0 +1,976 @@
+//! Lane-parallel replay of a gather's mixed frontier, fused with the
+//! evaluation.
+//!
+//! A grouped gather ([`crate::group`]) leaves the subtrees its bucket
+//! straddles as *mixed roots*: below them every target needs its own walk.
+//! This module makes those walks for up to [`REPLAY_LANES`] targets at once
+//! and evaluates what they find on the spot. The targets sit in
+//! structure-of-arrays lane columns (position, skip id, the running
+//! `ax ay az φ`, and the three [`TraversalStats`] counters); one depth-first
+//! traversal per mixed root carries a `u32` mask of the lanes still
+//! descending. At a node the live lanes take the multipole acceptance test
+//! ([`Mac::accept_lanes`]); the lanes that accept accumulate the node's
+//! monopole right there and drop out, the others descend, and a leaf's (or a
+//! singleton's) particles interact with the lanes that reached them, each
+//! lane leaving out its own skip id. A MAC test and a monopole interaction
+//! cost about the same and start from the same `com − p`, so nothing is
+//! written down between deciding and computing: no interaction rows, no
+//! per-target tail slabs, nothing for a kernel to load back.
+//!
+//! Per lane this makes exactly the decisions of
+//! [`crate::traverse::for_each_interaction_from`] from every mixed root —
+//! the same [`Mac::accept`] on the same operands — in the same depth-first
+//! order, and a lane's sums are a sequential fold over its own walk, never
+//! reduced across lanes. So a target's result does not depend on its lane,
+//! on the other lanes or on how full the chunk is, which is what keeps a
+//! masked sweep a bitwise restriction of the full one.
+//!
+//! The traversal is written once, generic over the lane arithmetic, and
+//! instantiated per instruction set like the slab kernels ([`crate::kernel`]),
+//! dispatched by [`bhut_simd::isa`]:
+//!
+//! * a **portable** body — safe code that visits the set bits of a mask and
+//!   nothing else (whole-chunk scalar arithmetic on dead lanes costs more
+//!   than the walk it replaces). It is the reference, the only body under
+//!   `force-scalar` or off x86_64, and — instantiated with the exact
+//!   sqrt-and-divide of [`crate::traverse::accel_kernel`] /
+//!   [`crate::traverse::potential_kernel`] — the body of
+//!   [`KernelPrecision::ScalarF64`];
+//! * **AVX2** and **AVX-512** bodies in intrinsics, four and eight lanes per
+//!   chunk, computing only the chunks with a bit set and masking the
+//!   accumulation. Letting LLVM vectorize the portable lane loop inside a
+//!   `#[target_feature]` clone was measured and left scalar code, as
+//!   [`crate::kernel`] found for the slabs.
+//!
+//! The vector bodies perform, lane for lane, the portable body's IEEE
+//! operations in its order — the slab kernels' per-interaction sequence:
+//! unfused multiply/add, `+ ε²`, the [`R2_FLOOR_F64`] clamp,
+//! [`bhut_simd::rsqrt_nr_f64`], `m·inv`, `·inv·inv` — so the three agree to
+//! the bit and dispatch changes speed only.
+
+use crate::mac::Mac;
+use crate::node::{NodeId, Tree, NIL};
+use crate::traverse::TraversalStats;
+use bhut_geom::{Particle, Vec3};
+use bhut_simd::{rsqrt_nr_f64, Isa, KernelPrecision, R2_FLOOR_F64};
+
+/// Targets one replay carries: the bits of its lane mask.
+pub const REPLAY_LANES: usize = u32::BITS as usize;
+
+/// The positions of up to [`REPLAY_LANES`] targets, one column per axis —
+/// what [`Mac::accept_lanes`] tests a node against. Lanes past the loaded
+/// targets hold finite leftovers and are never named by a mask.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+pub struct LanePoints {
+    pub x: [f64; REPLAY_LANES],
+    pub y: [f64; REPLAY_LANES],
+    pub z: [f64; REPLAY_LANES],
+}
+
+/// The lane columns the kernels work on.
+#[repr(C, align(64))]
+struct Columns {
+    pts: LanePoints,
+    ax: [f64; REPLAY_LANES],
+    ay: [f64; REPLAY_LANES],
+    az: [f64; REPLAY_LANES],
+    phi: [f64; REPLAY_LANES],
+    /// A lane's [`TraversalStats`] since the last clear. `u32` holds them: a
+    /// lane tests a node and meets a particle at most once per replay, and
+    /// node and particle ids are `u32`.
+    mac_tests: [u32; REPLAY_LANES],
+    p2n: [u32; REPLAY_LANES],
+    p2p: [u32; REPLAY_LANES],
+    /// The particle id each lane leaves out (`u32::MAX`: none).
+    skip: [u32; REPLAY_LANES],
+    /// Lanes the interaction arithmetic ran on: whole chunks in the vector
+    /// bodies, the interacting lanes alone in the portable one.
+    slots: u64,
+}
+
+/// Up to [`REPLAY_LANES`] targets and what their replays have summed.
+pub(crate) struct ReplayLanes {
+    cols: Columns,
+    len: usize,
+    /// Depth-first stack of (node, lanes still descending through it).
+    stack: Vec<(NodeId, u32)>,
+}
+
+impl ReplayLanes {
+    pub(crate) fn new() -> Self {
+        const F: [f64; REPLAY_LANES] = [0.0; REPLAY_LANES];
+        const N: [u32; REPLAY_LANES] = [0; REPLAY_LANES];
+        ReplayLanes {
+            cols: Columns {
+                pts: LanePoints { x: F, y: F, z: F },
+                ax: F,
+                ay: F,
+                az: F,
+                phi: F,
+                mac_tests: N,
+                p2n: N,
+                p2p: N,
+                skip: [u32::MAX; REPLAY_LANES],
+                slots: 0,
+            },
+            len: 0,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Drop the targets and zero their sums; the lane-slot counts run on.
+    pub(crate) fn clear(&mut self) {
+        let c = &mut self.cols;
+        for col in [&mut c.ax, &mut c.ay, &mut c.az, &mut c.phi] {
+            col[..self.len].fill(0.0);
+        }
+        for col in [&mut c.mac_tests, &mut c.p2n, &mut c.p2p] {
+            col[..self.len].fill(0);
+        }
+        self.len = 0;
+    }
+
+    /// Seat a target in the next lane.
+    ///
+    /// # Panics
+    /// If all [`REPLAY_LANES`] lanes are taken.
+    pub(crate) fn push(&mut self, pos: Vec3, skip: u32) {
+        let (l, c) = (self.len, &mut self.cols);
+        (c.pts.x[l], c.pts.y[l], c.pts.z[l], c.skip[l]) = (pos.x, pos.y, pos.z, skip);
+        self.len += 1;
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Lane `l`'s target: position and skip id.
+    pub(crate) fn target(&self, l: usize) -> (Vec3, u32) {
+        let c = &self.cols;
+        (Vec3::new(c.pts.x[l], c.pts.y[l], c.pts.z[l]), c.skip[l])
+    }
+
+    /// What lane `l` has accumulated: acceleration and potential.
+    pub(crate) fn sums(&self, l: usize) -> (Vec3, f64) {
+        let c = &self.cols;
+        (Vec3::new(c.ax[l], c.ay[l], c.az[l]), c.phi[l])
+    }
+
+    /// What lane `l`'s walks counted.
+    pub(crate) fn stats(&self, l: usize) -> TraversalStats {
+        let c = &self.cols;
+        TraversalStats {
+            p2n: c.p2n[l].into(),
+            p2p: c.p2p[l].into(),
+            mac_tests: c.mac_tests[l].into(),
+        }
+    }
+
+    /// Take and zero the count of lane slots the replays computed; the
+    /// useful ones among them are the lanes' interactions.
+    pub(crate) fn take_lane_slots(&mut self) -> u64 {
+        std::mem::take(&mut self.cols.slots)
+    }
+
+    /// Replay the subtrees under `roots` for the seated targets, adding to
+    /// their sums and counters. `precision` picks the arithmetic:
+    /// [`KernelPrecision::ScalarF64`] the exact scalar kernels, the other
+    /// two the slab kernels' f64 sequence ([`KernelPrecision::MixedF32`]
+    /// keeps the mixed frontier — its nearest field — in f64).
+    pub(crate) fn replay(
+        &mut self,
+        tree: &Tree,
+        particles: &[Particle],
+        roots: &[NodeId],
+        mac: &impl Mac,
+        eps: f64,
+        precision: KernelPrecision,
+    ) {
+        let eps2 = eps * eps;
+        if precision == KernelPrecision::ScalarF64 {
+            // SAFETY: the portable kernel needs no CPU feature.
+            unsafe { run::<_, Portable<Exact>>(self, tree, particles, roots, mac, eps2) }
+        } else {
+            // SAFETY: `isa()` names a tier only after detecting it.
+            unsafe { self.replay_on(bhut_simd::isa(), tree, particles, roots, mac, eps2) }
+        }
+    }
+
+    /// The slab-arithmetic replay through the body of one tier.
+    ///
+    /// # Safety
+    /// The CPU must support `tier` (AVX2 and FMA for [`Isa::Avx2`], AVX-512F
+    /// on top for [`Isa::Avx512`]).
+    unsafe fn replay_on(
+        &mut self,
+        tier: Isa,
+        tree: &Tree,
+        particles: &[Particle],
+        roots: &[NodeId],
+        mac: &impl Mac,
+        eps2: f64,
+    ) {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => avx512::replay(self, tree, particles, roots, mac, eps2),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::replay(self, tree, particles, roots, mac, eps2),
+            _ => run::<_, Portable<Rsqrt>>(self, tree, particles, roots, mac, eps2),
+        }
+    }
+}
+
+/// The lane arithmetic of one instruction-set tier: what the traversal does
+/// to the lane columns at the two kinds of source it meets. Every body
+/// leaves in a lane exactly what [`Portable`] leaves.
+///
+/// # Safety
+/// The functions may only run on a CPU that supports the implementor's
+/// tier.
+trait LaneKernel {
+    /// A tested node: charge one MAC test to every lane of `live` and
+    /// accumulate the monopole `m` at `com` into the lanes of `accept` (a
+    /// subset of `live`), counting it as their node interaction.
+    unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32);
+
+    /// A particle reached directly: accumulate `q` into the lanes of `mask`
+    /// that do not skip its id, counting it as their particle interaction.
+    unsafe fn particle(cols: &mut Columns, q: &Particle, eps2: f64, mask: u32);
+}
+
+/// The one traversal: replay every root for the lanes `0..lanes.len`.
+///
+/// # Safety
+/// The CPU must support `K`'s tier.
+#[inline(always)]
+unsafe fn run<M: Mac, K: LaneKernel>(
+    lanes: &mut ReplayLanes,
+    tree: &Tree,
+    particles: &[Particle],
+    roots: &[NodeId],
+    mac: &M,
+    eps2: f64,
+) {
+    if lanes.len == 0 {
+        return;
+    }
+    let all = u32::MAX >> (REPLAY_LANES - lanes.len);
+    // A local stack keeps its length in a register across the column stores.
+    let (cols, mut stack) = (&mut lanes.cols, std::mem::take(&mut lanes.stack));
+    // Every root at once, first on top: each subtree is finished before the
+    // next root pops, so a lane still meets its sources in root order.
+    stack.clear();
+    stack.extend(roots.iter().rev().map(|&root| (root, all)));
+    while let Some((id, live)) = stack.pop() {
+        let node = tree.node(id);
+        match node.count() {
+            0 => continue,
+            // A singleton is a direct interaction, never tested.
+            1 => {
+                let pi = tree.order[node.start as usize];
+                K::particle(cols, &particles[pi as usize], eps2, live);
+                continue;
+            }
+            _ => {}
+        }
+        let accept = mac.accept_lanes(&node.cell, node.com, &cols.pts, live) & live;
+        K::node(cols, node.com, node.mass, eps2, live, accept);
+        let reject = live & !accept;
+        if reject == 0 {
+            continue;
+        }
+        if node.is_leaf() {
+            for &pi in tree.particles_under(id) {
+                K::particle(cols, &particles[pi as usize], eps2, reject);
+            }
+        } else {
+            for &c in node.children.iter().rev() {
+                if c != NIL {
+                    stack.push((c, reject));
+                }
+            }
+        }
+    }
+    lanes.stack = stack;
+}
+
+/// One source's weight on one target: `(w, φ term)` from the softened
+/// squared distance and the mass, so that the target gains `d·w` and the
+/// φ term.
+trait PairOp {
+    fn weights(r2: f64, m: f64) -> (f64, f64);
+}
+
+/// The slab kernels' division-free sequence.
+struct Rsqrt;
+
+impl PairOp for Rsqrt {
+    #[inline(always)]
+    fn weights(r2: f64, m: f64) -> (f64, f64) {
+        // The clamp in the `maxpd` convention of `bhut_simd::F64s::max`.
+        let inv = rsqrt_nr_f64(if r2 > R2_FLOOR_F64 { r2 } else { R2_FLOOR_F64 });
+        let im = m * inv;
+        (im * inv * inv, -im)
+    }
+}
+
+/// The per-particle walk's exact kernels ([`crate::traverse::accel_kernel`],
+/// [`crate::traverse::potential_kernel`]).
+struct Exact;
+
+impl PairOp for Exact {
+    #[inline(always)]
+    fn weights(r2: f64, m: f64) -> (f64, f64) {
+        if r2 > 0.0 {
+            let s = r2.sqrt();
+            (m / (r2 * s), -m / s)
+        } else {
+            (0.0, 0.0)
+        }
+    }
+}
+
+/// The safe body: one lane at a time, set bits only.
+struct Portable<Op>(std::marker::PhantomData<Op>);
+
+impl<Op: PairOp> Portable<Op> {
+    /// Lane `l` gains the monopole `m` at `src`.
+    #[inline(always)]
+    fn accumulate(cols: &mut Columns, l: usize, src: Vec3, m: f64, eps2: f64) {
+        let dx = src.x - cols.pts.x[l];
+        let dy = src.y - cols.pts.y[l];
+        let dz = src.z - cols.pts.z[l];
+        let r2 = dx * dx + dy * dy + dz * dz + eps2;
+        let (w, ph) = Op::weights(r2, m);
+        cols.phi[l] += ph;
+        cols.ax[l] += dx * w;
+        cols.ay[l] += dy * w;
+        cols.az[l] += dz * w;
+        cols.slots += 1;
+    }
+}
+
+impl<Op: PairOp> LaneKernel for Portable<Op> {
+    #[inline(always)]
+    unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
+        let mut rest = live;
+        while rest != 0 {
+            let l = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            cols.mac_tests[l] += 1;
+            if accept & (1 << l) != 0 {
+                Self::accumulate(cols, l, com, m, eps2);
+                cols.p2n[l] += 1;
+            }
+        }
+    }
+
+    #[inline(always)]
+    unsafe fn particle(cols: &mut Columns, q: &Particle, eps2: f64, mask: u32) {
+        let mut rest = mask;
+        while rest != 0 {
+            let l = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            if cols.skip[l] != q.id {
+                Self::accumulate(cols, l, q.pos, q.mass, eps2);
+                cols.p2p[l] += 1;
+            }
+        }
+    }
+}
+
+/// Four lanes per chunk; every operation the correctly rounded counterpart
+/// of [`Portable<Rsqrt>`]'s, in its order.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::{run, Columns, LaneKernel, ReplayLanes, REPLAY_LANES};
+    use crate::kernel::avx2::floored_rsqrt_pd;
+    use crate::mac::Mac;
+    use crate::node::{NodeId, Tree};
+    use bhut_geom::{Particle, Vec3};
+    use core::arch::x86_64::*;
+
+    const CHUNK: usize = 4;
+
+    /// All-ones in the 64-bit lanes named by the low four bits of `bits`.
+    #[inline(always)]
+    unsafe fn lane_mask(bits: u32) -> __m256i {
+        let select = _mm256_set_epi64x(8, 4, 2, 1);
+        _mm256_cmpeq_epi64(_mm256_and_si256(_mm256_set1_epi64x(bits as i64), select), select)
+    }
+
+    /// `col[l] += 1` for every lane `l` of `mask`, eight counters at a time
+    /// (an all-ones lane is −1).
+    #[inline(always)]
+    unsafe fn bump(col: &mut [u32; REPLAY_LANES], mask: u32) {
+        let select = _mm256_set_epi32(128, 64, 32, 16, 8, 4, 2, 1);
+        for c in 0..REPLAY_LANES / 8 {
+            let bits = _mm256_set1_epi32(((mask >> (8 * c)) & 0xff) as i32);
+            let on = _mm256_cmpeq_epi32(_mm256_and_si256(bits, select), select);
+            let p = col.as_mut_ptr().add(8 * c) as *mut __m256i;
+            _mm256_storeu_si256(p, _mm256_sub_epi32(_mm256_loadu_si256(p), on));
+        }
+    }
+
+    /// `col[o..o + 4] = v` on the lanes of `on`.
+    #[inline(always)]
+    unsafe fn store(col: &mut [f64; REPLAY_LANES], o: usize, v: __m256d, on: __m256d) {
+        let p = col.as_mut_ptr().add(o);
+        _mm256_storeu_pd(p, _mm256_blendv_pd(_mm256_loadu_pd(p), v, on));
+    }
+
+    /// The four lanes at `o` named by `on` gain the monopole `m` at `src`.
+    #[inline(always)]
+    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, on: __m256i) {
+        let dx = _mm256_sub_pd(_mm256_set1_pd(src.x), _mm256_loadu_pd(cols.pts.x.as_ptr().add(o)));
+        let dy = _mm256_sub_pd(_mm256_set1_pd(src.y), _mm256_loadu_pd(cols.pts.y.as_ptr().add(o)));
+        let dz = _mm256_sub_pd(_mm256_set1_pd(src.z), _mm256_loadu_pd(cols.pts.z.as_ptr().add(o)));
+        let r2 = _mm256_add_pd(
+            _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+                _mm256_mul_pd(dz, dz),
+            ),
+            _mm256_set1_pd(eps2),
+        );
+        let inv = floored_rsqrt_pd(r2);
+        let im = _mm256_mul_pd(_mm256_set1_pd(m), inv);
+        let w = _mm256_mul_pd(_mm256_mul_pd(im, inv), inv);
+        let on = _mm256_castsi256_pd(on);
+        let ph = _mm256_sub_pd(_mm256_loadu_pd(cols.phi.as_ptr().add(o)), im);
+        store(&mut cols.phi, o, ph, on);
+        let ax = _mm256_add_pd(_mm256_loadu_pd(cols.ax.as_ptr().add(o)), _mm256_mul_pd(dx, w));
+        store(&mut cols.ax, o, ax, on);
+        let ay = _mm256_add_pd(_mm256_loadu_pd(cols.ay.as_ptr().add(o)), _mm256_mul_pd(dy, w));
+        store(&mut cols.ay, o, ay, on);
+        let az = _mm256_add_pd(_mm256_loadu_pd(cols.az.as_ptr().add(o)), _mm256_mul_pd(dz, w));
+        store(&mut cols.az, o, az, on);
+        cols.slots += CHUNK as u64;
+    }
+
+    pub(super) struct Avx2;
+
+    impl LaneKernel for Avx2 {
+        /// The arithmetic runs on every chunk with a live lane, beside the
+        /// test that decides `accept` rather than after it; only the stores
+        /// wait for the mask.
+        #[inline(always)]
+        unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
+            bump(&mut cols.mac_tests, live);
+            bump(&mut cols.p2n, accept);
+            for c in 0..REPLAY_LANES / CHUNK {
+                let o = CHUNK * c;
+                if (live >> o) & 0xf != 0 {
+                    accumulate(cols, o, com, m, eps2, lane_mask(accept >> o));
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn particle(cols: &mut Columns, q: &Particle, eps2: f64, mask: u32) {
+            let id = _mm256_set1_epi32(q.id as i32);
+            let mut skipping = 0u32;
+            for c in 0..REPLAY_LANES / 8 {
+                let ids = _mm256_loadu_si256(cols.skip.as_ptr().add(8 * c) as *const __m256i);
+                let eq = _mm256_movemask_ps(_mm256_castsi256_ps(_mm256_cmpeq_epi32(ids, id)));
+                skipping |= (eq as u32) << (8 * c);
+            }
+            let mask = mask & !skipping;
+            bump(&mut cols.p2p, mask);
+            for c in 0..REPLAY_LANES / CHUNK {
+                let o = CHUNK * c;
+                let bits = (mask >> o) & 0xf;
+                if bits != 0 {
+                    accumulate(cols, o, q.pos, q.mass, eps2, lane_mask(bits));
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn replay<M: Mac>(
+        lanes: &mut ReplayLanes,
+        tree: &Tree,
+        particles: &[Particle],
+        roots: &[NodeId],
+        mac: &M,
+        eps2: f64,
+    ) {
+        run::<M, Avx2>(lanes, tree, particles, roots, mac, eps2)
+    }
+}
+
+/// Eight lanes per chunk, accumulation under a mask register; the same
+/// operations as [`avx2`] at twice the width.
+#[cfg(target_arch = "x86_64")]
+mod avx512 {
+    use super::{run, Columns, LaneKernel, ReplayLanes, REPLAY_LANES};
+    use crate::kernel::avx512::floored_rsqrt_pd8;
+    use crate::mac::Mac;
+    use crate::node::{NodeId, Tree};
+    use bhut_geom::{Particle, Vec3};
+    use core::arch::x86_64::*;
+
+    const CHUNK: usize = 8;
+
+    /// `col[l] += 1` for every lane `l` of `mask`, sixteen counters at a
+    /// time.
+    #[inline(always)]
+    unsafe fn bump(col: &mut [u32; REPLAY_LANES], mask: u32) {
+        for h in 0..REPLAY_LANES / 16 {
+            let p = col.as_mut_ptr().add(16 * h) as *mut __m512i;
+            let (v, k) = (_mm512_loadu_si512(p as *const _), (mask >> (16 * h)) as __mmask16);
+            _mm512_storeu_si512(p as *mut _, _mm512_mask_add_epi32(v, k, v, _mm512_set1_epi32(1)));
+        }
+    }
+
+    /// The eight lanes at `o` named by `k` gain the monopole `m` at `src`.
+    #[inline(always)]
+    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, k: __mmask8) {
+        let dx = _mm512_sub_pd(_mm512_set1_pd(src.x), _mm512_loadu_pd(cols.pts.x.as_ptr().add(o)));
+        let dy = _mm512_sub_pd(_mm512_set1_pd(src.y), _mm512_loadu_pd(cols.pts.y.as_ptr().add(o)));
+        let dz = _mm512_sub_pd(_mm512_set1_pd(src.z), _mm512_loadu_pd(cols.pts.z.as_ptr().add(o)));
+        let r2 = _mm512_add_pd(
+            _mm512_add_pd(
+                _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
+                _mm512_mul_pd(dz, dz),
+            ),
+            _mm512_set1_pd(eps2),
+        );
+        let inv = floored_rsqrt_pd8(r2);
+        let im = _mm512_mul_pd(_mm512_set1_pd(m), inv);
+        let w = _mm512_mul_pd(_mm512_mul_pd(im, inv), inv);
+        let ph = _mm512_loadu_pd(cols.phi.as_ptr().add(o));
+        _mm512_storeu_pd(cols.phi.as_mut_ptr().add(o), _mm512_mask_sub_pd(ph, k, ph, im));
+        let ax = _mm512_loadu_pd(cols.ax.as_ptr().add(o));
+        let ax = _mm512_mask_add_pd(ax, k, ax, _mm512_mul_pd(dx, w));
+        _mm512_storeu_pd(cols.ax.as_mut_ptr().add(o), ax);
+        let ay = _mm512_loadu_pd(cols.ay.as_ptr().add(o));
+        let ay = _mm512_mask_add_pd(ay, k, ay, _mm512_mul_pd(dy, w));
+        _mm512_storeu_pd(cols.ay.as_mut_ptr().add(o), ay);
+        let az = _mm512_loadu_pd(cols.az.as_ptr().add(o));
+        let az = _mm512_mask_add_pd(az, k, az, _mm512_mul_pd(dz, w));
+        _mm512_storeu_pd(cols.az.as_mut_ptr().add(o), az);
+        cols.slots += CHUNK as u64;
+    }
+
+    pub(super) struct Avx512;
+
+    impl LaneKernel for Avx512 {
+        /// The arithmetic runs on every chunk with a live lane, beside the
+        /// test that decides `accept` rather than after it; only the stores
+        /// wait for the mask.
+        #[inline(always)]
+        unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
+            bump(&mut cols.mac_tests, live);
+            bump(&mut cols.p2n, accept);
+            for c in 0..REPLAY_LANES / CHUNK {
+                let o = CHUNK * c;
+                if (live >> o) as __mmask8 != 0 {
+                    accumulate(cols, o, com, m, eps2, (accept >> o) as __mmask8);
+                }
+            }
+        }
+
+        #[inline(always)]
+        unsafe fn particle(cols: &mut Columns, q: &Particle, eps2: f64, mask: u32) {
+            let id = _mm512_set1_epi32(q.id as i32);
+            let lo = _mm512_loadu_si512(cols.skip.as_ptr() as *const _);
+            let hi = _mm512_loadu_si512(cols.skip.as_ptr().add(16) as *const _);
+            let lo = u32::from(_mm512_cmpneq_epi32_mask(lo, id));
+            let hi = u32::from(_mm512_cmpneq_epi32_mask(hi, id));
+            let mask = mask & (lo | hi << 16);
+            bump(&mut cols.p2p, mask);
+            for c in 0..REPLAY_LANES / CHUNK {
+                let o = CHUNK * c;
+                let k = (mask >> o) as __mmask8;
+                if k != 0 {
+                    accumulate(cols, o, q.pos, q.mass, eps2, k);
+                }
+            }
+        }
+    }
+
+    /// # Safety
+    /// The CPU must support AVX-512F, AVX2 and FMA.
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn replay<M: Mac>(
+        lanes: &mut ReplayLanes,
+        tree: &Tree,
+        particles: &[Particle],
+        roots: &[NodeId],
+        mac: &M,
+        eps2: f64,
+    ) {
+        run::<M, Avx512>(lanes, tree, particles, roots, mac, eps2)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::{build, BuildParams};
+    use crate::group::{
+        eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule,
+        InteractionBuffers, QueryTarget,
+    };
+    use crate::mac::{BarnesHutMac, GroupMac, MinDistMac};
+    use crate::traverse::{accel_kernel, for_each_interaction_from, potential_kernel, Interaction};
+    use bhut_geom::{plummer, Aabb, PlummerSpec};
+
+    const EPS: f64 = 1e-4;
+
+    /// What one target's lane must hold: `[ax, ay, az, φ]` as bits, and the
+    /// walk's counters.
+    type Lane = ([u64; 4], TraversalStats);
+
+    /// The oracle: the per-target walk from every root in order, folded in
+    /// walk order with the slab kernels' operation sequence written out —
+    /// or, with `exact`, with the per-particle walk's own kernels.
+    fn fold_walk(
+        tree: &Tree,
+        ps: &[Particle],
+        roots: &[NodeId],
+        (pos, skip): QueryTarget,
+        mac: &impl Mac,
+        eps: f64,
+        exact: bool,
+    ) -> Lane {
+        let skip = (skip != u32::MAX).then_some(skip);
+        let (mut acc, mut phi) = (Vec3::ZERO, 0.0f64);
+        let mut stats = TraversalStats::default();
+        for &root in roots {
+            let st = for_each_interaction_from(tree, root, ps, pos, skip, mac, |i| {
+                let (src, m) = match i {
+                    Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
+                    Interaction::Particle(qi) => (ps[qi as usize].pos, ps[qi as usize].mass),
+                };
+                if exact {
+                    acc += accel_kernel(pos, src, m, eps);
+                    phi += potential_kernel(pos, src, m, eps);
+                    return;
+                }
+                let (dx, dy, dz) = (src.x - pos.x, src.y - pos.y, src.z - pos.z);
+                let r2 = dx * dx + dy * dy + dz * dz + eps * eps;
+                let inv = rsqrt_nr_f64(if r2 > R2_FLOOR_F64 { r2 } else { R2_FLOOR_F64 });
+                let im = m * inv;
+                phi -= im;
+                let w = im * inv * inv;
+                acc.x += dx * w;
+                acc.y += dy * w;
+                acc.z += dz * w;
+            });
+            stats.merge(st);
+        }
+        ([acc.x, acc.y, acc.z, phi].map(f64::to_bits), stats)
+    }
+
+    fn lane(lanes: &ReplayLanes, l: usize) -> Lane {
+        let (acc, phi) = lanes.sums(l);
+        ([acc.x, acc.y, acc.z, phi].map(f64::to_bits), lanes.stats(l))
+    }
+
+    /// Seat `targets` (at most [`REPLAY_LANES`]) in fresh lanes.
+    fn seat(targets: &[QueryTarget]) -> ReplayLanes {
+        let mut lanes = ReplayLanes::new();
+        for &(pos, skip) in targets {
+            lanes.push(pos, skip);
+        }
+        lanes
+    }
+
+    /// The tiers this host can execute, whatever [`bhut_simd::isa`] picked
+    /// (under `force-scalar` the vector bodies are still there to compare).
+    fn runnable_tiers() -> Vec<Isa> {
+        let mut tiers = vec![Isa::Portable];
+        #[cfg(target_arch = "x86_64")]
+        {
+            if is_x86_feature_detected!("avx2") && is_x86_feature_detected!("fma") {
+                tiers.push(Isa::Avx2);
+                if is_x86_feature_detected!("avx512f") {
+                    tiers.push(Isa::Avx512);
+                }
+            }
+        }
+        tiers
+    }
+
+    /// The slab-arithmetic replay of `targets` from `roots` through the body
+    /// of `tier`, one lane result per target.
+    fn replay_through(
+        tier: Isa,
+        tree: &Tree,
+        ps: &[Particle],
+        roots: &[NodeId],
+        targets: &[QueryTarget],
+        mac: &impl Mac,
+        eps: f64,
+    ) -> Vec<Lane> {
+        assert!(runnable_tiers().contains(&tier));
+        let mut out = Vec::new();
+        for chunk in targets.chunks(REPLAY_LANES) {
+            let mut lanes = seat(chunk);
+            // SAFETY: `tier` is one this host was just detected to support.
+            unsafe { lanes.replay_on(tier, tree, ps, roots, mac, eps * eps) };
+            out.extend((0..chunk.len()).map(|l| lane(&lanes, l)));
+        }
+        out
+    }
+
+    /// Replay `targets` (any number: chunks of [`REPLAY_LANES`]) through the
+    /// dispatched body and hold every lane to the oracle. Returns the
+    /// interactions compared.
+    fn assert_lanes_are_the_walk(
+        tree: &Tree,
+        ps: &[Particle],
+        roots: &[NodeId],
+        targets: &[QueryTarget],
+        mac: &impl Mac,
+        ctx: &str,
+    ) -> u64 {
+        let mut compared = 0;
+        for precision in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
+            let exact = precision == KernelPrecision::ScalarF64;
+            for (c, chunk) in targets.chunks(REPLAY_LANES).enumerate() {
+                let mut lanes = seat(chunk);
+                lanes.replay(tree, ps, roots, mac, EPS, precision);
+                for (l, &target) in chunk.iter().enumerate() {
+                    let want = fold_walk(tree, ps, roots, target, mac, EPS, exact);
+                    assert_eq!(lane(&lanes, l), want, "{ctx}: chunk {c} lane {l} {precision:?}");
+                    compared += want.1.interactions();
+                }
+                // Computed lanes cover the interacting ones.
+                let slots = lanes.take_lane_slots();
+                let useful: u64 = (0..chunk.len()).map(|l| lanes.stats(l).interactions()).sum();
+                assert!(slots >= useful, "{ctx}: {slots} slots for {useful} interactions");
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn replayed_lanes_are_the_per_target_walk_bitwise() {
+        fn check(mac: &(impl GroupMac + Copy), name: &str) {
+            let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
+            let ps = &set.particles;
+            // Capacity 12: units of a few members up to a full replay chunk.
+            let tree = build(ps, BuildParams::with_leaf_capacity(12));
+            let active: Vec<bool> = (0..set.len()).map(|i| i % 3 != 1).collect();
+            let mut buf = InteractionBuffers::new();
+            let mut compared = 0;
+            // Unit members, with and without an active mask.
+            for mask in [None, Some(active.as_slice())] {
+                for unit in leaf_schedule(&tree) {
+                    gather_group(&tree, ps, unit, mac, &mut buf);
+                    let targets: Vec<QueryTarget> = tree
+                        .particles_under(unit)
+                        .iter()
+                        .filter(|&&pi| mask.is_none_or(|m| m[pi as usize]))
+                        .map(|&pi| (ps[pi as usize].pos, ps[pi as usize].id))
+                        .collect();
+                    let ctx = format!("{name} unit {unit} masked {}", mask.is_some());
+                    compared +=
+                        assert_lanes_are_the_walk(&tree, ps, &buf.mixed, &targets, mac, &ctx);
+                }
+            }
+            // Point buckets of 40 (two chunks, 32 + 8): at particle positions
+            // with skip ids, and off-particle without.
+            for (b, run) in tree.order.chunks(40).enumerate() {
+                for skip_ids in [true, false] {
+                    let targets: Vec<QueryTarget> = run
+                        .iter()
+                        .map(|&pi| {
+                            let p = &ps[pi as usize];
+                            if skip_ids {
+                                (p.pos, p.id)
+                            } else {
+                                (p.pos + Vec3::new(1.3e-3, -2.1e-3, 0.7e-3), u32::MAX)
+                            }
+                        })
+                        .collect();
+                    let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+                    gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
+                    let ctx = format!("{name} bucket {b} skip ids {skip_ids}");
+                    compared +=
+                        assert_lanes_are_the_walk(&tree, ps, &buf.mixed, &targets, mac, &ctx);
+                }
+            }
+            assert!(compared > 0, "{name}: the test tree produced no mixed frontier");
+        }
+        check(&BarnesHutMac::new(0.67), "bh");
+        check(&MinDistMac::new(0.8), "min-dist");
+    }
+
+    /// The dispatcher picks one body per host, so hold the body of *every*
+    /// tier this host can execute to the portable one, lane for lane, and say
+    /// which were covered: a runner without AVX-512 must be visible in the
+    /// log, not silently green.
+    #[test]
+    fn every_runnable_replay_body_is_bitwise_the_portable_body() {
+        fn check(mac: &(impl GroupMac + Copy), name: &str) {
+            let set = plummer(PlummerSpec { n: 900, seed: 5, ..Default::default() });
+            let ps = &set.particles;
+            let tree = build(ps, BuildParams::with_leaf_capacity(8));
+            let mut buf = InteractionBuffers::new();
+            // Buckets of 40 straddle a chunk boundary and leave ragged
+            // chunks; every third target skips nothing.
+            for (b, run) in tree.order.chunks(40).enumerate() {
+                let targets: Vec<QueryTarget> = run
+                    .iter()
+                    .enumerate()
+                    .map(|(k, &pi)| (ps[pi as usize].pos, if k % 3 == 0 { u32::MAX } else { pi }))
+                    .collect();
+                let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+                gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
+                let through =
+                    |tier| replay_through(tier, &tree, ps, &buf.mixed, &targets, mac, EPS);
+                let want = through(Isa::Portable);
+                for tier in runnable_tiers() {
+                    assert_eq!(through(tier), want, "{name} bucket {b} {tier:?}");
+                }
+            }
+        }
+        check(&BarnesHutMac::new(0.67), "bh");
+        check(&MinDistMac::new(0.8), "min-dist");
+        println!("ISA tiers covered (mixed-frontier replay): {:?}", runnable_tiers());
+    }
+
+    /// A lane's sums are a fold over its own walk: the same target alone, in
+    /// lane 0 of a full chunk and in lane 17 among 31 others reads the same
+    /// bits, through every body.
+    #[test]
+    fn a_targets_bits_do_not_depend_on_its_lane_its_co_lanes_or_the_fill() {
+        let set = plummer(PlummerSpec { n: 700, seed: 19, ..Default::default() });
+        let ps = &set.particles;
+        let tree = build(ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        // From the root: every lane walks the whole tree, so the co-lanes
+        // reject, accept and skip all over the target's own path.
+        let roots = [0];
+        let others: Vec<QueryTarget> =
+            tree.order[100..131].iter().map(|&pi| (ps[pi as usize].pos, pi)).collect();
+        for &pi in &tree.order[40..44] {
+            let target = (ps[pi as usize].pos, pi);
+            let want = fold_walk(&tree, ps, &roots, target, &mac, EPS, false);
+            for tier in runnable_tiers() {
+                let at = |lane: usize, company: &[QueryTarget]| {
+                    let mut targets = company.to_vec();
+                    targets.insert(lane, target);
+                    replay_through(tier, &tree, ps, &roots, &targets, &mac, EPS)[lane]
+                };
+                assert_eq!(at(0, &[]), want, "alone, {tier:?}");
+                assert_eq!(at(0, &others), want, "lane 0 of 32, {tier:?}");
+                assert_eq!(at(17, &others), want, "lane 17 of 32, {tier:?}");
+                assert_eq!(at(5, &others[..9]), want, "lane 5 of 10, {tier:?}");
+            }
+        }
+    }
+
+    /// 1, 31, 32 and 33 targets on one gather: a target reads the same bits
+    /// whether it closes a chunk, fills the last lane or opens the next
+    /// chunk, and the evaluation emits every target once, in order.
+    #[test]
+    fn chunk_boundaries_do_not_show() {
+        let set = plummer(PlummerSpec { n: 800, seed: 23, ..Default::default() });
+        let ps = &set.particles;
+        let tree = build(ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let targets: Vec<QueryTarget> =
+            tree.order[200..233].iter().map(|&pi| (ps[pi as usize].pos, pi)).collect();
+        let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+        let mut buf = InteractionBuffers::new();
+        gather_group_targets(&tree, ps, &bucket, &mac, &mut buf);
+        assert!(!buf.mixed.is_empty(), "a 33-point bucket in a Plummer core has a mixed frontier");
+        let eval = |some: &[QueryTarget]| {
+            let mut rows = Vec::new();
+            let emit = |k: usize, phi: f64, acc: Vec3, it: u64| {
+                rows.push((k, [acc.x, acc.y, acc.z, phi].map(f64::to_bits), it))
+            };
+            let st =
+                eval_gathered_targets(&tree, ps, some, &mac, EPS, KernelPrecision::F64, &buf, emit);
+            assert_eq!(st.interactions(), rows.iter().map(|r| r.2).sum::<u64>());
+            rows
+        };
+        let all = eval(&targets);
+        assert_eq!(all.iter().map(|r| r.0).collect::<Vec<_>>(), (0..33).collect::<Vec<_>>());
+        for n in [1, 31, 32] {
+            assert_eq!(eval(&targets[..n]), all[..n], "the first {n} of 33");
+        }
+        // Target 32 opens the second chunk of 33, and is lane 0 on its own.
+        let (_, bits, it) = eval(&targets[32..])[0];
+        assert_eq!((bits, it), (all[32].1, all[32].2));
+        // The replay half of every row is the oracle's.
+        let lanes = replay_through(bhut_simd::isa(), &tree, ps, &buf.mixed, &targets, &mac, EPS);
+        for (k, &target) in targets.iter().enumerate() {
+            assert_eq!(lanes[k], fold_walk(&tree, ps, &buf.mixed, target, &mac, EPS, false));
+        }
+    }
+
+    #[test]
+    fn no_mixed_roots_leave_the_lanes_at_zero() {
+        let set = plummer(PlummerSpec { n: 300, seed: 3, ..Default::default() });
+        let ps = &set.particles;
+        let tree = build(ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let targets = [(Vec3::new(40.0, -35.0, 50.0), u32::MAX), (Vec3::new(41.0, -35.0, 50.0), 7)];
+        // Far from everything: the root itself is accepted for the bucket.
+        let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+        let mut buf = InteractionBuffers::new();
+        gather_group_targets(&tree, ps, &bucket, &mac, &mut buf);
+        assert!(buf.mixed.is_empty() && buf.node_ids == [0]);
+        let zero = ([0u64; 4], TraversalStats::default());
+        for tier in runnable_tiers() {
+            let lanes = replay_through(tier, &tree, ps, &buf.mixed, &targets, &mac, EPS);
+            assert_eq!(lanes, [zero, zero], "{tier:?}");
+        }
+        // And the evaluation is then the slab kernel alone.
+        let mut rows = 0;
+        let emit = |_, phi: f64, acc: Vec3, it| {
+            rows += 1;
+            assert!(phi < 0.0 && acc.norm() > 0.0);
+            assert_eq!(it, 1);
+        };
+        eval_gathered_targets(&tree, ps, &targets, &mac, EPS, KernelPrecision::F64, &buf, emit);
+        assert_eq!(rows, 2);
+        // No lanes seated: nothing to do, whatever the roots.
+        let mut empty = ReplayLanes::new();
+        empty.replay(&tree, ps, &[0], &mac, EPS, KernelPrecision::F64);
+        assert_eq!((empty.len(), empty.take_lane_slots()), (0, 0));
+    }
+
+    /// ε = 0 and a query point on a particle it does not skip: `r² = 0` is
+    /// clamped to the floor, as in the slab kernel — a finite (huge)
+    /// potential term, no acceleration, no NaN — and counted as the
+    /// interaction the walk counts. The exact scalar kernels drop the term.
+    #[test]
+    fn unsoftened_point_on_an_unskipped_particle_takes_the_floor() {
+        let set = plummer(PlummerSpec { n: 200, seed: 11, ..Default::default() });
+        let ps = &set.particles;
+        let tree = build(ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let on = &ps[tree.order[57] as usize];
+        let targets = [(on.pos, u32::MAX), (on.pos, on.id)];
+        let want: Vec<Lane> =
+            targets.iter().map(|&t| fold_walk(&tree, ps, &[0], t, &mac, 0.0, false)).collect();
+        let (unskipped, skipped) = (want[0], want[1]);
+        assert_eq!(unskipped.1.p2p, skipped.1.p2p + 1, "the coincident particle is an interaction");
+        let [ax, ay, az, phi] = unskipped.0.map(f64::from_bits);
+        assert!(ax.is_finite() && ay.is_finite() && az.is_finite() && phi.is_finite());
+        assert!(phi < -1e40, "the floored term dominates: {phi:e}");
+        // Its acceleration is the skipping target's plus an exact zero.
+        assert_eq!(unskipped.0[..3], skipped.0[..3]);
+        for tier in runnable_tiers() {
+            assert_eq!(
+                replay_through(tier, &tree, ps, &[0], &targets, &mac, 0.0),
+                want,
+                "{tier:?}"
+            );
+        }
+        let mut lanes = seat(&targets);
+        lanes.replay(&tree, ps, &[0], &mac, 0.0, KernelPrecision::ScalarF64);
+        assert_eq!(lane(&lanes, 0), fold_walk(&tree, ps, &[0], targets[0], &mac, 0.0, true));
+        assert_eq!(lanes.sums(0), lanes.sums(1), "the exact kernels drop an r² = 0 term");
+    }
+}

@@ -17,7 +17,7 @@ use barnes_hut::timestep::{ActiveSet, BlockConfig, TimestepMode};
 use barnes_hut::tree::build::{build, build_in_cell, BuildParams};
 use barnes_hut::tree::group::{
     eval_gathered_monopole_masked, eval_group_monopole, gather_group, leaf_schedule,
-    resolve_mixed_tails_lanes, InteractionBuffers,
+    InteractionBuffers,
 };
 use barnes_hut::tree::traverse::TraversalStats;
 use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac, MinDistMac};
@@ -325,7 +325,8 @@ proptest! {
 
     /// The vectorised f64 kernels agree with the scalar grouped path to
     /// ≤1e-12 relative across every kernel entry point — split, masked, and
-    /// with resolved mixed tails — with exact interaction counts throughout.
+    /// with the mixed frontier replayed — with exact interaction counts
+    /// throughout.
     /// (The fused entry point is the split pair by construction; see
     /// `grouped_walk_is_exact_for_random_sets` above.)
     #[test]
@@ -355,8 +356,7 @@ proptest! {
             };
             // Full and masked: each must put the SIMD kernels within 1e-12
             // relative of the scalar grouped loop.
-            let mut compare = |active: Option<&[bool]>| {
-                resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, active);
+            let compare = |active: Option<&[bool]>| {
                 let scalar = run(KernelPrecision::ScalarF64, active, &buf);
                 let simd = run(KernelPrecision::F64, active, &buf);
                 prop_assert_eq!(scalar.len(), simd.len());
@@ -398,7 +398,6 @@ proptest! {
         let mut acc_mixed = vec![Vec3::ZERO; n];
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            resolve_mixed_tails_lanes(&tree, &set.particles, leaf, &mac, &mut buf, None);
             eval_gathered_monopole_masked(
                 &tree, &set.particles, leaf, &mac, eps, KernelPrecision::F64, &buf, None,
                 |pi, _, acc, _| acc_f64[pi as usize] = acc,

@@ -1,12 +1,13 @@
-//! The three entries into the grouped force pipeline (`gather → resolve →
-//! eval` in `tree::group`) against the per-particle walk itself, on one
+//! The three entries into the grouped force pipeline (`gather → eval` in
+//! `tree::group`) against the per-particle walk itself, on one
 //! seeded Plummer set: the full executor sweep, a masked block substep on the
 //! tree that sweep froze with the particles moved on since, and a served
 //! field query at particle positions. Values agree to 1e-12 relative;
 //! interaction counts exactly.
-//! A second case drives the two sweeps that reach the f64 slab kernel with
-//! only one of its three slabs: degree 2 (near field only) against
-//! `MultipoleTree::eval`, and `MixedF32` (tails only) against the walk.
+//! A second case drives the two sweeps that reach the f64 arithmetic by only
+//! one of its routes: degree 2 (the slab kernel on the near field alone)
+//! against `MultipoleTree::eval`, and `MixedF32` (the mixed-frontier replay
+//! alone) against the walk.
 //! A third picks the walk units whose members split between the shared
 //! near-field slab and a mixed root, where self-exclusion is per member.
 //! A fourth holds the executor's sweep — which gathers each unit through the
@@ -147,7 +148,7 @@ fn degree_two_and_mixed_precision_sweeps_equal_their_per_particle_walks() {
 /// A multi-leaf walk unit can hold one leaf that the shared walk appended
 /// to the near-field slab (its members find themselves there, id-masked) and
 /// another that sits below a mixed root (its members leave themselves out in
-/// the tail walk). Both kinds of member must count and sum exactly as the
+/// the replay). Both kinds of member must count and sum exactly as the
 /// per-particle walk does, and a masked evaluation must reproduce the full
 /// one's rows bit for bit.
 #[test]
@@ -179,8 +180,7 @@ fn units_split_between_the_shared_slab_and_a_mixed_root_are_exact_per_member() {
             continue;
         }
         split_units += 1;
-        let mut rows = |active: Option<&[bool]>| {
-            resolve_mixed_tails_lanes(&tree, ps, unit, &mac, &mut buf, active);
+        let rows = |active: Option<&[bool]>| {
             let mut rows = Vec::new();
             let emit = |pi, phi, acc, it| rows.push((pi, phi, acc, it));
             let precision = KernelPrecision::F64;
@@ -206,8 +206,11 @@ fn units_split_between_the_shared_slab_and_a_mixed_root_are_exact_per_member() {
 /// `compute_forces` gathers a worker's units incrementally (`GroupSweep`);
 /// whoever drives the pipeline from outside — the benchmark's traced replica
 /// does — makes the three public calls per unit of `leaf_schedule`, each
-/// gather starting from an empty chain. Both must produce the same bits, at
-/// one thread and at two (different ranges, so different chains).
+/// gather starting from an empty chain. (The middle call has been empty
+/// since the evaluation replays the mixed frontier itself; it is made here
+/// exactly as the harness makes it, so its name and signature stay pinned
+/// until the harness lets go of it.) Both must produce the same bits, at one
+/// thread and at two (different ranges, so different chains).
 #[test]
 fn compute_forces_is_bitwise_the_three_public_calls_per_unit() {
     let set = plummer(PlummerSpec { n: 4000, seed: 21, ..Default::default() });
