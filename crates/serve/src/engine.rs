@@ -81,9 +81,6 @@ impl FieldQuery {
         self.order.extend(0..points.len() as u32);
         self.order.sort_by_key(|&i| morton_code(&cell, points[i as usize].0));
         let order = std::mem::take(&mut self.order);
-        // Fill the f32 mirrors during the gather whenever the kernels will
-        // read them, as the simulation's executor does.
-        self.buf.set_fill_f32(precision == KernelPrecision::MixedF32);
         for run in order.chunks(self.group_size) {
             self.bucket.clear();
             self.bucket.extend(run.iter().map(|&i| points[i as usize]));

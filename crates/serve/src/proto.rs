@@ -14,6 +14,10 @@
 //! | [`TAG_STATS`] | empty — request a [`crate::ServeStats`] snapshot |
 //! | [`TAG_STATS_REPLY`] | UTF-8 JSON of [`crate::ServeStats`] |
 //! | [`TAG_ERROR`] | `id:u64`, UTF-8 message — malformed or unsupported request |
+//!
+//! The `precision` byte of a query: 0 = [`KernelPrecision::ScalarF64`],
+//! 1 = [`KernelPrecision::F64`]. 2 was the retired `mixed_f32` mode; a query
+//! carrying it, or any other byte, is answered with [`TAG_ERROR`].
 
 use bhut_geom::Vec3;
 use bhut_tree::{KernelPrecision, QueryTarget};
@@ -61,7 +65,6 @@ fn precision_to_u8(p: KernelPrecision) -> u8 {
     match p {
         KernelPrecision::ScalarF64 => 0,
         KernelPrecision::F64 => 1,
-        KernelPrecision::MixedF32 => 2,
     }
 }
 
@@ -69,7 +72,7 @@ fn precision_from_u8(b: u8) -> Result<KernelPrecision, String> {
     match b {
         0 => Ok(KernelPrecision::ScalarF64),
         1 => Ok(KernelPrecision::F64),
-        2 => Ok(KernelPrecision::MixedF32),
+        2 => Err("kernel precision 2 (mixed_f32) was removed; send 1 (f64)".into()),
         other => Err(format!("unknown kernel precision {other}")),
     }
 }
@@ -211,7 +214,7 @@ mod tests {
         let req = QueryRequest {
             id: 0xdead_beef_cafe,
             kind: QueryKind::Field,
-            precision: KernelPrecision::MixedF32,
+            precision: KernelPrecision::ScalarF64,
             points: vec![
                 (Vec3::new(1.5, -2.25, 1e-300), 7),
                 (Vec3::new(f64::MIN_POSITIVE, 0.0, -0.0), u32::MAX),
@@ -264,6 +267,18 @@ mod tests {
         });
         bad_kind[8] = 99;
         assert!(decode_query(&bad_kind).is_err(), "unknown kind rejected");
+        // Precision bytes 0 and 1 keep their meaning; the retired 2 is
+        // refused by name, like any byte past it.
+        let mut at_precision = |b: u8| {
+            bad_kind[8] = 0;
+            bad_kind[9] = b;
+            decode_query(&bad_kind).map(|q| q.precision)
+        };
+        assert_eq!(at_precision(0), Ok(KernelPrecision::ScalarF64));
+        assert_eq!(at_precision(1), Ok(KernelPrecision::F64));
+        let retired = at_precision(2).unwrap_err();
+        assert!(retired.contains("mixed_f32") && retired.contains("removed"), "{retired}");
+        assert!(at_precision(3).is_err(), "unknown precision rejected");
         assert!(decode_retry(&[0u8; 11]).is_err());
         let (id, ms) = decode_retry(&encode_retry(3, 25)).unwrap();
         assert_eq!((id, ms), (3, 25));

@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use bhut_obs::{now, phase, Counters, ServeCounters, Span, StepProfile};
 use bhut_tree::QueryTarget;
-use bhut_wire::{write_frame, MAX_FRAME};
+use bhut_wire::{get_u64, write_frame, MAX_FRAME};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{FieldQuery, FieldSample};
@@ -448,7 +448,12 @@ fn conn_loop(
                         shared.cv.notify_one();
                     }
                 }
-                Err(e) => send(&writer, TAG_ERROR, &encode_error(0, &e)),
+                Err(e) => {
+                    // The error frame carries the request's id whenever the
+                    // payload is long enough to hold one.
+                    let id = if payload.len() >= 8 { get_u64(&payload, 0) } else { 0 };
+                    send(&writer, TAG_ERROR, &encode_error(id, &e))
+                }
             },
             TAG_STATS => {
                 let json = serde_json::to_string(&shared.stats()).unwrap_or_default();
@@ -754,7 +759,7 @@ mod tests {
         let server = Server::bind_unix(&path, store, ServeConfig::default()).unwrap();
         let mut client = ServeClient::connect_unix(&path).unwrap();
         let targets: Vec<QueryTarget> = vec![(particles[3].pos, particles[3].id)];
-        let reply = client.query(QueryKind::Field, KernelPrecision::MixedF32, &targets).unwrap();
+        let reply = client.query(QueryKind::Field, KernelPrecision::ScalarF64, &targets).unwrap();
         assert_eq!(reply.samples.len(), 1);
         server.stop();
         let _ = std::fs::remove_file(&path);

@@ -36,8 +36,8 @@ pub struct SimulationConfig {
     pub profile_every: usize,
     /// Global-dt leapfrog (default) or hierarchical block timesteps (S12).
     pub timestep: TimestepMode,
-    /// Arithmetic of the grouped force kernels: vectorized f64 (default),
-    /// mixed f32/f64, or the exact scalar-f64 reference.
+    /// Arithmetic of the grouped force kernels: vectorized f64 (default) or
+    /// the exact scalar-f64 reference.
     pub precision: KernelPrecision,
     /// Under [`TimestepMode::Block`], evaluate the fine-rung (masked)
     /// substeps on the tree frozen by the last synchronized substep — walked
@@ -530,9 +530,7 @@ mod tests {
 
     #[test]
     fn config_json_roundtrips_precision() {
-        for precision in
-            [KernelPrecision::F64, KernelPrecision::MixedF32, KernelPrecision::ScalarF64]
-        {
+        for precision in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
             let cfg = SimulationConfig { precision, threads: 3, ..Default::default() };
             let back = SimulationConfig::from_value(&cfg.to_value()).unwrap();
             assert_eq!(back.precision, precision);
@@ -634,9 +632,33 @@ mod tests {
     }
 
     #[test]
+    fn retired_mixed_f32_config_fails_to_load() {
+        // A config or snapshot naming the retired `mixed_f32` kernel mode is
+        // refused with an error that names it: no panic, no fallback to f64.
+        let json = serde_json::to_string(&SimulationConfig::default()).unwrap();
+        let retire = |text: &str| text.replace("\"f64\"", "\"mixed_f32\"");
+        assert_ne!(retire(&json), json, "the default config names its precision");
+        let err = serde_json::from_str::<SimulationConfig>(&retire(&json)).unwrap_err();
+        assert!(err.to_string().contains("mixed_f32"), "config: {err}");
+        // The same config inside a full (rungs + config) snapshot file.
+        let set = plummer(PlummerSpec { n: 8, seed: 27, ..Default::default() });
+        let mut sim = Simulation::new(set, SimulationConfig::default());
+        sim.run(1);
+        let dir = std::env::temp_dir().join(format!("bhut_retired_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        crate::snapshot::save_snapshot_state(&path, &sim.snapshot()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, retire(&text)).unwrap();
+        let err = crate::snapshot::load_snapshot(&path).unwrap_err();
+        assert!(err.to_string().contains("mixed_f32"), "snapshot: {err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn precision_threads_through_the_driver() {
         // Scalar and vectorized f64 agree to tight tolerance over a few
-        // steps; mixed f32 stays within its lane-roundoff envelope.
+        // steps.
         let set = plummer(PlummerSpec { n: 250, seed: 21, ..Default::default() });
         let base = SimulationConfig { eps: 0.02, threads: 2, ..Default::default() };
         let mut runs = [
@@ -644,21 +666,14 @@ mod tests {
                 set.clone(),
                 SimulationConfig { precision: KernelPrecision::ScalarF64, ..base },
             ),
-            Simulation::new(
-                set.clone(),
-                SimulationConfig { precision: KernelPrecision::F64, ..base },
-            ),
-            Simulation::new(set, SimulationConfig { precision: KernelPrecision::MixedF32, ..base }),
+            Simulation::new(set, SimulationConfig { precision: KernelPrecision::F64, ..base }),
         ];
         for sim in runs.iter_mut() {
             sim.run(3);
         }
-        let [scalar, vec64, mixed] = runs;
+        let [scalar, vec64] = runs;
         for (a, b) in scalar.particles.iter().zip(vec64.particles.iter()) {
             assert!(a.pos.dist(b.pos) < 1e-10 * (1.0 + b.pos.norm()), "f64 SIMD diverged");
-        }
-        for (a, b) in scalar.particles.iter().zip(mixed.particles.iter()) {
-            assert!(a.pos.dist(b.pos) < 1e-3 * (1.0 + b.pos.norm()), "mixed f32 diverged");
         }
     }
 

@@ -4,12 +4,11 @@
 //! instead of `wide`/`portable_simd` this small crate provides the three
 //! pieces the SoA interaction-slab kernels need:
 //!
-//! * **Fixed-width lane types** — [`F64s`] (4 × f64), [`F32s`] (8 × f32) and
-//!   the widening accumulator [`F64w`] (8 × f64). They are plain arrays with
+//! * **A fixed-width lane type** — [`F64s`] (4 × f64), a plain array with
 //!   `#[inline(always)]` element-wise ops: compiled inside a
 //!   `#[target_feature(enable = "avx2")]` context (see [`simd_dispatch!`])
 //!   LLVM lowers every op to one 256-bit vector instruction; compiled at the
-//!   baseline ISA they stay correct scalar/SSE2 code. This is the same
+//!   baseline ISA the ops stay correct scalar/SSE2 code. This is the same
 //!   multiversioning idiom `pulp`/`multiversion` package, without the
 //!   dependency.
 //! * **Runtime dispatch** — [`isa`] probes the CPU once (cached) into three
@@ -18,24 +17,22 @@
 //!   selecting per call. The `force-scalar` feature pins the portable body
 //!   everywhere, which is also the only path on non-x86_64.
 //! * **Aligned, padded slab storage** — [`AlignedF64Slab`] /
-//!   [`AlignedF32Slab`] / [`AlignedU32Slab`] back the reusable SoA scratch
-//!   with 64-byte-aligned blocks, so every [`PAD_MULTIPLE`]-element chunk
+//!   [`AlignedU32Slab`] back the reusable SoA scratch with 64-byte-aligned
+//!   blocks, so every [`PAD_MULTIPLE`]-element chunk
 //!   starts on a cache line and a slab padded with sentinels never makes a
 //!   vector loop straddle a ragged tail.
 //!
 //! [`KernelPrecision`] names the arithmetic modes the kernels implement on
-//! top of this: exact scalar f64 (the pre-SIMD reference), vectorized f64
-//! (the default), and mixed f32-lane/f64-accumulate.
+//! top of this: vectorized f64 (the default) and exact scalar f64 (the
+//! pre-SIMD reference).
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// f64 lanes per vector op (256-bit registers).
 pub const F64_LANES: usize = 4;
-/// f32 lanes per vector op (256-bit registers).
-pub const F32_LANES: usize = 8;
-/// Slab padding granularity, in elements. Eight f64 (one 64-byte cache
-/// line) is a whole number of both [`F64_LANES`] and [`F32_LANES`] chunks,
-/// so one padded length serves every kernel precision.
+/// Slab padding granularity, in elements. Eight f64 are one 64-byte cache
+/// line and one AVX-512 chunk — two [`F64_LANES`] chunks — so one padded
+/// length serves every ISA tier.
 pub const PAD_MULTIPLE: usize = 8;
 /// Slab block alignment, bytes.
 pub const SLAB_ALIGN: usize = 64;
@@ -49,33 +46,27 @@ pub enum KernelPrecision {
     /// default.
     #[default]
     F64,
-    /// f32 lane arithmetic with per-target f64 accumulation. Lane roundoff
-    /// (~1e-6 relative) sits far below the θ-MAC discretization error; tests
-    /// in `bhut-tree`, `bhut-threads` and `bhut-serve` hold it to ≤1e-4 of
-    /// the f64 kernels.
-    MixedF32,
     /// The original scalar loops, bit-identical to the per-particle walk's
     /// kernels — the accuracy and performance baseline.
     ScalarF64,
 }
 
 impl KernelPrecision {
-    /// Short stable name for configs/JSON (`"f64" | "mixed_f32" |
-    /// "scalar_f64"`).
+    /// Short stable name for configs/JSON (`"f64" | "scalar_f64"`).
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelPrecision::F64 => "f64",
-            KernelPrecision::MixedF32 => "mixed_f32",
             KernelPrecision::ScalarF64 => "scalar_f64",
         }
     }
 
-    /// Inverse of [`KernelPrecision::as_str`].
+    /// Inverse of [`KernelPrecision::as_str`]. The retired `"mixed_f32"`
+    /// is refused with its own message rather than read as another mode.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "f64" => Ok(KernelPrecision::F64),
-            "mixed_f32" => Ok(KernelPrecision::MixedF32),
             "scalar_f64" => Ok(KernelPrecision::ScalarF64),
+            "mixed_f32" => Err("kernel precision \"mixed_f32\" was removed; use \"f64\"".into()),
             other => Err(format!("unknown kernel precision {other:?}")),
         }
     }
@@ -85,8 +76,9 @@ impl KernelPrecision {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Isa {
     /// 512-bit vectors (AVX-512F, which implies the AVX2+FMA tier too).
-    /// Only the f64 slab kernels have 512-bit bodies; everything else runs
-    /// its AVX2 body under this tier.
+    /// Only the slab kernel, the mixed-frontier replay and its lane MAC
+    /// tests have 512-bit bodies; everything else runs its AVX2 body under
+    /// this tier.
     Avx512,
     /// 256-bit vectors via the AVX2+FMA-compiled clone of a dispatched
     /// body. FMA is part of the tier contract because the f64 kernels'
@@ -182,181 +174,103 @@ macro_rules! simd_dispatch {
     };
 }
 
-macro_rules! lane_type {
-    ($(#[$meta:meta])* $name:ident, $elem:ty, $bits:ty, $lanes:expr, $zero:expr) => {
-        $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq)]
-        pub struct $name(pub [$elem; $lanes]);
-
-        impl $name {
-            pub const LANES: usize = $lanes;
-
-            #[inline(always)]
-            pub fn splat(v: $elem) -> Self {
-                $name([v; $lanes])
-            }
-
-            #[inline(always)]
-            pub fn zero() -> Self {
-                Self::splat($zero)
-            }
-
-            /// Load the first `LANES` elements of `s`.
-            #[inline(always)]
-            pub fn load(s: &[$elem]) -> Self {
-                let mut v = [$zero; $lanes];
-                v.copy_from_slice(&s[..$lanes]);
-                $name(v)
-            }
-
-            #[allow(clippy::should_implement_trait)] // lane op, not std::ops
-            #[inline(always)]
-            pub fn add(self, o: Self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] += o.0[j];
-                }
-                $name(v)
-            }
-
-            #[allow(clippy::should_implement_trait)] // lane op, not std::ops
-            #[inline(always)]
-            pub fn sub(self, o: Self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] -= o.0[j];
-                }
-                $name(v)
-            }
-
-            #[allow(clippy::should_implement_trait)] // lane op, not std::ops
-            #[inline(always)]
-            pub fn mul(self, o: Self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] *= o.0[j];
-                }
-                $name(v)
-            }
-
-            #[allow(clippy::should_implement_trait)] // lane op, not std::ops
-            #[inline(always)]
-            pub fn div(self, o: Self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] /= o.0[j];
-                }
-                $name(v)
-            }
-
-            #[inline(always)]
-            pub fn sqrt(self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] = v[j].sqrt();
-                }
-                $name(v)
-            }
-
-            /// Reciprocal square root (`1/√x`), computed as an exact IEEE
-            /// sqrt followed by one division — the "fused rsqrt" the force
-            /// kernel shares between its potential and acceleration halves.
-            #[inline(always)]
-            pub fn rsqrt(self) -> Self {
-                Self::splat(1.0 as $elem).div(self.sqrt())
-            }
-
-            /// Elementwise maximum, in the x86 `maxpd`/`maxps` convention
-            /// (`self > o ? self : o`, so `o` wins ties and NaNs): the
-            /// kernels clamp `r²` to [`crate::R2_FLOOR_F64`] /
-            /// [`crate::R2_FLOOR_F32`] with this before the fused rsqrt,
-            /// and the intrinsic bodies must agree bit for bit.
-            #[inline(always)]
-            pub fn max(self, o: Self) -> Self {
-                let mut v = self.0;
-                for j in 0..$lanes {
-                    v[j] = if v[j] > o.0[j] { v[j] } else { o.0[j] };
-                }
-                $name(v)
-            }
-
-            /// Horizontal sum, in fixed lane order (deterministic across
-            /// ISAs — the dispatcher never changes results, only speed).
-            #[inline(always)]
-            pub fn hsum(self) -> $elem {
-                let mut acc = $zero;
-                for j in 0..$lanes {
-                    acc += self.0[j];
-                }
-                acc
-            }
-        }
-    };
-}
-
-lane_type!(
-    /// Four f64 lanes (one 256-bit register under AVX2).
-    F64s,
-    f64,
-    u64,
-    4,
-    0.0f64
-);
-lane_type!(
-    /// Eight f32 lanes (one 256-bit register under AVX2).
-    F32s,
-    f32,
-    u32,
-    8,
-    0.0f32
-);
-
-/// Eight f64 accumulator lanes matching one [`F32s`] chunk: the mixed
-/// precision kernels compute per-interaction terms in f32 and widen each
-/// chunk into this before accumulating, so roundoff does not compound with
-/// slab length.
+/// Four f64 lanes (one 256-bit register under AVX2).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct F64w(pub [f64; F32_LANES]);
+pub struct F64s(pub [f64; F64_LANES]);
 
-impl F64w {
+impl F64s {
+    #[inline(always)]
+    pub fn splat(v: f64) -> Self {
+        F64s([v; F64_LANES])
+    }
+
     #[inline(always)]
     pub fn zero() -> Self {
-        F64w([0.0; F32_LANES])
+        Self::splat(0.0)
     }
 
-    /// Widen an f32 chunk to f64 and add it lane-wise.
+    /// Load the first [`F64_LANES`] elements of `s`.
     #[inline(always)]
-    pub fn add_widened(&mut self, o: F32s) {
-        for j in 0..F32_LANES {
-            self.0[j] += o.0[j] as f64;
-        }
+    pub fn load(s: &[f64]) -> Self {
+        let mut v = [0.0; F64_LANES];
+        v.copy_from_slice(&s[..F64_LANES]);
+        F64s(v)
     }
 
+    #[allow(clippy::should_implement_trait)] // lane op, not std::ops
+    #[inline(always)]
+    pub fn add(self, o: Self) -> Self {
+        let mut v = self.0;
+        for (a, b) in v.iter_mut().zip(o.0) {
+            *a += b;
+        }
+        F64s(v)
+    }
+
+    #[allow(clippy::should_implement_trait)] // lane op, not std::ops
+    #[inline(always)]
+    pub fn sub(self, o: Self) -> Self {
+        let mut v = self.0;
+        for (a, b) in v.iter_mut().zip(o.0) {
+            *a -= b;
+        }
+        F64s(v)
+    }
+
+    #[allow(clippy::should_implement_trait)] // lane op, not std::ops
+    #[inline(always)]
+    pub fn mul(self, o: Self) -> Self {
+        let mut v = self.0;
+        for (a, b) in v.iter_mut().zip(o.0) {
+            *a *= b;
+        }
+        F64s(v)
+    }
+
+    /// Elementwise maximum, in the x86 `maxpd` convention (`self > o ? self
+    /// : o`, so `o` wins ties and NaNs): the kernels clamp `r²` to
+    /// [`R2_FLOOR_F64`] with this before the rsqrt, and the intrinsic bodies
+    /// must agree bit for bit.
+    #[inline(always)]
+    pub fn max(self, o: Self) -> Self {
+        let mut v = self.0;
+        for (a, b) in v.iter_mut().zip(o.0) {
+            *a = if *a > b { *a } else { b };
+        }
+        F64s(v)
+    }
+
+    /// Lane-wise [`rsqrt_nr_f64`] — the kernels' reciprocal square root.
+    #[inline(always)]
+    pub fn rsqrt_nr(self) -> Self {
+        let mut v = self.0;
+        for lane in &mut v {
+            *lane = rsqrt_nr_f64(*lane);
+        }
+        F64s(v)
+    }
+
+    /// Horizontal sum, in fixed lane order (deterministic across ISAs — the
+    /// dispatcher never changes results, only speed).
     #[inline(always)]
     pub fn hsum(self) -> f64 {
         let mut acc = 0.0;
-        for j in 0..F32_LANES {
+        for j in 0..F64_LANES {
             acc += self.0[j];
         }
         acc
     }
 }
 
-/// Floor clamped onto `r²` (one `max` per chunk) before the fused rsqrt, so
-/// the vector sqrt/divide run unconditionally on every lane without ever
-/// producing an Inf or NaN. Padding sentinels sit at the origin with zero
+/// Floor clamped onto `r²` (one `max` per chunk) before the rsqrt, so it
+/// runs unconditionally on every lane without ever producing an Inf or NaN. Padding sentinels sit at the origin with zero
 /// mass, so their (clamped) lanes still contribute exactly `+0.0`; the clamp
 /// is a bitwise no-op on any lane with `r² > floor`, i.e. on every physical
-/// configuration — separations would have to drop below `1e-50` (f64) before
-/// it rounds anything. The value is chosen so the worst-case amplified terms
+/// configuration — separations would have to drop below `1e-50` before it
+/// rounds anything. The value is chosen so the worst-case amplified terms
 /// (`φ ≤ m/√floor`, `|a| ≤ m/floor`) stay finite rather than overflowing
 /// into the accumulators.
 pub const R2_FLOOR_F64: f64 = 1e-100;
-
-/// [`R2_FLOOR_F64`] for the f32 mirror kernels (separations below `1e-6` in
-/// simulation units only arise with `ε = 0`; `m/floor = 1e12·m` stays well
-/// inside f32 range).
-pub const R2_FLOOR_F32: f32 = 1e-12;
 
 /// Seed constant for [`rsqrt_nr_f64`]: `magic - (bits >> 1)` flips the
 /// exponent around 1.0 and halves it, landing within ~3.4% of `1/√x`.
@@ -390,20 +304,6 @@ pub fn rsqrt_nr_f64(x: f64) -> f64 {
     y
 }
 
-impl F64s {
-    /// Lane-wise [`rsqrt_nr_f64`] — the f64 kernels' reciprocal square
-    /// root. (The f32 kernels keep the exact sqrt+div [`F32s::rsqrt`]: the
-    /// f32 divider is fast enough that NR would cost more than it saves.)
-    #[inline(always)]
-    pub fn rsqrt_nr(self) -> Self {
-        let mut v = self.0;
-        for lane in &mut v {
-            *lane = rsqrt_nr_f64(*lane);
-        }
-        F64s(v)
-    }
-}
-
 /// Mask a mass chunk by id: lanes whose id equals `target` contribute zero
 /// mass (the slab-kernel form of the per-particle walk's `skip_id`).
 /// Multiplies by a `{1.0, 0.0}` factor rather than bit-selecting the loaded
@@ -419,17 +319,6 @@ pub fn masked_mass_f64(ms: &[f64], ids: &[u32], target: u32) -> F64s {
         v[j] = ms[j] * f64::from_bits(1.0f64.to_bits() & keep);
     }
     F64s(v)
-}
-
-/// [`masked_mass_f64`] for the f32 mirror slabs.
-#[inline(always)]
-pub fn masked_mass_f32(ms: &[f32], ids: &[u32], target: u32) -> F32s {
-    let mut v = [0.0f32; F32_LANES];
-    for j in 0..F32_LANES {
-        let keep = u32::from(ids[j] != target).wrapping_neg();
-        v[j] = ms[j] * f32::from_bits(1.0f32.to_bits() & keep);
-    }
-    F32s(v)
 }
 
 macro_rules! aligned_slab {
@@ -595,14 +484,6 @@ aligned_slab!(
     0.0f64
 );
 aligned_slab!(
-    /// Growable f32 slab in 64-byte-aligned blocks.
-    AlignedF32Slab,
-    BlockF32,
-    f32,
-    16,
-    0.0f32
-);
-aligned_slab!(
     /// Growable u32 slab in 64-byte-aligned blocks.
     AlignedU32Slab,
     BlockU32,
@@ -617,8 +498,9 @@ mod tests {
 
     #[test]
     fn pad_multiple_covers_both_lane_widths() {
+        // A 4-lane AVX2 chunk and an 8-lane AVX-512 chunk.
         assert_eq!(PAD_MULTIPLE % F64_LANES, 0);
-        assert_eq!(PAD_MULTIPLE % F32_LANES, 0);
+        assert_eq!(PAD_MULTIPLE % 8, 0);
         assert_eq!(PAD_MULTIPLE * std::mem::size_of::<f64>(), SLAB_ALIGN);
     }
 
@@ -638,17 +520,12 @@ mod tests {
         assert_eq!(a.add(b).0, [1.5, 2.25, 5.0, 12.0]);
         assert_eq!(a.sub(b).0, [0.5, 1.75, 1.0, -4.0]);
         assert_eq!(a.mul(b).0, [0.5, 0.5, 6.0, 32.0]);
-        assert_eq!(a.div(b).0, [2.0, 8.0, 1.5, 0.5]);
-        assert_eq!(F64s([4.0, 9.0, 16.0, 0.25]).sqrt().0, [2.0, 3.0, 4.0, 0.5]);
         assert_eq!(a.hsum(), 10.0);
-        let r = F64s([4.0, 0.0, 1.0, 0.0]).rsqrt();
-        assert_eq!(r.0[0], 0.5);
-        assert!(r.0[1].is_infinite());
         // max follows the x86 convention: ties and NaNs take the second
         // operand, and a clamp is a bitwise no-op on lanes above the floor.
         let clamped = F64s([4.0, 0.0, 1.0, 0.0]).max(F64s::splat(R2_FLOOR_F64));
         assert_eq!(clamped.0, [4.0, R2_FLOOR_F64, 1.0, R2_FLOOR_F64]);
-        assert!(clamped.rsqrt().0.iter().all(|v| v.is_finite()));
+        assert!(clamped.rsqrt_nr().0.iter().all(|v| v.is_finite()));
     }
 
     #[test]
@@ -671,24 +548,11 @@ mod tests {
     }
 
     #[test]
-    fn widening_accumulator_is_f64_exact_per_chunk() {
-        let mut acc = F64w::zero();
-        let chunk = F32s([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
-        acc.add_widened(chunk);
-        acc.add_widened(chunk);
-        assert_eq!(acc.hsum(), 72.0);
-    }
-
-    #[test]
     fn masked_mass_zeroes_the_target_lane() {
         let ms = [1.0f64, 2.0, 3.0, 4.0];
         let ids = [7u32, 9, 11, 13];
         assert_eq!(masked_mass_f64(&ms, &ids, 11).0, [1.0, 2.0, 0.0, 4.0]);
         assert_eq!(masked_mass_f64(&ms, &ids, 99).0, ms);
-        let ms32 = [1.0f32, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0];
-        let ids32 = [0u32, 1, 2, 3, 4, 5, 6, 7];
-        assert_eq!(masked_mass_f32(&ms32, &ids32, 0).0[0], 0.0);
-        assert_eq!(masked_mass_f32(&ms32, &ids32, 0).0[1..], ms32[1..]);
     }
 
     #[test]
@@ -764,15 +628,11 @@ mod tests {
             assert_eq!(cut.padded().as_ptr() as usize % SLAB_ALIGN, 0, "64B alignment is kept");
             assert!(cut.capacity() >= fill, "truncate keeps capacity");
         }
-        // The f32 and u32 slabs share the body; one ragged cut each.
-        let (mut f, mut u) = (AlignedF32Slab::new(), AlignedU32Slab::new());
-        f.extend((0..19).map(|i| i as f32));
+        // The u32 slab shares the body; one ragged cut.
+        let mut u = AlignedU32Slab::new();
         u.extend(0..19u32);
-        f.truncate(5);
         u.truncate(5);
-        f.pad_to(PAD_MULTIPLE, 0.0);
         u.pad_to(PAD_MULTIPLE, u32::MAX);
-        assert_eq!(f.padded(), &[0.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0]);
         assert_eq!(u.padded(), &[0, 1, 2, 3, 4, u32::MAX, u32::MAX, u32::MAX]);
     }
 
@@ -809,26 +669,29 @@ mod tests {
 
     #[test]
     fn slab_reuse_roundtrip() {
-        let mut s = AlignedF32Slab::new();
+        let mut s = AlignedF64Slab::new();
         for round in 0..3 {
             s.clear();
             for i in 0..33 {
-                s.push((round * 100 + i) as f32);
+                s.push((round * 100 + i) as f64);
             }
             s.pad_to(PAD_MULTIPLE, 0.0);
             assert_eq!(s.len(), 33);
             assert_eq!(s.padded_len(), 40);
-            assert_eq!(s[0], (round * 100) as f32);
+            assert_eq!(s[0], (round * 100) as f64);
             assert_eq!(s.padded()[39], 0.0);
         }
     }
 
     #[test]
     fn precision_names_roundtrip() {
-        for p in [KernelPrecision::F64, KernelPrecision::MixedF32, KernelPrecision::ScalarF64] {
+        for p in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
             assert_eq!(KernelPrecision::parse(p.as_str()), Ok(p));
         }
         assert!(KernelPrecision::parse("f16").is_err());
+        // The retired mode is refused by name, not read as another one.
+        let retired = KernelPrecision::parse("mixed_f32").unwrap_err();
+        assert!(retired.contains("mixed_f32") && retired.contains("removed"), "{retired}");
         assert_eq!(KernelPrecision::default(), KernelPrecision::F64);
     }
 }

@@ -321,9 +321,6 @@ impl ThreadSim {
                 let run_range = |t: usize, ids: &[NodeId], w: &mut WorkerObs| -> TraversalStats {
                     let mut s = scratch[t].lock().unwrap();
                     let Scratch { buf, out } = &mut *s;
-                    // Fill the f32 mirrors during the gather itself whenever
-                    // the kernels will read them.
-                    buf.set_fill_f32(cfg.precision == KernelPrecision::MixedF32);
                     let mut stats = TraversalStats::default();
                     let mut c = Counters::default();
                     if profiled {
@@ -764,9 +761,8 @@ mod tests {
 
     #[test]
     fn kernel_precisions_through_the_executor() {
-        // Same traversal (stats identical), per-precision value tolerances:
-        // SIMD f64 within 1e-12 of the scalar baseline, mixed f32 within
-        // single-precision noise.
+        // Same traversal (stats identical), SIMD f64 within 1e-12 of the
+        // scalar baseline.
         let set = plummer(PlummerSpec { n: 900, seed: 14, ..Default::default() });
         for degree in [0u32, 2] {
             let run = |precision: KernelPrecision| {
@@ -779,15 +775,11 @@ mod tests {
             };
             let scalar = run(KernelPrecision::ScalarF64);
             let simd = run(KernelPrecision::F64);
-            let mixed = run(KernelPrecision::MixedF32);
             assert_eq!(scalar.stats, simd.stats, "degree {degree}");
-            assert_eq!(scalar.stats, mixed.stats, "degree {degree}");
             for i in 0..set.len() {
                 let (p, a) = (scalar.potentials[i], scalar.accels[i]);
                 assert!((simd.potentials[i] - p).abs() <= 1e-12 * p.abs().max(1.0));
                 assert!(simd.accels[i].dist(a) <= 1e-12 * a.norm().max(1.0));
-                assert!((mixed.potentials[i] - p).abs() <= 1e-4 * p.abs().max(1.0));
-                assert!(mixed.accels[i].dist(a) <= 1e-4 * a.norm().max(1.0));
             }
         }
     }
@@ -1100,8 +1092,7 @@ mod tests {
                 }
                 _ => {
                     let next = match one.config.precision {
-                        KernelPrecision::F64 => KernelPrecision::MixedF32,
-                        KernelPrecision::MixedF32 => KernelPrecision::ScalarF64,
+                        KernelPrecision::F64 => KernelPrecision::ScalarF64,
                         KernelPrecision::ScalarF64 => KernelPrecision::F64,
                     };
                     one.config.precision = next;
@@ -1112,8 +1103,7 @@ mod tests {
             assert_results_bitwise(&a, &b, &format!("{ctx}: 1 thread vs 2"));
             let tree = frozen.as_ref().expect("set by the rebuild or the first substep");
             let rebuilt = one.build_tree(&ps);
-            // Mixed f32 shares the traversal, not the last digits.
-            let tol = if one.config.precision == KernelPrecision::MixedF32 { 1e-4 } else { 1e-12 };
+            let tol = 1e-12;
             let work = one.work_weights().expect("a computation ran");
             let (mut walked, mut on_rebuilt) = (0, 0);
             for (i, p) in ps.iter().enumerate() {

@@ -78,14 +78,14 @@
 //! level from the root against its tight box, decided from the tree, the
 //! particles and the unit alone, so a sweep and a one-shot gather agree on it.
 
-use crate::kernel::{accel_slab_m2p_f32, accel_slab_member_f64, accel_slab_p2p_f32, SlabView};
+use crate::kernel::{accel_slab_member_f64, SlabView};
 use crate::mac::{GroupClass, GroupMac, Mac};
 use crate::mac_simd::{NodeBatch, MAC_BATCH};
 use crate::node::{Node, NodeId, Tree, NIL};
 use crate::replay::{ReplayLanes, REPLAY_LANES};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
-use bhut_simd::{AlignedF32Slab, AlignedF64Slab, AlignedU32Slab, KernelPrecision, PAD_MULTIPLE};
+use bhut_simd::{AlignedF64Slab, AlignedU32Slab, KernelPrecision, PAD_MULTIPLE};
 use std::cell::Cell;
 
 /// Below this many elements, slab capacity is noise — the shrink policy
@@ -147,23 +147,6 @@ pub struct InteractionBuffers {
     /// targets, plus the replay lanes that interacted) —
     /// `lane_useful / lane_slots` is the SIMD lane utilization.
     pub lane_useful: Cell<u64>,
-    /// f32 mirrors of the padded f64 slabs for
-    /// [`KernelPrecision::MixedF32`]; filled during the gather when
-    /// [`InteractionBuffers::set_fill_f32`] is on.
-    com_x32: AlignedF32Slab,
-    com_y32: AlignedF32Slab,
-    com_z32: AlignedF32Slab,
-    node_mass32: AlignedF32Slab,
-    px32: AlignedF32Slab,
-    py32: AlignedF32Slab,
-    pz32: AlignedF32Slab,
-    pmass32: AlignedF32Slab,
-    /// Whether the f32 mirrors reflect the current slab contents.
-    f32_ready: bool,
-    /// Sticky mode bit: when set, [`gather_group`] fills the f32 mirrors
-    /// *during* the gather (one `as f32` per pushed source). Callers set it
-    /// whenever the kernels will run in [`KernelPrecision::MixedF32`].
-    fill_f32: bool,
     /// Largest P2P / M2P slab fills since the last shrink window, recorded
     /// by [`InteractionBuffers::clear`].
     hwm_p2p: usize,
@@ -267,23 +250,6 @@ impl InteractionBuffers {
         self.nodes_opened = to.nodes_opened;
         self.unit = (0, 0);
         self.self_cover.clear();
-        self.f32_ready = false;
-        if self.fill_f32 {
-            self.com_x32.truncate(to.nodes);
-            self.com_y32.truncate(to.nodes);
-            self.com_z32.truncate(to.nodes);
-            self.node_mass32.truncate(to.nodes);
-            self.px32.truncate(to.parts);
-            self.py32.truncate(to.parts);
-            self.pz32.truncate(to.parts);
-            self.pmass32.truncate(to.parts);
-        }
-    }
-
-    /// Fill the f32 mirrors during the gather itself (see the field doc).
-    /// Takes effect at the next [`InteractionBuffers::clear`].
-    pub fn set_fill_f32(&mut self, on: bool) {
-        self.fill_f32 = on;
     }
 
     fn push_node(&mut self, id: NodeId, com: Vec3, mass: f64) {
@@ -292,12 +258,6 @@ impl InteractionBuffers {
         self.com_y.push(com.y);
         self.com_z.push(com.z);
         self.node_mass.push(mass);
-        if self.fill_f32 {
-            self.com_x32.push(com.x as f32);
-            self.com_y32.push(com.y as f32);
-            self.com_z32.push(com.z as f32);
-            self.node_mass32.push(mass as f32);
-        }
     }
 
     fn push_particle(&mut self, p: &Particle) {
@@ -306,12 +266,6 @@ impl InteractionBuffers {
         self.pz.push(p.pos.z);
         self.pmass.push(p.mass);
         self.pid.push(p.id);
-        if self.fill_f32 {
-            self.px32.push(p.pos.x as f32);
-            self.py32.push(p.pos.y as f32);
-            self.pz32.push(p.pos.z as f32);
-            self.pmass32.push(p.mass as f32);
-        }
     }
 
     /// Append the particles under `id` — a leaf, or a singleton node — to
@@ -367,19 +321,6 @@ impl InteractionBuffers {
         self.pz.pad_to(PAD_MULTIPLE, 0.0);
         self.pmass.pad_to(PAD_MULTIPLE, 0.0);
         self.pid.pad_to(PAD_MULTIPLE, u32::MAX);
-        if self.fill_f32 {
-            // The f64 sentinels are 0.0, and `0.0f64 as f32 == 0.0f32`, so
-            // each mirror is the element-wise `as f32` of its padded slab.
-            self.com_x32.pad_to(PAD_MULTIPLE, 0.0);
-            self.com_y32.pad_to(PAD_MULTIPLE, 0.0);
-            self.com_z32.pad_to(PAD_MULTIPLE, 0.0);
-            self.node_mass32.pad_to(PAD_MULTIPLE, 0.0);
-            self.px32.pad_to(PAD_MULTIPLE, 0.0);
-            self.py32.pad_to(PAD_MULTIPLE, 0.0);
-            self.pz32.pad_to(PAD_MULTIPLE, 0.0);
-            self.pmass32.pad_to(PAD_MULTIPLE, 0.0);
-            self.f32_ready = true;
-        }
     }
 
     fn note_high_water(&mut self) {
@@ -401,10 +342,6 @@ impl InteractionBuffers {
             self.pz.shrink_to(keep);
             self.pmass.shrink_to(keep);
             self.pid.shrink_to(keep);
-            self.px32.shrink_to(keep);
-            self.py32.shrink_to(keep);
-            self.pz32.shrink_to(keep);
-            self.pmass32.shrink_to(keep);
         }
         if oversized(self.hwm_m2p, self.com_x.capacity()) {
             let keep = (2 * self.hwm_m2p).max(SHRINK_FLOOR);
@@ -412,10 +349,6 @@ impl InteractionBuffers {
             self.com_y.shrink_to(keep);
             self.com_z.shrink_to(keep);
             self.node_mass.shrink_to(keep);
-            self.com_x32.shrink_to(keep);
-            self.com_y32.shrink_to(keep);
-            self.com_z32.shrink_to(keep);
-            self.node_mass32.shrink_to(keep);
         }
         self.hwm_p2p = 0;
         self.hwm_m2p = 0;
@@ -433,11 +366,11 @@ impl InteractionBuffers {
     }
 
     /// Acceleration + potential at `pos` from the P2P particle slab (the
-    /// entry with id `target_id` masked out), with the per-precision kernel.
-    /// [`KernelPrecision::MixedF32`] requires
-    /// [`InteractionBuffers::set_fill_f32`] to have been on for the gather.
-    /// The near-field half of the degree-k evaluation in `bhut-multipole`,
-    /// and of [`eval_gathered_targets`] outside [`KernelPrecision::F64`].
+    /// entry with id `target_id` masked out), with the per-precision kernel:
+    /// the f64 slab kernel, or the exact scalar loop under
+    /// [`KernelPrecision::ScalarF64`]. The near-field half of the degree-k
+    /// evaluation in `bhut-multipole`, and of [`eval_gathered_targets`] under
+    /// [`KernelPrecision::ScalarF64`].
     pub fn eval_p2p(
         &self,
         pos: Vec3,
@@ -472,22 +405,6 @@ impl InteractionBuffers {
                     eps * eps,
                 ))
             }
-            KernelPrecision::MixedF32 => {
-                self.assert_f32_ready();
-                self.count_lanes(self.px.padded_len(), self.px.len());
-                split(accel_slab_p2p_f32(
-                    pos.x as f32,
-                    pos.y as f32,
-                    pos.z as f32,
-                    target_id,
-                    self.px32.padded(),
-                    self.py32.padded(),
-                    self.pz32.padded(),
-                    self.pmass32.padded(),
-                    self.pid.padded(),
-                    (eps * eps) as f32,
-                ))
-            }
         }
     }
 
@@ -504,14 +421,6 @@ impl InteractionBuffers {
     /// The padded near-field particle slab (ids in `pid`).
     fn parts_view(&self) -> SlabView<'_> {
         SlabView::new(self.px.padded(), self.py.padded(), self.pz.padded(), self.pmass.padded())
-    }
-
-    #[inline(always)]
-    fn assert_f32_ready(&self) {
-        assert!(
-            self.f32_ready,
-            "MixedF32 evaluation requires InteractionBuffers::set_fill_f32(true) before the gather"
-        );
     }
 }
 
@@ -881,14 +790,12 @@ pub fn resolve_mixed_tails_lanes(
 /// neither does the result: not on the chunk, the lane, or the mask that
 /// chose the other targets.
 ///
-/// The shared slabs run in `precision`. The replay always runs in f64: it
-/// covers the near-field, accuracy-critical interactions the group MAC could
-/// not settle — so [`KernelPrecision::MixedF32`] replays with the f64 slab
-/// arithmetic, and only [`KernelPrecision::ScalarF64`] with the exact scalar
-/// kernels. Under [`KernelPrecision::F64`] one fused kernel call and one
-/// horizontal-sum reduction cover the accepted-node slab and the id-masked
-/// near-field slab — per-target call overhead is the dominant cost left
-/// after vectorization; the other two precisions add two partial sums.
+/// The shared slabs and the replay both run in `precision`. Under
+/// [`KernelPrecision::F64`] one fused kernel call and one horizontal-sum
+/// reduction cover the accepted-node slab and the id-masked near-field slab —
+/// per-target call overhead is the dominant cost left after vectorization.
+/// [`KernelPrecision::ScalarF64`] runs the exact scalar kernels instead and
+/// adds two partial sums.
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus the target stream
 fn eval_targets<K: Copy>(
     tree: &Tree,
@@ -946,22 +853,6 @@ fn eval_targets<K: Copy>(
                         buf.pid.padded(),
                         eps * eps,
                     ))
-                }
-                KernelPrecision::MixedF32 => {
-                    buf.assert_f32_ready();
-                    buf.count_lanes(n_nodes_padded, n_nodes);
-                    let (acc_n, phi_n) = split(accel_slab_m2p_f32(
-                        pos.x as f32,
-                        pos.y as f32,
-                        pos.z as f32,
-                        buf.com_x32.padded(),
-                        buf.com_y32.padded(),
-                        buf.com_z32.padded(),
-                        buf.node_mass32.padded(),
-                        (eps * eps) as f32,
-                    ));
-                    let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
-                    (acc_n + acc_p, phi_n + phi_p)
                 }
                 KernelPrecision::ScalarF64 => {
                     // The scalar loops walk only the logical entries; every
@@ -1131,10 +1022,9 @@ pub fn eval_group_monopole(
 /// makes the masked and unmasked walks bit-identical on their common
 /// members.
 ///
-/// `precision` selects the slab-kernel arithmetic (see [`KernelPrecision`]);
-/// the per-member replay always runs in f64. [`KernelPrecision::MixedF32`]
-/// requires [`InteractionBuffers::set_fill_f32`] to have been on for the
-/// gather.
+/// `precision` selects the kernel arithmetic (see [`KernelPrecision`]): the
+/// vectorized f64 kernels, or the exact scalar ones for the slabs and the
+/// per-member replay alike.
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus mask and precision
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
@@ -1487,7 +1377,6 @@ mod tests {
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
         let mac = BarnesHutMac::new(0.67);
         let mut buf = InteractionBuffers::new();
-        buf.set_fill_f32(true);
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
             let run = |precision: KernelPrecision| {
@@ -1495,40 +1384,15 @@ mod tests {
             };
             let scalar = run(KernelPrecision::ScalarF64);
             let simd = run(KernelPrecision::F64);
-            let mixed = run(KernelPrecision::MixedF32);
             assert_eq!(scalar.len(), simd.len());
-            assert_eq!(scalar.len(), mixed.len());
-            for ((s, v), m) in scalar.iter().zip(&simd).zip(&mixed) {
+            for (s, v) in scalar.iter().zip(&simd) {
                 assert_eq!(s.0, v.0);
                 assert_eq!(s.3, v.3, "interaction counts are precision-independent");
-                assert_eq!(s.3, m.3);
                 let tol = 1e-12;
                 assert!((s.1 - v.1).abs() <= tol * s.1.abs().max(1.0), "phi f64 simd");
                 assert!(s.2.dist(v.2) <= tol * s.2.norm().max(1.0), "acc f64 simd");
-                // f32 lanes: single-precision noise, f64 accumulation.
-                let tol32 = 1e-4;
-                assert!(
-                    (s.1 - m.1).abs() <= tol32 * s.1.abs().max(1.0),
-                    "phi mixed {} vs {}",
-                    m.1,
-                    s.1
-                );
-                assert!(s.2.dist(m.2) <= tol32 * s.2.norm().max(1.0), "acc mixed");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "set_fill_f32")]
-    fn mixed_without_fill_f32_panics() {
-        let set = uniform_cube(50, 1.0, 3);
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut buf = InteractionBuffers::new();
-        let leaf = leaf_schedule(&tree)[0];
-        gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-        let precision = KernelPrecision::MixedF32;
-        eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
     }
 
     #[test]
@@ -1639,14 +1503,11 @@ mod tests {
         points.push(Vec3::new(10.0, 10.0, 10.0));
         points.push(Vec3::new(-25.0, 3.0, 0.1));
         let mut buf = InteractionBuffers::new();
-        buf.set_fill_f32(true);
         for chunk in points.chunks(16) {
             let targets: Vec<QueryTarget> = chunk.iter().map(|&p| (p, u32::MAX)).collect();
             let bucket = Aabb::bounding(chunk.iter().copied()).unwrap();
             gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf);
-            for precision in
-                [KernelPrecision::ScalarF64, KernelPrecision::F64, KernelPrecision::MixedF32]
-            {
+            for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64] {
                 let mut calls = 0usize;
                 let ps = &set.particles;
                 let each = |k: usize, phi: f64, acc: Vec3, it: u64| {
@@ -1656,11 +1517,7 @@ mod tests {
                     let (acc_ref, st) = accel_on(&tree, &set.particles, pos, None, &mac, EPS);
                     let (phi_ref, _) = potential_at(&tree, &set.particles, pos, None, &mac, EPS);
                     assert_eq!(it, st.interactions(), "target {k}");
-                    // MixedF32 tolerance is looser than the member sweep's
-                    // 1e-4: these query points sit ~1e-3 from a particle,
-                    // and f32 rounding of the offset is amplified by the
-                    // near-singular 1/r² there.
-                    let tol = if precision == KernelPrecision::MixedF32 { 2e-3 } else { 1e-12 };
+                    let tol = 1e-12;
                     assert!(
                         (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
                         "phi {phi} vs {phi_ref}, target {k}, {precision:?}"
@@ -1866,8 +1723,7 @@ mod tests {
     }
 
     /// Every observable of two gathers must match bitwise: slab contents
-    /// (logical and padding, and the f32 mirrors when they are filled), ids,
-    /// counters, flags.
+    /// (logical and padding), ids, counters, flags.
     fn assert_buffers_bitwise(a: &InteractionBuffers, b: &InteractionBuffers, ctx: &str) {
         assert_eq!(a.node_ids, b.node_ids, "{ctx}: node_ids");
         assert_eq!(a.com_x.padded(), b.com_x.padded(), "{ctx}: com_x");
@@ -1886,17 +1742,6 @@ mod tests {
         assert_eq!(a.nodes_opened, b.nodes_opened, "{ctx}: nodes_opened");
         assert_eq!(a.unit, b.unit, "{ctx}: unit range");
         assert_eq!(a.self_cover, b.self_cover, "{ctx}: self_cover");
-        assert_eq!((a.fill_f32, a.f32_ready), (b.fill_f32, b.f32_ready), "{ctx}: f32 flags");
-        if a.fill_f32 {
-            assert_eq!(a.com_x32.padded(), b.com_x32.padded(), "{ctx}: com_x32");
-            assert_eq!(a.com_y32.padded(), b.com_y32.padded(), "{ctx}: com_y32");
-            assert_eq!(a.com_z32.padded(), b.com_z32.padded(), "{ctx}: com_z32");
-            assert_eq!(a.node_mass32.padded(), b.node_mass32.padded(), "{ctx}: node_mass32");
-            assert_eq!(a.px32.padded(), b.px32.padded(), "{ctx}: px32");
-            assert_eq!(a.py32.padded(), b.py32.padded(), "{ctx}: py32");
-            assert_eq!(a.pz32.padded(), b.pz32.padded(), "{ctx}: pz32");
-            assert_eq!(a.pmass32.padded(), b.pmass32.padded(), "{ctx}: pmass32");
-        }
     }
 
     /// A [`GroupSweep`] over `units`, in that order, must leave after every
@@ -1907,12 +1752,9 @@ mod tests {
         ps: &[Particle],
         mac: &impl GroupMac,
         units: &[NodeId],
-        fill_f32: bool,
         ctx: &str,
     ) -> usize {
         let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
-        swept.set_fill_f32(fill_f32);
-        fresh.set_fill_f32(fill_f32);
         let mut sweep = GroupSweep::new(tree, ps, mac, &mut swept);
         let mut reused = 0;
         for (i, &unit) in units.iter().enumerate() {
@@ -1954,7 +1796,6 @@ mod tests {
             stride in 1usize..6,
             which_mac in 0usize..3,
             alpha_pick in 0usize..3,
-            fill_f32: bool,
             drifted in 0usize..3,
         ) {
             let mut set = plummer(PlummerSpec { n, seed, ..Default::default() });
@@ -1988,11 +1829,11 @@ mod tests {
             for (name, order) in &orders {
                 let ctx = format!("n {n} s {s} seed {seed} drifted {drifted} {name}");
                 match which_mac {
-                    0 => assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, fill_f32, &ctx),
-                    1 => assert_sweep_is_one_shot(&tree, ps, &MinDistMac::new(alpha), order, fill_f32, &ctx),
+                    0 => assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, &ctx),
+                    1 => assert_sweep_is_one_shot(&tree, ps, &MinDistMac::new(alpha), order, &ctx),
                     _ => {
                         let mac = crate::mac_simd::ScalarClassify(BarnesHutMac::new(alpha));
-                        assert_sweep_is_one_shot(&tree, ps, &mac, order, fill_f32, &ctx)
+                        assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx)
                     }
                 };
             }
@@ -2004,14 +1845,13 @@ mod tests {
         let mac = BarnesHutMac::new(0.67);
         // n = 0: nothing to schedule, and any gather is empty.
         let tree = build(&[], BuildParams::default());
-        assert_sweep_is_one_shot(&tree, &[], &mac, &[0, 0], true, "empty tree");
+        assert_sweep_is_one_shot(&tree, &[], &mac, &[0, 0], "empty tree");
         // n = 1 and a unit that is the root: no ancestors, no chain.
         for n in [1, 20] {
             let set = uniform_cube(n, 1.0, 3);
             let tree = build(&set.particles, BuildParams::default());
             assert_eq!(leaf_schedule(&tree), [0], "n = {n}: the root is the only unit");
-            let reused =
-                assert_sweep_is_one_shot(&tree, &set.particles, &mac, &[0, 0], true, "root");
+            let reused = assert_sweep_is_one_shot(&tree, &set.particles, &mac, &[0, 0], "root");
             assert_eq!(reused, 0);
         }
         // All-coincident points: one depth-capped leaf above the unit cap.
@@ -2021,24 +1861,23 @@ mod tests {
         }
         let tree = build(&heap.particles, BuildParams::with_leaf_capacity(8));
         let units = leaf_schedule(&tree);
-        assert_sweep_is_one_shot(&tree, &heap.particles, &mac, &units, false, "coincident");
+        assert_sweep_is_one_shot(&tree, &heap.particles, &mac, &units, "coincident");
         // And the shape the sweep is for: a clustered set, where consecutive
         // units share most of their ancestors.
         let set = plummer(PlummerSpec { n: 3000, seed: 5, ..Default::default() });
         let tree = build(&set.particles, BuildParams::default());
         let units = leaf_schedule(&tree);
-        let reused =
-            assert_sweep_is_one_shot(&tree, &set.particles, &mac, &units, false, "plummer");
+        let reused = assert_sweep_is_one_shot(&tree, &set.particles, &mac, &units, "plummer");
         assert!(reused > 2 * units.len(), "only {reused} levels reused over {} units", units.len());
         // The same under particles that drifted a little since the build (a
         // block substep on the frozen tree): the chain is still what is
         // reused. Thrown far out of their cells, those units lose it.
         let mut ps = set.particles.clone();
         drift(&mut ps, 1, 1e-4, None);
-        let near = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, false, "small drift");
+        let near = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, "small drift");
         assert!(near > 2 * units.len(), "only {near} levels reused after a small drift");
         drift(&mut ps, 2, 1e-4, Some(3));
-        let far = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, false, "large drift");
+        let far = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, "large drift");
         assert!(far < near, "{far} levels reused with a third of the particles thrown out");
     }
 

@@ -6,15 +6,12 @@
 //! ragged tail: padding sentinels carry zero mass, so their lanes contribute
 //! exactly zero.
 //!
-//! There is one f64 kernel, [`accel_slab_member_f64`] — accepted nodes and
+//! There is one kernel, [`accel_slab_member_f64`] — accepted nodes and
 //! id-masked near field in one call; a caller with only one of the two
-//! passes [`SlabView::EMPTY`] for the other — and an f32 pair,
-//! [`accel_slab_m2p_f32`] / [`accel_slab_p2p_f32`]. (What a target meets
-//! below the gather's mixed roots never becomes a slab: [`crate::replay`]
-//! evaluates it during the walk, with this module's per-interaction
-//! arithmetic.) The f64 kernel has
-//! three bodies and the f32 kernels two, dispatched at runtime by
-//! [`bhut_simd::isa`]:
+//! passes [`SlabView::EMPTY`] for the other. (What a target meets below the
+//! gather's mixed roots never becomes a slab: [`crate::replay`] evaluates it
+//! during the walk, with this module's per-interaction arithmetic.) It has
+//! three bodies, dispatched at runtime by [`bhut_simd::isa`]:
 //!
 //! * a **portable** body on the [`bhut_simd`] lane types — safe code, the
 //!   correctness reference, and the only path on non-x86_64 or under the
@@ -25,12 +22,10 @@
 //!   into per-lane branches (sinking the "expensive" sqrt behind the `r² >
 //!   0` guard), which re-scalarizes the hot loop. Explicit intrinsics make
 //!   the 256-bit shape unconditional.
-//! * an **AVX-512** body for the f64 kernel only: the same chunk
-//!   arithmetic at eight lanes, with each 512-bit result split lo/hi into
-//!   the 256-bit accumulators in lane order — i.e. exactly the operations
-//!   the AVX2 body would perform on two consecutive 4-lane chunks, so the
-//!   wider tier changes nothing but speed. (The f32 kernels run their AVX2
-//!   body under this tier.)
+//! * an **AVX-512** body: the same chunk arithmetic at eight lanes, with
+//!   each 512-bit result split lo/hi into the 256-bit accumulators in lane
+//!   order — i.e. exactly the operations the AVX2 body would perform on two
+//!   consecutive 4-lane chunks, so the wider tier changes nothing but speed.
 //!
 //! All bodies perform the *same IEEE operations in the same order* —
 //! correctly-rounded add/sub/mul (plus the one fused
@@ -47,17 +42,16 @@
 //!   Newton–Raphson steps, ≤2 ulp) feeds both halves of the kernel:
 //!   `φ -= m·inv` and `w = m·inv³`, instead of the scalar `m/(r²·√r²)` /
 //!   `-m/√r²`. `vsqrtpd`/`vdivpd` share one unpipelined divider port that
-//!   caps the f64 kernel at roughly half its mul/add throughput; the NR
-//!   form is pure mul/FMA and lifts that ceiling on wide parts (it is
-//!   about neutral on AVX2-only parts, which trade the divider for port
+//!   caps the kernel at roughly half its mul/add throughput; the NR form
+//!   is pure mul/FMA and lifts that ceiling on wide parts (it is about
+//!   neutral on AVX2-only parts, which trade the divider for port
 //!   pressure — one arithmetic family for every tier is what keeps
 //!   dispatch bit-stable). Same math as the scalar kernels, different
 //!   rounding (≤ a few ulp per interaction), which is why
 //!   grouped-vs-scalar equivalence is asserted at ≤1e-12 relative rather
-//!   than bitwise. The f32 kernels keep the exact sqrt+div: the f32
-//!   divider is cheap enough that NR would cost more than it saves.
-//! * **Lane-order summation** — four (f64) or eight (f32) partial
-//!   accumulators reduced in fixed lane order at the end.
+//!   than bitwise.
+//! * **Lane-order summation** — four partial accumulators reduced in fixed
+//!   lane order at the end.
 //!
 //! The `r² = 0` singularity (unsoftened self-interaction) and the zero-mass
 //! padding sentinels are both neutralized without branches: `r²` is clamped
@@ -67,13 +61,8 @@
 //! `+0.0`. The clamp is a bitwise no-op on every physical lane —
 //! a single `max` replaces the compare/blend dance a conditional guard
 //! would need (and which LLVM happily re-branches, see above).
-//!
-//! The `_f32` variants implement [`bhut_simd::KernelPrecision::MixedF32`]:
-//! eight f32 lanes per chunk with each chunk widened into f64 accumulators
-//! ([`bhut_simd::F64w`]), so single-precision roundoff does not compound
-//! with slab length.
 
-use bhut_simd::{F32_LANES, PAD_MULTIPLE};
+use bhut_simd::PAD_MULTIPLE;
 
 /// A borrowed view of one padded SoA slab (positions + masses), bundling the
 /// four parallel slices the f64 kernel walks together.
@@ -103,7 +92,9 @@ impl<'a> SlabView<'a> {
     /// the kernels would read past it.
     #[inline]
     pub fn new(xs: &'a [f64], ys: &'a [f64], zs: &'a [f64], ms: &'a [f64]) -> Self {
-        assert_columns([xs, ys, zs, ms], PAD_MULTIPLE);
+        let n = xs.len();
+        assert!([ys, zs, ms].iter().all(|c| c.len() == n), "slab columns must be equally long");
+        assert!(n.is_multiple_of(PAD_MULTIPLE), "slab must be padded to {PAD_MULTIPLE} elements");
         SlabView { xs, ys, zs, ms }
     }
 
@@ -171,74 +162,10 @@ pub fn accel_slab_member_f64(
     portable::accel_slab_member_f64(px, py, pz, target_id, nodes, parts, ids, eps2)
 }
 
-/// What the vector bodies' unchecked chunk loads rely on, checked in release
-/// builds too: equally long columns of whole `chunk`-element chunks.
-#[inline]
-fn assert_columns<T>(columns: [&[T]; 4], chunk: usize) {
-    let n = columns[0].len();
-    assert!(columns.iter().all(|c| c.len() == n), "slab columns must be equally long");
-    assert!(n.is_multiple_of(chunk), "slab must be padded to {chunk} elements");
-}
-
-/// Mixed-precision M2P: f32 lane arithmetic over the f32 mirror slabs, each
-/// 8-lane chunk widened into f64 accumulators. Returns f64
-/// `(ax, ay, az, phi)`.
-#[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
-pub fn accel_slab_m2p_f32(
-    px: f32,
-    py: f32,
-    pz: f32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    ms: &[f32],
-    eps2: f32,
-) -> (f64, f64, f64, f64) {
-    assert_columns([xs, ys, zs, ms], F32_LANES);
-    #[cfg(target_arch = "x86_64")]
-    if bhut_simd::isa() != bhut_simd::Isa::Portable {
-        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA, and the
-        // columns were just checked to be equally long whole chunks.
-        return unsafe { avx2::accel_slab_m2p_f32(px, py, pz, xs, ys, zs, ms, eps2) };
-    }
-    portable::accel_slab_m2p_f32(px, py, pz, xs, ys, zs, ms, eps2)
-}
-
-/// Mixed-precision P2P over the f32 mirror slabs, target id masked as in
-/// [`accel_slab_member_f64`].
-#[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
-pub fn accel_slab_p2p_f32(
-    px: f32,
-    py: f32,
-    pz: f32,
-    target_id: u32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    ms: &[f32],
-    ids: &[u32],
-    eps2: f32,
-) -> (f64, f64, f64, f64) {
-    assert_columns([xs, ys, zs, ms], F32_LANES);
-    assert_eq!(xs.len(), ids.len(), "one id per near-field slab entry");
-    #[cfg(target_arch = "x86_64")]
-    if bhut_simd::isa() != bhut_simd::Isa::Portable {
-        // SAFETY: both non-portable tiers runtime-detected AVX2+FMA, and the
-        // columns and ids were just checked to be equally long whole chunks.
-        return unsafe {
-            avx2::accel_slab_p2p_f32(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
-        };
-    }
-    portable::accel_slab_p2p_f32(px, py, pz, target_id, xs, ys, zs, ms, ids, eps2)
-}
-
-/// The safe lane-type bodies: correctness reference and non-AVX2 fallback.
+/// The safe lane-type body: correctness reference and non-AVX2 fallback.
 mod portable {
     use super::SlabView;
-    use bhut_simd::{
-        masked_mass_f32, masked_mass_f64, F32s, F64s, F64w, F32_LANES, F64_LANES, R2_FLOOR_F32,
-        R2_FLOOR_F64,
-    };
+    use bhut_simd::{masked_mass_f64, F64s, F64_LANES, R2_FLOOR_F64};
 
     #[allow(clippy::too_many_arguments)]
     pub fn accel_slab_member_f64(
@@ -284,72 +211,6 @@ mod portable {
         }
         (axv.hsum(), ayv.hsum(), azv.hsum(), -phv.hsum())
     }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn accel_slab_m2p_f32(
-        px: f32,
-        py: f32,
-        pz: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        ms: &[f32],
-        eps2: f32,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (F32s::splat(px), F32s::splat(py), F32s::splat(pz));
-        let eps2v = F32s::splat(eps2);
-        let floorv = F32s::splat(R2_FLOOR_F32);
-        let (mut axw, mut ayw, mut azw) = (F64w::zero(), F64w::zero(), F64w::zero());
-        let mut phw = F64w::zero();
-        for i in (0..xs.len()).step_by(F32_LANES) {
-            let dx = F32s::load(&xs[i..]).sub(pxv);
-            let dy = F32s::load(&ys[i..]).sub(pyv);
-            let dz = F32s::load(&zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt();
-            let im = F32s::load(&ms[i..]).mul(inv);
-            phw.add_widened(im);
-            let w = im.mul(inv).mul(inv);
-            axw.add_widened(dx.mul(w));
-            ayw.add_widened(dy.mul(w));
-            azw.add_widened(dz.mul(w));
-        }
-        (axw.hsum(), ayw.hsum(), azw.hsum(), -phw.hsum())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub fn accel_slab_p2p_f32(
-        px: f32,
-        py: f32,
-        pz: f32,
-        target_id: u32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        ms: &[f32],
-        ids: &[u32],
-        eps2: f32,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (F32s::splat(px), F32s::splat(py), F32s::splat(pz));
-        let eps2v = F32s::splat(eps2);
-        let floorv = F32s::splat(R2_FLOOR_F32);
-        let (mut axw, mut ayw, mut azw) = (F64w::zero(), F64w::zero(), F64w::zero());
-        let mut phw = F64w::zero();
-        for i in (0..xs.len()).step_by(F32_LANES) {
-            let dx = F32s::load(&xs[i..]).sub(pxv);
-            let dy = F32s::load(&ys[i..]).sub(pyv);
-            let dz = F32s::load(&zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt();
-            let im = masked_mass_f32(&ms[i..], &ids[i..], target_id).mul(inv);
-            phw.add_widened(im);
-            let w = im.mul(inv).mul(inv);
-            axw.add_widened(dx.mul(w));
-            ayw.add_widened(dy.mul(w));
-            azw.add_widened(dz.mul(w));
-        }
-        (axw.hsum(), ayw.hsum(), azw.hsum(), -phw.hsum())
-    }
 }
 
 /// Explicit 256-bit bodies. Every operation here is the correctly-rounded
@@ -384,12 +245,6 @@ pub(crate) mod avx2 {
             y = _mm256_mul_pd(y, r);
         }
         y
-    }
-
-    #[inline(always)]
-    unsafe fn floored_rsqrt_ps(r2: __m256) -> __m256 {
-        let clamped = _mm256_max_ps(r2, _mm256_set1_ps(bhut_simd::R2_FLOOR_F32));
-        _mm256_div_ps(_mm256_set1_ps(1.0), _mm256_sqrt_ps(clamped))
     }
 
     /// Horizontal sum in lane order (matches the portable `hsum`).
@@ -500,23 +355,6 @@ pub(crate) mod avx2 {
         acc.az = _mm256_add_pd(acc.az, _mm256_mul_pd(dz, w));
     }
 
-    /// Lane-order sum of a widened pair (lanes 0–3 in `lo`, 4–7 in `hi`).
-    #[inline(always)]
-    unsafe fn hsum_wide(lo: __m256d, hi: __m256d) -> f64 {
-        let mut a = [0.0f64; 8];
-        _mm256_storeu_pd(a.as_mut_ptr(), lo);
-        _mm256_storeu_pd(a.as_mut_ptr().add(4), hi);
-        a.iter().fold(0.0, |acc, &x| acc + x)
-    }
-
-    /// Widen an 8-lane f32 chunk and add it to the `(lo, hi)` f64
-    /// accumulator pair (the portable `F64w::add_widened`).
-    #[inline(always)]
-    unsafe fn add_widened(lo: &mut __m256d, hi: &mut __m256d, v: __m256) {
-        *lo = _mm256_add_pd(*lo, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-        *hi = _mm256_add_pd(*hi, _mm256_cvtps_pd(_mm256_extractf128_ps::<1>(v)));
-    }
-
     /// Fused member body: the two chunk helpers accumulated into one
     /// [`Acc4`] in the order nodes → particles (matching the portable body
     /// exactly).
@@ -552,96 +390,6 @@ pub(crate) mod avx2 {
             );
         }
         acc.finish()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accel_slab_m2p_f32(
-        px: f32,
-        py: f32,
-        pz: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        ms: &[f32],
-        eps2: f32,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm256_set1_ps(px), _mm256_set1_ps(py), _mm256_set1_ps(pz));
-        let eps2v = _mm256_set1_ps(eps2);
-        let (mut axl, mut axh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut ayl, mut ayh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut azl, mut azh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut phl, mut phh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        for i in (0..xs.len()).step_by(8) {
-            let dx = _mm256_sub_ps(_mm256_loadu_ps(xs.as_ptr().add(i)), pxv);
-            let dy = _mm256_sub_ps(_mm256_loadu_ps(ys.as_ptr().add(i)), pyv);
-            let dz = _mm256_sub_ps(_mm256_loadu_ps(zs.as_ptr().add(i)), pzv);
-            let r2 = _mm256_add_ps(
-                _mm256_add_ps(
-                    _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                    _mm256_mul_ps(dz, dz),
-                ),
-                eps2v,
-            );
-            let inv = floored_rsqrt_ps(r2);
-            let im = _mm256_mul_ps(_mm256_loadu_ps(ms.as_ptr().add(i)), inv);
-            add_widened(&mut phl, &mut phh, im);
-            let w = _mm256_mul_ps(_mm256_mul_ps(im, inv), inv);
-            add_widened(&mut axl, &mut axh, _mm256_mul_ps(dx, w));
-            add_widened(&mut ayl, &mut ayh, _mm256_mul_ps(dy, w));
-            add_widened(&mut azl, &mut azh, _mm256_mul_ps(dz, w));
-        }
-        (hsum_wide(axl, axh), hsum_wide(ayl, ayh), hsum_wide(azl, azh), -hsum_wide(phl, phh))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn accel_slab_p2p_f32(
-        px: f32,
-        py: f32,
-        pz: f32,
-        target_id: u32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        ms: &[f32],
-        ids: &[u32],
-        eps2: f32,
-    ) -> (f64, f64, f64, f64) {
-        let (pxv, pyv, pzv) = (_mm256_set1_ps(px), _mm256_set1_ps(py), _mm256_set1_ps(pz));
-        let eps2v = _mm256_set1_ps(eps2);
-        let one = _mm256_set1_ps(1.0);
-        let target = _mm256_set1_epi32(target_id as i32);
-        let (mut axl, mut axh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut ayl, mut ayh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut azl, mut azh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        let (mut phl, mut phh) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-        for i in (0..xs.len()).step_by(8) {
-            let dx = _mm256_sub_ps(_mm256_loadu_ps(xs.as_ptr().add(i)), pxv);
-            let dy = _mm256_sub_ps(_mm256_loadu_ps(ys.as_ptr().add(i)), pyv);
-            let dz = _mm256_sub_ps(_mm256_loadu_ps(zs.as_ptr().add(i)), pzv);
-            let r2 = _mm256_add_ps(
-                _mm256_add_ps(
-                    _mm256_add_ps(_mm256_mul_ps(dx, dx), _mm256_mul_ps(dy, dy)),
-                    _mm256_mul_ps(dz, dz),
-                ),
-                eps2v,
-            );
-            let eq = _mm256_cmpeq_epi32(
-                _mm256_loadu_si256(ids.as_ptr().add(i) as *const __m256i),
-                target,
-            );
-            let idf = _mm256_andnot_ps(_mm256_castsi256_ps(eq), one);
-            let inv = floored_rsqrt_ps(r2);
-            let m = _mm256_mul_ps(_mm256_loadu_ps(ms.as_ptr().add(i)), idf);
-            let im = _mm256_mul_ps(m, inv);
-            add_widened(&mut phl, &mut phh, im);
-            let w = _mm256_mul_ps(_mm256_mul_ps(im, inv), inv);
-            add_widened(&mut axl, &mut axh, _mm256_mul_ps(dx, w));
-            add_widened(&mut ayl, &mut ayh, _mm256_mul_ps(dy, w));
-            add_widened(&mut azl, &mut azh, _mm256_mul_ps(dz, w));
-        }
-        (hsum_wide(axl, axh), hsum_wide(ayl, ayh), hsum_wide(azl, azh), -hsum_wide(phl, phh))
     }
 }
 
@@ -814,7 +562,7 @@ mod tests {
     use super::*;
     use crate::group::{accel_batch_m2p, accel_batch_p2p};
     use bhut_geom::Vec3;
-    use bhut_simd::{AlignedF32Slab, AlignedF64Slab, AlignedU32Slab, PAD_MULTIPLE};
+    use bhut_simd::{AlignedF64Slab, AlignedU32Slab, PAD_MULTIPLE};
 
     const EPS: f64 = 1e-3;
 
@@ -855,15 +603,6 @@ mod tests {
         s.ms.pad_to(PAD_MULTIPLE, 0.0);
         s.ids.pad_to(PAD_MULTIPLE, u32::MAX);
         s
-    }
-
-    fn to_f32(s: &AlignedF64Slab) -> AlignedF32Slab {
-        let mut out = AlignedF32Slab::new();
-        for &v in s.padded() {
-            out.push(v as f32);
-        }
-        out.pad_to(PAD_MULTIPLE, 0.0);
-        out
     }
 
     fn view(s: &Slabs) -> SlabView<'_> {
@@ -984,71 +723,6 @@ mod tests {
         println!("ISA tiers covered (slab kernel): {covered:?}");
     }
 
-    #[test]
-    fn dispatched_f32_kernels_are_bitwise_the_portable_bodies() {
-        // The AVX2 bodies perform the same IEEE operations in the same
-        // order as the portable ones, so on AVX2 hardware the public
-        // (dispatched) kernels must agree with the portable bodies bit for
-        // bit. On non-AVX2 hosts both sides take the portable path and the
-        // assertion is trivially true.
-        for n in [0usize, 5, 8, 64, 333] {
-            let s = make_slabs(n, 1000 + n as u64);
-            let p = Vec3::new(-0.4, 0.8, 0.2);
-            let target = (n / 3) as u32;
-            let xs = to_f32(&s.xs);
-            let ys = to_f32(&s.ys);
-            let zs = to_f32(&s.zs);
-            let ms = to_f32(&s.ms);
-            let e2 = (EPS * EPS) as f32;
-            let got = accel_slab_m2p_f32(
-                p.x as f32,
-                p.y as f32,
-                p.z as f32,
-                xs.padded(),
-                ys.padded(),
-                zs.padded(),
-                ms.padded(),
-                e2,
-            );
-            let want = portable::accel_slab_m2p_f32(
-                p.x as f32,
-                p.y as f32,
-                p.z as f32,
-                xs.padded(),
-                ys.padded(),
-                zs.padded(),
-                ms.padded(),
-                e2,
-            );
-            assert_eq!(got, want, "m2p f32, n={n}");
-            let got = accel_slab_p2p_f32(
-                p.x as f32,
-                p.y as f32,
-                p.z as f32,
-                target,
-                xs.padded(),
-                ys.padded(),
-                zs.padded(),
-                ms.padded(),
-                s.ids.padded(),
-                e2,
-            );
-            let want = portable::accel_slab_p2p_f32(
-                p.x as f32,
-                p.y as f32,
-                p.z as f32,
-                target,
-                xs.padded(),
-                ys.padded(),
-                zs.padded(),
-                ms.padded(),
-                s.ids.padded(),
-                e2,
-            );
-            assert_eq!(got, want, "p2p f32, n={n}");
-        }
-    }
-
     /// The unchecked loads of the vector bodies rest on these refusals, so
     /// they must hold in release builds too (`assert!`, not `debug_assert!`).
     #[test]
@@ -1068,19 +742,6 @@ mod tests {
             let parts = SlabView::new(&COL, &COL, &COL, &COL);
             let ids = [u32::MAX; 8];
             accel_slab_member_f64(0.0, 0.0, 0.0, 0, SlabView::EMPTY, parts, &ids, 1e-6);
-        }));
-        // The f32 pair takes bare columns and makes the same two checks.
-        assert!(refused(|| {
-            let c = [0.0f32; 16];
-            accel_slab_m2p_f32(0.0, 0.0, 0.0, &c[..12], &c[..12], &c[..12], &c[..12], 1e-6);
-        }));
-        assert!(refused(|| {
-            let c = [0.0f32; 16];
-            accel_slab_p2p_f32(0.0, 0.0, 0.0, 0, &c, &c, &c[..8], &c, &[0; 16], 1e-6);
-        }));
-        assert!(refused(|| {
-            let c = [0.0f32; 16];
-            accel_slab_p2p_f32(0.0, 0.0, 0.0, 0, &c, &c, &c, &c, &[0; 8], 1e-6);
         }));
         // What is accepted: whole, equal columns — the empty view included.
         let ok = SlabView::new(&COL, &COL, &COL, &COL);
@@ -1122,70 +783,5 @@ mod tests {
         let (ax, ay, az, phi) =
             member(&Case { p, target: u32::MAX - 1, nodes: &s, parts: &s, eps2: 0.0 });
         assert!(ax.is_finite() && ay.is_finite() && az.is_finite() && phi.is_finite());
-        // The f32 path hits the same guard.
-        let xs = to_f32(&s.xs);
-        let ys = to_f32(&s.ys);
-        let zs = to_f32(&s.zs);
-        let ms = to_f32(&s.ms);
-        let (cx, cy, cz, cphi) = accel_slab_m2p_f32(
-            p.x as f32,
-            p.y as f32,
-            p.z as f32,
-            xs.padded(),
-            ys.padded(),
-            zs.padded(),
-            ms.padded(),
-            0.0,
-        );
-        assert!(cx.is_finite() && cy.is_finite() && cz.is_finite() && cphi.is_finite());
-    }
-
-    #[test]
-    fn mixed_precision_tracks_f64_to_single_precision() {
-        let s = make_slabs(300, 99);
-        let xs = to_f32(&s.xs);
-        let ys = to_f32(&s.ys);
-        let zs = to_f32(&s.zs);
-        let ms = to_f32(&s.ms);
-        let p = Vec3::new(2.0, 2.0, 2.0); // outside the cloud: well-conditioned
-        let (acc_ref, phi_ref) = accel_batch_m2p(p, &s.xs, &s.ys, &s.zs, &s.ms, EPS);
-        let (ax, ay, az, phi) = accel_slab_m2p_f32(
-            p.x as f32,
-            p.y as f32,
-            p.z as f32,
-            xs.padded(),
-            ys.padded(),
-            zs.padded(),
-            ms.padded(),
-            (EPS * EPS) as f32,
-        );
-        // f32 lanes carry ~1e-7 relative noise per interaction; the f64
-        // accumulator keeps the sum from drifting beyond ~1e-5 relative.
-        let tol = 1e-5;
-        assert!(
-            acc_ref.dist(Vec3::new(ax, ay, az)) <= tol * acc_ref.norm(),
-            "mixed {:?} vs f64 {:?}",
-            (ax, ay, az),
-            acc_ref
-        );
-        assert!((phi - phi_ref).abs() <= tol * phi_ref.abs());
-
-        let target = 150u32;
-        let (acc_ref, phi_ref) =
-            accel_batch_p2p(p, target, &s.xs, &s.ys, &s.zs, &s.ms, &s.ids, EPS);
-        let (ax, ay, az, phi) = accel_slab_p2p_f32(
-            p.x as f32,
-            p.y as f32,
-            p.z as f32,
-            target,
-            xs.padded(),
-            ys.padded(),
-            zs.padded(),
-            ms.padded(),
-            s.ids.padded(),
-            (EPS * EPS) as f32,
-        );
-        assert!(acc_ref.dist(Vec3::new(ax, ay, az)) <= tol * acc_ref.norm());
-        assert!((phi - phi_ref).abs() <= tol * phi_ref.abs());
     }
 }

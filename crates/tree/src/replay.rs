@@ -175,9 +175,8 @@ impl ReplayLanes {
 
     /// Replay the subtrees under `roots` for the seated targets, adding to
     /// their sums and counters. `precision` picks the arithmetic:
-    /// [`KernelPrecision::ScalarF64`] the exact scalar kernels, the other
-    /// two the slab kernels' f64 sequence ([`KernelPrecision::MixedF32`]
-    /// keeps the mixed frontier — its nearest field — in f64).
+    /// [`KernelPrecision::ScalarF64`] the exact scalar kernels,
+    /// [`KernelPrecision::F64`] the slab kernels' f64 sequence.
     pub(crate) fn replay(
         &mut self,
         tree: &Tree,

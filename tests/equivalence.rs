@@ -378,54 +378,6 @@ proptest! {
             compare(Some(mask.as_slice()))?;
         }
     }
-
-    /// Mixed precision (f32 lanes, f64 accumulation) stays inside the θ-MAC
-    /// discretisation envelope at the paper's α = 0.67: its RMS force error
-    /// against O(n²) direct summation exceeds the f64 path's by at most 25%
-    /// plus an absolute floor for near-cancelling configurations.
-    #[test]
-    fn mixed_f32_error_stays_within_mac_envelope(
-        set in arb_particles(150),
-        s in 2usize..16,
-    ) {
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(s));
-        let mac = BarnesHutMac::new(0.67);
-        let eps = 1e-4;
-        let n = set.len();
-        let mut buf = InteractionBuffers::new();
-        buf.set_fill_f32(true);
-        let mut acc_f64 = vec![Vec3::ZERO; n];
-        let mut acc_mixed = vec![Vec3::ZERO; n];
-        for leaf in leaf_schedule(&tree) {
-            gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            eval_gathered_monopole_masked(
-                &tree, &set.particles, leaf, &mac, eps, KernelPrecision::F64, &buf, None,
-                |pi, _, acc, _| acc_f64[pi as usize] = acc,
-            );
-            eval_gathered_monopole_masked(
-                &tree, &set.particles, leaf, &mac, eps, KernelPrecision::MixedF32, &buf, None,
-                |pi, _, acc, _| acc_mixed[pi as usize] = acc,
-            );
-        }
-        let exact: Vec<Vec3> = set
-            .iter()
-            .map(|p| barnes_hut::tree::direct::accel_direct(&set.particles, p.pos, Some(p.id), eps))
-            .collect();
-        let rms = |approx: &[Vec3]| {
-            let (mut num, mut den) = (0.0f64, 0.0f64);
-            for (a, e) in approx.iter().zip(&exact) {
-                num += a.dist_sq(*e);
-                den += e.norm_sq();
-            }
-            if den == 0.0 { 0.0 } else { (num / den).sqrt() }
-        };
-        let err_f64 = rms(&acc_f64);
-        let err_mixed = rms(&acc_mixed);
-        prop_assert!(
-            err_mixed <= err_f64 * 1.25 + 5e-6,
-            "mixed rms error {} exceeds envelope of f64 rms error {}", err_mixed, err_f64,
-        );
-    }
 }
 
 /// Grouped vs per-particle agreement over the paper's benchmark

@@ -4,10 +4,10 @@
 //! tree that sweep froze with the particles moved on since, and a served
 //! field query at particle positions. Values agree to 1e-12 relative;
 //! interaction counts exactly.
-//! A second case drives the two sweeps that reach the f64 arithmetic by only
-//! one of its routes: degree 2 (the slab kernel on the near field alone)
-//! against `MultipoleTree::eval`, and `MixedF32` (the mixed-frontier replay
-//! alone) against the walk.
+//! A second case drives the two sweeps that leave the default arithmetic:
+//! degree 2 (the slab kernel on the near field alone) against
+//! `MultipoleTree::eval`, and `ScalarF64` (the exact scalar kernels, in the
+//! slabs and the mixed-frontier replay alike) against the walk.
 //! A third picks the walk units whose members split between the shared
 //! near-field slab and a mixed root, where self-exclusion is per member.
 //! A fourth holds the executor's sweep — which gathers each unit through the
@@ -26,8 +26,6 @@ use barnes_hut::tree::{accel_on, potential_at, BarnesHutMac, KernelPrecision, Qu
 use bhut_serve::{FieldQuery, TreeEpoch};
 
 const TOL: f64 = 1e-12;
-/// f32 lanes with f64 accumulation: single-precision noise per interaction.
-const MIXED_TOL: f64 = 1e-4;
 
 /// Acceleration, potential and interaction count of the per-particle walk
 /// for particle `p` — what every pipeline entry must reproduce.
@@ -128,7 +126,7 @@ fn sweep_equals(
 }
 
 #[test]
-fn degree_two_and_mixed_precision_sweeps_equal_their_per_particle_walks() {
+fn degree_two_and_scalar_f64_sweeps_equal_their_per_particle_walks() {
     let set = plummer(PlummerSpec { n: 600, seed: 9, ..Default::default() });
     let ps = &set.particles;
 
@@ -141,8 +139,8 @@ fn degree_two_and_mixed_precision_sweeps_equal_their_per_particle_walks() {
     });
 
     let cfg =
-        ThreadConfig { threads: 2, precision: KernelPrecision::MixedF32, ..Default::default() };
-    sweep_equals("MixedF32", cfg, MIXED_TOL, ps, |tree, p| walk(tree, ps, p, &cfg));
+        ThreadConfig { threads: 2, precision: KernelPrecision::ScalarF64, ..Default::default() };
+    sweep_equals("ScalarF64", cfg, TOL, ps, |tree, p| walk(tree, ps, p, &cfg));
 }
 
 /// A multi-leaf walk unit can hold one leaf that the shared walk appended
