@@ -110,8 +110,8 @@ impl FieldQuery {
     /// Local mass-density estimate at each point: the mass of the deepest
     /// tree cell containing the point divided by that cell's volume (the
     /// classic octree density proxy — resolution adapts to the leaf
-    /// capacity). Points outside the root cell, or in an empty tree, read
-    /// zero. Skip ids are ignored.
+    /// capacity). Points outside every cell (outside the root node's), or
+    /// in an empty tree, read zero. Skip ids are ignored.
     pub fn density(&self, epoch: &TreeEpoch, points: &[QueryTarget], out: &mut Vec<FieldSample>) {
         out.clear();
         out.reserve(points.len());
@@ -138,7 +138,7 @@ impl FieldQuery {
 mod tests {
     use super::*;
     use bhut_geom::Particle;
-    use bhut_tree::build::build;
+    use bhut_tree::build::{build, build_in_cell};
     use bhut_tree::{accel_on, potential_at, BuildParams};
 
     fn cloud(n: usize, seed: u64) -> Vec<Particle> {
@@ -247,6 +247,29 @@ mod tests {
         assert!((out[0].phi - n.mass / n.cell.volume()).abs() < 1e-12);
         assert_eq!(out[0].acc, Vec3::ZERO);
         assert_eq!(out[1].phi, 0.0, "outside the root cell density reads zero");
+    }
+
+    /// Box collapsing shrinks a tight run's cell to side 1/64 inside the
+    /// root's low octant. A point in that octant but outside the run's cell
+    /// reads the cell that holds it — the root's 21 unit masses over its unit
+    /// volume — not the run's mass over the collapsed cell's volume.
+    #[test]
+    fn density_beside_a_collapsed_cell_is_the_containing_cells() {
+        let run = (0..20).map(|i| {
+            let f = i as f64 * 1e-4;
+            Vec3::new(0.1 + f, 0.1 + f / 2.0, 0.1 + f / 4.0)
+        });
+        let particles: Vec<Particle> = run
+            .chain([Vec3::splat(0.9)])
+            .enumerate()
+            .map(|(i, p)| Particle::new(i as u32, 1.0, p, Vec3::ZERO))
+            .collect();
+        let cube = Aabb::origin_cube(1.0);
+        let tree = build_in_cell(&particles, cube, BuildParams::with_leaf_capacity(4));
+        let epoch = TreeEpoch::standalone(1, tree, particles, 0.6, 1e-4);
+        let mut out = Vec::new();
+        FieldQuery::new(16).density(&epoch, &[(Vec3::new(0.4, 0.4, 0.05), u32::MAX)], &mut out);
+        assert_eq!(out[0].phi, 21.0);
     }
 
     #[test]

@@ -61,6 +61,8 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
         child_mask: 0,
         start: 0,
         end: n as u32,
+        // Set once the subtrees are in.
+        next: NIL,
     });
     for entry in subtrees.into_iter().flatten() {
         let (oct, sub, members) = entry;
@@ -93,6 +95,9 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
                 child_mask: node.child_mask,
                 start: node.start + pos_offset,
                 end: node.end + pos_offset,
+                // The subtree arenas follow the root in octant order, each
+                // one in preorder: `next` moves with the ids.
+                next: node.next + id_offset,
             });
         }
         order.extend(sub.order.iter().map(|&local_i| members[local_i as usize]));
@@ -101,6 +106,7 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
         weighted += sub_root.com * sub_root.mass;
     }
     nodes[0].set_children(root_children);
+    nodes[0].next = nodes.len() as u32;
     nodes[0].mass = mass;
     nodes[0].com = if mass > 0.0 { weighted / mass } else { cell.center() };
     Tree { nodes, order, root_cell: cell }
@@ -110,7 +116,11 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
 mod tests {
     use super::*;
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
-    use bhut_tree::BarnesHutMac;
+    use bhut_tree::traverse::{accel_kernel, for_each_interaction_from, potential_kernel};
+    use bhut_tree::{
+        accel_batch_m2p, eval_gathered_targets, gather_group_targets, BarnesHutMac, GroupMac,
+        Interaction, InteractionBuffers, KernelPrecision, QueryTarget, ScalarClassify,
+    };
 
     #[test]
     fn parallel_build_is_valid() {
@@ -160,6 +170,74 @@ mod tests {
             v
         };
         assert_eq!(leaves(&par), leaves(&seq));
+    }
+
+    /// The evaluation replays each mixed root forward through its preorder
+    /// id range, so hold it to the per-target walk on the spliced arena.
+    /// Under `ScalarF64` every target reads, to the bit, the shared slabs
+    /// plus a fold of `for_each_interaction_from` over the mixed roots with
+    /// the exact kernels; under `F64` the fused α-MAC reads what the same
+    /// MAC behind `ScalarClassify` (tested lane by lane) reads.
+    #[test]
+    fn spliced_trees_replay_as_the_per_target_walk() {
+        type Row = (usize, [u64; 4], u64);
+        fn eval(
+            tree: &Tree,
+            ps: &[Particle],
+            targets: &[QueryTarget],
+            mac: &impl GroupMac,
+            precision: KernelPrecision,
+            buf: &InteractionBuffers,
+        ) -> Vec<Row> {
+            let mut rows = Vec::new();
+            let emit = |k, phi: f64, acc: Vec3, it| {
+                rows.push((k, [acc.x, acc.y, acc.z, phi].map(f64::to_bits), it))
+            };
+            eval_gathered_targets(tree, ps, targets, mac, EPS, precision, buf, emit);
+            rows
+        }
+        const EPS: f64 = 1e-4;
+        let set = plummer(PlummerSpec { n: 1500, seed: 29, ..Default::default() });
+        let ps = &set.particles;
+        let tree = par_build_in_cell(ps, set.bounding_cube().unwrap(), BuildParams::default());
+        tree.check_invariants(ps.len()).unwrap();
+        let mac = BarnesHutMac::new(0.67);
+        let mut buf = InteractionBuffers::new();
+        let mut walked = 0;
+        for run in tree.order.chunks(40) {
+            let targets: Vec<QueryTarget> =
+                run.iter().map(|&pi| (ps[pi as usize].pos, pi)).collect();
+            let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+            gather_group_targets(&tree, ps, &bucket, &mac, &mut buf);
+            let unfused = ScalarClassify(mac);
+            let fused = eval(&tree, ps, &targets, &mac, KernelPrecision::F64, &buf);
+            assert_eq!(fused, eval(&tree, ps, &targets, &unfused, KernelPrecision::F64, &buf));
+            let exact = eval(&tree, ps, &targets, &mac, KernelPrecision::ScalarF64, &buf);
+            for (k, &(pos, skip)) in targets.iter().enumerate() {
+                let (mut acc_m, mut phi_m) = (Vec3::ZERO, 0.0);
+                for &root in &buf.mixed {
+                    let st =
+                        for_each_interaction_from(&tree, root, ps, pos, Some(skip), &mac, |i| {
+                            let (src, m) = match i {
+                                Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
+                                Interaction::Particle(q) => {
+                                    (ps[q as usize].pos, ps[q as usize].mass)
+                                }
+                            };
+                            acc_m += accel_kernel(pos, src, m, EPS);
+                            phi_m += potential_kernel(pos, src, m, EPS);
+                        });
+                    walked += st.interactions();
+                }
+                let (acc_n, phi_n) =
+                    accel_batch_m2p(pos, &buf.com_x, &buf.com_y, &buf.com_z, &buf.node_mass, EPS);
+                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, EPS, KernelPrecision::ScalarF64);
+                let (acc, phi) = (acc_n + acc_p + acc_m, phi_n + phi_p + phi_m);
+                let want = [acc.x, acc.y, acc.z, phi].map(f64::to_bits);
+                assert_eq!((exact[k].0, exact[k].1), (k, want), "target {k}");
+            }
+        }
+        assert!(walked > 0, "the buckets left no mixed frontier to replay");
     }
 
     #[test]

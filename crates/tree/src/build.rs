@@ -157,6 +157,7 @@ impl Builder<'_> {
             child_mask: 0,
             start,
             end,
+            next: id + 1,
         });
 
         let deep_enough = level >= self.params.min_split_level;
@@ -179,7 +180,10 @@ impl Builder<'_> {
             children[oct] = self.rec(child_cell, key.child(oct as u8), level + 1, lo, hi);
             lo = hi;
         }
-        self.nodes[id as usize].set_children(children);
+        let next = self.nodes.len() as NodeId;
+        let node = &mut self.nodes[id as usize];
+        node.set_children(children);
+        node.next = next;
         id
     }
 
@@ -298,6 +302,7 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
             child_mask: 0,
             start,
             end: start,
+            next: id + 1,
         });
         let mut children = [NIL; 8];
         match inodes[cur].1.view() {
@@ -326,8 +331,10 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
             mass += p.mass;
             weighted += p.pos * p.mass;
         }
+        let next = nodes.len() as NodeId;
         let node = &mut nodes[id as usize];
         node.set_children(children);
+        node.next = next;
         node.end = end;
         node.mass = mass;
         node.com = if mass > 0.0 { weighted / mass } else { node.cell.center() };

@@ -22,10 +22,10 @@
 //!   into per-lane branches (sinking the "expensive" sqrt behind the `r² >
 //!   0` guard), which re-scalarizes the hot loop. Explicit intrinsics make
 //!   the 256-bit shape unconditional.
-//! * an **AVX-512** body: the same chunk arithmetic at eight lanes, with
-//!   each 512-bit result split lo/hi into the 256-bit accumulators in lane
-//!   order — i.e. exactly the operations the AVX2 body would perform on two
-//!   consecutive 4-lane chunks, so the wider tier changes nothing but speed.
+//! * an **AVX-512** body: the same chunk arithmetic at eight lanes, one
+//!   512-bit accumulator per quantity — exactly the operations the AVX2 body
+//!   performs on two consecutive 4-lane chunks, so the wider tier changes
+//!   nothing but speed.
 //!
 //! All bodies perform the *same IEEE operations in the same order* —
 //! correctly-rounded add/sub/mul (plus the one fused
@@ -50,8 +50,14 @@
 //!   rounding (≤ a few ulp per interaction), which is why
 //!   grouped-vs-scalar equivalence is asserted at ≤1e-12 relative rather
 //!   than bitwise.
-//! * **Lane-order summation** — four partial accumulators reduced in fixed
-//!   lane order at the end.
+//! * **Eight partial sums** — per quantity, slab element `i` is added into
+//!   partial sum `i mod 8`, and the eight are reduced at the end in a fixed
+//!   order: low four plus high four lane-wise, then the four in lane order.
+//!   AVX-512 holds them in one `__m512d`; AVX2 in two 256-bit accumulators,
+//!   one for the even and one for the odd 4-lane chunks; the portable body
+//!   in two [`bhut_simd::F64s`] halves the same way. (Eight, not four: the
+//!   AVX-512 body then adds each chunk result once, instead of folding it
+//!   into four lanes with two adds and an extract.)
 //!
 //! The `r² = 0` singularity (unsoftened self-interaction) and the zero-mass
 //! padding sentinels are both neutralized without branches: `r²` is clamped
@@ -181,35 +187,36 @@ mod portable {
         let (pxv, pyv, pzv) = (F64s::splat(px), F64s::splat(py), F64s::splat(pz));
         let eps2v = F64s::splat(eps2);
         let floorv = F64s::splat(R2_FLOOR_F64);
-        let (mut axv, mut ayv, mut azv) = (F64s::zero(), F64s::zero(), F64s::zero());
-        let mut phv = F64s::zero();
+        // Eight partial sums per quantity `[ax, ay, az, φ]`: the even
+        // four-lane chunks of a slab go to `acc[0]`, the odd ones to `acc[1]`.
+        let mut acc = [[F64s::zero(); 4]; 2];
+        let mut add = |half: usize, dx: F64s, dy: F64s, dz: F64s, m: F64s| {
+            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
+            let inv = r2.max(floorv).rsqrt_nr();
+            let im = m.mul(inv);
+            let [ax, ay, az, ph] = &mut acc[half];
+            *ph = ph.add(im);
+            let w = im.mul(inv).mul(inv);
+            *ax = ax.add(dx.mul(w));
+            *ay = ay.add(dy.mul(w));
+            *az = az.add(dz.mul(w));
+        };
         for i in (0..nodes.xs.len()).step_by(F64_LANES) {
             let dx = F64s::load(&nodes.xs[i..]).sub(pxv);
             let dy = F64s::load(&nodes.ys[i..]).sub(pyv);
             let dz = F64s::load(&nodes.zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt_nr();
-            let im = F64s::load(&nodes.ms[i..]).mul(inv);
-            phv = phv.add(im);
-            let w = im.mul(inv).mul(inv);
-            axv = axv.add(dx.mul(w));
-            ayv = ayv.add(dy.mul(w));
-            azv = azv.add(dz.mul(w));
+            add(i / F64_LANES % 2, dx, dy, dz, F64s::load(&nodes.ms[i..]));
         }
         for i in (0..parts.xs.len()).step_by(F64_LANES) {
             let dx = F64s::load(&parts.xs[i..]).sub(pxv);
             let dy = F64s::load(&parts.ys[i..]).sub(pyv);
             let dz = F64s::load(&parts.zs[i..]).sub(pzv);
-            let r2 = dx.mul(dx).add(dy.mul(dy)).add(dz.mul(dz)).add(eps2v);
-            let inv = r2.max(floorv).rsqrt_nr();
-            let im = masked_mass_f64(&parts.ms[i..], &ids[i..], target_id).mul(inv);
-            phv = phv.add(im);
-            let w = im.mul(inv).mul(inv);
-            axv = axv.add(dx.mul(w));
-            ayv = ayv.add(dy.mul(w));
-            azv = azv.add(dz.mul(w));
+            let m = masked_mass_f64(&parts.ms[i..], &ids[i..], target_id);
+            add(i / F64_LANES % 2, dx, dy, dz, m);
         }
-        (axv.hsum(), ayv.hsum(), azv.hsum(), -phv.hsum())
+        // Low half plus high half lane-wise, then the lane-order sum.
+        let [ax, ay, az, ph] = [0, 1, 2, 3].map(|q| acc[0][q].add(acc[1][q]).hsum());
+        (ax, ay, az, -ph)
     }
 }
 
@@ -249,31 +256,36 @@ pub(crate) mod avx2 {
 
     /// Horizontal sum in lane order (matches the portable `hsum`).
     #[inline(always)]
-    unsafe fn hsum_pd(v: __m256d) -> f64 {
+    pub(super) unsafe fn hsum_pd(v: __m256d) -> f64 {
         let mut a = [0.0f64; 4];
         _mm256_storeu_pd(a.as_mut_ptr(), v);
         ((a[0] + a[1]) + a[2]) + a[3]
     }
 
-    /// 4-wide accumulator set shared by the AVX2 and AVX-512 f64 bodies.
+    /// Four of the eight partial sums per quantity: the even or the odd
+    /// four-lane chunks of the slabs.
     #[derive(Clone, Copy)]
-    pub(super) struct Acc4 {
-        pub(super) ax: __m256d,
-        pub(super) ay: __m256d,
-        pub(super) az: __m256d,
-        pub(super) ph: __m256d,
+    struct Acc4 {
+        ax: __m256d,
+        ay: __m256d,
+        az: __m256d,
+        ph: __m256d,
     }
 
     impl Acc4 {
         #[inline(always)]
-        pub(super) unsafe fn zero() -> Self {
+        unsafe fn zero() -> Self {
             let z = _mm256_setzero_pd();
             Acc4 { ax: z, ay: z, az: z, ph: z }
         }
 
+        /// The even chunks' sums plus the odd ones' lane-wise, then the
+        /// lane-order sum.
         #[inline(always)]
-        pub(super) unsafe fn finish(self) -> (f64, f64, f64, f64) {
-            (hsum_pd(self.ax), hsum_pd(self.ay), hsum_pd(self.az), -hsum_pd(self.ph))
+        unsafe fn finish(lo: Self, hi: Self) -> (f64, f64, f64, f64) {
+            let (ax, ay) = (_mm256_add_pd(lo.ax, hi.ax), _mm256_add_pd(lo.ay, hi.ay));
+            let (az, ph) = (_mm256_add_pd(lo.az, hi.az), _mm256_add_pd(lo.ph, hi.ph));
+            (hsum_pd(ax), hsum_pd(ay), hsum_pd(az), -hsum_pd(ph))
         }
     }
 
@@ -355,9 +367,9 @@ pub(crate) mod avx2 {
         acc.az = _mm256_add_pd(acc.az, _mm256_mul_pd(dz, w));
     }
 
-    /// Fused member body: the two chunk helpers accumulated into one
-    /// [`Acc4`] in the order nodes → particles (matching the portable body
-    /// exactly).
+    /// Fused member body: the two chunk helpers accumulated in the order
+    /// nodes → particles, a slab's even four-lane chunks into one [`Acc4`]
+    /// and its odd ones into another (matching the portable body exactly).
     ///
     /// # Safety
     /// The CPU must support AVX2 and FMA, and `ids` must be as long as
@@ -377,36 +389,37 @@ pub(crate) mod avx2 {
         let (pxv, pyv, pzv) = (_mm256_set1_pd(px), _mm256_set1_pd(py), _mm256_set1_pd(pz));
         let eps2v = _mm256_set1_pd(eps2);
         let target = _mm_set1_epi32(target_id as i32);
-        let mut acc = Acc4::zero();
-        for i in (0..nodes.xs.len()).step_by(4) {
-            m2p_chunk_f64(
-                &mut acc, i, nodes.xs, nodes.ys, nodes.zs, nodes.ms, pxv, pyv, pzv, eps2v,
-            );
+        let (mut lo, mut hi) = (Acc4::zero(), Acc4::zero());
+        // Every view is whole eight-element chunks: an even and an odd one.
+        for i in (0..nodes.xs.len()).step_by(8) {
+            let (xs, ys, zs, ms) = (nodes.xs, nodes.ys, nodes.zs, nodes.ms);
+            m2p_chunk_f64(&mut lo, i, xs, ys, zs, ms, pxv, pyv, pzv, eps2v);
+            m2p_chunk_f64(&mut hi, i + 4, xs, ys, zs, ms, pxv, pyv, pzv, eps2v);
         }
-        for i in (0..parts.xs.len()).step_by(4) {
-            p2p_chunk_f64(
-                &mut acc, i, parts.xs, parts.ys, parts.zs, parts.ms, ids, target, pxv, pyv, pzv,
-                eps2v,
-            );
+        for i in (0..parts.xs.len()).step_by(8) {
+            let (xs, ys, zs, ms) = (parts.xs, parts.ys, parts.zs, parts.ms);
+            p2p_chunk_f64(&mut lo, i, xs, ys, zs, ms, ids, target, pxv, pyv, pzv, eps2v);
+            p2p_chunk_f64(&mut hi, i + 4, xs, ys, zs, ms, ids, target, pxv, pyv, pzv, eps2v);
         }
-        acc.finish()
+        Acc4::finish(lo, hi)
     }
 }
 
 /// Explicit 512-bit body for the f64 kernel. Same chunk arithmetic as
 /// [`avx2`] at eight lanes: every elementwise op is the correctly-rounded
-/// IEEE counterpart of two consecutive 4-lane AVX2 chunks, and each 512-bit
-/// result is folded lo-then-hi into the shared 256-bit [`avx2::Acc4`] — the
-/// exact accumulation order of the narrower body — so this tier is bitwise
-/// the AVX2 (and portable) result, just faster. The win is real only
-/// because the NR rsqrt is pure mul/FMA: with a hardware sqrt+div the
-/// 256-bit-wide divider would serialize the doubled lanes right back.
+/// IEEE counterpart of two consecutive 4-lane AVX2 chunks, and one 512-bit
+/// register per quantity holds the eight partial sums the AVX2 body keeps
+/// in two 256-bit halves — lanes 0–3 its even chunks', 4–7 its odd ones' —
+/// so this tier is bitwise the AVX2 (and portable) result, just faster.
+/// The win is real only because the NR rsqrt is pure mul/FMA: with a
+/// hardware sqrt+div the 256-bit-wide divider would serialize the doubled
+/// lanes right back.
 ///
 /// Every view is a whole number of [`bhut_simd::PAD_MULTIPLE`] (8) chunks —
 /// the kernel's contract — so the loops have no trailing 4-lane chunk.
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512 {
-    use super::avx2::Acc4;
+    use super::avx2::hsum_pd;
     use super::SlabView;
     use core::arch::x86_64::*;
 
@@ -429,19 +442,27 @@ pub(crate) mod avx512 {
         y
     }
 
-    /// Fold an 8-lane value into a 4-lane accumulator, low half first —
-    /// the order the AVX2 body adds its two consecutive chunks in.
+    /// The eight partial sums per quantity.
+    #[derive(Clone, Copy)]
+    struct Acc8 {
+        ax: __m512d,
+        ay: __m512d,
+        az: __m512d,
+        ph: __m512d,
+    }
+
+    /// Low half plus high half lane-wise, then the AVX2 body's lane-order
+    /// sum.
     #[inline(always)]
-    unsafe fn add_lo_hi(acc: &mut __m256d, v: __m512d) {
-        *acc = _mm256_add_pd(*acc, _mm512_castpd512_pd256(v));
-        *acc = _mm256_add_pd(*acc, _mm512_extractf64x4_pd::<1>(v));
+    unsafe fn fold(v: __m512d) -> f64 {
+        hsum_pd(_mm256_add_pd(_mm512_castpd512_pd256(v), _mm512_extractf64x4_pd::<1>(v)))
     }
 
     /// One 8-lane M2P chunk at slab offset `i`, accumulated into `acc`.
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn m2p_chunk8_f64(
-        acc: &mut Acc4,
+        acc: &mut Acc8,
         i: usize,
         xs: &[f64],
         ys: &[f64],
@@ -464,11 +485,11 @@ pub(crate) mod avx512 {
         );
         let inv = floored_rsqrt_pd8(r2);
         let im = _mm512_mul_pd(_mm512_loadu_pd(ms.as_ptr().add(i)), inv);
-        add_lo_hi(&mut acc.ph, im);
+        acc.ph = _mm512_add_pd(acc.ph, im);
         let w = _mm512_mul_pd(_mm512_mul_pd(im, inv), inv);
-        add_lo_hi(&mut acc.ax, _mm512_mul_pd(dx, w));
-        add_lo_hi(&mut acc.ay, _mm512_mul_pd(dy, w));
-        add_lo_hi(&mut acc.az, _mm512_mul_pd(dz, w));
+        acc.ax = _mm512_add_pd(acc.ax, _mm512_mul_pd(dx, w));
+        acc.ay = _mm512_add_pd(acc.ay, _mm512_mul_pd(dy, w));
+        acc.az = _mm512_add_pd(acc.az, _mm512_mul_pd(dz, w));
     }
 
     /// One 8-lane P2P chunk: as [`m2p_chunk8_f64`] with the `target` id
@@ -479,7 +500,7 @@ pub(crate) mod avx512 {
     #[inline(always)]
     #[allow(clippy::too_many_arguments)]
     unsafe fn p2p_chunk8_f64(
-        acc: &mut Acc4,
+        acc: &mut Acc8,
         i: usize,
         xs: &[f64],
         ys: &[f64],
@@ -512,14 +533,14 @@ pub(crate) mod avx512 {
         let inv = floored_rsqrt_pd8(r2);
         let m = _mm512_mul_pd(_mm512_loadu_pd(ms.as_ptr().add(i)), idf);
         let im = _mm512_mul_pd(m, inv);
-        add_lo_hi(&mut acc.ph, im);
+        acc.ph = _mm512_add_pd(acc.ph, im);
         let w = _mm512_mul_pd(_mm512_mul_pd(im, inv), inv);
-        add_lo_hi(&mut acc.ax, _mm512_mul_pd(dx, w));
-        add_lo_hi(&mut acc.ay, _mm512_mul_pd(dy, w));
-        add_lo_hi(&mut acc.az, _mm512_mul_pd(dz, w));
+        acc.ax = _mm512_add_pd(acc.ax, _mm512_mul_pd(dx, w));
+        acc.ay = _mm512_add_pd(acc.ay, _mm512_mul_pd(dy, w));
+        acc.az = _mm512_add_pd(acc.az, _mm512_mul_pd(dz, w));
     }
 
-    /// Fused member body: nodes → particles into one [`Acc4`], matching the
+    /// Fused member body: nodes → particles into one [`Acc8`], matching the
     /// AVX2 and portable bodies exactly.
     ///
     /// # Safety
@@ -541,7 +562,8 @@ pub(crate) mod avx512 {
         let (pxv, pyv, pzv) = (_mm512_set1_pd(px), _mm512_set1_pd(py), _mm512_set1_pd(pz));
         let eps2v = _mm512_set1_pd(eps2);
         let target = _mm256_set1_epi32(target_id as i32);
-        let mut acc = Acc4::zero();
+        let z = _mm512_setzero_pd();
+        let mut acc = Acc8 { ax: z, ay: z, az: z, ph: z };
         for i in (0..nodes.xs.len()).step_by(8) {
             m2p_chunk8_f64(
                 &mut acc, i, nodes.xs, nodes.ys, nodes.zs, nodes.ms, pxv, pyv, pzv, eps2v,
@@ -553,7 +575,7 @@ pub(crate) mod avx512 {
                 eps2v,
             );
         }
-        acc.finish()
+        (fold(acc.ax), fold(acc.ay), fold(acc.az), -fold(acc.ph))
     }
 }
 

@@ -27,12 +27,23 @@ pub trait Mac {
     /// [`Mac::accept`] for the lanes of `live` (bit `l` = the point in lane
     /// `l` of `pts`) at once: the returned mask has bit `l` set iff lane `l`
     /// is in `live` and accepts the node. The default asks `accept` lane by
-    /// lane, so every implementor is exact by construction; the two shipped
-    /// MACs override it with the vector bodies in [`crate::mac_simd`], which
+    /// lane, so every implementor is exact by construction; [`MinDistMac`]
+    /// overrides it with the vector bodies in [`crate::mac_simd`], which
     /// decide every lane exactly as `accept` does.
     #[inline]
     fn accept_lanes(&self, cell: &Aabb, com: Vec3, pts: &LanePoints, live: u32) -> u32 {
         accept_lanes_scalar(self, cell, com, pts, live)
+    }
+
+    /// `Some(α²)` if `accept(cell, com, p)` is exactly [`BarnesHutMac`]'s
+    /// test: `side² < α²·d²` with `side = cell.side()` and
+    /// `d² = (dx² + dy²) + dz²` of `d = com − p`, in that order. The lane
+    /// replay ([`crate::replay`]) then decides the lanes from the `com − p`
+    /// its interaction arithmetic starts from anyway, instead of calling
+    /// [`Mac::accept_lanes`]. The default, `None`, is always correct.
+    #[inline]
+    fn com_distance_alpha2(&self) -> Option<f64> {
+        None
     }
 
     /// Number of floating-point operations one acceptance test costs in the
@@ -89,8 +100,8 @@ impl Mac for BarnesHutMac {
     }
 
     #[inline]
-    fn accept_lanes(&self, cell: &Aabb, com: Vec3, pts: &LanePoints, live: u32) -> u32 {
-        crate::mac_simd::accept_lanes_bh(self, cell, com, pts, live)
+    fn com_distance_alpha2(&self) -> Option<f64> {
+        Some(self.alpha * self.alpha)
     }
 }
 

@@ -17,7 +17,7 @@
 //! — enforced by the equivalence tests at the bottom of this file and by
 //! the walk-level bitwise tests in `group.rs`.
 
-use crate::mac::{accept_lanes_scalar, BarnesHutMac, GroupClass, GroupMac, Mac, MinDistMac};
+use crate::mac::{accept_lanes_scalar, GroupClass, GroupMac, Mac, MinDistMac};
 use crate::replay::LanePoints;
 use bhut_geom::{Aabb, Vec3};
 
@@ -195,37 +195,14 @@ bhut_simd::simd_dispatch! {
     }
 }
 
-/// [`Mac::accept_lanes`] of [`BarnesHutMac`]: the live lanes whose point `p`
-/// has `side² < α²·|com − p|²`, each decided with the operations and the
-/// order of [`BarnesHutMac::accept`] — eight lanes per instruction under
-/// AVX-512, four under AVX2, and only in chunks that hold a live lane.
-/// Without a vector tier it is the scalar per-lane loop.
-#[inline]
-pub fn accept_lanes_bh(
-    mac: &BarnesHutMac,
-    cell: &Aabb,
-    com: Vec3,
-    pts: &LanePoints,
-    live: u32,
-) -> u32 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let side = cell.side();
-        let (s2, a2) = (side * side, mac.alpha * mac.alpha);
-        // SAFETY (both arms): `isa()` names a tier only after detecting it.
-        match bhut_simd::isa() {
-            bhut_simd::Isa::Avx512 => {
-                return unsafe { lanes512::accept_bh(s2, a2, com, pts, live) }
-            }
-            bhut_simd::Isa::Avx2 => return unsafe { lanes256::accept_bh(s2, a2, com, pts, live) },
-            bhut_simd::Isa::Portable => {}
-        }
-    }
-    accept_lanes_scalar(mac, cell, com, pts, live)
-}
-
-/// [`Mac::accept_lanes`] of [`MinDistMac`]: as [`accept_lanes_bh`] with the
-/// distance from the point to the cell, term for term [`Aabb::dist_sq_to`].
+/// [`Mac::accept_lanes`] of [`MinDistMac`]: the live lanes whose point `p`
+/// has `side² < α²·dist²(cell, p)`, the distance term for term
+/// [`Aabb::dist_sq_to`] and the comparison [`MinDistMac::accept`]'s — eight
+/// lanes per instruction under AVX-512, four under AVX2, and only in chunks
+/// that hold a live lane. Without a vector tier it is the scalar per-lane
+/// loop. ([`crate::BarnesHutMac`] needs no such body: the replay decides its lanes
+/// from the `com − p` of its own arithmetic, see
+/// [`Mac::com_distance_alpha2`].)
 #[inline]
 pub fn accept_lanes_md(
     mac: &MinDistMac,
@@ -256,7 +233,7 @@ pub fn accept_lanes_md(
 /// matter — every maximum here is squared.
 #[cfg(target_arch = "x86_64")]
 mod lanes256 {
-    use super::{Aabb, LanePoints, Vec3};
+    use super::{Aabb, LanePoints};
     use crate::replay::REPLAY_LANES;
     use core::arch::x86_64::*;
 
@@ -268,36 +245,6 @@ mod lanes256 {
         let lt =
             _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set1_pd(s2), _mm256_mul_pd(_mm256_set1_pd(a2), d2));
         _mm256_movemask_pd(lt) as u32
-    }
-
-    /// # Safety
-    /// The CPU must support AVX2.
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn accept_bh(
-        s2: f64,
-        a2: f64,
-        com: Vec3,
-        pts: &LanePoints,
-        live: u32,
-    ) -> u32 {
-        let (cx, cy, cz) = (_mm256_set1_pd(com.x), _mm256_set1_pd(com.y), _mm256_set1_pd(com.z));
-        let mut accepted = 0;
-        for c in 0..REPLAY_LANES / CHUNK {
-            let o = CHUNK * c;
-            if (live >> o) & 0xf == 0 {
-                continue;
-            }
-            let dx = _mm256_sub_pd(cx, _mm256_loadu_pd(pts.x.as_ptr().add(o)));
-            let dy = _mm256_sub_pd(cy, _mm256_loadu_pd(pts.y.as_ptr().add(o)));
-            let dz = _mm256_sub_pd(cz, _mm256_loadu_pd(pts.z.as_ptr().add(o)));
-            let d2 = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                _mm256_mul_pd(dz, dz),
-            );
-            accepted |= below(s2, a2, d2) << o;
-        }
-        accepted & live
     }
 
     /// One axis of [`Aabb::dist_sq_to`]: `(min − p).max(0).max(p − max)`.
@@ -341,7 +288,7 @@ mod lanes256 {
 /// landing in a mask register.
 #[cfg(target_arch = "x86_64")]
 mod lanes512 {
-    use super::{Aabb, LanePoints, Vec3};
+    use super::{Aabb, LanePoints};
     use crate::replay::REPLAY_LANES;
     use core::arch::x86_64::*;
 
@@ -351,36 +298,6 @@ mod lanes512 {
     unsafe fn below(s2: f64, a2: f64, d2: __m512d) -> u32 {
         let a2d2 = _mm512_mul_pd(_mm512_set1_pd(a2), d2);
         u32::from(_mm512_cmp_pd_mask::<_CMP_LT_OQ>(_mm512_set1_pd(s2), a2d2))
-    }
-
-    /// # Safety
-    /// The CPU must support AVX-512F.
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    pub(super) unsafe fn accept_bh(
-        s2: f64,
-        a2: f64,
-        com: Vec3,
-        pts: &LanePoints,
-        live: u32,
-    ) -> u32 {
-        let (cx, cy, cz) = (_mm512_set1_pd(com.x), _mm512_set1_pd(com.y), _mm512_set1_pd(com.z));
-        let mut accepted = 0;
-        for c in 0..REPLAY_LANES / CHUNK {
-            let o = CHUNK * c;
-            if (live >> o) & 0xff == 0 {
-                continue;
-            }
-            let dx = _mm512_sub_pd(cx, _mm512_loadu_pd(pts.x.as_ptr().add(o)));
-            let dy = _mm512_sub_pd(cy, _mm512_loadu_pd(pts.y.as_ptr().add(o)));
-            let dz = _mm512_sub_pd(cz, _mm512_loadu_pd(pts.z.as_ptr().add(o)));
-            let d2 = _mm512_add_pd(
-                _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-                _mm512_mul_pd(dz, dz),
-            );
-            accepted |= below(s2, a2, d2) << o;
-        }
-        accepted & live
     }
 
     #[inline(always)]
@@ -422,9 +339,10 @@ mod lanes512 {
 /// Wrapper that pins a [`GroupMac`] to scalar one-node-at-a-time
 /// decisions: delegates `accept`/`classify` but keeps the trait's default
 /// (scalar-loop) `classify_batch` and `accept_lanes`, bypassing the SIMD
-/// overrides. This is the pre-vectorization walk, kept as a first-class
-/// citizen for the `walk` bench baseline leg and for bitwise-equivalence
-/// tests.
+/// overrides, and the default `com_distance_alpha2` (`None`), so the replay
+/// asks the scalar `accept` lane by lane even for a [`crate::BarnesHutMac`]. This
+/// is the pre-vectorization walk, kept as a first-class citizen for the
+/// `mac_batch: false` executor leg and for bitwise-equivalence tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScalarClassify<M>(pub M);
 
@@ -451,6 +369,7 @@ impl<M: GroupMac> GroupMac for ScalarClassify<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mac::BarnesHutMac;
     use crate::replay::REPLAY_LANES;
 
     /// A deterministic little generator (no external deps in unit tests).
@@ -540,33 +459,13 @@ mod tests {
             assert_eq!(mac.classify(&cell, com, &bucket), wrapped.classify(&cell, com, &bucket));
         }
         assert_eq!(mac.flops(), wrapped.flops());
+        // The replay asks the wrapped MAC's `accept` lane by lane.
+        assert_eq!(mac.com_distance_alpha2(), Some(0.67 * 0.67));
+        assert_eq!(wrapped.com_distance_alpha2(), None);
     }
 
     /// The accept masks of every lane body this host can run, for one node
     /// and one set of lanes: the dispatched override first.
-    fn lane_masks_bh(
-        mac: &BarnesHutMac,
-        cell: &Aabb,
-        com: Vec3,
-        pts: &LanePoints,
-        live: u32,
-    ) -> Vec<u32> {
-        let mut got = vec![mac.accept_lanes(cell, com, pts, live)];
-        #[cfg(target_arch = "x86_64")]
-        {
-            let side = cell.side();
-            let (s2, a2) = (side * side, mac.alpha * mac.alpha);
-            // SAFETY (both): the feature was detected on this host just before.
-            if is_x86_feature_detected!("avx2") {
-                got.push(unsafe { lanes256::accept_bh(s2, a2, com, pts, live) });
-            }
-            if is_x86_feature_detected!("avx512f") {
-                got.push(unsafe { lanes512::accept_bh(s2, a2, com, pts, live) });
-            }
-        }
-        got
-    }
-
     fn lane_masks_md(
         mac: &MinDistMac,
         cell: &Aabb,
@@ -590,17 +489,19 @@ mod tests {
         got
     }
 
-    /// Every lane body — dispatched, AVX2, AVX-512, whichever the host has —
-    /// must return exactly the lanes of `live` for which the scalar `accept`
-    /// says yes: random geometry, live masks from one lane to all 32, and
-    /// points placed *on* the acceptance threshold, where `<` and `≤` part.
+    /// Every min-dist lane body — dispatched, AVX2, AVX-512, whichever the
+    /// host has — must return exactly the lanes of `live` for which the
+    /// scalar `accept` says yes: random geometry, live masks from one lane to
+    /// all 32, and points placed *on* the acceptance threshold, where `<` and
+    /// `≤` part. (The α-MAC's lanes are decided inside the replay's node
+    /// step; `crate::replay`'s tests hold that step to `accept` the same way.)
     #[test]
     fn lane_accept_bodies_decide_every_lane_as_accept_does() {
         let mut rng = Rng(0x51ab);
         let mut on_threshold = 0;
         for case in 0..3000 {
             let alpha = [0.5, 0.67, 1.0, 2.0][case % 4];
-            let (bh, md) = (BarnesHutMac::new(alpha), MinDistMac::new(alpha));
+            let md = MinDistMac::new(alpha);
             // A unit cube at the origin every eighth case: with α a power of
             // two, lanes at distance side/α sit exactly on the threshold.
             let exact = case % 8 == 0;
@@ -610,15 +511,11 @@ mod tests {
                 let scale = rng.range(0.05, 3.0);
                 random_aabb(&mut rng, scale)
             };
-            let com = if exact {
-                Vec3::new(0.5, 0.5, 0.5)
-            } else {
-                Vec3::new(
-                    rng.range(cell.min.x, cell.max.x),
-                    rng.range(cell.min.y, cell.max.y),
-                    rng.range(cell.min.z, cell.max.z),
-                )
-            };
+            let com = Vec3::new(
+                rng.range(cell.min.x, cell.max.x),
+                rng.range(cell.min.y, cell.max.y),
+                rng.range(cell.min.z, cell.max.z),
+            );
             let mut pts = LanePoints {
                 x: [0.0; REPLAY_LANES],
                 y: [0.0; REPLAY_LANES],
@@ -629,10 +526,8 @@ mod tests {
                 (pts.x[l], pts.y[l], pts.z[l]) =
                     (rng.range(-far, far), rng.range(-far, far), rng.range(-far, far));
                 if exact && l % 2 == 0 {
-                    // side / α along +x: from the centre of mass (the α-MAC's
-                    // distance) on even fours, from the face (min-dist's) else.
-                    let from = if l % 4 == 0 { com.x } else { cell.max.x };
-                    (pts.x[l], pts.y[l], pts.z[l]) = (from + 1.0 / alpha, 0.5, 0.5);
+                    // side / α from the face along +x.
+                    (pts.x[l], pts.y[l], pts.z[l]) = (cell.max.x + 1.0 / alpha, 0.5, 0.5);
                 }
             }
             let live = match case % 5 {
@@ -643,21 +538,15 @@ mod tests {
                 _ => (rng.next_f64() * u32::MAX as f64) as u32,
             };
             let p = |l: usize| Vec3::new(pts.x[l], pts.y[l], pts.z[l]);
-            let want_bh = accept_lanes_scalar(&bh, &cell, com, &pts, live);
-            let want_md = accept_lanes_scalar(&md, &cell, com, &pts, live);
+            let want = accept_lanes_scalar(&md, &cell, com, &pts, live);
             for l in 0..REPLAY_LANES {
                 let bit = |m: u32| m >> l & 1 == 1;
-                assert_eq!(bit(want_bh), bit(live) && bh.accept(&cell, com, p(l)));
-                assert_eq!(bit(want_md), bit(live) && md.accept(&cell, com, p(l)));
+                assert_eq!(bit(want), bit(live) && md.accept(&cell, com, p(l)));
                 let side = cell.side();
-                let d2 = com.dist_sq(p(l));
-                on_threshold += usize::from(side * side == alpha * alpha * d2);
-            }
-            for got in lane_masks_bh(&bh, &cell, com, &pts, live) {
-                assert_eq!(got, want_bh, "case {case}: α-MAC lanes {got:#x} vs {want_bh:#x}");
+                on_threshold += usize::from(side * side == alpha * alpha * cell.dist_sq_to(p(l)));
             }
             for got in lane_masks_md(&md, &cell, com, &pts, live) {
-                assert_eq!(got, want_md, "case {case}: min-dist lanes {got:#x} vs {want_md:#x}");
+                assert_eq!(got, want, "case {case}: min-dist lanes {got:#x} vs {want:#x}");
             }
         }
         assert!(on_threshold > 0, "no lane sat exactly on the acceptance threshold");

@@ -7,6 +7,12 @@
 //! array, so "the particles under node X" is always a slice. That property
 //! is load-bearing for the DPDA costzones scheme, which carves the in-order
 //! particle sequence at load boundaries.
+//!
+//! Every builder lays the arena out in *preorder* (a node, then its
+//! children's subtrees in octant order), so a subtree is also a contiguous
+//! id range, `id..next` ([`Node::next`]). The lane replay
+//! ([`crate::replay`]) walks a subtree forward through that range instead of
+//! pushing and popping children on a stack.
 
 use bhut_geom::{Aabb, Vec3};
 use bhut_morton::NodeKey;
@@ -41,7 +47,15 @@ pub struct Node {
     /// node.
     pub start: u32,
     pub end: u32,
+    /// The first node after this node's subtree: the arena is in preorder,
+    /// so the subtree is exactly the ids `id..next`: `id + 1` for a leaf,
+    /// [`Tree::len`] for the root (and for every node whose subtree ends
+    /// the arena). Skipping a subtree is one jump to `next`.
+    pub next: NodeId,
 }
+
+// `next` fills tail padding: the node must not grow past its 136 bytes.
+const _: () = assert!(std::mem::size_of::<Node>() <= 136);
 
 impl Node {
     #[inline]
@@ -182,21 +196,19 @@ impl Tree {
 
     /// Find the deepest node whose cell contains `p`, starting from the
     /// root. Returns `None` for an empty tree or a point outside the root
-    /// cell.
+    /// node's cell (the root cell, or the smaller cell box collapsing
+    /// shrank it to).
     pub fn locate(&self, p: Vec3) -> Option<NodeId> {
-        if self.nodes.is_empty() || !self.root_cell.contains(p) {
+        if self.nodes.is_empty() || !self.root().cell.contains(p) {
             return None;
         }
         let mut id: NodeId = 0;
         loop {
             let n = self.node(id);
-            if !n.cell.contains(p) {
-                // box collapsing can shrink a child cell away from p
-                return Some(id);
-            }
-            let oct = n.cell.octant_of(p);
-            let c = n.children[oct];
-            if c == NIL {
+            let c = n.children[n.cell.octant_of(p)];
+            // Box collapsing can shrink the child's cell away from `p`: then
+            // `id` is the deepest cell that holds it.
+            if c == NIL || !self.node(c).cell.contains(p) {
                 return Some(id);
             }
             id = c;
@@ -225,13 +237,15 @@ impl Tree {
             }
             seen[i] = true;
         }
-        let mut visited = vec![false; self.nodes.len()];
+        // A depth-first walk in octant order: the arena is in preorder iff it
+        // reaches the ids in arena order.
+        let mut preorder: NodeId = 0;
         let mut stack = vec![0 as NodeId];
         while let Some(id) = stack.pop() {
-            if visited[id as usize] {
-                return Err(format!("node {id} reached twice"));
+            if id != preorder {
+                return Err(format!("arena not in preorder: node {id} where {preorder} belongs"));
             }
-            visited[id as usize] = true;
+            preorder += 1;
             let n = self.node(id);
             if n.start > n.end || n.end as usize > particles_len {
                 return Err(format!("node {id} bad range {}..{}", n.start, n.end));
@@ -251,6 +265,9 @@ impl Tree {
                     if c == NIL {
                         continue;
                     }
+                    if c as usize >= self.nodes.len() {
+                        return Err(format!("node {id}: child {c} outside the arena"));
+                    }
                     let ch = self.node(c);
                     if ch.start != cursor {
                         return Err(format!(
@@ -263,11 +280,26 @@ impl Tree {
                     if !n.cell.contains_box(&ch.cell) {
                         return Err(format!("node {id}: child {c} cell escapes parent"));
                     }
-                    stack.push(c);
                 }
                 if child_total != n.count() || cursor != n.end {
                     return Err(format!("node {id}: children don't tile range"));
                 }
+                stack.extend(n.children.iter().rev().filter(|&&c| c != NIL));
+            }
+            // `next` is the id past the subtree: each child's subtree starts
+            // where the one before it ends, the first right after `id`, and
+            // the node's ends with its last child's (a leaf's at `id + 1`).
+            let mut past = id + 1;
+            for c in self.children_of(id) {
+                if c != past {
+                    return Err(format!(
+                        "arena not in preorder: node {id}'s child {c} is not at {past}"
+                    ));
+                }
+                past = self.node(c).next;
+            }
+            if n.next != past {
+                return Err(format!("node {id}: next {} but its subtree ends at {past}", n.next));
             }
             // mass/com consistency is checked by build tests against
             // particle data; here check only finiteness.
@@ -275,9 +307,110 @@ impl Tree {
                 return Err(format!("node {id}: non-finite mass/com"));
             }
         }
-        if visited.iter().any(|&v| !v) {
+        if preorder as usize != self.nodes.len() {
             return Err("unreachable nodes in arena".into());
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::build::{build, build_in_cell, build_incremental, BuildParams};
+    use bhut_geom::ParticleSet;
+
+    /// Twenty unit masses in a tight run near `(0.1, 0.1, 0.1)` and one at
+    /// `(0.9, 0.9, 0.9)`, in the unit cube with leaf capacity 4: box
+    /// collapsing shrinks the run's node to a cell of side 1/64.
+    fn cluster_and_one() -> (ParticleSet, Tree) {
+        let run = (0..20).map(|i| {
+            let f = i as f64 * 1e-4;
+            Vec3::new(0.1 + f, 0.1 + f / 2.0, 0.1 + f / 4.0)
+        });
+        let set = ParticleSet::from_positions(run.chain([Vec3::splat(0.9)]));
+        let tree = build_in_cell(
+            &set.particles,
+            Aabb::origin_cube(1.0),
+            BuildParams::with_leaf_capacity(4),
+        );
+        (set, tree)
+    }
+
+    /// A point in the run's root octant but outside its collapsed cell: the
+    /// deepest cell holding it is the root's, not the run's.
+    #[test]
+    fn locate_does_not_step_into_a_collapsed_cell_that_misses_the_point() {
+        let (set, tree) = cluster_and_one();
+        tree.check_invariants(set.len()).unwrap();
+        let p = Vec3::new(0.4, 0.4, 0.05);
+        let run = tree.children_of(0).next().unwrap();
+        assert_eq!(tree.node(run).cell.side(), 1.0 / 64.0, "the run's cell is collapsed");
+        assert_eq!(tree.node(0).cell.octant_of(p), tree.node(0).cell.octant_of(Vec3::splat(0.1)));
+        assert_eq!(tree.locate(p), Some(0));
+        // Inside the run's cell the descent goes on as before.
+        let inside = Vec3::new(0.1005, 0.1003, 0.1002);
+        let id = tree.locate(inside).unwrap();
+        assert_ne!(id, 0);
+        assert!(tree.node(id).cell.contains(inside));
+    }
+
+    /// `next` on the edge cases of the builders: no particles, one, and
+    /// coincident points that no split separates, chained down to the depth
+    /// cap (each node of the chain ends with the arena).
+    #[test]
+    fn next_links_hold_on_empty_single_and_depth_capped_trees() {
+        let cube = Aabb::origin_cube(1.0);
+        let chain = BuildParams { leaf_capacity: 2, collapse: false, min_split_level: 0 };
+        for (n, at) in [(0, 0.5), (1, 0.5), (10, 0.25)] {
+            let set = ParticleSet::from_positions(std::iter::repeat_n(Vec3::splat(at), n));
+            let trees = [
+                build(&set.particles, BuildParams::with_leaf_capacity(2)),
+                build_in_cell(&set.particles, cube, chain),
+                build_incremental(&set.particles, cube, chain),
+            ];
+            for (b, tree) in trees.iter().enumerate() {
+                tree.check_invariants(n).unwrap_or_else(|e| panic!("n {n} builder {b}: {e}"));
+                assert_eq!(tree.is_empty(), n == 0);
+                if n == 10 && b > 0 {
+                    assert!(tree.len() > 20, "builder {b}: the chain reaches the depth cap");
+                    assert!(tree.nodes.iter().all(|nd| nd.next as usize == tree.len()));
+                }
+            }
+        }
+    }
+
+    /// The invariant check notices a `next` off by one, and a subtree the
+    /// arena does not hold in preorder.
+    #[test]
+    fn check_invariants_rejects_a_wrong_next_and_a_non_preorder_arena() {
+        let (set, tree) = cluster_and_one();
+        for id in 0..tree.len() {
+            let mut bad = tree.clone();
+            bad.nodes[id].next += 1;
+            assert!(bad.check_invariants(set.len()).is_err(), "next of node {id}");
+        }
+        // Move the root's first subtree behind the rest of the arena and
+        // renumber the child links: the same tree, not in preorder.
+        let (first, len) = (tree.children_of(0).next().unwrap(), tree.len() as NodeId);
+        let end = tree.node(first).next;
+        let moved = |id: NodeId| match id {
+            NIL => NIL,
+            id if id < first => id,
+            id if id < end => id + (len - end),
+            id => id - (end - first),
+        };
+        let mut shuffled = tree.clone();
+        shuffled.nodes = (0..first)
+            .chain(end..len)
+            .chain(first..end)
+            .map(|old| {
+                let mut node = tree.node(old).clone();
+                node.children = node.children.map(moved);
+                node
+            })
+            .collect();
+        let err = shuffled.check_invariants(set.len()).unwrap_err();
+        assert!(err.contains("preorder"), "{err}");
     }
 }

@@ -8,14 +8,31 @@
 //! structure-of-arrays lane columns (position, skip id, the running
 //! `ax ay az φ`, and the three [`TraversalStats`] counters); one depth-first
 //! traversal per mixed root carries a `u32` mask of the lanes still
-//! descending. At a node the live lanes take the multipole acceptance test
-//! ([`Mac::accept_lanes`]); the lanes that accept accumulate the node's
-//! monopole right there and drop out, the others descend, and a leaf's (or a
-//! singleton's) particles interact with the lanes that reached them, each
-//! lane leaving out its own skip id. A MAC test and a monopole interaction
-//! cost about the same and start from the same `com − p`, so nothing is
-//! written down between deciding and computing: no interaction rows, no
-//! per-target tail slabs, nothing for a kernel to load back.
+//! descending. At a node the live lanes take the multipole acceptance test;
+//! the lanes that accept accumulate the node's monopole right there and drop
+//! out, the others descend, and a leaf's (or a singleton's) particles
+//! interact with the lanes that reached them, each lane leaving out its own
+//! skip id. Nothing is written down between deciding and computing: no
+//! interaction rows, no per-target tail slabs, nothing for a kernel to load
+//! back.
+//!
+//! **One pass per lane chunk.** A Barnes–Hut test and a monopole interaction
+//! start from the same `d = com − p` and `|d|²`. For a MAC of that shape
+//! ([`Mac::com_distance_alpha2`]: [`crate::BarnesHutMac`]) the node step
+//! forms `d` and `d² = (dx² + dy²) + dz²` once per chunk with a live lane,
+//! decides the lanes as `side² < α²·d²` — [`crate::BarnesHutMac::accept`]'s
+//! operands in its order — and runs the arithmetic on `r² = d² + ε²` only in
+//! chunks where a lane accepted. Every other MAC decides its lanes through
+//! [`Mac::accept_lanes`] first and then runs the same arithmetic.
+//!
+//! **The walk is forward through the arena.** Every builder lays the arena
+//! out in preorder, so a subtree is the id range `id..next`
+//! ([`crate::Node::next`]). A root's subtree is walked from `root` to its
+//! `next`: a node whose lanes all stop there (accepted, a leaf, a singleton)
+//! jumps to its `next`; a node some lanes descend into goes on at `id + 1`,
+//! its first child, and pushes a frame (its `next`, the descending lanes)
+//! that is dropped when the walk reaches that `next`. Nothing is pushed per
+//! child, and the nodes come in the order a depth-first stack visits them.
 //!
 //! Per lane this makes exactly the decisions of
 //! [`crate::traverse::for_each_interaction_from`] from every mixed root —
@@ -49,7 +66,7 @@
 //! the bit and dispatch changes speed only.
 
 use crate::mac::Mac;
-use crate::node::{NodeId, Tree, NIL};
+use crate::node::{NodeId, Tree};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Particle, Vec3};
 use bhut_simd::{rsqrt_nr_f64, Isa, KernelPrecision, R2_FLOOR_F64};
@@ -69,6 +86,7 @@ pub struct LanePoints {
 }
 
 /// The lane columns the kernels work on.
+#[derive(Clone)]
 #[repr(C, align(64))]
 struct Columns {
     pts: LanePoints,
@@ -93,8 +111,9 @@ struct Columns {
 pub(crate) struct ReplayLanes {
     cols: Columns,
     len: usize,
-    /// Depth-first stack of (node, lanes still descending through it).
-    stack: Vec<(NodeId, u32)>,
+    /// The walk's open subtrees, innermost last: (the id past the subtree,
+    /// the lanes descending through it).
+    frames: Vec<(NodeId, u32)>,
 }
 
 impl ReplayLanes {
@@ -115,7 +134,7 @@ impl ReplayLanes {
                 slots: 0,
             },
             len: 0,
-            stack: Vec::new(),
+            frames: Vec::new(),
         }
     }
 
@@ -220,6 +239,18 @@ impl ReplayLanes {
     }
 }
 
+/// How a node step decides which live lanes accept the node.
+#[derive(Clone, Copy)]
+enum NodeTest {
+    /// Decided before the step ([`Mac::accept_lanes`]): the accepting lanes,
+    /// a subset of the live ones.
+    Decided(u32),
+    /// [`crate::BarnesHutMac`]'s test `side² < α²·d²` (the fields: `side²`,
+    /// `α²`), decided in the step from the `d = com − p` and
+    /// `d² = (dx² + dy²) + dz²` its arithmetic starts from.
+    Alpha(f64, f64),
+}
+
 /// The lane arithmetic of one instruction-set tier: what the traversal does
 /// to the lane columns at the two kinds of source it meets. Every body
 /// leaves in a lane exactly what [`Portable`] leaves.
@@ -228,17 +259,26 @@ impl ReplayLanes {
 /// The functions may only run on a CPU that supports the implementor's
 /// tier.
 trait LaneKernel {
-    /// A tested node: charge one MAC test to every lane of `live` and
-    /// accumulate the monopole `m` at `com` into the lanes of `accept` (a
-    /// subset of `live`), counting it as their node interaction.
-    unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32);
+    /// A tested node: charge one MAC test to every lane of `live`,
+    /// accumulate the monopole `m` at `com` into the lanes of `live` that
+    /// `test` accepts, counting it as their node interaction, and return
+    /// those lanes.
+    unsafe fn node(
+        cols: &mut Columns,
+        com: Vec3,
+        m: f64,
+        eps2: f64,
+        live: u32,
+        test: NodeTest,
+    ) -> u32;
 
     /// A particle reached directly: accumulate `q` into the lanes of `mask`
     /// that do not skip its id, counting it as their particle interaction.
     unsafe fn particle(cols: &mut Columns, q: &Particle, eps2: f64, mask: u32);
 }
 
-/// The one traversal: replay every root for the lanes `0..lanes.len`.
+/// The one traversal: replay every root for the lanes `0..lanes.len`,
+/// forward through each root's preorder id range.
 ///
 /// # Safety
 /// The CPU must support `K`'s tier.
@@ -255,43 +295,55 @@ unsafe fn run<M: Mac, K: LaneKernel>(
         return;
     }
     let all = u32::MAX >> (REPLAY_LANES - lanes.len);
+    let com_alpha2 = mac.com_distance_alpha2();
     // A local stack keeps its length in a register across the column stores.
-    let (cols, mut stack) = (&mut lanes.cols, std::mem::take(&mut lanes.stack));
-    // Every root at once, first on top: each subtree is finished before the
-    // next root pops, so a lane still meets its sources in root order.
-    stack.clear();
-    stack.extend(roots.iter().rev().map(|&root| (root, all)));
-    while let Some((id, live)) = stack.pop() {
-        let node = tree.node(id);
-        match node.count() {
-            0 => continue,
-            // A singleton is a direct interaction, never tested.
-            1 => {
-                let pi = tree.order[node.start as usize];
-                K::particle(cols, &particles[pi as usize], eps2, live);
-                continue;
-            }
-            _ => {}
-        }
-        let accept = mac.accept_lanes(&node.cell, node.com, &cols.pts, live) & live;
-        K::node(cols, node.com, node.mass, eps2, live, accept);
-        let reject = live & !accept;
-        if reject == 0 {
-            continue;
-        }
-        if node.is_leaf() {
-            for &pi in tree.particles_under(id) {
-                K::particle(cols, &particles[pi as usize], eps2, reject);
-            }
-        } else {
-            for &c in node.children.iter().rev() {
-                if c != NIL {
-                    stack.push((c, reject));
+    let (cols, mut frames) = (&mut lanes.cols, std::mem::take(&mut lanes.frames));
+    // Root by root, in order: a lane still meets its sources in root order.
+    for &root in roots {
+        // The bottom frame is the root's whole subtree with every lane; the
+        // walk is over when it drops.
+        frames.push((tree.node(root).next, all));
+        let mut id = root;
+        while let Some(&(_, live)) = frames.last() {
+            let node = tree.node(id);
+            // Where the walk goes on: past the subtree unless lanes descend.
+            let mut to = node.next;
+            match node.count() {
+                0 => {}
+                // A singleton is a direct interaction, never tested.
+                1 => {
+                    let pi = tree.order[node.start as usize];
+                    K::particle(cols, &particles[pi as usize], eps2, live);
                 }
+                _ => {
+                    let side = node.cell.side();
+                    let test = match com_alpha2 {
+                        Some(a2) => NodeTest::Alpha(side * side, a2),
+                        None => NodeTest::Decided(
+                            mac.accept_lanes(&node.cell, node.com, &cols.pts, live) & live,
+                        ),
+                    };
+                    let accept = K::node(cols, node.com, node.mass, eps2, live, test);
+                    let reject = live & !accept;
+                    if reject != 0 {
+                        if node.is_leaf() {
+                            for &pi in tree.particles_under(id) {
+                                K::particle(cols, &particles[pi as usize], eps2, reject);
+                            }
+                        } else {
+                            frames.push((node.next, reject));
+                            to = id + 1;
+                        }
+                    }
+                }
+            }
+            id = to;
+            while frames.last().is_some_and(|&(end, _)| end == id) {
+                frames.pop();
             }
         }
     }
-    lanes.stack = stack;
+    lanes.frames = frames;
 }
 
 /// One source's weight on one target: `(w, φ term)` from the softened
@@ -334,13 +386,18 @@ impl PairOp for Exact {
 struct Portable<Op>(std::marker::PhantomData<Op>);
 
 impl<Op: PairOp> Portable<Op> {
-    /// Lane `l` gains the monopole `m` at `src`.
+    /// Lane `l`'s `d = src − p` and `|d|² = (dx² + dy²) + dz²`.
     #[inline(always)]
-    fn accumulate(cols: &mut Columns, l: usize, src: Vec3, m: f64, eps2: f64) {
+    fn offset(cols: &Columns, l: usize, src: Vec3) -> ([f64; 3], f64) {
         let dx = src.x - cols.pts.x[l];
         let dy = src.y - cols.pts.y[l];
         let dz = src.z - cols.pts.z[l];
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
+        ([dx, dy, dz], dx * dx + dy * dy + dz * dz)
+    }
+
+    /// Lane `l` gains the monopole `m` at offset `d`, `r2 = |d|² + ε²`.
+    #[inline(always)]
+    fn interact(cols: &mut Columns, l: usize, [dx, dy, dz]: [f64; 3], r2: f64, m: f64) {
         let (w, ph) = Op::weights(r2, m);
         cols.phi[l] += ph;
         cols.ax[l] += dx * w;
@@ -352,17 +409,31 @@ impl<Op: PairOp> Portable<Op> {
 
 impl<Op: PairOp> LaneKernel for Portable<Op> {
     #[inline(always)]
-    unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
-        let mut rest = live;
+    unsafe fn node(
+        cols: &mut Columns,
+        com: Vec3,
+        m: f64,
+        eps2: f64,
+        live: u32,
+        test: NodeTest,
+    ) -> u32 {
+        let (mut rest, mut accept) = (live, 0);
         while rest != 0 {
             let l = rest.trailing_zeros() as usize;
             rest &= rest - 1;
             cols.mac_tests[l] += 1;
-            if accept & (1 << l) != 0 {
-                Self::accumulate(cols, l, com, m, eps2);
+            let (d, d2) = Self::offset(cols, l, com);
+            let accepts = match test {
+                NodeTest::Decided(lanes) => lanes & (1 << l) != 0,
+                NodeTest::Alpha(s2, a2) => s2 < a2 * d2,
+            };
+            if accepts {
+                accept |= 1 << l;
+                Self::interact(cols, l, d, d2 + eps2, m);
                 cols.p2n[l] += 1;
             }
         }
+        accept
     }
 
     #[inline(always)]
@@ -372,7 +443,8 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
             let l = rest.trailing_zeros() as usize;
             rest &= rest - 1;
             if cols.skip[l] != q.id {
-                Self::accumulate(cols, l, q.pos, q.mass, eps2);
+                let (d, d2) = Self::offset(cols, l, q.pos);
+                Self::interact(cols, l, d, d2 + eps2, q.mass);
                 cols.p2p[l] += 1;
             }
         }
@@ -383,7 +455,7 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
 /// of [`Portable<Rsqrt>`]'s, in its order.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{run, Columns, LaneKernel, ReplayLanes, REPLAY_LANES};
+    use super::{run, Columns, LaneKernel, LanePoints, NodeTest, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx2::floored_rsqrt_pd;
     use crate::mac::Mac;
     use crate::node::{NodeId, Tree};
@@ -419,19 +491,31 @@ mod avx2 {
         _mm256_storeu_pd(p, _mm256_blendv_pd(_mm256_loadu_pd(p), v, on));
     }
 
-    /// The four lanes at `o` named by `on` gain the monopole `m` at `src`.
+    /// `d = src − p` for the four lanes at `o`, and
+    /// `|d|² = (dx² + dy²) + dz²`.
     #[inline(always)]
-    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, on: __m256i) {
-        let dx = _mm256_sub_pd(_mm256_set1_pd(src.x), _mm256_loadu_pd(cols.pts.x.as_ptr().add(o)));
-        let dy = _mm256_sub_pd(_mm256_set1_pd(src.y), _mm256_loadu_pd(cols.pts.y.as_ptr().add(o)));
-        let dz = _mm256_sub_pd(_mm256_set1_pd(src.z), _mm256_loadu_pd(cols.pts.z.as_ptr().add(o)));
-        let r2 = _mm256_add_pd(
-            _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
-                _mm256_mul_pd(dz, dz),
-            ),
-            _mm256_set1_pd(eps2),
+    unsafe fn offset(pts: &LanePoints, o: usize, src: Vec3) -> ([__m256d; 3], __m256d) {
+        let dx = _mm256_sub_pd(_mm256_set1_pd(src.x), _mm256_loadu_pd(pts.x.as_ptr().add(o)));
+        let dy = _mm256_sub_pd(_mm256_set1_pd(src.y), _mm256_loadu_pd(pts.y.as_ptr().add(o)));
+        let dz = _mm256_sub_pd(_mm256_set1_pd(src.z), _mm256_loadu_pd(pts.z.as_ptr().add(o)));
+        let d2 = _mm256_add_pd(
+            _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy)),
+            _mm256_mul_pd(dz, dz),
         );
+        ([dx, dy, dz], d2)
+    }
+
+    /// The four lanes at `o` named by `on` gain the monopole `m` at offset
+    /// `d`, `r2 = |d|² + ε²`.
+    #[inline(always)]
+    unsafe fn interact(
+        cols: &mut Columns,
+        o: usize,
+        [dx, dy, dz]: [__m256d; 3],
+        r2: __m256d,
+        m: f64,
+        on: __m256i,
+    ) {
         let inv = floored_rsqrt_pd(r2);
         let im = _mm256_mul_pd(_mm256_set1_pd(m), inv);
         let w = _mm256_mul_pd(_mm256_mul_pd(im, inv), inv);
@@ -447,22 +531,53 @@ mod avx2 {
         cols.slots += CHUNK as u64;
     }
 
+    /// The four lanes at `o` named by `on` gain the monopole `m` at `src`.
+    #[inline(always)]
+    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, on: __m256i) {
+        let (d, d2) = offset(&cols.pts, o, src);
+        interact(cols, o, d, _mm256_add_pd(d2, _mm256_set1_pd(eps2)), m, on);
+    }
+
     pub(super) struct Avx2;
 
     impl LaneKernel for Avx2 {
-        /// The arithmetic runs on every chunk with a live lane, beside the
-        /// test that decides `accept` rather than after it; only the stores
-        /// wait for the mask.
+        /// Each chunk with a live lane forms its `d` and `d²` once, for the
+        /// test and the arithmetic; only chunks where a lane accepts run
+        /// the arithmetic.
         #[inline(always)]
-        unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
+        unsafe fn node(
+            cols: &mut Columns,
+            com: Vec3,
+            m: f64,
+            eps2: f64,
+            live: u32,
+            test: NodeTest,
+        ) -> u32 {
             bump(&mut cols.mac_tests, live);
-            bump(&mut cols.p2n, accept);
+            let eps2 = _mm256_set1_pd(eps2);
+            let mut accept = 0;
             for c in 0..REPLAY_LANES / CHUNK {
                 let o = CHUNK * c;
-                if (live >> o) & 0xf != 0 {
-                    accumulate(cols, o, com, m, eps2, lane_mask(accept >> o));
+                let on = (live >> o) & 0xf;
+                if on == 0 {
+                    continue;
+                }
+                let (d, d2) = offset(&cols.pts, o, com);
+                let bits = match test {
+                    NodeTest::Decided(lanes) => (lanes >> o) & 0xf,
+                    NodeTest::Alpha(s2, a2) => {
+                        let a2d2 = _mm256_mul_pd(_mm256_set1_pd(a2), d2);
+                        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set1_pd(s2), a2d2);
+                        _mm256_movemask_pd(lt) as u32 & on
+                    }
+                };
+                if bits != 0 {
+                    interact(cols, o, d, _mm256_add_pd(d2, eps2), m, lane_mask(bits));
+                    accept |= bits << o;
                 }
             }
+            bump(&mut cols.p2n, accept);
+            accept
         }
 
         #[inline(always)]
@@ -499,13 +614,30 @@ mod avx2 {
     ) {
         run::<M, Avx2>(lanes, tree, particles, roots, mac, eps2)
     }
+
+    /// [`Avx2`]'s node step compiled for its tier, for the tests.
+    ///
+    /// # Safety
+    /// The CPU must support AVX2 and FMA.
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn node(
+        cols: &mut Columns,
+        com: Vec3,
+        m: f64,
+        eps2: f64,
+        live: u32,
+        test: NodeTest,
+    ) -> u32 {
+        Avx2::node(cols, com, m, eps2, live, test)
+    }
 }
 
 /// Eight lanes per chunk, accumulation under a mask register; the same
 /// operations as [`avx2`] at twice the width.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{run, Columns, LaneKernel, ReplayLanes, REPLAY_LANES};
+    use super::{run, Columns, LaneKernel, LanePoints, NodeTest, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx512::floored_rsqrt_pd8;
     use crate::mac::Mac;
     use crate::node::{NodeId, Tree};
@@ -525,19 +657,31 @@ mod avx512 {
         }
     }
 
-    /// The eight lanes at `o` named by `k` gain the monopole `m` at `src`.
+    /// `d = src − p` for the eight lanes at `o`, and
+    /// `|d|² = (dx² + dy²) + dz²`.
     #[inline(always)]
-    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, k: __mmask8) {
-        let dx = _mm512_sub_pd(_mm512_set1_pd(src.x), _mm512_loadu_pd(cols.pts.x.as_ptr().add(o)));
-        let dy = _mm512_sub_pd(_mm512_set1_pd(src.y), _mm512_loadu_pd(cols.pts.y.as_ptr().add(o)));
-        let dz = _mm512_sub_pd(_mm512_set1_pd(src.z), _mm512_loadu_pd(cols.pts.z.as_ptr().add(o)));
-        let r2 = _mm512_add_pd(
-            _mm512_add_pd(
-                _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
-                _mm512_mul_pd(dz, dz),
-            ),
-            _mm512_set1_pd(eps2),
+    unsafe fn offset(pts: &LanePoints, o: usize, src: Vec3) -> ([__m512d; 3], __m512d) {
+        let dx = _mm512_sub_pd(_mm512_set1_pd(src.x), _mm512_loadu_pd(pts.x.as_ptr().add(o)));
+        let dy = _mm512_sub_pd(_mm512_set1_pd(src.y), _mm512_loadu_pd(pts.y.as_ptr().add(o)));
+        let dz = _mm512_sub_pd(_mm512_set1_pd(src.z), _mm512_loadu_pd(pts.z.as_ptr().add(o)));
+        let d2 = _mm512_add_pd(
+            _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
+            _mm512_mul_pd(dz, dz),
         );
+        ([dx, dy, dz], d2)
+    }
+
+    /// The eight lanes at `o` named by `k` gain the monopole `m` at offset
+    /// `d`, `r2 = |d|² + ε²`.
+    #[inline(always)]
+    unsafe fn interact(
+        cols: &mut Columns,
+        o: usize,
+        [dx, dy, dz]: [__m512d; 3],
+        r2: __m512d,
+        m: f64,
+        k: __mmask8,
+    ) {
         let inv = floored_rsqrt_pd8(r2);
         let im = _mm512_mul_pd(_mm512_set1_pd(m), inv);
         let w = _mm512_mul_pd(_mm512_mul_pd(im, inv), inv);
@@ -555,22 +699,50 @@ mod avx512 {
         cols.slots += CHUNK as u64;
     }
 
+    /// The eight lanes at `o` named by `k` gain the monopole `m` at `src`.
+    #[inline(always)]
+    unsafe fn accumulate(cols: &mut Columns, o: usize, src: Vec3, m: f64, eps2: f64, k: __mmask8) {
+        let (d, d2) = offset(&cols.pts, o, src);
+        interact(cols, o, d, _mm512_add_pd(d2, _mm512_set1_pd(eps2)), m, k);
+    }
+
     pub(super) struct Avx512;
 
     impl LaneKernel for Avx512 {
-        /// The arithmetic runs on every chunk with a live lane, beside the
-        /// test that decides `accept` rather than after it; only the stores
-        /// wait for the mask.
+        /// As [`super::avx2::Avx2`]'s, eight lanes per chunk.
         #[inline(always)]
-        unsafe fn node(cols: &mut Columns, com: Vec3, m: f64, eps2: f64, live: u32, accept: u32) {
+        unsafe fn node(
+            cols: &mut Columns,
+            com: Vec3,
+            m: f64,
+            eps2: f64,
+            live: u32,
+            test: NodeTest,
+        ) -> u32 {
             bump(&mut cols.mac_tests, live);
-            bump(&mut cols.p2n, accept);
+            let eps2 = _mm512_set1_pd(eps2);
+            let mut accept = 0;
             for c in 0..REPLAY_LANES / CHUNK {
                 let o = CHUNK * c;
-                if (live >> o) as __mmask8 != 0 {
-                    accumulate(cols, o, com, m, eps2, (accept >> o) as __mmask8);
+                let on = (live >> o) as __mmask8;
+                if on == 0 {
+                    continue;
+                }
+                let (d, d2) = offset(&cols.pts, o, com);
+                let k = match test {
+                    NodeTest::Decided(lanes) => (lanes >> o) as __mmask8,
+                    NodeTest::Alpha(s2, a2) => {
+                        let a2d2 = _mm512_mul_pd(_mm512_set1_pd(a2), d2);
+                        _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(on, _mm512_set1_pd(s2), a2d2)
+                    }
+                };
+                if k != 0 {
+                    interact(cols, o, d, _mm512_add_pd(d2, eps2), m, k);
+                    accept |= u32::from(k) << o;
                 }
             }
+            bump(&mut cols.p2n, accept);
+            accept
         }
 
         #[inline(always)]
@@ -605,17 +777,35 @@ mod avx512 {
     ) {
         run::<M, Avx512>(lanes, tree, particles, roots, mac, eps2)
     }
+
+    /// [`Avx512`]'s node step compiled for its tier, for the tests.
+    ///
+    /// # Safety
+    /// The CPU must support AVX-512F, AVX2 and FMA.
+    #[cfg(test)]
+    #[target_feature(enable = "avx512f,avx2,fma")]
+    pub(super) unsafe fn node(
+        cols: &mut Columns,
+        com: Vec3,
+        m: f64,
+        eps2: f64,
+        live: u32,
+        test: NodeTest,
+    ) -> u32 {
+        Avx512::node(cols, com, m, eps2, live, test)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build::{build, BuildParams};
+    use crate::build::{build, build_incremental, BuildParams};
     use crate::group::{
         eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule,
         InteractionBuffers, QueryTarget,
     };
-    use crate::mac::{BarnesHutMac, GroupMac, MinDistMac};
+    use crate::mac::{accept_lanes_scalar, BarnesHutMac, GroupMac, MinDistMac};
+    use crate::mac_simd::ScalarClassify;
     use crate::traverse::{accel_kernel, for_each_interaction_from, potential_kernel, Interaction};
     use bhut_geom::{plummer, Aabb, PlummerSpec};
 
@@ -719,14 +909,16 @@ mod tests {
     }
 
     /// Replay `targets` (any number: chunks of [`REPLAY_LANES`]) through the
-    /// dispatched body and hold every lane to the oracle. Returns the
-    /// interactions compared.
+    /// dispatched body and hold every lane to the oracle — and, for a MAC
+    /// the replay decides from `com − p` itself, to the unfused replay of
+    /// the same MAC behind [`ScalarClassify`]. Returns the interactions
+    /// compared.
     fn assert_lanes_are_the_walk(
         tree: &Tree,
         ps: &[Particle],
         roots: &[NodeId],
         targets: &[QueryTarget],
-        mac: &impl Mac,
+        mac: &(impl Mac + Copy),
         ctx: &str,
     ) -> u64 {
         let mut compared = 0;
@@ -740,6 +932,14 @@ mod tests {
                     assert_eq!(lane(&lanes, l), want, "{ctx}: chunk {c} lane {l} {precision:?}");
                     compared += want.1.interactions();
                 }
+                if mac.com_distance_alpha2().is_some() {
+                    let mut unfused = seat(chunk);
+                    unfused.replay(tree, ps, roots, &ScalarClassify(*mac), EPS, precision);
+                    for l in 0..chunk.len() {
+                        let ctx = format!("{ctx}: chunk {c} lane {l} {precision:?} unfused");
+                        assert_eq!(lane(&unfused, l), lane(&lanes, l), "{ctx}");
+                    }
+                }
                 // Computed lanes cover the interacting ones.
                 let slots = lanes.take_lane_slots();
                 let useful: u64 = (0..chunk.len()).map(|l| lanes.stats(l).interactions()).sum();
@@ -749,20 +949,20 @@ mod tests {
         compared
     }
 
+    /// Every lane against the oracle, on the trees of the bulk builder and of
+    /// the incremental one (the forward walk relies on either's preorder;
+    /// `bhut-threads` holds the parallel builder's to the same oracle), with
+    /// the α-MAC fused, behind [`ScalarClassify`] unfused, and min-dist.
     #[test]
     fn replayed_lanes_are_the_per_target_walk_bitwise() {
-        fn check(mac: &(impl GroupMac + Copy), name: &str) {
-            let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
-            let ps = &set.particles;
-            // Capacity 12: units of a few members up to a full replay chunk.
-            let tree = build(ps, BuildParams::with_leaf_capacity(12));
-            let active: Vec<bool> = (0..set.len()).map(|i| i % 3 != 1).collect();
+        fn check(tree: &Tree, ps: &[Particle], mac: &(impl GroupMac + Copy), name: &str) {
+            let active: Vec<bool> = (0..ps.len()).map(|i| i % 3 != 1).collect();
             let mut buf = InteractionBuffers::new();
             let mut compared = 0;
             // Unit members, with and without an active mask.
             for mask in [None, Some(active.as_slice())] {
-                for unit in leaf_schedule(&tree) {
-                    gather_group(&tree, ps, unit, mac, &mut buf);
+                for unit in leaf_schedule(tree) {
+                    gather_group(tree, ps, unit, mac, &mut buf);
                     let targets: Vec<QueryTarget> = tree
                         .particles_under(unit)
                         .iter()
@@ -771,7 +971,7 @@ mod tests {
                         .collect();
                     let ctx = format!("{name} unit {unit} masked {}", mask.is_some());
                     compared +=
-                        assert_lanes_are_the_walk(&tree, ps, &buf.mixed, &targets, mac, &ctx);
+                        assert_lanes_are_the_walk(tree, ps, &buf.mixed, &targets, mac, &ctx);
                 }
             }
             // Point buckets of 40 (two chunks, 32 + 8): at particle positions
@@ -790,16 +990,26 @@ mod tests {
                         })
                         .collect();
                     let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
-                    gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
+                    gather_group_targets(tree, ps, &bucket, mac, &mut buf);
                     let ctx = format!("{name} bucket {b} skip ids {skip_ids}");
                     compared +=
-                        assert_lanes_are_the_walk(&tree, ps, &buf.mixed, &targets, mac, &ctx);
+                        assert_lanes_are_the_walk(tree, ps, &buf.mixed, &targets, mac, &ctx);
                 }
             }
             assert!(compared > 0, "{name}: the test tree produced no mixed frontier");
         }
-        check(&BarnesHutMac::new(0.67), "bh");
-        check(&MinDistMac::new(0.8), "min-dist");
+        let set = plummer(PlummerSpec { n: 600, seed: 71, ..Default::default() });
+        // Capacity 12: units of a few members up to a full replay chunk.
+        let params = BuildParams::with_leaf_capacity(12);
+        let bulk = build(&set.particles, params);
+        let incremental = build_incremental(&set.particles, bulk.root_cell, params);
+        for (tree, name) in [(&bulk, "bulk"), (&incremental, "incremental")] {
+            tree.check_invariants(set.len()).unwrap();
+            let bh = BarnesHutMac::new(0.67);
+            check(tree, &set.particles, &bh, &format!("{name} bh"));
+            check(tree, &set.particles, &ScalarClassify(bh), &format!("{name} bh unfused"));
+            check(tree, &set.particles, &MinDistMac::new(0.8), &format!("{name} min-dist"));
+        }
     }
 
     /// The dispatcher picks one body per host, so hold the body of *every*
@@ -834,6 +1044,137 @@ mod tests {
         check(&BarnesHutMac::new(0.67), "bh");
         check(&MinDistMac::new(0.8), "min-dist");
         println!("ISA tiers covered (mixed-frontier replay): {:?}", runnable_tiers());
+    }
+
+    /// A small xorshift generator (no external crates in unit tests).
+    struct Rng(u64);
+
+    impl Rng {
+        fn next_f64(&mut self) -> f64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn range(&mut self, lo: f64, hi: f64) -> f64 {
+            lo + (hi - lo) * self.next_f64()
+        }
+    }
+
+    /// The node step through the body of `tier`.
+    ///
+    /// # Safety
+    /// The CPU must support `tier`.
+    unsafe fn node_on(
+        tier: Isa,
+        cols: &mut Columns,
+        com: Vec3,
+        m: f64,
+        eps2: f64,
+        live: u32,
+        test: NodeTest,
+    ) -> u32 {
+        match tier {
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => avx512::node(cols, com, m, eps2, live, test),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => avx2::node(cols, com, m, eps2, live, test),
+            _ => Portable::<Rsqrt>::node(cols, com, m, eps2, live, test),
+        }
+    }
+
+    /// What a node step leaves in the lanes, as bits: the four sums and the
+    /// three counters of every lane.
+    fn column_bits(c: &Columns) -> Vec<[u64; 7]> {
+        (0..REPLAY_LANES)
+            .map(|l| {
+                let [ax, ay, az, phi] = [c.ax[l], c.ay[l], c.az[l], c.phi[l]].map(f64::to_bits);
+                let [t, n, p] = [c.mac_tests[l], c.p2n[l], c.p2p[l]].map(u64::from);
+                [ax, ay, az, phi, t, n, p]
+            })
+            .collect()
+    }
+
+    /// The fused node step of every tier this host can run must accept
+    /// exactly the lanes of `live` that [`BarnesHutMac::accept`] accepts —
+    /// random geometry, live masks from none to all 32, and lanes placed
+    /// *on* `side² = α²·d²`, which reject — and leave the lanes what the
+    /// unfused step (the scalar tests, then the arithmetic on the accepting
+    /// lanes) leaves, to the bit. The exact-kernel body decides the same.
+    #[test]
+    fn every_runnable_fused_node_step_decides_every_lane_as_accept_does() {
+        let mut rng = Rng(0x51ab);
+        let mut on_threshold = 0;
+        for case in 0..3000 {
+            let alpha = [0.5, 0.67, 1.0, 2.0][case % 4];
+            let mac = BarnesHutMac::new(alpha);
+            let a2 = mac.com_distance_alpha2().expect("the α-MAC is decided fused");
+            // A unit cube with its centre of mass in the middle every eighth
+            // case: with α a power of two, lanes at distance side/α from it
+            // sit exactly on the threshold.
+            let exact = case % 8 == 0;
+            let (cell, com) = if exact {
+                (Aabb::new(Vec3::ZERO, Vec3::splat(1.0)), Vec3::splat(0.5))
+            } else {
+                let scale = rng.range(0.05, 3.0);
+                let (c, h) = (rng.range(-scale, scale), rng.range(1e-6, scale));
+                let cell = Aabb::new(Vec3::splat(c - h), Vec3::splat(c + h));
+                let com = Vec3::new(
+                    rng.range(cell.min.x, cell.max.x),
+                    rng.range(cell.min.y, cell.max.y),
+                    rng.range(cell.min.z, cell.max.z),
+                );
+                (cell, com)
+            };
+            let mut cols = ReplayLanes::new().cols;
+            for l in 0..REPLAY_LANES {
+                let far = rng.range(0.1, 6.0);
+                let pts = &mut cols.pts;
+                (pts.x[l], pts.y[l], pts.z[l]) =
+                    (rng.range(-far, far), rng.range(-far, far), rng.range(-far, far));
+                if exact && l % 2 == 0 {
+                    (pts.x[l], pts.y[l], pts.z[l]) = (com.x + 1.0 / alpha, 0.5, 0.5);
+                }
+            }
+            let live = match case % 5 {
+                0 => u32::MAX,
+                1 => 1 << (case % 32),
+                2 => 0x0000_ff00,
+                3 => 0,
+                _ => (rng.next_f64() * u32::MAX as f64) as u32,
+            };
+            let side = cell.side();
+            let want = accept_lanes_scalar(&mac, &cell, com, &cols.pts, live);
+            for l in 0..REPLAY_LANES {
+                let p = Vec3::new(cols.pts.x[l], cols.pts.y[l], cols.pts.z[l]);
+                let bit = |m: u32| m >> l & 1 == 1;
+                assert_eq!(bit(want), bit(live) && mac.accept(&cell, com, p));
+                if side * side == a2 * com.dist_sq(p) {
+                    on_threshold += 1;
+                    assert!(!bit(want), "case {case} lane {l}: on the threshold must reject");
+                }
+            }
+            let (m, eps2) = (rng.range(0.1, 2.0), 1e-8);
+            let (fused_test, decided) = (NodeTest::Alpha(side * side, a2), NodeTest::Decided(want));
+            let mut unfused = cols.clone();
+            // SAFETY: the portable body needs no CPU feature.
+            unsafe { Portable::<Rsqrt>::node(&mut unfused, com, m, eps2, live, decided) };
+            for tier in runnable_tiers() {
+                let mut fused = cols.clone();
+                // SAFETY: `tier` is one this host was just detected to support.
+                let got = unsafe { node_on(tier, &mut fused, com, m, eps2, live, fused_test) };
+                assert_eq!(got, want, "case {case} {tier:?}: lanes {got:#x} vs {want:#x}");
+                assert_eq!(column_bits(&fused), column_bits(&unfused), "case {case} {tier:?}");
+            }
+            let mut fused = cols.clone();
+            // SAFETY: as above.
+            let got =
+                unsafe { Portable::<Exact>::node(&mut fused, com, m, eps2, live, fused_test) };
+            assert_eq!(got, want, "case {case}: the exact-kernel body");
+        }
+        assert!(on_threshold > 0, "no lane sat exactly on the acceptance threshold");
+        println!("ISA tiers covered (fused α-MAC node step): {:?}", runnable_tiers());
     }
 
     /// A lane's sums are a fold over its own walk: the same target alone, in
