@@ -16,6 +16,12 @@ use crate::multiindex::{binomial, MultiIndexSet};
 use crate::taylor::taylor_tensors;
 use bhut_geom::Vec3;
 
+/// The highest degree an [`Expansion`] can be evaluated at: M2P reads the
+/// Taylor tensors one degree above the moments, and [`MultiIndexSet::new`]
+/// tabulates up to `MAX_DEGREE + 1`. Configurations are checked against it
+/// where they enter the program.
+pub const MAX_DEGREE: u32 = 19;
+
 /// A degree-k Cartesian multipole expansion of a mass cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Expansion {

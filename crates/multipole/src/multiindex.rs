@@ -19,7 +19,7 @@ pub struct MultiIndexSet {
 impl MultiIndexSet {
     /// Enumerate every multi-index with `|a| ≤ degree`.
     pub fn new(degree: u32) -> Self {
-        assert!(degree <= 20, "degree {degree} unreasonably large");
+        assert!(degree <= crate::MAX_DEGREE + 1, "degree {degree} unreasonably large");
         let k = degree as usize;
         let mut indices = Vec::with_capacity(Self::count(degree));
         for total in 0..=k {

@@ -6,15 +6,20 @@
 //! and forces through the same MAC-driven traversal as the monopole code.
 //! Expansions are centered on each node's center of mass, which zeroes the
 //! dipole moment and buys one extra order of accuracy for free.
+//!
+//! [`MultipoleTree::eval`] is the only degree-k evaluation: one per-target
+//! walk, every accepted node through [`Expansion::eval`]. There is no grouped
+//! degree-k path — sharing the walk between targets saves only the
+//! traversal, and the expansion evaluations, not the traversal, are where a
+//! degree-k sweep spends its time.
 
 use crate::expansion::Expansion;
+use crate::MAX_DEGREE;
 use bhut_geom::{Particle, Vec3};
-use bhut_tree::group::{gather_group, InteractionBuffers};
 use bhut_tree::traverse::{
-    accel_kernel, for_each_interaction, for_each_interaction_from, potential_kernel, Interaction,
-    TraversalStats,
+    accel_kernel, for_each_interaction, potential_kernel, Interaction, TraversalStats,
 };
-use bhut_tree::{GroupMac, KernelPrecision, Mac, NodeId, Tree};
+use bhut_tree::{Mac, Tree};
 
 /// A tree plus per-node multipole expansions of a fixed degree.
 #[derive(Debug, Clone)]
@@ -28,7 +33,11 @@ pub struct MultipoleTree {
 impl MultipoleTree {
     /// Run the upward pass over `tree`. The arena layout guarantees children
     /// have larger indices than their parent, so one reverse sweep suffices.
+    ///
+    /// # Panics
+    /// If `degree` exceeds [`MAX_DEGREE`].
     pub fn new(tree: &Tree, particles: &[Particle], degree: u32) -> Self {
+        assert!(degree <= MAX_DEGREE, "degree {degree} exceeds MAX_DEGREE = {MAX_DEGREE}");
         let mut expansions: Vec<Option<Expansion>> = vec![None; tree.len()];
         for id in (0..tree.len()).rev() {
             let node = tree.node(id as u32);
@@ -80,106 +89,6 @@ impl MultipoleTree {
             }
         });
         (phi, acc, stats)
-    }
-
-    /// Degree-k grouped evaluation for every particle under `unit` (a node
-    /// from [`bhut_tree::group::leaf_schedule`]), via one shared walk (see
-    /// [`bhut_tree::group`]). MAC-accepted nodes are evaluated through
-    /// their expansions from the shared slab; direct
-    /// interactions go through the batched P2P kernel; boundary-straddling
-    /// subtrees are replayed per member. Interaction-for-interaction
-    /// identical to [`MultipoleTree::eval`] — same stats, same terms, only
-    /// the summation order differs.
-    #[allow(clippy::too_many_arguments)] // mirrors eval_group_monopole's signature
-    pub fn eval_group(
-        &self,
-        tree: &Tree,
-        particles: &[Particle],
-        unit: NodeId,
-        mac: &impl GroupMac,
-        eps: f64,
-        buf: &mut InteractionBuffers,
-        emit: impl FnMut(u32, f64, Vec3, u64),
-    ) -> TraversalStats {
-        gather_group(tree, particles, unit, mac, buf);
-        let precision = KernelPrecision::default();
-        self.eval_gathered_masked(tree, particles, unit, mac, eps, precision, buf, None, emit)
-    }
-
-    /// The kernel half of [`MultipoleTree::eval_group`]: evaluate the members
-    /// of `unit` against slabs already filled by
-    /// [`bhut_tree::group::gather_group`] for that same unit. Splitting the
-    /// walk from the kernels lets callers time the two phases separately.
-    /// Members with `active[pi] == false` are skipped entirely while the
-    /// shared slabs keep every source; `None` evaluates all members through
-    /// the identical code path (see
-    /// [`bhut_tree::group::eval_gathered_monopole_masked`]).
-    ///
-    /// `precision` applies to the P2P slab half only; the degree-k expansion
-    /// evaluations and the mixed-frontier replay always run in scalar f64
-    /// (expansion kernels are short polynomial loops per node — they are not
-    /// slab-shaped, so vectorizing them is not worth diverging their
-    /// rounding).
-    #[allow(clippy::too_many_arguments)] // eval_group's inputs plus mask and precision
-    pub fn eval_gathered_masked(
-        &self,
-        tree: &Tree,
-        particles: &[Particle],
-        unit: NodeId,
-        mac: &impl GroupMac,
-        eps: f64,
-        precision: KernelPrecision,
-        buf: &InteractionBuffers,
-        active: Option<&[bool]>,
-        mut emit: impl FnMut(u32, f64, Vec3, u64),
-    ) -> TraversalStats {
-        let mut stats = TraversalStats::default();
-        if tree.is_empty() {
-            return stats;
-        }
-        let shared_p2n = buf.node_ids.len() as u64;
-        for (k, &pi) in tree.particles_under(unit).iter().enumerate() {
-            if let Some(mask) = active {
-                if !mask[pi as usize] {
-                    continue;
-                }
-            }
-            let p = &particles[pi as usize];
-            let (mut acc, mut phi) = buf.eval_p2p(p.pos, p.id, eps, precision);
-            for &id in &buf.node_ids {
-                let (ph, a) = self.expansions[id as usize].eval(p.pos);
-                phi += ph;
-                acc += a;
-            }
-            let mut member = TraversalStats {
-                p2n: shared_p2n,
-                // A member whose own leaf sits in the shared slab masks one
-                // entry — itself — which is not an interaction.
-                p2p: buf.px.len() as u64 - buf.self_in_p2p(k) as u64,
-                mac_tests: buf.shared_mac_tests,
-            };
-            for &root in &buf.mixed {
-                let st =
-                    for_each_interaction_from(tree, root, particles, p.pos, Some(p.id), mac, |i| {
-                        match i {
-                            Interaction::Node(id) => {
-                                let (ph, a) = self.expansions[id as usize].eval(p.pos);
-                                phi += ph;
-                                acc += a;
-                            }
-                            Interaction::Particle(qi) => {
-                                let q = &particles[qi as usize];
-                                phi += potential_kernel(p.pos, q.pos, q.mass, eps);
-                                acc += accel_kernel(p.pos, q.pos, q.mass, eps);
-                            }
-                        }
-                    });
-                member.merge(st);
-            }
-            emit(pi, phi, acc, member.interactions());
-            stats.merge(member);
-        }
-        stats
     }
 
     /// Potentials for every particle in the set (each excluding itself) —
@@ -282,47 +191,11 @@ mod tests {
     }
 
     #[test]
-    fn grouped_eval_matches_per_particle_eval() {
-        use bhut_tree::group::leaf_schedule;
-        let set = plummer(PlummerSpec { n: 600, seed: 21, ..Default::default() });
-        let eps = 1e-4;
-        for degree in [0u32, 3] {
-            for alpha in [0.67, 1.0] {
-                let t = build::build(&set.particles, BuildParams::with_leaf_capacity(8));
-                let mt = MultipoleTree::new(&t, &set.particles, degree);
-                let mac = BarnesHutMac::new(alpha);
-                let mut buf = InteractionBuffers::new();
-                let mut grouped = TraversalStats::default();
-                let mut covered = 0usize;
-                for leaf in leaf_schedule(&t) {
-                    let st = mt.eval_group(
-                        &t,
-                        &set.particles,
-                        leaf,
-                        &mac,
-                        eps,
-                        &mut buf,
-                        |pi, phi, acc, inter| {
-                            covered += 1;
-                            let p = &set.particles[pi as usize];
-                            let (phi_ref, acc_ref, st_ref) =
-                                mt.eval(&t, &set.particles, p.pos, Some(p.id), &mac, eps);
-                            assert_eq!(inter, st_ref.interactions());
-                            assert!((phi - phi_ref).abs() <= 1e-12 * phi_ref.abs().max(1.0));
-                            assert!(acc.dist(acc_ref) <= 1e-12 * acc_ref.norm().max(1.0));
-                        },
-                    );
-                    grouped.merge(st);
-                }
-                assert_eq!(covered, set.len());
-                let mut reference = TraversalStats::default();
-                for p in set.iter() {
-                    let (_, _, st) = mt.eval(&t, &set.particles, p.pos, Some(p.id), &mac, eps);
-                    reference.merge(st);
-                }
-                assert_eq!(grouped, reference, "degree {degree} alpha {alpha}");
-            }
-        }
+    #[should_panic(expected = "exceeds MAX_DEGREE")]
+    fn a_degree_past_the_bound_is_refused_before_the_upward_pass() {
+        let set = uniform_cube(16, 1.0, 5);
+        let t = build::build(&set.particles, BuildParams::default());
+        MultipoleTree::new(&t, &set.particles, MAX_DEGREE + 1);
     }
 
     #[test]

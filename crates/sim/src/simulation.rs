@@ -8,6 +8,7 @@
 use crate::diagnostics::{Diagnostics, EnergyReport};
 use crate::leapfrog::leapfrog_step;
 use bhut_geom::{ParticleSet, Vec3};
+use bhut_multipole::MAX_DEGREE;
 use bhut_obs::{RungCounters, StepProfile};
 use bhut_threads::{ThreadConfig, ThreadSim};
 use bhut_timestep::{BlockConfig, BlockStepStats, BlockStepper, TimestepMode};
@@ -89,10 +90,14 @@ impl Deserialize for SimulationConfig {
             Some(x) => bool::from_value(x)?,
             None => false,
         };
+        let degree = req(v, "degree")?;
+        if degree > MAX_DEGREE {
+            return Err(format!("multipole degree {degree} exceeds the maximum, {MAX_DEGREE}"));
+        }
         Ok(SimulationConfig {
             dt: req(v, "dt")?,
             alpha: req(v, "alpha")?,
-            degree: req(v, "degree")?,
+            degree,
             eps: req(v, "eps")?,
             leaf_capacity: req(v, "leaf_capacity")?,
             threads: req(v, "threads")?,

@@ -210,6 +210,31 @@ mod tests {
         assert!(snap.config.is_none());
     }
 
+    /// A degree past `MAX_DEGREE` would load and then panic at the first
+    /// force evaluation, so it is refused where it enters: in a bare config
+    /// and in a snapshot's embedded one alike.
+    #[test]
+    fn a_degree_past_the_bound_does_not_load() {
+        use bhut_multipole::MAX_DEGREE;
+        let config = |degree| SimulationConfig { degree, ..Default::default() };
+        let parse =
+            |degree| serde_json::from_str::<SimulationConfig>(&config(degree).to_value().to_json());
+        assert_eq!(parse(MAX_DEGREE).unwrap().degree, MAX_DEGREE);
+        let err = parse(MAX_DEGREE + 1).unwrap_err().to_string();
+        assert!(err.contains(&format!("degree {}", MAX_DEGREE + 1)), "{err}");
+
+        let set = plummer(PlummerSpec { n: 4, seed: 9, ..Default::default() });
+        let dir = std::env::temp_dir().join("bhut_snapshot_degree_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let config = Some(config(MAX_DEGREE + 1));
+        save_snapshot_state(&path, &Snapshot { time: 0.0, particles: set, rungs: None, config })
+            .unwrap();
+        let err = load_snapshot(&path).unwrap_err().to_string();
+        assert!(err.contains("multipole degree"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn checkpoint_roundtrips_and_leaves_no_temp_files() {
         let set = plummer(PlummerSpec { n: 12, seed: 7, ..Default::default() });

@@ -10,7 +10,9 @@ use bhut_tree::group::{
     eval_gathered_monopole_masked, leaf_schedule, leaf_schedule_active, GroupSweep,
     InteractionBuffers,
 };
-use bhut_tree::traverse::TraversalStats;
+use bhut_tree::traverse::{
+    accel_kernel, for_each_interaction, potential_kernel, Interaction, TraversalStats,
+};
 use bhut_tree::{BarnesHutMac, GroupMac, KernelPrecision, NodeId, ScalarClassify, Tree};
 use std::sync::Mutex;
 
@@ -29,16 +31,17 @@ pub enum Partitioning {
     },
 }
 
-/// How forces are evaluated once the tree is built.
+/// How monopole forces are evaluated once the tree is built (degree > 0
+/// always walks per particle, through [`MultipoleTree::eval`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// One tree walk per unit of [`bhut_tree::group::leaf_schedule`] (a
     /// subtree of a few neighbouring leaves) feeding SoA batched kernels
     /// ([`bhut_tree::group`]). Interaction-for-interaction identical to
-    /// [`EvalMode::PerParticle`]; the default.
+    /// [`EvalMode::PerParticle`]; the default. Monopole only.
     #[default]
     Grouped,
-    /// One tree walk per particle — the reference path.
+    /// One tree walk per particle — the reference path; degree > 0 takes it.
     PerParticle,
 }
 
@@ -52,10 +55,11 @@ pub struct ThreadConfig {
     pub eps: f64,
     pub leaf_capacity: usize,
     pub partitioning: Partitioning,
+    /// Monopole only: degree > 0 always takes [`EvalMode::PerParticle`].
     pub eval_mode: EvalMode,
-    /// Arithmetic mode of the batched slab kernels on the grouped path
-    /// (ignored by [`EvalMode::PerParticle`], which always evaluates in
-    /// scalar f64). See [`KernelPrecision`].
+    /// Arithmetic mode of the batched slab kernels on the grouped monopole
+    /// path (ignored by [`EvalMode::PerParticle`] and by degree > 0, which
+    /// always evaluate in scalar f64). See [`KernelPrecision`].
     pub precision: KernelPrecision,
     /// Classify up to 8 sibling nodes per group-MAC test with the SIMD
     /// batch classifiers (the default). `false` pins the scalar
@@ -280,20 +284,26 @@ impl ThreadSim {
         let eval_one = |pi: u32| -> (f64, Vec3, TraversalStats) {
             let p = &particles[pi as usize];
             match &mtree {
-                Some(mt) => {
-                    let (phi, acc, st) =
-                        mt.eval(&tree, particles, p.pos, Some(p.id), &mac, cfg.eps);
-                    (phi, acc, st)
-                }
+                Some(mt) => mt.eval(&tree, particles, p.pos, Some(p.id), &mac, cfg.eps),
                 None => {
-                    let (phi, st) =
-                        bhut_tree::potential_at(&tree, particles, p.pos, Some(p.id), &mac, cfg.eps);
-                    let (acc, _) =
-                        bhut_tree::accel_on(&tree, particles, p.pos, Some(p.id), &mac, cfg.eps);
+                    // One walk feeds both sums, in `potential_at`'s and `accel_on`'s order.
+                    let (mut phi, mut acc) = (0.0, Vec3::ZERO);
+                    let st = for_each_interaction(&tree, particles, p.pos, Some(p.id), &mac, |i| {
+                        let (src, m) = match i {
+                            Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
+                            Interaction::Particle(q) => {
+                                (particles[q as usize].pos, particles[q as usize].mass)
+                            }
+                        };
+                        phi += potential_kernel(p.pos, src, m, cfg.eps);
+                        acc += accel_kernel(p.pos, src, m, cfg.eps);
+                    });
                     (phi, acc, st)
                 }
             }
         };
+        // The grouped pipeline is monopole-only: degree > 0 walks per target.
+        let mode = if mtree.is_some() { EvalMode::PerParticle } else { cfg.eval_mode };
 
         // Costzones weights are only valid while the particle set has the
         // same cardinality (ids are positional).
@@ -304,7 +314,7 @@ impl ThreadSim {
 
         // Workers stage results in their own scratch; the main thread
         // scatters after the join, so no shared result locks exist.
-        let per_thread: Vec<(u64, TraversalStats, WorkerObs)> = match cfg.eval_mode {
+        let per_thread: Vec<(u64, TraversalStats, WorkerObs)> = match mode {
             EvalMode::Grouped => {
                 // A masked run schedules only units holding at least one
                 // active member; the walks themselves still see every source.
@@ -339,30 +349,17 @@ impl ThreadSim {
                         let buf = sweep.buffers();
                         let t1 = if profiled { bhut_obs::now() } else { 0.0 };
                         let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));
-                        let st = match &mtree {
-                            Some(mt) => mt.eval_gathered_masked(
-                                &tree,
-                                particles,
-                                unit,
-                                &mac,
-                                cfg.eps,
-                                cfg.precision,
-                                buf,
-                                mask,
-                                emit,
-                            ),
-                            None => eval_gathered_monopole_masked(
-                                &tree,
-                                particles,
-                                unit,
-                                &mac,
-                                cfg.eps,
-                                cfg.precision,
-                                buf,
-                                mask,
-                                emit,
-                            ),
-                        };
+                        let st = eval_gathered_monopole_masked(
+                            &tree,
+                            particles,
+                            unit,
+                            &mac,
+                            cfg.eps,
+                            cfg.precision,
+                            buf,
+                            mask,
+                            emit,
+                        );
                         if profiled {
                             w.walk_s += t1 - t0;
                             w.kernel_s += bhut_obs::now() - t1;
@@ -470,7 +467,7 @@ impl ThreadSim {
             for (t, (_, _, w)) in per_thread.iter().enumerate() {
                 prof.totals.merge(&w.counters);
                 prof.per_worker.push(w.counters);
-                match cfg.eval_mode {
+                match mode {
                     EvalMode::Grouped => {
                         // Walk and kernel interleave per unit; their
                         // accumulated durations are reported as contiguous
@@ -723,6 +720,20 @@ mod tests {
         assert!(err_at(4) < err_at(0));
     }
 
+    /// M2P reads the Taylor tensors one degree above the moments, so
+    /// `MAX_DEGREE` is the last degree that evaluates; it must run through
+    /// the executor to finite values.
+    #[test]
+    fn the_largest_degree_evaluates_to_finite_values() {
+        let set = uniform_cube(64, 1.0, 10);
+        let degree = bhut_multipole::MAX_DEGREE;
+        let cfg = ThreadConfig { degree, alpha: 1.0, ..config(2, Partitioning::StaticBlocks) };
+        let out = ThreadSim::new(cfg).compute_forces(&set.particles);
+        assert!(out.stats.p2n > 0, "no expansion was evaluated");
+        assert!(out.accels.iter().all(|a| a.is_finite()));
+        assert!(out.potentials.iter().all(|p| p.is_finite()));
+    }
+
     #[test]
     fn eval_modes_agree_exactly() {
         // Grouped walks must reproduce the per-particle reference path:
@@ -750,6 +761,40 @@ mod tests {
                 );
                 assert!(a.accels[i].dist(b.accels[i]) <= tol * b.accels[i].norm().max(1.0));
             }
+        }
+    }
+
+    /// The per-particle monopole row is one walk feeding both sums: bitwise
+    /// `accel_on` and `potential_at`, and their traversal stats.
+    #[test]
+    fn per_particle_rows_are_bitwise_accel_on_and_potential_at() {
+        let set = plummer(PlummerSpec { n: 700, seed: 16, ..Default::default() });
+        let ps = &set.particles;
+        for threads in [1, 2] {
+            let mut sim = ThreadSim::new(ThreadConfig {
+                eval_mode: EvalMode::PerParticle,
+                ..config(threads, Partitioning::MortonZones)
+            });
+            let (mac, eps) = (BarnesHutMac::new(sim.config.alpha), sim.config.eps);
+            let tree = sim.build_tree(ps);
+            let out = sim.compute_forces(ps);
+            let work = sim.work_weights().expect("a computation records its work");
+            let mut total = TraversalStats::default();
+            for (i, p) in ps.iter().enumerate() {
+                let (acc, st) = bhut_tree::accel_on(&tree, ps, p.pos, Some(p.id), &mac, eps);
+                let (phi, st_phi) =
+                    bhut_tree::potential_at(&tree, ps, p.pos, Some(p.id), &mac, eps);
+                assert_eq!(st, st_phi);
+                let (a, got) = (out.accels[i], out.potentials[i]);
+                assert_eq!(
+                    [a.x, a.y, a.z, got].map(f64::to_bits),
+                    [acc.x, acc.y, acc.z, phi].map(f64::to_bits),
+                    "{threads} thread(s), particle {i}"
+                );
+                assert_eq!(work[i], st.interactions(), "{threads} thread(s), particle {i}");
+                total.merge(st);
+            }
+            assert_eq!(out.stats, total, "{threads} thread(s)");
         }
     }
 

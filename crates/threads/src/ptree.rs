@@ -118,8 +118,9 @@ mod tests {
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
     use bhut_tree::traverse::{accel_kernel, for_each_interaction_from, potential_kernel};
     use bhut_tree::{
-        accel_batch_m2p, eval_gathered_targets, gather_group_targets, BarnesHutMac, GroupMac,
-        Interaction, InteractionBuffers, KernelPrecision, QueryTarget, ScalarClassify,
+        accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, gather_group_targets,
+        BarnesHutMac, GroupMac, Interaction, InteractionBuffers, KernelPrecision, QueryTarget,
+        ScalarClassify,
     };
 
     #[test]
@@ -231,7 +232,9 @@ mod tests {
                 }
                 let (acc_n, phi_n) =
                     accel_batch_m2p(pos, &buf.com_x, &buf.com_y, &buf.com_z, &buf.node_mass, EPS);
-                let (acc_p, phi_p) = buf.eval_p2p(pos, skip, EPS, KernelPrecision::ScalarF64);
+                let (acc_p, phi_p) = accel_batch_p2p(
+                    pos, skip, &buf.px, &buf.py, &buf.pz, &buf.pmass, &buf.pid, EPS,
+                );
                 let (acc, phi) = (acc_n + acc_p + acc_m, phi_n + phi_p + phi_m);
                 let want = [acc.x, acc.y, acc.z, phi].map(f64::to_bits);
                 assert_eq!((exact[k].0, exact[k].1), (k, want), "target {k}");

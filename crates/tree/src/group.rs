@@ -22,7 +22,9 @@
 //! A *target* is a position plus the particle id to leave out
 //! ([`QueryTarget`]). The pipeline is `gather → eval`, and it is the same
 //! for a unit's (active) members and for a batch of query points — the
-//! member entry points only build the target list from the unit.
+//! member entry points only build the target list from the unit. It is a
+//! monopole pipeline: degree-k expansions are evaluated per target, by
+//! `bhut_multipole::MultipoleTree::eval`.
 //!
 //! Because the walk only descends on RejectAll, every member's individual
 //! walk is guaranteed to reach each shared or mixed frontier node, which
@@ -104,7 +106,8 @@ const SHRINK_FLOOR: usize = 4096;
 /// through `.padded()`.
 #[derive(Debug, Clone, Default)]
 pub struct InteractionBuffers {
-    /// MAC-accepted nodes (ids kept for degree-k evaluation and debugging).
+    /// MAC-accepted nodes, in M2P slab order (ids kept for the profile's
+    /// classification counters and for tests).
     pub node_ids: Vec<NodeId>,
     /// Monopole M2P sources: centers of mass and masses, SoA.
     pub com_x: AlignedF64Slab,
@@ -120,7 +123,7 @@ pub struct InteractionBuffers {
     pub pid: AlignedU32Slab,
     /// Roots of subtrees that straddle the acceptance boundary for this
     /// bucket, in depth-first order; the evaluation replays them per target
-    /// ([`crate::replay`]; the degree-k evaluation has its own replay).
+    /// ([`crate::replay`]).
     pub mixed: Vec<NodeId>,
     /// MAC tests charged to *each* member by the shared walk (AcceptAll +
     /// RejectAll classifications of non-singleton nodes).
@@ -363,49 +366,6 @@ impl InteractionBuffers {
     fn count_lanes(&self, slots: usize, useful: usize) {
         self.lane_slots.set(self.lane_slots.get() + slots as u64);
         self.lane_useful.set(self.lane_useful.get() + useful as u64);
-    }
-
-    /// Acceleration + potential at `pos` from the P2P particle slab (the
-    /// entry with id `target_id` masked out), with the per-precision kernel:
-    /// the f64 slab kernel, or the exact scalar loop under
-    /// [`KernelPrecision::ScalarF64`]. The near-field half of the degree-k
-    /// evaluation in `bhut-multipole`, and of [`eval_gathered_targets`] under
-    /// [`KernelPrecision::ScalarF64`].
-    pub fn eval_p2p(
-        &self,
-        pos: Vec3,
-        target_id: u32,
-        eps: f64,
-        precision: KernelPrecision,
-    ) -> (Vec3, f64) {
-        match precision {
-            KernelPrecision::ScalarF64 => {
-                self.count_lanes(self.px.len(), self.px.len());
-                accel_batch_p2p(
-                    pos,
-                    target_id,
-                    &self.px,
-                    &self.py,
-                    &self.pz,
-                    &self.pmass,
-                    &self.pid,
-                    eps,
-                )
-            }
-            KernelPrecision::F64 => {
-                self.count_lanes(self.px.padded_len(), self.px.len());
-                split(accel_slab_member_f64(
-                    pos.x,
-                    pos.y,
-                    pos.z,
-                    target_id,
-                    SlabView::EMPTY,
-                    self.parts_view(),
-                    self.pid.padded(),
-                    eps * eps,
-                ))
-            }
-        }
     }
 
     /// The padded accepted-node slab, as the f64 kernel takes it.
@@ -857,7 +817,8 @@ fn eval_targets<K: Copy>(
                 KernelPrecision::ScalarF64 => {
                     // The scalar loops walk only the logical entries; every
                     // processed slot is useful.
-                    buf.count_lanes(n_nodes, n_nodes);
+                    let n_parts = buf.px.len();
+                    buf.count_lanes(n_nodes + n_parts, n_nodes + n_parts);
                     let (acc_n, phi_n) = accel_batch_m2p(
                         pos,
                         &buf.com_x,
@@ -866,7 +827,9 @@ fn eval_targets<K: Copy>(
                         &buf.node_mass,
                         eps,
                     );
-                    let (acc_p, phi_p) = buf.eval_p2p(pos, skip, eps, precision);
+                    let (acc_p, phi_p) = accel_batch_p2p(
+                        pos, skip, &buf.px, &buf.py, &buf.pz, &buf.pmass, &buf.pid, eps,
+                    );
                     (acc_n + acc_p, phi_n + phi_p)
                 }
             };
@@ -1054,22 +1017,21 @@ pub fn eval_gathered_monopole_masked(
 /// so the cap does not move peak RSS. `op_ms_p10`, ms (spine, seed 1, three
 /// alternating rounds of 6 s, 2-vCPU box; CHANGES.md PR 24):
 ///
-/// | cap | `plummer50k_t1` | `plummer50k_t2` | `block20k_reuse` | `mesh2_dpda50k` | degree-2 step, n = 5k |
-/// |---|---|---|---|---|---|
-/// | 32 | 125.0 | 70.3 | 240.1 | 80.4 | 259 |
-/// | 64 | 108.3 | 58.6 | 192.3 | 68.6 | — |
-/// | 128 | 93.2 | 54.2 | 159.4 | 62.9 | 272 |
-/// | 256 | 93.9 | 52.6 | 153.1 | 59.0 | 291 |
+/// | cap | `plummer50k_t1` | `plummer50k_t2` | `block20k_reuse` | `mesh2_dpda50k` |
+/// |---|---|---|---|---|
+/// | 32 | 125.0 | 70.3 | 240.1 | 80.4 |
+/// | 64 | 108.3 | 58.6 | 192.3 | 68.6 |
+/// | 128 | 93.2 | 54.2 | 159.4 | 62.9 |
+/// | 256 | 93.9 | 52.6 | 153.1 | 59.0 |
 ///
 /// (`serve50k_closed` buckets by `group_size`, not by this, and read
-/// 2.93–2.98 ms under all four.) 256 is no faster than 128 on the
-/// single-thread step and 3–6 % faster elsewhere, inside or next to the
-/// run-to-run quartiles; it halves the number of units the partitioners
-/// balance with, and the degree-k evaluation — which replays the mixed roots
-/// per member in scalar code, and has no benchmark row — pays 7 % more for
-/// it. 128 is the last step that wins everywhere it is measured. Units above
-/// 32 members replay in chunks of 32 lanes; a 64-lane mask was measured at
-/// this cap and lost (evaluation 80 → 89 ms per 50k sweep).
+/// 2.93–2.98 ms under all four. Degree > 0 walks per target and does not
+/// see the cap.) 256 is no faster than 128 on the single-thread step and
+/// 3–6 % faster elsewhere, inside or next to the run-to-run quartiles, and
+/// it halves the number of units the partitioners balance with. 128 is the
+/// last step that wins everywhere it is measured. Units above 32 members
+/// replay in chunks of 32 lanes; a 64-lane mask was measured at this cap and
+/// lost (evaluation 80 → 89 ms per 50k sweep).
 const UNIT_TARGETS: u32 = 128;
 
 /// The units of `tree` that `keep` in Morton (in-order) sequence: every

@@ -7,11 +7,11 @@
 //! exactly zero.
 //!
 //! There is one kernel, [`accel_slab_member_f64`] — accepted nodes and
-//! id-masked near field in one call; a caller with only one of the two
-//! passes [`SlabView::EMPTY`] for the other. (What a target meets below the
-//! gather's mixed roots never becomes a slab: [`crate::replay`] evaluates it
-//! during the walk, with this module's per-interaction arithmetic.) It has
-//! three bodies, dispatched at runtime by [`bhut_simd::isa`]:
+//! id-masked near field in one call; either view may be empty. (What a
+//! target meets below the gather's mixed roots never becomes a slab:
+//! [`crate::replay`] evaluates it during the walk, with this module's
+//! per-interaction arithmetic.) It has three bodies, dispatched at runtime by
+//! [`bhut_simd::isa`]:
 //!
 //! * a **portable** body on the [`bhut_simd`] lane types — safe code, the
 //!   correctness reference, and the only path on non-x86_64 or under the
@@ -86,9 +86,6 @@ pub struct SlabView<'a> {
 }
 
 impl<'a> SlabView<'a> {
-    /// An empty view (a zero-length slab is trivially padded).
-    pub const EMPTY: SlabView<'static> = SlabView { xs: &[], ys: &[], zs: &[], ms: &[] };
-
     /// View four equally long columns holding a whole number of
     /// [`PAD_MULTIPLE`] chunks.
     ///
@@ -683,9 +680,8 @@ mod tests {
         )
     }
 
-    /// `(nodes, parts)` lengths: both present, either empty (the degree-k
-    /// near field calls with no nodes), both empty, and lengths that pad to
-    /// one or many chunks.
+    /// `(nodes, parts)` lengths: both present, either empty, both empty, and
+    /// lengths that pad to one or many chunks.
     const SHAPES: [(usize, usize); 8] =
         [(0, 0), (5, 0), (0, 4), (5, 3), (13, 16), (40, 16), (64, 7), (200, 333)];
 
@@ -763,11 +759,12 @@ mod tests {
         assert!(refused(|| {
             let parts = SlabView::new(&COL, &COL, &COL, &COL);
             let ids = [u32::MAX; 8];
-            accel_slab_member_f64(0.0, 0.0, 0.0, 0, SlabView::EMPTY, parts, &ids, 1e-6);
+            let nodes = SlabView::new(&[], &[], &[], &[]);
+            accel_slab_member_f64(0.0, 0.0, 0.0, 0, nodes, parts, &ids, 1e-6);
         }));
         // What is accepted: whole, equal columns — the empty view included.
         let ok = SlabView::new(&COL, &COL, &COL, &COL);
-        assert_eq!((ok.len(), SlabView::EMPTY.len()), (16, 0));
+        assert_eq!(ok.len(), 16);
         assert!(SlabView::new(&[], &[], &[], &[]).is_empty());
     }
 

@@ -11,9 +11,8 @@
 //! everything that evaluates one target is a sink over those reports:
 //!
 //! * [`for_each_interaction`] turns them into [`Interaction`]s, which serve
-//!   monopole force / potential evaluation ([`accel_on`], [`potential_at`]),
-//!   degree-k multipole evaluation (in `bhut-multipole`) and the mixed-tail
-//!   replay of the degree-k grouped path;
+//!   monopole force / potential evaluation ([`accel_on`], [`potential_at`])
+//!   and degree-k multipole evaluation (in `bhut-multipole`);
 //! * per-node *load* accounting ([`accumulate_loads`]) — "each node in the
 //!   tree keeps track of the number of particles it interacts with" (§3.3) —
 //!   which is what the SPDA/DPDA balancers consume;

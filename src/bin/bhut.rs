@@ -11,6 +11,7 @@ use barnes_hut::core::balance::Scheme;
 use barnes_hut::core::{ParallelSim, SimConfig};
 use barnes_hut::geom::{dataset_domain, dataset_scaled, PAPER_DATASETS};
 use barnes_hut::machine::{CostModel, Hypercube, Machine};
+use barnes_hut::multipole::MAX_DEGREE;
 use barnes_hut::sim::{save_snapshot, EnergyReport, Simulation, SimulationConfig};
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::tree::direct;
@@ -56,6 +57,16 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
+/// `--degree`, refused past the largest degree an expansion evaluates at.
+fn degree(flags: &HashMap<String, String>) -> u32 {
+    let degree = get(flags, "degree", 0);
+    if degree > MAX_DEGREE {
+        eprintln!("--degree {degree} exceeds the largest multipole degree, {MAX_DEGREE}");
+        usage();
+    }
+    degree
+}
+
 fn load(flags: &HashMap<String, String>) -> (String, barnes_hut::geom::ParticleSet) {
     let name = flags.get("dataset").cloned().unwrap_or_else(|| usage());
     if barnes_hut::geom::datasets::spec(&name).is_none() {
@@ -75,12 +86,13 @@ fn cmd_datasets() {
 }
 
 fn cmd_simulate(flags: HashMap<String, String>) {
+    let degree = degree(&flags);
     let (name, set) = load(&flags);
     let steps: usize = get(&flags, "steps", 100);
     let cfg = SimulationConfig {
         dt: get(&flags, "dt", 1e-3),
         alpha: get(&flags, "alpha", 0.67),
-        degree: get(&flags, "degree", 0),
+        degree,
         eps: get(&flags, "eps", 1e-2),
         threads: get(
             &flags,
@@ -114,6 +126,7 @@ fn cmd_simulate(flags: HashMap<String, String>) {
 }
 
 fn cmd_forces(flags: HashMap<String, String>) {
+    let degree = degree(&flags);
     let (name, set) = load(&flags);
     let mut sim = ThreadSim::new(ThreadConfig {
         threads: get(
@@ -122,7 +135,7 @@ fn cmd_forces(flags: HashMap<String, String>) {
             std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
         ),
         alpha: get(&flags, "alpha", 0.67),
-        degree: get(&flags, "degree", 0),
+        degree,
         eps: get(&flags, "eps", 1e-4),
         ..Default::default()
     });

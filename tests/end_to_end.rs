@@ -131,3 +131,20 @@ fn cli_rejects_an_unknown_dataset_with_usage() {
         assert!(stderr.contains("usage:"), "{stderr}");
     }
 }
+
+/// A `--degree` past the largest one an expansion evaluates at is a usage
+/// error naming the limit, not a panic at the first force evaluation.
+#[test]
+fn cli_rejects_a_degree_past_the_bound_with_usage() {
+    let max = barnes_hut::multipole::MAX_DEGREE;
+    for cmd in ["forces", "simulate"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_bhut"))
+            .args([cmd, "--dataset", "p_5000", "--degree", &(max + 1).to_string()])
+            .output()
+            .expect("run bhut");
+        assert_eq!(out.status.code(), Some(2), "bhut {cmd}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("largest multipole degree, {max}")), "{stderr}");
+        assert!(stderr.contains("usage:"), "{stderr}");
+    }
+}

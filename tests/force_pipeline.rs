@@ -5,16 +5,18 @@
 //! field query at particle positions. Values agree to 1e-12 relative;
 //! interaction counts exactly.
 //! A second case drives the two sweeps that leave the default arithmetic:
-//! degree 2 (the slab kernel on the near field alone) against
-//! `MultipoleTree::eval`, and `ScalarF64` (the exact scalar kernels, in the
-//! slabs and the mixed-frontier replay alike) against the walk.
+//! degree 2 (which walks per target) bitwise against `MultipoleTree::eval`,
+//! and `ScalarF64` (the exact scalar kernels, in the slabs and the
+//! mixed-frontier replay alike) against the walk. A degree-k case holds
+//! k ∈ {2, 3} to `MultipoleTree::eval` bit for bit over two distributions,
+//! two α, one and two threads, full and masked.
 //! A third picks the walk units whose members split between the shared
 //! near-field slab and a mixed root, where self-exclusion is per member.
 //! A fourth holds the executor's sweep — which gathers each unit through the
 //! ancestor levels it shares with the one before — to the one-shot public
 //! calls, bit for bit.
 
-use barnes_hut::geom::{plummer, Particle, PlummerSpec, Vec3};
+use barnes_hut::geom::{multi_gaussian, plummer, GaussianSpec, Particle, PlummerSpec, Vec3};
 use barnes_hut::multipole::MultipoleTree;
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::ActiveSet;
@@ -22,7 +24,9 @@ use barnes_hut::tree::group::{
     eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
     InteractionBuffers,
 };
-use barnes_hut::tree::{accel_on, potential_at, BarnesHutMac, KernelPrecision, QueryTarget, Tree};
+use barnes_hut::tree::{
+    accel_on, potential_at, BarnesHutMac, KernelPrecision, QueryTarget, TraversalStats, Tree,
+};
 use bhut_serve::{FieldQuery, TreeEpoch};
 
 const TOL: f64 = 1e-12;
@@ -43,6 +47,16 @@ fn assert_close(acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
 fn assert_within(tol: f64, acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
     assert!(acc.dist(want.0) <= tol * want.0.norm().max(1.0), "{ctx}: acc {acc:?} vs {:?}", want.0);
     assert!((phi - want.1).abs() <= tol * want.1.abs().max(1.0), "{ctx}: phi {phi} vs {}", want.1);
+}
+
+fn assert_bitwise(acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
+    assert_eq!(
+        [acc.x, acc.y, acc.z, phi].map(f64::to_bits),
+        [want.0.x, want.0.y, want.0.z, want.1].map(f64::to_bits),
+        "{ctx}: acc {acc:?} vs {:?}, phi {phi} vs {}",
+        want.0,
+        want.1
+    );
 }
 
 #[test]
@@ -103,11 +117,11 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
 }
 
 /// A full two-thread sweep under `cfg` against `reference(tree, particle)`:
-/// values within `tol`, interaction counts exactly.
+/// values as `check` demands, interaction counts exactly.
 fn sweep_equals(
     ctx: &str,
     cfg: ThreadConfig,
-    tol: f64,
+    check: fn(Vec3, f64, (Vec3, f64, u64), &str),
     ps: &[Particle],
     reference: impl Fn(&Tree, &Particle) -> (Vec3, f64, u64),
 ) {
@@ -118,7 +132,7 @@ fn sweep_equals(
     let mut interactions = 0;
     for (i, p) in ps.iter().enumerate() {
         let want = reference(&tree, p);
-        assert_within(tol, out.accels[i], out.potentials[i], want, &format!("{ctx}, particle {i}"));
+        check(out.accels[i], out.potentials[i], want, &format!("{ctx}, particle {i}"));
         assert_eq!(work[i], want.2, "{ctx}, particle {i}: interactions");
         interactions += want.2;
     }
@@ -133,14 +147,67 @@ fn degree_two_and_scalar_f64_sweeps_equal_their_per_particle_walks() {
     let cfg = ThreadConfig { threads: 2, degree: 2, ..Default::default() };
     let mac = BarnesHutMac::new(cfg.alpha);
     let mtree = MultipoleTree::new(&ThreadSim::new(cfg).build_tree(ps), ps, 2);
-    sweep_equals("degree 2", cfg, TOL, ps, |tree, p| {
+    sweep_equals("degree 2", cfg, assert_bitwise, ps, |tree, p| {
         let (phi, acc, st) = mtree.eval(tree, ps, p.pos, Some(p.id), &mac, cfg.eps);
         (acc, phi, st.interactions())
     });
 
     let cfg =
         ThreadConfig { threads: 2, precision: KernelPrecision::ScalarF64, ..Default::default() };
-    sweep_equals("ScalarF64", cfg, TOL, ps, |tree, p| walk(tree, ps, p, &cfg));
+    sweep_equals("ScalarF64", cfg, assert_close, ps, |tree, p| walk(tree, ps, p, &cfg));
+}
+
+/// Degree k > 0 takes one path through the executor, the per-target walk:
+/// every active row is `MultipoleTree::eval` on the executor's own tree, to
+/// the bit, with its exact interaction count — at one thread and at two
+/// (which build the tree in parallel), for a full sweep and a masked one.
+#[test]
+fn degree_k_rows_are_bitwise_the_multipole_walk_full_and_masked() {
+    let sets = [
+        plummer(PlummerSpec { n: 1000, seed: 31, ..Default::default() }),
+        multi_gaussian(GaussianSpec { n: 1000, clusters: 4, seed: 32, ..Default::default() }),
+    ];
+    for (set, degree, alpha, threads) in sets
+        .iter()
+        .flat_map(|s| [2u32, 3].map(|k| (s, k)))
+        .flat_map(|(s, k)| [0.67, 1.0].map(|a| (s, k, a)))
+        .flat_map(|(s, k, a)| [1, 2].map(|t| (s, k, a, t)))
+    {
+        let ps = &set.particles;
+        let ctx = format!("n {} degree {degree} α {alpha} {threads} thread(s)", ps.len());
+        let mut sim = ThreadSim::new(ThreadConfig { threads, degree, alpha, ..Default::default() });
+        let tree = sim.build_tree(ps);
+        let mtree = MultipoleTree::new(&tree, ps, degree);
+        let mac = BarnesHutMac::new(alpha);
+        let reference: Vec<(Vec3, f64, TraversalStats)> = ps
+            .iter()
+            .map(|p| {
+                let (phi, acc, st) = mtree.eval(&tree, ps, p.pos, Some(p.id), &mac, sim.config.eps);
+                (acc, phi, st)
+            })
+            .collect();
+        let mask: Vec<bool> = (0..ps.len()).map(|i| i % 3 == 0).collect();
+        for active in [vec![true; ps.len()], mask] {
+            let out = if active.iter().all(|&a| a) {
+                sim.compute_forces(ps)
+            } else {
+                sim.compute_forces_active(ps, &ActiveSet::from_mask(active.clone()))
+            };
+            let work = sim.work_weights().expect("a computation records its work");
+            let mut total = TraversalStats::default();
+            for (i, &(acc, phi, st)) in reference.iter().enumerate() {
+                if !active[i] {
+                    assert_eq!((out.accels[i], out.potentials[i]), (Vec3::ZERO, 0.0), "{ctx}: {i}");
+                    continue;
+                }
+                let row = format!("{ctx}, particle {i}");
+                assert_bitwise(out.accels[i], out.potentials[i], (acc, phi, 0), &row);
+                assert_eq!(work[i], st.interactions(), "{row}: interactions");
+                total.merge(st);
+            }
+            assert_eq!(out.stats, total, "{ctx}");
+        }
+    }
 }
 
 /// A multi-leaf walk unit can hold one leaf that the shared walk appended
