@@ -372,7 +372,11 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
             }
             ActiveSet::from_mask(mask)
         };
-        let fr = sim.compute_forces_substep(&all, &active, true, false);
+        // One tree per step: the force evaluation walks it and DPDA carves
+        // its costzones from it below; it is freed before the migration.
+        let tree = sim.build_tree(&all);
+        let t_built = now();
+        let fr = sim.compute_forces_on(&tree, &all, &active, true);
         let t_force = now();
         if step + 1 == cfg.steps {
             last_forces = owned
@@ -403,18 +407,19 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
                 owned.iter().map(|q| cluster_owner[grid.cluster_of(q.pos) as usize]).collect()
             }
             Scheme::Dpda => {
-                // All-gather measured per-particle weights, rebuild the
-                // (identical) tree, recompute costzones — every rank derives
-                // the same partition from the same inputs.
+                // All-gather measured per-particle weights and recompute
+                // costzones on the step's (identical) tree — every rank
+                // derives the same partition from the same inputs.
                 let mine: Vec<(u32, u64)> =
                     owned.iter().map(|q| (q.id, weights[q.id as usize])).collect();
                 let views = all_gather(t, tags::WEIGHTS, &encode_weights(&mine))?;
                 let w = assemble_weights(n, &views)?;
-                let tree = sim.build_tree(&all);
                 let part = Partition::costzones_weighted(&tree, &w, p);
                 owned.iter().map(|q| part.owner_of_particle[q.id as usize]).collect()
             }
         };
+        // The migration buffers must not sit on top of the tree in peak RSS.
+        drop(tree);
 
         let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); p];
         let mut keep = Vec::with_capacity(owned.len());
@@ -456,23 +461,25 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
             prof.record(span);
         };
         rec(phase::EXCHANGE, t0, t_ex, traffic_ex.0 - traffic0.0);
-        // Split the force interval by the executor's own sub-phase profile
-        // (build / walk / kernel); a force call that recorded no time there
-        // has zero totals, and the whole interval lands under `force`.
+        // The tree build is timed here. Split the evaluation interval by the
+        // executor's own sub-phase profile (expansion build / walk /
+        // kernel); an evaluation that recorded no time there has zero
+        // totals, and its whole interval lands under `force`.
         let sub = fr.profile.as_ref();
         let b = sub.map_or(0.0, |pr| pr.phase_total(phase::BUILD));
         let wk = sub.map_or(0.0, |pr| pr.phase_total(phase::WALK) + pr.phase_total(phase::EVAL));
         let k = sub.map_or(0.0, |pr| pr.phase_total(phase::KERNEL));
         let total = b + wk + k;
         if total > 0.0 {
-            let span_len = t_force - t_ex;
-            let t_b = t_ex + span_len * b / total;
+            let span_len = t_force - t_built;
+            let t_b = t_built + span_len * b / total;
             let t_w = t_b + span_len * wk / total;
             rec(phase::BUILD, t_ex, t_b, 0);
             rec(phase::WALK, t_b, t_w, 0);
             rec(phase::KERNEL, t_w, t_force, 0);
         } else {
-            rec(phase::FORCE, t_ex, t_force, 0);
+            rec(phase::BUILD, t_ex, t_built, 0);
+            rec(phase::FORCE, t_built, t_force, 0);
         }
         rec(phase::UPDATE, t_force, t_upd, 0);
         rec(phase::LOAD_BALANCE, t_upd, t_lb, traffic_end.0 - traffic_ex.0);

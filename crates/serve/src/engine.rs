@@ -10,7 +10,9 @@
 //! [`eval_gathered_targets`], which the
 //! tree crate guarantees (and tests) to be per-point identical to the
 //! individual walk for *any* bucketing, so results do not depend on batch
-//! composition or on how the scheduler coalesced requests.
+//! composition or on how the scheduler coalesced requests. The epoch holds
+//! its particles in tree order, so both read a node's particles from one
+//! contiguous slice.
 
 use bhut_geom::{Aabb, Vec3};
 use bhut_tree::build::morton_code;
@@ -42,9 +44,28 @@ pub struct FieldQuery {
 
 impl FieldQuery {
     /// `group_size` is the pseudo-leaf bucket size — the number of query
-    /// points sharing one grouped walk. The sweet spot matches the tree's
-    /// own leaf capacity (≈16): big enough to amortize the walk, small
-    /// enough that the group MAC rarely degrades to the mixed frontier.
+    /// points sharing one gather. Every bucket is gathered from the root, so
+    /// small buckets pay that walk again and again; a bucket of
+    /// [`bhut_tree::replay::REPLAY_LANES`] (32) points replays its Mixed
+    /// frontier as one lane chunk, and bigger ones as several. One batch of
+    /// uniform points in the core of a 50k Plummer sphere (leaf capacity 8,
+    /// α = 0.67), gather + eval in ms, range of the medians of two rounds of
+    /// 10 × 64 batches, one thread on a 2-vCPU AVX-512 Xeon:
+    ///
+    /// | bucket | 1 | 4 | 8 | 16 | 32 | 64 |
+    /// |---|---|---|---|---|---|---|
+    /// | 512 points, tree-ordered epoch | 8.42–8.68 | 3.33–3.41 | 2.36–2.55 | 1.89–1.93 | 1.74–1.81 | 1.60–1.63 |
+    /// | 512 points, caller-ordered epoch | 9.28–9.35 | 4.06–4.19 | 2.77–2.88 | 2.31–2.37 | 2.03–2.10 | 1.97–2.03 |
+    ///
+    /// On the 256-point batches the served workload sends (three rounds,
+    /// tree-ordered) 16 / 32 / 48 / 64 / 128 read 1.11–1.26 / 1.01–1.08 /
+    /// 1.06–1.13 / 1.01–1.04 / 0.99–1.09 ms: past 32 the buckets tie, so
+    /// [`crate::ServeConfig`] defaults to one replay chunk per gather.
+    /// Measured and not worth keeping, on tree-ordered epochs with 512-point
+    /// batches where 32-point Morton buckets took 1.69 ms: Hilbert-ordered
+    /// buckets (1.66 ms, ×0.98, not worth a second curve), and buckets cut
+    /// at Morton-prefix boundaries (2.39 ms with at most 32 points, 1.99 ms
+    /// with at most 64).
     pub fn new(group_size: usize) -> Self {
         FieldQuery {
             group_size: group_size.max(1),
@@ -139,6 +160,7 @@ mod tests {
     use super::*;
     use bhut_geom::Particle;
     use bhut_tree::build::{build, build_in_cell};
+    use bhut_tree::replay::REPLAY_LANES;
     use bhut_tree::{accel_on, potential_at, BuildParams};
 
     fn cloud(n: usize, seed: u64) -> Vec<Particle> {
@@ -167,42 +189,54 @@ mod tests {
         TreeEpoch::standalone(1, tree, p, 0.6, 1e-4)
     }
 
+    /// The epoch stores the particles in tree order; every served sample is
+    /// still the per-point walk of the caller's tree over the caller's
+    /// array, at every bucket size around one replay chunk.
     #[test]
-    fn batched_eval_matches_individual_walks_in_scrambled_order() {
-        let epoch = test_epoch(600, 3);
+    fn batched_eval_matches_individual_walks_on_the_callers_layout() {
+        let particles = cloud(600, 3);
+        let tree = build(&particles, BuildParams { leaf_capacity: 8, ..Default::default() });
+        let epoch = TreeEpoch::standalone(1, tree.clone(), particles.clone(), 0.6, 1e-4);
+        assert_ne!(epoch.particles, particles, "publishing reorders the array");
         let mac = BarnesHutMac::new(epoch.alpha);
         // Off-particle probes plus probes at particle positions (with skip),
         // deliberately interleaved and far from Morton order.
         let mut points: Vec<QueryTarget> = Vec::new();
         for k in 0..200usize {
-            let p = epoch.particles[(k * 3) % epoch.particles.len()];
+            let p = particles[(k * 3) % particles.len()];
             if k % 2 == 0 {
                 points.push((p.pos + Vec3::new(3e-3, -2e-3, 1e-3), u32::MAX));
             } else {
                 points.push((p.pos, p.id));
             }
         }
-        let mut engine = FieldQuery::new(16);
-        let mut out = Vec::new();
-        let stats = engine.eval(&epoch, &points, KernelPrecision::F64, &mut out);
-        assert_eq!(out.len(), points.len());
         let mut ref_stats = TraversalStats::default();
-        for (k, &(pos, skip)) in points.iter().enumerate() {
-            let skip = (skip != u32::MAX).then_some(skip);
-            let (acc, st) = accel_on(&epoch.tree, &epoch.particles, pos, skip, &mac, epoch.eps);
-            let (phi, _) = potential_at(&epoch.tree, &epoch.particles, pos, skip, &mac, epoch.eps);
-            ref_stats.merge(st);
-            let scale = acc.norm().max(1.0);
-            assert!(
-                (out[k].acc - acc).norm() <= 1e-12 * scale,
-                "point {k}: batched {:?} vs individual {:?}",
-                out[k].acc,
-                acc
-            );
-            assert!((out[k].phi - phi).abs() <= 1e-12 * phi.abs().max(1.0));
+        let reference: Vec<(Vec3, f64)> = points
+            .iter()
+            .map(|&(pos, skip)| {
+                let skip = (skip != u32::MAX).then_some(skip);
+                let (acc, st) = accel_on(&tree, &particles, pos, skip, &mac, epoch.eps);
+                let (phi, st_phi) = potential_at(&tree, &particles, pos, skip, &mac, epoch.eps);
+                assert_eq!(st, st_phi);
+                ref_stats.merge(st);
+                (acc, phi)
+            })
+            .collect();
+        for group in [1, 7, REPLAY_LANES, REPLAY_LANES + 1, 2 * REPLAY_LANES] {
+            let mut out = Vec::new();
+            let stats =
+                FieldQuery::new(group).eval(&epoch, &points, KernelPrecision::F64, &mut out);
+            assert_eq!(out.len(), points.len());
+            for (k, &(acc, phi)) in reference.iter().enumerate() {
+                assert!(
+                    (out[k].acc - acc).norm() <= 1e-12 * acc.norm().max(1.0),
+                    "bucket {group}, point {k}: batched {:?} vs individual {acc:?}",
+                    out[k].acc,
+                );
+                assert!((out[k].phi - phi).abs() <= 1e-12 * phi.abs().max(1.0));
+            }
+            assert_eq!(stats, ref_stats, "bucket {group}: traversal stats");
         }
-        assert_eq!(stats.p2p, ref_stats.p2p, "near-field interaction counts identical");
-        assert_eq!(stats.p2n, ref_stats.p2n, "far-field interaction counts identical");
     }
 
     #[test]

@@ -51,9 +51,12 @@ pub struct TreeEpoch {
     /// Monotone publish counter; generation `g` corresponds to the tree
     /// built for simulation step `g - 1` (the first publish is 1).
     pub generation: u64,
+    /// The tree as built, except that `order` is the identity.
     pub tree: Tree,
-    /// The particle array `tree`'s leaves index into (leaf order lives in
-    /// `tree.order`; the array itself keeps the caller's order).
+    /// The particles in tree order ([`Tree::permute_to_order`]): a node's
+    /// particles are `particles[start..end]`, so the gather and the replay
+    /// read them from contiguous memory. Position `k` is no longer the
+    /// caller's particle `k`; a particle is named by its id.
     pub particles: Vec<Particle>,
     /// Barnes–Hut opening parameter the epoch was built under.
     pub alpha: f64,
@@ -65,14 +68,17 @@ pub struct TreeEpoch {
 
 impl TreeEpoch {
     /// A standalone epoch (no store); useful for tests and for driving
-    /// [`crate::FieldQuery`] directly against a one-off tree.
+    /// [`crate::FieldQuery`] directly against a one-off tree. `particles`
+    /// is the array `tree` was built over, in the caller's order; the epoch
+    /// stores it in tree order.
     pub fn standalone(
         generation: u64,
-        tree: Tree,
-        particles: Vec<Particle>,
+        mut tree: Tree,
+        mut particles: Vec<Particle>,
         alpha: f64,
         eps: f64,
     ) -> Self {
+        tree.permute_to_order(&mut particles);
         TreeEpoch { generation, tree, particles, alpha, eps, retired: None }
     }
 }
@@ -140,10 +146,19 @@ impl EpochStore {
         }
     }
 
-    /// Publish a new epoch and return its generation. In-flight readers of
-    /// older epochs are unaffected; new [`pin`](Self::pin) calls see this
-    /// epoch immediately.
-    pub fn publish(&self, tree: Tree, particles: Vec<Particle>, alpha: f64, eps: f64) -> u64 {
+    /// Publish a new epoch and return its generation. `particles` is the
+    /// array `tree` was built over, in the caller's order; it is stored in
+    /// tree order ([`Tree::permute_to_order`], in place) before the epoch
+    /// becomes visible. In-flight readers of older epochs are unaffected;
+    /// new [`pin`](Self::pin) calls see this epoch immediately.
+    pub fn publish(
+        &self,
+        mut tree: Tree,
+        mut particles: Vec<Particle>,
+        alpha: f64,
+        eps: f64,
+    ) -> u64 {
+        tree.permute_to_order(&mut particles);
         let mut gen_guard = self.publish.lock().unwrap();
         *gen_guard += 1;
         let generation = *gen_guard;
@@ -282,6 +297,23 @@ mod tests {
             store.publish(t, p, 0.5, 1e-4);
         }
         assert!(store.retired() > before, "old epochs retire once unpinned");
+    }
+
+    /// Both ways into an epoch store its particles in tree order: `order`
+    /// is the identity and position `k` holds the particle the built tree's
+    /// `order[k]` named.
+    #[test]
+    fn epochs_hold_their_particles_in_tree_order() {
+        let (tree, p) = epoch_for(300, 5);
+        let store = EpochStore::new();
+        store.publish(tree.clone(), p.clone(), 0.5, 1e-4);
+        let standalone = TreeEpoch::standalone(1, tree.clone(), p.clone(), 0.5, 1e-4);
+        for epoch in [&*store.pin().unwrap(), &standalone] {
+            epoch.tree.check_invariants(p.len()).unwrap();
+            assert!(epoch.tree.order.iter().enumerate().all(|(k, &i)| i as usize == k));
+            let named: Vec<Particle> = tree.order.iter().map(|&i| p[i as usize]).collect();
+            assert_eq!(epoch.particles, named);
+        }
     }
 
     #[test]

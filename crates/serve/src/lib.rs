@@ -7,15 +7,16 @@
 //! observation into a service boundary with three layers:
 //!
 //! * [`epoch`] — immutable [`TreeEpoch`] snapshots (tree + the particle
-//!   array it indexes + the MAC/softening parameters it was built under)
-//!   published through a lock-free [`EpochStore`]. The simulation publishes
-//!   a new epoch per step; in-flight query batches keep evaluating against
-//!   the epoch they pinned, and an epoch is retired only when the last pin
-//!   drops.
+//!   array it indexes, in tree order + the MAC/softening parameters it was
+//!   built under) published through a lock-free [`EpochStore`]. The
+//!   simulation publishes a new epoch per step; in-flight query batches
+//!   keep evaluating against the epoch they pinned, and an epoch is retired
+//!   only when the last pin drops.
 //! * [`engine`] — [`FieldQuery`], a batched evaluator for force, potential
 //!   and density at *arbitrary* points (not just particle positions). Query
-//!   points are Morton-sorted into pseudo-leaf buckets so each bucket walks
-//!   the tree once through the grouped gather/eval machinery
+//!   points are Morton-sorted into pseudo-leaf buckets (one replay chunk of
+//!   32 points by default) so each bucket walks the tree once through the
+//!   grouped gather/eval machinery
 //!   ([`bhut_tree::gather_group_targets`] /
 //!   [`bhut_tree::eval_gathered_targets`]), with the same
 //!   [`KernelPrecision`] ladder as the simulation sweep.

@@ -17,7 +17,9 @@
 //!
 //! The `precision` byte of a query: 0 = [`KernelPrecision::ScalarF64`],
 //! 1 = [`KernelPrecision::F64`]. 2 was the retired `mixed_f32` mode; a query
-//! carrying it, or any other byte, is answered with [`TAG_ERROR`].
+//! carrying it, or any other byte, is answered with [`TAG_ERROR`]. So is a
+//! query with a NaN or infinite coordinate anywhere in it: no point of it is
+//! evaluated.
 
 use bhut_geom::Vec3;
 use bhut_tree::{KernelPrecision, QueryTarget};
@@ -127,8 +129,11 @@ pub fn decode_query(bytes: &[u8]) -> Result<QueryRequest, String> {
     }
     let mut points = Vec::with_capacity(count);
     let mut at = HEAD;
-    for _ in 0..count {
+    for k in 0..count {
         let p = Vec3::new(get_f64(bytes, at), get_f64(bytes, at + 8), get_f64(bytes, at + 16));
+        if !p.is_finite() {
+            return Err(format!("query point {k} has a non-finite coordinate: {p:?}"));
+        }
         let skip = get_u32(bytes, at + 24);
         points.push((p, skip));
         at += POINT_BYTES;
@@ -279,6 +284,22 @@ mod tests {
         let retired = at_precision(2).unwrap_err();
         assert!(retired.contains("mixed_f32") && retired.contains("removed"), "{retired}");
         assert!(at_precision(3).is_err(), "unknown precision rejected");
+        // A NaN or infinite coordinate, on any axis of any point, refuses
+        // the whole query; finite extremes still decode.
+        let with_point = |bad: Vec3| QueryRequest {
+            id: 4,
+            kind: QueryKind::Field,
+            precision: KernelPrecision::F64,
+            points: vec![(Vec3::ZERO, u32::MAX), (bad, 3)],
+        };
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for bad in [Vec3::new(v, 0.0, 0.0), Vec3::new(0.0, v, 0.0), Vec3::new(0.0, 0.0, v)] {
+                let err = decode_query(&encode_query(&with_point(bad))).unwrap_err();
+                assert!(err.contains("point 1") && err.contains("non-finite"), "{err}");
+            }
+        }
+        let extreme = with_point(Vec3::new(f64::MAX, f64::MIN, -f64::MIN_POSITIVE));
+        assert_eq!(decode_query(&encode_query(&extreme)), Ok(extreme));
         assert!(decode_retry(&[0u8; 11]).is_err());
         let (id, ms) = decode_retry(&encode_retry(3, 25)).unwrap();
         assert_eq!((id, ms), (3, 25));

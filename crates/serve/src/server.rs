@@ -41,6 +41,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use bhut_obs::{now, phase, Counters, ServeCounters, Span, StepProfile};
+use bhut_tree::replay::REPLAY_LANES;
 use bhut_tree::QueryTarget;
 use bhut_wire::{get_u64, write_frame, MAX_FRAME};
 use serde::{Deserialize, Serialize};
@@ -63,7 +64,9 @@ pub struct ServeConfig {
     /// Coalescing target: a worker keeps merging queued same-shape requests
     /// into one evaluation batch until it holds this many points.
     pub batch_points: usize,
-    /// Pseudo-leaf bucket size for [`FieldQuery`].
+    /// Pseudo-leaf bucket size for [`FieldQuery`]: query points per gather.
+    /// The default, [`REPLAY_LANES`] (32), makes each bucket one chunk of
+    /// the lane replay; [`FieldQuery::new`] has the measured table.
     pub group_size: usize,
     /// Base retry hint (milliseconds) sent with `TAG_RETRY`. The wire hint
     /// scales with current queue depth and is jittered per reject so a
@@ -79,7 +82,7 @@ impl Default for ServeConfig {
             workers: 2,
             queue_cap: 64,
             batch_points: 4096,
-            group_size: 16,
+            group_size: REPLAY_LANES,
             retry_after_ms: 5,
             read_timeout_ms: 50,
         }

@@ -227,6 +227,24 @@ impl ThreadSim {
         self.compute(particles, profiled, Some(active), reuse)
     }
 
+    /// [`ThreadSim::compute_forces_substep`] without the build: evaluate on
+    /// `tree`, which the caller built from `particles` with
+    /// [`ThreadSim::build_tree`] and may use again afterwards (the process
+    /// mesh carves its costzones from it). The results are the rebuilding
+    /// call's, bit for bit. The profile's build span covers only what the
+    /// evaluation builds itself (the expansions when degree > 0), and the
+    /// tree is not frozen for [`ThreadConfig::list_reuse`].
+    pub fn compute_forces_on(
+        &mut self,
+        tree: &Tree,
+        particles: &[Particle],
+        active: &ActiveSet,
+        profiled: bool,
+    ) -> ForceResult {
+        let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
+        self.evaluate(tree, particles, profiled, Some(active), t_origin)
+    }
+
     fn compute(
         &mut self,
         particles: &[Particle],
@@ -234,35 +252,52 @@ impl ThreadSim {
         active: Option<&ActiveSet>,
         reuse: bool,
     ) -> ForceResult {
-        // Monomorphize the whole walk over the classifier so the batch /
-        // scalar choice costs nothing per node.
-        let mac = BarnesHutMac::new(self.config.alpha);
-        if self.config.mac_batch {
-            self.compute_with(particles, profiled, active, reuse, mac)
-        } else {
-            self.compute_with(particles, profiled, active, reuse, ScalarClassify(mac))
-        }
-    }
-
-    fn compute_with<M: GroupMac + Copy + Sync>(
-        &mut self,
-        particles: &[Particle],
-        profiled: bool,
-        active: Option<&ActiveSet>,
-        reuse: bool,
-        mac: M,
-    ) -> ForceResult {
-        let cfg = self.config;
         let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
         // A reusing substep walks the frozen tree; anything else rebuilds. A
         // frozen tree is only trusted while the particle set keeps its
         // cardinality.
-        let cached = (cfg.list_reuse && reuse)
+        let cached = (self.config.list_reuse && reuse)
             .then(|| self.cached_tree.take())
             .flatten()
             .filter(|t| t.order.len() == particles.len());
         let tree = cached.unwrap_or_else(|| self.eval_tree(particles));
-        let mtree = (cfg.degree > 0).then(|| MultipoleTree::new(&tree, particles, cfg.degree));
+        let out = self.evaluate(&tree, particles, profiled, active, t_origin);
+        // Freeze the tree for the next fine-rung substep to walk.
+        if self.config.list_reuse {
+            self.cached_tree = Some(tree);
+        }
+        out
+    }
+
+    fn evaluate(
+        &mut self,
+        tree: &Tree,
+        particles: &[Particle],
+        profiled: bool,
+        active: Option<&ActiveSet>,
+        t_origin: f64,
+    ) -> ForceResult {
+        // Monomorphize the whole walk over the classifier so the batch /
+        // scalar choice costs nothing per node.
+        let mac = BarnesHutMac::new(self.config.alpha);
+        if self.config.mac_batch {
+            self.evaluate_with(tree, particles, profiled, active, t_origin, mac)
+        } else {
+            self.evaluate_with(tree, particles, profiled, active, t_origin, ScalarClassify(mac))
+        }
+    }
+
+    fn evaluate_with<M: GroupMac + Copy + Sync>(
+        &mut self,
+        tree: &Tree,
+        particles: &[Particle],
+        profiled: bool,
+        active: Option<&ActiveSet>,
+        t_origin: f64,
+        mac: M,
+    ) -> ForceResult {
+        let cfg = self.config;
+        let mtree = (cfg.degree > 0).then(|| MultipoleTree::new(tree, particles, cfg.degree));
         let t_build_end = if profiled { bhut_obs::now() } else { 0.0 };
         let n = particles.len();
         // A full active set is indistinguishable from "no mask": route it
@@ -284,11 +319,11 @@ impl ThreadSim {
         let eval_one = |pi: u32| -> (f64, Vec3, TraversalStats) {
             let p = &particles[pi as usize];
             match &mtree {
-                Some(mt) => mt.eval(&tree, particles, p.pos, Some(p.id), &mac, cfg.eps),
+                Some(mt) => mt.eval(tree, particles, p.pos, Some(p.id), &mac, cfg.eps),
                 None => {
                     // One walk feeds both sums, in `potential_at`'s and `accel_on`'s order.
                     let (mut phi, mut acc) = (0.0, Vec3::ZERO);
-                    let st = for_each_interaction(&tree, particles, p.pos, Some(p.id), &mac, |i| {
+                    let st = for_each_interaction(tree, particles, p.pos, Some(p.id), &mac, |i| {
                         let (src, m) = match i {
                             Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
                             Interaction::Particle(q) => {
@@ -319,8 +354,8 @@ impl ThreadSim {
                 // A masked run schedules only units holding at least one
                 // active member; the walks themselves still see every source.
                 let units = match mask {
-                    Some(m) => leaf_schedule_active(&tree, m),
-                    None => leaf_schedule(&tree),
+                    Some(m) => leaf_schedule_active(tree, m),
+                    None => leaf_schedule(tree),
                 };
                 // The one unit loop: gather → eval per unit into this
                 // thread's scratch. A profiled run additionally splits the
@@ -342,7 +377,7 @@ impl ThreadSim {
                     // thread's slabs for the whole range, so each unit is
                     // gathered through the ancestor levels it shares with
                     // the one before instead of from the root.
-                    let mut sweep = GroupSweep::new(&tree, particles, &mac, buf);
+                    let mut sweep = GroupSweep::new(tree, particles, &mac, buf);
                     for &unit in ids {
                         let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                         sweep.gather(unit);
@@ -350,7 +385,7 @@ impl ThreadSim {
                         let t1 = if profiled { bhut_obs::now() } else { 0.0 };
                         let emit = |pi, phi, acc, it| out.push((pi, phi, acc, it));
                         let st = eval_gathered_monopole_masked(
-                            &tree,
+                            tree,
                             particles,
                             unit,
                             &mac,
@@ -453,10 +488,6 @@ impl ThreadSim {
             s.buf.maybe_shrink();
         }
         self.prev_work = Some(work);
-        // Freeze the tree for the next fine-rung substep to walk.
-        if cfg.list_reuse {
-            self.cached_tree = Some(tree);
-        }
 
         let profile = profiled.then(|| {
             let mut prof = StepProfile::new(cfg.threads);
@@ -1065,6 +1096,32 @@ mod tests {
         for i in 0..a.accels.len() {
             assert_eq!(a.accels[i], b.accels[i], "{ctx}: accel {i}");
             assert_eq!(a.potentials[i], b.potentials[i], "{ctx}: potential {i}");
+        }
+    }
+
+    /// Evaluating on a tree the caller built from the same particles is the
+    /// rebuilding call bit for bit, full and masked, at 1 and 2 threads, and
+    /// over two steps (the second partitioned by the first's weights).
+    #[test]
+    fn evaluating_on_the_callers_tree_is_the_rebuilding_call() {
+        let set = plummer(PlummerSpec { n: 900, seed: 41, ..Default::default() });
+        let ps = &set.particles;
+        for threads in [1, 2] {
+            for every in [1, 3] {
+                let active = ActiveSet::from_mask((0..ps.len()).map(|i| i % every == 0).collect());
+                let mut rebuilding = ThreadSim::new(config(threads, Partitioning::MortonZones));
+                let mut on_tree = ThreadSim::new(config(threads, Partitioning::MortonZones));
+                for step in 0..2 {
+                    let ctx = format!("{threads} thread(s), every {every}, step {step}");
+                    let want = rebuilding.compute_forces_substep(ps, &active, true, false);
+                    let tree = on_tree.build_tree(ps);
+                    let got = on_tree.compute_forces_on(&tree, ps, &active, true);
+                    assert_results_bitwise(&got, &want, &ctx);
+                    assert_eq!(got.per_thread_interactions, want.per_thread_interactions, "{ctx}");
+                    assert_eq!(on_tree.work_weights(), rebuilding.work_weights(), "{ctx}");
+                    assert!(got.profile.is_some(), "{ctx}");
+                }
+            }
         }
     }
 

@@ -25,24 +25,7 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
     if n <= params.leaf_capacity || params.min_split_level > 0 {
         return build_in_cell(particles, cell, params);
     }
-
-    // Bin particles by top-level octant.
-    let mut octant_members: [Vec<u32>; 8] = Default::default();
-    for (i, p) in particles.iter().enumerate() {
-        octant_members[cell.octant_of(p.pos.min(cell.max).max(cell.min))].push(i as u32);
-    }
-
-    // Build the eight subtrees in parallel. Each worker gets an owned copy
-    // of its octant's particles (indices remapped on splice).
-    let subtrees: Vec<Option<(usize, Tree, Vec<u32>)>> = fork_join(8, |oct| {
-        let members = &octant_members[oct];
-        if members.is_empty() {
-            return None;
-        }
-        let local: Vec<Particle> = members.iter().map(|&i| particles[i as usize]).collect();
-        let sub = build_in_cell(&local, cell.octant(oct), params);
-        Some((oct, sub, members.clone()))
-    });
+    let subtrees = octant_subtrees(particles, cell, params);
 
     // Splice: new arena = [root] ++ subtree arenas (ids offset), order =
     // concatenation with indices mapped back to the global slice, keys
@@ -64,8 +47,7 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
         // Set once the subtrees are in.
         next: NIL,
     });
-    for entry in subtrees.into_iter().flatten() {
-        let (oct, sub, members) = entry;
+    for (oct, sub, members) in subtrees {
         if sub.is_empty() {
             continue;
         }
@@ -79,15 +61,9 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
                     *c += id_offset;
                 }
             }
-            // Re-prefix the key: subtree keys start at ROOT; the subtree
-            // root actually sits at ROOT.child(oct) (possibly deeper after
-            // collapsing — preserved by path splicing).
-            let key = NodeKey::from_path(
-                &std::iter::once(oct as u8).chain(node.key.path()).collect::<Vec<u8>>(),
-            );
             nodes.push(Node {
                 cell: node.cell,
-                key,
+                key: under_octant(oct, node.key),
                 mass: node.mass,
                 com: node.com,
                 children,
@@ -112,10 +88,44 @@ pub fn par_build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams
     Tree { nodes, order, root_cell: cell }
 }
 
+/// The subtrees of the non-empty top-level octants of `cell`, built in
+/// parallel, each as `(octant, subtree, members)`: the subtree is built
+/// over an owned copy of the octant's particles, whose indices into
+/// `particles` are `members`.
+fn octant_subtrees(
+    particles: &[Particle],
+    cell: Aabb,
+    params: BuildParams,
+) -> Vec<(usize, Tree, Vec<u32>)> {
+    let mut octant_members: [Vec<u32>; 8] = Default::default();
+    for (i, p) in particles.iter().enumerate() {
+        octant_members[cell.octant_of(p.pos.min(cell.max).max(cell.min))].push(i as u32);
+    }
+    let subtrees = fork_join(8, |oct| {
+        let members = &octant_members[oct];
+        if members.is_empty() {
+            return None;
+        }
+        let local: Vec<Particle> = members.iter().map(|&i| particles[i as usize]).collect();
+        Some((oct, build_in_cell(&local, cell.octant(oct), params), members.clone()))
+    });
+    subtrees.into_iter().flatten().collect()
+}
+
+/// The key of a subtree node once the subtree hangs under octant `oct` of
+/// the root: the node's path with `oct` in front, computed without
+/// materializing the path. A level-`l` key is a placeholder bit above `3l`
+/// path bits; the placeholder becomes `8 | oct`, three bits wider.
+fn under_octant(oct: usize, key: NodeKey) -> NodeKey {
+    let bits = 3 * key.level();
+    let raw = ((8 | oct as u64) << bits) | (key.raw() & ((1 << bits) - 1));
+    NodeKey::from_raw(raw).expect("a subtree is shallower than the depth cap")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bhut_geom::{plummer, uniform_cube, PlummerSpec};
+    use bhut_geom::{plummer, uniform_cube, ParticleSet, PlummerSpec};
     use bhut_tree::traverse::{accel_kernel, for_each_interaction_from, potential_kernel};
     use bhut_tree::{
         accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, gather_group_targets,
@@ -241,6 +251,41 @@ mod tests {
             }
         }
         assert!(walked > 0, "the buckets left no mixed frontier to replay");
+    }
+
+    /// Every spliced key is the one the path splice used to build: the
+    /// subtree key's octant path with the root octant in front, through
+    /// `NodeKey::from_path`. On uniform and Plummer data, and on coincident
+    /// points chained down to the depth cap, where the keys are widest.
+    #[test]
+    fn spliced_keys_are_the_octant_prefixed_paths() {
+        let chain = BuildParams { leaf_capacity: 2, collapse: false, min_split_level: 0 };
+        let uniform = uniform_cube(3000, 1.0, 5);
+        let sphere = plummer(PlummerSpec { n: 3000, seed: 6, ..Default::default() });
+        let coincident = ParticleSet::from_positions(std::iter::repeat_n(Vec3::splat(0.3), 10));
+        let cases = [
+            (uniform.bounding_cube().unwrap(), uniform, BuildParams::default(), 0),
+            (sphere.bounding_cube().unwrap(), sphere, BuildParams::default(), 0),
+            (Aabb::origin_cube(1.0), coincident, chain, 21),
+        ];
+        for (cell, set, params, depth) in cases {
+            let ps = &set.particles;
+            let tree = par_build_in_cell(ps, cell, params);
+            tree.check_invariants(ps.len()).unwrap();
+            let mut id = 1;
+            for (oct, sub, _) in octant_subtrees(ps, cell, params) {
+                for node in &sub.nodes {
+                    let path: Vec<u8> = std::iter::once(oct as u8).chain(node.key.path()).collect();
+                    assert_eq!(tree.nodes[id].key, NodeKey::from_path(&path), "node {id}");
+                    id += 1;
+                }
+            }
+            assert_eq!(id, tree.len(), "every node but the root was spliced");
+            if depth > 0 {
+                let deepest = tree.nodes.iter().map(|n| n.key.level()).max();
+                assert_eq!(deepest, Some(depth), "the chain reaches the depth cap");
+            }
+        }
     }
 
     #[test]

@@ -1024,9 +1024,11 @@ pub fn eval_gathered_monopole_masked(
 /// | 128 | 93.2 | 54.2 | 159.4 | 62.9 |
 /// | 256 | 93.9 | 52.6 | 153.1 | 59.0 |
 ///
-/// (`serve50k_closed` buckets by `group_size`, not by this, and read
-/// 2.93–2.98 ms under all four. Degree > 0 walks per target and does not
-/// see the cap.) 256 is no faster than 128 on the single-thread step and
+/// (`serve50k_closed` does not see the cap either: the query engine buckets
+/// by `ServeConfig::group_size`, one replay chunk of [`REPLAY_LANES`] points
+/// since it stored its epochs in tree order, and it read 2.93–2.98 ms under
+/// all four caps with its earlier 16-point buckets. Degree > 0 walks per
+/// target and does not see the cap.) 256 is no faster than 128 on the single-thread step and
 /// 3–6 % faster elsewhere, inside or next to the run-to-run quartiles, and
 /// it halves the number of units the partitioners balance with. 128 is the
 /// last step that wins everywhere it is measured. Units above 32 members

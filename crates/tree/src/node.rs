@@ -99,7 +99,8 @@ pub struct Tree {
     /// Node arena; slot 0 is the root.
     pub nodes: Vec<Node>,
     /// Morton-permuted particle indices; each node covers a contiguous
-    /// range.
+    /// range. The identity once [`Tree::permute_to_order`] has stored the
+    /// particles in this order.
     pub order: Vec<u32>,
     /// The root cell used for the build.
     pub root_cell: Aabb,
@@ -212,6 +213,40 @@ impl Tree {
                 return Some(id);
             }
             id = c;
+        }
+    }
+
+    /// Store `particles` (the array the tree was built over) in tree order:
+    /// afterwards `particles[k]` is the particle `order[k]` named before,
+    /// and `order` is the identity, so every node's particles are the slice
+    /// `particles[start..end]`. The permutation runs in place, one cycle at
+    /// a time, with no second array. Every traversal reads the same particle
+    /// at the same step as before, so its results do not change; skip ids
+    /// are particle ids, which move with the particles.
+    ///
+    /// # Panics
+    /// If `particles` is not as long as `order`, or `order` is not a
+    /// permutation.
+    pub fn permute_to_order<T>(&mut self, particles: &mut [T]) {
+        let n = particles.len();
+        assert_eq!(self.order.len(), n, "tree order and particle array lengths differ");
+        for start in 0..n {
+            // Slot `at` takes the particle at `order[at]`; a settled slot's
+            // entry becomes its own index, which marks it.
+            let mut at = start;
+            while self.order[at] as usize != at {
+                let from = self.order[at] as usize;
+                assert!(
+                    from < n && (from == start || self.order[from] as usize != from),
+                    "tree order is not a permutation: position {at} names {from}, which is out of range or named twice"
+                );
+                self.order[at] = at as u32;
+                if from == start {
+                    break;
+                }
+                particles.swap(at, from);
+                at = from;
+            }
         }
     }
 
@@ -377,6 +412,71 @@ mod tests {
                     assert!(tree.nodes.iter().all(|nd| nd.next as usize == tree.len()));
                 }
             }
+        }
+    }
+
+    /// `permute_to_order` on no particles, one, ten coincident points chained
+    /// to the depth cap, and a Plummer sphere: the tree stays valid, `order`
+    /// becomes the identity, position `k` holds the particle `order[k]`
+    /// named, and every walk — at each particle, skipping it and not — reads
+    /// the same bits and counts as on the caller's layout.
+    #[test]
+    fn permuting_to_tree_order_keeps_every_walk_bitwise() {
+        use crate::{accel_on, potential_at, BarnesHutMac};
+        let (mac, eps) = (BarnesHutMac::new(0.67), 1e-4);
+        let chain = BuildParams { leaf_capacity: 2, collapse: false, min_split_level: 0 };
+        let coincident = |n| ParticleSet::from_positions(std::iter::repeat_n(Vec3::splat(0.25), n));
+        let sphere = bhut_geom::plummer(bhut_geom::PlummerSpec { n: 2000, ..Default::default() });
+        for set in [coincident(0), coincident(1), coincident(10), sphere] {
+            let (ps, n) = (&set.particles, set.len());
+            let tree = if n == 10 {
+                let tree = build_in_cell(ps, Aabb::origin_cube(1.0), chain);
+                assert!(tree.len() > 20, "the coincident points chain to the depth cap");
+                tree
+            } else {
+                build(ps, BuildParams::default())
+            };
+            let (mut sorted_tree, mut sorted) = (tree.clone(), ps.clone());
+            sorted_tree.permute_to_order(&mut sorted);
+            sorted_tree.check_invariants(n).unwrap_or_else(|e| panic!("n {n}: {e}"));
+            assert!(sorted_tree.order.iter().enumerate().all(|(k, &i)| i as usize == k), "n {n}");
+            for (k, &i) in tree.order.iter().enumerate() {
+                assert_eq!(sorted[k], ps[i as usize], "n {n}: position {k}");
+            }
+            for p in ps {
+                for skip in [Some(p.id), None] {
+                    let walk = |t: &Tree, on: &[bhut_geom::Particle]| {
+                        let (acc, st) = accel_on(t, on, p.pos, skip, &mac, eps);
+                        let (phi, st_phi) = potential_at(t, on, p.pos, skip, &mac, eps);
+                        ([acc.x, acc.y, acc.z, phi].map(f64::to_bits), st, st_phi)
+                    };
+                    assert_eq!(
+                        walk(&sorted_tree, &sorted),
+                        walk(&tree, ps),
+                        "n {n}: {p:?} {skip:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// An `order` that names a position twice, or one past the array, panics
+    /// instead of looping or reading out of bounds.
+    #[test]
+    fn permuting_by_a_non_permutation_panics() {
+        let (set, tree) = cluster_and_one();
+        let n = set.len() as u32;
+        // One cycle through every position, then one entry bent: onto a
+        // position another entry names (ahead of the walk, behind it, or the
+        // cycle's start), or out of range.
+        for (at, to) in [(0, 2), (5, 2), (n - 1, 5), (7, 0), (3, n), (0, u32::MAX)] {
+            let mut bad = tree.clone();
+            bad.order = (0..n).map(|k| (k + 1) % n).collect();
+            bad.order[at as usize] = to;
+            let mut ps = set.particles.clone();
+            let err = std::panic::catch_unwind(move || bad.permute_to_order(&mut ps)).unwrap_err();
+            let msg = err.downcast_ref::<String>().expect("a formatted message");
+            assert!(msg.contains("not a permutation"), "order[{at}] = {to}: {msg}");
         }
     }
 

@@ -1,9 +1,9 @@
 //! The query server's Unix-socket path, in one process: a `Server` bound on
 //! a published epoch answers an `F64` `ServeClient` query with exactly the
-//! bits `FieldQuery::eval` computes in process, refuses a raw query frame
-//! carrying the retired precision byte 2 with a `TAG_ERROR` that echoes the
-//! request's id, keeps answering on that same connection, and drains to an
-//! empty queue on `stop()`.
+//! bits `FieldQuery::eval` computes in process, refuses raw query frames
+//! carrying the retired precision byte 2 or a non-finite coordinate with a
+//! `TAG_ERROR` that echoes the request's id, keeps answering on that same
+//! connection, and drains to an empty queue on `stop()`.
 
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -74,6 +74,19 @@ fn socket_queries_are_the_in_process_eval_and_the_retired_precision_is_refused()
     let (id, msg) = decode_error(&body).unwrap();
     assert_eq!(id, 0xabc_def, "the error frame echoes the request id");
     assert!(msg.contains("mixed_f32"), "the error names the retired mode: {msg}");
+
+    // 2b. So does a raw frame with a NaN coordinate, and one with an
+    // infinite one, among finite points.
+    for (id, bad) in [(0x51, f64::NAN), (0x52, f64::NEG_INFINITY)] {
+        let mut req = request(id);
+        req.points[3].0.y = bad;
+        write_frame(&mut raw, TAG_QUERY, &encode_query(&req)).unwrap();
+        let (tag, body) = read_frame(&mut raw).unwrap();
+        assert_eq!(tag, TAG_ERROR, "a {bad} coordinate is refused");
+        let (echoed, msg) = decode_error(&body).unwrap();
+        assert_eq!(echoed, id, "the error frame echoes the request id");
+        assert!(msg.contains("non-finite"), "the error names the coordinate: {msg}");
+    }
 
     // 3. The same connection still answers an `F64` query.
     write_frame(&mut raw, TAG_QUERY, &encode_query(&request(7))).unwrap();
