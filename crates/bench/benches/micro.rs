@@ -1,17 +1,15 @@
-//! Micro-benchmarks of the core kernels: Morton encoding, tree
-//! construction, monopole/multipole force evaluation, collectives, and
-//! branch lookup (§4.2.3's hash vs sorted-table comparison).
+//! Micro-benchmarks of the core kernels: Morton encoding, multipole
+//! expansion operators, collectives, and branch lookup (§4.2.3's hash vs
+//! sorted-table comparison). The tree build, the group walk and the force
+//! sweep are timed per layer by the `spine` benchmark.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use bhut_core::branch::{BranchLookup, HashedLookup, SortedLookup};
-use bhut_geom::{plummer, uniform_cube, PlummerSpec, Vec3};
+use bhut_geom::{uniform_cube, Vec3};
 use bhut_machine::{Collectives, CostModel, Hypercube};
 use bhut_morton::{encode_3d, hilbert_index_3d, NodeKey};
-use bhut_multipole::{Expansion, MultipoleTree};
-use bhut_tree::build::{build, BuildParams};
-use bhut_tree::group::{eval_group_monopole, leaf_schedule, InteractionBuffers};
-use bhut_tree::{accel_on, potential_at, BarnesHutMac};
+use bhut_multipole::Expansion;
 
 fn bench_morton(c: &mut Criterion) {
     let mut g = c.benchmark_group("ordering");
@@ -38,92 +36,6 @@ fn bench_morton(c: &mut Criterion) {
             acc
         })
     });
-    g.finish();
-}
-
-fn bench_tree_build(c: &mut Criterion) {
-    let mut g = c.benchmark_group("tree_build");
-    for &n in &[1_000usize, 10_000] {
-        let set = plummer(PlummerSpec { n, ..Default::default() });
-        g.bench_with_input(BenchmarkId::new("bulk_morton", n), &set, |b, set| {
-            b.iter(|| build(black_box(&set.particles), BuildParams::default()))
-        });
-    }
-    g.finish();
-}
-
-fn bench_force_eval(c: &mut Criterion) {
-    let mut g = c.benchmark_group("force_eval");
-    let set = plummer(PlummerSpec { n: 10_000, ..Default::default() });
-    let tree = build(&set.particles, BuildParams::default());
-    let mac = BarnesHutMac::new(0.67);
-    g.bench_function("monopole_accel_100_targets", |b| {
-        b.iter(|| {
-            let mut acc = Vec3::ZERO;
-            for p in set.particles.iter().take(100) {
-                acc += accel_on(&tree, &set.particles, p.pos, Some(p.id), &mac, 1e-4).0;
-            }
-            acc
-        })
-    });
-    for degree in [2u32, 4] {
-        let mt = MultipoleTree::new(&tree, &set.particles, degree);
-        g.bench_with_input(BenchmarkId::new("multipole_eval_100_targets", degree), &mt, |b, mt| {
-            b.iter(|| {
-                let mut acc = 0.0;
-                for p in set.particles.iter().take(100) {
-                    acc += mt.eval(&tree, &set.particles, p.pos, Some(p.id), &mac, 1e-4).0;
-                }
-                acc
-            })
-        });
-    }
-    g.finish();
-}
-
-fn bench_group_walk(c: &mut Criterion) {
-    // The tentpole comparison: full-sweep potential+acceleration for every
-    // particle, per-particle walks vs grouped walks + batched kernels.
-    // Single-threaded so the ratio is the kernel-level speedup.
-    let mut g = c.benchmark_group("group_walk");
-    g.sample_size(10);
-    let mac = BarnesHutMac::new(0.67);
-    let eps = 1e-4;
-    for &n in &[10_000usize, 100_000] {
-        let set = plummer(PlummerSpec { n, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        g.bench_with_input(BenchmarkId::new("per_particle", n), &set, |b, set| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                for p in set.particles.iter() {
-                    let (phi, _) =
-                        potential_at(&tree, &set.particles, p.pos, Some(p.id), &mac, eps);
-                    let (acc, _) = accel_on(&tree, &set.particles, p.pos, Some(p.id), &mac, eps);
-                    sum += phi + acc.x;
-                }
-                sum
-            })
-        });
-        let units = leaf_schedule(&tree);
-        let mut buf = InteractionBuffers::new();
-        g.bench_with_input(BenchmarkId::new("grouped", n), &set, |b, set| {
-            b.iter(|| {
-                let mut sum = 0.0;
-                for &unit in &units {
-                    eval_group_monopole(
-                        &tree,
-                        &set.particles,
-                        unit,
-                        &mac,
-                        eps,
-                        &mut buf,
-                        |_, phi, acc, _| sum += phi + acc.x,
-                    );
-                }
-                sum
-            })
-        });
-    }
     g.finish();
 }
 
@@ -216,9 +128,6 @@ criterion_group!(
     name = micro;
     config = Criterion::default().sample_size(20);
     targets = bench_morton,
-        bench_tree_build,
-        bench_force_eval,
-        bench_group_walk,
         bench_multipole_ops,
         bench_collectives,
         bench_branch_lookup

@@ -172,30 +172,6 @@ impl Aabb {
         let dz = (p.z - self.min.z).abs().max((self.max.z - p.z).abs());
         dx * dx + dy * dy + dz * dz
     }
-
-    /// Squared distance between the nearest points of two boxes (0 if they
-    /// touch or overlap).
-    pub fn dist_sq_to_box(&self, other: &Aabb) -> f64 {
-        let gap = |amin: f64, amax: f64, bmin: f64, bmax: f64| -> f64 {
-            (bmin - amax).max(0.0).max(amin - bmax)
-        };
-        let dx = gap(self.min.x, self.max.x, other.min.x, other.max.x);
-        let dy = gap(self.min.y, self.max.y, other.min.y, other.max.y);
-        let dz = gap(self.min.z, self.max.z, other.min.z, other.max.z);
-        dx * dx + dy * dy + dz * dz
-    }
-
-    /// Corner `i` (0..8), with bit 0/1/2 selecting max on the x/y/z axis —
-    /// the same bit convention as [`Aabb::octant`].
-    #[inline]
-    pub fn corner(&self, i: usize) -> Vec3 {
-        debug_assert!(i < 8);
-        Vec3::new(
-            if i & 1 == 1 { self.max.x } else { self.min.x },
-            if i & 2 == 2 { self.max.y } else { self.min.y },
-            if i & 4 == 4 { self.max.z } else { self.min.z },
-        )
-    }
 }
 
 #[cfg(test)]
@@ -316,29 +292,5 @@ mod tests {
             let p = Vec3::new(0.3 * i as f64 - 1.0, 0.7, 1.9);
             assert!(b.dist_sq_to(p) <= b.max_dist_sq_to(p));
         }
-    }
-
-    #[test]
-    fn box_box_distance() {
-        let a = unit();
-        assert_eq!(a.dist_sq_to_box(&Aabb::cube(Vec3::splat(0.5), 0.2)), 0.0); // contained
-        assert_eq!(a.dist_sq_to_box(&unit()), 0.0); // identical
-        let b = Aabb::new(Vec3::new(3.0, 0.0, 0.0), Vec3::new(4.0, 1.0, 1.0));
-        assert_eq!(a.dist_sq_to_box(&b), 4.0);
-        let c = Aabb::new(Vec3::new(2.0, 3.0, 0.0), Vec3::new(3.0, 4.0, 1.0));
-        assert_eq!(a.dist_sq_to_box(&c), 1.0 + 4.0);
-        // Consistent with the pointwise minimum over one box's corners.
-        for i in 0..8 {
-            assert!(a.dist_sq_to_box(&b) <= b.dist_sq_to(a.corner(i)));
-        }
-    }
-
-    #[test]
-    fn corners_enumerate_extremes() {
-        let b = unit();
-        assert_eq!(b.corner(0), Vec3::ZERO);
-        assert_eq!(b.corner(7), Vec3::splat(1.0));
-        assert_eq!(b.corner(1), Vec3::new(1.0, 0.0, 0.0));
-        assert_eq!(b.corner(6), Vec3::new(0.0, 1.0, 1.0));
     }
 }

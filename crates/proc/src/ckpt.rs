@@ -76,42 +76,47 @@ impl CkptStore {
     /// epoch can complete before all ranks have passed their startup scan —
     /// completing one requires every rank to finish a step first).
     pub fn latest_complete_epoch(&self) -> Option<(u64, usize)> {
-        let mut epochs: Vec<u64> = std::fs::read_dir(&self.dir)
-            .ok()?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().to_str()?.strip_prefix("epoch")?.parse().ok())
-            .collect();
+        let mut epochs = self.epochs();
         epochs.sort_unstable();
-        epochs.into_iter().rev().find_map(|epoch| {
-            let of = self.shard_count(epoch)?;
-            let complete =
-                (0..of).all(|rank| load_checkpoint(&self.shard_path(epoch, rank, of)).is_ok());
-            complete.then_some((epoch, of))
-        })
+        epochs.into_iter().rev().find_map(|epoch| Some((epoch, self.complete_width(epoch)?)))
     }
 
     /// Number of complete epochs currently on disk (supervisor accounting).
     pub fn complete_epochs(&self) -> u64 {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return 0 };
-        entries
-            .filter_map(|e| e.ok())
-            .filter_map(|e| e.file_name().to_str()?.strip_prefix("epoch")?.parse::<u64>().ok())
-            .filter(|&epoch| {
-                self.shard_count(epoch).is_some_and(|of| {
-                    (0..of).all(|rank| load_checkpoint(&self.shard_path(epoch, rank, of)).is_ok())
-                })
-            })
-            .count() as u64
+        self.epochs().into_iter().filter(|&epoch| self.complete_width(epoch).is_some()).count()
+            as u64
     }
 
-    /// How many ranks epoch `epoch` was written by, parsed from its shard
-    /// names (`rank{r}of{p}.ckpt` — the `p` of any shard present).
-    fn shard_count(&self, epoch: u64) -> Option<usize> {
-        std::fs::read_dir(self.epoch_dir(epoch)).ok()?.filter_map(|e| e.ok()).find_map(|e| {
-            let name = e.file_name();
-            let rest = name.to_str()?.strip_prefix("rank")?.strip_suffix(".ckpt")?;
-            let (_, of) = rest.split_once("of")?;
-            of.parse().ok()
+    /// The epochs that have a directory, in directory order.
+    fn epochs(&self) -> Vec<u64> {
+        let Ok(entries) = std::fs::read_dir(&self.dir) else { return Vec::new() };
+        entries
+            .filter_map(|e| e.ok())
+            .filter_map(|e| e.file_name().to_str()?.strip_prefix("epoch")?.parse().ok())
+            .collect()
+    }
+
+    /// The rank count `p` at which epoch `epoch` is complete: the widest of
+    /// the `p ≥ 1` its shard names (`rank{r}of{p}.ckpt`) claim whose `p`
+    /// shards all load. Every width present is tried, widest first, never in
+    /// directory order: a `--degrade` restart can complete an epoch at width
+    /// p−1 beside a stale shard of width p, and a name claiming zero ranks
+    /// would make an empty epoch complete.
+    fn complete_width(&self, epoch: u64) -> Option<usize> {
+        let mut widths: Vec<usize> = std::fs::read_dir(self.epoch_dir(epoch))
+            .ok()?
+            .filter_map(|e| e.ok())
+            .filter_map(|e| {
+                let name = e.file_name();
+                let rest = name.to_str()?.strip_prefix("rank")?.strip_suffix(".ckpt")?;
+                let (_, of) = rest.split_once("of")?;
+                of.parse().ok().filter(|&of| of > 0)
+            })
+            .collect();
+        widths.sort_unstable();
+        widths.dedup();
+        widths.into_iter().rev().find(|&of| {
+            (0..of).all(|rank| load_checkpoint(&self.shard_path(epoch, rank, of)).is_ok())
         })
     }
 
@@ -171,6 +176,20 @@ mod tests {
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 10]).unwrap();
         assert_eq!(store.latest_complete_epoch(), Some((2, 3)));
+
+        // A degraded restart completes epoch 6 at width 2 beside a stale
+        // shard of width 3: complete at 2, whichever name the directory
+        // lists first.
+        store.write_shard(6, 2, 3, &[particle(2)]).unwrap();
+        store.write_shard(6, 0, 2, &[particle(0), particle(2)]).unwrap();
+        assert_eq!(store.latest_complete_epoch(), Some((2, 3)));
+        store.write_shard(6, 1, 2, &[particle(1)]).unwrap();
+        assert_eq!(store.latest_complete_epoch(), Some((6, 2)));
+
+        // A shard name claiming zero ranks does not make epoch 8 complete.
+        store.write_shard(8, 0, 0, &[]).unwrap();
+        assert_eq!(store.latest_complete_epoch(), Some((6, 2)));
+        assert_eq!(store.complete_epochs(), 2);
         std::fs::remove_dir_all(store.dir()).ok();
     }
 

@@ -25,7 +25,7 @@
 //! shares in the same table as the simulator's predictions.
 
 use crate::ckpt::CkptStore;
-use crate::collectives::{all_gather, all_reduce_sum_f64, broadcast, exchange};
+use crate::collectives::{all_gather, all_reduce_sum_f64, barrier, broadcast, exchange};
 use crate::transport::{ProcError, Transport};
 use crate::wire::{decode_particles, decode_weights, encode_particles, encode_weights};
 use bhut_core::balance::{spda_initial, spda_rebalance, spsa_assignment, Curve, Scheme};
@@ -48,6 +48,8 @@ pub mod tags {
     pub const WEIGHTS: u16 = 4;
     /// Post-rebalance particle migration.
     pub const MIGRATE: u16 = 5;
+    /// The barrier after each rank writes its shard of a checkpoint epoch.
+    pub const CKPT: u16 = 6;
 }
 
 /// One multi-process run's shared configuration. Every rank derives the
@@ -440,11 +442,15 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         let traffic_end = t.traffic();
 
         // ---- checkpoint: persist this rank's shard of epoch step+1 ------
+        // The barrier keeps every rank out of the next step until every
+        // shard of this epoch is on disk: a rank killed entering that step
+        // cannot take a peer down before the peer's shard exists.
         let epoch = step as u64 + 1;
         let mut t_ck = t_lb;
         let wrote_ckpt = match &store {
             Some(s) if cfg.ckpt_every > 0 && epoch.is_multiple_of(cfg.ckpt_every) => {
                 s.write_shard(epoch, rank, p, &owned).map_err(ProcError::Io)?;
+                barrier(t, tags::CKPT)?;
                 t_ck = now();
                 true
             }

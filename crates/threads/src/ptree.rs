@@ -130,7 +130,6 @@ mod tests {
     use bhut_tree::{
         accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, gather_group_targets,
         BarnesHutMac, GroupMac, Interaction, InteractionBuffers, KernelPrecision, QueryTarget,
-        ScalarClassify,
     };
 
     #[test]
@@ -187,8 +186,7 @@ mod tests {
     /// id range, so hold it to the per-target walk on the spliced arena.
     /// Under `ScalarF64` every target reads, to the bit, the shared slabs
     /// plus a fold of `for_each_interaction_from` over the mixed roots with
-    /// the exact kernels; under `F64` the fused α-MAC reads what the same
-    /// MAC behind `ScalarClassify` (tested lane by lane) reads.
+    /// the exact kernels; `F64` counts the same interactions.
     #[test]
     fn spliced_trees_replay_as_the_per_target_walk() {
         type Row = (usize, [u64; 4], u64);
@@ -220,9 +218,7 @@ mod tests {
                 run.iter().map(|&pi| (ps[pi as usize].pos, pi)).collect();
             let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
             gather_group_targets(&tree, ps, &bucket, &mac, &mut buf);
-            let unfused = ScalarClassify(mac);
             let fused = eval(&tree, ps, &targets, &mac, KernelPrecision::F64, &buf);
-            assert_eq!(fused, eval(&tree, ps, &targets, &unfused, KernelPrecision::F64, &buf));
             let exact = eval(&tree, ps, &targets, &mac, KernelPrecision::ScalarF64, &buf);
             for (k, &(pos, skip)) in targets.iter().enumerate() {
                 let (mut acc_m, mut phi_m) = (Vec3::ZERO, 0.0);
@@ -248,6 +244,7 @@ mod tests {
                 let (acc, phi) = (acc_n + acc_p + acc_m, phi_n + phi_p + phi_m);
                 let want = [acc.x, acc.y, acc.z, phi].map(f64::to_bits);
                 assert_eq!((exact[k].0, exact[k].1), (k, want), "target {k}");
+                assert_eq!((fused[k].0, fused[k].2), (k, exact[k].2), "target {k} counts");
             }
         }
         assert!(walked > 0, "the buckets left no mixed frontier to replay");

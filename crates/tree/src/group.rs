@@ -56,8 +56,8 @@
 //! of what each level's bucket — the ancestor's cell; for the unit, the tight
 //! box of its members — settles out of what the level above left Mixed. Every
 //! one of those buckets contains every member, so the bracket argument above
-//! applies level by level and per-member exactness needs nothing else. Both
-//! shipped [`GroupMac::classify`] bodies are in addition *monotone* in the
+//! applies level by level and per-member exactness needs nothing else. The
+//! α-criterion's [`GroupMac::classify`] is in addition *monotone* in the
 //! bucket (the distance bracket of a box contains that of any box inside it,
 //! in floating point as well), so a node settles at some level exactly as the
 //! tight box alone would have settled it: the accepted nodes, the direct
@@ -422,7 +422,7 @@ pub fn gather_group(
 ///
 /// Every bucket of the chain contains every member, so by the [`GroupMac`]
 /// bracket each member's interaction set is exactly its own walk's, as for
-/// any bucket. Both shipped `classify` bodies are moreover monotone in the
+/// any bucket. The α-criterion's `classify` is moreover monotone in the
 /// bucket — AcceptAll or RejectAll for a box holds for every box inside it —
 /// so a node settles at some level exactly as the tight box alone would have
 /// settled it: accepted ids, direct leaves, mixed roots (in the same
@@ -1082,7 +1082,7 @@ pub fn leaf_schedule_active(tree: &Tree, active: &[bool]) -> Vec<NodeId> {
 mod tests {
     use super::*;
     use crate::build::{build, BuildParams};
-    use crate::mac::{BarnesHutMac, MinDistMac};
+    use crate::mac::BarnesHutMac;
     use crate::traverse::{accel_kernel, accel_on, potential_at, potential_kernel};
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
 
@@ -1185,12 +1185,6 @@ mod tests {
         assert_group_matches_per_particle(&set, &BarnesHutMac::new(0.67), 8);
         assert_group_matches_per_particle(&set, &BarnesHutMac::new(0.67), 1);
         assert_group_matches_per_particle(&set, &BarnesHutMac::new(0.67), 32);
-    }
-
-    #[test]
-    fn grouped_matches_per_particle_min_dist() {
-        let set = plummer(PlummerSpec { n: 400, seed: 9, ..Default::default() });
-        assert_group_matches_per_particle(&set, &MinDistMac::new(0.8), 8);
     }
 
     #[test]
@@ -1758,7 +1752,7 @@ mod tests {
             seed in 0u64..1000,
             coincident: bool,
             stride in 1usize..6,
-            which_mac in 0usize..3,
+            scalar_classify: bool,
             alpha_pick in 0usize..3,
             drifted in 0usize..3,
         ) {
@@ -1792,14 +1786,13 @@ mod tests {
             let alpha = [0.4, 0.67, 1.0][alpha_pick];
             for (name, order) in &orders {
                 let ctx = format!("n {n} s {s} seed {seed} drifted {drifted} {name}");
-                match which_mac {
-                    0 => assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, &ctx),
-                    1 => assert_sweep_is_one_shot(&tree, ps, &MinDistMac::new(alpha), order, &ctx),
-                    _ => {
-                        let mac = crate::mac_simd::ScalarClassify(BarnesHutMac::new(alpha));
-                        assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx)
-                    }
-                };
+                let mac = BarnesHutMac::new(alpha);
+                if scalar_classify {
+                    let mac = crate::mac_simd::ScalarClassify(mac);
+                    assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx);
+                } else {
+                    assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx);
+                }
             }
         }
     }
@@ -1888,7 +1881,6 @@ mod tests {
         for alpha in [0.4, 0.67, 1.0] {
             check(&BarnesHutMac::new(alpha), &format!("bh {alpha}"));
         }
-        check(&MinDistMac::new(0.8), "min-dist");
     }
 
     /// A member that left its parent's cell since the tree was built breaks

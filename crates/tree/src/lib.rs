@@ -11,9 +11,8 @@
 //!   `O(n log n)` bound for adversarial inputs) and an incremental
 //!   insertion build (the "particle injection" formulation of §3.1 used by
 //!   the distributed construction).
-//! * [`mac`] — multipole acceptance criteria: the Barnes–Hut α-criterion and
-//!   the minimum-distance variant of Warren & Salmon with a bounded
-//!   worst-case error.
+//! * [`mac`] — the multipole acceptance criterion: the Barnes–Hut
+//!   α-criterion, per target and bracketed over a bucket of targets.
 //! * [`traverse`] — force/potential evaluation with per-node interaction
 //!   counting (the unit of load for the paper's balancing schemes, §3.3).
 //! * [`direct`] — exact `O(n²)` summation.
@@ -38,7 +37,7 @@ pub use group::{
     accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, eval_group_monopole, gather_group,
     gather_group_targets, leaf_schedule, InteractionBuffers, QueryTarget,
 };
-pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac, MinDistMac};
+pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac};
 pub use mac_simd::{NodeBatch, ScalarClassify, MAC_BATCH};
 pub use node::{Node, NodeId, Tree, NIL};
 pub use traverse::{accel_on, potential_at, Interaction, TraversalStats};

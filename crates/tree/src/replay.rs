@@ -16,14 +16,12 @@
 //! interaction rows, no per-target tail slabs, nothing for a kernel to load
 //! back.
 //!
-//! **One pass per lane chunk.** A Barnes–Hut test and a monopole interaction
-//! start from the same `d = com − p` and `|d|²`. For a MAC of that shape
-//! ([`Mac::com_distance_alpha2`]: [`crate::BarnesHutMac`]) the node step
-//! forms `d` and `d² = (dx² + dy²) + dz²` once per chunk with a live lane,
-//! decides the lanes as `side² < α²·d²` — [`crate::BarnesHutMac::accept`]'s
-//! operands in its order — and runs the arithmetic on `r² = d² + ε²` only in
-//! chunks where a lane accepted. Every other MAC decides its lanes through
-//! [`Mac::accept_lanes`] first and then runs the same arithmetic.
+//! **One pass per lane chunk.** The α-criterion and a monopole interaction
+//! start from the same `d = com − p` and `|d|²`. So the node step forms `d`
+//! and `d² = (dx² + dy²) + dz²` once per chunk with a live lane, decides the
+//! lanes as `side² < α²·d²` with `α² = α·α` ([`Mac::alpha`]) —
+//! [`Mac::accept`]'s operands in its order — and runs the arithmetic on
+//! `r² = d² + ε²` only in chunks where a lane accepted.
 //!
 //! **The walk is forward through the arena.** Every builder lays the arena
 //! out in preorder, so a subtree is the id range `id..next`
@@ -74,15 +72,15 @@ use bhut_simd::{rsqrt_nr_f64, Isa, KernelPrecision, R2_FLOOR_F64};
 /// Targets one replay carries: the bits of its lane mask.
 pub const REPLAY_LANES: usize = u32::BITS as usize;
 
-/// The positions of up to [`REPLAY_LANES`] targets, one column per axis —
-/// what [`Mac::accept_lanes`] tests a node against. Lanes past the loaded
-/// targets hold finite leftovers and are never named by a mask.
+/// The positions of up to [`REPLAY_LANES`] targets, one column per axis.
+/// Lanes past the loaded targets hold finite leftovers and are never named
+/// by a mask.
 #[derive(Debug, Clone)]
 #[repr(C, align(64))]
-pub struct LanePoints {
-    pub x: [f64; REPLAY_LANES],
-    pub y: [f64; REPLAY_LANES],
-    pub z: [f64; REPLAY_LANES],
+struct LanePoints {
+    x: [f64; REPLAY_LANES],
+    y: [f64; REPLAY_LANES],
+    z: [f64; REPLAY_LANES],
 }
 
 /// The lane columns the kernels work on.
@@ -239,18 +237,6 @@ impl ReplayLanes {
     }
 }
 
-/// How a node step decides which live lanes accept the node.
-#[derive(Clone, Copy)]
-enum NodeTest {
-    /// Decided before the step ([`Mac::accept_lanes`]): the accepting lanes,
-    /// a subset of the live ones.
-    Decided(u32),
-    /// [`crate::BarnesHutMac`]'s test `side² < α²·d²` (the fields: `side²`,
-    /// `α²`), decided in the step from the `d = com − p` and
-    /// `d² = (dx² + dy²) + dz²` its arithmetic starts from.
-    Alpha(f64, f64),
-}
-
 /// The lane arithmetic of one instruction-set tier: what the traversal does
 /// to the lane columns at the two kinds of source it meets. Every body
 /// leaves in a lane exactly what [`Portable`] leaves.
@@ -261,15 +247,17 @@ enum NodeTest {
 trait LaneKernel {
     /// A tested node: charge one MAC test to every lane of `live`,
     /// accumulate the monopole `m` at `com` into the lanes of `live` that
-    /// `test` accepts, counting it as their node interaction, and return
-    /// those lanes.
+    /// accept it — `s2 < a2·d²`, the node's `side²` against `α²` times the
+    /// lane's `d² = (dx² + dy²) + dz²` of `d = com − p` — counting it as
+    /// their node interaction, and return those lanes.
     unsafe fn node(
         cols: &mut Columns,
         com: Vec3,
         m: f64,
         eps2: f64,
         live: u32,
-        test: NodeTest,
+        s2: f64,
+        a2: f64,
     ) -> u32;
 
     /// A particle reached directly: accumulate `q` into the lanes of `mask`
@@ -295,7 +283,8 @@ unsafe fn run<M: Mac, K: LaneKernel>(
         return;
     }
     let all = u32::MAX >> (REPLAY_LANES - lanes.len);
-    let com_alpha2 = mac.com_distance_alpha2();
+    // `Mac::accept`'s α², formed as it forms it.
+    let a2 = mac.alpha() * mac.alpha();
     // A local stack keeps its length in a register across the column stores.
     let (cols, mut frames) = (&mut lanes.cols, std::mem::take(&mut lanes.frames));
     // Root by root, in order: a lane still meets its sources in root order.
@@ -317,13 +306,7 @@ unsafe fn run<M: Mac, K: LaneKernel>(
                 }
                 _ => {
                     let side = node.cell.side();
-                    let test = match com_alpha2 {
-                        Some(a2) => NodeTest::Alpha(side * side, a2),
-                        None => NodeTest::Decided(
-                            mac.accept_lanes(&node.cell, node.com, &cols.pts, live) & live,
-                        ),
-                    };
-                    let accept = K::node(cols, node.com, node.mass, eps2, live, test);
+                    let accept = K::node(cols, node.com, node.mass, eps2, live, side * side, a2);
                     let reject = live & !accept;
                     if reject != 0 {
                         if node.is_leaf() {
@@ -415,7 +398,8 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
         m: f64,
         eps2: f64,
         live: u32,
-        test: NodeTest,
+        s2: f64,
+        a2: f64,
     ) -> u32 {
         let (mut rest, mut accept) = (live, 0);
         while rest != 0 {
@@ -423,11 +407,7 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
             rest &= rest - 1;
             cols.mac_tests[l] += 1;
             let (d, d2) = Self::offset(cols, l, com);
-            let accepts = match test {
-                NodeTest::Decided(lanes) => lanes & (1 << l) != 0,
-                NodeTest::Alpha(s2, a2) => s2 < a2 * d2,
-            };
-            if accepts {
+            if s2 < a2 * d2 {
                 accept |= 1 << l;
                 Self::interact(cols, l, d, d2 + eps2, m);
                 cols.p2n[l] += 1;
@@ -455,7 +435,7 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
 /// of [`Portable<Rsqrt>`]'s, in its order.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::{run, Columns, LaneKernel, LanePoints, NodeTest, ReplayLanes, REPLAY_LANES};
+    use super::{run, Columns, LaneKernel, LanePoints, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx2::floored_rsqrt_pd;
     use crate::mac::Mac;
     use crate::node::{NodeId, Tree};
@@ -551,10 +531,11 @@ mod avx2 {
             m: f64,
             eps2: f64,
             live: u32,
-            test: NodeTest,
+            s2: f64,
+            a2: f64,
         ) -> u32 {
             bump(&mut cols.mac_tests, live);
-            let eps2 = _mm256_set1_pd(eps2);
+            let (eps2, s2, a2) = (_mm256_set1_pd(eps2), _mm256_set1_pd(s2), _mm256_set1_pd(a2));
             let mut accept = 0;
             for c in 0..REPLAY_LANES / CHUNK {
                 let o = CHUNK * c;
@@ -563,14 +544,8 @@ mod avx2 {
                     continue;
                 }
                 let (d, d2) = offset(&cols.pts, o, com);
-                let bits = match test {
-                    NodeTest::Decided(lanes) => (lanes >> o) & 0xf,
-                    NodeTest::Alpha(s2, a2) => {
-                        let a2d2 = _mm256_mul_pd(_mm256_set1_pd(a2), d2);
-                        let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(_mm256_set1_pd(s2), a2d2);
-                        _mm256_movemask_pd(lt) as u32 & on
-                    }
-                };
+                let lt = _mm256_cmp_pd::<_CMP_LT_OQ>(s2, _mm256_mul_pd(a2, d2));
+                let bits = _mm256_movemask_pd(lt) as u32 & on;
                 if bits != 0 {
                     interact(cols, o, d, _mm256_add_pd(d2, eps2), m, lane_mask(bits));
                     accept |= bits << o;
@@ -627,9 +602,10 @@ mod avx2 {
         m: f64,
         eps2: f64,
         live: u32,
-        test: NodeTest,
+        s2: f64,
+        a2: f64,
     ) -> u32 {
-        Avx2::node(cols, com, m, eps2, live, test)
+        Avx2::node(cols, com, m, eps2, live, s2, a2)
     }
 }
 
@@ -637,7 +613,7 @@ mod avx2 {
 /// operations as [`avx2`] at twice the width.
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::{run, Columns, LaneKernel, LanePoints, NodeTest, ReplayLanes, REPLAY_LANES};
+    use super::{run, Columns, LaneKernel, LanePoints, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx512::floored_rsqrt_pd8;
     use crate::mac::Mac;
     use crate::node::{NodeId, Tree};
@@ -717,10 +693,11 @@ mod avx512 {
             m: f64,
             eps2: f64,
             live: u32,
-            test: NodeTest,
+            s2: f64,
+            a2: f64,
         ) -> u32 {
             bump(&mut cols.mac_tests, live);
-            let eps2 = _mm512_set1_pd(eps2);
+            let (eps2, s2, a2) = (_mm512_set1_pd(eps2), _mm512_set1_pd(s2), _mm512_set1_pd(a2));
             let mut accept = 0;
             for c in 0..REPLAY_LANES / CHUNK {
                 let o = CHUNK * c;
@@ -729,13 +706,7 @@ mod avx512 {
                     continue;
                 }
                 let (d, d2) = offset(&cols.pts, o, com);
-                let k = match test {
-                    NodeTest::Decided(lanes) => (lanes >> o) as __mmask8,
-                    NodeTest::Alpha(s2, a2) => {
-                        let a2d2 = _mm512_mul_pd(_mm512_set1_pd(a2), d2);
-                        _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(on, _mm512_set1_pd(s2), a2d2)
-                    }
-                };
+                let k = _mm512_mask_cmp_pd_mask::<_CMP_LT_OQ>(on, s2, _mm512_mul_pd(a2, d2));
                 if k != 0 {
                     interact(cols, o, d, _mm512_add_pd(d2, eps2), m, k);
                     accept |= u32::from(k) << o;
@@ -790,9 +761,10 @@ mod avx512 {
         m: f64,
         eps2: f64,
         live: u32,
-        test: NodeTest,
+        s2: f64,
+        a2: f64,
     ) -> u32 {
-        Avx512::node(cols, com, m, eps2, live, test)
+        Avx512::node(cols, com, m, eps2, live, s2, a2)
     }
 }
 
@@ -804,7 +776,7 @@ mod tests {
         eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule,
         InteractionBuffers, QueryTarget,
     };
-    use crate::mac::{accept_lanes_scalar, BarnesHutMac, GroupMac, MinDistMac};
+    use crate::mac::{BarnesHutMac, GroupMac};
     use crate::mac_simd::ScalarClassify;
     use crate::traverse::{accel_kernel, for_each_interaction_from, potential_kernel, Interaction};
     use bhut_geom::{plummer, Aabb, PlummerSpec};
@@ -909,16 +881,14 @@ mod tests {
     }
 
     /// Replay `targets` (any number: chunks of [`REPLAY_LANES`]) through the
-    /// dispatched body and hold every lane to the oracle — and, for a MAC
-    /// the replay decides from `com − p` itself, to the unfused replay of
-    /// the same MAC behind [`ScalarClassify`]. Returns the interactions
-    /// compared.
+    /// dispatched body and hold every lane to the oracle. Returns the
+    /// interactions compared.
     fn assert_lanes_are_the_walk(
         tree: &Tree,
         ps: &[Particle],
         roots: &[NodeId],
         targets: &[QueryTarget],
-        mac: &(impl Mac + Copy),
+        mac: &impl Mac,
         ctx: &str,
     ) -> u64 {
         let mut compared = 0;
@@ -932,14 +902,6 @@ mod tests {
                     assert_eq!(lane(&lanes, l), want, "{ctx}: chunk {c} lane {l} {precision:?}");
                     compared += want.1.interactions();
                 }
-                if mac.com_distance_alpha2().is_some() {
-                    let mut unfused = seat(chunk);
-                    unfused.replay(tree, ps, roots, &ScalarClassify(*mac), EPS, precision);
-                    for l in 0..chunk.len() {
-                        let ctx = format!("{ctx}: chunk {c} lane {l} {precision:?} unfused");
-                        assert_eq!(lane(&unfused, l), lane(&lanes, l), "{ctx}");
-                    }
-                }
                 // Computed lanes cover the interacting ones.
                 let slots = lanes.take_lane_slots();
                 let useful: u64 = (0..chunk.len()).map(|l| lanes.stats(l).interactions()).sum();
@@ -952,10 +914,11 @@ mod tests {
     /// Every lane against the oracle, on the trees of the bulk builder and of
     /// the incremental one (the forward walk relies on either's preorder;
     /// `bhut-threads` holds the parallel builder's to the same oracle), with
-    /// the α-MAC fused, behind [`ScalarClassify`] unfused, and min-dist.
+    /// the gathers classified by the batched bodies and behind
+    /// [`ScalarClassify`].
     #[test]
     fn replayed_lanes_are_the_per_target_walk_bitwise() {
-        fn check(tree: &Tree, ps: &[Particle], mac: &(impl GroupMac + Copy), name: &str) {
+        fn check(tree: &Tree, ps: &[Particle], mac: &impl GroupMac, name: &str) {
             let active: Vec<bool> = (0..ps.len()).map(|i| i % 3 != 1).collect();
             let mut buf = InteractionBuffers::new();
             let mut compared = 0;
@@ -1007,8 +970,7 @@ mod tests {
             tree.check_invariants(set.len()).unwrap();
             let bh = BarnesHutMac::new(0.67);
             check(tree, &set.particles, &bh, &format!("{name} bh"));
-            check(tree, &set.particles, &ScalarClassify(bh), &format!("{name} bh unfused"));
-            check(tree, &set.particles, &MinDistMac::new(0.8), &format!("{name} min-dist"));
+            check(tree, &set.particles, &ScalarClassify(bh), &format!("{name} bh scalar"));
         }
     }
 
@@ -1018,31 +980,27 @@ mod tests {
     /// log, not silently green.
     #[test]
     fn every_runnable_replay_body_is_bitwise_the_portable_body() {
-        fn check(mac: &(impl GroupMac + Copy), name: &str) {
-            let set = plummer(PlummerSpec { n: 900, seed: 5, ..Default::default() });
-            let ps = &set.particles;
-            let tree = build(ps, BuildParams::with_leaf_capacity(8));
-            let mut buf = InteractionBuffers::new();
-            // Buckets of 40 straddle a chunk boundary and leave ragged
-            // chunks; every third target skips nothing.
-            for (b, run) in tree.order.chunks(40).enumerate() {
-                let targets: Vec<QueryTarget> = run
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &pi)| (ps[pi as usize].pos, if k % 3 == 0 { u32::MAX } else { pi }))
-                    .collect();
-                let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
-                gather_group_targets(&tree, ps, &bucket, mac, &mut buf);
-                let through =
-                    |tier| replay_through(tier, &tree, ps, &buf.mixed, &targets, mac, EPS);
-                let want = through(Isa::Portable);
-                for tier in runnable_tiers() {
-                    assert_eq!(through(tier), want, "{name} bucket {b} {tier:?}");
-                }
+        let set = plummer(PlummerSpec { n: 900, seed: 5, ..Default::default() });
+        let ps = &set.particles;
+        let tree = build(ps, BuildParams::with_leaf_capacity(8));
+        let mac = BarnesHutMac::new(0.67);
+        let mut buf = InteractionBuffers::new();
+        // Buckets of 40 straddle a chunk boundary and leave ragged chunks;
+        // every third target skips nothing.
+        for (b, run) in tree.order.chunks(40).enumerate() {
+            let targets: Vec<QueryTarget> = run
+                .iter()
+                .enumerate()
+                .map(|(k, &pi)| (ps[pi as usize].pos, if k % 3 == 0 { u32::MAX } else { pi }))
+                .collect();
+            let bucket = Aabb::bounding(targets.iter().map(|t| t.0)).unwrap();
+            gather_group_targets(&tree, ps, &bucket, &mac, &mut buf);
+            let through = |tier| replay_through(tier, &tree, ps, &buf.mixed, &targets, &mac, EPS);
+            let want = through(Isa::Portable);
+            for tier in runnable_tiers() {
+                assert_eq!(through(tier), want, "bucket {b} {tier:?}");
             }
         }
-        check(&BarnesHutMac::new(0.67), "bh");
-        check(&MinDistMac::new(0.8), "min-dist");
         println!("ISA tiers covered (mixed-frontier replay): {:?}", runnable_tiers());
     }
 
@@ -1073,14 +1031,14 @@ mod tests {
         m: f64,
         eps2: f64,
         live: u32,
-        test: NodeTest,
+        (s2, a2): (f64, f64),
     ) -> u32 {
         match tier {
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx512 => avx512::node(cols, com, m, eps2, live, test),
+            Isa::Avx512 => avx512::node(cols, com, m, eps2, live, s2, a2),
             #[cfg(target_arch = "x86_64")]
-            Isa::Avx2 => avx2::node(cols, com, m, eps2, live, test),
-            _ => Portable::<Rsqrt>::node(cols, com, m, eps2, live, test),
+            Isa::Avx2 => avx2::node(cols, com, m, eps2, live, s2, a2),
+            _ => Portable::<Rsqrt>::node(cols, com, m, eps2, live, s2, a2),
         }
     }
 
@@ -1109,7 +1067,7 @@ mod tests {
         for case in 0..3000 {
             let alpha = [0.5, 0.67, 1.0, 2.0][case % 4];
             let mac = BarnesHutMac::new(alpha);
-            let a2 = mac.com_distance_alpha2().expect("the α-MAC is decided fused");
+            let a2 = mac.alpha() * mac.alpha();
             // A unit cube with its centre of mass in the middle every eighth
             // case: with α a power of two, lanes at distance side/α from it
             // sit exactly on the threshold.
@@ -1145,32 +1103,39 @@ mod tests {
                 _ => (rng.next_f64() * u32::MAX as f64) as u32,
             };
             let side = cell.side();
-            let want = accept_lanes_scalar(&mac, &cell, com, &cols.pts, live);
-            for l in 0..REPLAY_LANES {
+            let (m, eps2) = (rng.range(0.1, 2.0), 1e-8);
+            // The unfused step: the scalar test on every live lane, then the
+            // arithmetic on the lanes it accepts.
+            let (mut want, mut unfused) = (0, cols.clone());
+            for l in (0..REPLAY_LANES).filter(|&l| live >> l & 1 == 1) {
                 let p = Vec3::new(cols.pts.x[l], cols.pts.y[l], cols.pts.z[l]);
-                let bit = |m: u32| m >> l & 1 == 1;
-                assert_eq!(bit(want), bit(live) && mac.accept(&cell, com, p));
+                unfused.mac_tests[l] += 1;
+                if mac.accept(&cell, com, p) {
+                    want |= 1 << l;
+                    let (d, d2) = Portable::<Rsqrt>::offset(&unfused, l, com);
+                    Portable::<Rsqrt>::interact(&mut unfused, l, d, d2 + eps2, m);
+                    unfused.p2n[l] += 1;
+                }
                 if side * side == a2 * com.dist_sq(p) {
                     on_threshold += 1;
-                    assert!(!bit(want), "case {case} lane {l}: on the threshold must reject");
+                    assert!(
+                        want >> l & 1 == 0,
+                        "case {case} lane {l}: on the threshold must reject"
+                    );
                 }
             }
-            let (m, eps2) = (rng.range(0.1, 2.0), 1e-8);
-            let (fused_test, decided) = (NodeTest::Alpha(side * side, a2), NodeTest::Decided(want));
-            let mut unfused = cols.clone();
-            // SAFETY: the portable body needs no CPU feature.
-            unsafe { Portable::<Rsqrt>::node(&mut unfused, com, m, eps2, live, decided) };
+            let test = (side * side, a2);
             for tier in runnable_tiers() {
                 let mut fused = cols.clone();
                 // SAFETY: `tier` is one this host was just detected to support.
-                let got = unsafe { node_on(tier, &mut fused, com, m, eps2, live, fused_test) };
+                let got = unsafe { node_on(tier, &mut fused, com, m, eps2, live, test) };
                 assert_eq!(got, want, "case {case} {tier:?}: lanes {got:#x} vs {want:#x}");
                 assert_eq!(column_bits(&fused), column_bits(&unfused), "case {case} {tier:?}");
             }
             let mut fused = cols.clone();
-            // SAFETY: as above.
+            // SAFETY: the portable body needs no CPU feature.
             let got =
-                unsafe { Portable::<Exact>::node(&mut fused, com, m, eps2, live, fused_test) };
+                unsafe { Portable::<Exact>::node(&mut fused, com, m, eps2, live, test.0, test.1) };
             assert_eq!(got, want, "case {case}: the exact-kernel body");
         }
         assert!(on_threshold > 0, "no lane sat exactly on the acceptance threshold");

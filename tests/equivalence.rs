@@ -19,7 +19,7 @@ use barnes_hut::tree::group::{
     InteractionBuffers,
 };
 use barnes_hut::tree::traverse::TraversalStats;
-use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac, MinDistMac};
+use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac};
 use proptest::prelude::*;
 
 fn arb_particles(max_n: usize) -> impl Strategy<Value = ParticleSet> {
@@ -155,7 +155,7 @@ proptest! {
 
     /// The group MAC's three-way classification brackets the per-point MAC:
     /// AcceptAll ⇒ every point in the bucket accepts, RejectAll ⇒ every
-    /// point rejects — for random cells, buckets, and α, for both MACs.
+    /// point rejects — for random cells, buckets, and α.
     #[test]
     fn group_mac_is_conservative(
         cell_min in prop::array::uniform3(-50.0f64..50.0),
@@ -189,7 +189,6 @@ proptest! {
             }
         }
         let bh = BarnesHutMac::new(alpha);
-        let md = MinDistMac::new(alpha);
         match GroupMac::classify(&bh, &cell, com, &bucket) {
             GroupClass::AcceptAll => {
                 for &p in &samples {
@@ -199,19 +198,6 @@ proptest! {
             GroupClass::RejectAll => {
                 for &p in &samples {
                     prop_assert!(!bh.accept(&cell, com, p));
-                }
-            }
-            GroupClass::Mixed => {}
-        }
-        match GroupMac::classify(&md, &cell, com, &bucket) {
-            GroupClass::AcceptAll => {
-                for &p in &samples {
-                    prop_assert!(md.accept(&cell, com, p));
-                }
-            }
-            GroupClass::RejectAll => {
-                for &p in &samples {
-                    prop_assert!(!md.accept(&cell, com, p));
                 }
             }
             GroupClass::Mixed => {}
