@@ -36,7 +36,7 @@ pub mod phase {
     /// mixed frontier (walk and arithmetic in one pass) plus the batched
     /// M2P/P2P slab kernels.
     pub const KERNEL: &str = "kernel";
-    /// Fused walk+kernel evaluation (the per-particle reference path).
+    /// Fused walk+kernel evaluation: degree > 0's per-target walk.
     pub const EVAL: &str = "eval";
     /// Main-thread scatter of per-worker staged results.
     pub const SCATTER: &str = "scatter";

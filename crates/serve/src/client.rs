@@ -67,6 +67,8 @@ impl ServeClient {
     /// Evaluate `points` on the server, blocking until the reply arrives.
     /// Backpressure (`TAG_RETRY`) is absorbed internally; an error frame or
     /// an exhausted deadline surfaces as `Err`.
+    /// `precision` is [`KernelPrecision::F64`], the only value; removed by
+    /// ROADMAP direction 1(b).
     pub fn query(
         &mut self,
         kind: QueryKind,

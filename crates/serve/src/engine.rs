@@ -82,12 +82,14 @@ impl FieldQuery {
     /// simulation's own sweep excludes self-interaction — querying at a
     /// particle's position with its id reproduces the member force.
     ///
-    /// Returns the traversal stats summed over the batch.
+    /// Returns the traversal stats summed over the batch. `_precision` is
+    /// [`KernelPrecision::F64`], its only value; the parameter is removed by
+    /// ROADMAP direction 1(b).
     pub fn eval(
         &mut self,
         epoch: &TreeEpoch,
         points: &[QueryTarget],
-        precision: KernelPrecision,
+        _precision: KernelPrecision,
         out: &mut Vec<FieldSample>,
     ) -> TraversalStats {
         out.clear();
@@ -115,7 +117,6 @@ impl FieldQuery {
                 &self.bucket,
                 &mac,
                 epoch.eps,
-                precision,
                 &self.buf,
                 |k, phi, acc, _| {
                     out[run[k] as usize] = FieldSample { acc, phi };

@@ -18,8 +18,8 @@
 //!   32 points by default) so each bucket walks the tree once through the
 //!   grouped gather/eval machinery
 //!   ([`bhut_tree::gather_group_targets`] /
-//!   [`bhut_tree::eval_gathered_targets`]), with the same
-//!   [`KernelPrecision`] ladder as the simulation sweep.
+//!   [`bhut_tree::eval_gathered_targets`]), in the simulation sweep's
+//!   arithmetic ([`KernelPrecision::F64`], the only value).
 //! * [`server`]/[`client`] — a std-only threaded front end speaking the
 //!   length-prefixed [`bhut_wire`] framing over TCP or Unix sockets. A
 //!   bounded queue with reject-with-retry-after backpressure feeds

@@ -15,11 +15,17 @@
 //! | [`TAG_STATS_REPLY`] | UTF-8 JSON of [`crate::ServeStats`] |
 //! | [`TAG_ERROR`] | `id:u64`, UTF-8 message — malformed or unsupported request |
 //!
-//! The `precision` byte of a query: 0 = [`KernelPrecision::ScalarF64`],
-//! 1 = [`KernelPrecision::F64`]. 2 was the retired `mixed_f32` mode; a query
-//! carrying it, or any other byte, is answered with [`TAG_ERROR`]. So is a
-//! query with a NaN or infinite coordinate anywhere in it: no point of it is
-//! evaluated.
+//! The `precision` byte of a query:
+//!
+//! | byte | meaning |
+//! |------|---------|
+//! | 0 | the retired `scalar_f64` mode — refused |
+//! | 1 | [`KernelPrecision::F64`], the only precision |
+//! | 2 | the retired `mixed_f32` mode — refused |
+//!
+//! A query carrying a refused byte, or any byte past 2, is answered with
+//! [`TAG_ERROR`]. So is a query with a NaN or infinite coordinate anywhere
+//! in it: no point of it is evaluated.
 
 use bhut_geom::Vec3;
 use bhut_tree::{KernelPrecision, QueryTarget};
@@ -65,21 +71,22 @@ fn kind_from_u8(b: u8) -> Result<QueryKind, String> {
 
 fn precision_to_u8(p: KernelPrecision) -> u8 {
     match p {
-        KernelPrecision::ScalarF64 => 0,
         KernelPrecision::F64 => 1,
     }
 }
 
 fn precision_from_u8(b: u8) -> Result<KernelPrecision, String> {
     match b {
-        0 => Ok(KernelPrecision::ScalarF64),
         1 => Ok(KernelPrecision::F64),
+        0 => Err("kernel precision 0 (scalar_f64) was removed; send 1 (f64)".into()),
         2 => Err("kernel precision 2 (mixed_f32) was removed; send 1 (f64)".into()),
         other => Err(format!("unknown kernel precision {other}")),
     }
 }
 
-/// A batch of query points sharing one kind and precision.
+/// A batch of query points sharing one kind. `precision` is
+/// [`KernelPrecision::F64`], the only value; removed by ROADMAP direction
+/// 1(b).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     pub id: u64,
@@ -213,13 +220,14 @@ pub fn decode_error(bytes: &[u8]) -> Result<(u64, String), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn query_roundtrip_is_bitwise() {
         let req = QueryRequest {
             id: 0xdead_beef_cafe,
             kind: QueryKind::Field,
-            precision: KernelPrecision::ScalarF64,
+            precision: KernelPrecision::F64,
             points: vec![
                 (Vec3::new(1.5, -2.25, 1e-300), 7),
                 (Vec3::new(f64::MIN_POSITIVE, 0.0, -0.0), u32::MAX),
@@ -272,17 +280,18 @@ mod tests {
         });
         bad_kind[8] = 99;
         assert!(decode_query(&bad_kind).is_err(), "unknown kind rejected");
-        // Precision bytes 0 and 1 keep their meaning; the retired 2 is
-        // refused by name, like any byte past it.
+        // Precision byte 1 keeps its meaning; the retired 0 and 2 are
+        // refused by name, like any byte past them.
         let mut at_precision = |b: u8| {
             bad_kind[8] = 0;
             bad_kind[9] = b;
             decode_query(&bad_kind).map(|q| q.precision)
         };
-        assert_eq!(at_precision(0), Ok(KernelPrecision::ScalarF64));
         assert_eq!(at_precision(1), Ok(KernelPrecision::F64));
-        let retired = at_precision(2).unwrap_err();
-        assert!(retired.contains("mixed_f32") && retired.contains("removed"), "{retired}");
+        for (b, name) in [(0, "scalar_f64"), (2, "mixed_f32")] {
+            let retired = at_precision(b).unwrap_err();
+            assert!(retired.contains(name) && retired.contains("removed"), "{retired}");
+        }
         assert!(at_precision(3).is_err(), "unknown precision rejected");
         // A NaN or infinite coordinate, on any axis of any point, refuses
         // the whole query; finite extremes still decode.
@@ -306,5 +315,103 @@ mod tests {
         let (id, msg) = decode_error(&encode_error(8, "bad precision")).unwrap();
         assert_eq!(id, 8);
         assert_eq!(msg, "bad precision");
+    }
+
+    /// What every decoder owes bytes from a socket: an answer, never a
+    /// panic. A query or reply that decodes re-encodes to the bytes it came
+    /// from, and a query whose precision byte is not 1 does not decode.
+    fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
+        let query = decode_query(bytes);
+        if let Ok(q) = &query {
+            prop_assert_eq!(encode_query(q), bytes.to_vec());
+        }
+        if bytes.len() > 9 && bytes[9] != 1 {
+            prop_assert!(query.is_err(), "precision byte {} decoded", bytes[9]);
+        }
+        if let Ok(r) = decode_reply(bytes) {
+            prop_assert_eq!(encode_reply(r.id, r.generation, &r.samples), bytes.to_vec());
+        }
+        if let Ok((id, ms)) = decode_retry(bytes) {
+            prop_assert_eq!(encode_retry(id, ms), bytes.to_vec());
+        }
+        if let Ok((id, msg)) = decode_error(bytes) {
+            prop_assert_eq!(id, get_u64(bytes, 0));
+            if std::str::from_utf8(&bytes[8..]).is_ok() {
+                prop_assert_eq!(encode_error(id, &msg), bytes.to_vec());
+            }
+        }
+        Ok(())
+    }
+
+    /// One step of a 64-bit LCG: the byte and value source of the tests
+    /// below.
+    fn lcg(s: &mut u64) -> u64 {
+        *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *s
+    }
+
+    /// A valid query encoding: `count` points drawn from `seed`, some of
+    /// their coordinates at the finite extremes.
+    fn valid_query(id: u64, kind: u8, count: usize, seed: u64) -> Vec<u8> {
+        const EXTREMES: [f64; 6] = [0.0, -0.0, f64::MIN_POSITIVE, f64::MAX, f64::MIN, 1e-310];
+        let mut s = seed;
+        let coord = |s: &mut u64| match lcg(s) % 8 {
+            k @ 0..=5 => EXTREMES[k as usize],
+            _ => (lcg(s) >> 11) as f64 / (1u64 << 53) as f64 * 2e3 - 1e3,
+        };
+        let points = (0..count)
+            .map(|_| (Vec3::new(coord(&mut s), coord(&mut s), coord(&mut s)), lcg(&mut s) as u32))
+            .collect();
+        let kind = if kind == 0 { QueryKind::Field } else { QueryKind::Density };
+        encode_query(&QueryRequest { id, kind, precision: KernelPrecision::F64, points })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decoders_answer_arbitrary_bytes(
+            bytes in prop::collection::vec(0u8..=255, 0..96),
+        ) {
+            check_decoders(&bytes)?;
+        }
+
+        /// Headers that look like a query's — small counts, kinds and
+        /// precision bytes around the valid ones — over bodies of about the
+        /// right length, so the length and value checks are reached.
+        #[test]
+        fn decoders_answer_query_shaped_bytes(
+            id: u64,
+            kind in 0u8..3,
+            precision in 0u8..4,
+            count in 0u32..4,
+            slack in 0usize..3,
+            body_seed: u64,
+        ) {
+            let mut bytes = id.to_le_bytes().to_vec();
+            bytes.extend([kind, precision]);
+            bytes.extend(count.to_le_bytes());
+            let mut s = body_seed;
+            let len = (count as usize * POINT_BYTES + slack).saturating_sub(1);
+            bytes.extend((0..len).map(|_| (lcg(&mut s) >> 56) as u8));
+            check_decoders(&bytes)?;
+        }
+
+        #[test]
+        fn single_byte_mutations_of_valid_queries_are_answered(
+            id: u64,
+            kind in 0u8..2,
+            count in 0usize..5,
+            seed: u64,
+            at: usize,
+            byte: u8,
+        ) {
+            let good = valid_query(id, kind, count, seed);
+            prop_assert_eq!(decode_query(&good).map(|q| encode_query(&q)), Ok(good.clone()));
+            let mut bad = good.clone();
+            let at = at % bad.len();
+            bad[at] = byte;
+            check_decoders(&bad)?;
+        }
     }
 }

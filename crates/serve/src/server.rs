@@ -23,7 +23,7 @@
 //! races the shutdown admission check is rejected (told to retry), not
 //! silently discarded.
 //!
-//! Workers coalesce adjacent requests of the same kind and precision into
+//! Workers coalesce adjacent requests of the same kind into
 //! slab-sized batches (≤ `batch_points` points) so many small queries share
 //! the Morton sort and grouped walks of one [`FieldQuery::eval`] call. Each
 //! batch pins the current [`TreeEpoch`](crate::TreeEpoch) for exactly its own duration; the
@@ -42,7 +42,7 @@ use std::time::Duration;
 
 use bhut_obs::{now, phase, Counters, ServeCounters, Span, StepProfile};
 use bhut_tree::replay::REPLAY_LANES;
-use bhut_tree::QueryTarget;
+use bhut_tree::{KernelPrecision, QueryTarget};
 use bhut_wire::{get_u64, write_frame, MAX_FRAME};
 use serde::{Deserialize, Serialize};
 
@@ -104,7 +104,6 @@ pub struct ServeStats {
 struct Job {
     id: u64,
     kind: QueryKind,
-    precision: bhut_tree::KernelPrecision,
     points: Vec<QueryTarget>,
     writer: Arc<Mutex<Box<dyn Write + Send>>>,
 }
@@ -438,7 +437,6 @@ fn conn_loop(
                         q.push_back(Job {
                             id: req.id,
                             kind: req.kind,
-                            precision: req.precision,
                             points: req.points,
                             writer: Arc::clone(&writer),
                         });
@@ -483,11 +481,11 @@ fn worker_loop(worker: usize, shared: Arc<Shared>) {
             loop {
                 if let Some(first) = q.pop_front() {
                     let mut points = first.points.len();
-                    let (kind, precision) = (first.kind, first.precision);
+                    let kind = first.kind;
                     batch.push(first);
                     while points < shared.cfg.batch_points {
                         match q.front() {
-                            Some(j) if j.kind == kind && j.precision == precision => {
+                            Some(j) if j.kind == kind => {
                                 points += j.points.len();
                                 batch.push(q.pop_front().unwrap());
                             }
@@ -525,10 +523,8 @@ fn worker_loop(worker: usize, shared: Arc<Shared>) {
         // output are scattered back below. Batch composition cannot change
         // results (see engine docs), so coalescing is invisible to clients.
         let all: Vec<QueryTarget> = batch.iter().flat_map(|j| j.points.iter().copied()).collect();
-        let kind = batch[0].kind;
-        let precision = batch[0].precision;
-        let stats = match kind {
-            QueryKind::Field => engine.eval(&epoch, &all, precision, &mut samples),
+        let stats = match batch[0].kind {
+            QueryKind::Field => engine.eval(&epoch, &all, KernelPrecision::F64, &mut samples),
             QueryKind::Density => {
                 engine.density(&epoch, &all, &mut samples);
                 Default::default()
@@ -571,7 +567,7 @@ mod tests {
     use crate::proto::{decode_reply, decode_retry, encode_query, QueryRequest};
     use bhut_geom::{Particle, Vec3};
     use bhut_tree::build::build;
-    use bhut_tree::{accel_on, BarnesHutMac, BuildParams, KernelPrecision};
+    use bhut_tree::{accel_on, BarnesHutMac, BuildParams};
     use bhut_wire::read_frame;
     use std::net::TcpStream;
 
@@ -762,7 +758,7 @@ mod tests {
         let server = Server::bind_unix(&path, store, ServeConfig::default()).unwrap();
         let mut client = ServeClient::connect_unix(&path).unwrap();
         let targets: Vec<QueryTarget> = vec![(particles[3].pos, particles[3].id)];
-        let reply = client.query(QueryKind::Field, KernelPrecision::ScalarF64, &targets).unwrap();
+        let reply = client.query(QueryKind::Field, KernelPrecision::F64, &targets).unwrap();
         assert_eq!(reply.samples.len(), 1);
         server.stop();
         let _ = std::fs::remove_file(&path);

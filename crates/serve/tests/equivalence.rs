@@ -1,14 +1,14 @@
 //! The service's headline correctness contract: a field query at a
 //! particle's position (with that particle's skip id) returns *the
 //! simulation's own force* for the step the epoch snapshots — ≤ 1e-12
-//! relative under both kernel precisions — including when the simulation
-//! itself is running masked (active-set) force sweeps.
+//! relative — including when the simulation itself is running masked
+//! (active-set) force sweeps.
 
 use std::sync::Arc;
 
 use bhut_geom::{Particle, Vec3};
 use bhut_serve::{EpochStore, FieldQuery, KernelPrecision, QueryTarget};
-use bhut_threads::{EvalMode, Partitioning, ThreadConfig, ThreadSim};
+use bhut_threads::{Partitioning, ThreadConfig, ThreadSim};
 use bhut_timestep::ActiveSet;
 
 fn cloud(n: usize, seed: u64) -> Vec<Particle> {
@@ -39,7 +39,7 @@ fn cloud(n: usize, seed: u64) -> Vec<Particle> {
         .collect()
 }
 
-fn config(threads: usize, precision: KernelPrecision) -> ThreadConfig {
+fn config(threads: usize) -> ThreadConfig {
     ThreadConfig {
         threads,
         alpha: 0.6,
@@ -47,8 +47,6 @@ fn config(threads: usize, precision: KernelPrecision) -> ThreadConfig {
         eps: 1e-4,
         leaf_capacity: 16,
         partitioning: Partitioning::MortonZones,
-        eval_mode: EvalMode::Grouped,
-        precision,
         ..ThreadConfig::default()
     }
 }
@@ -58,11 +56,10 @@ fn config(threads: usize, precision: KernelPrecision) -> ThreadConfig {
 fn sweep_and_query(
     n: usize,
     threads: usize,
-    precision: KernelPrecision,
     group_size: usize,
 ) -> (Vec<Vec3>, Vec<f64>, Vec<bhut_serve::FieldSample>) {
     let particles = cloud(n, 42);
-    let mut sim = ThreadSim::new(config(threads, precision));
+    let mut sim = ThreadSim::new(config(threads));
     let result = sim.compute_forces(&particles);
 
     let store = EpochStore::new();
@@ -73,14 +70,14 @@ fn sweep_and_query(
     let targets: Vec<QueryTarget> = particles.iter().map(|p| (p.pos, p.id)).collect();
     let mut engine = FieldQuery::new(group_size);
     let mut out = Vec::new();
-    engine.eval(&epoch, &targets, precision, &mut out);
+    engine.eval(&epoch, &targets, KernelPrecision::F64, &mut out);
     (result.accels, result.potentials, out)
 }
 
 #[test]
 fn query_at_particle_positions_matches_force_sweep_f64() {
     for &(threads, group) in &[(1usize, 16usize), (2, 16), (2, 7)] {
-        let (accels, potentials, out) = sweep_and_query(1500, threads, KernelPrecision::F64, group);
+        let (accels, potentials, out) = sweep_and_query(1500, threads, group);
         for k in 0..accels.len() {
             let scale = accels[k].norm().max(1.0);
             assert!(
@@ -98,18 +95,9 @@ fn query_at_particle_positions_matches_force_sweep_f64() {
 }
 
 #[test]
-fn query_at_particle_positions_matches_force_sweep_scalar() {
-    let (accels, potentials, out) = sweep_and_query(800, 2, KernelPrecision::ScalarF64, 16);
-    for k in 0..accels.len() {
-        assert!((out[k].acc - accels[k]).norm() <= 1e-12 * accels[k].norm().max(1.0));
-        assert!((out[k].phi - potentials[k]).abs() <= 1e-12 * potentials[k].abs().max(1.0));
-    }
-}
-
-#[test]
 fn active_set_sweeps_agree_with_queries_for_the_active_particles() {
     let particles = cloud(900, 42);
-    let mut sim = ThreadSim::new(config(2, KernelPrecision::F64));
+    let mut sim = ThreadSim::new(config(2));
     // Activate a third of the particles; the tree still contains all of
     // them as sources, exactly like a block-timestep substep.
     let mask: Vec<bool> = (0..particles.len()).map(|i| i % 3 == 0).collect();
@@ -144,7 +132,7 @@ fn epoch_snapshot_is_immune_to_later_particle_mutation() {
     // simulation's mutable arrays. Mutating the source particles after
     // publish must not change query results.
     let mut particles = cloud(400, 42);
-    let mut sim = ThreadSim::new(config(1, KernelPrecision::F64));
+    let mut sim = ThreadSim::new(config(1));
     let reference = sim.compute_forces(&particles);
 
     let store = Arc::new(EpochStore::new());

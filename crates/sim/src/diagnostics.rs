@@ -5,6 +5,7 @@
 //! shows up immediately as secular energy drift.
 
 use bhut_geom::{ParticleSet, Vec3};
+use bhut_threads::{ThreadConfig, ThreadSim};
 use bhut_tree::direct;
 use serde::{Deserialize, Serialize};
 
@@ -29,27 +30,17 @@ impl EnergyReport {
         EnergyReport { kinetic, potential, total: kinetic + potential, momentum, angular_momentum }
     }
 
-    /// Tree-based approximate energies: the potential comes from one grouped
-    /// monopole sweep over a freshly built octree (`U = ½·Σ mᵢ·φᵢ`), so the
-    /// cost is `O(n log n)` instead of [`EnergyReport::measure`]'s `O(n²)`.
-    /// `alpha` is the opening criterion (must be positive); as `alpha → 0`
-    /// every node is opened and the sweep reduces to exact pairwise
-    /// summation, reproducing `measure`.
+    /// Tree-based approximate energies: the potential comes from one
+    /// single-thread monopole force sweep ([`ThreadSim::compute_forces`]
+    /// over a freshly built octree, leaf capacity 8), `U = ½·Σ mᵢ·φᵢ`, so
+    /// the cost is `O(n log n)` instead of [`EnergyReport::measure`]'s
+    /// `O(n²)`. `alpha` is the opening criterion (must be positive); as
+    /// `alpha → 0` every node is opened and the sweep reduces to exact
+    /// pairwise summation, reproducing `measure`.
     pub fn measure_tree(set: &ParticleSet, eps: f64, alpha: f64) -> EnergyReport {
-        use bhut_tree::build::{build, BuildParams};
-        use bhut_tree::group::{eval_group_monopole, leaf_schedule, InteractionBuffers};
-        use bhut_tree::BarnesHutMac;
-
         let particles = &set.particles;
-        let tree = build(particles, BuildParams::default());
-        let mac = BarnesHutMac::new(alpha);
-        let mut buf = InteractionBuffers::default();
-        let mut phi = vec![0.0f64; particles.len()];
-        for unit in leaf_schedule(&tree) {
-            eval_group_monopole(&tree, particles, unit, &mac, eps, &mut buf, |pi, p, _, _| {
-                phi[pi as usize] = p;
-            });
-        }
+        let config = ThreadConfig { threads: 1, alpha, eps, degree: 0, ..Default::default() };
+        let phi = ThreadSim::new(config).compute_forces(particles).potentials;
         let potential = 0.5 * particles.iter().zip(&phi).map(|(p, &ph)| p.mass * ph).sum::<f64>();
         let kinetic = set.kinetic_energy();
         let momentum = set.particles.iter().map(|p| p.vel * p.mass).sum();

@@ -37,8 +37,8 @@ pub struct SimulationConfig {
     pub profile_every: usize,
     /// Global-dt leapfrog (default) or hierarchical block timesteps (S12).
     pub timestep: TimestepMode,
-    /// Arithmetic of the grouped force kernels: vectorized f64 (default) or
-    /// the exact scalar-f64 reference.
+    /// Arithmetic of the grouped force kernels: [`KernelPrecision::F64`],
+    /// the only value; removed by ROADMAP direction 1(b).
     pub precision: KernelPrecision,
     /// Under [`TimestepMode::Block`], evaluate the fine-rung (masked)
     /// substeps on the tree frozen by the last synchronized substep — walked
@@ -535,13 +535,11 @@ mod tests {
 
     #[test]
     fn config_json_roundtrips_precision() {
-        for precision in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
-            let cfg = SimulationConfig { precision, threads: 3, ..Default::default() };
-            let back = SimulationConfig::from_value(&cfg.to_value()).unwrap();
-            assert_eq!(back.precision, precision);
-            assert_eq!(back.threads, 3);
-            assert_eq!(back.timestep, cfg.timestep);
-        }
+        let cfg = SimulationConfig { threads: 3, ..Default::default() };
+        let back = SimulationConfig::from_value(&cfg.to_value()).unwrap();
+        assert_eq!(back.precision, KernelPrecision::F64);
+        assert_eq!(back.threads, 3);
+        assert_eq!(back.timestep, cfg.timestep);
     }
 
     #[test]
@@ -637,15 +635,10 @@ mod tests {
     }
 
     #[test]
-    fn retired_mixed_f32_config_fails_to_load() {
-        // A config or snapshot naming the retired `mixed_f32` kernel mode is
-        // refused with an error that names it: no panic, no fallback to f64.
+    fn retired_precisions_fail_to_load() {
+        // A config or snapshot naming a retired kernel mode is refused with
+        // an error that names it: no panic, no fallback to f64.
         let json = serde_json::to_string(&SimulationConfig::default()).unwrap();
-        let retire = |text: &str| text.replace("\"f64\"", "\"mixed_f32\"");
-        assert_ne!(retire(&json), json, "the default config names its precision");
-        let err = serde_json::from_str::<SimulationConfig>(&retire(&json)).unwrap_err();
-        assert!(err.to_string().contains("mixed_f32"), "config: {err}");
-        // The same config inside a full (rungs + config) snapshot file.
         let set = plummer(PlummerSpec { n: 8, seed: 27, ..Default::default() });
         let mut sim = Simulation::new(set, SimulationConfig::default());
         sim.run(1);
@@ -653,33 +646,18 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         crate::snapshot::save_snapshot_state(&path, &sim.snapshot()).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, retire(&text)).unwrap();
-        let err = crate::snapshot::load_snapshot(&path).unwrap_err();
-        assert!(err.to_string().contains("mixed_f32"), "snapshot: {err}");
+        let snapshot = std::fs::read_to_string(&path).unwrap();
+        for name in ["mixed_f32", "scalar_f64"] {
+            let retire = |text: &str| text.replace("\"f64\"", &format!("\"{name}\""));
+            assert_ne!(retire(&json), json, "the default config names its precision");
+            let err = serde_json::from_str::<SimulationConfig>(&retire(&json)).unwrap_err();
+            assert!(err.to_string().contains(name), "config: {err}");
+            // The same config inside a full (rungs + config) snapshot file.
+            std::fs::write(&path, retire(&snapshot)).unwrap();
+            let err = crate::snapshot::load_snapshot(&path).unwrap_err();
+            assert!(err.to_string().contains(name), "snapshot: {err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn precision_threads_through_the_driver() {
-        // Scalar and vectorized f64 agree to tight tolerance over a few
-        // steps.
-        let set = plummer(PlummerSpec { n: 250, seed: 21, ..Default::default() });
-        let base = SimulationConfig { eps: 0.02, threads: 2, ..Default::default() };
-        let mut runs = [
-            Simulation::new(
-                set.clone(),
-                SimulationConfig { precision: KernelPrecision::ScalarF64, ..base },
-            ),
-            Simulation::new(set, SimulationConfig { precision: KernelPrecision::F64, ..base }),
-        ];
-        for sim in runs.iter_mut() {
-            sim.run(3);
-        }
-        let [scalar, vec64] = runs;
-        for (a, b) in scalar.particles.iter().zip(vec64.particles.iter()) {
-            assert!(a.pos.dist(b.pos) < 1e-10 * (1.0 + b.pos.norm()), "f64 SIMD diverged");
-        }
     }
 
     #[test]

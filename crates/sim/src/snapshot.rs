@@ -211,27 +211,42 @@ mod tests {
     }
 
     /// A degree past `MAX_DEGREE` would load and then panic at the first
-    /// force evaluation, so it is refused where it enters: in a bare config
-    /// and in a snapshot's embedded one alike.
+    /// force evaluation, and a block `max_rung` past `MAX_RUNG` would
+    /// overflow (or round) the tick arithmetic of the first block step, so
+    /// both are refused where they enter: in a bare config and in a
+    /// snapshot's embedded one alike.
     #[test]
-    fn a_degree_past_the_bound_does_not_load() {
+    fn a_degree_or_rung_past_its_bound_does_not_load() {
         use bhut_multipole::MAX_DEGREE;
-        let config = |degree| SimulationConfig { degree, ..Default::default() };
-        let parse =
-            |degree| serde_json::from_str::<SimulationConfig>(&config(degree).to_value().to_json());
-        assert_eq!(parse(MAX_DEGREE).unwrap().degree, MAX_DEGREE);
-        let err = parse(MAX_DEGREE + 1).unwrap_err().to_string();
-        assert!(err.contains(&format!("degree {}", MAX_DEGREE + 1)), "{err}");
-
+        use bhut_timestep::{BlockConfig, TimestepMode, MAX_RUNG};
+        let with_degree = |degree| SimulationConfig { degree, ..Default::default() };
+        let with_rung = |max_rung| SimulationConfig {
+            timestep: TimestepMode::Block(BlockConfig { max_rung, ..Default::default() }),
+            ..Default::default()
+        };
+        let parse = |config: SimulationConfig| {
+            serde_json::from_str::<SimulationConfig>(&config.to_value().to_json())
+        };
+        assert_eq!(parse(with_degree(MAX_DEGREE)).unwrap().degree, MAX_DEGREE);
+        assert_eq!(parse(with_rung(MAX_RUNG)).unwrap().timestep, with_rung(MAX_RUNG).timestep);
         let set = plummer(PlummerSpec { n: 4, seed: 9, ..Default::default() });
         let dir = std::env::temp_dir().join("bhut_snapshot_degree_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
-        let config = Some(config(MAX_DEGREE + 1));
-        save_snapshot_state(&path, &Snapshot { time: 0.0, particles: set, rungs: None, config })
-            .unwrap();
-        let err = load_snapshot(&path).unwrap_err().to_string();
-        assert!(err.contains("multipole degree"), "{err}");
+        for (config, names) in [
+            (with_degree(MAX_DEGREE + 1), format!("degree {}", MAX_DEGREE + 1)),
+            (with_rung(MAX_RUNG + 1), format!("`max_rung` {}", MAX_RUNG + 1)),
+            (with_rung(64), "`max_rung` 64".to_string()),
+            (with_rung(u32::MAX), format!("`max_rung` {}", u32::MAX)),
+        ] {
+            let err = parse(config).unwrap_err().to_string();
+            assert!(err.contains(&names), "{err}");
+            let particles = set.clone();
+            let snap = Snapshot { time: 0.0, particles, rungs: None, config: Some(config) };
+            save_snapshot_state(&path, &snap).unwrap();
+            let err = load_snapshot(&path).unwrap_err().to_string();
+            assert!(err.contains(&names), "{err}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -22,9 +22,10 @@
 //!   starts on a cache line and a slab padded with sentinels never makes a
 //!   vector loop straddle a ragged tail.
 //!
-//! [`KernelPrecision`] names the arithmetic modes the kernels implement on
-//! top of this: vectorized f64 (the default) and exact scalar f64 (the
-//! pre-SIMD reference).
+//! [`KernelPrecision`] names the arithmetic the kernels implement on top of
+//! this: vectorized f64, its only value. The exact scalar arithmetic lives
+//! on as the per-target walk (`bhut_tree::traverse`), which the tests hold
+//! the slab kernels to.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -37,36 +38,34 @@ pub const PAD_MULTIPLE: usize = 8;
 /// Slab block alignment, bytes.
 pub const SLAB_ALIGN: usize = 64;
 
-/// Arithmetic mode of the batched P2P/M2P kernels.
+/// Arithmetic of the batched P2P/M2P kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPrecision {
-    /// Vectorized f64 lanes — same per-interaction arithmetic as
-    /// [`KernelPrecision::ScalarF64`] up to summation order and an
-    /// inverse-sqrt refactoring (≤1e-12 relative on full sweeps). The
-    /// default.
+    /// Vectorized f64 lanes — the per-target walk's per-interaction
+    /// arithmetic up to summation order and an inverse-sqrt refactoring
+    /// (≤1e-12 relative on full sweeps). The only value; removed by ROADMAP
+    /// direction 1(b).
     #[default]
     F64,
-    /// The original scalar loops, bit-identical to the per-particle walk's
-    /// kernels — the accuracy and performance baseline.
-    ScalarF64,
 }
 
 impl KernelPrecision {
-    /// Short stable name for configs/JSON (`"f64" | "scalar_f64"`).
+    /// Short stable name for configs/JSON (`"f64"`).
     pub fn as_str(&self) -> &'static str {
         match self {
             KernelPrecision::F64 => "f64",
-            KernelPrecision::ScalarF64 => "scalar_f64",
         }
     }
 
     /// Inverse of [`KernelPrecision::as_str`]. The retired `"mixed_f32"`
-    /// is refused with its own message rather than read as another mode.
+    /// and `"scalar_f64"` are refused with their own message rather than
+    /// read as another mode.
     pub fn parse(s: &str) -> Result<Self, String> {
         match s {
             "f64" => Ok(KernelPrecision::F64),
-            "scalar_f64" => Ok(KernelPrecision::ScalarF64),
-            "mixed_f32" => Err("kernel precision \"mixed_f32\" was removed; use \"f64\"".into()),
+            "mixed_f32" | "scalar_f64" => {
+                Err(format!("kernel precision {s:?} was removed; use \"f64\""))
+            }
             other => Err(format!("unknown kernel precision {other:?}")),
         }
     }
@@ -685,13 +684,14 @@ mod tests {
 
     #[test]
     fn precision_names_roundtrip() {
-        for p in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
-            assert_eq!(KernelPrecision::parse(p.as_str()), Ok(p));
-        }
+        let p = KernelPrecision::F64;
+        assert_eq!(KernelPrecision::parse(p.as_str()), Ok(p));
         assert!(KernelPrecision::parse("f16").is_err());
-        // The retired mode is refused by name, not read as another one.
-        let retired = KernelPrecision::parse("mixed_f32").unwrap_err();
-        assert!(retired.contains("mixed_f32") && retired.contains("removed"), "{retired}");
+        // The retired modes are refused by name, not read as another one.
+        for name in ["mixed_f32", "scalar_f64"] {
+            let retired = KernelPrecision::parse(name).unwrap_err();
+            assert!(retired.contains(name) && retired.contains("removed"), "{retired}");
+        }
         assert_eq!(KernelPrecision::default(), KernelPrecision::F64);
     }
 }

@@ -15,6 +15,14 @@
 //! * [`Partitioning::SelfScheduling`] — dynamic block self-scheduling off a
 //!   shared atomic counter (what a work-stealing runtime would do).
 //!
+//! The degree picks how forces are evaluated, and nothing else does: the
+//! monopole takes the group sweep ([`bhut_tree::group::GroupSweep`] per
+//! worker, then the lane replay and the f64 slab kernels), degree > 0 walks
+//! per target through `MultipoleTree::eval`. The per-target walk
+//! ([`bhut_tree::traverse`]) is the oracle the tests hold both to;
+//! [`ThreadConfig::eval_mode`] and [`ThreadConfig::precision`] each have
+//! one value left.
+//!
 //! On a many-core host this delivers real speedups; the test-suite checks
 //! correctness and work accounting rather than wall-clock (CI machines may
 //! have a single core).

@@ -2,22 +2,54 @@
 
 use serde::{Deserialize, Serialize, Value};
 
+/// Deepest rung a [`BlockConfig`] may name: 53, the bits of an f64
+/// significand. A big step spans `2^max_rung` ticks, and a drift of `δ`
+/// ticks lasts `δ · dt_tick`; every tick count up to `2^53` converts to f64
+/// exactly, so that product is exact and the rung-0 path stays bitwise the
+/// global leapfrog. Past 63, `1 << max_rung` would not fit the u64 tick
+/// counter at all. Configs, snapshots and checkpoints naming a deeper rung
+/// are refused when they load.
+pub const MAX_RUNG: u32 = f64::MANTISSA_DIGITS;
+
 /// Parameters of the power-of-two rung hierarchy.
 ///
 /// Rung `r` steps at `dt_r = dt_max / 2^r`; the finest rung is `max_rung`.
 /// A particle's target rung comes from the acceleration criterion
 /// `dt = η·√(ε/|a|)`, rounded **down** to the next rung boundary (the
 /// assigned `dt_r` never exceeds the criterion).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct BlockConfig {
     /// The big-step length — rung 0's dt, and the synchronization period.
     pub dt_max: f64,
-    /// Deepest rung; the finest dt is `dt_max / 2^max_rung`.
+    /// Deepest rung; the finest dt is `dt_max / 2^max_rung`. At most
+    /// [`MAX_RUNG`].
     pub max_rung: u32,
     /// Accuracy parameter of the timestep criterion `dt = η·√(ε/|a|)`.
     pub eta: f64,
     /// Softening length used in the criterion (normally the force softening).
     pub eps: f64,
+}
+
+// Hand-written so `max_rung` is bounded where it enters the program.
+impl Deserialize for BlockConfig {
+    fn from_value(v: &Value) -> Result<Self, String> {
+        fn req<T: Deserialize>(v: &Value, name: &str) -> Result<T, String> {
+            T::from_value(
+                v.get_field(name)
+                    .ok_or_else(|| format!("missing field `{name}` in BlockConfig"))?,
+            )
+        }
+        let max_rung = req(v, "max_rung")?;
+        if max_rung > MAX_RUNG {
+            return Err(format!("`max_rung` {max_rung} exceeds the deepest rung, {MAX_RUNG}"));
+        }
+        Ok(BlockConfig {
+            dt_max: req(v, "dt_max")?,
+            max_rung,
+            eta: req(v, "eta")?,
+            eps: req(v, "eps")?,
+        })
+    }
 }
 
 impl Default for BlockConfig {

@@ -31,5 +31,5 @@ pub mod config;
 pub mod stepper;
 
 pub use active::ActiveSet;
-pub use config::{BlockConfig, TimestepMode};
+pub use config::{BlockConfig, TimestepMode, MAX_RUNG};
 pub use stepper::{BlockStepStats, BlockStepper};

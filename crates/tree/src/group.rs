@@ -24,7 +24,10 @@
 //! for a unit's (active) members and for a batch of query points — the
 //! member entry points only build the target list from the unit. It is a
 //! monopole pipeline: degree-k expansions are evaluated per target, by
-//! `bhut_multipole::MultipoleTree::eval`.
+//! `bhut_multipole::MultipoleTree::eval`. Its arithmetic is the slab
+//! kernels' f64 sequence ([`crate::kernel`]), in the slabs and the replay
+//! alike; the exact scalar kernels survive as the per-particle walk, which
+//! the tests hold this pipeline to.
 //!
 //! Because the walk only descends on RejectAll, every member's individual
 //! walk is guaranteed to reach each shared or mixed frontier node, which
@@ -750,12 +753,9 @@ pub fn resolve_mixed_tails_lanes(
 /// neither does the result: not on the chunk, the lane, or the mask that
 /// chose the other targets.
 ///
-/// The shared slabs and the replay both run in `precision`. Under
-/// [`KernelPrecision::F64`] one fused kernel call and one horizontal-sum
-/// reduction cover the accepted-node slab and the id-masked near-field slab —
-/// per-target call overhead is the dominant cost left after vectorization.
-/// [`KernelPrecision::ScalarF64`] runs the exact scalar kernels instead and
-/// adds two partial sums.
+/// One fused kernel call and one horizontal-sum reduction cover the
+/// accepted-node slab and the id-masked near-field slab — per-target call
+/// overhead is the dominant cost left after vectorization.
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus the target stream
 fn eval_targets<K: Copy>(
     tree: &Tree,
@@ -763,7 +763,6 @@ fn eval_targets<K: Copy>(
     mac: &impl Mac,
     buf: &InteractionBuffers,
     eps: f64,
-    precision: KernelPrecision,
     mut targets: impl Iterator<Item = (K, Vec3, u32, u64)>,
     mut emit: impl FnMut(K, f64, Vec3, u64),
 ) -> TraversalStats {
@@ -785,7 +784,7 @@ fn eval_targets<K: Copy>(
         if lanes.len() == 0 {
             break;
         }
-        lanes.replay(tree, particles, &buf.mixed, mac, eps, precision);
+        lanes.replay(tree, particles, &buf.mixed, mac, eps);
         for (l, seat) in seated[..lanes.len()].iter_mut().enumerate() {
             let (key, self_hits) = seat.take().expect("seated with its lane above");
             let (pos, skip) = lanes.target(l);
@@ -797,42 +796,19 @@ fn eval_targets<K: Copy>(
             let below_mixed = lanes.stats(l);
             replayed += below_mixed.interactions();
             target.merge(below_mixed);
-            let (acc, phi) = match precision {
-                KernelPrecision::F64 => {
-                    buf.count_lanes(n_nodes_padded + buf.px.padded_len(), n_nodes + buf.px.len());
-                    split(accel_slab_member_f64(
-                        pos.x,
-                        pos.y,
-                        pos.z,
-                        // Padding sentinels carry id u32::MAX with zero mass,
-                        // so a no-skip target masking u32::MAX changes
-                        // nothing.
-                        skip,
-                        nodes,
-                        parts,
-                        buf.pid.padded(),
-                        eps * eps,
-                    ))
-                }
-                KernelPrecision::ScalarF64 => {
-                    // The scalar loops walk only the logical entries; every
-                    // processed slot is useful.
-                    let n_parts = buf.px.len();
-                    buf.count_lanes(n_nodes + n_parts, n_nodes + n_parts);
-                    let (acc_n, phi_n) = accel_batch_m2p(
-                        pos,
-                        &buf.com_x,
-                        &buf.com_y,
-                        &buf.com_z,
-                        &buf.node_mass,
-                        eps,
-                    );
-                    let (acc_p, phi_p) = accel_batch_p2p(
-                        pos, skip, &buf.px, &buf.py, &buf.pz, &buf.pmass, &buf.pid, eps,
-                    );
-                    (acc_n + acc_p, phi_n + phi_p)
-                }
-            };
+            buf.count_lanes(n_nodes_padded + buf.px.padded_len(), n_nodes + buf.px.len());
+            let (acc, phi) = split(accel_slab_member_f64(
+                pos.x,
+                pos.y,
+                pos.z,
+                // Padding sentinels carry id u32::MAX with zero mass, so a
+                // no-skip target masking u32::MAX changes nothing.
+                skip,
+                nodes,
+                parts,
+                buf.pid.padded(),
+                eps * eps,
+            ));
             let (acc_m, phi_m) = lanes.sums(l);
             emit(key, phi + phi_m, acc + acc_m, target.interactions());
             stats.merge(target);
@@ -853,16 +829,12 @@ fn eval_targets<K: Copy>(
 /// group-MAC bracketing guarantees every target of the bucket agrees with
 /// the shared classification, and each target's skip id masks its own
 /// particle out of the near field exactly as the per-particle sweep does.
-///
-/// `precision` behaves as in [`eval_gathered_monopole_masked`].
-#[allow(clippy::too_many_arguments)] // the pipeline's inputs plus precision
 pub fn eval_gathered_targets(
     tree: &Tree,
     particles: &[Particle],
     targets: &[QueryTarget],
     mac: &impl GroupMac,
     eps: f64,
-    precision: KernelPrecision,
     buf: &InteractionBuffers,
     emit: impl FnMut(usize, f64, Vec3, u64),
 ) -> TraversalStats {
@@ -874,102 +846,7 @@ pub fn eval_gathered_targets(
         };
         (k, pos, skip, self_hits)
     });
-    eval_targets(tree, particles, mac, buf, eps, precision, targets, emit)
-}
-
-/// Batched monopole M2P: acceleration and potential at `point` due to the
-/// SoA source slab `(xs, ys, zs, ms)`, Plummer-softened by `eps`.
-///
-/// Per-interaction arithmetic is identical to
-/// [`crate::traverse::accel_kernel`] / [`crate::traverse::potential_kernel`]
-/// (same operations, same rounding), so a grouped evaluation differs from
-/// the per-particle one only in summation order.
-#[inline]
-pub fn accel_batch_m2p(
-    point: Vec3,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    eps: f64,
-) -> (Vec3, f64) {
-    let eps2 = eps * eps;
-    let (mut ax, mut ay, mut az, mut phi) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for i in 0..xs.len() {
-        let dx = xs[i] - point.x;
-        let dy = ys[i] - point.y;
-        let dz = zs[i] - point.z;
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        let m = ms[i];
-        let (w, ph) = if r2 > 0.0 {
-            let s = r2.sqrt();
-            (m / (r2 * s), -m / s)
-        } else {
-            (0.0, 0.0)
-        };
-        ax += dx * w;
-        ay += dy * w;
-        az += dz * w;
-        phi += ph;
-    }
-    (Vec3::new(ax, ay, az), phi)
-}
-
-/// Batched monopole P2P: like [`accel_batch_m2p`] but over particle sources,
-/// with the entry whose id equals `target_id` masked to zero mass (the
-/// grouped counterpart of the per-particle walk's `skip_id`).
-#[inline]
-#[allow(clippy::too_many_arguments)] // SoA slabs are separate slices by design
-pub fn accel_batch_p2p(
-    point: Vec3,
-    target_id: u32,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    ms: &[f64],
-    ids: &[u32],
-    eps: f64,
-) -> (Vec3, f64) {
-    let eps2 = eps * eps;
-    let (mut ax, mut ay, mut az, mut phi) = (0.0f64, 0.0f64, 0.0f64, 0.0f64);
-    for i in 0..xs.len() {
-        let dx = xs[i] - point.x;
-        let dy = ys[i] - point.y;
-        let dz = zs[i] - point.z;
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        let m = if ids[i] == target_id { 0.0 } else { ms[i] };
-        let (w, ph) = if r2 > 0.0 {
-            let s = r2.sqrt();
-            (m / (r2 * s), -m / s)
-        } else {
-            (0.0, 0.0)
-        };
-        ax += dx * w;
-        ay += dy * w;
-        az += dz * w;
-        phi += ph;
-    }
-    (Vec3::new(ax, ay, az), phi)
-}
-
-/// Monopole potential + acceleration for every particle under `unit`, via
-/// one grouped walk: `gather → eval` in one call, at the default kernel
-/// precision. `emit(particle_index, phi, accel, interactions)` is
-/// called once per member; the returned stats equal the sum of what
-/// per-particle walks would have produced (`p2p`, `p2n`, and `mac_tests`
-/// all match exactly).
-pub fn eval_group_monopole(
-    tree: &Tree,
-    particles: &[Particle],
-    unit: NodeId,
-    mac: &impl GroupMac,
-    eps: f64,
-    buf: &mut InteractionBuffers,
-    emit: impl FnMut(u32, f64, Vec3, u64),
-) -> TraversalStats {
-    gather_group(tree, particles, unit, mac, buf);
-    let precision = KernelPrecision::default();
-    eval_gathered_monopole_masked(tree, particles, unit, mac, eps, precision, buf, None, emit)
+    eval_targets(tree, particles, mac, buf, eps, targets, emit)
 }
 
 /// The evaluation half of the pipeline for a unit: evaluate the members of
@@ -985,9 +862,8 @@ pub fn eval_group_monopole(
 /// makes the masked and unmasked walks bit-identical on their common
 /// members.
 ///
-/// `precision` selects the kernel arithmetic (see [`KernelPrecision`]): the
-/// vectorized f64 kernels, or the exact scalar ones for the slabs and the
-/// per-member replay alike.
+/// `_precision` is [`KernelPrecision::F64`], its only value; the parameter
+/// is removed by ROADMAP direction 1(b).
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus mask and precision
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
@@ -995,7 +871,7 @@ pub fn eval_gathered_monopole_masked(
     unit: NodeId,
     mac: &impl GroupMac,
     eps: f64,
-    precision: KernelPrecision,
+    _precision: KernelPrecision,
     buf: &InteractionBuffers,
     active: Option<&[bool]>,
     emit: impl FnMut(u32, f64, Vec3, u64),
@@ -1004,7 +880,7 @@ pub fn eval_gathered_monopole_masked(
     // appended its own leaf — an O(1) lookup, no id scan.
     let targets = unit_targets(tree, particles, unit, active)
         .map(|(k, pi, p)| (pi, p.pos, p.id, buf.self_in_p2p(k) as u64));
-    eval_targets(tree, particles, mac, buf, eps, precision, targets, emit)
+    eval_targets(tree, particles, mac, buf, eps, targets, emit)
 }
 
 /// Most targets one walk serves: a unit of the schedule is a maximal
@@ -1083,7 +959,7 @@ mod tests {
     use super::*;
     use crate::build::{build, BuildParams};
     use crate::mac::BarnesHutMac;
-    use crate::traverse::{accel_kernel, accel_on, potential_at, potential_kernel};
+    use crate::traverse::{accel_on, potential_at};
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
 
     const EPS: f64 = 1e-4;
@@ -1099,7 +975,6 @@ mod tests {
         particles: &[Particle],
         leaf: NodeId,
         mac: &impl GroupMac,
-        precision: KernelPrecision,
         mask: Option<&[bool]>,
         buf: &InteractionBuffers,
     ) -> (Emitted, TraversalStats) {
@@ -1110,12 +985,26 @@ mod tests {
             leaf,
             mac,
             EPS,
-            precision,
+            KernelPrecision::F64,
             buf,
             mask,
             |pi, phi, acc, it| out.push((pi, phi, acc, it)),
         );
         (out, st)
+    }
+
+    /// `gather → eval` for every member of `unit` in one call.
+    fn eval_unit(
+        tree: &Tree,
+        particles: &[Particle],
+        unit: NodeId,
+        mac: &impl GroupMac,
+        buf: &mut InteractionBuffers,
+        emit: impl FnMut(u32, f64, Vec3, u64),
+    ) -> TraversalStats {
+        gather_group(tree, particles, unit, mac, buf);
+        let f64s = KernelPrecision::F64;
+        eval_gathered_monopole_masked(tree, particles, unit, mac, EPS, f64s, buf, None, emit)
     }
 
     fn assert_group_matches_per_particle(
@@ -1128,14 +1017,8 @@ mod tests {
         let mut grouped_stats = TraversalStats::default();
         let mut seen = vec![false; set.len()];
         for leaf in leaf_schedule(&tree) {
-            let st = eval_group_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                mac,
-                EPS,
-                &mut buf,
-                |pi, phi, acc, inter| {
+            let st =
+                eval_unit(&tree, &set.particles, leaf, mac, &mut buf, |pi, phi, acc, inter| {
                     let p = &set.particles[pi as usize];
                     assert!(!seen[pi as usize], "particle {pi} visited twice");
                     seen[pi as usize] = true;
@@ -1156,8 +1039,7 @@ mod tests {
                         acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
                         "acc {acc:?} vs {acc_ref:?} for particle {pi}"
                     );
-                },
-            );
+                });
             grouped_stats.merge(st);
         }
         assert!(seen.iter().all(|&s| s), "leaf schedule must cover every particle");
@@ -1188,39 +1070,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_kernels_match_scalar_kernels_bitwise() {
-        let set = uniform_cube(64, 1.0, 11);
-        let point = Vec3::new(0.31, 0.62, 0.48);
-        let xs: Vec<f64> = set.iter().map(|p| p.pos.x).collect();
-        let ys: Vec<f64> = set.iter().map(|p| p.pos.y).collect();
-        let zs: Vec<f64> = set.iter().map(|p| p.pos.z).collect();
-        let ms: Vec<f64> = set.iter().map(|p| p.mass).collect();
-        let ids: Vec<u32> = set.iter().map(|p| p.id).collect();
-        // Per-interaction arithmetic must agree bit-for-bit with the scalar
-        // kernels when summed in the same order.
-        let (acc, phi) = accel_batch_m2p(point, &xs, &ys, &zs, &ms, EPS);
-        let mut acc_ref = Vec3::ZERO;
-        let mut phi_ref = 0.0;
-        for p in set.iter() {
-            acc_ref += accel_kernel(point, p.pos, p.mass, EPS);
-            phi_ref += potential_kernel(point, p.pos, p.mass, EPS);
-        }
-        assert_eq!(acc, acc_ref);
-        assert_eq!(phi, phi_ref);
-        // P2P with a masked id: equals the scalar sum that skips it.
-        let skip = 17u32;
-        let (acc2, phi2) = accel_batch_p2p(point, skip, &xs, &ys, &zs, &ms, &ids, EPS);
-        let mut acc2_ref = Vec3::ZERO;
-        let mut phi2_ref = 0.0;
-        for p in set.iter().filter(|p| p.id != skip) {
-            acc2_ref += accel_kernel(point, p.pos, p.mass, EPS);
-            phi2_ref += potential_kernel(point, p.pos, p.mass, EPS);
-        }
-        assert!((acc2.dist(acc2_ref)) <= 1e-15 * acc2_ref.norm().max(1.0));
-        assert!((phi2 - phi2_ref).abs() <= 1e-15 * phi2_ref.abs().max(1.0));
-    }
-
-    #[test]
     fn buffers_are_reusable() {
         let set = plummer(PlummerSpec { n: 300, seed: 2, ..Default::default() });
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
@@ -1229,31 +1078,15 @@ mod tests {
         let leaves = leaf_schedule(&tree);
         let mut first = Vec::new();
         for &leaf in &leaves {
-            eval_group_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                &mut buf,
-                |pi, phi, _, _| {
-                    first.push((pi, phi));
-                },
-            );
+            eval_unit(&tree, &set.particles, leaf, &mac, &mut buf, |pi, phi, _, _| {
+                first.push((pi, phi));
+            });
         }
         let mut second = Vec::new();
         for &leaf in &leaves {
-            eval_group_monopole(
-                &tree,
-                &set.particles,
-                leaf,
-                &mac,
-                EPS,
-                &mut buf,
-                |pi, phi, _, _| {
-                    second.push((pi, phi));
-                },
-            );
+            eval_unit(&tree, &set.particles, leaf, &mac, &mut buf, |pi, phi, _, _| {
+                second.push((pi, phi));
+            });
         }
         assert_eq!(first, second);
     }
@@ -1292,12 +1125,10 @@ mod tests {
         // Every third particle active.
         let active: Vec<bool> = (0..set.len()).map(|i| i % 3 == 0).collect();
         let mut buf = InteractionBuffers::new();
-        let precision = KernelPrecision::default();
         let mut full: Vec<Option<(f64, Vec3, u64)>> = vec![None; set.len()];
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            let (out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
+            let (out, _) = eval_gathered_leaf(&tree, &set.particles, leaf, &mac, None, &buf);
             for (pi, phi, acc, it) in out {
                 full[pi as usize] = Some((phi, acc, it));
             }
@@ -1307,8 +1138,7 @@ mod tests {
         for &leaf in &sched {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
             let mask = Some(active.as_slice());
-            let (out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, mask, &buf);
+            let (out, _) = eval_gathered_leaf(&tree, &set.particles, leaf, &mac, mask, &buf);
             for (pi, phi, acc, it) in out {
                 masked[pi as usize] = Some((phi, acc, it));
             }
@@ -1327,30 +1157,6 @@ mod tests {
         }
         // An all-true mask reproduces the full schedule.
         assert_eq!(leaf_schedule_active(&tree, &vec![true; set.len()]), leaf_schedule(&tree));
-    }
-
-    #[test]
-    fn kernel_precisions_agree_within_their_tolerances() {
-        let set = plummer(PlummerSpec { n: 500, seed: 23, ..Default::default() });
-        let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        let mac = BarnesHutMac::new(0.67);
-        let mut buf = InteractionBuffers::new();
-        for leaf in leaf_schedule(&tree) {
-            gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            let run = |precision: KernelPrecision| {
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf).0
-            };
-            let scalar = run(KernelPrecision::ScalarF64);
-            let simd = run(KernelPrecision::F64);
-            assert_eq!(scalar.len(), simd.len());
-            for (s, v) in scalar.iter().zip(&simd) {
-                assert_eq!(s.0, v.0);
-                assert_eq!(s.3, v.3, "interaction counts are precision-independent");
-                let tol = 1e-12;
-                assert!((s.1 - v.1).abs() <= tol * s.1.abs().max(1.0), "phi f64 simd");
-                assert!(s.2.dist(v.2) <= tol * s.2.norm().max(1.0), "acc f64 simd");
-            }
-        }
     }
 
     #[test]
@@ -1416,7 +1222,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_counters_reflect_padding_and_precision() {
+    fn lane_counters_reflect_padding() {
         let set = plummer(PlummerSpec { n: 400, seed: 31, ..Default::default() });
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(8));
         let mac = BarnesHutMac::new(0.67);
@@ -1427,28 +1233,20 @@ mod tests {
             // there without interacting.
             let members = tree.node(leaf).count() as usize;
             let self_hits = (0..members).filter(|&k| buf.self_in_p2p(k)).count() as u64;
-            for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64] {
-                buf.take_lane_counters();
-                let (_, st) =
-                    eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf);
-                let (slots, useful) = buf.take_lane_counters();
-                assert!(useful > 0);
-                // Slabs and replay alike: one useful lane per interaction.
-                assert_eq!(useful, st.interactions() + self_hits);
-                if precision == KernelPrecision::ScalarF64 {
-                    assert_eq!(slots, useful, "scalar path has no padding overhead");
-                } else {
-                    // Padded slab chunks, and replay chunks as wide as the
-                    // ISA tier makes them.
-                    assert!(slots >= useful);
-                }
-            }
+            buf.take_lane_counters();
+            let (_, st) = eval_gathered_leaf(&tree, &set.particles, leaf, &mac, None, &buf);
+            let (slots, useful) = buf.take_lane_counters();
+            assert!(useful > 0);
+            // Slabs and replay alike: one useful lane per interaction.
+            assert_eq!(useful, st.interactions() + self_hits);
+            // Padded slab chunks, and replay chunks as wide as the ISA tier
+            // makes them.
+            assert!(slots >= useful);
         }
     }
 
     /// Arbitrary query points, arbitrarily bucketed, must reproduce the
-    /// per-point walk exactly: stats field-for-field, values to rounding —
-    /// for every precision.
+    /// per-point walk exactly: stats field-for-field, values to rounding.
     #[test]
     fn target_eval_matches_per_point_walk() {
         let set = plummer(PlummerSpec { n: 600, seed: 41, ..Default::default() });
@@ -1465,29 +1263,27 @@ mod tests {
             let targets: Vec<QueryTarget> = chunk.iter().map(|&p| (p, u32::MAX)).collect();
             let bucket = Aabb::bounding(chunk.iter().copied()).unwrap();
             gather_group_targets(&tree, &set.particles, &bucket, &mac, &mut buf);
-            for precision in [KernelPrecision::ScalarF64, KernelPrecision::F64] {
-                let mut calls = 0usize;
-                let ps = &set.particles;
-                let each = |k: usize, phi: f64, acc: Vec3, it: u64| {
-                    assert_eq!(k, calls);
-                    calls += 1;
-                    let pos = targets[k].0;
-                    let (acc_ref, st) = accel_on(&tree, &set.particles, pos, None, &mac, EPS);
-                    let (phi_ref, _) = potential_at(&tree, &set.particles, pos, None, &mac, EPS);
-                    assert_eq!(it, st.interactions(), "target {k}");
-                    let tol = 1e-12;
-                    assert!(
-                        (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
-                        "phi {phi} vs {phi_ref}, target {k}, {precision:?}"
-                    );
-                    assert!(
-                        acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
-                        "acc {acc:?} vs {acc_ref:?}, target {k}, {precision:?}"
-                    );
-                };
-                eval_gathered_targets(&tree, ps, &targets, &mac, EPS, precision, &buf, each);
-                assert_eq!(calls, targets.len());
-            }
+            let mut calls = 0usize;
+            let ps = &set.particles;
+            let each = |k: usize, phi: f64, acc: Vec3, it: u64| {
+                assert_eq!(k, calls);
+                calls += 1;
+                let pos = targets[k].0;
+                let (acc_ref, st) = accel_on(&tree, &set.particles, pos, None, &mac, EPS);
+                let (phi_ref, _) = potential_at(&tree, &set.particles, pos, None, &mac, EPS);
+                assert_eq!(it, st.interactions(), "target {k}");
+                let tol = 1e-12;
+                assert!(
+                    (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
+                    "phi {phi} vs {phi_ref}, target {k}"
+                );
+                assert!(
+                    acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
+                    "acc {acc:?} vs {acc_ref:?}, target {k}"
+                );
+            };
+            eval_gathered_targets(&tree, ps, &targets, &mac, EPS, &buf, each);
+            assert_eq!(calls, targets.len());
         }
     }
 
@@ -1503,9 +1299,8 @@ mod tests {
         for leaf in leaf_schedule(&tree) {
             // Reference: the simulation's own grouped member evaluation.
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf_m);
-            let precision = KernelPrecision::F64;
             let (member_out, _) =
-                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, precision, None, &buf_m);
+                eval_gathered_leaf(&tree, &set.particles, leaf, &mac, None, &buf_m);
             // Query path: same positions as targets, same bucket geometry.
             let members = tree.particles_under(leaf);
             let targets: Vec<QueryTarget> = members
@@ -1520,7 +1315,7 @@ mod tests {
             let mut query_out = Vec::new();
             let each = |k: usize, phi, acc, it| query_out.push((members[k], phi, acc, it));
             let ps = &set.particles;
-            eval_gathered_targets(&tree, ps, &targets, &mac, EPS, precision, &buf_t, each);
+            eval_gathered_targets(&tree, ps, &targets, &mac, EPS, &buf_t, each);
             assert_eq!(member_out.len(), query_out.len());
             for (&(pi_m, phi_m, acc_m, it_m), &(pi_q, phi_q, acc_q, it_q)) in
                 member_out.iter().zip(&query_out)
@@ -1553,7 +1348,7 @@ mod tests {
             calls += 1;
             assert_eq!((phi, acc, it), (0.0, Vec3::ZERO, 0));
         };
-        eval_gathered_targets(&tree, &[], &targets, &mac, EPS, KernelPrecision::F64, &buf, each);
+        eval_gathered_targets(&tree, &[], &targets, &mac, EPS, &buf, each);
         assert_eq!(calls, 1);
     }
 
@@ -1569,20 +1364,13 @@ mod tests {
         assert_eq!(leaves.len(), 1);
         let mac = BarnesHutMac::new(0.67);
         let mut calls = 0;
-        let st = eval_group_monopole(
-            &tree,
-            &set.particles,
-            leaves[0],
-            &mac,
-            EPS,
-            &mut buf,
-            |_, phi, acc, inter| {
+        let st =
+            eval_unit(&tree, &set.particles, leaves[0], &mac, &mut buf, |_, phi, acc, inter| {
                 calls += 1;
                 assert_eq!(phi, 0.0);
                 assert_eq!(acc, Vec3::ZERO);
                 assert_eq!(inter, 0);
-            },
-        );
+            });
         assert_eq!(calls, 1);
         assert_eq!(st.interactions(), 0);
     }
@@ -1960,9 +1748,9 @@ mod tests {
                 gather_group(&tree, &set.particles, leaf, &simd_mac, &mut buf_a);
                 gather_group(&tree, &set.particles, leaf, &scalar_mac, &mut buf_b);
                 assert_buffers_bitwise(&buf_a, &buf_b, &format!("seed {seed} leaf {leaf}"));
-                let (ps, f64s) = (&set.particles, KernelPrecision::F64);
-                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, f64s, None, &buf_a);
-                let out_b = eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, f64s, None, &buf_b);
+                let ps = &set.particles;
+                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, None, &buf_a);
+                let out_b = eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, None, &buf_b);
                 assert_eq!(out_a, out_b, "forces must be bitwise-identical (leaf {leaf})");
             }
         }

@@ -1,7 +1,8 @@
 //! Vectorized slab kernels for the grouped-walk SoA interaction lists.
 //!
-//! These are the SIMD counterparts of [`crate::group::accel_batch_m2p`] /
-//! [`crate::group::accel_batch_p2p`]. They iterate the *padded* slabs
+//! These are the SIMD counterparts of the per-target walk's scalar kernels,
+//! [`crate::traverse::accel_kernel`] / [`crate::traverse::potential_kernel`],
+//! folded over a slab's rows. They iterate the *padded* slabs
 //! ([`bhut_simd::AlignedF64Slab::padded`]) so the lane loops never straddle a
 //! ragged tail: padding sentinels carry zero mass, so their lanes contribute
 //! exactly zero.
@@ -579,7 +580,7 @@ pub(crate) mod avx512 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::group::{accel_batch_m2p, accel_batch_p2p};
+    use crate::traverse::{accel_kernel, potential_kernel};
     use bhut_geom::Vec3;
     use bhut_simd::{AlignedF64Slab, AlignedU32Slab, PAD_MULTIPLE};
 
@@ -685,19 +686,31 @@ mod tests {
     const SHAPES: [(usize, usize); 8] =
         [(0, 0), (5, 0), (0, 4), (5, 3), (13, 16), (40, 16), (64, 7), (200, 333)];
 
+    /// The logical rows of `s` as `(id, position, mass)`.
+    fn rows(s: &Slabs) -> impl Iterator<Item = (u32, Vec3, f64)> + '_ {
+        (0..s.xs.len()).map(|i| (s.ids[i], Vec3::new(s.xs[i], s.ys[i], s.zs[i]), s.ms[i]))
+    }
+
+    /// The per-target walk's kernels folded over the logical rows of both
+    /// slabs, the near-field row whose id is `target` left out.
+    fn scalar_fold(p: Vec3, target: u32, nodes: &Slabs, parts: &Slabs) -> (Vec3, f64) {
+        let near = rows(parts).filter(|&(id, ..)| id != target);
+        let (mut acc, mut phi) = (Vec3::ZERO, 0.0);
+        for (_, src, m) in rows(nodes).chain(near) {
+            acc += accel_kernel(p, src, m, EPS);
+            phi += potential_kernel(p, src, m, EPS);
+        }
+        (acc, phi)
+    }
+
     #[test]
-    fn member_kernel_matches_the_scalar_batches_within_1e12() {
+    fn member_kernel_matches_a_fold_of_the_scalar_kernels_within_1e12() {
         for (nn, np) in SHAPES {
             let nodes = make_slabs(nn, 11 + nn as u64);
             let parts = make_slabs(np, 23 + np as u64);
             let p = Vec3::new(0.31, 0.07, -0.55);
             let target = if np > 0 { (np / 2) as u32 } else { 0 };
-            let (an, pn) = accel_batch_m2p(p, &nodes.xs, &nodes.ys, &nodes.zs, &nodes.ms, EPS);
-            let (ap, pp) = accel_batch_p2p(
-                p, target, &parts.xs, &parts.ys, &parts.zs, &parts.ms, &parts.ids, EPS,
-            );
-            let acc_ref = an + ap;
-            let phi_ref = pn + pp;
+            let (acc_ref, phi_ref) = scalar_fold(p, target, &nodes, &parts);
             let (ax, ay, az, phi) =
                 member(&Case { p, target, nodes: &nodes, parts: &parts, eps2: EPS * EPS });
             let tol = 1e-12;

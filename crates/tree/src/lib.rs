@@ -34,8 +34,8 @@ pub use bhut_simd::KernelPrecision;
 pub use binary::BinaryTree;
 pub use build::BuildParams;
 pub use group::{
-    accel_batch_m2p, accel_batch_p2p, eval_gathered_targets, eval_group_monopole, gather_group,
-    gather_group_targets, leaf_schedule, InteractionBuffers, QueryTarget,
+    eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule, InteractionBuffers,
+    QueryTarget,
 };
 pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac};
 pub use mac_simd::{NodeBatch, ScalarClassify, MAC_BATCH};

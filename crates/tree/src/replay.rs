@@ -46,11 +46,8 @@
 //!
 //! * a **portable** body — safe code that visits the set bits of a mask and
 //!   nothing else (whole-chunk scalar arithmetic on dead lanes costs more
-//!   than the walk it replaces). It is the reference, the only body under
-//!   `force-scalar` or off x86_64, and — instantiated with the exact
-//!   sqrt-and-divide of [`crate::traverse::accel_kernel`] /
-//!   [`crate::traverse::potential_kernel`] — the body of
-//!   [`KernelPrecision::ScalarF64`];
+//!   than the walk it replaces). It is the reference, and the only body
+//!   under `force-scalar` or off x86_64;
 //! * **AVX2** and **AVX-512** bodies in intrinsics, four and eight lanes per
 //!   chunk, computing only the chunks with a bit set and masking the
 //!   accumulation. Letting LLVM vectorize the portable lane loop inside a
@@ -67,7 +64,7 @@ use crate::mac::Mac;
 use crate::node::{NodeId, Tree};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Particle, Vec3};
-use bhut_simd::{rsqrt_nr_f64, Isa, KernelPrecision, R2_FLOOR_F64};
+use bhut_simd::{rsqrt_nr_f64, Isa, R2_FLOOR_F64};
 
 /// Targets one replay carries: the bits of its lane mask.
 pub const REPLAY_LANES: usize = u32::BITS as usize;
@@ -191,9 +188,8 @@ impl ReplayLanes {
     }
 
     /// Replay the subtrees under `roots` for the seated targets, adding to
-    /// their sums and counters. `precision` picks the arithmetic:
-    /// [`KernelPrecision::ScalarF64`] the exact scalar kernels,
-    /// [`KernelPrecision::F64`] the slab kernels' f64 sequence.
+    /// their sums and counters, in the slab kernels' f64 sequence through
+    /// the body of the dispatched tier.
     pub(crate) fn replay(
         &mut self,
         tree: &Tree,
@@ -201,19 +197,12 @@ impl ReplayLanes {
         roots: &[NodeId],
         mac: &impl Mac,
         eps: f64,
-        precision: KernelPrecision,
     ) {
-        let eps2 = eps * eps;
-        if precision == KernelPrecision::ScalarF64 {
-            // SAFETY: the portable kernel needs no CPU feature.
-            unsafe { run::<_, Portable<Exact>>(self, tree, particles, roots, mac, eps2) }
-        } else {
-            // SAFETY: `isa()` names a tier only after detecting it.
-            unsafe { self.replay_on(bhut_simd::isa(), tree, particles, roots, mac, eps2) }
-        }
+        // SAFETY: `isa()` names a tier only after detecting it.
+        unsafe { self.replay_on(bhut_simd::isa(), tree, particles, roots, mac, eps * eps) }
     }
 
-    /// The slab-arithmetic replay through the body of one tier.
+    /// The replay through the body of one tier.
     ///
     /// # Safety
     /// The CPU must support `tier` (AVX2 and FMA for [`Isa::Avx2`], AVX-512F
@@ -232,7 +221,7 @@ impl ReplayLanes {
             Isa::Avx512 => avx512::replay(self, tree, particles, roots, mac, eps2),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => avx2::replay(self, tree, particles, roots, mac, eps2),
-            _ => run::<_, Portable<Rsqrt>>(self, tree, particles, roots, mac, eps2),
+            _ => run::<_, Portable>(self, tree, particles, roots, mac, eps2),
         }
     }
 }
@@ -329,46 +318,10 @@ unsafe fn run<M: Mac, K: LaneKernel>(
     lanes.frames = frames;
 }
 
-/// One source's weight on one target: `(w, φ term)` from the softened
-/// squared distance and the mass, so that the target gains `d·w` and the
-/// φ term.
-trait PairOp {
-    fn weights(r2: f64, m: f64) -> (f64, f64);
-}
-
-/// The slab kernels' division-free sequence.
-struct Rsqrt;
-
-impl PairOp for Rsqrt {
-    #[inline(always)]
-    fn weights(r2: f64, m: f64) -> (f64, f64) {
-        // The clamp in the `maxpd` convention of `bhut_simd::F64s::max`.
-        let inv = rsqrt_nr_f64(if r2 > R2_FLOOR_F64 { r2 } else { R2_FLOOR_F64 });
-        let im = m * inv;
-        (im * inv * inv, -im)
-    }
-}
-
-/// The per-particle walk's exact kernels ([`crate::traverse::accel_kernel`],
-/// [`crate::traverse::potential_kernel`]).
-struct Exact;
-
-impl PairOp for Exact {
-    #[inline(always)]
-    fn weights(r2: f64, m: f64) -> (f64, f64) {
-        if r2 > 0.0 {
-            let s = r2.sqrt();
-            (m / (r2 * s), -m / s)
-        } else {
-            (0.0, 0.0)
-        }
-    }
-}
-
 /// The safe body: one lane at a time, set bits only.
-struct Portable<Op>(std::marker::PhantomData<Op>);
+struct Portable;
 
-impl<Op: PairOp> Portable<Op> {
+impl Portable {
     /// Lane `l`'s `d = src − p` and `|d|² = (dx² + dy²) + dz²`.
     #[inline(always)]
     fn offset(cols: &Columns, l: usize, src: Vec3) -> ([f64; 3], f64) {
@@ -378,10 +331,14 @@ impl<Op: PairOp> Portable<Op> {
         ([dx, dy, dz], dx * dx + dy * dy + dz * dz)
     }
 
-    /// Lane `l` gains the monopole `m` at offset `d`, `r2 = |d|² + ε²`.
+    /// Lane `l` gains the monopole `m` at offset `d`, `r2 = |d|² + ε²`, in
+    /// the slab kernels' division-free sequence.
     #[inline(always)]
     fn interact(cols: &mut Columns, l: usize, [dx, dy, dz]: [f64; 3], r2: f64, m: f64) {
-        let (w, ph) = Op::weights(r2, m);
+        // The clamp in the `maxpd` convention of `bhut_simd::F64s::max`.
+        let inv = rsqrt_nr_f64(if r2 > R2_FLOOR_F64 { r2 } else { R2_FLOOR_F64 });
+        let im = m * inv;
+        let (w, ph) = (im * inv * inv, -im);
         cols.phi[l] += ph;
         cols.ax[l] += dx * w;
         cols.ay[l] += dy * w;
@@ -390,7 +347,7 @@ impl<Op: PairOp> Portable<Op> {
     }
 }
 
-impl<Op: PairOp> LaneKernel for Portable<Op> {
+impl LaneKernel for Portable {
     #[inline(always)]
     unsafe fn node(
         cols: &mut Columns,
@@ -432,7 +389,7 @@ impl<Op: PairOp> LaneKernel for Portable<Op> {
 }
 
 /// Four lanes per chunk; every operation the correctly rounded counterpart
-/// of [`Portable<Rsqrt>`]'s, in its order.
+/// of [`Portable`]'s, in its order.
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{run, Columns, LaneKernel, LanePoints, ReplayLanes, REPLAY_LANES};
@@ -778,7 +735,7 @@ mod tests {
     };
     use crate::mac::{BarnesHutMac, GroupMac};
     use crate::mac_simd::ScalarClassify;
-    use crate::traverse::{accel_kernel, for_each_interaction_from, potential_kernel, Interaction};
+    use crate::traverse::{for_each_interaction_from, Interaction};
     use bhut_geom::{plummer, Aabb, PlummerSpec};
 
     const EPS: f64 = 1e-4;
@@ -788,8 +745,7 @@ mod tests {
     type Lane = ([u64; 4], TraversalStats);
 
     /// The oracle: the per-target walk from every root in order, folded in
-    /// walk order with the slab kernels' operation sequence written out —
-    /// or, with `exact`, with the per-particle walk's own kernels.
+    /// walk order with the slab kernels' operation sequence written out.
     fn fold_walk(
         tree: &Tree,
         ps: &[Particle],
@@ -797,7 +753,6 @@ mod tests {
         (pos, skip): QueryTarget,
         mac: &impl Mac,
         eps: f64,
-        exact: bool,
     ) -> Lane {
         let skip = (skip != u32::MAX).then_some(skip);
         let (mut acc, mut phi) = (Vec3::ZERO, 0.0f64);
@@ -808,11 +763,6 @@ mod tests {
                     Interaction::Node(id) => (tree.node(id).com, tree.node(id).mass),
                     Interaction::Particle(qi) => (ps[qi as usize].pos, ps[qi as usize].mass),
                 };
-                if exact {
-                    acc += accel_kernel(pos, src, m, eps);
-                    phi += potential_kernel(pos, src, m, eps);
-                    return;
-                }
                 let (dx, dy, dz) = (src.x - pos.x, src.y - pos.y, src.z - pos.z);
                 let r2 = dx * dx + dy * dy + dz * dz + eps * eps;
                 let inv = rsqrt_nr_f64(if r2 > R2_FLOOR_F64 { r2 } else { R2_FLOOR_F64 });
@@ -892,21 +842,18 @@ mod tests {
         ctx: &str,
     ) -> u64 {
         let mut compared = 0;
-        for precision in [KernelPrecision::F64, KernelPrecision::ScalarF64] {
-            let exact = precision == KernelPrecision::ScalarF64;
-            for (c, chunk) in targets.chunks(REPLAY_LANES).enumerate() {
-                let mut lanes = seat(chunk);
-                lanes.replay(tree, ps, roots, mac, EPS, precision);
-                for (l, &target) in chunk.iter().enumerate() {
-                    let want = fold_walk(tree, ps, roots, target, mac, EPS, exact);
-                    assert_eq!(lane(&lanes, l), want, "{ctx}: chunk {c} lane {l} {precision:?}");
-                    compared += want.1.interactions();
-                }
-                // Computed lanes cover the interacting ones.
-                let slots = lanes.take_lane_slots();
-                let useful: u64 = (0..chunk.len()).map(|l| lanes.stats(l).interactions()).sum();
-                assert!(slots >= useful, "{ctx}: {slots} slots for {useful} interactions");
+        for (c, chunk) in targets.chunks(REPLAY_LANES).enumerate() {
+            let mut lanes = seat(chunk);
+            lanes.replay(tree, ps, roots, mac, EPS);
+            for (l, &target) in chunk.iter().enumerate() {
+                let want = fold_walk(tree, ps, roots, target, mac, EPS);
+                assert_eq!(lane(&lanes, l), want, "{ctx}: chunk {c} lane {l}");
+                compared += want.1.interactions();
             }
+            // Computed lanes cover the interacting ones.
+            let slots = lanes.take_lane_slots();
+            let useful: u64 = (0..chunk.len()).map(|l| lanes.stats(l).interactions()).sum();
+            assert!(slots >= useful, "{ctx}: {slots} slots for {useful} interactions");
         }
         compared
     }
@@ -1038,7 +985,7 @@ mod tests {
             Isa::Avx512 => avx512::node(cols, com, m, eps2, live, s2, a2),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => avx2::node(cols, com, m, eps2, live, s2, a2),
-            _ => Portable::<Rsqrt>::node(cols, com, m, eps2, live, s2, a2),
+            _ => Portable::node(cols, com, m, eps2, live, s2, a2),
         }
     }
 
@@ -1059,7 +1006,7 @@ mod tests {
     /// random geometry, live masks from none to all 32, and lanes placed
     /// *on* `side² = α²·d²`, which reject — and leave the lanes what the
     /// unfused step (the scalar tests, then the arithmetic on the accepting
-    /// lanes) leaves, to the bit. The exact-kernel body decides the same.
+    /// lanes) leaves, to the bit.
     #[test]
     fn every_runnable_fused_node_step_decides_every_lane_as_accept_does() {
         let mut rng = Rng(0x51ab);
@@ -1112,8 +1059,8 @@ mod tests {
                 unfused.mac_tests[l] += 1;
                 if mac.accept(&cell, com, p) {
                     want |= 1 << l;
-                    let (d, d2) = Portable::<Rsqrt>::offset(&unfused, l, com);
-                    Portable::<Rsqrt>::interact(&mut unfused, l, d, d2 + eps2, m);
+                    let (d, d2) = Portable::offset(&unfused, l, com);
+                    Portable::interact(&mut unfused, l, d, d2 + eps2, m);
                     unfused.p2n[l] += 1;
                 }
                 if side * side == a2 * com.dist_sq(p) {
@@ -1132,11 +1079,6 @@ mod tests {
                 assert_eq!(got, want, "case {case} {tier:?}: lanes {got:#x} vs {want:#x}");
                 assert_eq!(column_bits(&fused), column_bits(&unfused), "case {case} {tier:?}");
             }
-            let mut fused = cols.clone();
-            // SAFETY: the portable body needs no CPU feature.
-            let got =
-                unsafe { Portable::<Exact>::node(&mut fused, com, m, eps2, live, test.0, test.1) };
-            assert_eq!(got, want, "case {case}: the exact-kernel body");
         }
         assert!(on_threshold > 0, "no lane sat exactly on the acceptance threshold");
         println!("ISA tiers covered (fused α-MAC node step): {:?}", runnable_tiers());
@@ -1158,7 +1100,7 @@ mod tests {
             tree.order[100..131].iter().map(|&pi| (ps[pi as usize].pos, pi)).collect();
         for &pi in &tree.order[40..44] {
             let target = (ps[pi as usize].pos, pi);
-            let want = fold_walk(&tree, ps, &roots, target, &mac, EPS, false);
+            let want = fold_walk(&tree, ps, &roots, target, &mac, EPS);
             for tier in runnable_tiers() {
                 let at = |lane: usize, company: &[QueryTarget]| {
                     let mut targets = company.to_vec();
@@ -1193,8 +1135,7 @@ mod tests {
             let emit = |k: usize, phi: f64, acc: Vec3, it: u64| {
                 rows.push((k, [acc.x, acc.y, acc.z, phi].map(f64::to_bits), it))
             };
-            let st =
-                eval_gathered_targets(&tree, ps, some, &mac, EPS, KernelPrecision::F64, &buf, emit);
+            let st = eval_gathered_targets(&tree, ps, some, &mac, EPS, &buf, emit);
             assert_eq!(st.interactions(), rows.iter().map(|r| r.2).sum::<u64>());
             rows
         };
@@ -1209,7 +1150,7 @@ mod tests {
         // The replay half of every row is the oracle's.
         let lanes = replay_through(bhut_simd::isa(), &tree, ps, &buf.mixed, &targets, &mac, EPS);
         for (k, &target) in targets.iter().enumerate() {
-            assert_eq!(lanes[k], fold_walk(&tree, ps, &buf.mixed, target, &mac, EPS, false));
+            assert_eq!(lanes[k], fold_walk(&tree, ps, &buf.mixed, target, &mac, EPS));
         }
     }
 
@@ -1237,18 +1178,18 @@ mod tests {
             assert!(phi < 0.0 && acc.norm() > 0.0);
             assert_eq!(it, 1);
         };
-        eval_gathered_targets(&tree, ps, &targets, &mac, EPS, KernelPrecision::F64, &buf, emit);
+        eval_gathered_targets(&tree, ps, &targets, &mac, EPS, &buf, emit);
         assert_eq!(rows, 2);
         // No lanes seated: nothing to do, whatever the roots.
         let mut empty = ReplayLanes::new();
-        empty.replay(&tree, ps, &[0], &mac, EPS, KernelPrecision::F64);
+        empty.replay(&tree, ps, &[0], &mac, EPS);
         assert_eq!((empty.len(), empty.take_lane_slots()), (0, 0));
     }
 
     /// ε = 0 and a query point on a particle it does not skip: `r² = 0` is
     /// clamped to the floor, as in the slab kernel — a finite (huge)
     /// potential term, no acceleration, no NaN — and counted as the
-    /// interaction the walk counts. The exact scalar kernels drop the term.
+    /// interaction the walk counts.
     #[test]
     fn unsoftened_point_on_an_unskipped_particle_takes_the_floor() {
         let set = plummer(PlummerSpec { n: 200, seed: 11, ..Default::default() });
@@ -1258,7 +1199,7 @@ mod tests {
         let on = &ps[tree.order[57] as usize];
         let targets = [(on.pos, u32::MAX), (on.pos, on.id)];
         let want: Vec<Lane> =
-            targets.iter().map(|&t| fold_walk(&tree, ps, &[0], t, &mac, 0.0, false)).collect();
+            targets.iter().map(|&t| fold_walk(&tree, ps, &[0], t, &mac, 0.0)).collect();
         let (unskipped, skipped) = (want[0], want[1]);
         assert_eq!(unskipped.1.p2p, skipped.1.p2p + 1, "the coincident particle is an interaction");
         let [ax, ay, az, phi] = unskipped.0.map(f64::from_bits);
@@ -1273,9 +1214,5 @@ mod tests {
                 "{tier:?}"
             );
         }
-        let mut lanes = seat(&targets);
-        lanes.replay(&tree, ps, &[0], &mac, 0.0, KernelPrecision::ScalarF64);
-        assert_eq!(lane(&lanes, 0), fold_walk(&tree, ps, &[0], targets[0], &mac, 0.0, true));
-        assert_eq!(lanes.sums(0), lanes.sums(1), "the exact kernels drop an r² = 0 term");
     }
 }

@@ -15,12 +15,26 @@ use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::{ActiveSet, BlockConfig, TimestepMode};
 use barnes_hut::tree::build::{build, build_in_cell, BuildParams};
 use barnes_hut::tree::group::{
-    eval_gathered_monopole_masked, eval_group_monopole, gather_group, leaf_schedule,
-    InteractionBuffers,
+    eval_gathered_monopole_masked, gather_group, leaf_schedule, InteractionBuffers,
 };
 use barnes_hut::tree::traverse::TraversalStats;
-use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac};
+use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac, NodeId, Tree};
 use proptest::prelude::*;
+
+/// `gather → eval` for every member of `unit` in one call.
+fn eval_unit(
+    tree: &Tree,
+    particles: &[Particle],
+    unit: NodeId,
+    mac: &impl GroupMac,
+    eps: f64,
+    buf: &mut InteractionBuffers,
+    emit: impl FnMut(u32, f64, Vec3, u64),
+) -> TraversalStats {
+    gather_group(tree, particles, unit, mac, buf);
+    let f64s = KernelPrecision::F64;
+    eval_gathered_monopole_masked(tree, particles, unit, mac, eps, f64s, buf, None, emit)
+}
 
 fn arb_particles(max_n: usize) -> impl Strategy<Value = ParticleSet> {
     proptest::collection::vec((0.0f64..100.0, 0.0f64..100.0, 0.0f64..100.0, 0.1f64..2.0), 2..max_n)
@@ -281,7 +295,7 @@ proptest! {
         let mut buf = InteractionBuffers::new();
         let mut grouped = TraversalStats::default();
         for leaf in leaf_schedule(&tree) {
-            let st = eval_group_monopole(
+            let st = eval_unit(
                 &tree, &set.particles, leaf, &mac, eps, &mut buf,
                 |pi, phi, acc, _| {
                     let p = &set.particles[pi as usize];
@@ -308,12 +322,11 @@ proptest! {
         prop_assert_eq!(grouped, reference);
     }
 
-    /// The vectorised f64 kernels agree with the scalar grouped path to
-    /// ≤1e-12 relative across every kernel entry point — split, masked, and
-    /// with the mixed frontier replayed — with exact interaction counts
-    /// throughout.
-    /// (The fused entry point is the split pair by construction; see
-    /// `grouped_walk_is_exact_for_random_sets` above.)
+    /// The vectorised f64 pipeline agrees with the scalar per-target walk
+    /// (`accel_on` / `potential_at`) to ≤1e-12 relative on every member —
+    /// full and masked, with the mixed frontier replayed — with exact
+    /// interaction counts throughout, and a masked member reads the bits of
+    /// the full run.
     #[test]
     fn simd_f64_kernels_match_scalar_grouped_path(
         set in arb_particles(150),
@@ -329,38 +342,36 @@ proptest! {
         let tol = 1e-12;
         for leaf in leaf_schedule(&tree) {
             gather_group(&tree, &set.particles, leaf, &mac, &mut buf);
-            let run = |precision: KernelPrecision,
-                       active: Option<&[bool]>,
-                       buf: &InteractionBuffers| {
+            let run = |active: Option<&[bool]>| {
                 let mut out: Vec<(u32, f64, Vec3, u64)> = Vec::new();
                 eval_gathered_monopole_masked(
-                    &tree, &set.particles, leaf, &mac, eps, precision, buf, active,
+                    &tree, &set.particles, leaf, &mac, eps, KernelPrecision::F64, &buf, active,
                     |pi, phi, acc, it| out.push((pi, phi, acc, it)),
                 );
                 out
             };
-            // Full and masked: each must put the SIMD kernels within 1e-12
-            // relative of the scalar grouped loop.
-            let compare = |active: Option<&[bool]>| {
-                let scalar = run(KernelPrecision::ScalarF64, active, &buf);
-                let simd = run(KernelPrecision::F64, active, &buf);
-                prop_assert_eq!(scalar.len(), simd.len());
-                for (a, b) in scalar.iter().zip(&simd) {
-                    prop_assert_eq!(a.0, b.0);
-                    prop_assert_eq!(a.3, b.3, "interaction counts are precision-independent");
-                    prop_assert!(
-                        (a.1 - b.1).abs() <= tol * a.1.abs().max(1.0),
-                        "phi {} vs scalar {}", b.1, a.1,
-                    );
-                    prop_assert!(
-                        a.2.dist(b.2) <= tol * a.2.norm().max(1.0),
-                        "acc {:?} vs scalar {:?}", b.2, a.2,
-                    );
-                }
-                Ok(())
-            };
-            compare(None)?;
-            compare(Some(mask.as_slice()))?;
+            let full = run(None);
+            for &(pi, phi, acc, it) in &full {
+                let p = &set.particles[pi as usize];
+                let (phi_ref, st) = barnes_hut::tree::potential_at(
+                    &tree, &set.particles, p.pos, Some(p.id), &mac, eps,
+                );
+                let (acc_ref, _) = barnes_hut::tree::accel_on(
+                    &tree, &set.particles, p.pos, Some(p.id), &mac, eps,
+                );
+                prop_assert_eq!(it, st.interactions(), "particle {}", pi);
+                prop_assert!(
+                    (phi - phi_ref).abs() <= tol * phi_ref.abs().max(1.0),
+                    "phi {} vs walk {}", phi, phi_ref,
+                );
+                prop_assert!(
+                    acc.dist(acc_ref) <= tol * acc_ref.norm().max(1.0),
+                    "acc {:?} vs walk {:?}", acc, acc_ref,
+                );
+            }
+            let masked = run(Some(mask.as_slice()));
+            let active: Vec<_> = full.iter().filter(|r| mask[r.0 as usize]).copied().collect();
+            prop_assert_eq!(masked, active);
         }
     }
 }
@@ -400,7 +411,7 @@ fn grouped_walks_match_per_particle_on_benchmark_distributions() {
             let mut grouped = TraversalStats::default();
             let mut covered = 0usize;
             for leaf in leaf_schedule(&tree) {
-                let st = eval_group_monopole(
+                let st = eval_unit(
                     &tree,
                     &set.particles,
                     leaf,

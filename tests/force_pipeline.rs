@@ -4,12 +4,11 @@
 //! tree that sweep froze with the particles moved on since, and a served
 //! field query at particle positions. Values agree to 1e-12 relative;
 //! interaction counts exactly.
-//! A second case drives the two sweeps that leave the default arithmetic:
+//! A second case drives both paths of the executor through one harness:
 //! degree 2 (which walks per target) bitwise against `MultipoleTree::eval`,
-//! and `ScalarF64` (the exact scalar kernels, in the slabs and the
-//! mixed-frontier replay alike) against the walk. A degree-k case holds
-//! k ∈ {2, 3} to `MultipoleTree::eval` bit for bit over two distributions,
-//! two α, one and two threads, full and masked.
+//! and the monopole's group sweep against the per-target walk. A degree-k
+//! case holds k ∈ {2, 3} to `MultipoleTree::eval` bit for bit over two
+//! distributions, two α, one and two threads, full and masked.
 //! A third picks the walk units whose members split between the shared
 //! near-field slab and a mixed root, where self-exclusion is per member.
 //! A fourth holds the executor's sweep — which gathers each unit through the
@@ -140,7 +139,7 @@ fn sweep_equals(
 }
 
 #[test]
-fn degree_two_and_scalar_f64_sweeps_equal_their_per_particle_walks() {
+fn degree_two_and_monopole_sweeps_equal_their_per_target_walks() {
     let set = plummer(PlummerSpec { n: 600, seed: 9, ..Default::default() });
     let ps = &set.particles;
 
@@ -152,9 +151,8 @@ fn degree_two_and_scalar_f64_sweeps_equal_their_per_particle_walks() {
         (acc, phi, st.interactions())
     });
 
-    let cfg =
-        ThreadConfig { threads: 2, precision: KernelPrecision::ScalarF64, ..Default::default() };
-    sweep_equals("ScalarF64", cfg, assert_close, ps, |tree, p| walk(tree, ps, p, &cfg));
+    let cfg = ThreadConfig { threads: 2, ..Default::default() };
+    sweep_equals("monopole", cfg, assert_close, ps, |tree, p| walk(tree, ps, p, &cfg));
 }
 
 /// Degree k > 0 takes one path through the executor, the per-target walk:

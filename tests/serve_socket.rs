@@ -1,9 +1,9 @@
 //! The query server's Unix-socket path, in one process: a `Server` bound on
 //! a published epoch answers an `F64` `ServeClient` query with exactly the
 //! bits `FieldQuery::eval` computes in process, refuses raw query frames
-//! carrying the retired precision byte 2 or a non-finite coordinate with a
-//! `TAG_ERROR` that echoes the request's id, keeps answering on that same
-//! connection, and drains to an empty queue on `stop()`.
+//! carrying a retired precision byte (0 or 2) or a non-finite coordinate
+//! with a `TAG_ERROR` that echoes the request's id, keeps answering on that
+//! same connection, and drains to an empty queue on `stop()`.
 
 use std::os::unix::net::UnixStream;
 use std::sync::Arc;
@@ -58,7 +58,8 @@ fn socket_queries_are_the_in_process_eval_and_the_retired_precision_is_refused()
     assert_eq!(reply.generation, epoch.generation);
     assert_bitwise(&reply.samples, &want, "client");
 
-    // 2. A raw frame with precision byte 2 gets an error carrying its id.
+    // 2. A raw frame with precision byte 2 (`mixed_f32`) or 0
+    // (`scalar_f64`) gets an error carrying its id.
     let mut raw = UnixStream::connect(&path).unwrap();
     let request = |id| QueryRequest {
         id,
@@ -66,14 +67,17 @@ fn socket_queries_are_the_in_process_eval_and_the_retired_precision_is_refused()
         precision: KernelPrecision::F64,
         points: targets.clone(),
     };
-    let mut retired = encode_query(&request(0xabc_def));
-    retired[9] = 2;
-    write_frame(&mut raw, TAG_QUERY, &retired).unwrap();
-    let (tag, body) = read_frame(&mut raw).unwrap();
-    assert_eq!(tag, TAG_ERROR, "precision byte 2 is refused");
-    let (id, msg) = decode_error(&body).unwrap();
-    assert_eq!(id, 0xabc_def, "the error frame echoes the request id");
-    assert!(msg.contains("mixed_f32"), "the error names the retired mode: {msg}");
+    for (id, byte, name) in [(0xabc_def, 2, "mixed_f32"), (0xabc_df0, 0, "scalar_f64")] {
+        let mut retired = encode_query(&request(id));
+        retired[9] = byte;
+        write_frame(&mut raw, TAG_QUERY, &retired).unwrap();
+        let (tag, body) = read_frame(&mut raw).unwrap();
+        assert_eq!(tag, TAG_ERROR, "precision byte {byte} is refused");
+        let (echoed, msg) = decode_error(&body).unwrap();
+        assert_eq!(echoed, id, "the error frame echoes the request id");
+        assert!(msg.contains(name), "the error names the retired mode: {msg}");
+        assert!(msg.contains("send 1 (f64)"), "the error names the mode to send: {msg}");
+    }
 
     // 2b. So does a raw frame with a NaN coordinate, and one with an
     // infinite one, among finite points.
