@@ -1,8 +1,8 @@
 //! Ablations of the design choices DESIGN.md calls out: bin size, leaf
-//! capacity `s`, SPDA's ordering curve, tree-merge style, and interconnect
-//! topology. Each measures *simulated machine time* (the quantity the paper
-//! reports), using the wall-clock of the deterministic simulation only as
-//! the benchmark driver.
+//! capacity `s`, SPDA's ordering curve, and interconnect topology. Each
+//! measures *simulated machine time* (the quantity the paper reports), using
+//! the wall-clock of the deterministic simulation only as the benchmark
+//! driver.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -14,8 +14,8 @@ use bhut_core::partition::Partition;
 use bhut_core::{ParallelSim, SimConfig};
 use bhut_geom::{dataset_scaled, ParticleSet};
 use bhut_machine::{CostModel, Crossbar, FatTree, Hypercube, Machine, Mesh2D, Topology};
-use bhut_tree::build::{build, build_in_cell, BuildParams};
-use bhut_tree::{BarnesHutMac, BinaryTree, Tree};
+use bhut_tree::build::{build_in_cell, BuildParams};
+use bhut_tree::{BarnesHutMac, Tree};
 
 fn setup(n_scale: f64) -> (ParticleSet, Tree, ClusterGrid) {
     let set = dataset_scaled("g_160535", n_scale);
@@ -123,46 +123,9 @@ fn bench_topology(c: &mut Criterion) {
     g.finish();
 }
 
-/// Oct-tree vs median-split binary tree ([18], §2): build cost and node
-/// counts at equal leaf capacity.
-fn bench_tree_variants(c: &mut Criterion) {
-    let set = dataset_scaled("p_63192", 0.2);
-    let mut g = c.benchmark_group("tree_variant");
-    g.bench_function("oct_tree_build", |b| {
-        b.iter(|| build(&set.particles, BuildParams::with_leaf_capacity(8)).len())
-    });
-    g.bench_function("binary_tree_build", |b| {
-        b.iter(|| BinaryTree::build(&set.particles, 8).len())
-    });
-    let mac = BarnesHutMac::new(0.67);
-    let oct = build(&set.particles, BuildParams::with_leaf_capacity(8));
-    let bin = BinaryTree::build(&set.particles, 8);
-    g.bench_function("oct_tree_eval_100", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for p in set.particles.iter().take(100) {
-                acc +=
-                    bhut_tree::potential_at(&oct, &set.particles, p.pos, Some(p.id), &mac, 1e-4).0;
-            }
-            acc
-        })
-    });
-    g.bench_function("binary_tree_eval_100", |b| {
-        b.iter(|| {
-            let mut acc = 0.0;
-            for p in set.particles.iter().take(100) {
-                acc += bin.eval(&set.particles, p.pos, Some(p.id), &mac, 1e-4).0;
-            }
-            acc
-        })
-    });
-    g.finish();
-}
-
 criterion_group!(
     name = ablations;
     config = Criterion::default().sample_size(10);
-    targets = bench_bin_size, bench_leaf_capacity, bench_ordering, bench_topology,
-        bench_tree_variants
+    targets = bench_bin_size, bench_leaf_capacity, bench_ordering, bench_topology
 );
 criterion_main!(ablations);

@@ -20,7 +20,7 @@ use crate::partition::{particle_weights_from_node_loads, Partition};
 use bhut_geom::{Particle, Vec3};
 use bhut_machine::topology::Collective;
 use bhut_machine::{Collectives, Machine, Topology};
-use bhut_multipole::{interaction_flops, MultipoleTree, MAC_FLOPS};
+use bhut_multipole::{MultipoleTree, MAC_FLOPS};
 use bhut_obs::{phase as obs_phase, Counters, Span, StepProfile};
 use bhut_tree::build::{build_in_cell, BuildParams};
 use bhut_tree::BarnesHutMac;
@@ -428,12 +428,6 @@ impl<T: Topology> ParallelSim<T> {
             moved_particles,
             profile,
         }
-    }
-
-    /// Modeled flops of one particle–cluster interaction at this config's
-    /// degree (for reporting).
-    pub fn flops_per_interaction(&self) -> u64 {
-        interaction_flops(self.config.degree)
     }
 }
 

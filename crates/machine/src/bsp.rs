@@ -17,7 +17,6 @@
 use crate::cost::CostModel;
 use crate::stats::RunReport;
 use crate::topology::Topology;
-use crate::trace::{Span, Trace};
 
 /// A message in flight.
 #[derive(Debug, Clone)]
@@ -77,12 +76,6 @@ impl<M> Ctx<'_, M> {
         self.clock += self.cost.compute_time(flops);
     }
 
-    /// Charge raw seconds of local work (non-flop overheads).
-    pub fn charge_time(&mut self, seconds: f64) {
-        debug_assert!(seconds >= 0.0);
-        self.clock += seconds;
-    }
-
     /// Queue a message of `words` payload words to `dst`; it is delivered
     /// next superstep. The sender is busy for `t_s + words·t_w`; the message
     /// is stamped with the sender's clock *at the send*, so work done later
@@ -139,24 +132,7 @@ impl<T: Topology> Machine<T> {
 
     /// [`Machine::run`], but hands the (mutated) programs back so callers
     /// can harvest per-processor results.
-    pub fn run_programs<P: Program>(&self, programs: Vec<P>) -> (RunReport, Vec<P>) {
-        let (report, programs, _) = self.run_inner(programs, false);
-        (report, programs)
-    }
-
-    /// [`Machine::run_programs`] plus a [`Trace`] of per-processor busy
-    /// spans for Gantt-style visualization.
-    pub fn run_traced<P: Program>(&self, programs: Vec<P>) -> (RunReport, Vec<P>, Trace) {
-        let (report, programs, trace) = self.run_inner(programs, true);
-        (report, programs, trace.expect("tracing requested"))
-    }
-
-    fn run_inner<P: Program>(
-        &self,
-        mut programs: Vec<P>,
-        traced: bool,
-    ) -> (RunReport, Vec<P>, Option<Trace>) {
-        let mut trace = traced.then(Trace::default);
+    pub fn run_programs<P: Program>(&self, mut programs: Vec<P>) -> (RunReport, Vec<P>) {
         let p = self.topo.p();
         assert_eq!(programs.len(), p, "need one program per processor");
 
@@ -207,7 +183,6 @@ impl<T: Topology> Machine<T> {
                 let inbox: Vec<Envelope<P::Msg>> =
                     inbox_raw.into_iter().map(|(_, _, _, e)| e).collect();
 
-                let step_start = clocks[rank];
                 let mut ctx = Ctx {
                     rank,
                     p,
@@ -226,16 +201,6 @@ impl<T: Topology> Machine<T> {
                 total_words += ctx.sent_words;
                 total_msgs += ctx.sent_msgs;
                 let send_times = std::mem::take(&mut ctx.send_times);
-                if let Some(trace) = trace.as_mut() {
-                    trace.record(Span {
-                        rank,
-                        superstep: supersteps,
-                        start: step_start,
-                        end: clocks[rank],
-                        sent: ctx.sent_msgs,
-                        phase: String::new(),
-                    });
-                }
                 status[rank] = st;
                 progressed = true;
 
@@ -264,7 +229,7 @@ impl<T: Topology> Machine<T> {
 
         let report =
             RunReport { clocks, flops, messages: total_msgs, words: total_words, supersteps };
-        (report, programs, trace)
+        (report, programs)
     }
 }
 

@@ -36,7 +36,6 @@ pub mod cost;
 pub mod phases;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 
 pub use bsp::{Ctx, Envelope, Machine, Program, Status};
 pub use collectives::Collectives;
@@ -44,4 +43,3 @@ pub use cost::CostModel;
 pub use phases::PhaseShares;
 pub use stats::RunReport;
 pub use topology::{Crossbar, FatTree, Hypercube, Mesh2D, Topology};
-pub use trace::{Span, Trace};

@@ -21,13 +21,11 @@
 
 pub mod expansion;
 pub mod flops;
-pub mod local;
 pub mod multiindex;
 pub mod taylor;
 pub mod tree_ext;
 
 pub use expansion::{Expansion, MAX_DEGREE};
 pub use flops::{interaction_flops, series_words_3d, MAC_FLOPS};
-pub use local::LocalExpansion;
 pub use multiindex::MultiIndexSet;
 pub use tree_ext::MultipoleTree;

@@ -5,9 +5,9 @@
 //! repo needs the same lens on its *real* execution path, not just the
 //! virtual-clock `machine` simulator. This crate provides:
 //!
-//! * [`Span`] — the **one** span schema shared by simulated traces
-//!   (`bhut_machine::Trace` re-uses this type) and wall-clock profiles, so
-//!   both plot on a single Gantt chart,
+//! * [`Span`] — the **one** span schema shared by the simulated machine's
+//!   phases (which `bhut_core`'s driver records in virtual seconds) and
+//!   wall-clock profiles, so both plot on a single Gantt chart,
 //! * [`Counters`] — work counters (interactions, nodes opened, group
 //!   accept/reject/mixed classifications, P2P vs. M2P work, message
 //!   traffic), one per worker, merged after the join,
@@ -138,11 +138,6 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Total faults injected, of any kind.
-    pub fn faults_injected(&self) -> u64 {
-        self.kills + self.wedges + self.delays + self.drops
-    }
-
     pub fn merge(&mut self, o: &FaultCounters) {
         self.kills += o.kills;
         self.wedges += o.wedges;
@@ -157,9 +152,9 @@ impl FaultCounters {
 
 /// One busy interval of one worker (real thread or virtual processor).
 ///
-/// This is the single span schema of the workspace:
-/// `bhut_machine::trace::Span` is a re-export of this type, so a simulated
-/// trace and a real [`StepProfile`] serialize to the same JSON shape.
+/// This is the single span schema of the workspace: the simulated machine's
+/// phases and the real executor's both record it into a [`StepProfile`], so
+/// they serialize to the same JSON shape.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Span {
     /// Thread index (real path) or processor rank (simulated path).

@@ -69,11 +69,6 @@ impl BlockStepper {
         &self.rungs
     }
 
-    /// Whether the initial full force evaluation has happened.
-    pub fn is_primed(&self) -> bool {
-        self.primed
-    }
-
     /// Adopt rung state from a snapshot: the first big step keeps these
     /// rungs instead of reassigning from the priming accelerations, so a
     /// restart resumes the hierarchy mid-flight. Rungs are clamped to

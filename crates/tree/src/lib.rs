@@ -16,10 +16,7 @@
 //! * [`traverse`] — force/potential evaluation with per-node interaction
 //!   counting (the unit of load for the paper's balancing schemes, §3.3).
 //! * [`direct`] — exact `O(n²)` summation.
-//! * [`binary`] — the median-split binary treecode variant §2 cites
-//!   (fewer nodes, controlled aspect ratios).
 
-pub mod binary;
 pub mod build;
 pub mod direct;
 pub mod group;
@@ -31,7 +28,6 @@ pub mod replay;
 pub mod traverse;
 
 pub use bhut_simd::KernelPrecision;
-pub use binary::BinaryTree;
 pub use build::BuildParams;
 pub use group::{
     eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule, InteractionBuffers,

@@ -237,6 +237,7 @@ impl Backoff {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// A writer that accepts at most `chunk` bytes per call and a reader
     /// that returns at most `chunk` bytes per call — the pathological
@@ -394,5 +395,123 @@ mod tests {
         b4.reset();
         let d = b4.next_delay(far);
         assert!(d <= base, "post-reset delay {d:?} above base {base:?}");
+    }
+
+    /// A decoder answers `bytes` without panicking: `Ok` exactly when the
+    /// length is a whole number of `record`s, and an `Ok` re-encodes to the
+    /// same bytes (the encodings are bit patterns, NaNs included).
+    fn check_decoder<T>(
+        bytes: &[u8],
+        record: usize,
+        decode: fn(&[u8]) -> Result<Vec<T>, String>,
+        encode: fn(&[T]) -> Vec<u8>,
+    ) -> Result<(), TestCaseError> {
+        let decoded = decode(bytes);
+        prop_assert_eq!(decoded.is_ok(), bytes.len().is_multiple_of(record));
+        if let Ok(v) = decoded {
+            prop_assert_eq!(encode(&v), bytes.to_vec());
+        }
+        Ok(())
+    }
+
+    fn check_decoders(bytes: &[u8]) -> Result<(), TestCaseError> {
+        check_decoder(bytes, PARTICLE_BYTES, decode_particles, encode_particles)?;
+        check_decoder(bytes, FORCE_BYTES, decode_forces, encode_forces)?;
+        check_decoder(bytes, 12, decode_weights, encode_weights)?;
+        check_decoder(bytes, 8, decode_f64s, encode_f64s)
+    }
+
+    /// One step of a 64-bit LCG: the bit patterns of the valid encodings.
+    fn lcg(s: &mut u64) -> u64 {
+        *s = s.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *s
+    }
+
+    /// A valid encoding of each payload kind, `count` records drawn from
+    /// `seed` over the whole bit space (NaNs and infinities included).
+    fn valid_encodings(seed: u64, count: usize) -> [Vec<u8>; 4] {
+        let mut s = seed;
+        let x: Vec<f64> = (0..7 * count).map(|_| f64::from_bits(lcg(&mut s))).collect();
+        let v = |c: &[f64]| Vec3::new(c[0], c[1], c[2]);
+        let records = || x.chunks_exact(7).zip(0u32..);
+        let particles: Vec<Particle> =
+            records().map(|(c, i)| Particle::new(i, c[0], v(&c[1..]), v(&c[4..]))).collect();
+        let forces: Vec<(u32, Vec3, f64)> = records().map(|(c, i)| (!i, v(c), c[3])).collect();
+        let weights: Vec<(u32, u64)> = records().map(|(c, i)| (i, c[6].to_bits())).collect();
+        [
+            encode_particles(&particles),
+            encode_forces(&forces),
+            encode_weights(&weights),
+            encode_f64s(&x[..count]),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn decoders_answer_arbitrary_bytes(bytes in prop::collection::vec(0u8..=255, 0..256)) {
+            check_decoders(&bytes)?;
+        }
+
+        /// A valid encoding with one byte overwritten still decodes (every
+        /// bit pattern is a value) and re-encodes to itself; with one byte
+        /// removed it is no longer whole records, and is refused.
+        #[test]
+        fn single_byte_mutations_of_valid_encodings_are_answered(
+            seed: u64,
+            count in 1usize..5,
+            at: usize,
+            byte: u8,
+        ) {
+            for good in valid_encodings(seed, count) {
+                check_decoders(&good)?;
+                let at = at % good.len();
+                let mut bad = good.clone();
+                bad[at] = byte;
+                check_decoders(&bad)?;
+                bad.remove(at);
+                check_decoders(&bad)?;
+            }
+        }
+
+        /// A frame read over arbitrary bytes is `Ok` or `Err`, never a
+        /// panic, and `Ok` exactly when the header and all the payload it
+        /// announces are there. `short` shrinks the length prefix so that
+        /// whole frames occur.
+        #[test]
+        fn read_frame_answers_arbitrary_bytes(
+            bytes in prop::collection::vec(0u8..=255, 0..80),
+            short: bool,
+        ) {
+            let mut bytes = bytes;
+            if short && bytes.len() >= 6 {
+                let len = u32::from(bytes[2] % 80);
+                bytes[2..6].copy_from_slice(&len.to_le_bytes());
+            }
+            let whole = bytes.len() >= 6 && bytes.len() - 6 >= get_u32(&bytes, 2) as usize;
+            let frame = read_frame(&mut std::io::Cursor::new(&bytes));
+            prop_assert_eq!(frame.is_ok(), whole);
+            if let Ok((tag, payload)) = frame {
+                prop_assert_eq!(tag, u16::from_le_bytes([bytes[0], bytes[1]]));
+                prop_assert_eq!(&payload[..], &bytes[6..6 + payload.len()]);
+                prop_assert_eq!(payload.len(), get_u32(&bytes, 2) as usize);
+            }
+        }
+
+        /// A length prefix over [`MAX_FRAME`] is refused as corruption
+        /// before anything is allocated for it, whatever follows.
+        #[test]
+        fn read_frame_refuses_any_length_over_the_cap(
+            tag: u16,
+            len in MAX_FRAME + 1..=u32::MAX,
+            tail in prop::collection::vec(0u8..=255, 0..32),
+        ) {
+            let mut bytes = tag.to_le_bytes().to_vec();
+            bytes.extend(len.to_le_bytes());
+            bytes.extend(tail);
+            let err = read_frame(&mut std::io::Cursor::new(&bytes)).unwrap_err();
+            prop_assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        }
     }
 }

@@ -57,14 +57,49 @@ fn get<T: std::str::FromStr>(flags: &HashMap<String, String>, key: &str, default
     }
 }
 
+/// Refuse `--key v`, naming the bound it breaks, with the usage.
+fn out_of_range(key: &str, v: impl std::fmt::Display, bound: &str) -> ! {
+    eprintln!("--{key} {v} is out of range: it must be {bound}");
+    usage()
+}
+
+/// [`get`], refused unless `ok` holds; `bound` says what `ok` asks. A bad
+/// value is named where it is parsed, not in a panic deep in a run.
+fn get_in<T: std::str::FromStr + std::fmt::Display>(
+    flags: &HashMap<String, String>,
+    key: &str,
+    default: T,
+    bound: &str,
+    ok: impl Fn(&T) -> bool,
+) -> T {
+    let v = get(flags, key, default);
+    if !ok(&v) {
+        out_of_range(key, v, bound);
+    }
+    v
+}
+
+fn finite_positive(x: &f64) -> bool {
+    x.is_finite() && *x > 0.0
+}
+
 /// `--degree`, refused past the largest degree an expansion evaluates at.
 fn degree(flags: &HashMap<String, String>) -> u32 {
-    let degree = get(flags, "degree", 0);
-    if degree > MAX_DEGREE {
-        eprintln!("--degree {degree} exceeds the largest multipole degree, {MAX_DEGREE}");
-        usage();
-    }
-    degree
+    let bound = format!("at most {MAX_DEGREE}, the largest multipole degree");
+    get_in(flags, "degree", 0, &bound, |&k| k <= MAX_DEGREE)
+}
+
+fn alpha(flags: &HashMap<String, String>) -> f64 {
+    get_in(flags, "alpha", 0.67, "finite and positive", finite_positive)
+}
+
+fn eps(flags: &HashMap<String, String>, default: f64) -> f64 {
+    get_in(flags, "eps", default, "finite and non-negative", |e| e.is_finite() && *e >= 0.0)
+}
+
+fn threads(flags: &HashMap<String, String>) -> usize {
+    let default = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+    get_in(flags, "threads", default, "at least 1", |&t| t > 0)
 }
 
 fn load(flags: &HashMap<String, String>) -> (String, barnes_hut::geom::ParticleSet) {
@@ -74,7 +109,7 @@ fn load(flags: &HashMap<String, String>) -> (String, barnes_hut::geom::ParticleS
         eprintln!("unknown --dataset {name:?}; valid names: {}", names.join(", "));
         usage();
     }
-    let scale: f64 = get(flags, "scale", 1.0);
+    let scale = get_in(flags, "scale", 1.0, "in (0, 1]", |&s| s > 0.0 && s <= 1.0);
     (name.clone(), dataset_scaled(&name, scale))
 }
 
@@ -86,22 +121,17 @@ fn cmd_datasets() {
 }
 
 fn cmd_simulate(flags: HashMap<String, String>) {
-    let degree = degree(&flags);
-    let (name, set) = load(&flags);
     let steps: usize = get(&flags, "steps", 100);
     let cfg = SimulationConfig {
-        dt: get(&flags, "dt", 1e-3),
-        alpha: get(&flags, "alpha", 0.67),
-        degree,
-        eps: get(&flags, "eps", 1e-2),
-        threads: get(
-            &flags,
-            "threads",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        ),
+        dt: get_in(&flags, "dt", 1e-3, "finite and positive", finite_positive),
+        alpha: alpha(&flags),
+        degree: degree(&flags),
+        eps: eps(&flags, 1e-2),
+        threads: threads(&flags),
         diag_every: get(&flags, "diag-every", 0),
         ..Default::default()
     };
+    let (name, set) = load(&flags);
     println!("simulating {name}: {} particles, {steps} steps at dt = {}", set.len(), cfg.dt);
     let diag = cfg.diag_every > 0;
     let e0 = diag.then(|| EnergyReport::measure(&set, cfg.eps));
@@ -126,19 +156,14 @@ fn cmd_simulate(flags: HashMap<String, String>) {
 }
 
 fn cmd_forces(flags: HashMap<String, String>) {
-    let degree = degree(&flags);
-    let (name, set) = load(&flags);
     let mut sim = ThreadSim::new(ThreadConfig {
-        threads: get(
-            &flags,
-            "threads",
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        ),
-        alpha: get(&flags, "alpha", 0.67),
-        degree,
-        eps: get(&flags, "eps", 1e-4),
+        threads: threads(&flags),
+        alpha: alpha(&flags),
+        degree: degree(&flags),
+        eps: eps(&flags, 1e-4),
         ..Default::default()
     });
+    let (name, set) = load(&flags);
     let t0 = std::time::Instant::now();
     let out = sim.compute_forces(&set.particles);
     println!(
@@ -170,13 +195,26 @@ fn cmd_forces(flags: HashMap<String, String>) {
 }
 
 fn cmd_schemes(flags: HashMap<String, String>) {
+    // Each processor count is a hypercube's.
+    let ps: Vec<usize> = match flags.get("p") {
+        Some(list) => list
+            .split(',')
+            .map(|v| {
+                let p: usize = v.parse().unwrap_or_else(|_| {
+                    eprintln!("bad value for --p: {v:?}");
+                    usage()
+                });
+                if !p.is_power_of_two() {
+                    out_of_range("p", p, "a power of two");
+                }
+                p
+            })
+            .collect(),
+        None => vec![16, 64],
+    };
+    let clusters: u32 = get_in(&flags, "clusters", 32, "a power of two", |c| c.is_power_of_two());
+    let alpha = alpha(&flags);
     let (name, set) = load(&flags);
-    let ps: Vec<usize> = flags
-        .get("p")
-        .map(|v| v.split(',').map(|s| s.parse().expect("bad p")).collect())
-        .unwrap_or_else(|| vec![16, 64]);
-    let clusters: u32 = get(&flags, "clusters", 32);
-    let alpha: f64 = get(&flags, "alpha", 0.67);
     println!(
         "{name}: {} particles on a simulated nCUBE2 (clusters {clusters}x{clusters}, alpha {alpha})\n",
         set.len()

@@ -11,8 +11,6 @@
 //! * [`machine`] — the simulated message-passing multicomputer (S5)
 //! * [`core`] — SPSA / SPDA / DPDA parallel formulations (S6, the paper's
 //!   contribution)
-//! * [`fmm`] — the fast-multipole extension of §2/§6 (dual traversal,
-//!   M2L/L2L/L2P)
 //! * [`threads`] — a real shared-memory parallel executor (S7)
 //! * [`sim`] — time integration and diagnostics (S8)
 //! * [`obs`] — phase-level spans, work counters and step profiles shared by
@@ -23,7 +21,6 @@
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment map.
 
 pub use bhut_core as core;
-pub use bhut_fmm as fmm;
 pub use bhut_geom as geom;
 pub use bhut_machine as machine;
 pub use bhut_morton as morton;

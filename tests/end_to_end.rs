@@ -132,19 +132,43 @@ fn cli_rejects_an_unknown_dataset_with_usage() {
     }
 }
 
-/// A `--degree` past the largest one an expansion evaluates at is a usage
-/// error naming the limit, not a panic at the first force evaluation.
+/// An out-of-range flag value is a usage error naming the flag and its
+/// bound, refused where the flags are parsed — not a panic in the library
+/// (`--threads 0`, `--alpha 0`, `--scale 2`, `--clusters 3`, `--p 0`,
+/// `--degree 20`, `--eps nan`) nor a run that finishes at `t = NaN`
+/// (`--dt nan`).
 #[test]
-fn cli_rejects_a_degree_past_the_bound_with_usage() {
-    let max = barnes_hut::multipole::MAX_DEGREE;
-    for cmd in ["forces", "simulate"] {
+fn cli_rejects_out_of_range_flags_with_usage() {
+    let past_max = (barnes_hut::multipole::MAX_DEGREE + 1).to_string();
+    let max_bound = format!("at most {}", barnes_hut::multipole::MAX_DEGREE);
+    let cases: [(&str, &str, &str, &str); 15] = [
+        ("forces", "threads", "0", "at least 1"),
+        ("simulate", "threads", "0", "at least 1"),
+        ("forces", "alpha", "-1", "finite and positive"),
+        ("forces", "alpha", "0", "finite and positive"),
+        ("forces", "alpha", "nan", "finite and positive"),
+        ("schemes", "alpha", "0", "finite and positive"),
+        ("forces", "scale", "0", "in (0, 1]"),
+        ("forces", "scale", "2", "in (0, 1]"),
+        ("schemes", "clusters", "3", "a power of two"),
+        ("schemes", "p", "0", "a power of two"),
+        ("simulate", "dt", "nan", "finite and positive"),
+        ("simulate", "eps", "nan", "finite and non-negative"),
+        ("forces", "eps", "-1", "finite and non-negative"),
+        ("forces", "degree", &past_max, &max_bound),
+        ("simulate", "degree", &past_max, &max_bound),
+    ];
+    for (cmd, flag, value, bound) in cases {
         let out = std::process::Command::new(env!("CARGO_BIN_EXE_bhut"))
-            .args([cmd, "--dataset", "p_5000", "--degree", &(max + 1).to_string()])
+            .args([cmd, "--dataset", "p_5000", &format!("--{flag}"), value])
             .output()
             .expect("run bhut");
-        assert_eq!(out.status.code(), Some(2), "bhut {cmd}");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert!(stderr.contains(&format!("largest multipole degree, {max}")), "{stderr}");
-        assert!(stderr.contains("usage:"), "{stderr}");
+        let case = format!("bhut {cmd} --{flag} {value}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{case}");
+        assert!(!stderr.contains("panicked"), "{case}");
+        assert!(stderr.contains(&format!("--{flag} ")), "{case}");
+        assert!(stderr.contains(&format!("must be {bound}")), "{case}");
+        assert!(stderr.contains("usage:"), "{case}");
     }
 }
