@@ -17,7 +17,7 @@ use crate::evalcore::EvalEnv;
 use crate::partition::Partition;
 use bhut_multipole::flops::{series_words_3d, FUNCTION_SHIP_WORDS, RESULT_WORDS};
 use bhut_tree::traverse::walk;
-use bhut_tree::{Mac, NodeId};
+use bhut_tree::NodeId;
 use std::collections::HashSet;
 
 /// Communication volumes (in words) of the two paradigms for one force
@@ -36,8 +36,8 @@ pub struct ShippingComparison {
 
 /// Walk the whole force phase and tally both paradigms' volumes at multipole
 /// degree `degree`.
-pub fn compare_shipping<M: Mac>(
-    env: &EvalEnv<'_, M>,
+pub fn compare_shipping(
+    env: &EvalEnv<'_>,
     partition: &Partition,
     degree: u32,
 ) -> ShippingComparison {

@@ -16,18 +16,18 @@
 use bhut_geom::{Particle, Vec3};
 use bhut_multipole::{interaction_flops, MultipoleTree, MAC_FLOPS};
 use bhut_tree::traverse::{accel_kernel, potential_kernel, walk, Visit};
-use bhut_tree::{Mac, NodeId, Tree};
+use bhut_tree::{BarnesHutMac, NodeId, Tree};
 
 /// Everything the evaluation kernels need to see, shared by all processors
 /// of a simulated machine. (In the real machine each processor holds its
 /// local tree plus the replicated top; here ownership is enforced by the
 /// walker against `owner_of_node`.)
-pub struct EvalEnv<'a, M: Mac> {
+pub struct EvalEnv<'a> {
     pub tree: &'a Tree,
     pub particles: &'a [Particle],
     /// Per-node expansions when degree > 0; monopole (mass/COM) otherwise.
     pub mtree: Option<&'a MultipoleTree>,
-    pub mac: &'a M,
+    pub mac: &'a BarnesHutMac,
     pub eps: f64,
     pub degree: u32,
 }
@@ -63,8 +63,8 @@ impl EvalResult {
 /// emit `(owner, branch_node)` pairs for every remote subtree that must be
 /// shipped. `skip_id` is the particle's own id (excluded from direct sums).
 #[allow(clippy::too_many_arguments)]
-pub fn eval_owned<M: Mac>(
-    env: &EvalEnv<'_, M>,
+pub fn eval_owned(
+    env: &EvalEnv<'_>,
     point: Vec3,
     skip_id: Option<u32>,
     me: usize,
@@ -84,8 +84,8 @@ pub fn eval_owned<M: Mac>(
 /// Serve a shipped particle: evaluate the entire subtree under `root`
 /// (§3.2: "Processor 1 then computes the contribution of the entire subtree
 /// rooted at node B on particle i").
-pub fn eval_from<M: Mac>(
-    env: &EvalEnv<'_, M>,
+pub fn eval_from(
+    env: &EvalEnv<'_>,
     root: NodeId,
     point: Vec3,
     skip_id: Option<u32>,
@@ -97,8 +97,8 @@ pub fn eval_from<M: Mac>(
 /// The evaluation sink over [`walk`]: the kernels, the flop model and the
 /// load counters for every node the walk reports. Nodes for which
 /// `is_remote` holds are opaque to the walk; each one it cuts goes to `ship`.
-fn eval<M: Mac>(
-    env: &EvalEnv<'_, M>,
+fn eval(
+    env: &EvalEnv<'_>,
     root: NodeId,
     point: Vec3,
     skip_id: Option<u32>,

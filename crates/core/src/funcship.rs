@@ -22,7 +22,7 @@ use crate::partition::Partition;
 use bhut_geom::Vec3;
 use bhut_machine::{Ctx, Machine, Program, RunReport, Status, Topology};
 use bhut_multipole::flops::{FUNCTION_SHIP_WORDS, RESULT_WORDS};
-use bhut_tree::{Mac, NodeId};
+use bhut_tree::NodeId;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -91,9 +91,9 @@ pub struct ProcOutcome {
 }
 
 /// The per-processor program.
-pub struct ForceProgram<'a, M: Mac> {
+pub struct ForceProgram<'a> {
     me: usize,
-    env: &'a EvalEnv<'a, M>,
+    env: &'a EvalEnv<'a>,
     owner_of_node: &'a [i32],
     lookup: SortedLookup,
     my_particles: Vec<u32>,
@@ -111,7 +111,7 @@ pub struct ForceProgram<'a, M: Mac> {
     pub out: ProcOutcome,
 }
 
-impl<'a, M: Mac> ForceProgram<'a, M> {
+impl<'a> ForceProgram<'a> {
     fn serve(&mut self, reqs: &[Request], ctx: &mut Ctx<'_, ShipMsg>, src: usize) {
         let mut replies = Vec::with_capacity(reqs.len());
         for req in reqs {
@@ -184,7 +184,7 @@ impl<'a, M: Mac> ForceProgram<'a, M> {
     }
 }
 
-impl<M: Mac> Program for ForceProgram<'_, M> {
+impl Program for ForceProgram<'_> {
     type Msg = ShipMsg;
 
     fn step(&mut self, ctx: &mut Ctx<'_, ShipMsg>) -> Status {
@@ -300,9 +300,9 @@ pub struct ForceRun {
 
 /// Execute the force-computation phase for one partition on one machine.
 #[allow(clippy::too_many_arguments)]
-pub fn run_force_phase<T: Topology, M: Mac>(
+pub fn run_force_phase<T: Topology>(
     machine: &Machine<T>,
-    env: &EvalEnv<'_, M>,
+    env: &EvalEnv<'_>,
     partition: &Partition,
     cluster_of_particle: Option<&[u32]>,
     num_clusters: usize,
@@ -320,7 +320,7 @@ pub fn run_force_phase<T: Topology, M: Mac>(
         .collect();
     let by_owner = partition.particles_by_owner();
 
-    let programs: Vec<ForceProgram<'_, M>> = (0..p)
+    let programs: Vec<ForceProgram<'_>> = (0..p)
         .map(|me| {
             let mine = by_owner[me].clone();
             let lookup = SortedLookup::new(

@@ -19,7 +19,7 @@ use bhut_geom::{Particle, Vec3};
 use bhut_tree::traverse::{
     accel_kernel, for_each_interaction, potential_kernel, Interaction, TraversalStats,
 };
-use bhut_tree::{Mac, Tree};
+use bhut_tree::{BarnesHutMac, Tree};
 
 /// A tree plus per-node multipole expansions of a fixed degree.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ impl MultipoleTree {
         particles: &[Particle],
         point: Vec3,
         skip_id: Option<u32>,
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps: f64,
     ) -> (f64, Vec3, TraversalStats) {
         let mut phi = 0.0;
@@ -97,7 +97,7 @@ impl MultipoleTree {
         &self,
         tree: &Tree,
         particles: &[Particle],
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps: f64,
     ) -> (Vec<f64>, TraversalStats) {
         let mut stats = TraversalStats::default();

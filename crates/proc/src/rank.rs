@@ -194,6 +194,14 @@ impl ProcConfig {
                 _ => return Err(format!("unknown field {k:?}")),
             }
         }
+        // What the child would otherwise assert on: the acceptance
+        // criterion's α and the cluster grid's side.
+        if !(cfg.alpha.is_finite() && cfg.alpha > 0.0) {
+            return Err(format!("alpha {} is not finite and positive", cfg.alpha));
+        }
+        if !cfg.grid_c.is_power_of_two() {
+            return Err(format!("grid_c {} is not a power of two", cfg.grid_c));
+        }
         Ok(cfg)
     }
 }
@@ -586,6 +594,11 @@ mod tests {
         // ASCII, and a multi-byte character straddling a byte pair.
         assert!(ProcConfig::decode("ckpt_dir=zz").is_err());
         assert!(ProcConfig::decode("ckpt_dir=aéb").is_err());
+        // Values the child would panic on are refused here instead.
+        let nan = format!("alpha={:016x}", f64::NAN.to_bits());
+        assert!(ProcConfig::decode(&format!("{nan};grid_c=8")).unwrap_err().contains("alpha"));
+        assert!(ProcConfig::decode("grid_c=0").unwrap_err().contains("grid_c 0"));
+        assert!(ProcConfig::decode("grid_c=3").unwrap_err().contains("grid_c 3"));
         // Configs encoded before the checkpoint fields existed still decode,
         // with those fields defaulted.
         let legacy = ProcConfig::default();

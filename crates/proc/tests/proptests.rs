@@ -1,4 +1,5 @@
-//! Property tests for the collective operations.
+//! Property tests for the collective operations, and for the decoding of
+//! the configuration a child rank receives.
 //!
 //! The contract under test: a collective's result is a pure function of
 //! the per-rank inputs — independent of thread scheduling, message arrival
@@ -11,7 +12,8 @@ use bhut_proc::collectives::{
     all_gather, all_reduce_sum_f64, barrier, broadcast, exchange, reduce_sum_f64,
 };
 use bhut_proc::{
-    local_mesh, FaultAction, FaultKind, FaultMode, FaultyTransport, ProcError, Transport, Trigger,
+    local_mesh, FaultAction, FaultKind, FaultMode, FaultyTransport, ProcConfig, ProcError,
+    Transport, Trigger,
 };
 use proptest::prelude::*;
 use std::time::Duration;
@@ -254,6 +256,74 @@ proptest! {
                     prop_assert_eq!(bin, &vec![from as u8; rank]);
                 }
             }
+        }
+    }
+}
+
+/// The fields `ProcConfig::decode` knows, and one it does not.
+const KEYS: [&str; 13] = [
+    "scheme",
+    "n",
+    "steps",
+    "dt",
+    "seed",
+    "alpha",
+    "eps",
+    "grid_c",
+    "curve",
+    "ckpt_every",
+    "resume",
+    "ckpt_dir",
+    "bogus",
+];
+
+/// What a hostile value is made of: digits, hex letters, separators and a
+/// multi-byte character.
+const CHARS: [char; 12] = ['0', '1', '8', 'a', 'f', 'z', '-', '.', '=', ';', ' ', 'é'];
+
+/// Float bit patterns the child would refuse or trip on, and ordinary ones.
+const FLOATS: [f64; 8] =
+    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, -0.0, f64::MIN_POSITIVE, 0.67];
+
+/// One field's value, of a shape picked by `kind`.
+fn value(kind: u8, bits: u64, garbage: &[u8]) -> String {
+    match kind {
+        // Any float bit pattern, or a named one.
+        0 => format!("{bits:016x}"),
+        1 => format!("{:016x}", FLOATS[bits as usize % FLOATS.len()].to_bits()),
+        // Small integers (powers of two and not), and any u64.
+        2 => (bits % 20).to_string(),
+        3 => bits.to_string(),
+        _ => garbage.iter().map(|&c| CHARS[c as usize % CHARS.len()]).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever `k=v;…` list reaches a child, decoding it returns `Ok` or
+    /// `Err` without panicking, and an `Ok` holds only values the run can
+    /// take: α finite and positive, the cluster grid's side a power of two.
+    /// An `Ok` also survives the encode → decode hop bit for bit.
+    #[test]
+    fn any_field_list_decodes_without_panic_to_a_runnable_config(
+        fields in prop::collection::vec(
+            (0usize..KEYS.len(), 0u8..5, any::<u64>(), prop::collection::vec(any::<u8>(), 0..6)),
+            0..8,
+        ),
+    ) {
+        let text = fields
+            .iter()
+            .map(|(k, kind, bits, garbage)| format!("{}={}", KEYS[*k], value(*kind, *bits, garbage)))
+            .collect::<Vec<_>>()
+            .join(";");
+        let decoded = std::panic::catch_unwind(|| ProcConfig::decode(&text))
+            .map_err(|_| TestCaseError::fail(format!("decode panicked on {text:?}")))?;
+        if let Ok(cfg) = decoded {
+            prop_assert!(cfg.alpha.is_finite() && cfg.alpha > 0.0, "{text:?}: alpha {}", cfg.alpha);
+            prop_assert!(cfg.grid_c.is_power_of_two(), "{text:?}: grid_c {}", cfg.grid_c);
+            let again = ProcConfig::decode(&cfg.encode());
+            prop_assert_eq!(again.map(|c| c.encode()), Ok(cfg.encode()), "{:?}", text);
         }
     }
 }

@@ -22,6 +22,8 @@ pub struct SimulationConfig {
     /// big-step synchronization period `dt_max` under a block hierarchy
     /// (where [`BlockConfig::dt_max`] takes precedence).
     pub dt: f64,
+    /// The opening parameter α of the acceptance criterion: finite and
+    /// positive, or the config does not load.
     pub alpha: f64,
     /// Multipole degree (0 = monopole).
     pub degree: u32,
@@ -94,9 +96,15 @@ impl Deserialize for SimulationConfig {
         if degree > MAX_DEGREE {
             return Err(format!("multipole degree {degree} exceeds the maximum, {MAX_DEGREE}"));
         }
+        // JSON has no Inf or NaN (they are written as null), so a
+        // non-finite α fails as a number; a finite one must be positive.
+        let alpha: f64 = req(v, "alpha").map_err(|e| format!("`alpha`: {e}"))?;
+        if !(alpha.is_finite() && alpha > 0.0) {
+            return Err(format!("`alpha` {alpha} is not finite and positive"));
+        }
         Ok(SimulationConfig {
             dt: req(v, "dt")?,
-            alpha: req(v, "alpha")?,
+            alpha,
             degree,
             eps: req(v, "eps")?,
             leaf_capacity: req(v, "leaf_capacity")?,

@@ -210,16 +210,17 @@ mod tests {
         assert!(snap.config.is_none());
     }
 
-    /// A degree past `MAX_DEGREE` would load and then panic at the first
-    /// force evaluation, and a block `max_rung` past `MAX_RUNG` would
-    /// overflow (or round) the tick arithmetic of the first block step, so
-    /// both are refused where they enter: in a bare config and in a
-    /// snapshot's embedded one alike.
+    /// A degree past `MAX_DEGREE`, or an α that is not finite and positive,
+    /// would load and then panic at the first force evaluation, and a block
+    /// `max_rung` past `MAX_RUNG` would overflow (or round) the tick
+    /// arithmetic of the first block step, so all three are refused where
+    /// they enter: in a bare config and in a snapshot's embedded one alike.
     #[test]
     fn a_degree_or_rung_past_its_bound_does_not_load() {
         use bhut_multipole::MAX_DEGREE;
         use bhut_timestep::{BlockConfig, TimestepMode, MAX_RUNG};
         let with_degree = |degree| SimulationConfig { degree, ..Default::default() };
+        let with_alpha = |alpha| SimulationConfig { alpha, ..Default::default() };
         let with_rung = |max_rung| SimulationConfig {
             timestep: TimestepMode::Block(BlockConfig { max_rung, ..Default::default() }),
             ..Default::default()
@@ -238,6 +239,12 @@ mod tests {
             (with_rung(MAX_RUNG + 1), format!("`max_rung` {}", MAX_RUNG + 1)),
             (with_rung(64), "`max_rung` 64".to_string()),
             (with_rung(u32::MAX), format!("`max_rung` {}", u32::MAX)),
+            (with_alpha(-1.0), "`alpha` -1".to_string()),
+            (with_alpha(0.0), "`alpha` 0".to_string()),
+            (with_alpha(-0.0), "`alpha` -0".to_string()),
+            // Written as null: JSON has no Inf or NaN.
+            (with_alpha(f64::INFINITY), "`alpha`".to_string()),
+            (with_alpha(f64::NAN), "`alpha`".to_string()),
         ] {
             let err = parse(config).unwrap_err().to_string();
             assert!(err.contains(&names), "{err}");
@@ -247,6 +254,12 @@ mod tests {
             let err = load_snapshot(&path).unwrap_err().to_string();
             assert!(err.contains(&names), "{err}");
         }
+        // A number too large for an f64 parses as +inf.
+        let json = with_alpha(0.5).to_value().to_json();
+        let huge = json.replace("\"alpha\":0.5", "\"alpha\":1e999");
+        assert_ne!(huge, json);
+        let err = serde_json::from_str::<SimulationConfig>(&huge).unwrap_err().to_string();
+        assert!(err.contains("`alpha` inf"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,7 +11,7 @@ use bhut_tree::group::{
     InteractionBuffers,
 };
 use bhut_tree::traverse::TraversalStats;
-use bhut_tree::{BarnesHutMac, GroupMac, KernelPrecision, NodeId, ScalarClassify, Tree};
+use bhut_tree::{BarnesHutMac, KernelPrecision, NodeId, Tree};
 use std::sync::Mutex;
 
 /// How particles are distributed over threads.
@@ -59,10 +59,10 @@ pub struct ThreadConfig {
     /// [`KernelPrecision::F64`], the only value; removed by ROADMAP
     /// direction 1(b).
     pub precision: KernelPrecision,
-    /// Classify up to 8 sibling nodes per group-MAC test with the SIMD
-    /// batch classifiers (the default). `false` pins the scalar
-    /// one-node-per-test classification; both make bitwise-identical
-    /// decisions, so forces are unchanged either way.
+    /// Selects nothing: the group walk always classifies up to 8 sibling
+    /// nodes per test with [`BarnesHutMac::classify_batch`]. The field stays
+    /// only because the benchmark harness names it in a struct literal;
+    /// ROADMAP direction 3(e) deletes it.
     pub mac_batch: bool,
     /// Keep the tree of each computation, so that a block substep asking
     /// for it ([`ThreadSim::compute_forces_substep`] with `reuse = true`)
@@ -275,26 +275,8 @@ impl ThreadSim {
         active: Option<&ActiveSet>,
         t_origin: f64,
     ) -> ForceResult {
-        // Monomorphize the whole walk over the classifier so the batch /
-        // scalar choice costs nothing per node.
-        let mac = BarnesHutMac::new(self.config.alpha);
-        if self.config.mac_batch {
-            self.evaluate_with(tree, particles, profiled, active, t_origin, mac)
-        } else {
-            self.evaluate_with(tree, particles, profiled, active, t_origin, ScalarClassify(mac))
-        }
-    }
-
-    fn evaluate_with<M: GroupMac + Copy + Sync>(
-        &mut self,
-        tree: &Tree,
-        particles: &[Particle],
-        profiled: bool,
-        active: Option<&ActiveSet>,
-        t_origin: f64,
-        mac: M,
-    ) -> ForceResult {
         let cfg = self.config;
+        let mac = BarnesHutMac::new(cfg.alpha);
         let mtree = (cfg.degree > 0).then(|| MultipoleTree::new(tree, particles, cfg.degree));
         let t_build_end = if profiled { bhut_obs::now() } else { 0.0 };
         let n = particles.len();
@@ -954,32 +936,6 @@ mod tests {
             assert_eq!(plain.potentials[i], prof.potentials[i]);
         }
         assert!(prof.profile.is_some());
-    }
-
-    /// The batch classifiers and the scalar trait-default classification
-    /// must make identical decisions, so the two walks (and every force)
-    /// are bitwise-equal — this is the executor-level pin for the
-    /// `force-scalar` fallback.
-    #[test]
-    fn scalar_mac_classification_is_bitwise_identical() {
-        let set = plummer(PlummerSpec { n: 900, seed: 31, ..Default::default() });
-        for degree in [0u32, 2] {
-            let run = |mac_batch: bool| {
-                let mut sim = ThreadSim::new(ThreadConfig {
-                    degree,
-                    mac_batch,
-                    ..config(3, Partitioning::MortonZones)
-                });
-                sim.compute_forces(&set.particles)
-            };
-            let batched = run(true);
-            let scalar = run(false);
-            assert_eq!(batched.stats, scalar.stats, "degree {degree}");
-            for i in 0..set.len() {
-                assert_eq!(batched.accels[i], scalar.accels[i], "degree {degree} particle {i}");
-                assert_eq!(batched.potentials[i], scalar.potentials[i]);
-            }
-        }
     }
 
     /// Deterministic position drift between substeps, up to 1.2e-2: enough

@@ -5,8 +5,8 @@
 //! interaction list for every particle of a neighbourhood — neighbors in
 //! space agree on all but the closest nodes. A grouped walk runs the
 //! multipole acceptance test once per node against the *bucket* (the tight
-//! bounding box of the unit's particles), using [`GroupMac::classify`] to
-//! bracket the per-member decision:
+//! bounding box of the unit's particles), using [`BarnesHutMac::classify`]
+//! to bracket the per-member decision:
 //!
 //! * **AcceptAll** — every member accepts; the node's monopole goes into a
 //!   shared structure-of-arrays M2P slab, evaluated once per member by a
@@ -34,9 +34,10 @@
 //! makes the grouped evaluation *interaction-for-interaction identical* to
 //! the per-particle walk: identical [`TraversalStats`] and per-interaction
 //! arithmetic, with only the summation order changed. That argument uses the
-//! bucket only through the [`GroupMac`] bracket (AcceptAll ⇒ every point of
-//! the bucket accepts, RejectAll ⇒ every point rejects), so it holds for
-//! *any* bucket: a leaf, a subtree of several leaves, a run of query points.
+//! bucket only through the [`BarnesHutMac::classify`] bracket (AcceptAll ⇒
+//! every point of the bucket accepts, RejectAll ⇒ every point rejects), so
+//! it holds for *any* bucket: a leaf, a subtree of several leaves, a run of
+//! query points.
 //! What the bucket's size trades is cost — a larger one amortizes the shared
 //! walk over more targets and leaves more nodes Mixed for the replay — and
 //! [`leaf_schedule`] picks it: the maximal subtrees of at most `UNIT_TARGETS`
@@ -60,7 +61,7 @@
 //! box of its members — settles out of what the level above left Mixed. Every
 //! one of those buckets contains every member, so the bracket argument above
 //! applies level by level and per-member exactness needs nothing else. The
-//! α-criterion's [`GroupMac::classify`] is in addition *monotone* in the
+//! α-criterion's [`BarnesHutMac::classify`] is in addition *monotone* in the
 //! bucket (the distance bracket of a box contains that of any box inside it,
 //! in floating point as well), so a node settles at some level exactly as the
 //! tight box alone would have settled it: the accepted nodes, the direct
@@ -84,8 +85,7 @@
 //! particles and the unit alone, so a sweep and a one-shot gather agree on it.
 
 use crate::kernel::{accel_slab_member_f64, SlabView};
-use crate::mac::{GroupClass, GroupMac, Mac};
-use crate::mac_simd::{NodeBatch, MAC_BATCH};
+use crate::mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
 use crate::node::{Node, NodeId, Tree, NIL};
 use crate::replay::{ReplayLanes, REPLAY_LANES};
 use crate::traverse::TraversalStats;
@@ -404,7 +404,7 @@ pub fn gather_group(
     tree: &Tree,
     particles: &[Particle],
     unit: NodeId,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     buf: &mut InteractionBuffers,
 ) -> usize {
     GroupSweep::new(tree, particles, mac, buf).gather(unit)
@@ -423,14 +423,15 @@ pub fn gather_group(
 /// all but the deepest few: moving on rewinds the slabs to the deepest level
 /// whose node still contains the next unit and walks only the levels below.
 ///
-/// Every bucket of the chain contains every member, so by the [`GroupMac`]
-/// bracket each member's interaction set is exactly its own walk's, as for
-/// any bucket. The α-criterion's `classify` is moreover monotone in the
-/// bucket — AcceptAll or RejectAll for a box holds for every box inside it —
-/// so a node settles at some level exactly as the tight box alone would have
-/// settled it: accepted ids, direct leaves, mixed roots (in the same
-/// depth-first order) and all counters equal the single from-root walk's,
-/// and only the row order of the shared slabs differs.
+/// Every bucket of the chain contains every member, so by the
+/// [`BarnesHutMac::classify`] bracket each member's interaction set is
+/// exactly its own walk's, as for any bucket. The α-criterion's `classify`
+/// is moreover monotone in the bucket — AcceptAll or RejectAll for a box
+/// holds for every box inside it — so a node settles at some level exactly
+/// as the tight box alone would have settled it: accepted ids, direct
+/// leaves, mixed roots (in the same depth-first order) and all counters
+/// equal the single from-root walk's, and only the row order of the shared
+/// slabs differs.
 ///
 /// The guard borrows the tree, the particles, the MAC and the buffers for
 /// its whole life, and is the only thing that can change the buffers
@@ -439,19 +440,19 @@ pub fn gather_group(
 /// What a level leaves depends only on the levels above it, never on which
 /// units came before, so [`GroupSweep::gather`] fills the buffers bitwise as
 /// [`gather_group`] does.
-pub struct GroupSweep<'a, M> {
+pub struct GroupSweep<'a> {
     tree: &'a Tree,
     particles: &'a [Particle],
-    mac: &'a M,
+    mac: &'a BarnesHutMac,
     buf: &'a mut InteractionBuffers,
 }
 
-impl<'a, M: GroupMac> GroupSweep<'a, M> {
+impl<'a> GroupSweep<'a> {
     /// Start a sweep with an empty chain; `buf` is cleared.
     pub fn new(
         tree: &'a Tree,
         particles: &'a [Particle],
-        mac: &'a M,
+        mac: &'a BarnesHutMac,
         buf: &'a mut InteractionBuffers,
     ) -> Self {
         buf.clear();
@@ -560,19 +561,19 @@ impl<'a, M: GroupMac> GroupSweep<'a, M> {
 ///
 /// `bucket` must bound every target the caller will evaluate against this
 /// gather (typically `Aabb::bounding` of a Morton-sorted run of query
-/// points). The [`GroupMac`] bracketing contract is what makes the result
-/// per-target exact for *any* bucketing: AcceptAll ⇒ every point in the
-/// bucket accepts, RejectAll ⇒ every point rejects, so each target's
-/// interaction set is identical to its individual walk regardless of which
-/// other targets share the bucket. No target is a tree particle here, so
-/// there is no unit and no member to mark as its own source; per-target
-/// self-exclusion (for query points placed *at* particle positions) rides on
-/// the skip ids passed to [`eval_gathered_targets`].
+/// points). The [`BarnesHutMac::classify`] bracketing contract is what
+/// makes the result per-target exact for *any* bucketing: AcceptAll ⇒ every
+/// point in the bucket accepts, RejectAll ⇒ every point rejects, so each
+/// target's interaction set is identical to its individual walk regardless
+/// of which other targets share the bucket. No target is a tree particle
+/// here, so there is no unit and no member to mark as its own source;
+/// per-target self-exclusion (for query points placed *at* particle
+/// positions) rides on the skip ids passed to [`eval_gathered_targets`].
 pub fn gather_group_targets(
     tree: &Tree,
     particles: &[Particle],
     bucket: &Aabb,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     buf: &mut InteractionBuffers,
 ) {
     buf.clear();
@@ -592,7 +593,7 @@ fn settle_last_level(
     particles: &[Particle],
     roots: &[NodeId],
     bucket: &Aabb,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     buf: &mut InteractionBuffers,
 ) {
     let mut mixed = std::mem::take(&mut buf.mixed);
@@ -601,16 +602,21 @@ fn settle_last_level(
     buf.pad();
 }
 
-/// Classify `nodes` against `bucket` — one [`GroupMac::classify_batch`] call
-/// for those of two or more particles; singletons and empty nodes are never
-/// tested and keep a placeholder class — and push them on `stack` so that
-/// they pop in the order given.
+/// Classify `nodes` against `bucket` — one [`BarnesHutMac::classify_batch`]
+/// call for those of two or more particles; singletons and empty nodes are
+/// never tested and keep a placeholder class — and push them on `stack` so
+/// that they pop in the order given.
+///
+/// This is the walk's one batching site, so under test it holds every batch
+/// decision to the scalar [`BarnesHutMac::classify`] of the same node and
+/// bucket: every walk test of this crate pins the batch classifier on the
+/// trees it builds.
 #[inline(always)]
 fn push_classified(
     tree: &Tree,
     nodes: impl Iterator<Item = NodeId>,
     bucket: &Aabb,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     batch: &mut NodeBatch,
     stack: &mut Vec<WalkEntry>,
 ) {
@@ -627,6 +633,12 @@ fn push_classified(
         let classes = mac.classify_batch(batch, bucket);
         let tested = stack[first..].iter_mut().filter(|e| e.count >= 2);
         for (e, class) in tested.zip(classes) {
+            #[cfg(test)]
+            {
+                let node = tree.node(e.id);
+                let scalar = mac.classify(&node.cell, node.com, bucket);
+                assert_eq!(class, scalar, "node {}: batch vs scalar against {bucket:?}", e.id);
+            }
             e.class = class;
         }
     }
@@ -641,18 +653,18 @@ fn push_classified(
 /// to, not cleared, and left unpadded.
 ///
 /// Nodes are classified *in batch* — the roots in runs of [`MAC_BATCH`], an
-/// opened node's children together ([`GroupMac::classify_batch`], SIMD on
-/// the concrete MACs) — and consumed from the stack with their stored class,
-/// in the order given: traversal order, slab fill order and every counter
-/// are exactly those of a one-classify-per-pop scalar walk, and the batch
-/// classifiers are decision-bitwise-identical — so forces do not depend on
-/// the classifier down to the bit.
+/// opened node's children together ([`BarnesHutMac::classify_batch`], SIMD
+/// where the CPU has it) — and consumed from the stack with their stored
+/// class, in the order given: traversal order, slab fill order and every
+/// counter are exactly those of a one-classify-per-pop scalar walk, and the
+/// batch classifier decides as the scalar one does — so forces do not
+/// depend on the batching down to the bit.
 fn settle_level(
     tree: &Tree,
     particles: &[Particle],
     roots: &[NodeId],
     bucket: &Aabb,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     buf: &mut InteractionBuffers,
     mixed: &mut Vec<NodeId>,
 ) {
@@ -730,7 +742,7 @@ pub fn resolve_mixed_tails_lanes(
     _tree: &Tree,
     _particles: &[Particle],
     _unit: NodeId,
-    _mac: &impl GroupMac,
+    _mac: &BarnesHutMac,
     _buf: &mut InteractionBuffers,
     _active: Option<&[bool]>,
 ) {
@@ -760,7 +772,7 @@ pub fn resolve_mixed_tails_lanes(
 fn eval_targets<K: Copy>(
     tree: &Tree,
     particles: &[Particle],
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     buf: &InteractionBuffers,
     eps: f64,
     mut targets: impl Iterator<Item = (K, Vec3, u32, u64)>,
@@ -833,7 +845,7 @@ pub fn eval_gathered_targets(
     tree: &Tree,
     particles: &[Particle],
     targets: &[QueryTarget],
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     eps: f64,
     buf: &InteractionBuffers,
     emit: impl FnMut(usize, f64, Vec3, u64),
@@ -869,7 +881,7 @@ pub fn eval_gathered_monopole_masked(
     tree: &Tree,
     particles: &[Particle],
     unit: NodeId,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     eps: f64,
     _precision: KernelPrecision,
     buf: &InteractionBuffers,
@@ -974,7 +986,7 @@ mod tests {
         tree: &Tree,
         particles: &[Particle],
         leaf: NodeId,
-        mac: &impl GroupMac,
+        mac: &BarnesHutMac,
         mask: Option<&[bool]>,
         buf: &InteractionBuffers,
     ) -> (Emitted, TraversalStats) {
@@ -998,7 +1010,7 @@ mod tests {
         tree: &Tree,
         particles: &[Particle],
         unit: NodeId,
-        mac: &impl GroupMac,
+        mac: &BarnesHutMac,
         buf: &mut InteractionBuffers,
         emit: impl FnMut(u32, f64, Vec3, u64),
     ) -> TraversalStats {
@@ -1009,7 +1021,7 @@ mod tests {
 
     fn assert_group_matches_per_particle(
         set: &bhut_geom::ParticleSet,
-        mac: &(impl GroupMac + Copy),
+        mac: &BarnesHutMac,
         leaf_capacity: usize,
     ) {
         let tree = build(&set.particles, BuildParams::with_leaf_capacity(leaf_capacity));
@@ -1496,7 +1508,7 @@ mod tests {
     fn assert_sweep_is_one_shot(
         tree: &Tree,
         ps: &[Particle],
-        mac: &impl GroupMac,
+        mac: &BarnesHutMac,
         units: &[NodeId],
         ctx: &str,
     ) -> usize {
@@ -1540,7 +1552,6 @@ mod tests {
             seed in 0u64..1000,
             coincident: bool,
             stride in 1usize..6,
-            scalar_classify: bool,
             alpha_pick in 0usize..3,
             drifted in 0usize..3,
         ) {
@@ -1574,13 +1585,7 @@ mod tests {
             let alpha = [0.4, 0.67, 1.0][alpha_pick];
             for (name, order) in &orders {
                 let ctx = format!("n {n} s {s} seed {seed} drifted {drifted} {name}");
-                let mac = BarnesHutMac::new(alpha);
-                if scalar_classify {
-                    let mac = crate::mac_simd::ScalarClassify(mac);
-                    assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx);
-                } else {
-                    assert_sweep_is_one_shot(&tree, ps, &mac, order, &ctx);
-                }
+                assert_sweep_is_one_shot(&tree, ps, &BarnesHutMac::new(alpha), order, &ctx);
             }
         }
     }
@@ -1632,7 +1637,7 @@ mod tests {
     /// of the shared slabs come in level order.
     #[test]
     fn chain_settles_exactly_what_the_single_bucket_walk_settles() {
-        fn check(mac: &impl GroupMac, name: &str) {
+        fn check(mac: &BarnesHutMac, name: &str) {
             let set = plummer(PlummerSpec { n: 2500, seed: 77, ..Default::default() });
             let ps = &set.particles;
             let tree = build(ps, BuildParams::with_leaf_capacity(8));
@@ -1728,31 +1733,5 @@ mod tests {
             );
         }
         assert!(fell_back);
-    }
-
-    /// The SIMD-batched walk must be indistinguishable from the scalar
-    /// one-classify-per-pop walk: identical slabs, counters, and (therefore)
-    /// bitwise-identical f64 forces. [`crate::mac_simd::ScalarClassify`]
-    /// keeps the trait-default scalar classification, so comparing the two
-    /// walks pins exactly the batch classifiers.
-    #[test]
-    fn batched_walk_is_bitwise_identical_to_scalar_classification() {
-        use crate::mac_simd::ScalarClassify;
-        for (seed, alpha, cap) in [(3u64, 0.67, 8), (13, 1.0, 4), (29, 0.4, 16)] {
-            let set = plummer(PlummerSpec { n: 600, seed, ..Default::default() });
-            let tree = build(&set.particles, BuildParams::with_leaf_capacity(cap));
-            let simd_mac = BarnesHutMac::new(alpha);
-            let scalar_mac = ScalarClassify(simd_mac);
-            let (mut buf_a, mut buf_b) = (InteractionBuffers::new(), InteractionBuffers::new());
-            for leaf in leaf_schedule(&tree) {
-                gather_group(&tree, &set.particles, leaf, &simd_mac, &mut buf_a);
-                gather_group(&tree, &set.particles, leaf, &scalar_mac, &mut buf_b);
-                assert_buffers_bitwise(&buf_a, &buf_b, &format!("seed {seed} leaf {leaf}"));
-                let ps = &set.particles;
-                let out_a = eval_gathered_leaf(&tree, ps, leaf, &simd_mac, None, &buf_a);
-                let out_b = eval_gathered_leaf(&tree, ps, leaf, &scalar_mac, None, &buf_b);
-                assert_eq!(out_a, out_b, "forces must be bitwise-identical (leaf {leaf})");
-            }
-        }
     }
 }

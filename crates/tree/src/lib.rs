@@ -12,7 +12,8 @@
 //!   insertion build (the "particle injection" formulation of §3.1 used by
 //!   the distributed construction).
 //! * [`mac`] — the multipole acceptance criterion: the Barnes–Hut
-//!   α-criterion, per target and bracketed over a bucket of targets.
+//!   α-criterion, per target, bracketed over a bucket of targets, and for a
+//!   batch of sibling nodes at once.
 //! * [`traverse`] — force/potential evaluation with per-node interaction
 //!   counting (the unit of load for the paper's balancing schemes, §3.3).
 //! * [`direct`] — exact `O(n²)` summation.
@@ -22,7 +23,6 @@ pub mod direct;
 pub mod group;
 pub mod kernel;
 pub mod mac;
-pub mod mac_simd;
 pub mod node;
 pub mod replay;
 pub mod traverse;
@@ -33,7 +33,6 @@ pub use group::{
     eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule, InteractionBuffers,
     QueryTarget,
 };
-pub use mac::{BarnesHutMac, GroupClass, GroupMac, Mac};
-pub use mac_simd::{NodeBatch, ScalarClassify, MAC_BATCH};
+pub use mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
 pub use node::{Node, NodeId, Tree, NIL};
 pub use traverse::{accel_on, potential_at, Interaction, TraversalStats};

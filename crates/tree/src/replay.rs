@@ -19,9 +19,9 @@
 //! **One pass per lane chunk.** The α-criterion and a monopole interaction
 //! start from the same `d = com − p` and `|d|²`. So the node step forms `d`
 //! and `d² = (dx² + dy²) + dz²` once per chunk with a live lane, decides the
-//! lanes as `side² < α²·d²` with `α² = α·α` ([`Mac::alpha`]) —
-//! [`Mac::accept`]'s operands in its order — and runs the arithmetic on
-//! `r² = d² + ε²` only in chunks where a lane accepted.
+//! lanes as `side² < α²·d²` with `α² = α·α` ([`BarnesHutMac::alpha`]) —
+//! [`BarnesHutMac::accept`]'s operands in its order — and runs the
+//! arithmetic on `r² = d² + ε²` only in chunks where a lane accepted.
 //!
 //! **The walk is forward through the arena.** Every builder lays the arena
 //! out in preorder, so a subtree is the id range `id..next`
@@ -34,11 +34,11 @@
 //!
 //! Per lane this makes exactly the decisions of
 //! [`crate::traverse::for_each_interaction_from`] from every mixed root —
-//! the same [`Mac::accept`] on the same operands — in the same depth-first
-//! order, and a lane's sums are a sequential fold over its own walk, never
-//! reduced across lanes. So a target's result does not depend on its lane,
-//! on the other lanes or on how full the chunk is, which is what keeps a
-//! masked sweep a bitwise restriction of the full one.
+//! the same [`BarnesHutMac::accept`] on the same operands — in the same
+//! depth-first order, and a lane's sums are a sequential fold over its own
+//! walk, never reduced across lanes. So a target's result does not depend
+//! on its lane, on the other lanes or on how full the chunk is, which is
+//! what keeps a masked sweep a bitwise restriction of the full one.
 //!
 //! The traversal is written once, generic over the lane arithmetic, and
 //! instantiated per instruction set like the slab kernels ([`crate::kernel`]),
@@ -60,7 +60,7 @@
 //! [`bhut_simd::rsqrt_nr_f64`], `m·inv`, `·inv·inv` — so the three agree to
 //! the bit and dispatch changes speed only.
 
-use crate::mac::Mac;
+use crate::mac::BarnesHutMac;
 use crate::node::{NodeId, Tree};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Particle, Vec3};
@@ -195,7 +195,7 @@ impl ReplayLanes {
         tree: &Tree,
         particles: &[Particle],
         roots: &[NodeId],
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps: f64,
     ) {
         // SAFETY: `isa()` names a tier only after detecting it.
@@ -213,7 +213,7 @@ impl ReplayLanes {
         tree: &Tree,
         particles: &[Particle],
         roots: &[NodeId],
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps2: f64,
     ) {
         match tier {
@@ -221,7 +221,7 @@ impl ReplayLanes {
             Isa::Avx512 => avx512::replay(self, tree, particles, roots, mac, eps2),
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2 => avx2::replay(self, tree, particles, roots, mac, eps2),
-            _ => run::<_, Portable>(self, tree, particles, roots, mac, eps2),
+            _ => run::<Portable>(self, tree, particles, roots, mac, eps2),
         }
     }
 }
@@ -260,20 +260,20 @@ trait LaneKernel {
 /// # Safety
 /// The CPU must support `K`'s tier.
 #[inline(always)]
-unsafe fn run<M: Mac, K: LaneKernel>(
+unsafe fn run<K: LaneKernel>(
     lanes: &mut ReplayLanes,
     tree: &Tree,
     particles: &[Particle],
     roots: &[NodeId],
-    mac: &M,
+    mac: &BarnesHutMac,
     eps2: f64,
 ) {
     if lanes.len == 0 {
         return;
     }
     let all = u32::MAX >> (REPLAY_LANES - lanes.len);
-    // `Mac::accept`'s α², formed as it forms it.
-    let a2 = mac.alpha() * mac.alpha();
+    // `BarnesHutMac::accept`'s α², formed as it forms it.
+    let a2 = mac.alpha * mac.alpha;
     // A local stack keeps its length in a register across the column stores.
     let (cols, mut frames) = (&mut lanes.cols, std::mem::take(&mut lanes.frames));
     // Root by root, in order: a lane still meets its sources in root order.
@@ -394,7 +394,7 @@ impl LaneKernel for Portable {
 mod avx2 {
     use super::{run, Columns, LaneKernel, LanePoints, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx2::floored_rsqrt_pd;
-    use crate::mac::Mac;
+    use crate::mac::BarnesHutMac;
     use crate::node::{NodeId, Tree};
     use bhut_geom::{Particle, Vec3};
     use core::arch::x86_64::*;
@@ -536,15 +536,15 @@ mod avx2 {
     /// # Safety
     /// The CPU must support AVX2 and FMA.
     #[target_feature(enable = "avx2,fma")]
-    pub(super) unsafe fn replay<M: Mac>(
+    pub(super) unsafe fn replay(
         lanes: &mut ReplayLanes,
         tree: &Tree,
         particles: &[Particle],
         roots: &[NodeId],
-        mac: &M,
+        mac: &BarnesHutMac,
         eps2: f64,
     ) {
-        run::<M, Avx2>(lanes, tree, particles, roots, mac, eps2)
+        run::<Avx2>(lanes, tree, particles, roots, mac, eps2)
     }
 
     /// [`Avx2`]'s node step compiled for its tier, for the tests.
@@ -572,7 +572,7 @@ mod avx2 {
 mod avx512 {
     use super::{run, Columns, LaneKernel, LanePoints, ReplayLanes, REPLAY_LANES};
     use crate::kernel::avx512::floored_rsqrt_pd8;
-    use crate::mac::Mac;
+    use crate::mac::BarnesHutMac;
     use crate::node::{NodeId, Tree};
     use bhut_geom::{Particle, Vec3};
     use core::arch::x86_64::*;
@@ -695,15 +695,15 @@ mod avx512 {
     /// # Safety
     /// The CPU must support AVX-512F, AVX2 and FMA.
     #[target_feature(enable = "avx512f,avx2,fma")]
-    pub(super) unsafe fn replay<M: Mac>(
+    pub(super) unsafe fn replay(
         lanes: &mut ReplayLanes,
         tree: &Tree,
         particles: &[Particle],
         roots: &[NodeId],
-        mac: &M,
+        mac: &BarnesHutMac,
         eps2: f64,
     ) {
-        run::<M, Avx512>(lanes, tree, particles, roots, mac, eps2)
+        run::<Avx512>(lanes, tree, particles, roots, mac, eps2)
     }
 
     /// [`Avx512`]'s node step compiled for its tier, for the tests.
@@ -733,8 +733,6 @@ mod tests {
         eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule,
         InteractionBuffers, QueryTarget,
     };
-    use crate::mac::{BarnesHutMac, GroupMac};
-    use crate::mac_simd::ScalarClassify;
     use crate::traverse::{for_each_interaction_from, Interaction};
     use bhut_geom::{plummer, Aabb, PlummerSpec};
 
@@ -751,7 +749,7 @@ mod tests {
         ps: &[Particle],
         roots: &[NodeId],
         (pos, skip): QueryTarget,
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps: f64,
     ) -> Lane {
         let skip = (skip != u32::MAX).then_some(skip);
@@ -816,7 +814,7 @@ mod tests {
         ps: &[Particle],
         roots: &[NodeId],
         targets: &[QueryTarget],
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         eps: f64,
     ) -> Vec<Lane> {
         assert!(runnable_tiers().contains(&tier));
@@ -838,7 +836,7 @@ mod tests {
         ps: &[Particle],
         roots: &[NodeId],
         targets: &[QueryTarget],
-        mac: &impl Mac,
+        mac: &BarnesHutMac,
         ctx: &str,
     ) -> u64 {
         let mut compared = 0;
@@ -860,12 +858,10 @@ mod tests {
 
     /// Every lane against the oracle, on the trees of the bulk builder and of
     /// the incremental one (the forward walk relies on either's preorder;
-    /// `bhut-threads` holds the parallel builder's to the same oracle), with
-    /// the gathers classified by the batched bodies and behind
-    /// [`ScalarClassify`].
+    /// `bhut-threads` holds the parallel builder's to the same oracle).
     #[test]
     fn replayed_lanes_are_the_per_target_walk_bitwise() {
-        fn check(tree: &Tree, ps: &[Particle], mac: &impl GroupMac, name: &str) {
+        fn check(tree: &Tree, ps: &[Particle], mac: &BarnesHutMac, name: &str) {
             let active: Vec<bool> = (0..ps.len()).map(|i| i % 3 != 1).collect();
             let mut buf = InteractionBuffers::new();
             let mut compared = 0;
@@ -915,9 +911,7 @@ mod tests {
         let incremental = build_incremental(&set.particles, bulk.root_cell, params);
         for (tree, name) in [(&bulk, "bulk"), (&incremental, "incremental")] {
             tree.check_invariants(set.len()).unwrap();
-            let bh = BarnesHutMac::new(0.67);
-            check(tree, &set.particles, &bh, &format!("{name} bh"));
-            check(tree, &set.particles, &ScalarClassify(bh), &format!("{name} bh scalar"));
+            check(tree, &set.particles, &BarnesHutMac::new(0.67), &format!("{name} bh"));
         }
     }
 
@@ -1014,7 +1008,7 @@ mod tests {
         for case in 0..3000 {
             let alpha = [0.5, 0.67, 1.0, 2.0][case % 4];
             let mac = BarnesHutMac::new(alpha);
-            let a2 = mac.alpha() * mac.alpha();
+            let a2 = mac.alpha * mac.alpha;
             // A unit cube with its centre of mass in the middle every eighth
             // case: with α a power of two, lanes at distance side/α from it
             // sit exactly on the threshold.

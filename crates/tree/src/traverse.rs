@@ -21,7 +21,7 @@
 //!   data-shipping comparator (`dataship`), which records every node the
 //!   walk reports.
 
-use crate::mac::Mac;
+use crate::mac::BarnesHutMac;
 use crate::node::{NodeId, Tree, NIL};
 use bhut_geom::{Particle, Vec3};
 
@@ -86,7 +86,7 @@ pub fn walk(
     tree: &Tree,
     root: NodeId,
     point: Vec3,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     opaque: impl Fn(NodeId) -> bool,
     mut visit: impl FnMut(NodeId, Visit),
 ) {
@@ -119,7 +119,7 @@ pub fn for_each_interaction(
     particles: &[Particle],
     point: Vec3,
     skip_id: Option<u32>,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     sink: impl FnMut(Interaction),
 ) -> TraversalStats {
     for_each_interaction_from(tree, 0, particles, point, skip_id, mac, sink)
@@ -134,7 +134,7 @@ pub fn for_each_interaction_from(
     particles: &[Particle],
     point: Vec3,
     skip_id: Option<u32>,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     mut sink: impl FnMut(Interaction),
 ) -> TraversalStats {
     let mut stats = TraversalStats::default();
@@ -189,7 +189,7 @@ pub fn accel_on(
     particles: &[Particle],
     point: Vec3,
     skip_id: Option<u32>,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     eps: f64,
 ) -> (Vec3, TraversalStats) {
     let mut acc = Vec3::ZERO;
@@ -212,7 +212,7 @@ pub fn potential_at(
     particles: &[Particle],
     point: Vec3,
     skip_id: Option<u32>,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     eps: f64,
 ) -> (f64, TraversalStats) {
     let mut phi = 0.0;
@@ -238,7 +238,7 @@ pub fn accumulate_loads(
     tree: &Tree,
     particles: &[Particle],
     targets: impl IntoIterator<Item = (Vec3, Option<u32>)>,
-    mac: &impl Mac,
+    mac: &BarnesHutMac,
     loads: &mut [u64],
 ) -> TraversalStats {
     assert_eq!(loads.len(), tree.len(), "loads slice must match node count");

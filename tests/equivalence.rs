@@ -18,7 +18,7 @@ use barnes_hut::tree::group::{
     eval_gathered_monopole_masked, gather_group, leaf_schedule, InteractionBuffers,
 };
 use barnes_hut::tree::traverse::TraversalStats;
-use barnes_hut::tree::{BarnesHutMac, GroupClass, GroupMac, KernelPrecision, Mac, NodeId, Tree};
+use barnes_hut::tree::{BarnesHutMac, GroupClass, KernelPrecision, NodeId, Tree};
 use proptest::prelude::*;
 
 /// `gather → eval` for every member of `unit` in one call.
@@ -26,7 +26,7 @@ fn eval_unit(
     tree: &Tree,
     particles: &[Particle],
     unit: NodeId,
-    mac: &impl GroupMac,
+    mac: &BarnesHutMac,
     eps: f64,
     buf: &mut InteractionBuffers,
     emit: impl FnMut(u32, f64, Vec3, u64),
@@ -203,7 +203,7 @@ proptest! {
             }
         }
         let bh = BarnesHutMac::new(alpha);
-        match GroupMac::classify(&bh, &cell, com, &bucket) {
+        match bh.classify(&cell, com, &bucket) {
             GroupClass::AcceptAll => {
                 for &p in &samples {
                     prop_assert!(bh.accept(&cell, com, p));
