@@ -219,8 +219,9 @@ pub struct Counters {
     /// sentinel or an idle replay lane.
     pub lane_useful: u64,
     /// Replays of the interaction-list cache, which no longer exists: nothing
-    /// writes this field, it stays because the benchmark harness reads it,
-    /// and it loads from counter JSONs that carry it.
+    /// writes this field, it stays because the benchmark harness reads it
+    /// (ROADMAP direction 3(e) deletes it), and it loads from counter JSONs
+    /// that carry it.
     pub list_hits: u64,
     /// Misses of the same cache; unwritten, kept like `list_hits`.
     pub list_misses: u64,

@@ -259,6 +259,20 @@ fn assemble_weights(n: usize, views: &[Vec<u8>]) -> Result<Vec<f64>, ProcError> 
     Ok(w)
 }
 
+/// The rows this rank evaluates: the particles it owns, out of `n` spread
+/// over `p` ranks (all of them on a single rank, which takes the unmasked
+/// path).
+fn owned_set(n: usize, p: usize, owned: &[Particle]) -> ActiveSet {
+    if p == 1 {
+        return ActiveSet::all(n);
+    }
+    let mut mask = vec![false; n];
+    for q in owned {
+        mask[q.id as usize] = true;
+    }
+    ActiveSet::from_mask(mask)
+}
+
 /// Run the full step loop on this rank. Deterministic: the outcome is a
 /// pure function of `cfg` and the transport's `(rank, size)`.
 pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, ProcError> {
@@ -373,15 +387,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         let traffic_ex = t.traffic();
 
         // ---- build + walk + kernel: masked force evaluation -------------
-        let active = if p == 1 {
-            ActiveSet::all(n)
-        } else {
-            let mut mask = vec![false; n];
-            for q in &owned {
-                mask[q.id as usize] = true;
-            }
-            ActiveSet::from_mask(mask)
-        };
+        let active = owned_set(n, p, &owned);
         // One tree per step: the force evaluation walks it and DPDA carves
         // its costzones from it below; it is freed before the migration.
         let tree = sim.build_tree(&all);
@@ -514,16 +520,8 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     if start_step >= cfg.steps && cfg.steps > 0 {
         let views = all_gather(t, tags::STATE, &encode_particles(&owned))?;
         let all = assemble(n, &views)?;
-        let active = if p == 1 {
-            ActiveSet::all(n)
-        } else {
-            let mut mask = vec![false; n];
-            for q in &owned {
-                mask[q.id as usize] = true;
-            }
-            ActiveSet::from_mask(mask)
-        };
-        let fr = sim.compute_forces_substep(&all, &active, true, false);
+        let tree = sim.build_tree(&all);
+        let fr = sim.compute_forces_on(&tree, &all, &owned_set(n, p, &owned), false);
         last_forces = owned
             .iter()
             .map(|q| (q.id, fr.accels[q.id as usize], fr.potentials[q.id as usize]))

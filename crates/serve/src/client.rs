@@ -68,7 +68,7 @@ impl ServeClient {
     /// Backpressure (`TAG_RETRY`) is absorbed internally; an error frame or
     /// an exhausted deadline surfaces as `Err`.
     /// `precision` is [`KernelPrecision::F64`], the only value; removed by
-    /// ROADMAP direction 1(b).
+    /// ROADMAP direction 3(e).
     pub fn query(
         &mut self,
         kind: QueryKind,

@@ -84,7 +84,7 @@ impl FieldQuery {
     ///
     /// Returns the traversal stats summed over the batch. `_precision` is
     /// [`KernelPrecision::F64`], its only value; the parameter is removed by
-    /// ROADMAP direction 1(b).
+    /// ROADMAP direction 3(e).
     pub fn eval(
         &mut self,
         epoch: &TreeEpoch,

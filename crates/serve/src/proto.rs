@@ -86,7 +86,7 @@ fn precision_from_u8(b: u8) -> Result<KernelPrecision, String> {
 
 /// A batch of query points sharing one kind. `precision` is
 /// [`KernelPrecision::F64`], the only value; removed by ROADMAP direction
-/// 1(b).
+/// 3(e).
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryRequest {
     pub id: u64,

@@ -570,6 +570,7 @@ mod tests {
     use bhut_tree::{accel_on, BarnesHutMac, BuildParams};
     use bhut_wire::read_frame;
     use std::net::TcpStream;
+    use std::time::Instant;
 
     fn cloud(n: usize, seed: u64) -> Vec<Particle> {
         let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).max(1);
@@ -666,6 +667,25 @@ mod tests {
         assert_eq!((rep.id, rep.generation), (77, 1));
         let stats = server.stop();
         assert!(stats.counters.rejected >= 1);
+    }
+
+    /// With no epoch ever published every attempt is told to retry, so the
+    /// client's deadline is what ends the query: `TimedOut`, soon after it.
+    #[test]
+    fn client_deadline_ends_a_query_the_server_keeps_refusing() {
+        let store = Arc::new(EpochStore::new());
+        let server =
+            Server::bind_tcp("127.0.0.1:0", Arc::clone(&store), ServeConfig::default()).unwrap();
+        let mut client = ServeClient::connect_tcp(server.local_addr().unwrap()).unwrap();
+        client.set_deadline(Duration::from_millis(50));
+        let started = Instant::now();
+        let points = [(Vec3::ZERO, u32::MAX)];
+        let err = client.query(QueryKind::Field, KernelPrecision::F64, &points).unwrap_err();
+        let took = started.elapsed();
+        assert_eq!(err.kind(), std::io::ErrorKind::TimedOut, "{err}");
+        assert!(took < Duration::from_secs(2), "gave up after {took:?}");
+        assert!(client.retries >= 1, "{} retries", client.retries);
+        server.stop();
     }
 
     #[test]

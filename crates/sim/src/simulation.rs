@@ -40,15 +40,12 @@ pub struct SimulationConfig {
     /// Global-dt leapfrog (default) or hierarchical block timesteps (S12).
     pub timestep: TimestepMode,
     /// Arithmetic of the grouped force kernels: [`KernelPrecision::F64`],
-    /// the only value; removed by ROADMAP direction 1(b).
+    /// the only value; removed by ROADMAP direction 3(e).
     pub precision: KernelPrecision,
-    /// Under [`TimestepMode::Block`], evaluate the fine-rung (masked)
-    /// substeps on the tree frozen by the last synchronized substep — walked
-    /// afresh at the particles' current positions — instead of rebuilding it.
-    /// Synchronized substeps always rebuild. Off by default; no effect under
-    /// [`TimestepMode::Global`]. No interaction list is kept between
-    /// substeps — the name is older than that and is pinned by the benchmark
-    /// harness.
+    /// Selects nothing: every substep, synchronized or masked, builds its
+    /// tree from the positions it evaluates. The field and its JSON key stay
+    /// only because the benchmark harness names them; ROADMAP direction 3(e)
+    /// deletes them.
     pub list_reuse: bool,
 }
 
@@ -179,10 +176,7 @@ impl Simulation {
             eps: config.eps,
             leaf_capacity: config.leaf_capacity,
             partitioning: bhut_threads::Partitioning::MortonZones,
-            eval_mode: bhut_threads::EvalMode::Grouped,
-            precision: config.precision,
-            mac_batch: true,
-            list_reuse: config.list_reuse,
+            ..ThreadConfig::default()
         });
         Simulation {
             config,
@@ -261,19 +255,18 @@ impl Simulation {
             && (self.step_count + 1).is_multiple_of(self.config.profile_every);
         let stepper = self.stepper.get_or_insert_with(|| BlockStepper::new(bcfg));
         let executor = &mut self.executor;
-        let list_reuse = self.config.list_reuse;
         let mut interactions = 0u64;
         let mut imbalance = 1.0;
         let mut profile = None;
         let stats = stepper.big_step(&mut self.particles.particles, |ps, active| {
             // The final substep of every big step is fully synchronized
             // (every rung completes at the last tick), so it takes the
-            // unmasked path and is the one we profile. Synchronized substeps
-            // always rebuild; masked fine-rung substeps walk the tree it
-            // froze under `list_reuse`.
-            let full = active.is_full();
-            let mut out =
-                executor.compute_forces_substep(ps, active, profiled && full, list_reuse && !full);
+            // unmasked path and is the one we profile.
+            let mut out = if profiled && active.is_full() {
+                executor.compute_forces_profiled(ps)
+            } else {
+                executor.compute_forces_active(ps, active)
+            };
             interactions += out.stats.interactions();
             imbalance = out.imbalance();
             if out.profile.is_some() {
@@ -565,7 +558,7 @@ mod tests {
     }
 
     #[test]
-    fn frozen_tree_block_run_takes_fine_substeps_and_conserves_energy() {
+    fn profiled_block_run_takes_fine_substeps_and_conserves_energy() {
         let set = plummer(PlummerSpec { n: 400, seed: 25, ..Default::default() });
         let cfg = SimulationConfig {
             alpha: 0.4,
@@ -573,7 +566,6 @@ mod tests {
             diag_every: 5,
             threads: 2,
             profile_every: 1,
-            list_reuse: true,
             timestep: TimestepMode::Block(BlockConfig {
                 dt_max: 8e-3,
                 max_rung: 3,
@@ -593,23 +585,38 @@ mod tests {
     }
 
     #[test]
-    fn list_reuse_off_leaves_the_block_trajectory_bitwise_unchanged() {
-        // The default (no reuse) block path must be byte-for-byte what it
-        // was before the feature existed: every substep rebuilds.
+    fn list_reuse_selects_nothing_on_the_block_path() {
+        // Every substep builds its tree from the positions it evaluates,
+        // whatever the inert field says.
         let set = plummer(PlummerSpec { n: 300, seed: 26, ..Default::default() });
         let bcfg = BlockConfig { dt_max: 8e-3, max_rung: 2, eta: 0.05, eps: 0.02 };
-        let cfg = SimulationConfig {
-            eps: 0.02,
-            timestep: TimestepMode::Block(bcfg),
-            ..Default::default()
-        };
-        let mut a = Simulation::new(set.clone(), cfg);
-        let mut b = Simulation::new(set, SimulationConfig { profile_every: 1, ..cfg });
-        a.run(5);
-        b.run(5);
-        for (x, y) in a.particles.particles.iter().zip(&b.particles.particles) {
-            assert_eq!(x.pos, y.pos);
-            assert_eq!(x.vel, y.vel);
+        for threads in [1, 2] {
+            let off = SimulationConfig {
+                eps: 0.02,
+                threads,
+                timestep: TimestepMode::Block(bcfg),
+                ..Default::default()
+            };
+            let mut a = Simulation::new(set.clone(), off);
+            let mut b = Simulation::new(set.clone(), SimulationConfig { list_reuse: true, ..off });
+            let mut fine = 0;
+            for step in 0..4 {
+                let (ra, rb) = (a.step(), b.step());
+                let ctx = format!("{threads} thread(s), big step {step}");
+                assert_eq!(ra.interactions, rb.interactions, "{ctx}: interactions");
+                assert_eq!(ra.substeps, rb.substeps, "{ctx}: substeps");
+                assert_eq!(a.rungs(), b.rungs(), "{ctx}: rungs");
+                let bits = |s: &Simulation| -> Vec<[u64; 6]> {
+                    let ps = &s.particles.particles;
+                    ps.iter()
+                        .map(|p| [p.pos.x, p.pos.y, p.pos.z, p.vel.x, p.vel.y, p.vel.z])
+                        .map(|c| c.map(f64::to_bits))
+                        .collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "{ctx}: positions and velocities");
+                fine += ra.substeps - 1;
+            }
+            assert!(fine > 0, "{threads} thread(s): no masked substep was taken");
         }
     }
 

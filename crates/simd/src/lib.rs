@@ -44,7 +44,7 @@ pub enum KernelPrecision {
     /// Vectorized f64 lanes — the per-target walk's per-interaction
     /// arithmetic up to summation order and an inverse-sqrt refactoring
     /// (≤1e-12 relative on full sweeps). The only value; removed by ROADMAP
-    /// direction 1(b).
+    /// direction 3(e).
     #[default]
     F64,
 }

@@ -37,7 +37,7 @@ pub enum EvalMode {
     /// subtree of a few neighbouring leaves) feeding SoA batched kernels
     /// ([`bhut_tree::group`]). Interaction-for-interaction identical to the
     /// per-target walk ([`bhut_tree::traverse`]). The only value; removed
-    /// by ROADMAP direction 1(b).
+    /// by ROADMAP direction 3(e).
     #[default]
     Grouped,
 }
@@ -53,23 +53,21 @@ pub struct ThreadConfig {
     pub leaf_capacity: usize,
     pub partitioning: Partitioning,
     /// [`EvalMode::Grouped`], the only value; removed by ROADMAP direction
-    /// 1(b). The degree picks the path: the monopole takes the group sweep,
+    /// 3(e). The degree picks the path: the monopole takes the group sweep,
     /// degree > 0 walks per target.
     pub eval_mode: EvalMode,
     /// [`KernelPrecision::F64`], the only value; removed by ROADMAP
-    /// direction 1(b).
+    /// direction 3(e).
     pub precision: KernelPrecision,
     /// Selects nothing: the group walk always classifies up to 8 sibling
     /// nodes per test with [`BarnesHutMac::classify_batch`]. The field stays
     /// only because the benchmark harness names it in a struct literal;
     /// ROADMAP direction 3(e) deletes it.
     pub mac_batch: bool,
-    /// Keep the tree of each computation, so that a block substep asking
-    /// for it ([`ThreadSim::compute_forces_substep`] with `reuse = true`)
-    /// walks that frozen tree at the particles' current positions instead of
-    /// rebuilding. Off by default; every other computation rebuilds. No
-    /// interaction list is kept between substeps — the name is older than
-    /// that and is pinned by the benchmark harness.
+    /// Selects nothing: every force evaluation walks a tree built from the
+    /// particles it is given. The field stays only because the benchmark
+    /// harness names it in a struct literal; ROADMAP direction 3(e) deletes
+    /// it.
     pub list_reuse: bool,
 }
 
@@ -150,22 +148,13 @@ pub struct ThreadSim {
     pub config: ThreadConfig,
     prev_work: Option<Vec<u64>>,
     scratch: Vec<Mutex<Scratch>>,
-    /// The tree frozen by the last computation, kept only under
-    /// [`ThreadConfig::list_reuse`] so substeps can re-walk it.
-    cached_tree: Option<Tree>,
 }
 
 impl ThreadSim {
     pub fn new(config: ThreadConfig) -> Self {
         assert!(config.threads > 0);
         let scratch = (0..config.threads).map(|_| Mutex::new(Scratch::default())).collect();
-        ThreadSim { config, prev_work: None, scratch, cached_tree: None }
-    }
-
-    /// Drop carried load state (costzones weights and the frozen tree).
-    pub fn reset(&mut self) {
-        self.prev_work = None;
-        self.cached_tree = None;
+        ThreadSim { config, prev_work: None, scratch }
     }
 
     /// Per-particle interaction counts measured by the last force
@@ -180,14 +169,14 @@ impl ThreadSim {
     /// Build the tree (and expansions if degree > 0) and compute the force
     /// and potential on every particle, in parallel.
     pub fn compute_forces(&mut self, particles: &[Particle]) -> ForceResult {
-        self.compute(particles, false, None, false)
+        self.compute(particles, false, None)
     }
 
     /// [`ThreadSim::compute_forces`] plus a phase-level [`StepProfile`]:
     /// per-worker build/walk/kernel/scatter spans and work counters. Results
     /// are identical to the unprofiled call; only wall-clock reads are added.
     pub fn compute_forces_profiled(&mut self, particles: &[Particle]) -> ForceResult {
-        self.compute(particles, true, None, false)
+        self.compute(particles, true, None)
     }
 
     /// [`ThreadSim::compute_forces`] restricted to an active subset: the
@@ -203,26 +192,22 @@ impl ThreadSim {
         particles: &[Particle],
         active: &ActiveSet,
     ) -> ForceResult {
-        self.compute(particles, false, Some(active), false)
+        self.compute(particles, false, Some(active))
     }
 
-    /// One block-substep force computation: like
-    /// [`ThreadSim::compute_forces_active`] (optionally profiled), and —
-    /// when `reuse` is true and [`ThreadConfig::list_reuse`] is on — walking
-    /// the tree frozen by the previous call instead of rebuilding: the same
-    /// sweep over the same kind of units, with sources and targets at their
-    /// current positions and cells and centres of mass as built, so every
-    /// active particle gets exactly its own walk of that tree. With `reuse`
-    /// false (or the field off) this is exactly the rebuild path, bit for
-    /// bit.
+    /// One block-substep force computation:
+    /// [`ThreadSim::compute_forces_active`], optionally profiled. `reuse`
+    /// selects nothing — every substep builds its tree from the particles it
+    /// is given. The argument stays only because the benchmark harness
+    /// passes it; ROADMAP direction 3(e) deletes it.
     pub fn compute_forces_substep(
         &mut self,
         particles: &[Particle],
         active: &ActiveSet,
         profiled: bool,
-        reuse: bool,
+        _reuse: bool,
     ) -> ForceResult {
-        self.compute(particles, profiled, Some(active), reuse)
+        self.compute(particles, profiled, Some(active))
     }
 
     /// [`ThreadSim::compute_forces_substep`] without the build: evaluate on
@@ -230,8 +215,7 @@ impl ThreadSim {
     /// [`ThreadSim::build_tree`] and may use again afterwards (the process
     /// mesh carves its costzones from it). The results are the rebuilding
     /// call's, bit for bit. The profile's build span covers only what the
-    /// evaluation builds itself (the expansions when degree > 0), and the
-    /// tree is not frozen for [`ThreadConfig::list_reuse`].
+    /// evaluation builds itself (the expansions when degree > 0).
     pub fn compute_forces_on(
         &mut self,
         tree: &Tree,
@@ -248,23 +232,10 @@ impl ThreadSim {
         particles: &[Particle],
         profiled: bool,
         active: Option<&ActiveSet>,
-        reuse: bool,
     ) -> ForceResult {
         let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
-        // A reusing substep walks the frozen tree; anything else rebuilds. A
-        // frozen tree is only trusted while the particle set keeps its
-        // cardinality.
-        let cached = (self.config.list_reuse && reuse)
-            .then(|| self.cached_tree.take())
-            .flatten()
-            .filter(|t| t.order.len() == particles.len());
-        let tree = cached.unwrap_or_else(|| self.eval_tree(particles));
-        let out = self.evaluate(&tree, particles, profiled, active, t_origin);
-        // Freeze the tree for the next fine-rung substep to walk.
-        if self.config.list_reuse {
-            self.cached_tree = Some(tree);
-        }
-        out
+        let tree = self.build_tree(particles);
+        self.evaluate(&tree, particles, profiled, active, t_origin)
     }
 
     fn evaluate(
@@ -480,10 +451,6 @@ impl ThreadSim {
     /// sequential build otherwise. Exposed so tests and diagnostics inspect
     /// the same tree [`ThreadSim::compute_forces`] walks.
     pub fn build_tree(&self, particles: &[Particle]) -> Tree {
-        self.eval_tree(particles)
-    }
-
-    fn eval_tree(&self, particles: &[Particle]) -> Tree {
         let cfg = self.config;
         let params = BuildParams::with_leaf_capacity(cfg.leaf_capacity);
         if cfg.threads > 1 && !particles.is_empty() {
@@ -939,8 +906,7 @@ mod tests {
     }
 
     /// Deterministic position drift between substeps, up to 1.2e-2: enough
-    /// to change which nodes a walk accepts and to carry some members out of
-    /// their parent's cell.
+    /// to change which nodes a walk accepts and which cell a body lands in.
     fn drift(particles: &mut [Particle], k: u64) {
         for (i, p) in particles.iter_mut().enumerate() {
             let s = 1e-3 * ((i as u64 * 37 + k * 101) % 13) as f64;
@@ -983,64 +949,29 @@ mod tests {
         }
     }
 
-    /// Reuse silently degrades to a rebuild when it would be unsound: a
-    /// particle set of a different cardinality cannot walk the frozen tree.
-    #[test]
-    fn reuse_with_changed_cardinality_rebuilds() {
-        let set = plummer(PlummerSpec { n: 500, seed: 37, ..Default::default() });
-        let mut sim = ThreadSim::new(ThreadConfig {
-            list_reuse: true,
-            ..config(2, Partitioning::MortonZones)
-        });
-        let _ = sim.compute_forces(&set.particles);
-        let fewer = &set.particles[..400];
-        let active = ActiveSet::all(fewer.len());
-        let r = sim.compute_forces_substep(fewer, &active, true, true);
-        assert_eq!(r.accels.len(), 400);
-        // Against a fresh sim on the same input: identical.
-        let mut fresh = ThreadSim::new(ThreadConfig {
-            list_reuse: true,
-            ..config(2, Partitioning::MortonZones)
-        });
-        let want = fresh.compute_forces(fewer);
-        assert_results_bitwise(&r, &want, "degraded reuse");
-    }
-
-    /// Run `ops` — 0 rebuild (a full step), 1 drift then a masked `reuse`
-    /// substep, 2 mask change — on a 1-thread and a 2-thread sim and hold
-    /// every computation against the per-particle walk of the tree it must
-    /// have walked: the one built from the positions at the last rebuild,
-    /// evaluated at the positions of now. Returns whether
-    /// some substep's interaction count differs from the walk of a tree
-    /// rebuilt at its positions, i.e. whether the sequence could tell a
-    /// frozen tree from a rebuilt one at all.
-    fn frozen_tree_substeps_are_the_walk_of_that_tree(ops: &[u8], seed: u64) -> bool {
+    /// Run `ops` — 0 a full step, 1 drift then a masked substep, 2 mask
+    /// change — on a 1-thread and a 2-thread sim and hold every computation
+    /// against the per-particle walk of the tree [`ThreadSim::build_tree`]
+    /// makes at the positions of now: bitwise across thread counts, values
+    /// within 1e-12, interaction counts exact per row and in total, inactive
+    /// rows zero.
+    fn block_substeps_are_the_walk_of_the_current_tree(ops: &[u8], seed: u64) {
         let set = plummer(PlummerSpec { n: 250, seed, ..Default::default() });
-        let mk = |threads| {
-            ThreadSim::new(ThreadConfig {
-                list_reuse: true,
-                ..config(threads, Partitioning::MortonZones)
-            })
-        };
+        let mk = |threads| ThreadSim::new(config(threads, Partitioning::MortonZones));
         let (mut one, mut two) = (mk(1), mk(2));
         let mac = BarnesHutMac::new(one.config.alpha);
         let eps = one.config.eps;
         let mut ps = set.particles.clone();
         let mut mask: Vec<bool> = (0..ps.len()).map(|i| i % 2 == 0).collect();
-        let mut frozen: Option<Tree> = None;
-        let mut told_apart = false;
         for (k, &op) in ops.iter().enumerate() {
             let ctx = format!("op {k} ({op})");
             let (a, b, active) = match op {
                 0 => {
-                    frozen = Some(one.build_tree(&ps));
                     let all = vec![true; ps.len()];
                     (one.compute_forces(&ps), two.compute_forces(&ps), all)
                 }
                 1 => {
                     drift(&mut ps, k as u64);
-                    // Nothing frozen yet: the substep has to build.
-                    frozen.get_or_insert_with(|| one.build_tree(&ps));
                     let act = ActiveSet::from_mask(mask.clone());
                     let a = one.compute_forces_substep(&ps, &act, false, true);
                     let b = two.compute_forces_substep(&ps, &act, false, true);
@@ -1052,47 +983,35 @@ mod tests {
                 }
             };
             assert_results_bitwise(&a, &b, &format!("{ctx}: 1 thread vs 2"));
-            let tree = frozen.as_ref().expect("set by the rebuild or the first substep");
-            let rebuilt = one.build_tree(&ps);
+            let tree = one.build_tree(&ps);
             let tol = 1e-12;
             let work = one.work_weights().expect("a computation ran");
-            let (mut walked, mut on_rebuilt) = (0, 0);
+            let mut walked = 0;
             for (i, p) in ps.iter().enumerate() {
                 if !active[i] {
                     assert_eq!((a.accels[i], a.potentials[i]), (Vec3::ZERO, 0.0), "{ctx}: row {i}");
                     continue;
                 }
-                let (acc, st) = bhut_tree::accel_on(tree, &ps, p.pos, Some(p.id), &mac, eps);
-                let (phi, _) = bhut_tree::potential_at(tree, &ps, p.pos, Some(p.id), &mac, eps);
+                let (acc, st) = bhut_tree::accel_on(&tree, &ps, p.pos, Some(p.id), &mac, eps);
+                let (phi, _) = bhut_tree::potential_at(&tree, &ps, p.pos, Some(p.id), &mac, eps);
                 assert_eq!(work[i], st.interactions(), "{ctx}: interactions of {i}");
                 assert!(a.accels[i].dist(acc) <= tol * acc.norm().max(1.0), "{ctx}: accel {i}");
                 assert!((a.potentials[i] - phi).abs() <= tol * phi.abs().max(1.0), "{ctx}: {i}");
                 walked += st.interactions();
-                let (_, st) = bhut_tree::accel_on(&rebuilt, &ps, p.pos, Some(p.id), &mac, eps);
-                on_rebuilt += st.interactions();
             }
             assert_eq!(a.stats.interactions(), walked, "{ctx}: total interactions");
-            told_apart |= walked != on_rebuilt;
         }
-        told_apart
-    }
-
-    /// Two drifted substeps on the tree of one rebuild: the counts are those
-    /// of the stale tree and not those of a fresh one, so nothing rebuilt.
-    #[test]
-    fn reuse_substeps_walk_the_frozen_tree_not_a_rebuilt_one() {
-        assert!(frozen_tree_substeps_are_the_walk_of_that_tree(&[0, 1, 2, 1, 1, 0, 1], 40));
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
 
         #[test]
-        fn any_block_sequence_is_the_walk_of_the_frozen_tree(
+        fn any_block_sequence_is_the_walk_of_the_current_tree(
             ops in proptest::collection::vec(0u8..3, 1..10),
             seed in 0u64..1_000,
         ) {
-            frozen_tree_substeps_are_the_walk_of_that_tree(&ops, seed);
+            block_substeps_are_the_walk_of_the_current_tree(&ops, seed);
         }
     }
 

@@ -54,8 +54,7 @@
 //! Mixed. [`gather_group_targets`] is one level from the root against a bucket
 //! of query targets. A unit's members are gathered *through the unit's
 //! ancestors* ([`GroupSweep`], of which [`gather_group`] is the one-unit
-//! case), on a freshly built tree and on one its particles have drifted away
-//! from alike: the shared slabs are the concatenation, level by
+//! case): the shared slabs are the concatenation, level by
 //! level from the root down to the unit's parent and then the unit itself,
 //! of what each level's bucket — the ancestor's cell; for the unit, the tight
 //! box of its members — settles out of what the level above left Mixed. Every
@@ -79,10 +78,15 @@
 //! move and nobody else can write the buffers while a chain is live, every
 //! sweep starts from an empty chain, and every other gather clears it. So a
 //! stale chain cannot be expressed, and there is no key or generation to
-//! check. A unit whose members are not all inside its parent's cell — only
-//! possible when particles moved after the build — gets no chain at all: one
-//! level from the root against its tight box, decided from the tree, the
-//! particles and the unit alone, so a sweep and a one-shot gather agree on it.
+//! check. A unit whose members are not all inside its parent's cell gets no
+//! chain at all: one level from the root against its tight box, decided from
+//! the tree, the particles and the unit alone, so a sweep and a one-shot
+//! gather agree on it. Fresh builds make such units: the build sorts by
+//! quantized Morton key, and where the quantization disagrees with the float
+//! midpoints of the cells, a body sits about an ulp outside its own cell (on
+//! the 50k Plummer set, seed 1, one unit of 1 446). Particles that moved
+//! after the build make them too; the fallback keeps the gather exact per
+//! member on either.
 
 use crate::kernel::{accel_slab_member_f64, SlabView};
 use crate::mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
@@ -469,10 +473,11 @@ impl<'a> GroupSweep<'a> {
     /// chain it shares with the previous unit. Returns the number of
     /// members.
     ///
-    /// A unit whose members are not all inside its parent's cell (particles
-    /// that moved since the tree was built) is walked from the root against
-    /// its tight box alone, like a unit without ancestors: the nesting the
-    /// chain relies on does not hold for it.
+    /// A unit whose members are not all inside its parent's cell (a body
+    /// about an ulp outside its own cell on a fresh build, or particles that
+    /// moved since the build) is walked from the root against its tight box
+    /// alone, like a unit without ancestors: the nesting the chain relies on
+    /// does not hold for it.
     pub fn gather(&mut self, unit: NodeId) -> usize {
         let (tree, particles, mac) = (self.tree, self.particles, self.mac);
         let buf = &mut *self.buf;
@@ -736,7 +741,7 @@ fn unit_targets<'a>(
 /// replays it itself ([`crate::replay`]). The name survives, with its old
 /// signature, only because the benchmark harness under `spine/` calls it
 /// between [`gather_group`] and [`eval_gathered_monopole_masked`]; the next
-/// `benchmark` PR (ROADMAP direction 1e) drops that call and deletes this
+/// `benchmark` PR (ROADMAP direction 3(e)) drops that call and deletes this
 /// function.
 pub fn resolve_mixed_tails_lanes(
     _tree: &Tree,
@@ -875,7 +880,7 @@ pub fn eval_gathered_targets(
 /// members.
 ///
 /// `_precision` is [`KernelPrecision::F64`], its only value; the parameter
-/// is removed by ROADMAP direction 1(b).
+/// is removed by ROADMAP direction 3(e).
 #[allow(clippy::too_many_arguments)] // the pipeline's inputs plus mask and precision
 pub fn eval_gathered_monopole_masked(
     tree: &Tree,
@@ -1529,10 +1534,9 @@ mod tests {
         reused
     }
 
-    /// Move particles under a tree that stays as built, the way the substeps
-    /// of a block step do: every particle by up to `scale` (at 1e-4 a member
-    /// stays inside its parent's cell), and with `far` every `far`-th one
-    /// right out of it.
+    /// Move particles under a tree that stays as built: every particle by up
+    /// to `scale` (at 1e-4 a member stays inside its parent's cell), and with
+    /// `far` every `far`-th one right out of it.
     fn drift(particles: &mut [Particle], k: u64, scale: f64, far: Option<usize>) {
         for (i, p) in particles.iter_mut().enumerate() {
             let s = scale * ((i as u64 * 37 + k * 101) % 13) as f64;
@@ -1619,9 +1623,9 @@ mod tests {
         let units = leaf_schedule(&tree);
         let reused = assert_sweep_is_one_shot(&tree, &set.particles, &mac, &units, "plummer");
         assert!(reused > 2 * units.len(), "only {reused} levels reused over {} units", units.len());
-        // The same under particles that drifted a little since the build (a
-        // block substep on the frozen tree): the chain is still what is
-        // reused. Thrown far out of their cells, those units lose it.
+        // The same under particles that drifted a little since the build:
+        // the chain is still what is reused. Thrown far out of their cells,
+        // those units lose it.
         let mut ps = set.particles.clone();
         drift(&mut ps, 1, 1e-4, None);
         let near = assert_sweep_is_one_shot(&tree, &ps, &mac, &units, "small drift");
@@ -1674,6 +1678,66 @@ mod tests {
         for alpha in [0.4, 0.67, 1.0] {
             check(&BarnesHutMac::new(alpha), &format!("bh {alpha}"));
         }
+    }
+
+    /// The unit's parent, found the way [`GroupSweep::gather`] descends:
+    /// by `order` range from the root. `None` for the root.
+    fn parent_of(tree: &Tree, unit: NodeId) -> Option<NodeId> {
+        let node = tree.node(unit);
+        let mut cur = 0;
+        while cur != unit {
+            let below = tree.children_of(cur).find(|&c| {
+                let c = tree.node(c);
+                c.start <= node.start && node.end <= c.end
+            })?;
+            if below == unit {
+                return Some(cur);
+            }
+            cur = below;
+        }
+        None
+    }
+
+    /// The fallback is live on trees built from the very positions they
+    /// hold: the build sorts by quantized Morton key, and where that
+    /// disagrees with the float midpoints of the cells a body lands in a
+    /// cell that misses it by about an ulp. Such a unit is not nested in its
+    /// parent's cell; search for one in fresh builds and hold the sweep there
+    /// to the one-shot gather.
+    #[test]
+    fn a_fresh_build_can_leave_a_unit_outside_its_parents_cell() {
+        let sets = [
+            ("plummer", plummer(PlummerSpec { n: 50_000, seed: 1, ..Default::default() })),
+            ("uniform", uniform_cube(50_000, 1.0, 1)),
+        ];
+        let mac = BarnesHutMac::new(0.67);
+        let mut found = 0;
+        for (name, set) in &sets {
+            let ps = &set.particles;
+            let tree = build(ps, BuildParams::default());
+            let units = leaf_schedule(&tree);
+            let outside: Vec<NodeId> = units
+                .iter()
+                .copied()
+                .filter(|&u| {
+                    let members = tree.particles_under(u).iter().map(|&pi| ps[pi as usize].pos);
+                    let tight = Aabb::bounding(members).expect("a unit holds a particle");
+                    parent_of(&tree, u).is_some_and(|p| !tree.node(p).cell.contains_box(&tight))
+                })
+                .collect();
+            let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
+            let mut sweep = GroupSweep::new(&tree, ps, &mac, &mut swept);
+            for &u in &units {
+                sweep.gather(u);
+                if outside.contains(&u) {
+                    gather_group(&tree, ps, u, &mac, &mut fresh);
+                    assert_buffers_bitwise(sweep.buffers(), &fresh, &format!("{name} unit {u}"));
+                    assert_eq!(sweep.buf.depth, 0, "{name} unit {u}: no chain kept");
+                }
+            }
+            found += outside.len();
+        }
+        assert!(found > 0, "no fresh build left a unit outside its parent's cell");
     }
 
     /// A member that left its parent's cell since the tree was built breaks

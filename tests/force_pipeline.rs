@@ -1,8 +1,8 @@
 //! The three entries into the grouped force pipeline (`gather → eval` in
 //! `tree::group`) against the per-particle walk itself, on one
-//! seeded Plummer set: the full executor sweep, a masked block substep on the
-//! tree that sweep froze with the particles moved on since, and a served
-//! field query at particle positions. Values agree to 1e-12 relative;
+//! seeded Plummer set: the full executor sweep, a masked block substep after
+//! the particles moved on (on a tree built from where they are now), and a
+//! served field query at particle positions. Values agree to 1e-12 relative;
 //! interaction counts exactly.
 //! A second case drives both paths of the executor through one harness:
 //! degree 2 (which walks per target) bitwise against `MultipoleTree::eval`,
@@ -62,12 +62,12 @@ fn assert_bitwise(acc: Vec3, phi: f64, want: (Vec3, f64, u64), ctx: &str) {
 fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
     let set = plummer(PlummerSpec { n: 800, seed: 5, ..Default::default() });
     let ps = &set.particles;
-    let cfg = ThreadConfig { threads: 2, list_reuse: true, ..Default::default() };
+    let cfg = ThreadConfig { threads: 2, ..Default::default() };
     let mut sim = ThreadSim::new(cfg);
     let tree = sim.build_tree(ps);
     let reference: Vec<(Vec3, f64, u64)> = ps.iter().map(|p| walk(&tree, ps, p, &cfg)).collect();
 
-    // 1. The full sweep (which also freezes the tree).
+    // 1. The full sweep.
     let full = sim.compute_forces(ps);
     let work = sim.work_weights().expect("a computation records its work").to_vec();
     for (i, want) in reference.iter().enumerate() {
@@ -81,9 +81,10 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
     }
     assert_eq!(full.stats.interactions(), reference.iter().map(|r| r.2).sum::<u64>());
 
-    // 2. A masked substep on the frozen tree, after the particles drifted:
-    // the walk of that tree — cells and centres of mass as built — at the
-    // positions of now, which is not the walk of a tree rebuilt from them.
+    // 2. A masked substep after the particles drifted: the walk of the tree
+    // built from the positions of now, which is not the walk of the tree the
+    // full sweep built before the drift — the substep rebuilt. (`reuse`
+    // selects nothing.)
     let mut moved = ps.clone();
     for (i, p) in moved.iter_mut().enumerate() {
         let s = 1e-3 * ((i * 37) % 13) as f64;
@@ -93,16 +94,16 @@ fn executor_substep_and_served_query_all_equal_the_per_particle_walk() {
     let sub = sim.compute_forces_substep(&moved, &ActiveSet::from_mask(mask.clone()), true, true);
     let work = sim.work_weights().expect("a computation records its work");
     let rebuilt = sim.build_tree(&moved);
-    let (mut active_interactions, mut on_rebuilt) = (0, 0);
+    let (mut active_interactions, mut on_stale) = (0, 0);
     for (i, p) in moved.iter().enumerate().filter(|(i, _)| mask[*i]) {
-        let want = walk(&tree, &moved, p, &cfg);
+        let want = walk(&rebuilt, &moved, p, &cfg);
         assert_close(sub.accels[i], sub.potentials[i], want, &format!("substep, particle {i}"));
         assert_eq!(work[i], want.2, "substep, particle {i}: interactions");
         active_interactions += want.2;
-        on_rebuilt += walk(&rebuilt, &moved, p, &cfg).2;
+        on_stale += walk(&tree, &moved, p, &cfg).2;
     }
     assert_eq!(sub.stats.interactions(), active_interactions);
-    assert_ne!(active_interactions, on_rebuilt, "the drift must tell the two trees apart");
+    assert_ne!(active_interactions, on_stale, "the drift must tell the two trees apart");
 
     // 3. A served query at the particle positions, each skipping itself.
     let points: Vec<QueryTarget> = ps.iter().map(|p| (p.pos, p.id)).collect();
