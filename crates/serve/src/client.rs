@@ -7,6 +7,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::os::unix::net::UnixStream;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 use bhut_tree::{KernelPrecision, QueryTarget};
@@ -20,6 +21,19 @@ use crate::proto::{
 /// How long [`ServeClient::query`] keeps retrying a backpressured request
 /// before giving up.
 const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// A seed for the next client's retry jitter, so concurrent clients
+/// desynchronize their retry storms: a process-wide count of clients, above
+/// the process id, spread through splitmix64. Every client of a process,
+/// whatever call path made it, draws its own.
+fn jitter_seed() -> u64 {
+    static CLIENTS: AtomicU64 = AtomicU64::new(0);
+    let count = CLIENTS.fetch_add(1, Relaxed) ^ (u64::from(std::process::id()) << 32);
+    let mut z = count.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 pub struct ServeClient {
     reader: Box<dyn Read + Send>,
@@ -46,14 +60,11 @@ impl ServeClient {
     }
 
     fn from_halves(reader: Box<dyn Read + Send>, writer: Box<dyn Write + Send>) -> Self {
-        // Seed the jitter from the socket's address-of-self so concurrent
-        // clients desynchronize their retry storms.
-        let seed = &reader as *const _ as u64 | 1;
         ServeClient {
             reader,
             writer,
             next_id: 1,
-            backoff: Backoff::new(seed),
+            backoff: Backoff::new(jitter_seed()),
             deadline: DEFAULT_DEADLINE,
             retries: 0,
         }
@@ -138,5 +149,27 @@ impl ServeClient {
             ));
         }
         String::from_utf8(body).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::os::unix::net::UnixListener;
+
+    /// Two clients connected one after the other on one thread, through the
+    /// same call path, retry on different schedules.
+    #[test]
+    fn clients_connected_back_to_back_draw_different_jitter() {
+        let path = std::env::temp_dir().join(format!("bhut-jitter-{}.sock", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let _listener = UnixListener::bind(&path).unwrap();
+        let mut a = ServeClient::connect_unix(&path).unwrap();
+        let mut b = ServeClient::connect_unix(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let delays = |c: &mut ServeClient| -> Vec<Duration> {
+            (0..4).map(|_| c.backoff.next_delay(Duration::MAX)).collect()
+        };
+        assert_ne!(delays(&mut a), delays(&mut b));
     }
 }

@@ -446,20 +446,12 @@ impl ThreadSim {
         ForceResult { accels, potentials, stats: total, per_thread_interactions, profile }
     }
 
-    /// The exact tree the force path evaluates: a parallel build in the
-    /// particles' bounding cube when more than one thread is configured, a
-    /// sequential build otherwise. Exposed so tests and diagnostics inspect
-    /// the same tree [`ThreadSim::compute_forces`] walks.
+    /// The exact tree the force path evaluates: the one sequential build in
+    /// the particles' bounding cube, whatever the thread count, so the tree
+    /// is the same bits at every `threads`. Exposed so tests and diagnostics
+    /// inspect the same tree [`ThreadSim::compute_forces`] walks.
     pub fn build_tree(&self, particles: &[Particle]) -> Tree {
-        let cfg = self.config;
-        let params = BuildParams::with_leaf_capacity(cfg.leaf_capacity);
-        if cfg.threads > 1 && !particles.is_empty() {
-            let cell = bhut_geom::Aabb::bounding_cube(particles.iter().map(|p| p.pos), 0.0)
-                .expect("non-empty");
-            crate::ptree::par_build_in_cell(particles, cell, params)
-        } else {
-            build(particles, params)
-        }
+        build(particles, BuildParams::with_leaf_capacity(self.config.leaf_capacity))
     }
 }
 
@@ -1017,27 +1009,23 @@ mod tests {
 
     #[test]
     fn build_tree_is_the_tree_the_executor_walks() {
-        // The diagnostic tree must come from the same construction path the
-        // force computation uses: parallel build in the bounding cube for
-        // threads > 1, sequential build for one thread.
+        // The diagnostic tree is the sequential build in the bounding cube at
+        // every thread count: the same nodes, bit for bit, and the same order.
         let set = plummer(PlummerSpec { n: 900, seed: 13, ..Default::default() });
-        let par_sim = ThreadSim::new(config(4, Partitioning::MortonZones));
-        let got = par_sim.build_tree(&set.particles);
-        let cell = bhut_geom::Aabb::bounding_cube(set.particles.iter().map(|p| p.pos), 0.0)
-            .expect("non-empty");
-        let want = crate::ptree::par_build_in_cell(
-            &set.particles,
-            cell,
-            BuildParams::with_leaf_capacity(par_sim.config.leaf_capacity),
-        );
-        assert_eq!(got.len(), want.len());
-        assert_eq!(got.order, want.order);
-
-        let seq_sim = ThreadSim::new(config(1, Partitioning::StaticBlocks));
-        let got = seq_sim.build_tree(&set.particles);
-        let want =
-            build(&set.particles, BuildParams::with_leaf_capacity(seq_sim.config.leaf_capacity));
-        assert_eq!(got.len(), want.len());
-        assert_eq!(got.order, want.order);
+        let want = build(&set.particles, BuildParams::with_leaf_capacity(8));
+        for (threads, part) in [(1, Partitioning::StaticBlocks), (4, Partitioning::MortonZones)] {
+            let sim = ThreadSim::new(config(threads, part));
+            assert_eq!(sim.config.leaf_capacity, 8);
+            let got = sim.build_tree(&set.particles);
+            assert_eq!(got.order, want.order, "{threads} threads");
+            assert_eq!(got.len(), want.len(), "{threads} threads");
+            for (g, w) in got.nodes.iter().zip(&want.nodes) {
+                let bits = |n: &bhut_tree::Node| {
+                    let v = [n.mass, n.com.x, n.com.y, n.com.z, n.cell.min.x, n.cell.max.x];
+                    (v.map(f64::to_bits), n.key, n.children, n.start, n.end, n.next)
+                };
+                assert_eq!(bits(g), bits(w), "{threads} threads");
+            }
+        }
     }
 }

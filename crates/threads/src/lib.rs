@@ -29,8 +29,6 @@
 
 pub mod executor;
 pub mod pool;
-pub mod ptree;
 
 pub use bhut_tree::KernelPrecision;
 pub use executor::{EvalMode, ForceResult, Partitioning, ThreadConfig, ThreadSim};
-pub use ptree::par_build_in_cell;

@@ -16,6 +16,34 @@
 //!
 //! Both builders accept an explicit root cell so the distributed formulations
 //! can build *subdomain* trees that align with the global decomposition.
+//!
+//! # The bulk builder's bits
+//!
+//! A tree is a function of the particles, the cell and the [`BuildParams`]
+//! alone, and every way of building it must give the same bits: the sort
+//! order decides `order` and the summation order of every moment.
+//!
+//! * **Sort.** `sorted_codes` must give the `(code, index)` order a
+//!   comparison sort of the pairs gives — ties between coincident codes
+//!   broken by index. A stable LSD radix sort, four passes of 8-bit digits,
+//!   orders `u64` items that pack the top 32 code bits above the particle
+//!   index; the items start out in index order, so they come out in
+//!   `(top bits, index)` order. What is left are the runs of equal top bits
+//!   (one level-10 cell each, a handful of particles), which insertion sorts
+//!   by whole code without ever moving a code past an equal one. A pass whose
+//!   digit is the same for every item is skipped.
+//! * **Splits.** Inside a node's range the codes share every octant field
+//!   above the node's level, so the field at that level never decreases along
+//!   the range, and each child's run ends where a binary search
+//!   (`partition_point`) finds the next field.
+//! * **Moments.** Each node sums its own range of `order` left to right from
+//!   zero, `mass += m` and `weighted += pos * m`, and divides; a massless
+//!   range takes the centroid of its positions. [`Tree::validate`] re-does
+//!   exactly this fold. (Folding each particle once into the running sums of
+//!   all its open ancestors gives the same bits, but measured slower: the
+//!   per-node loops re-read particles that are still in cache, while the
+//!   fold's per-particle loop over a varying number of ancestors stalls on
+//!   its accumulator stores and loop exits.)
 
 use crate::node::{Node, NodeId, Tree, NIL};
 use bhut_geom::{Aabb, Particle, Vec3};
@@ -52,18 +80,36 @@ impl BuildParams {
 }
 
 /// Grid depth of the Morton quantization: 21 levels of octants.
-const MAX_LEVEL: u32 = 21;
+pub(crate) const MAX_LEVEL: u32 = 21;
 
 /// Quantize a position inside `cell` to its 63-bit Morton code.
 #[inline]
 pub fn morton_code(cell: &Aabb, p: Vec3) -> u64 {
-    let side = cell.side().max(f64::MIN_POSITIVE);
-    let scale = (1u64 << MAX_LEVEL) as f64 / side;
-    let q = |x: f64, lo: f64| -> u32 {
-        let v = ((x - lo) * scale) as i64;
-        v.clamp(0, (1 << MAX_LEVEL) - 1) as u32
-    };
-    encode_3d(q(p.x, cell.min.x), q(p.y, cell.min.y), q(p.z, cell.min.z))
+    Grid::new(cell).code(p)
+}
+
+/// The Morton grid of a cell: its low corner and the grid steps per unit
+/// length, worked out once for a whole particle set.
+struct Grid {
+    lo: Vec3,
+    scale: f64,
+}
+
+impl Grid {
+    #[inline]
+    fn new(cell: &Aabb) -> Self {
+        let side = cell.side().max(f64::MIN_POSITIVE);
+        Grid { lo: cell.min, scale: (1u64 << MAX_LEVEL) as f64 / side }
+    }
+
+    #[inline]
+    fn code(&self, p: Vec3) -> u64 {
+        let q = |x: f64, lo: f64| -> u32 {
+            let v = ((x - lo) * self.scale) as i64;
+            v.clamp(0, (1 << MAX_LEVEL) - 1) as u32
+        };
+        encode_3d(q(p.x, self.lo.x), q(p.y, self.lo.y), q(p.z, self.lo.z))
+    }
 }
 
 /// Octant field of `code` at tree level `level` (0 = root split).
@@ -89,16 +135,134 @@ pub fn build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams) ->
     if n == 0 {
         return Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell };
     }
-    let mut keyed: Vec<(u64, u32)> =
-        particles.iter().enumerate().map(|(i, p)| (morton_code(&cell, p.pos), i as u32)).collect();
-    keyed.sort_unstable();
-    let codes: Vec<u64> = keyed.iter().map(|&(c, _)| c).collect();
-    let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
-
-    let mut b = Builder { particles, codes: &codes, order: &order, params, nodes: Vec::new() };
-    b.nodes.reserve(2 * n / params.leaf_capacity.max(1) + 8);
+    let (codes, order) = sorted_codes(particles, &cell);
+    let mut b = Builder {
+        particles,
+        codes: &codes,
+        order: &order,
+        params,
+        nodes: Vec::with_capacity(node_estimate(n, params.leaf_capacity)),
+    };
     b.rec(cell, NodeKey::ROOT, 0, 0, n as u32);
     Tree { nodes: b.nodes, order, root_cell: cell }
+}
+
+/// Where the radix sort splits a code: it sorts by `code >> LOW_BITS`, the
+/// top 32 of the 63 bits (levels 0 to 10), and insertion the rest.
+const LOW_BITS: u32 = 3 * MAX_LEVEL - 32;
+/// Radix digit width of [`sorted_codes`]: four passes of 8 bits cover the
+/// 32 sorted bits.
+const DIGIT_BITS: u32 = 8;
+const DIGITS: usize = (32 / DIGIT_BITS) as usize;
+const BUCKETS: usize = 1 << DIGIT_BITS;
+
+/// The Morton codes of `particles` in `cell`, sorted, and the particle
+/// index of each, in exactly the `(code, index)` order a comparison sort of
+/// the pairs gives.
+///
+/// Each item packs the top 32 code bits above the 32-bit particle index, so
+/// the radix passes move one `u64` per particle. The items start out in
+/// index order and every pass is stable, so they come out in `(top bits,
+/// index)` order, and only the runs of equal top bits — the particles of
+/// one level-10 cell, a handful — are left to sort by whole code. One read
+/// of the particles makes the codes, the items and every digit's histogram;
+/// a pass whose digit is the same for every item moves nothing, so it is
+/// skipped. The codes, the items, a spare and `order` hold at most 28 bytes
+/// per particle at once, what the comparison sort's pairs, codes and order
+/// held.
+fn sorted_codes(particles: &[Particle], cell: &Aabb) -> (Vec<u64>, Vec<u32>) {
+    let n = particles.len();
+    let digit = |item: u64, d: usize| (item >> (32 + DIGIT_BITS as usize * d)) as usize % BUCKETS;
+    let mut counts = [[0u32; BUCKETS]; DIGITS];
+    let grid = Grid::new(cell);
+    let mut codes: Vec<u64> = Vec::with_capacity(n);
+    let mut items: Vec<u64> = Vec::with_capacity(n);
+    for (i, p) in particles.iter().enumerate() {
+        let code = grid.code(p.pos);
+        let item = (code >> LOW_BITS) << 32 | i as u64;
+        for (d, count) in counts.iter_mut().enumerate() {
+            count[digit(item, d)] += 1;
+        }
+        codes.push(code);
+        items.push(item);
+    }
+    let mut spare = vec![0u64; n];
+    for (d, count) in counts.iter().enumerate() {
+        if count[digit(items[0], d)] as usize == n {
+            continue;
+        }
+        let mut at = [0u32; BUCKETS];
+        let mut sum = 0;
+        for (a, &c) in at.iter_mut().zip(count) {
+            *a = sum;
+            sum += c;
+        }
+        for &item in &items {
+            let slot = &mut at[digit(item, d)];
+            spare[*slot as usize] = item;
+            *slot += 1;
+        }
+        std::mem::swap(&mut items, &mut spare);
+    }
+    // Gather the codes into item order, then finish each run of equal top
+    // bits, which is in index order: insertion sorts it by whole code,
+    // moving a code only past greater ones, so ties stay in index order. A
+    // run longer than `SHORT_RUN` (a dense clump inside one level-10 cell)
+    // would make that quadratic; it is sorted as `(code, index)` pairs once
+    // it ends.
+    let mut order: Vec<u32> = items.iter().map(|&item| item as u32).collect();
+    drop(items);
+    let mut sorted = spare;
+    for (code, &i) in sorted.iter_mut().zip(&order) {
+        *code = codes[i as usize];
+    }
+    drop(codes);
+    let mut run = 0;
+    for k in 1..n {
+        let code = sorted[k];
+        if (code ^ sorted[k - 1]) >> LOW_BITS != 0 {
+            sort_long_run(&mut sorted[run..k], &mut order[run..k]);
+            run = k;
+        } else if k - run < SHORT_RUN && sorted[k - 1] > code {
+            let i = order[k];
+            let mut at = k;
+            while at > run && sorted[at - 1] > code {
+                sorted[at] = sorted[at - 1];
+                order[at] = order[at - 1];
+                at -= 1;
+            }
+            sorted[at] = code;
+            order[at] = i;
+        }
+    }
+    sort_long_run(&mut sorted[run..], &mut order[run..]);
+    (sorted, order)
+}
+
+/// Runs of equal top bits up to this long are sorted by insertion.
+const SHORT_RUN: usize = 32;
+
+/// Sort a run of `codes` longer than [`SHORT_RUN`], with its particle
+/// indices `order`, into `(code, index)` order as pairs; leave a shorter
+/// one, which insertion has sorted.
+fn sort_long_run(codes: &mut [u64], order: &mut [u32]) {
+    if codes.len() <= SHORT_RUN {
+        return;
+    }
+    let mut pairs: Vec<(u64, u32)> = codes.iter().copied().zip(order.iter().copied()).collect();
+    pairs.sort_unstable();
+    for ((c, o), (code, i)) in codes.iter_mut().zip(order.iter_mut()).zip(pairs) {
+        (*c, *o) = (code, i);
+    }
+}
+
+/// Arena slots to reserve for `n` particles at leaf capacity `s`: at
+/// `s` = 8 a Plummer sphere takes 3.4 n/s nodes and Gaussian blobs 3.3, so
+/// their arenas fill without a copy, while a uniform cube (4.4 n/s) grows
+/// once. Reserving for the uniform cube too raised the benchmark's peak RSS
+/// by 0.5–2.5 MiB: the unused tail shifts what the heap hands out next.
+fn node_estimate(n: usize, s: usize) -> usize {
+    (4 * n / s.max(1)).min(2 * n) + 64
 }
 
 struct Builder<'a> {
@@ -165,19 +329,19 @@ impl Builder<'_> {
             return id;
         }
 
-        // Partition the (sorted) range by the octant field at this level and
-        // recurse. Children are built in octant order so particle ranges
-        // tile the parent's range along the Z-curve.
+        // Split the (sorted) range by the octant field at this level and
+        // recurse. The codes share every field above it, so the field never
+        // decreases along the range and each octant's run ends where a
+        // binary search says. Children are built in octant order so
+        // particle ranges tile the parent's range along the Z-curve.
         let mut children = [NIL; 8];
         let mut lo = start;
         while lo < end {
             let oct = octant_at(self.codes[lo as usize], level);
-            let mut hi = lo + 1;
-            while hi < end && octant_at(self.codes[hi as usize], level) == oct {
-                hi += 1;
-            }
-            let child_cell = cell.octant(oct);
-            children[oct] = self.rec(child_cell, key.child(oct as u8), level + 1, lo, hi);
+            let run = self.codes[lo as usize..end as usize]
+                .partition_point(|&c| octant_at(c, level) == oct);
+            let hi = lo + run as u32;
+            children[oct] = self.rec(cell.octant(oct), key.child(oct as u8), level + 1, lo, hi);
             lo = hi;
         }
         let next = self.nodes.len() as NodeId;
@@ -187,6 +351,7 @@ impl Builder<'_> {
         id
     }
 
+    /// Mass and center of mass of `order[start..end]`, summed left to right.
     fn mass_com(&self, start: u32, end: u32) -> (f64, Vec3) {
         let mut mass = 0.0;
         let mut weighted = Vec3::ZERO;
@@ -365,6 +530,214 @@ mod tests {
     use super::*;
     use bhut_geom::{plummer, uniform_cube, ParticleSet, PlummerSpec};
     use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The builder as it was before the radix sort, the binary-search splits
+    /// and the arena reservation: a comparison sort of `(code, index)` pairs
+    /// and a linear scan for each octant's run. Every tree [`build_in_cell`]
+    /// makes must equal its tree bit for bit.
+    mod oracle {
+        use crate::build::{octant_at, BuildParams, MAX_LEVEL};
+        use crate::node::{Node, NodeId, Tree, NIL};
+        use bhut_geom::{Aabb, Particle, Vec3};
+        use bhut_morton::encode_3d;
+        use bhut_morton::NodeKey;
+
+        fn morton_code(cell: &Aabb, p: Vec3) -> u64 {
+            let side = cell.side().max(f64::MIN_POSITIVE);
+            let scale = (1u64 << MAX_LEVEL) as f64 / side;
+            let q = |x: f64, lo: f64| -> u32 {
+                let v = ((x - lo) * scale) as i64;
+                v.clamp(0, (1 << MAX_LEVEL) - 1) as u32
+            };
+            encode_3d(q(p.x, cell.min.x), q(p.y, cell.min.y), q(p.z, cell.min.z))
+        }
+
+        pub(super) fn build_in_cell(
+            particles: &[Particle],
+            cell: Aabb,
+            params: BuildParams,
+        ) -> Tree {
+            let n = particles.len();
+            if n == 0 {
+                return Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell };
+            }
+            let mut keyed: Vec<(u64, u32)> = particles
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (morton_code(&cell, p.pos), i as u32))
+                .collect();
+            keyed.sort_unstable();
+            let codes: Vec<u64> = keyed.iter().map(|&(c, _)| c).collect();
+            let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
+
+            let mut b =
+                Builder { particles, codes: &codes, order: &order, params, nodes: Vec::new() };
+            b.nodes.reserve(2 * n / params.leaf_capacity.max(1) + 8);
+            b.rec(cell, NodeKey::ROOT, 0, 0, n as u32);
+            Tree { nodes: b.nodes, order, root_cell: cell }
+        }
+
+        struct Builder<'a> {
+            particles: &'a [Particle],
+            codes: &'a [u64],
+            order: &'a [u32],
+            params: BuildParams,
+            nodes: Vec<Node>,
+        }
+
+        impl Builder<'_> {
+            /// Build the subtree over `order[start..end]`; returns its arena id.
+            fn rec(
+                &mut self,
+                mut cell: Aabb,
+                mut key: NodeKey,
+                mut level: u32,
+                start: u32,
+                end: u32,
+            ) -> NodeId {
+                debug_assert!(start < end);
+                let count = end - start;
+
+                // Box collapsing: jump to the deepest aligned cell that still holds
+                // the whole range. Because the range is Morton-sorted, the longest
+                // common prefix of the first and last codes is the common prefix of
+                // all of them.
+                if self.params.collapse && count > self.params.leaf_capacity as u32 {
+                    let mut lcp_levels = ((self.codes[start as usize]
+                        ^ self.codes[end as usize - 1])
+                        .leading_zeros()
+                        .saturating_sub(1))
+                        / 3;
+                    // Never collapse past the forced-split level: the distributed
+                    // formulations need explicit nodes at the subdomain level. (A
+                    // node entering recursion *at* that level must materialize
+                    // there, so the clamp includes equality.)
+                    if self.params.min_split_level > 0 && level <= self.params.min_split_level {
+                        lcp_levels = lcp_levels.min(self.params.min_split_level);
+                    }
+                    while level < lcp_levels && level < MAX_LEVEL - 1 {
+                        let oct = octant_at(self.codes[start as usize], level);
+                        cell = cell.octant(oct);
+                        key = key.child(oct as u8);
+                        level += 1;
+                    }
+                }
+
+                let id = self.nodes.len() as NodeId;
+                let (mass, com) = self.mass_com(start, end);
+                self.nodes.push(Node {
+                    cell,
+                    key,
+                    mass,
+                    com,
+                    children: [NIL; 8],
+                    child_mask: 0,
+                    start,
+                    end,
+                    next: id + 1,
+                });
+
+                let deep_enough = level >= self.params.min_split_level;
+                if (count as usize <= self.params.leaf_capacity && deep_enough)
+                    || level >= MAX_LEVEL - 1
+                {
+                    return id;
+                }
+
+                // Partition the (sorted) range by the octant field at this level and
+                // recurse. Children are built in octant order so particle ranges
+                // tile the parent's range along the Z-curve.
+                let mut children = [NIL; 8];
+                let mut lo = start;
+                while lo < end {
+                    let oct = octant_at(self.codes[lo as usize], level);
+                    let mut hi = lo + 1;
+                    while hi < end && octant_at(self.codes[hi as usize], level) == oct {
+                        hi += 1;
+                    }
+                    let child_cell = cell.octant(oct);
+                    children[oct] = self.rec(child_cell, key.child(oct as u8), level + 1, lo, hi);
+                    lo = hi;
+                }
+                let next = self.nodes.len() as NodeId;
+                let node = &mut self.nodes[id as usize];
+                node.set_children(children);
+                node.next = next;
+                id
+            }
+
+            fn mass_com(&self, start: u32, end: u32) -> (f64, Vec3) {
+                let mut mass = 0.0;
+                let mut weighted = Vec3::ZERO;
+                for &i in &self.order[start as usize..end as usize] {
+                    let p = &self.particles[i as usize];
+                    mass += p.mass;
+                    weighted += p.pos * p.mass;
+                }
+                let com = if mass > 0.0 {
+                    weighted / mass
+                } else {
+                    // massless subtree: fall back to geometric centroid
+                    let mut c = Vec3::ZERO;
+                    for &i in &self.order[start as usize..end as usize] {
+                        c += self.particles[i as usize].pos;
+                    }
+                    c / (end - start) as f64
+                };
+                (mass, com)
+            }
+        }
+    }
+
+    /// `n` particles of one shape: 0 uniform, 1 duplicated positions, 2
+    /// collinear, 3 two tight clusters, 4 like 0 but massless (the centroid
+    /// fallback). Masses vary so every sum has rounding to get right.
+    fn shaped(shape: usize, n: usize, seed: u64) -> Vec<Particle> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut unit = || Vec3::new(rng.gen(), rng.gen(), rng.gen());
+        let pool: Vec<Vec3> = (0..(n / 4).max(1)).map(|_| unit()).collect();
+        let centers = [Vec3::new(0.2, 0.7, 0.4), Vec3::new(0.9, 0.1, 0.3)];
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+        (0..n)
+            .map(|i| {
+                let pos = match shape {
+                    1 => pool[rng.gen_range(0..pool.len())],
+                    2 => {
+                        let t: f64 = rng.gen();
+                        Vec3::new(t, 0.5 * t, 0.25)
+                    }
+                    3 => {
+                        let jitter = Vec3::new(rng.gen(), rng.gen(), rng.gen()) * 1e-9;
+                        centers[i % 2] + jitter
+                    }
+                    _ => Vec3::new(rng.gen(), rng.gen(), rng.gen()),
+                };
+                let mass = if shape == 4 { 0.0 } else { rng.gen_range(0.5..2.0) };
+                Particle::new(i as u32, mass, pos, Vec3::ZERO)
+            })
+            .collect()
+    }
+
+    /// Every field of every node, and `order`, equal bit for bit.
+    fn assert_same_tree(got: &Tree, want: &Tree) {
+        let bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+        assert_eq!(got.len(), want.len(), "node count");
+        assert_eq!(got.order, want.order, "order");
+        assert_eq!(bits(got.root_cell.min), bits(want.root_cell.min));
+        assert_eq!(bits(got.root_cell.max), bits(want.root_cell.max));
+        for (id, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+            assert_eq!(bits(g.cell.min), bits(w.cell.min), "node {id} cell");
+            assert_eq!(bits(g.cell.max), bits(w.cell.max), "node {id} cell");
+            assert_eq!(g.key, w.key, "node {id} key");
+            assert_eq!(g.mass.to_bits(), w.mass.to_bits(), "node {id} mass");
+            assert_eq!(bits(g.com), bits(w.com), "node {id} com");
+            assert_eq!(g.children, w.children, "node {id} children");
+            assert_eq!(g.child_mask, w.child_mask, "node {id} child mask");
+            assert_eq!((g.start, g.end, g.next), (w.start, w.end, w.next), "node {id} links");
+        }
+    }
 
     fn check(tree: &Tree, set: &ParticleSet) {
         tree.check_invariants(set.len()).unwrap();
@@ -523,6 +896,39 @@ mod tests {
             let cell = Aabb::origin_cube(1.0);
             let code = morton_code(&cell, Vec3::from_array(p));
             prop_assert!(code < (1u64 << 63));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        /// The radix sort and the binary-search splits build exactly the
+        /// tree the comparison sort and the linear scans built, over leaf
+        /// capacities, collapsing, forced levels, sizes from empty up, and
+        /// duplicated, collinear, clustered and massless points; and the tree
+        /// passes [`Tree::validate`].
+        #[test]
+        fn build_is_the_comparison_sort_builder_bit_for_bit(
+            s_at in 0usize..4,
+            n_at in 0usize..5,
+            shape in 0usize..5,
+            forced in 0u32..2,
+            collapse: bool,
+            seed in 0u64..1000,
+        ) {
+            let s = [1, 2, 8, 16][s_at];
+            let n = [0, 1, 2, 9, 1000][n_at];
+            let params = BuildParams { leaf_capacity: s, collapse, min_split_level: 2 * forced };
+            let ps = shaped(shape, n, seed);
+            let tree = build(&ps, params);
+            assert_same_tree(&tree, &oracle::build_in_cell(&ps, tree.root_cell, params));
+            let shifted = Aabb::cube(Vec3::splat(0.375), 1.5);
+            assert_same_tree(
+                &build_in_cell(&ps, shifted, params),
+                &oracle::build_in_cell(&ps, shifted, params),
+            );
+            if let Err(e) = tree.validate(&ps, s) {
+                prop_assert!(false, "{e}");
+            }
         }
     }
 }

@@ -14,11 +14,15 @@
 //! ([`crate::replay`]) walks a subtree forward through that range instead of
 //! pushing and popping children on a stack.
 
-use bhut_geom::{Aabb, Vec3};
+use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_morton::NodeKey;
 
 /// Index of a node in [`Tree::nodes`].
 pub type NodeId = u32;
+
+/// Level of the deepest nodes a builder makes; a leaf there may hold more
+/// than the leaf capacity.
+pub(crate) const DEPTH_CAP: u32 = crate::build::MAX_LEVEL - 1;
 
 /// Absent-child sentinel. Slot 0 of the arena is the root, which is never
 /// anybody's child, so 0 is free to mean "no child".
@@ -347,6 +351,76 @@ impl Tree {
         }
         Ok(())
     }
+
+    /// [`Tree::check_invariants`] (ranges tile, preorder, `next` links) and
+    /// what a tree built from `particles` at leaf capacity `leaf_capacity`
+    /// must also hold; returns a description of the first violation. Tests
+    /// and diagnostics only: it re-reads every particle once per level.
+    ///
+    /// * Each node's `mass` is the sum of its range's masses in `order`,
+    ///   left to right from zero, and its `com` that range's mass-weighted
+    ///   sum over the mass (a massless range: the centroid of its
+    ///   positions), bit for bit.
+    /// * A leaf holds at most `leaf_capacity` particles, unless it sits at
+    ///   the depth cap, where no split separates what is left.
+    /// * Every particle lies inside the cell of each node that holds it, up
+    ///   to one ulp of the root cell's largest coordinate. Not exactly: the
+    ///   builder sorts by Morton code, which quantizes a position against
+    ///   the root cell, while the cells are float midpoints, and where the
+    ///   two round apart a body lands about an ulp outside its cell (Plummer
+    ///   n = 50k seed 1: body 24890, 1.8e-15 outside its unit's parent).
+    pub fn validate(&self, particles: &[Particle], leaf_capacity: usize) -> Result<(), String> {
+        self.check_invariants(particles.len())?;
+        let Some(root) = self.nodes.first() else { return Ok(()) };
+        let reach = [root.cell.min, root.cell.max]
+            .iter()
+            .flat_map(|v| [v.x, v.y, v.z])
+            .fold(0.0f64, |m, x| m.max(x.abs()));
+        let ulp = f64::from_bits(reach.to_bits() + 1) - reach;
+        // Cells and occupancy first: a body out of place also shifts the
+        // moments of every node above it, and the cell names the cause.
+        for (id, n) in self.nodes.iter().enumerate() {
+            if n.is_leaf() && n.count() as usize > leaf_capacity && n.key.level() < DEPTH_CAP {
+                return Err(format!(
+                    "node {id}: leaf of {} particles above capacity {leaf_capacity} at level {}",
+                    n.count(),
+                    n.key.level()
+                ));
+            }
+            let slack = Aabb::new(n.cell.min - Vec3::splat(ulp), n.cell.max + Vec3::splat(ulp));
+            let members = &self.order[n.start as usize..n.end as usize];
+            if let Some(&i) = members.iter().find(|&&i| !slack.contains(particles[i as usize].pos))
+            {
+                return Err(format!(
+                    "node {id}: particle {i} at {:?} outside its cell {:?} by more than {ulp:e}",
+                    particles[i as usize].pos, n.cell
+                ));
+            }
+        }
+        for (id, n) in self.nodes.iter().enumerate() {
+            let members = &self.order[n.start as usize..n.end as usize];
+            let (mut mass, mut weighted) = (0.0, Vec3::ZERO);
+            for &i in members {
+                let p = &particles[i as usize];
+                mass += p.mass;
+                weighted += p.pos * p.mass;
+            }
+            let com = if mass > 0.0 {
+                weighted / mass
+            } else {
+                members.iter().fold(Vec3::ZERO, |c, &i| c + particles[i as usize].pos)
+                    / members.len() as f64
+            };
+            let bits = |m: f64, c: Vec3| [m, c.x, c.y, c.z].map(f64::to_bits);
+            if bits(n.mass, n.com) != bits(mass, com) {
+                return Err(format!(
+                    "node {id}: mass {} com {:?} but its range folds to {mass} {com:?}",
+                    n.mass, n.com
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -478,6 +552,41 @@ mod tests {
             let msg = err.downcast_ref::<String>().expect("a formatted message");
             assert!(msg.contains("not a permutation"), "order[{at}] = {to}: {msg}");
         }
+    }
+
+    /// Fresh builds of the sets where a body sits about an ulp outside its
+    /// cell pass [`Tree::validate`]; a moment one ulp off, a leaf over
+    /// capacity above the depth cap, or a body moved out of its cell do not.
+    #[test]
+    fn validate_accepts_fresh_builds_and_names_what_is_broken() {
+        use bhut_geom::{plummer, uniform_cube, PlummerSpec};
+        let sphere = plummer(PlummerSpec { n: 50_000, seed: 1, ..Default::default() });
+        for set in [sphere, uniform_cube(50_000, 1.0, 1)] {
+            let tree = build(&set.particles, BuildParams::default());
+            tree.validate(&set.particles, 8).unwrap();
+        }
+        let (set, tree) = cluster_and_one();
+        let ps = &set.particles;
+        tree.validate(ps, 4).unwrap();
+        let up = |x: f64| f64::from_bits(x.to_bits() + 1);
+
+        let mut bad = tree.clone();
+        bad.nodes[1].com.y = up(bad.nodes[1].com.y);
+        assert!(bad.validate(ps, 4).unwrap_err().contains("folds to"));
+        let mut bad = tree.clone();
+        bad.nodes[0].mass = up(bad.nodes[0].mass);
+        assert!(bad.validate(ps, 4).unwrap_err().contains("folds to"));
+
+        let leaf = tree.nodes.iter().position(|n| n.is_leaf() && n.count() > 1).unwrap();
+        let err = tree.validate(ps, 1).unwrap_err();
+        assert!(err.contains("above capacity"), "{err}");
+        assert!(tree.nodes[leaf].key.level() < DEPTH_CAP);
+
+        let mut moved = ps.clone();
+        let i = tree.order[tree.nodes[leaf].start as usize] as usize;
+        moved[i].pos.x += 0.5;
+        let err = tree.validate(&moved, 4).unwrap_err();
+        assert!(err.contains(&format!("particle {i} at")), "{err}");
     }
 
     /// The invariant check notices a `next` off by one, and a subtree the

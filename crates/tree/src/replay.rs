@@ -857,8 +857,7 @@ mod tests {
     }
 
     /// Every lane against the oracle, on the trees of the bulk builder and of
-    /// the incremental one (the forward walk relies on either's preorder;
-    /// `bhut-threads` holds the parallel builder's to the same oracle).
+    /// the incremental one (the forward walk relies on either's preorder).
     #[test]
     fn replayed_lanes_are_the_per_target_walk_bitwise() {
         fn check(tree: &Tree, ps: &[Particle], mac: &BarnesHutMac, name: &str) {

@@ -13,12 +13,14 @@
 //! near-field slab and a mixed root, where self-exclusion is per member.
 //! A fourth holds the executor's sweep — which gathers each unit through the
 //! ancestor levels it shares with the one before — to the one-shot public
-//! calls, bit for bit.
+//! calls, bit for bit. A fifth holds the executor's tree at one, two and
+//! four threads to the one sequential build, field for field.
 
 use barnes_hut::geom::{multi_gaussian, plummer, GaussianSpec, Particle, PlummerSpec, Vec3};
 use barnes_hut::multipole::MultipoleTree;
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::ActiveSet;
+use barnes_hut::tree::build::{build, BuildParams};
 use barnes_hut::tree::group::{
     eval_gathered_monopole_masked, gather_group, leaf_schedule, resolve_mixed_tails_lanes,
     InteractionBuffers,
@@ -158,8 +160,8 @@ fn degree_two_and_monopole_sweeps_equal_their_per_target_walks() {
 
 /// Degree k > 0 takes one path through the executor, the per-target walk:
 /// every active row is `MultipoleTree::eval` on the executor's own tree, to
-/// the bit, with its exact interaction count — at one thread and at two
-/// (which build the tree in parallel), for a full sweep and a masked one.
+/// the bit, with its exact interaction count — at one thread and at two,
+/// for a full sweep and a masked one.
 #[test]
 fn degree_k_rows_are_bitwise_the_multipole_walk_full_and_masked() {
     let sets = [
@@ -319,5 +321,41 @@ fn compute_forces_is_bitwise_the_three_public_calls_per_unit() {
             );
         }
         assert_eq!(swept.stats.interactions(), interactions, "{threads} thread(s)");
+    }
+}
+
+/// Threads split the walk and nothing else: the tree the executor builds
+/// is `build::build` at its leaf capacity, every node field and `order` bit
+/// for bit, at one, two and four threads, on a Plummer sphere and on
+/// clustered Gaussian blobs.
+#[test]
+fn the_executors_tree_is_the_sequential_build_at_every_thread_count() {
+    let sets = [
+        plummer(PlummerSpec { n: 20_000, seed: 41, ..Default::default() }),
+        multi_gaussian(GaussianSpec { n: 20_000, clusters: 8, seed: 42, ..Default::default() }),
+    ];
+    let bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
+    for set in &sets {
+        let ps = &set.particles;
+        for threads in [1, 2, 4] {
+            let sim = ThreadSim::new(ThreadConfig { threads, ..Default::default() });
+            let want = build(ps, BuildParams::with_leaf_capacity(sim.config.leaf_capacity));
+            let got = sim.build_tree(ps);
+            let ctx = format!("n {} {threads} thread(s)", ps.len());
+            assert_eq!(got.order, want.order, "{ctx}: order");
+            assert_eq!(got.len(), want.len(), "{ctx}: node count");
+            assert_eq!(bits(got.root_cell.min), bits(want.root_cell.min), "{ctx}: root cell");
+            assert_eq!(bits(got.root_cell.max), bits(want.root_cell.max), "{ctx}: root cell");
+            for (id, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
+                let node = format!("{ctx}, node {id}");
+                assert_eq!(bits(g.cell.min), bits(w.cell.min), "{node}: cell");
+                assert_eq!(bits(g.cell.max), bits(w.cell.max), "{node}: cell");
+                assert_eq!(g.key, w.key, "{node}: key");
+                assert_eq!(g.mass.to_bits(), w.mass.to_bits(), "{node}: mass");
+                assert_eq!(bits(g.com), bits(w.com), "{node}: com");
+                assert_eq!((g.children, g.child_mask), (w.children, w.child_mask), "{node}");
+                assert_eq!((g.start, g.end, g.next), (w.start, w.end, w.next), "{node}");
+            }
+        }
     }
 }
