@@ -9,7 +9,7 @@ use bhut_core::balance::Scheme;
 use bhut_core::{ParallelSim, SimConfig};
 use bhut_geom::dataset_scaled;
 use bhut_machine::{CostModel, Hypercube, Machine};
-use bhut_threads::{Partitioning, ThreadConfig, ThreadSim};
+use bhut_threads::{ThreadConfig, ThreadSim};
 
 fn bench_schemes(c: &mut Criterion) {
     let set = dataset_scaled("g_160535", 0.02);
@@ -31,16 +31,10 @@ fn bench_threads(c: &mut Criterion) {
     let mut g = c.benchmark_group("shared_memory_force");
     // `morton_zones_profiled` against `morton_zones` is the cost of the
     // phase instrumentation (DESIGN.md §3b holds it under 2 %).
-    for (name, part, profiled) in [
-        ("static", Partitioning::StaticBlocks, false),
-        ("morton_zones", Partitioning::MortonZones, false),
-        ("morton_zones_profiled", Partitioning::MortonZones, true),
-        ("self_sched", Partitioning::SelfScheduling { block: 64 }, false),
-    ] {
-        g.bench_with_input(BenchmarkId::from_parameter(name), &part, |b, &part| {
+    for (name, profiled) in [("morton_zones", false), ("morton_zones_profiled", true)] {
+        g.bench_with_input(BenchmarkId::from_parameter(name), &profiled, |b, &profiled| {
             let mut sim = ThreadSim::new(ThreadConfig {
                 threads: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-                partitioning: part,
                 ..Default::default()
             });
             let _ = sim.compute_forces(&set.particles); // warm the zone weights

@@ -1,4 +1,4 @@
-//! Kick-drift-kick leapfrog integration.
+//! The kick and drift of the kick-drift-kick leapfrog.
 //!
 //! The standard second-order symplectic scheme:
 //!
@@ -11,6 +11,13 @@
 //! Symplecticity bounds the long-term energy drift, which is what makes the
 //! energy-conservation diagnostics in [`crate::diagnostics`] a meaningful
 //! end-to-end check of the whole force pipeline.
+//!
+//! There is one integrator: [`bhut_timestep::BlockStepper`], whose one-rung
+//! hierarchy (`max_rung = 0`) is exactly this step, the same floating-point
+//! expressions bit for bit; [`crate::Simulation`] runs a global timestep that
+//! way. The primitives here are for callers that assemble a step themselves:
+//! [`kick`] and [`drift`] for a replica of the global step, and
+//! [`kick_drift_owned`] for the multi-process backend.
 
 use bhut_geom::{Particle, Vec3};
 
@@ -45,29 +52,11 @@ pub fn kick_drift_owned(owned: &mut [Particle], accels_by_id: &[Vec3], dt: f64) 
     }
 }
 
-/// One full kick-drift-kick step. `forces` must return the acceleration on
-/// every particle for the *current* positions; it is called once (for the
-/// closing kick). The opening kick uses `accels`, the accelerations at the
-/// current positions (returned by the previous step, or computed fresh for
-/// the first step). Returns the accelerations at the new positions for
-/// reuse.
-pub fn leapfrog_step(
-    particles: &mut [Particle],
-    accels: &[Vec3],
-    dt: f64,
-    forces: impl FnOnce(&[Particle]) -> Vec<Vec3>,
-) -> Vec<Vec3> {
-    kick(particles, accels, dt * 0.5);
-    drift(particles, dt);
-    let new_accels = forces(particles);
-    kick(particles, &new_accels, dt * 0.5);
-    new_accels
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use bhut_geom::ParticleSet;
+    use bhut_timestep::{BlockConfig, BlockStepper};
 
     /// Two-body circular orbit: m1 = m2 = ½ at distance 1, G = 1.
     /// Total mass 1 ⇒ angular velocity ω = 1, period 2π.
@@ -79,8 +68,17 @@ mod tests {
         ])
     }
 
-    fn direct_accels(particles: &[Particle]) -> Vec<Vec3> {
-        bhut_tree::direct::all_accels_direct(particles, 0.0)
+    /// `steps` global leapfrog steps of `dt` under direct-sum forces: the
+    /// block scheduler pinned to rung 0.
+    fn leapfrog(set: &mut ParticleSet, dt: f64, steps: usize) {
+        let cfg = BlockConfig { dt_max: dt, max_rung: 0, ..BlockConfig::default() };
+        let mut stepper = BlockStepper::new(cfg);
+        for _ in 0..steps {
+            stepper.big_step(&mut set.particles, |ps, active| {
+                assert!(active.is_full());
+                bhut_tree::direct::all_accels_direct(ps, 0.0)
+            });
+        }
     }
 
     #[test]
@@ -119,10 +117,7 @@ mod tests {
     fn circular_orbit_stays_circular() {
         let mut set = binary();
         let dt = 0.01;
-        let mut acc = direct_accels(&set.particles);
-        for _ in 0..((2.0 * std::f64::consts::PI / dt) as usize) {
-            acc = leapfrog_step(&mut set.particles, &acc, dt, direct_accels);
-        }
+        leapfrog(&mut set, dt, (2.0 * std::f64::consts::PI / dt) as usize);
         // After one period the bodies are back near their start.
         assert!(
             set.particles[0].pos.dist(Vec3::new(0.5, 0.0, 0.0)) < 0.02,
@@ -142,11 +137,7 @@ mod tests {
         let drift_for = |dt: f64| -> f64 {
             let mut set = binary();
             let e0 = energy(&set);
-            let mut acc = direct_accels(&set.particles);
-            let steps = (1.0 / dt) as usize;
-            for _ in 0..steps {
-                acc = leapfrog_step(&mut set.particles, &acc, dt, direct_accels);
-            }
+            leapfrog(&mut set, dt, (1.0 / dt) as usize);
             (energy(&set) - e0).abs() / e0.abs()
         };
         let coarse = drift_for(0.02);
@@ -159,10 +150,7 @@ mod tests {
     #[test]
     fn momentum_is_exactly_conserved() {
         let mut set = binary();
-        let mut acc = direct_accels(&set.particles);
-        for _ in 0..100 {
-            acc = leapfrog_step(&mut set.particles, &acc, 0.01, direct_accels);
-        }
+        leapfrog(&mut set, 0.01, 100);
         let mom: Vec3 = set.particles.iter().map(|p| p.vel * p.mass).sum();
         assert!(mom.norm() < 1e-14);
     }

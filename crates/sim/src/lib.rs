@@ -2,10 +2,12 @@
 //!
 //! §2: "one must discretize the system over time intervals and compute the
 //! forces between bodies at each snapshot." This crate supplies the
-//! discretization: a kick-drift-kick **leapfrog** integrator (symplectic,
-//! hence suitable for long gravitational runs), energy and momentum
-//! diagnostics against the direct-summation reference, and JSON snapshot
-//! I/O so long experiments are resumable and the figure data regenerable.
+//! discretization: [`Simulation`] advances time with one integrator, the
+//! block scheduler [`bhut_timestep::BlockStepper`], whose one-rung case is
+//! the global kick-drift-kick **leapfrog** (symplectic, hence suitable for
+//! long gravitational runs); energy and momentum diagnostics against the
+//! direct-summation reference; and JSON snapshot I/O so long experiments are
+//! resumable and the figure data regenerable.
 
 pub mod diagnostics;
 pub mod leapfrog;
@@ -13,7 +15,7 @@ pub mod simulation;
 pub mod snapshot;
 
 pub use diagnostics::{Diagnostics, EnergyReport};
-pub use leapfrog::{drift, kick, kick_drift_owned, leapfrog_step};
+pub use leapfrog::{drift, kick, kick_drift_owned};
 pub use simulation::{Simulation, SimulationConfig, StepReport};
 pub use snapshot::{
     load_snapshot, save_snapshot, save_snapshot_state, write_atomically, write_positions_csv,

@@ -1,13 +1,13 @@
 //! The multi-timestep simulation driver.
 //!
-//! Couples the shared-memory treecode executor (S7) with the leapfrog
-//! integrator and the diagnostics, exposing the "input: masses, positions,
-//! velocities → output: positions and velocities at each subsequent
-//! time-step" contract of §5.
+//! Couples the shared-memory treecode executor (S7) with the block-timestep
+//! scheduler (S12) — a global timestep is its one-rung case, the leapfrog —
+//! and the diagnostics, exposing the "input: masses, positions, velocities →
+//! output: positions and velocities at each subsequent time-step" contract
+//! of §5.
 
 use crate::diagnostics::{Diagnostics, EnergyReport};
-use crate::leapfrog::leapfrog_step;
-use bhut_geom::{ParticleSet, Vec3};
+use bhut_geom::ParticleSet;
 use bhut_multipole::MAX_DEGREE;
 use bhut_obs::{RungCounters, StepProfile};
 use bhut_threads::{ThreadConfig, ThreadSim};
@@ -160,8 +160,8 @@ pub struct Simulation {
     pub step_count: usize,
     pub diagnostics: Diagnostics,
     executor: ThreadSim,
-    accels: Option<Vec<Vec3>>,
-    /// Rung state carried across big steps ([`TimestepMode::Block`] only).
+    /// Rung state and the accelerations of the next opening kick, carried
+    /// across steps (one rung under [`TimestepMode::Global`]).
     stepper: Option<BlockStepper>,
     /// The most recent big step's scheduler statistics.
     pub last_block_stats: Option<BlockStepStats>,
@@ -185,80 +185,41 @@ impl Simulation {
             step_count: 0,
             diagnostics: Diagnostics::default(),
             executor,
-            accels: None,
             stepper: None,
             last_block_stats: None,
         }
     }
 
-    /// Advance one step — a single leapfrog step under
-    /// [`TimestepMode::Global`], one synchronized big step (several
-    /// substeps) under [`TimestepMode::Block`]. Returns the step summary.
+    /// Advance one step: one big step of the block scheduler, which under
+    /// [`TimestepMode::Global`] is a one-rung hierarchy of `dt` — a single
+    /// kick-drift-kick leapfrog step — and under [`TimestepMode::Block`]
+    /// spans `dt_max` in one or more substeps. Returns the step summary.
     pub fn step(&mut self) -> StepReport {
         if self.config.diag_every > 0 && self.step_count == 0 {
             self.diagnostics
                 .record(self.time, EnergyReport::measure(&self.particles, self.config.eps));
         }
-        let report = match self.config.timestep {
-            TimestepMode::Global => self.step_global(),
-            TimestepMode::Block(bcfg) => self.step_block(bcfg),
+        let (bcfg, block) = match self.config.timestep {
+            TimestepMode::Global => (
+                BlockConfig { dt_max: self.config.dt, max_rung: 0, ..BlockConfig::default() },
+                false,
+            ),
+            TimestepMode::Block(bcfg) => (bcfg, true),
         };
-        if self.config.diag_every > 0 && self.step_count.is_multiple_of(self.config.diag_every) {
-            self.diagnostics
-                .record(self.time, EnergyReport::measure(&self.particles, self.config.eps));
-        }
-        report
-    }
-
-    fn step_global(&mut self) -> StepReport {
-        let accels = match self.accels.take() {
-            Some(a) => a,
-            None => self.executor.compute_forces(&self.particles.particles).accels,
-        };
-        let profiled = self.config.profile_every > 0
-            && (self.step_count + 1).is_multiple_of(self.config.profile_every);
-        let mut interactions = 0;
-        let mut imbalance = 1.0;
-        let mut profile = None;
-        let executor = &mut self.executor;
-        let new_accels =
-            leapfrog_step(&mut self.particles.particles, &accels, self.config.dt, |ps| {
-                let mut out = if profiled {
-                    executor.compute_forces_profiled(ps)
-                } else {
-                    executor.compute_forces(ps)
-                };
-                interactions = out.stats.interactions();
-                imbalance = out.imbalance();
-                profile = out.profile.take();
-                out.accels
-            });
-        self.accels = Some(new_accels);
-        self.time += self.config.dt;
-        self.step_count += 1;
-        if let Some(p) = profile.as_mut() {
-            p.step = self.step_count as u64;
-        }
-        StepReport {
-            step: self.step_count,
-            time: self.time,
-            interactions,
-            imbalance,
-            substeps: 1,
-            force_evals: self.particles.len() as u64,
-            profile,
-        }
-    }
-
-    fn step_block(&mut self, bcfg: BlockConfig) -> StepReport {
         let profiled = self.config.profile_every > 0
             && (self.step_count + 1).is_multiple_of(self.config.profile_every);
         let stepper = self.stepper.get_or_insert_with(|| BlockStepper::new(bcfg));
+        // A fresh stepper opens with a priming evaluation: set-up, not this
+        // step's work, so it is counted nowhere (as in `force_evals`).
+        let mut priming = !stepper.is_primed();
         let executor = &mut self.executor;
         let mut interactions = 0u64;
         let mut imbalance = 1.0;
         let mut profile = None;
         let stats = stepper.big_step(&mut self.particles.particles, |ps, active| {
+            if std::mem::take(&mut priming) {
+                return executor.compute_forces(ps).accels;
+            }
             // The final substep of every big step is fully synchronized
             // (every rung completes at the last tick), so it takes the
             // unmasked path and is the one we profile.
@@ -280,17 +241,21 @@ impl Simulation {
         let substeps = stats.substeps;
         if let Some(p) = profile.as_mut() {
             p.step = self.step_count as u64;
-            p.rungs = (0..=bcfg.max_rung as usize)
-                .map(|r| RungCounters {
-                    rung: r as u32,
-                    population: stats.population[r],
-                    force_evals: stats.forces_per_rung[r],
-                })
-                .collect();
-            p.rung_migrations = stats.promotions + stats.demotions;
+            if block {
+                p.rungs = (0..=bcfg.max_rung as usize)
+                    .map(|r| RungCounters {
+                        rung: r as u32,
+                        population: stats.population[r],
+                        force_evals: stats.forces_per_rung[r],
+                    })
+                    .collect();
+                p.rung_migrations = stats.promotions + stats.demotions;
+            }
         }
-        self.last_block_stats = Some(stats);
-        StepReport {
+        if block {
+            self.last_block_stats = Some(stats);
+        }
+        let report = StepReport {
             step: self.step_count,
             time: self.time,
             interactions,
@@ -298,13 +263,21 @@ impl Simulation {
             substeps,
             force_evals,
             profile,
+        };
+        if self.config.diag_every > 0 && self.step_count.is_multiple_of(self.config.diag_every) {
+            self.diagnostics
+                .record(self.time, EnergyReport::measure(&self.particles, self.config.eps));
         }
+        report
     }
 
     /// Per-particle rungs, if the block-timestep path has run (index =
     /// particle position; `None` under [`TimestepMode::Global`]).
     pub fn rungs(&self) -> Option<&[u32]> {
-        self.stepper.as_ref().map(|s| s.rungs())
+        match self.config.timestep {
+            TimestepMode::Global => None,
+            TimestepMode::Block(_) => self.stepper.as_ref().map(|s| s.rungs()),
+        }
     }
 
     /// Capture the full simulation state for [`crate::snapshot`] I/O:
@@ -314,7 +287,7 @@ impl Simulation {
         crate::snapshot::Snapshot {
             time: self.time,
             particles: self.particles.clone(),
-            rungs: self.stepper.as_ref().map(|s| s.rungs().to_vec()),
+            rungs: self.rungs().map(<[u32]>::to_vec),
             config: Some(self.config),
         }
     }
@@ -344,8 +317,8 @@ impl Simulation {
     }
 
     /// The octree the executor would walk for the current particle state —
-    /// the exact same construction path (parallel in-cell build when
-    /// threaded) as a force evaluation, for inspection and testing.
+    /// the one sequential build a force evaluation makes at every thread
+    /// count, for inspection and testing.
     pub fn build_tree(&self) -> bhut_tree::Tree {
         self.executor.build_tree(&self.particles.particles)
     }
@@ -354,7 +327,9 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bhut_geom::{plummer, PlummerSpec};
+    use crate::leapfrog::{drift, kick};
+    use bhut_geom::{plummer, Particle, PlummerSpec};
+    use bhut_threads::ForceResult;
 
     #[test]
     fn plummer_short_run_conserves_energy() {
@@ -432,11 +407,80 @@ mod tests {
         assert_eq!(tree.order.len(), n);
     }
 
+    fn bits(ps: &[Particle]) -> Vec<[u64; 6]> {
+        ps.iter()
+            .map(|p| [p.pos.x, p.pos.y, p.pos.z, p.vel.x, p.vel.y, p.vel.z].map(f64::to_bits))
+            .collect()
+    }
+
+    /// The global leapfrog assembled from public calls, as the benchmark's
+    /// traced replica does: prime with one evaluation, then per step
+    /// `kick(dt/2)`, `drift(dt)`, [`ThreadSim::compute_forces`],
+    /// `kick(dt/2)`. Returns each step's end state and evaluation.
+    fn explicit_leapfrog(
+        particles: &[Particle],
+        exec: ThreadConfig,
+        dt: f64,
+        steps: usize,
+    ) -> Vec<(Vec<Particle>, ForceResult)> {
+        let mut exec = ThreadSim::new(exec);
+        let mut ps = particles.to_vec();
+        let mut accels = exec.compute_forces(&ps).accels;
+        (0..steps)
+            .map(|_| {
+                kick(&mut ps, &accels, dt * 0.5);
+                drift(&mut ps, dt);
+                let out = exec.compute_forces(&ps);
+                kick(&mut ps, &out.accels, dt * 0.5);
+                accels.clone_from(&out.accels);
+                (ps.clone(), out)
+            })
+            .collect()
+    }
+
+    /// A global run is the explicit leapfrog loop: the same bits every step,
+    /// one substep of n evaluations whose counts are the loop's evaluation
+    /// (the priming one counted nowhere), and no rungs anywhere.
+    #[test]
+    fn global_steps_are_the_explicit_leapfrog_loop() {
+        let set = plummer(PlummerSpec { n: 300, seed: 17, ..Default::default() });
+        let (dt, steps, n) = (2e-3, 8, set.len() as u64);
+        for threads in [1, 2] {
+            for profile_every in [0, 1] {
+                let ctx = format!("{threads} thread(s), profile_every {profile_every}");
+                let cfg = SimulationConfig { dt, threads, profile_every, ..Default::default() };
+                let mut sim = Simulation::new(set.clone(), cfg);
+                let want = explicit_leapfrog(&set.particles, sim.executor.config, dt, steps);
+                for (step, (ps, out)) in (1..).zip(&want) {
+                    let r = sim.step();
+                    let ctx = format!("{ctx}, step {step}");
+                    assert_eq!(bits(&sim.particles.particles), bits(ps), "{ctx}: state");
+                    assert_eq!((r.step, r.substeps, r.force_evals), (step, 1, n), "{ctx}");
+                    assert_eq!(r.interactions, out.stats.interactions(), "{ctx}: interactions");
+                    assert_eq!(r.imbalance.to_bits(), out.imbalance().to_bits(), "{ctx}");
+                    match &r.profile {
+                        Some(p) => {
+                            assert_eq!(profile_every, 1, "{ctx}: unrequested profile");
+                            assert_eq!(p.totals.interactions(), r.interactions, "{ctx}");
+                            assert_eq!(p.step, step as u64, "{ctx}");
+                            assert!(p.rungs.is_empty() && p.rung_migrations == 0, "{ctx}");
+                        }
+                        None => assert_eq!(profile_every, 0, "{ctx}: missing profile"),
+                    }
+                }
+                assert_eq!(sim.rungs(), None, "{ctx}");
+                assert!(sim.last_block_stats.is_none(), "{ctx}");
+                assert!(sim.snapshot().rungs.is_none(), "{ctx}");
+            }
+        }
+    }
+
     #[test]
     fn rung0_block_path_is_bitwise_global_leapfrog() {
         // With the hierarchy pinned to a single rung the block scheduler
-        // must reproduce the global-dt leapfrog exactly — same kicks, same
-        // drifts, same force evaluations, bit for bit.
+        // reproduces the explicit leapfrog loop exactly — same kicks, same
+        // drifts, same force evaluations, bit for bit — as the global
+        // timestep, which is that same one-rung hierarchy, does.
         let set = plummer(PlummerSpec { n: 300, seed: 17, ..Default::default() });
         let dt = 2e-3;
         let global = SimulationConfig { dt, threads: 2, ..Default::default() };
@@ -450,14 +494,19 @@ mod tests {
             ..global
         };
         let mut a = Simulation::new(set.clone(), global);
-        let mut b = Simulation::new(set, block);
-        a.run(8);
-        b.run(8);
-        assert_eq!(a.time, b.time);
-        for (x, y) in a.particles.particles.iter().zip(&b.particles.particles) {
-            assert_eq!(x.pos, y.pos, "positions diverged");
-            assert_eq!(x.vel, y.vel, "velocities diverged");
+        let mut b = Simulation::new(set.clone(), block);
+        let want = explicit_leapfrog(&set.particles, a.executor.config, dt, 8);
+        for (ps, out) in &want {
+            let (ra, rb) = (a.step(), b.step());
+            // The priming evaluation of the first step is counted by neither.
+            assert_eq!(ra.interactions, out.stats.interactions());
+            assert_eq!(rb.interactions, out.stats.interactions());
+            assert_eq!(bits(&b.particles.particles), bits(ps), "step {}", rb.step);
         }
+        assert_eq!(a.time, b.time);
+        let (end, _) = want.last().unwrap();
+        assert_eq!(bits(&a.particles.particles), bits(end), "global diverged");
+        assert_eq!(bits(&b.particles.particles), bits(end), "rung-0 block diverged");
     }
 
     #[test]
@@ -673,21 +722,5 @@ mod tests {
             assert!(err.to_string().contains(name), "snapshot: {err}");
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn accels_are_reused_across_steps() {
-        // The closing kick's accelerations serve as the next opening kick's:
-        // two steps must equal one step done twice with fresh state only up
-        // to the first force evaluation. Here we just check determinism.
-        let set = plummer(PlummerSpec { n: 200, seed: 8, ..Default::default() });
-        let mut a = Simulation::new(set.clone(), SimulationConfig::default());
-        let mut b = Simulation::new(set, SimulationConfig::default());
-        a.run(3);
-        b.run(3);
-        for (x, y) in a.particles.particles.iter().zip(&b.particles.particles) {
-            assert_eq!(x.pos, y.pos);
-            assert_eq!(x.vel, y.vel);
-        }
     }
 }

@@ -1,6 +1,6 @@
 //! The shared-memory force executor.
 
-use crate::pool::{fork_join, BlockScheduler};
+use crate::pool::fork_join;
 use bhut_geom::{Particle, Vec3};
 use bhut_multipole::MultipoleTree;
 use bhut_obs::{phase, Counters, Span, StepProfile};
@@ -17,16 +17,10 @@ use std::sync::Mutex;
 /// How particles are distributed over threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
-    /// Equal contiguous index blocks (no load intelligence).
-    StaticBlocks,
     /// Costzones over the Morton-ordered sequence, weighted by the previous
-    /// step's measured per-particle interaction counts.
+    /// step's measured per-particle interaction counts (by population before
+    /// any are measured). The only value; removed by ROADMAP direction 3(e).
     MortonZones,
-    /// Dynamic block self-scheduling from a shared counter.
-    SelfScheduling {
-        /// Particles per grabbed block.
-        block: usize,
-    },
 }
 
 /// How monopole forces are evaluated once the tree is built (degree > 0
@@ -51,6 +45,8 @@ pub struct ThreadConfig {
     pub degree: u32,
     pub eps: f64,
     pub leaf_capacity: usize,
+    /// [`Partitioning::MortonZones`], the only value; removed by ROADMAP
+    /// direction 3(e).
     pub partitioning: Partitioning,
     /// [`EvalMode::Grouped`], the only value; removed by ROADMAP direction
     /// 3(e). The degree picks the path: the monopole takes the group sweep,
@@ -142,8 +138,8 @@ struct WorkerObs {
 }
 
 /// A reusable shared-memory simulator; carries per-particle work weights
-/// across steps for [`Partitioning::MortonZones`] and per-thread evaluation
-/// scratch across steps.
+/// across steps (the costzones weights) and per-thread evaluation scratch
+/// across steps.
 pub struct ThreadSim {
     pub config: ThreadConfig,
     prev_work: Option<Vec<u64>>,
@@ -265,10 +261,7 @@ impl ThreadSim {
 
         // Costzones weights are only valid while the particle set has the
         // same cardinality (ids are positional).
-        let zone_work = self
-            .prev_work
-            .as_deref()
-            .filter(|w| cfg.partitioning == Partitioning::MortonZones && w.len() == n);
+        let zone_work = self.prev_work.as_deref().filter(|w| w.len() == n);
 
         // Workers stage results in their own scratch; the main thread
         // scatters after the join, so no shared result locks exist.
@@ -340,18 +333,13 @@ impl ThreadSim {
                     }
                     stats
                 };
-                // Static blocks: equal particle counts per thread, at unit
-                // granularity. Costzones: weight each unit by its members'
-                // measured work from the previous step.
+                // Costzones: weight each unit by its members' measured work
+                // from the previous step, or by its population before any.
                 let weight = |&u: &NodeId| match zone_work {
                     Some(w) => tree.particles_under(u).iter().map(|&pi| w[pi as usize] + 1).sum(),
                     None => tree.node(u).count() as u64,
                 };
-                // Self-scheduling blocks are sized in particles: convert at
-                // the schedule's own mean population, not the leaf capacity.
-                let scheduled: usize = units.iter().map(|&u| tree.node(u).count() as usize).sum();
-                let per_unit = (scheduled / units.len().max(1)).max(1);
-                dispatch(&cfg, profiled, &units, weight, per_unit, run_range)
+                dispatch(&cfg, profiled, &units, weight, run_range)
             }
             // Degree > 0: one walk per target, in Morton order so contiguous
             // zones are spatially compact (cache locality + balanced tails).
@@ -382,7 +370,7 @@ impl ThreadSim {
                     stats
                 };
                 let weight = |&pi: &u32| zone_work.map_or(0, |w| w[pi as usize]);
-                dispatch(&cfg, profiled, &tree.order, weight, 1, run_range)
+                dispatch(&cfg, profiled, &tree.order, weight, run_range)
             }
         };
 
@@ -455,53 +443,25 @@ impl ThreadSim {
     }
 }
 
-/// The one partition dispatch: run `run_range(thread, &items[a..b], obs)`
-/// over all of `items` (units or particles, in Morton order) on
-/// `cfg.threads` workers and return each worker's interaction count, stats
-/// and observations.
-///
-/// [`Partitioning::StaticBlocks`] and [`Partitioning::MortonZones`] give
-/// each worker one contiguous range of ≈ equal total `weight` (the caller's
-/// `weight` is the static or the measured one); under
-/// [`Partitioning::SelfScheduling`] workers grab blocks of `block /
-/// particles_per_item` items from a shared counter until none are left.
+/// The one partition dispatch: split `items` (units or particles, in Morton
+/// order) into `cfg.threads` contiguous ranges of ≈ equal total `weight` —
+/// costzones — and run `run_range(thread, &items[a..b], obs)` on each range's
+/// worker. Returns each worker's interaction count, stats and observations.
 fn dispatch<T: Sync>(
     cfg: &ThreadConfig,
     profiled: bool,
     items: &[T],
     weight: impl Fn(&T) -> u64,
-    particles_per_item: usize,
     run_range: impl Fn(usize, &[T], &mut WorkerObs) -> TraversalStats + Sync,
 ) -> Vec<(u64, TraversalStats, WorkerObs)> {
-    enum Plan {
-        Ranges(Vec<usize>),
-        Blocks(BlockScheduler),
-    }
-    let plan = match cfg.partitioning {
-        Partitioning::SelfScheduling { block } => {
-            Plan::Blocks(BlockScheduler::new(items.len(), block / particles_per_item))
-        }
-        Partitioning::StaticBlocks | Partitioning::MortonZones => {
-            let weights: Vec<u64> = items.iter().map(weight).collect();
-            Plan::Ranges(split_by_weight(&weights, cfg.threads))
-        }
-    };
+    let weights: Vec<u64> = items.iter().map(weight).collect();
+    let bounds = split_by_weight(&weights, cfg.threads);
     fork_join(cfg.threads, |t| {
         let mut w = WorkerObs::default();
         if profiled {
             w.start = bhut_obs::now();
         }
-        let mut stats = TraversalStats::default();
-        match &plan {
-            Plan::Ranges(bounds) => {
-                stats = run_range(t, &items[bounds[t]..bounds[t + 1]], &mut w);
-            }
-            Plan::Blocks(sched) => {
-                while let Some((a, b)) = sched.grab() {
-                    stats.merge(run_range(t, &items[a..b], &mut w));
-                }
-            }
-        }
+        let stats = run_range(t, &items[bounds[t]..bounds[t + 1]], &mut w);
         if profiled {
             w.end = bhut_obs::now();
         }
@@ -535,15 +495,14 @@ mod tests {
     use bhut_geom::{plummer, uniform_cube, PlummerSpec};
     use bhut_tree::direct;
 
-    fn config(threads: usize, partitioning: Partitioning) -> ThreadConfig {
-        ThreadConfig { threads, partitioning, ..Default::default() }
+    fn config(threads: usize) -> ThreadConfig {
+        ThreadConfig { threads, ..Default::default() }
     }
 
     #[test]
     fn matches_direct_summation_closely() {
         let set = uniform_cube(600, 1.0, 3);
-        let mut sim =
-            ThreadSim::new(ThreadConfig { alpha: 0.3, ..config(3, Partitioning::MortonZones) });
+        let mut sim = ThreadSim::new(ThreadConfig { alpha: 0.3, ..config(3) });
         let out = sim.compute_forces(&set.particles);
         let exact = direct::all_accels_direct(&set.particles, sim.config.eps);
         let err = direct::fractional_error_vec(&out.accels, &exact);
@@ -551,33 +510,10 @@ mod tests {
     }
 
     #[test]
-    fn partitionings_agree_exactly() {
-        let set = plummer(PlummerSpec { n: 800, seed: 2, ..Default::default() });
-        let mut results = Vec::new();
-        for part in [
-            Partitioning::StaticBlocks,
-            Partitioning::MortonZones,
-            Partitioning::SelfScheduling { block: 16 },
-        ] {
-            let mut sim = ThreadSim::new(config(4, part));
-            results.push(sim.compute_forces(&set.particles));
-        }
-        for r in &results[1..] {
-            assert_eq!(r.stats.interactions(), results[0].stats.interactions());
-            for i in 0..set.len() {
-                assert!((r.potentials[i] - results[0].potentials[i]).abs() < 1e-12);
-                assert!(r.accels[i].dist(results[0].accels[i]) < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn thread_count_does_not_change_results() {
         let set = uniform_cube(400, 1.0, 5);
-        let one =
-            ThreadSim::new(config(1, Partitioning::StaticBlocks)).compute_forces(&set.particles);
-        let four =
-            ThreadSim::new(config(4, Partitioning::StaticBlocks)).compute_forces(&set.particles);
+        let one = ThreadSim::new(config(1)).compute_forces(&set.particles);
+        let four = ThreadSim::new(config(4)).compute_forces(&set.particles);
         for i in 0..set.len() {
             assert_eq!(one.potentials[i], four.potentials[i]);
             assert_eq!(one.accels[i], four.accels[i]);
@@ -586,61 +522,20 @@ mod tests {
 
     #[test]
     fn morton_zones_balance_clustered_load() {
-        // A Plummer core concentrates work; after one warm-up step, the
-        // weighted zones should beat static blocks on imbalance.
+        // A Plummer core concentrates work. The first evaluation has nothing
+        // measured and weights units by population; the second splits by the
+        // first's measured interaction counts and must be no worse.
         let set = plummer(PlummerSpec { n: 4000, seed: 7, ..Default::default() });
-        let mut zones = ThreadSim::new(config(4, Partitioning::MortonZones));
-        let _ = zones.compute_forces(&set.particles); // warm-up: measure work
-        let balanced = zones.compute_forces(&set.particles);
-
-        let mut naive = ThreadSim::new(config(4, Partitioning::StaticBlocks));
-        let unbalanced = naive.compute_forces(&set.particles);
-
+        let mut zones = ThreadSim::new(config(4));
+        let by_population = zones.compute_forces(&set.particles);
+        let measured = zones.compute_forces(&set.particles);
         assert!(
-            balanced.imbalance() <= unbalanced.imbalance() + 0.02,
-            "zones {} vs static {}",
-            balanced.imbalance(),
-            unbalanced.imbalance()
+            measured.imbalance() <= by_population.imbalance() + 0.02,
+            "measured {} vs population-weighted {}",
+            measured.imbalance(),
+            by_population.imbalance()
         );
-        assert!(balanced.imbalance() < 1.25, "zones imbalance {}", balanced.imbalance());
-    }
-
-    /// What the realised max/mean over OS threads depends on is the box; what
-    /// self-scheduling guarantees is that every unit is evaluated once and
-    /// that no block it hands out is a large share of the sweep, so the
-    /// threads can finish together however they are scheduled.
-    #[test]
-    fn self_scheduling_balances_without_history() {
-        let (threads, block) = (4, 32);
-        let set = plummer(PlummerSpec { n: 3000, seed: 8, ..Default::default() });
-        let mut sim = ThreadSim::new(config(threads, Partitioning::SelfScheduling { block }));
-        let out = sim.compute_forces(&set.particles);
-        assert_eq!(out.per_thread_interactions.len(), threads);
-        assert_eq!(out.per_thread_interactions.iter().sum::<u64>(), out.stats.interactions());
-        let fixed = ThreadSim::new(config(threads, Partitioning::StaticBlocks))
-            .compute_forces(&set.particles);
-        assert_results_bitwise(&out, &fixed, "self-scheduling vs static blocks");
-        // The grain: blocks are runs of `block / mean unit population` units.
-        let tree = sim.build_tree(&set.particles);
-        let units = leaf_schedule(&tree);
-        let per_block = (block / (set.len() / units.len())).max(1);
-        let work = sim.work_weights().expect("measured by the computation above");
-        let costliest = units
-            .chunks(per_block)
-            .map(|run| {
-                run.iter()
-                    .flat_map(|&u| tree.particles_under(u))
-                    .map(|&pi| work[pi as usize])
-                    .sum::<u64>()
-            })
-            .max()
-            .expect("3000 bodies make at least one block");
-        let total = out.stats.interactions();
-        assert_eq!(work.iter().sum::<u64>(), total);
-        assert!(
-            costliest * 2 * (threads as u64) < total,
-            "a block of {costliest} interactions out of {total} on {threads} threads"
-        );
+        assert!(measured.imbalance() < 1.25, "zones imbalance {}", measured.imbalance());
     }
 
     #[test]
@@ -648,11 +543,7 @@ mod tests {
         let set = uniform_cube(500, 1.0, 9);
         let exact = direct::all_potentials_direct(&set.particles, 1e-4);
         let err_at = |degree: u32| {
-            let mut sim = ThreadSim::new(ThreadConfig {
-                degree,
-                alpha: 0.9,
-                ..config(2, Partitioning::StaticBlocks)
-            });
+            let mut sim = ThreadSim::new(ThreadConfig { degree, alpha: 0.9, ..config(2) });
             let out = sim.compute_forces(&set.particles);
             direct::fractional_error(&out.potentials, &exact)
         };
@@ -666,7 +557,7 @@ mod tests {
     fn the_largest_degree_evaluates_to_finite_values() {
         let set = uniform_cube(64, 1.0, 10);
         let degree = bhut_multipole::MAX_DEGREE;
-        let cfg = ThreadConfig { degree, alpha: 1.0, ..config(2, Partitioning::StaticBlocks) };
+        let cfg = ThreadConfig { degree, alpha: 1.0, ..config(2) };
         let out = ThreadSim::new(cfg).compute_forces(&set.particles);
         assert!(out.stats.p2n > 0, "no expansion was evaluated");
         assert!(out.accels.iter().all(|a| a.is_finite()));
@@ -682,10 +573,7 @@ mod tests {
         let set = plummer(PlummerSpec { n: 900, seed: 12, ..Default::default() });
         let ps = &set.particles;
         for (degree, threads) in [(0u32, 1), (0, 3), (2, 3)] {
-            let mut sim = ThreadSim::new(ThreadConfig {
-                degree,
-                ..config(threads, Partitioning::MortonZones)
-            });
+            let mut sim = ThreadSim::new(ThreadConfig { degree, ..config(threads) });
             let (mac, eps) = (BarnesHutMac::new(sim.config.alpha), sim.config.eps);
             let tree = sim.build_tree(ps);
             let mtree = (degree > 0).then(|| MultipoleTree::new(&tree, ps, degree));
@@ -724,7 +612,7 @@ mod tests {
     #[test]
     fn profile_reports_lane_utilization() {
         let set = plummer(PlummerSpec { n: 800, seed: 15, ..Default::default() });
-        let mut sim = ThreadSim::new(config(2, Partitioning::MortonZones));
+        let mut sim = ThreadSim::new(config(2));
         let prof = sim.compute_forces_profiled(&set.particles).profile.unwrap();
         assert!(prof.totals.lane_useful > 0);
         assert!(prof.totals.lane_slots >= prof.totals.lane_useful);
@@ -732,8 +620,7 @@ mod tests {
         assert!(u > 0.0 && u <= 1.0, "lane utilization {u}");
         // Degree > 0 walks per target and runs no slab kernels, so no lanes
         // are counted.
-        let mut pp =
-            ThreadSim::new(ThreadConfig { degree: 2, ..config(2, Partitioning::StaticBlocks) });
+        let mut pp = ThreadSim::new(ThreadConfig { degree: 2, ..config(2) });
         let prof = pp.compute_forces_profiled(&set.particles).profile.unwrap();
         assert_eq!(prof.totals.lane_slots, 0);
         assert_eq!(prof.totals.lane_utilization(), 1.0);
@@ -741,7 +628,7 @@ mod tests {
 
     #[test]
     fn empty_and_tiny_inputs() {
-        let mut sim = ThreadSim::new(config(4, Partitioning::MortonZones));
+        let mut sim = ThreadSim::new(config(4));
         let out = sim.compute_forces(&[]);
         assert!(out.accels.is_empty());
         let one = uniform_cube(1, 1.0, 1);
@@ -754,10 +641,8 @@ mod tests {
     fn profiled_matches_unprofiled_exactly() {
         let set = plummer(PlummerSpec { n: 700, seed: 3, ..Default::default() });
         for degree in [0u32, 2] {
-            let mut a =
-                ThreadSim::new(ThreadConfig { degree, ..config(3, Partitioning::MortonZones) });
-            let mut b =
-                ThreadSim::new(ThreadConfig { degree, ..config(3, Partitioning::MortonZones) });
+            let mut a = ThreadSim::new(ThreadConfig { degree, ..config(3) });
+            let mut b = ThreadSim::new(ThreadConfig { degree, ..config(3) });
             let plain = a.compute_forces(&set.particles);
             let prof = b.compute_forces_profiled(&set.particles);
             assert_eq!(plain.stats, prof.stats);
@@ -773,7 +658,7 @@ mod tests {
     #[test]
     fn profile_counters_agree_with_stats() {
         let set = plummer(PlummerSpec { n: 1200, seed: 4, ..Default::default() });
-        let mut sim = ThreadSim::new(config(4, Partitioning::MortonZones));
+        let mut sim = ThreadSim::new(config(4));
         let mut out = sim.compute_forces_profiled(&set.particles);
         let profile = out.profile.take().expect("profiled run attaches a profile");
         // Counter totals reproduce the traversal stats field by field.
@@ -797,7 +682,7 @@ mod tests {
     #[test]
     fn profile_spans_cover_the_phases() {
         let set = plummer(PlummerSpec { n: 500, seed: 6, ..Default::default() });
-        let mut sim = ThreadSim::new(config(2, Partitioning::StaticBlocks));
+        let mut sim = ThreadSim::new(config(2));
         let prof = sim.compute_forces_profiled(&set.particles).profile.unwrap();
         let phases = prof.phases();
         for want in ["build", "walk", "kernel", "scatter"] {
@@ -811,8 +696,7 @@ mod tests {
             assert!(s.end <= prof.wall_s + 1e-9);
         }
         // Degree > 0 walks per target and reports a fused eval phase instead.
-        let mut pp =
-            ThreadSim::new(ThreadConfig { degree: 2, ..config(2, Partitioning::StaticBlocks) });
+        let mut pp = ThreadSim::new(ThreadConfig { degree: 2, ..config(2) });
         let prof = pp.compute_forces_profiled(&set.particles).profile.unwrap();
         assert!(prof.phases().iter().any(|p| p == "eval"));
     }
@@ -826,8 +710,7 @@ mod tests {
         let m: Vec<bool> = (0..set.len()).map(|i| i % 3 == 0).collect();
         let active = ActiveSet::from_mask(m.clone());
         for degree in [0u32, 2] {
-            let mk =
-                || ThreadSim::new(ThreadConfig { degree, ..config(3, Partitioning::MortonZones) });
+            let mk = || ThreadSim::new(ThreadConfig { degree, ..config(3) });
             let full = mk().compute_forces(&set.particles);
             let part = mk().compute_forces_active(&set.particles, &active);
             for (i, &is_active) in m.iter().enumerate() {
@@ -848,8 +731,8 @@ mod tests {
     fn full_active_set_takes_the_unmasked_path() {
         let set = plummer(PlummerSpec { n: 600, seed: 22, ..Default::default() });
         let active = ActiveSet::all(set.len());
-        let mut a = ThreadSim::new(config(3, Partitioning::MortonZones));
-        let mut b = ThreadSim::new(config(3, Partitioning::MortonZones));
+        let mut a = ThreadSim::new(config(3));
+        let mut b = ThreadSim::new(config(3));
         let full = a.compute_forces(&set.particles);
         let via_active = b.compute_forces_active(&set.particles, &active);
         assert_eq!(full.stats, via_active.stats);
@@ -865,7 +748,7 @@ mod tests {
         // work weights (a zeroed weight would wreck the next costzones
         // split); active particles get fresh measurements.
         let set = plummer(PlummerSpec { n: 800, seed: 23, ..Default::default() });
-        let mut sim = ThreadSim::new(config(2, Partitioning::MortonZones));
+        let mut sim = ThreadSim::new(config(2));
         let _ = sim.compute_forces(&set.particles);
         let before = sim.prev_work.clone().unwrap();
         let m: Vec<bool> = (0..set.len()).map(|i| i % 4 == 0).collect();
@@ -885,8 +768,8 @@ mod tests {
         let set = plummer(PlummerSpec { n: 700, seed: 24, ..Default::default() });
         let m: Vec<bool> = (0..set.len()).map(|i| i % 2 == 0).collect();
         let active = ActiveSet::from_mask(m);
-        let mut a = ThreadSim::new(config(3, Partitioning::MortonZones));
-        let mut b = ThreadSim::new(config(3, Partitioning::MortonZones));
+        let mut a = ThreadSim::new(config(3));
+        let mut b = ThreadSim::new(config(3));
         let plain = a.compute_forces_active(&set.particles, &active);
         let prof = b.compute_forces_substep(&set.particles, &active, true, false);
         assert_eq!(plain.stats, prof.stats);
@@ -925,8 +808,8 @@ mod tests {
         for threads in [1, 2] {
             for every in [1, 3] {
                 let active = ActiveSet::from_mask((0..ps.len()).map(|i| i % every == 0).collect());
-                let mut rebuilding = ThreadSim::new(config(threads, Partitioning::MortonZones));
-                let mut on_tree = ThreadSim::new(config(threads, Partitioning::MortonZones));
+                let mut rebuilding = ThreadSim::new(config(threads));
+                let mut on_tree = ThreadSim::new(config(threads));
                 for step in 0..2 {
                     let ctx = format!("{threads} thread(s), every {every}, step {step}");
                     let want = rebuilding.compute_forces_substep(ps, &active, true, false);
@@ -949,7 +832,7 @@ mod tests {
     /// rows zero.
     fn block_substeps_are_the_walk_of_the_current_tree(ops: &[u8], seed: u64) {
         let set = plummer(PlummerSpec { n: 250, seed, ..Default::default() });
-        let mk = |threads| ThreadSim::new(config(threads, Partitioning::MortonZones));
+        let mk = |threads| ThreadSim::new(config(threads));
         let (mut one, mut two) = (mk(1), mk(2));
         let mac = BarnesHutMac::new(one.config.alpha);
         let eps = one.config.eps;
@@ -1013,8 +896,8 @@ mod tests {
         // every thread count: the same nodes, bit for bit, and the same order.
         let set = plummer(PlummerSpec { n: 900, seed: 13, ..Default::default() });
         let want = build(&set.particles, BuildParams::with_leaf_capacity(8));
-        for (threads, part) in [(1, Partitioning::StaticBlocks), (4, Partitioning::MortonZones)] {
-            let sim = ThreadSim::new(config(threads, part));
+        for threads in [1, 4] {
+            let sim = ThreadSim::new(config(threads));
             assert_eq!(sim.config.leaf_capacity, 8);
             let got = sim.build_tree(&set.particles);
             assert_eq!(got.order, want.order, "{threads} threads");

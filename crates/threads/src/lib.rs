@@ -4,16 +4,13 @@
 //! shared address spaces is the Costzones scheme of Singh et al. \[13\], which
 //! SPDA/DPDA adapt to message passing. This crate closes the loop: the same
 //! tree, MAC, and multipole machinery executed by *actual* OS threads
-//! (crossbeam scoped threads — no unsafe, no data races by construction),
-//! with the partitioning strategies the paper discusses:
-//!
-//! * [`Partitioning::StaticBlocks`] — fixed equal particle counts (the naive
-//!   baseline whose imbalance motivates §3.3),
-//! * [`Partitioning::MortonZones`] — costzones over the Morton-ordered
-//!   particle sequence using measured per-particle work from the previous
-//!   step (the shared-memory analogue of DPDA),
-//! * [`Partitioning::SelfScheduling`] — dynamic block self-scheduling off a
-//!   shared atomic counter (what a work-stealing runtime would do).
+//! (`std::thread::scope` workers — no unsafe, no data races by
+//! construction), with one thread split, costzones: each sweep cuts the
+//! Morton-ordered walk units into one contiguous range per thread of about
+//! equal measured per-particle work from the previous evaluation (the
+//! shared-memory analogue of DPDA; by population before anything is
+//! measured). [`ThreadConfig::partitioning`] has that one value left,
+//! [`Partitioning::MortonZones`].
 //!
 //! The degree picks how forces are evaluated, and nothing else does: the
 //! monopole takes the group sweep ([`bhut_tree::group::GroupSweep`] per

@@ -97,6 +97,11 @@ impl BlockConfig {
     /// dt above `dt_max` sits on rung 0 and one demanding less than the
     /// finest dt saturates at `max_rung`.
     pub fn rung_for(&self, a_norm: f64) -> u32 {
+        // One rung leaves nothing to choose; returning early spares the
+        // global timestep the criterion's square root per particle.
+        if self.max_rung == 0 {
+            return 0;
+        }
         let dt = self.criterion_dt(a_norm);
         for r in 0..=self.max_rung {
             if self.dt_of_rung(r) <= dt {
@@ -122,7 +127,8 @@ impl BlockConfig {
 /// How the simulation driver advances time.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum TimestepMode {
-    /// One global dt for every particle (the classic leapfrog path).
+    /// One global dt for every particle: the classic leapfrog, which the
+    /// simulation driver runs as the one-rung hierarchy of `dt`.
     #[default]
     Global,
     /// Hierarchical block timesteps over a rung hierarchy.

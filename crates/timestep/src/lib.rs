@@ -24,7 +24,9 @@
 //! With every particle pinned to rung 0 the scheduler collapses to exactly
 //! one kick-drift-kick of `dt_max` per big step, with the same floating-point
 //! expressions as the global-dt leapfrog — the equivalence is bit-exact and
-//! tested in `tests/equivalence.rs` at the workspace root.
+//! tested in `tests/equivalence.rs` at the workspace root — so it is the one
+//! integrator: the simulation driver runs a global timestep as
+//! `max_rung = 0`.
 
 pub mod active;
 pub mod config;

@@ -69,6 +69,13 @@ impl BlockStepper {
         &self.rungs
     }
 
+    /// Whether the cached accelerations are set: `false` on a fresh or
+    /// restored stepper, whose next big step opens with a priming
+    /// evaluation.
+    pub fn is_primed(&self) -> bool {
+        self.primed
+    }
+
     /// Adopt rung state from a snapshot: the first big step keeps these
     /// rungs instead of reassigning from the priming accelerations, so a
     /// restart resumes the hierarchy mid-flight. Rungs are clamped to
@@ -109,15 +116,20 @@ impl BlockStepper {
 
         let ticks = cfg.ticks();
         let dt_tick = cfg.dt_tick();
+        // Per-rung constants, indexed by rung: the half-kick factor, and the
+        // step length in ticks minus one — a power of two, so `t & mask` is
+        // `t % rung_len(r)`.
+        let half_kick: Vec<f64> = (0..=cfg.max_rung).map(|r| cfg.dt_of_rung(r) * 0.5).collect();
+        let mask: Vec<u64> = (0..=cfg.max_rung).map(|r| cfg.rung_len(r) - 1).collect();
         let mut t: u64 = 0;
         while t < ticks {
             // Opening half-kick for every particle starting a rung step now.
             // All step boundaries live on the tick grid, so membership is a
             // divisibility test against the particle's step length.
             for (i, p) in particles.iter_mut().enumerate() {
-                let r = self.rungs[i];
-                if t.is_multiple_of(cfg.rung_len(r)) {
-                    p.vel += self.accels[i] * (cfg.dt_of_rung(r) * 0.5);
+                let r = self.rungs[i] as usize;
+                if t & mask[r] == 0 {
+                    p.vel += self.accels[i] * half_kick[r];
                 }
             }
 
@@ -127,8 +139,8 @@ impl BlockStepper {
             // the whole big step.
             let mut delta = ticks - t;
             for &r in &self.rungs {
-                let len = cfg.rung_len(r);
-                let rem = len - t % len;
+                let m = mask[r as usize];
+                let rem = m + 1 - (t & m);
                 if rem < delta {
                     delta = rem;
                 }
@@ -144,7 +156,7 @@ impl BlockStepper {
 
             // Particles completing a rung step at t_next need fresh forces.
             let active = ActiveSet::from_mask(
-                self.rungs.iter().map(|&r| t_next.is_multiple_of(cfg.rung_len(r))).collect(),
+                self.rungs.iter().map(|&r| t_next & mask[r as usize] == 0).collect(),
             );
             debug_assert!(active.count() > 0, "every substep ends at someone's boundary");
             let new_accels = forces(particles, &active);
@@ -155,7 +167,7 @@ impl BlockStepper {
             let floor = cfg.coarsest_allowed(t_next);
             for i in active.indices() {
                 let r = self.rungs[i];
-                particles[i].vel += new_accels[i] * (cfg.dt_of_rung(r) * 0.5);
+                particles[i].vel += new_accels[i] * half_kick[r as usize];
                 self.accels[i] = new_accels[i];
                 stats.forces_per_rung[r as usize] += 1;
                 let new_r = cfg.rung_for(new_accels[i].norm()).max(floor);

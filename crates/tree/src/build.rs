@@ -502,7 +502,15 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
         node.next = next;
         node.end = end;
         node.mass = mass;
-        node.com = if mass > 0.0 { weighted / mass } else { node.cell.center() };
+        node.com = if mass > 0.0 {
+            weighted / mass
+        } else {
+            // massless subtree: the centroid of its positions, as the bulk
+            // builder takes it
+            let members = &order[start as usize..end as usize];
+            members.iter().fold(Vec3::ZERO, |c, &i| c + particles[i as usize].pos)
+                / (end - start) as f64
+        };
         id
     }
 
@@ -747,8 +755,10 @@ mod tests {
         let root = tree.root();
         assert_eq!(root.count() as usize, set.len());
         assert!((root.mass - set.total_mass()).abs() < 1e-9 * set.total_mass().max(1.0));
-        let com = set.center_of_mass().unwrap();
-        assert!(root.com.dist(com) < 1e-9 * (1.0 + com.norm()));
+        // A massless set has no center of mass; `validate` holds its centroid.
+        if let Some(com) = set.center_of_mass() {
+            assert!(root.com.dist(com) < 1e-9 * (1.0 + com.norm()));
+        }
     }
 
     #[test]
@@ -825,13 +835,24 @@ mod tests {
 
     #[test]
     fn incremental_matches_bulk_node_and_particle_sets() {
-        let set = uniform_cube(500, 1.0, 17);
+        // Massive and massless (collinear, so whole cells stay empty) sets;
+        // a massless node's com is the centroid of its positions in both.
+        let massless = |ps: Vec<Particle>| {
+            ParticleSet::new(ps.into_iter().map(|p| Particle { mass: 0.0, ..p }).collect())
+        };
+        for set in [uniform_cube(500, 1.0, 17), massless(shaped(2, 40, 18))] {
+            incremental_matches_bulk(&set);
+        }
+    }
+
+    fn incremental_matches_bulk(set: &ParticleSet) {
         let cell = set.bounding_cube().unwrap();
         let params = BuildParams { leaf_capacity: 4, collapse: false, min_split_level: 0 };
         let bulk = build_in_cell(&set.particles, cell, params);
         let inc = build_incremental(&set.particles, cell, params);
-        check(&bulk, &set);
-        check(&inc, &set);
+        check(&bulk, set);
+        check(&inc, set);
+        inc.validate(&set.particles, params.leaf_capacity).unwrap();
         // Same multiset of leaf keys and per-leaf particle sets.
         let leaf_map = |t: &Tree| {
             let mut v: Vec<(u64, Vec<u32>)> = t

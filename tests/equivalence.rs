@@ -10,7 +10,7 @@ use barnes_hut::core::partition::Partition;
 use barnes_hut::geom::{multi_gaussian, plummer, GaussianSpec, PlummerSpec};
 use barnes_hut::geom::{Aabb, Particle, ParticleSet, Vec3};
 use barnes_hut::machine::{CostModel, Hypercube, Machine};
-use barnes_hut::sim::{Simulation, SimulationConfig};
+use barnes_hut::sim::{drift, kick, Simulation, SimulationConfig};
 use barnes_hut::threads::{ThreadConfig, ThreadSim};
 use barnes_hut::timestep::{ActiveSet, BlockConfig, TimestepMode};
 use barnes_hut::tree::build::{build, build_in_cell, BuildParams};
@@ -223,7 +223,10 @@ proptest! {
     /// particle on rung 0 the scheduler performs exactly one full-sync
     /// substep per big step, its kick factors `dt_max/2^0 · ½` and drift
     /// span `2^L ticks · dt_max/2^L` are exact power-of-two arithmetic, and
-    /// the full active set takes the executor's unmasked path.
+    /// the full active set takes the executor's unmasked path. The reference
+    /// is the leapfrog assembled from public calls — `kick(dt/2)`,
+    /// `drift(dt)`, `ThreadSim::compute_forces`, `kick(dt/2)` — and the
+    /// global timestep (the one-rung hierarchy of `dt`) is held to it too.
     #[test]
     fn rung0_block_timesteps_are_bitwise_global_leapfrog(
         set in arb_particles(120),
@@ -243,13 +246,32 @@ proptest! {
             }),
             ..global
         };
+        // The executor `Simulation::new` derives from `global`.
+        let mut exec = ThreadSim::new(ThreadConfig {
+            threads: global.threads,
+            alpha: global.alpha,
+            degree: global.degree,
+            eps: global.eps,
+            leaf_capacity: global.leaf_capacity,
+            ..ThreadConfig::default()
+        });
+        let mut ps = set.particles.clone();
+        let mut accels = exec.compute_forces(&ps).accels;
+        for _ in 0..steps {
+            kick(&mut ps, &accels, dt * 0.5);
+            drift(&mut ps, dt);
+            accels = exec.compute_forces(&ps).accels;
+            kick(&mut ps, &accels, dt * 0.5);
+        }
         let mut a = Simulation::new(set.clone(), global);
         let mut b = Simulation::new(set, block);
         a.run(steps);
         b.run(steps);
-        for (x, y) in a.particles.particles.iter().zip(&b.particles.particles) {
-            prop_assert_eq!(x.pos, y.pos);
-            prop_assert_eq!(x.vel, y.vel);
+        for ((x, y), r) in a.particles.particles.iter().zip(&b.particles.particles).zip(&ps) {
+            prop_assert_eq!(x.pos, r.pos);
+            prop_assert_eq!(x.vel, r.vel);
+            prop_assert_eq!(y.pos, r.pos);
+            prop_assert_eq!(y.vel, r.vel);
         }
     }
 
