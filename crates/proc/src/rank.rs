@@ -225,11 +225,12 @@ fn protocol(err: String) -> ProcError {
 
 /// Assemble the canonical id-indexed global array from per-rank slices;
 /// every id must appear exactly once.
-fn assemble(n: usize, views: &[Vec<u8>]) -> Result<Vec<Particle>, ProcError> {
+fn assemble(n: usize, views: Vec<Vec<u8>>) -> Result<Vec<Particle>, ProcError> {
     let mut all = vec![Particle::new(0, 0.0, Vec3::ZERO, Vec3::ZERO); n];
     let mut seen = vec![false; n];
+    // Each view is freed once decoded, so none sits under the step's build.
     for bytes in views {
-        for p in decode_particles(bytes).map_err(protocol)? {
+        for p in decode_particles(&bytes).map_err(protocol)? {
             let id = p.id as usize;
             if id >= n || seen[id] {
                 return Err(protocol(format!("particle id {id} out of range or duplicated")));
@@ -323,6 +324,8 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     };
     let mut owned: Vec<Particle> =
         ic.iter().filter(|q| owner_of_ic[q.id as usize] == rank).copied().collect();
+    // Ownership is carved: the full IC is not held under any step's build.
+    drop((ic, owner_of_ic));
 
     // Resume: replace the IC-derived start with the latest complete
     // checkpoint epoch. Every rank scans before its first STATE all-gather
@@ -382,7 +385,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
 
         // ---- exchange: replicate the global state -----------------------
         let views = all_gather(t, tags::STATE, &encode_particles(&owned))?;
-        let all = assemble(n, &views)?;
+        let all = assemble(n, views)?;
         let t_ex = now();
         let traffic_ex = t.traffic();
 
@@ -519,7 +522,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     // and the force-equivalence evidence — is complete.
     if start_step >= cfg.steps && cfg.steps > 0 {
         let views = all_gather(t, tags::STATE, &encode_particles(&owned))?;
-        let all = assemble(n, &views)?;
+        let all = assemble(n, views)?;
         let tree = sim.build_tree(&all);
         let fr = sim.compute_forces_on(&tree, &all, &owned_set(n, p, &owned), false);
         last_forces = owned

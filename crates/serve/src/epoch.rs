@@ -24,16 +24,22 @@
 //! * **Publish** (writer): pick any slot that is neither `current` nor
 //!   pinned (spinning across the ring until one frees — with `SLOTS` ≥ 3
 //!   this only waits for the nanoseconds a lagging reader needs between its
-//!   failed verify and its unpin), drop the slot's previous occupant into
-//!   it, then flip `current`. All atomics are `SeqCst`; the total order
-//!   makes the pin-then-verify / check-pins-then-write handshake airtight
-//!   (a reader whose verify passed holds its pin *visibly* before any
-//!   publisher pin-check that could target the slot).
+//!   failed verify and its unpin), write the new epoch into it, then flip
+//!   `current`. Then empty the previous `current` slot as soon as its pin
+//!   count reads zero (the victim's `slot != current && pins == 0`
+//!   condition, and the same short wait); every other slot is already
+//!   empty, so the store holds one epoch between publishes. All atomics
+//!   are `SeqCst`; the total order makes the pin-then-verify /
+//!   check-pins-then-write handshake airtight (a reader whose verify
+//!   passed holds its pin *visibly* before any publisher pin-check that
+//!   could target the slot).
 //!
-//! Retirement is reference counting: overwriting a slot drops the store's
-//! `Arc`; whichever party drops the *last* reference (often a query worker
-//! finishing a batch against an old epoch) runs `TreeEpoch::drop`, which
-//! bumps the shared retired counter surfaced through
+//! Retirement is reference counting: emptying a slot drops the store's
+//! `Arc`, so once `publish` returns the store holds exactly one epoch, and
+//! a superseded one lives exactly as long as the batches that pinned it.
+//! Whichever party drops the *last* reference (the publisher, or a query
+//! worker finishing a batch against an old epoch) runs `TreeEpoch::drop`,
+//! which bumps the shared retired counter surfaced through
 //! [`bhut_obs::ServeCounters`].
 
 use std::cell::UnsafeCell;
@@ -91,9 +97,11 @@ impl Drop for TreeEpoch {
     }
 }
 
-/// Ring size. Three is the minimum for the publisher to always find a free
-/// victim (one current, one being read by a straggler, one free); four
-/// gives slack for a reader preempted mid-pin.
+/// Ring size. Only the current slot holds an epoch between publishes; the
+/// others are empty and may carry a straggler's transient pin (a reader
+/// between its failed verify and its unpin). Three is the minimum for the
+/// publisher to always find a free victim (one current, one pinned by a
+/// straggler, one free); four gives slack for a reader preempted mid-pin.
 const SLOTS: usize = 4;
 
 /// `current` value before the first publish.
@@ -150,7 +158,9 @@ impl EpochStore {
     /// array `tree` was built over, in the caller's order; it is stored in
     /// tree order ([`Tree::permute_to_order`], in place) before the epoch
     /// becomes visible. In-flight readers of older epochs are unaffected;
-    /// new [`pin`](Self::pin) calls see this epoch immediately.
+    /// new [`pin`](Self::pin) calls see this epoch immediately. On return
+    /// the store references this epoch only: an older one stays alive
+    /// while, and only while, a reader still holds it.
     pub fn publish(
         &self,
         mut tree: Tree,
@@ -190,6 +200,23 @@ impl EpochStore {
         }
         self.current.store(victim, SeqCst);
         self.published.store(generation, SeqCst);
+
+        // Between publishes only the current slot is occupied, so the one
+        // superseded epoch the store still references sits in the slot
+        // `current` named before the flip. A reader pinning it now loaded
+        // `current` before the flip: its verify fails and it unpins, or it
+        // passed and is cloning the `Arc` out; either way the pin drains.
+        if cur != NONE {
+            while self.slots[cur].pins.load(SeqCst) != 0 {
+                std::thread::yield_now();
+            }
+            // SAFETY: cur != current and pins == 0 under the publish lock,
+            // the victim's argument: no reader can dereference this slot
+            // until a later publish names it `current` again.
+            unsafe {
+                *self.slots[cur].epoch.get() = None;
+            }
+        }
         generation
     }
 
@@ -280,8 +307,8 @@ mod tests {
         assert_eq!(pinned.generation, 1);
         assert_eq!(store.generation(), 1);
 
-        // Publishing two more epochs overwrites other slots; generation 1
-        // survives because we hold a reference.
+        // Publishing two more epochs releases the store's reference to
+        // generation 1; it survives because we hold one.
         for s in 2..4u64 {
             let (t, p) = epoch_for(64, s);
             assert_eq!(store.publish(t, p, 0.5, 1e-4), s);
@@ -289,14 +316,34 @@ mod tests {
         assert_eq!(pinned.generation, 1, "pinned epoch immutable across publishes");
         assert_eq!(store.pin().unwrap().generation, 3);
 
-        // After dropping our pin, the slot cycle eventually frees gen 1.
-        drop(pinned);
+        // Dropping our pin retires generation 1 at once.
         let before = store.retired();
-        for s in 4..8u64 {
-            let (t, p) = epoch_for(64, s);
+        drop(pinned);
+        assert_eq!(store.retired(), before + 1, "old epochs retire once unpinned");
+    }
+
+    /// Between publishes the store references the current epoch only: a
+    /// superseded epoch retires at the publish that displaces it, or, if a
+    /// reader holds it, when that reader lets go.
+    #[test]
+    fn publish_leaves_one_epoch_resident_beside_held_pins() {
+        let store = EpochStore::new();
+        let publish = |seed: u64| {
+            let (t, p) = epoch_for(32, seed);
             store.publish(t, p, 0.5, 1e-4);
+        };
+        let resident = || store.generation() - store.retired();
+        for s in 0..SLOTS as u64 + 2 {
+            publish(s);
+            assert_eq!(resident(), 1, "publish {} with no pin held", s + 1);
         }
-        assert!(store.retired() > before, "old epochs retire once unpinned");
+        let held = store.pin().unwrap();
+        for s in 0..SLOTS as u64 + 2 {
+            publish(100 + s);
+            assert_eq!(resident(), 2, "the held epoch and the current one");
+        }
+        drop(held);
+        assert_eq!(resident(), 1, "the held epoch retires with its last pin");
     }
 
     /// Both ways into an epoch store its particles in tree order: `order`
