@@ -154,6 +154,28 @@ mod tests {
         assert!(prev < 2e-3, "degree-4 error too high: {prev}");
     }
 
+    /// The tree's moment rule is degree-0 M2M: every node's mass is its
+    /// expansion's zeroth moment bit for bit, on a collapsed build and on one
+    /// forced down to level 3, at every degree.
+    #[test]
+    fn node_masses_are_the_upward_pass_masses_bit_for_bit() {
+        let set = plummer(PlummerSpec { n: 3000, ..Default::default() });
+        let ps = &set.particles;
+        let forced = BuildParams { min_split_level: 3, ..Default::default() };
+        for params in [BuildParams::default(), forced] {
+            let tree = build::build(ps, params);
+            for k in [0, 2, 4] {
+                let mt = MultipoleTree::new(&tree, ps, k);
+                let off = (0..tree.len())
+                    .filter(|&id| {
+                        tree.node(id as u32).mass.to_bits() != mt.expansions[id].mass().to_bits()
+                    })
+                    .count();
+                assert_eq!(off, 0, "{params:?}, degree {k}: {off} of {} masses", tree.len());
+            }
+        }
+    }
+
     #[test]
     fn monopole_degree_zero_matches_com_traversal() {
         let set = uniform_cube(300, 1.0, 2);

@@ -27,7 +27,9 @@
 use crate::ckpt::CkptStore;
 use crate::collectives::{all_gather, all_reduce_sum_f64, barrier, broadcast, exchange};
 use crate::transport::{ProcError, Transport};
-use crate::wire::{decode_particles, decode_weights, encode_particles, encode_weights};
+use crate::wire::{
+    decode_particles, decode_weights, encode_particles, encode_weights, particle_records,
+};
 use bhut_core::balance::{spda_initial, spda_rebalance, spsa_assignment, Curve, Scheme};
 use bhut_core::{ClusterGrid, Partition};
 use bhut_geom::{plummer, Aabb, Particle, PlummerSpec, Vec3};
@@ -228,9 +230,10 @@ fn protocol(err: String) -> ProcError {
 fn assemble(n: usize, views: Vec<Vec<u8>>) -> Result<Vec<Particle>, ProcError> {
     let mut all = vec![Particle::new(0, 0.0, Vec3::ZERO, Vec3::ZERO); n];
     let mut seen = vec![false; n];
-    // Each view is freed once decoded, so none sits under the step's build.
+    // Each view decodes straight into `all` and is freed once placed, so
+    // none sits under the step's build.
     for bytes in views {
-        for p in decode_particles(&bytes).map_err(protocol)? {
+        for p in particle_records(&bytes).map_err(protocol)? {
             let id = p.id as usize;
             if id >= n || seen[id] {
                 return Err(protocol(format!("particle id {id} out of range or duplicated")));
@@ -453,7 +456,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         let incoming = exchange(t, tags::MIGRATE, &outgoing)?;
         owned = keep;
         for bytes in &incoming {
-            owned.extend(decode_particles(bytes).map_err(protocol)?);
+            owned.extend(particle_records(bytes).map_err(protocol)?);
         }
         let t_lb = now();
         let traffic_end = t.traffic();
@@ -620,6 +623,30 @@ mod tests {
         // A view cut mid-pair.
         let truncated = good[..good.len() - 1].to_vec();
         assert!(matches!(assemble_weights(3, &[truncated]), Err(ProcError::Protocol(_))));
+    }
+
+    /// STATE views placed by id, bitwise; a view cut mid-record, an id past
+    /// the particle count, an id two ranks claim and an id no rank owns each
+    /// fail the run with their own message.
+    #[test]
+    fn hostile_state_views_fail_the_run_instead_of_panicking() {
+        let p = |id: u32| Particle::new(id, 1.0 + id as f64, Vec3::splat(id as f64), Vec3::ZERO);
+        let (a, b) = (encode_particles(&[p(2), p(0)]), encode_particles(&[p(1)]));
+        assert_eq!(assemble(3, vec![a.clone(), b.clone()]).unwrap(), [p(0), p(1), p(2)]);
+        let message = |views: Vec<Vec<u8>>| match assemble(3, views) {
+            Err(ProcError::Protocol(m)) => m,
+            other => panic!("expected a protocol error, got {other:?}"),
+        };
+        assert_eq!(
+            message(vec![a.clone(), b[..b.len() - 1].to_vec()]),
+            format!("particle payload of {} bytes is not a multiple", b.len() - 1)
+        );
+        assert_eq!(
+            message(vec![a.clone(), encode_particles(&[p(3)])]),
+            "particle id 3 out of range or duplicated"
+        );
+        assert_eq!(message(vec![a.clone(), a.clone()]), "particle id 2 out of range or duplicated");
+        assert_eq!(message(vec![a]), "no rank owns particle 1");
     }
 
     /// Kill a rank mid-run (loopback fault injection), then resume from the

@@ -36,16 +36,14 @@
 //!   above the node's level, so the field at that level never decreases along
 //!   the range, and each child's run ends where a binary search
 //!   (`partition_point`) finds the next field.
-//! * **Moments.** Each node sums its own range of `order` left to right from
-//!   zero, `mass += m` and `weighted += pos * m`, and divides; a massless
-//!   range takes the centroid of its positions. [`Tree::validate`] re-does
-//!   exactly this fold. (Folding each particle once into the running sums of
-//!   all its open ancestors gives the same bits, but measured slower: the
-//!   per-node loops re-read particles that are still in cache, while the
-//!   fold's per-particle loop over a varying number of ancestors stalls on
-//!   its accumulator stores and loop exits.)
+//! * **Moments.** One rule, `node::monopole`, bottom up: a leaf folds its
+//!   range of `order` left to right from zero, and an internal node folds
+//!   its children's moments in octant order once they return, so each
+//!   particle is read once. The mass is the degree-0 M2M of an upward pass,
+//!   bit for bit. [`build_incremental`] and [`Tree::validate`] call the
+//!   same function.
 
-use crate::node::{Node, NodeId, Tree, NIL};
+use crate::node::{monopole, Node, NodeId, Tree, NIL};
 use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_morton::{encode_3d, NodeKey};
 
@@ -129,7 +127,8 @@ pub fn build(particles: &[Particle], params: BuildParams) -> Tree {
 /// Build a tree over `particles` with an explicit root cell. Positions
 /// outside the cell are clamped onto its surface grid (the distributed
 /// formulations guarantee containment; clamping just keeps the builder
-/// total).
+/// total). Debug builds check the tree with [`Tree::validate`], which a
+/// body more than an ulp outside the cell fails.
 pub fn build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams) -> Tree {
     let n = particles.len();
     if n == 0 {
@@ -144,7 +143,9 @@ pub fn build_in_cell(particles: &[Particle], cell: Aabb, params: BuildParams) ->
         nodes: Vec::with_capacity(node_estimate(n, params.leaf_capacity)),
     };
     b.rec(cell, NodeKey::ROOT, 0, 0, n as u32);
-    Tree { nodes: b.nodes, order, root_cell: cell }
+    let tree = Tree { nodes: b.nodes, order, root_cell: cell };
+    debug_assert_eq!(tree.validate(particles, params.leaf_capacity), Ok(()));
+    tree
 }
 
 /// Where the radix sort splits a code: it sorts by `code >> LOW_BITS`, the
@@ -311,12 +312,11 @@ impl Builder<'_> {
         }
 
         let id = self.nodes.len() as NodeId;
-        let (mass, com) = self.mass_com(start, end);
         self.nodes.push(Node {
             cell,
             key,
-            mass,
-            com,
+            mass: 0.0,
+            com: Vec3::ZERO,
             children: [NIL; 8],
             child_mask: 0,
             start,
@@ -325,60 +325,45 @@ impl Builder<'_> {
         });
 
         let deep_enough = level >= self.params.min_split_level;
-        if (count as usize <= self.params.leaf_capacity && deep_enough) || level >= MAX_LEVEL - 1 {
-            return id;
-        }
-
-        // Split the (sorted) range by the octant field at this level and
-        // recurse. The codes share every field above it, so the field never
-        // decreases along the range and each octant's run ends where a
-        // binary search says. Children are built in octant order so
-        // particle ranges tile the parent's range along the Z-curve.
-        let mut children = [NIL; 8];
-        let mut lo = start;
-        while lo < end {
-            let oct = octant_at(self.codes[lo as usize], level);
-            let run = self.codes[lo as usize..end as usize]
-                .partition_point(|&c| octant_at(c, level) == oct);
-            let hi = lo + run as u32;
-            children[oct] = self.rec(cell.octant(oct), key.child(oct as u8), level + 1, lo, hi);
-            lo = hi;
-        }
-        let next = self.nodes.len() as NodeId;
-        let node = &mut self.nodes[id as usize];
-        node.set_children(children);
-        node.next = next;
-        id
-    }
-
-    /// Mass and center of mass of `order[start..end]`, summed left to right.
-    fn mass_com(&self, start: u32, end: u32) -> (f64, Vec3) {
-        let mut mass = 0.0;
-        let mut weighted = Vec3::ZERO;
-        for &i in &self.order[start as usize..end as usize] {
-            let p = &self.particles[i as usize];
-            mass += p.mass;
-            weighted += p.pos * p.mass;
-        }
-        let com = if mass > 0.0 {
-            weighted / mass
-        } else {
-            // massless subtree: fall back to geometric centroid
-            let mut c = Vec3::ZERO;
-            for &i in &self.order[start as usize..end as usize] {
-                c += self.particles[i as usize].pos;
+        if (count as usize > self.params.leaf_capacity || !deep_enough) && level < MAX_LEVEL - 1 {
+            // Split the (sorted) range by the octant field at this level and
+            // recurse. The codes share every field above it, so the field
+            // never decreases along the range and each octant's run ends
+            // where a binary search says. Children are built in octant order
+            // so particle ranges tile the parent's range along the Z-curve.
+            let mut children = [NIL; 8];
+            let mut lo = start;
+            while lo < end {
+                let oct = octant_at(self.codes[lo as usize], level);
+                let run = self.codes[lo as usize..end as usize]
+                    .partition_point(|&c| octant_at(c, level) == oct);
+                let hi = lo + run as u32;
+                children[oct] = self.rec(cell.octant(oct), key.child(oct as u8), level + 1, lo, hi);
+                lo = hi;
             }
-            c / (end - start) as f64
-        };
-        (mass, com)
+            let next = self.nodes.len() as NodeId;
+            let node = &mut self.nodes[id as usize];
+            node.set_children(children);
+            node.next = next;
+        }
+        // A leaf's moments from its range, an internal node's from the
+        // children just built.
+        let (mass, com) = monopole(&self.nodes, id, self.order, self.particles);
+        let node = &mut self.nodes[id as usize];
+        (node.mass, node.com) = (mass, com);
+        id
     }
 }
 
 /// Incremental (particle-injection) construction, §3.1. Functionally
 /// equivalent to [`build_in_cell`] with `collapse: false`; kept as a faithful
 /// rendering of the paper's distributed-construction primitive and as a
-/// differential-testing oracle for the bulk builder.
+/// differential-testing oracle for the bulk builder. Debug builds check the
+/// tree with [`Tree::validate`].
 pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams) -> Tree {
+    if particles.is_empty() {
+        return Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell };
+    }
     // Mutable insertion tree with per-leaf buckets.
     enum INode {
         Leaf { bucket: Vec<u32> },
@@ -443,10 +428,6 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
     let mut nodes: Vec<Node> = Vec::new();
     let mut order: Vec<u32> = Vec::with_capacity(particles.len());
     flatten(&inodes, particles, 0, NodeKey::ROOT, &mut nodes, &mut order);
-    // Empty tree if no particles.
-    if particles.is_empty() {
-        return Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell };
-    }
 
     fn flatten(
         inodes: &[(Aabb, impl FlattenNode)],
@@ -487,30 +468,14 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
                 }
             }
         }
-        let end = order.len() as u32;
-        // Upward mass/COM.
-        let mut mass = 0.0;
-        let mut weighted = Vec3::ZERO;
-        for &i in &order[start as usize..end as usize] {
-            let p = &particles[i as usize];
-            mass += p.mass;
-            weighted += p.pos * p.mass;
-        }
         let next = nodes.len() as NodeId;
         let node = &mut nodes[id as usize];
         node.set_children(children);
         node.next = next;
-        node.end = end;
-        node.mass = mass;
-        node.com = if mass > 0.0 {
-            weighted / mass
-        } else {
-            // massless subtree: the centroid of its positions, as the bulk
-            // builder takes it
-            let members = &order[start as usize..end as usize];
-            members.iter().fold(Vec3::ZERO, |c, &i| c + particles[i as usize].pos)
-                / (end - start) as f64
-        };
+        node.end = order.len() as u32;
+        let (mass, com) = monopole(nodes, id, order, particles);
+        let node = &mut nodes[id as usize];
+        (node.mass, node.com) = (mass, com);
         id
     }
 
@@ -530,7 +495,9 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
         }
     }
 
-    Tree { nodes, order, root_cell: cell }
+    let tree = Tree { nodes, order, root_cell: cell };
+    debug_assert_eq!(tree.validate(particles, s), Ok(()));
+    tree
 }
 
 #[cfg(test)]
@@ -544,10 +511,13 @@ mod tests {
     /// The builder as it was before the radix sort, the binary-search splits
     /// and the arena reservation: a comparison sort of `(code, index)` pairs
     /// and a linear scan for each octant's run. Every tree [`build_in_cell`]
-    /// makes must equal its tree bit for bit.
+    /// makes must equal its tree bit for bit. Its moments come from the
+    /// builder's own [`monopole`], so they match by construction; what the
+    /// comparison pins is `order`, the cells, keys and links, and
+    /// [`Tree::validate`] pins the moments.
     mod oracle {
         use crate::build::{octant_at, BuildParams, MAX_LEVEL};
-        use crate::node::{Node, NodeId, Tree, NIL};
+        use crate::node::{monopole, Node, NodeId, Tree, NIL};
         use bhut_geom::{Aabb, Particle, Vec3};
         use bhut_morton::encode_3d;
         use bhut_morton::NodeKey;
@@ -634,12 +604,11 @@ mod tests {
                 }
 
                 let id = self.nodes.len() as NodeId;
-                let (mass, com) = self.mass_com(start, end);
                 self.nodes.push(Node {
                     cell,
                     key,
-                    mass,
-                    com,
+                    mass: 0.0,
+                    com: Vec3::ZERO,
                     children: [NIL; 8],
                     child_mask: 0,
                     start,
@@ -651,7 +620,7 @@ mod tests {
                 if (count as usize <= self.params.leaf_capacity && deep_enough)
                     || level >= MAX_LEVEL - 1
                 {
-                    return id;
+                    return self.fold_moments(id);
                 }
 
                 // Partition the (sorted) range by the octant field at this level and
@@ -673,36 +642,27 @@ mod tests {
                 let node = &mut self.nodes[id as usize];
                 node.set_children(children);
                 node.next = next;
-                id
+                self.fold_moments(id)
             }
 
-            fn mass_com(&self, start: u32, end: u32) -> (f64, Vec3) {
-                let mut mass = 0.0;
-                let mut weighted = Vec3::ZERO;
-                for &i in &self.order[start as usize..end as usize] {
-                    let p = &self.particles[i as usize];
-                    mass += p.mass;
-                    weighted += p.pos * p.mass;
-                }
-                let com = if mass > 0.0 {
-                    weighted / mass
-                } else {
-                    // massless subtree: fall back to geometric centroid
-                    let mut c = Vec3::ZERO;
-                    for &i in &self.order[start as usize..end as usize] {
-                        c += self.particles[i as usize].pos;
-                    }
-                    c / (end - start) as f64
-                };
-                (mass, com)
+            /// The one moment rule, once the node's range and children are
+            /// set: the builder's by construction.
+            fn fold_moments(&mut self, id: NodeId) -> NodeId {
+                let (mass, com) = monopole(&self.nodes, id, self.order, self.particles);
+                let node = &mut self.nodes[id as usize];
+                (node.mass, node.com) = (mass, com);
+                id
             }
         }
     }
 
-    /// `n` particles of one shape: 0 uniform, 1 duplicated positions, 2
-    /// collinear, 3 two tight clusters, 4 like 0 but massless (the centroid
-    /// fallback). Masses vary so every sum has rounding to get right.
-    fn shaped(shape: usize, n: usize, seed: u64) -> Vec<Particle> {
+    /// `n` particles of one shape, positions in the cube of side `extent` at
+    /// the origin: 0 uniform, 1 duplicated positions, 2 collinear, 3 two
+    /// tight clusters, 4 like 0 but massless (the centroid fallback), 5 like
+    /// 0 with every mass negative, 6 like 0 with masses of either sign (sums
+    /// that are not positive, or nearly cancel), 7 every particle at one
+    /// point. Masses vary so every sum has rounding to get right.
+    fn shaped(shape: usize, n: usize, seed: u64, extent: f64) -> Vec<Particle> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut unit = || Vec3::new(rng.gen(), rng.gen(), rng.gen());
         let pool: Vec<Vec3> = (0..(n / 4).max(1)).map(|_| unit()).collect();
@@ -720,10 +680,16 @@ mod tests {
                         let jitter = Vec3::new(rng.gen(), rng.gen(), rng.gen()) * 1e-9;
                         centers[i % 2] + jitter
                     }
+                    7 => pool[0],
                     _ => Vec3::new(rng.gen(), rng.gen(), rng.gen()),
                 };
-                let mass = if shape == 4 { 0.0 } else { rng.gen_range(0.5..2.0) };
-                Particle::new(i as u32, mass, pos, Vec3::ZERO)
+                let mass = match shape {
+                    4 => 0.0,
+                    5 => -rng.gen_range(0.5..2.0),
+                    6 if rng.gen() => -rng.gen_range(0.5..2.0),
+                    _ => rng.gen_range(0.5..2.0),
+                };
+                Particle::new(i as u32, mass, pos * extent, Vec3::ZERO)
             })
             .collect()
     }
@@ -840,7 +806,7 @@ mod tests {
         let massless = |ps: Vec<Particle>| {
             ParticleSet::new(ps.into_iter().map(|p| Particle { mass: 0.0, ..p }).collect())
         };
-        for set in [uniform_cube(500, 1.0, 17), massless(shaped(2, 40, 18))] {
+        for set in [uniform_cube(500, 1.0, 17), massless(shaped(2, 40, 18, 1.0))] {
             incremental_matches_bulk(&set);
         }
     }
@@ -921,34 +887,41 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
+        #![proptest_config(ProptestConfig::with_cases(128))]
         /// The radix sort and the binary-search splits build exactly the
         /// tree the comparison sort and the linear scans built, over leaf
-        /// capacities, collapsing, forced levels, sizes from empty up, and
-        /// duplicated, collinear, clustered and massless points; and the tree
-        /// passes [`Tree::validate`].
+        /// capacities, collapsing, forced levels (down to chains of internal
+        /// nodes over one particle), sizes from empty up, extents of 1 and
+        /// 1e±150, and duplicated, collinear, clustered, massless, negative,
+        /// mixed-sign and coincident points; and both builders' trees pass
+        /// [`Tree::validate`], whose invariants hold every `com` finite.
         #[test]
         fn build_is_the_comparison_sort_builder_bit_for_bit(
             s_at in 0usize..4,
             n_at in 0usize..5,
-            shape in 0usize..5,
-            forced in 0u32..2,
+            shape in 0usize..8,
+            extent_at in 0usize..3,
+            forced in 0u32..3,
             collapse: bool,
             seed in 0u64..1000,
         ) {
             let s = [1, 2, 8, 16][s_at];
             let n = [0, 1, 2, 9, 1000][n_at];
+            let extent = [1.0, 1e150, 1e-150][extent_at];
             let params = BuildParams { leaf_capacity: s, collapse, min_split_level: 2 * forced };
-            let ps = shaped(shape, n, seed);
+            let ps = shaped(shape, n, seed, extent);
             let tree = build(&ps, params);
             assert_same_tree(&tree, &oracle::build_in_cell(&ps, tree.root_cell, params));
-            let shifted = Aabb::cube(Vec3::splat(0.375), 1.5);
+            let shifted = Aabb::cube(Vec3::splat(0.375 * extent), 1.5 * extent);
             assert_same_tree(
                 &build_in_cell(&ps, shifted, params),
                 &oracle::build_in_cell(&ps, shifted, params),
             );
-            if let Err(e) = tree.validate(&ps, s) {
-                prop_assert!(false, "{e}");
+            let incremental = build_incremental(&ps, shifted, params);
+            for t in [&tree, &incremental] {
+                if let Err(e) = t.validate(&ps, s) {
+                    prop_assert!(false, "{e}");
+                }
             }
         }
     }

@@ -93,6 +93,43 @@ impl Node {
     }
 }
 
+/// The monopole of node `id` of the arena `nodes`, its `(mass, com)`: the
+/// one moment rule of both builders and [`Tree::validate`].
+///
+/// A leaf folds its range of `order` left to right from zero, `mass += m`
+/// and `weighted += pos * m`; an internal node folds its children's stored
+/// moments in octant order, `mass += c.mass` and `weighted += c.com *
+/// c.mass`. Then `com = weighted / mass`, or, where that mass is not
+/// positive, the count-weighted mean of the positions (children's `com`s).
+/// The mass is thus degree-0 M2M, the zeroth moment of an upward pass bit
+/// for bit, and a build reads each particle once, at its leaf. The node's
+/// range and, for an internal node, its children's moments must be set.
+pub(crate) fn monopole(
+    nodes: &[Node],
+    id: NodeId,
+    order: &[u32],
+    particles: &[Particle],
+) -> (f64, Vec3) {
+    let n = &nodes[id as usize];
+    let (mut mass, mut weighted, mut spread) = (0.0, Vec3::ZERO, Vec3::ZERO);
+    if n.is_leaf() {
+        for &i in &order[n.start as usize..n.end as usize] {
+            let p = &particles[i as usize];
+            mass += p.mass;
+            weighted += p.pos * p.mass;
+            spread += p.pos;
+        }
+    } else {
+        for c in n.children.iter().filter(|&&c| c != NIL).map(|&c| &nodes[c as usize]) {
+            mass += c.mass;
+            weighted += c.com * c.mass;
+            spread += c.com * c.count() as f64;
+        }
+    }
+    let com = if mass > 0.0 { weighted / mass } else { spread / n.count() as f64 };
+    (mass, com)
+}
+
 /// An immutable Barnes–Hut oct-tree over a borrowed particle slice.
 ///
 /// The tree stores particle *indices* only; traversals take the particle
@@ -340,8 +377,8 @@ impl Tree {
             if n.next != past {
                 return Err(format!("node {id}: next {} but its subtree ends at {past}", n.next));
             }
-            // mass/com consistency is checked by build tests against
-            // particle data; here check only finiteness.
+            // The moments against the particles are `validate`'s to check;
+            // here only their finiteness.
             if !n.com.is_finite() || !n.mass.is_finite() {
                 return Err(format!("node {id}: non-finite mass/com"));
             }
@@ -354,16 +391,17 @@ impl Tree {
 
     /// [`Tree::check_invariants`] (ranges tile, preorder, `next` links) and
     /// what a tree built from `particles` at leaf capacity `leaf_capacity`
-    /// must also hold; returns a description of the first violation. Tests
-    /// and diagnostics only: it re-reads every particle once per level.
+    /// must also hold; returns a description of the first violation. Tests,
+    /// debug builds and diagnostics: it re-reads every particle once, at its
+    /// leaf, and every internal node's children.
     ///
-    /// * Each node's `mass` is the sum of its range's masses in `order`,
-    ///   left to right from zero, and its `com` that range's mass-weighted
-    ///   sum over the mass (a massless range: the centroid of its
-    ///   positions), bit for bit.
+    /// * Each node's `mass` and `com` are what `monopole` gives, bit for
+    ///   bit: a leaf's folded from its range of `order`, an internal node's
+    ///   from its stored children, which are checked in turn.
     /// * A leaf holds at most `leaf_capacity` particles, unless it sits at
     ///   the depth cap, where no split separates what is left.
-    /// * Every particle lies inside the cell of each node that holds it, up
+    /// * Every particle lies inside its leaf's cell, and so inside the cell
+    ///   of each node that holds it (a child's cell lies in its parent's), up
     ///   to one ulp of the root cell's largest coordinate. Not exactly: the
     ///   builder sorts by Morton code, which quantizes a position against
     ///   the root cell, while the cells are float midpoints, and where the
@@ -379,8 +417,8 @@ impl Tree {
         let ulp = f64::from_bits(reach.to_bits() + 1) - reach;
         // Cells and occupancy first: a body out of place also shifts the
         // moments of every node above it, and the cell names the cause.
-        for (id, n) in self.nodes.iter().enumerate() {
-            if n.is_leaf() && n.count() as usize > leaf_capacity && n.key.level() < DEPTH_CAP {
+        for (id, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.is_leaf()) {
+            if n.count() as usize > leaf_capacity && n.key.level() < DEPTH_CAP {
                 return Err(format!(
                     "node {id}: leaf of {} particles above capacity {leaf_capacity} at level {}",
                     n.count(),
@@ -398,23 +436,12 @@ impl Tree {
             }
         }
         for (id, n) in self.nodes.iter().enumerate() {
-            let members = &self.order[n.start as usize..n.end as usize];
-            let (mut mass, mut weighted) = (0.0, Vec3::ZERO);
-            for &i in members {
-                let p = &particles[i as usize];
-                mass += p.mass;
-                weighted += p.pos * p.mass;
-            }
-            let com = if mass > 0.0 {
-                weighted / mass
-            } else {
-                members.iter().fold(Vec3::ZERO, |c, &i| c + particles[i as usize].pos)
-                    / members.len() as f64
-            };
+            let (mass, com) = monopole(&self.nodes, id as NodeId, &self.order, particles);
             let bits = |m: f64, c: Vec3| [m, c.x, c.y, c.z].map(f64::to_bits);
             if bits(n.mass, n.com) != bits(mass, com) {
+                let from = if n.is_leaf() { "its range" } else { "its child list" };
                 return Err(format!(
-                    "node {id}: mass {} com {:?} but its range folds to {mass} {com:?}",
+                    "node {id}: mass {} com {:?} but {from} folds to {mass} {com:?}",
                     n.mass, n.com
                 ));
             }

@@ -104,20 +104,26 @@ pub fn encode_particles(particles: &[Particle]) -> Vec<u8> {
     out
 }
 
-pub fn decode_particles(bytes: &[u8]) -> Result<Vec<Particle>, String> {
+/// The particles of a payload, decoded one record at a time once the
+/// length is checked — for callers that place each particle as it comes (a
+/// rank assembling the global array) instead of collecting them.
+pub fn particle_records(bytes: &[u8]) -> Result<impl Iterator<Item = Particle> + '_, String> {
     if !bytes.len().is_multiple_of(PARTICLE_BYTES) {
         return Err(format!("particle payload of {} bytes is not a multiple", bytes.len()));
     }
-    let mut out = Vec::with_capacity(bytes.len() / PARTICLE_BYTES);
-    for chunk in bytes.chunks_exact(PARTICLE_BYTES) {
-        out.push(Particle::new(
+    Ok(bytes.chunks_exact(PARTICLE_BYTES).map(|chunk| {
+        Particle::new(
             get_u32(chunk, 0),
             get_f64(chunk, 4),
             Vec3::new(get_f64(chunk, 12), get_f64(chunk, 20), get_f64(chunk, 28)),
             Vec3::new(get_f64(chunk, 36), get_f64(chunk, 44), get_f64(chunk, 52)),
-        ));
-    }
-    Ok(out)
+        )
+    }))
+}
+
+/// [`particle_records`], collected.
+pub fn decode_particles(bytes: &[u8]) -> Result<Vec<Particle>, String> {
+    Ok(particle_records(bytes)?.collect())
 }
 
 /// Bit-exact (id, acceleration, potential) records.
