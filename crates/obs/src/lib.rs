@@ -356,7 +356,10 @@ pub struct StepProfile {
     pub wall_s: f64,
     pub spans: Vec<Span>,
     /// Counters per worker, indexed by rank (may be empty on the simulated
-    /// path, which only reports totals).
+    /// path, which only reports totals). On the threaded executor work is
+    /// counted per costzone — entry `t` is the work of worker `t`'s zone,
+    /// including units another worker stole from its tail — while time is
+    /// per worker, in the spans.
     pub per_worker: Vec<Counters>,
     pub totals: Counters,
     /// Per-rung population and force-evaluation counters, filled by the

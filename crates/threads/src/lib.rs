@@ -9,7 +9,10 @@
 //! Morton-ordered walk units into one contiguous range per thread of about
 //! equal measured per-particle work from the previous evaluation (the
 //! shared-memory analogue of DPDA; by population before anything is
-//! measured). [`ThreadConfig::partitioning`] has that one value left,
+//! measured). A worker that empties its range takes the others' units off
+//! the back (tail stealing, `pool::ZoneCursors`), so a sweep ends when the
+//! work does, not when the slower core does; work is still counted per
+//! range. [`ThreadConfig::partitioning`] has that one value left,
 //! [`Partitioning::MortonZones`].
 //!
 //! The degree picks how forces are evaluated, and nothing else does: the
