@@ -21,7 +21,7 @@
 use crate::partition::Partition;
 use bhut_machine::{Collectives, CostModel, Topology};
 use bhut_multipole::Expansion;
-use bhut_tree::{Tree, NIL};
+use bhut_tree::Tree;
 
 /// Words in one communicated node record at multipole degree `k`.
 pub fn record_words(degree: u32) -> u64 {
@@ -67,9 +67,7 @@ pub fn hierarchical_merge<T: Topology>(
     let mut designated: Vec<i32> = partition.owner_of_node.clone();
     // top nodes in walk (pre-order) order: process bottom-up by reversing.
     for &t in partition.top_nodes.iter().rev() {
-        let node = tree.node(t);
-        let first_child = node.children.iter().copied().find(|&c| c != NIL);
-        if let Some(fc) = first_child {
+        if let Some(fc) = tree.children_of(t).next() {
             designated[t as usize] = designated[fc as usize];
         }
     }
@@ -79,14 +77,10 @@ pub fn hierarchical_merge<T: Topology>(
     // Bottom-up: children owners send their records to the parent's
     // designated owner, which combines them.
     for &t in partition.top_nodes.iter().rev() {
-        let node = tree.node(t);
         let dst = designated[t as usize];
         debug_assert!(dst >= 0);
         let dst = dst as usize;
-        for &c in &node.children {
-            if c == NIL {
-                continue;
-            }
+        for c in tree.children_of(t) {
             let src = designated[c as usize];
             debug_assert!(src >= 0);
             let src = src as usize;

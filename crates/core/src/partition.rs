@@ -18,7 +18,7 @@
 
 use crate::domain::ClusterGrid;
 use bhut_morton::NodeKey;
-use bhut_tree::{NodeId, Tree, NIL};
+use bhut_tree::{NodeId, Tree};
 
 /// One branch node: the root of a processor-owned subtree.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +71,13 @@ impl Partition {
                 top_nodes,
             };
         }
-        // Walk the top of the tree; stop descending at branch level.
-        let mut stack = vec![0 as NodeId];
-        while let Some(id) = stack.pop() {
+        // Walk the top of the tree, carrying each node's cell down; stop
+        // descending at branch level.
+        let mut stack = vec![(0 as NodeId, tree.cell(0))];
+        while let Some((id, cell)) = stack.pop() {
             let node = tree.node(id);
             if node.key.level() == level {
-                let cluster = grid.cluster_of(node.cell.center());
+                let cluster = grid.cluster_of(cell.center());
                 let owner = owner_of_cluster[cluster as usize];
                 branches.push(BranchInfo { node: id, key: node.key, owner, cluster });
                 mark_subtree(tree, id, owner as i32, &mut owner_of_node);
@@ -86,11 +87,10 @@ impl Partition {
                     "tree skipped the branch level (built without min_split_level?)"
                 );
                 top_nodes.push(id);
-                for &c in node.children.iter().rev() {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
+                // Reversed, so the children pop in octant order.
+                let at = stack.len();
+                stack.extend(tree.children_of(id).map(|c| (c, tree.cell_below(cell, id, c))));
+                stack[at..].reverse();
             }
         }
         branches.sort_by_key(|b| tree.node(b.node).start);
@@ -155,11 +155,13 @@ impl Partition {
         for (t, &pi) in tree.order.iter().enumerate() {
             owner_of_particle[pi as usize] = zone_of_position[t];
         }
-        // Branches: maximal subtrees whose position range sits in one zone.
+        // Branches: maximal subtrees whose position range sits in one zone,
+        // in preorder: a branch skips its subtree to `next`, a top node goes
+        // on at its first child.
         let mut branches = Vec::new();
         let mut top_nodes = Vec::new();
-        let mut stack = vec![0 as NodeId];
-        while let Some(id) = stack.pop() {
+        let mut id: NodeId = 0;
+        while (id as usize) < tree.len() {
             let node = tree.node(id);
             let z0 = zone_of_position[node.start as usize];
             let z1 = zone_of_position[node.end as usize - 1];
@@ -170,13 +172,10 @@ impl Partition {
                 let owner = z0;
                 branches.push(BranchInfo { node: id, key: node.key, owner, cluster: u32::MAX });
                 mark_subtree(tree, id, owner as i32, &mut owner_of_node);
+                id = node.next;
             } else {
                 top_nodes.push(id);
-                for &c in node.children.iter().rev() {
-                    if c != NIL {
-                        stack.push(c);
-                    }
-                }
+                id += 1;
             }
         }
         branches.sort_by_key(|b| tree.node(b.node).start);
@@ -248,25 +247,16 @@ pub fn particle_weights_from_node_loads(tree: &Tree, node_loads: &[u64]) -> Vec<
                 weights[tree.order[t as usize] as usize] += share;
             }
         } else {
-            for &c in &node.children {
-                if c != NIL {
-                    stack.push((c, share));
-                }
-            }
+            stack.extend(tree.children_of(id).map(|c| (c, share)));
         }
     }
     weights
 }
 
-/// Mark every node of the subtree rooted at `root` with `owner`.
+/// Mark every node of the subtree rooted at `root` with `owner`: the
+/// preorder id range `root..next`.
 fn mark_subtree(tree: &Tree, root: NodeId, owner: i32, owner_of_node: &mut [i32]) {
-    let mut stack = vec![root];
-    while let Some(id) = stack.pop() {
-        owner_of_node[id as usize] = owner;
-        for c in tree.children_of(id) {
-            stack.push(c);
-        }
-    }
+    owner_of_node[root as usize..tree.node(root).next as usize].fill(owner);
 }
 
 #[cfg(test)]

@@ -65,6 +65,14 @@ impl NodeKey {
         (self != Self::ROOT).then_some((self.0 & 0b111) as u8)
     }
 
+    /// The octant the path takes at the descent from `level` to `level + 1`
+    /// (`level < self.level()`): the `level`-th entry of [`NodeKey::path`].
+    #[inline]
+    pub fn octant_at(self, level: u32) -> u8 {
+        debug_assert!(level < self.level(), "level {level} not above {}", self.level());
+        ((self.0 >> (3 * (self.level() - 1 - level))) & 0b111) as u8
+    }
+
     /// Whether `self` is an ancestor of (or equal to) `other`.
     pub fn is_ancestor_of(self, other: NodeKey) -> bool {
         let dl = other.level().checked_sub(self.level());
@@ -174,6 +182,8 @@ mod tests {
             let k = NodeKey::from_path(&path);
             prop_assert_eq!(k.path(), path.clone());
             prop_assert_eq!(k.level() as usize, path.len());
+            let digits: Vec<u8> = (0..k.level()).map(|l| k.octant_at(l)).collect();
+            prop_assert_eq!(digits, path.clone());
         }
 
         #[test]

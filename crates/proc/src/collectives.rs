@@ -15,6 +15,7 @@
 //! rank-order-independence proptest in this crate.
 
 use crate::transport::{ProcError, Transport};
+use std::borrow::Cow;
 
 /// Root's payload is delivered to every rank; returns the payload.
 pub fn broadcast(
@@ -39,24 +40,30 @@ pub fn broadcast(
 }
 
 /// Every rank contributes `mine`; every rank receives all contributions,
-/// indexed by rank.
-pub fn all_gather(t: &mut dyn Transport, tag: u16, mine: &[u8]) -> Result<Vec<Vec<u8>>, ProcError> {
+/// indexed by rank. An owned contribution (a `Vec<u8>`) moves into its own
+/// slot once sent, so the rank holds one copy of it; a borrowed one is
+/// copied there.
+pub fn all_gather<'a>(
+    t: &mut dyn Transport,
+    tag: u16,
+    mine: impl Into<Cow<'a, [u8]>>,
+) -> Result<Vec<Vec<u8>>, ProcError> {
     t.on_collective("all_gather")?;
-    let (rank, p) = (t.rank(), t.size());
+    let (rank, p, mine) = (t.rank(), t.size(), mine.into());
     let mut out: Vec<Vec<u8>> = vec![Vec::new(); p];
-    out[rank] = mine.to_vec();
     for (peer, slot) in out.iter_mut().enumerate() {
         if peer == rank {
             continue;
         }
         if rank < peer {
-            t.send(peer, tag, mine)?;
+            t.send(peer, tag, &mine)?;
             *slot = t.recv(peer, tag)?;
         } else {
             *slot = t.recv(peer, tag)?;
-            t.send(peer, tag, mine)?;
+            t.send(peer, tag, &mine)?;
         }
     }
+    out[rank] = mine.into_owned();
     Ok(out)
 }
 
@@ -69,7 +76,7 @@ pub fn all_reduce_sum_f64(
     vals: &[f64],
 ) -> Result<Vec<f64>, ProcError> {
     t.on_collective("all_reduce")?;
-    let contributions = all_gather(t, tag, &crate::wire::encode_f64s(vals))?;
+    let contributions = all_gather(t, tag, crate::wire::encode_f64s(vals))?;
     let mut acc = vec![0.0f64; vals.len()];
     for (rank, bytes) in contributions.iter().enumerate() {
         let part = crate::wire::decode_f64s(bytes)
@@ -156,7 +163,7 @@ pub fn exchange(
 /// Every rank blocks until all ranks have arrived.
 pub fn barrier(t: &mut dyn Transport, tag: u16) -> Result<(), ProcError> {
     t.on_collective("barrier")?;
-    all_gather(t, tag, &[]).map(|_| ())
+    all_gather(t, tag, Vec::new()).map(|_| ())
 }
 
 #[cfg(test)]

@@ -387,7 +387,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         let traffic0 = t.traffic();
 
         // ---- exchange: replicate the global state -----------------------
-        let views = all_gather(t, tags::STATE, &encode_particles(&owned))?;
+        let views = all_gather(t, tags::STATE, encode_particles(&owned))?;
         let all = assemble(n, views)?;
         let t_ex = now();
         let traffic_ex = t.traffic();
@@ -434,7 +434,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
                 // derives the same partition from the same inputs.
                 let mine: Vec<(u32, u64)> =
                     owned.iter().map(|q| (q.id, weights[q.id as usize])).collect();
-                let views = all_gather(t, tags::WEIGHTS, &encode_weights(&mine))?;
+                let views = all_gather(t, tags::WEIGHTS, encode_weights(&mine))?;
                 let w = assemble_weights(n, &views)?;
                 let part = Partition::costzones_weighted(&tree, &w, p);
                 owned.iter().map(|q| part.owner_of_particle[q.id as usize]).collect()
@@ -524,7 +524,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     // entirely; evaluate forces for the final state anyway so the report —
     // and the force-equivalence evidence — is complete.
     if start_step >= cfg.steps && cfg.steps > 0 {
-        let views = all_gather(t, tags::STATE, &encode_particles(&owned))?;
+        let views = all_gather(t, tags::STATE, encode_particles(&owned))?;
         let all = assemble(n, views)?;
         let tree = sim.build_tree(&all);
         let fr = sim.compute_forces_on(&tree, &all, &owned_set(n, p, &owned), false);

@@ -38,7 +38,8 @@ pub struct FieldSample {
 pub struct FieldQuery {
     group_size: usize,
     buf: InteractionBuffers,
-    order: Vec<u32>,
+    /// The batch's `(Morton code, point index)` pairs, in Morton order.
+    order: Vec<(u64, u32)>,
     bucket: Vec<QueryTarget>,
 }
 
@@ -99,14 +100,11 @@ impl FieldQuery {
             return stats;
         }
         let mac = BarnesHutMac::new(epoch.alpha);
-        let cell = epoch.tree.root_cell;
-        self.order.clear();
-        self.order.extend(0..points.len() as u32);
-        self.order.sort_by_key(|&i| morton_code(&cell, points[i as usize].0));
+        morton_order(&epoch.tree.root_cell, points, &mut self.order);
         let order = std::mem::take(&mut self.order);
         for run in order.chunks(self.group_size) {
             self.bucket.clear();
-            self.bucket.extend(run.iter().map(|&i| points[i as usize]));
+            self.bucket.extend(run.iter().map(|&(_, i)| points[i as usize]));
             let Some(bb) = Aabb::bounding(self.bucket.iter().map(|t| t.0)) else {
                 continue;
             };
@@ -119,7 +117,7 @@ impl FieldQuery {
                 epoch.eps,
                 &self.buf,
                 |k, phi, acc, _| {
-                    out[run[k] as usize] = FieldSample { acc, phi };
+                    out[run[k].1 as usize] = FieldSample { acc, phi };
                 },
             );
             stats.merge(st);
@@ -141,11 +139,10 @@ impl FieldQuery {
             let rho = epoch
                 .tree
                 .locate(p)
-                .map(|id| {
-                    let n = epoch.tree.node(id);
-                    let v = n.cell.volume();
+                .map(|(id, cell)| {
+                    let v = cell.volume();
                     if v > 0.0 {
-                        n.mass / v
+                        epoch.tree.node(id).mass / v
                     } else {
                         0.0
                     }
@@ -154,6 +151,15 @@ impl FieldQuery {
             out.push(FieldSample { acc: Vec3::ZERO, phi: rho });
         }
     }
+}
+
+/// Fill `keyed` with `(Morton code in cell, index)` of every point, sorted:
+/// each code is computed once, and ties keep index order, so the order is
+/// the one a stable sort of the indices by code gives.
+fn morton_order(cell: &Aabb, points: &[QueryTarget], keyed: &mut Vec<(u64, u32)>) {
+    keyed.clear();
+    keyed.extend(points.iter().enumerate().map(|(i, t)| (morton_code(cell, t.0), i as u32)));
+    keyed.sort_unstable();
 }
 
 #[cfg(test)]
@@ -277,11 +283,20 @@ mod tests {
         let outside = Vec3::new(1e6, 1e6, 1e6);
         let mut out = Vec::new();
         engine.density(&epoch, &[(inside, u32::MAX), (outside, u32::MAX)], &mut out);
-        let id = epoch.tree.locate(inside).expect("inside point locates");
+        let (id, _) = epoch.tree.locate(inside).expect("inside point locates");
         let n = epoch.tree.node(id);
-        assert!((out[0].phi - n.mass / n.cell.volume()).abs() < 1e-12);
+        assert!((out[0].phi - n.mass / epoch.tree.cell(id).volume()).abs() < 1e-12);
         assert_eq!(out[0].acc, Vec3::ZERO);
         assert_eq!(out[1].phi, 0.0, "outside the root cell density reads zero");
+        // Bit for bit the located node's mass over the volume of its cell as
+        // `Tree::cell` derives it — the builder's cell — at every particle.
+        let at: Vec<QueryTarget> = epoch.particles.iter().map(|p| (p.pos, u32::MAX)).collect();
+        engine.density(&epoch, &at, &mut out);
+        for (&(p, _), got) in at.iter().zip(&out) {
+            let (id, _) = epoch.tree.locate(p).expect("a particle locates");
+            let want = epoch.tree.node(id).mass / epoch.tree.cell(id).volume();
+            assert_eq!(got.phi.to_bits(), want.to_bits(), "at {p:?}");
+        }
     }
 
     /// Box collapsing shrinks a tight run's cell to side 1/64 inside the
@@ -305,6 +320,26 @@ mod tests {
         let mut out = Vec::new();
         FieldQuery::new(16).density(&epoch, &[(Vec3::new(0.4, 0.4, 0.05), u32::MAX)], &mut out);
         assert_eq!(out[0].phi, 21.0);
+    }
+
+    /// The batch order is a stable sort of the indices by Morton code, on a
+    /// batch where many points share a code (repeats of a few positions,
+    /// and points outside the cell that clamp onto its surface grid).
+    #[test]
+    fn batch_order_is_the_stable_sort_by_code() {
+        let cell = Aabb::cube(Vec3::ZERO, 2.0);
+        let spots = [Vec3::new(0.3, -0.2, 0.1), Vec3::splat(-0.9), Vec3::splat(5.0), Vec3::ZERO];
+        let points: Vec<QueryTarget> = cloud(200, 7)
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (if i % 3 == 0 { spots[i % 4] } else { p.pos }, i as u32))
+            .collect();
+        let mut want: Vec<u32> = (0..points.len() as u32).collect();
+        want.sort_by_key(|&i| morton_code(&cell, points[i as usize].0));
+        let mut keyed = vec![(7, 7)];
+        morton_order(&cell, &points, &mut keyed);
+        assert_eq!(keyed.iter().map(|&(_, i)| i).collect::<Vec<_>>(), want);
+        assert!(keyed.windows(2).filter(|w| w[0].0 == w[1].0).count() > 50, "codes repeat");
     }
 
     #[test]

@@ -169,6 +169,10 @@ impl EpochStore {
         eps: f64,
     ) -> u64 {
         tree.permute_to_order(&mut particles);
+        // The store does not know the build's leaf capacity, so occupancy
+        // is not checked here: only that the tree still describes the
+        // permuted particles (moments, cells, links).
+        debug_assert_eq!(tree.validate(&particles, usize::MAX), Ok(()), "publishing a broken tree");
         let mut gen_guard = self.publish.lock().unwrap();
         *gen_guard += 1;
         let generation = *gen_guard;
@@ -289,6 +293,29 @@ mod tests {
         let p = particles(n, seed);
         let tree = build(&p, BuildParams { leaf_capacity: 8, ..Default::default() });
         (tree, p)
+    }
+
+    /// Debug builds hold every published tree to the particles it is
+    /// published with, after the permutation into tree order: a body that
+    /// moved out of its cell since the build is refused before any reader
+    /// can pin the epoch.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn publish_validates_the_permuted_tree_in_debug_builds() {
+        let store = EpochStore::new();
+        let (tree, p) = epoch_for(64, 5);
+        assert_eq!(store.publish(tree, p, 0.5, 1e-4), 1);
+        let (tree, mut p) = epoch_for(64, 6);
+        p[tree.order[17] as usize].pos.x += 3.0;
+        let publish = std::panic::AssertUnwindSafe(|| store.publish(tree, p, 0.5, 1e-4));
+        let err = std::panic::catch_unwind(publish).expect_err("a broken tree was published");
+        let msg = err.downcast_ref::<String>().expect("a formatted message");
+        assert!(
+            msg.contains("publishing a broken tree") && msg.contains("outside its cell"),
+            "{msg}"
+        );
+        assert_eq!(store.generation(), 1);
+        assert_eq!(store.pin().expect("the first epoch").generation, 1);
     }
 
     #[test]

@@ -1013,8 +1013,8 @@ mod tests {
             assert_eq!(got.len(), want.len(), "{threads} threads");
             for (g, w) in got.nodes.iter().zip(&want.nodes) {
                 let bits = |n: &bhut_tree::Node| {
-                    let v = [n.mass, n.com.x, n.com.y, n.com.z, n.cell.min.x, n.cell.max.x];
-                    (v.map(f64::to_bits), n.key, n.children, n.start, n.end, n.next)
+                    let v = [n.mass, n.com.x, n.com.y, n.com.z, n.side];
+                    (v.map(f64::to_bits), n.key, n.child_mask, n.start, n.end, n.next)
                 };
                 assert_eq!(bits(g), bits(w), "{threads} threads");
             }

@@ -114,6 +114,10 @@ impl BlockStepper {
             self.primed = true;
         }
 
+        // With one rung (the global timestep) every particle stays on rung
+        // 0 and the one substep spans the big step: no rung to re-derive, no
+        // boundary to search for, no population to count.
+        let refine = cfg.max_rung > 0;
         let ticks = cfg.ticks();
         let dt_tick = cfg.dt_tick();
         // Per-rung constants, indexed by rung: the half-kick factor, and the
@@ -138,11 +142,13 @@ impl BlockStepper {
             // rung bounds it, so with everyone on rung 0 this is one jump of
             // the whole big step.
             let mut delta = ticks - t;
-            for &r in &self.rungs {
-                let m = mask[r as usize];
-                let rem = m + 1 - (t & m);
-                if rem < delta {
-                    delta = rem;
+            if refine {
+                for &r in &self.rungs {
+                    let m = mask[r as usize];
+                    let rem = m + 1 - (t & m);
+                    if rem < delta {
+                        delta = rem;
+                    }
                 }
             }
             let t_next = t + delta;
@@ -180,6 +186,9 @@ impl BlockStepper {
                     self.accels[i] = new_accels[i];
                 }
                 stats.forces_per_rung[r as usize] += 1;
+                if !refine {
+                    continue;
+                }
                 let new_r = cfg.rung_for(new_accels[i].norm()).max(floor);
                 if new_r > r {
                     stats.promotions += 1;
@@ -199,8 +208,12 @@ impl BlockStepper {
             t = t_next;
         }
 
-        for &r in &self.rungs {
-            stats.population[r as usize] += 1;
+        if refine {
+            for &r in &self.rungs {
+                stats.population[r as usize] += 1;
+            }
+        } else {
+            stats.population[0] = n as u64;
         }
         stats
     }

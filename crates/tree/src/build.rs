@@ -43,7 +43,7 @@
 //!   bit for bit. [`build_incremental`] and [`Tree::validate`] call the
 //!   same function.
 
-use crate::node::{monopole, Node, NodeId, Tree, NIL};
+use crate::node::{monopole, Node, NodeId, Tree};
 use bhut_geom::{Aabb, Particle, Vec3};
 use bhut_morton::{encode_3d, NodeKey};
 
@@ -275,15 +275,8 @@ struct Builder<'a> {
 }
 
 impl Builder<'_> {
-    /// Build the subtree over `order[start..end]`; returns its arena id.
-    fn rec(
-        &mut self,
-        mut cell: Aabb,
-        mut key: NodeKey,
-        mut level: u32,
-        start: u32,
-        end: u32,
-    ) -> NodeId {
+    /// Build the subtree over `order[start..end]` at the end of the arena.
+    fn rec(&mut self, mut cell: Aabb, mut key: NodeKey, mut level: u32, start: u32, end: u32) {
         debug_assert!(start < end);
         let count = end - start;
 
@@ -313,15 +306,14 @@ impl Builder<'_> {
 
         let id = self.nodes.len() as NodeId;
         self.nodes.push(Node {
-            cell,
-            key,
-            mass: 0.0,
             com: Vec3::ZERO,
-            children: [NIL; 8],
-            child_mask: 0,
+            mass: 0.0,
+            side: cell.side(),
+            key,
             start,
             end,
             next: id + 1,
+            child_mask: 0,
         });
 
         let deep_enough = level >= self.params.min_split_level;
@@ -330,20 +322,23 @@ impl Builder<'_> {
             // recurse. The codes share every field above it, so the field
             // never decreases along the range and each octant's run ends
             // where a binary search says. Children are built in octant order
-            // so particle ranges tile the parent's range along the Z-curve.
-            let mut children = [NIL; 8];
+            // so particle ranges tile the parent's range along the Z-curve,
+            // and each child's subtree follows the one before it in the
+            // arena: the preorder links are the only child table.
+            let mut mask = 0u8;
             let mut lo = start;
             while lo < end {
                 let oct = octant_at(self.codes[lo as usize], level);
                 let run = self.codes[lo as usize..end as usize]
                     .partition_point(|&c| octant_at(c, level) == oct);
                 let hi = lo + run as u32;
-                children[oct] = self.rec(cell.octant(oct), key.child(oct as u8), level + 1, lo, hi);
+                self.rec(cell.octant(oct), key.child(oct as u8), level + 1, lo, hi);
+                mask |= 1 << oct;
                 lo = hi;
             }
             let next = self.nodes.len() as NodeId;
             let node = &mut self.nodes[id as usize];
-            node.set_children(children);
+            node.child_mask = mask;
             node.next = next;
         }
         // A leaf's moments from its range, an internal node's from the
@@ -351,7 +346,6 @@ impl Builder<'_> {
         let (mass, com) = monopole(&self.nodes, id, self.order, self.particles);
         let node = &mut self.nodes[id as usize];
         (node.mass, node.com) = (mass, com);
-        id
     }
 }
 
@@ -436,47 +430,39 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
         key: NodeKey,
         nodes: &mut Vec<Node>,
         order: &mut Vec<u32>,
-    ) -> NodeId {
+    ) {
         let id = nodes.len() as NodeId;
         let start = order.len() as u32;
         nodes.push(Node {
-            cell: inodes[cur].0,
-            key,
-            mass: 0.0,
             com: Vec3::ZERO,
-            children: [NIL; 8],
-            child_mask: 0,
+            mass: 0.0,
+            side: inodes[cur].0.side(),
+            key,
             start,
             end: start,
             next: id + 1,
+            child_mask: 0,
         });
-        let mut children = [NIL; 8];
+        let mut mask = 0u8;
         match inodes[cur].1.view() {
             FlatView::Leaf(bucket) => order.extend_from_slice(bucket),
             FlatView::Internal(ch) => {
                 for (oct, &c) in ch.iter().enumerate() {
                     if c >= 0 {
-                        children[oct] = flatten(
-                            inodes,
-                            particles,
-                            c as usize,
-                            key.child(oct as u8),
-                            nodes,
-                            order,
-                        );
+                        flatten(inodes, particles, c as usize, key.child(oct as u8), nodes, order);
+                        mask |= 1 << oct;
                     }
                 }
             }
         }
         let next = nodes.len() as NodeId;
         let node = &mut nodes[id as usize];
-        node.set_children(children);
+        node.child_mask = mask;
         node.next = next;
         node.end = order.len() as u32;
         let (mass, com) = monopole(nodes, id, order, particles);
         let node = &mut nodes[id as usize];
         (node.mass, node.com) = (mass, com);
-        id
     }
 
     enum FlatView<'a> {
@@ -511,13 +497,15 @@ mod tests {
     /// The builder as it was before the radix sort, the binary-search splits
     /// and the arena reservation: a comparison sort of `(code, index)` pairs
     /// and a linear scan for each octant's run. Every tree [`build_in_cell`]
-    /// makes must equal its tree bit for bit. Its moments come from the
-    /// builder's own [`monopole`], so they match by construction; what the
-    /// comparison pins is `order`, the cells, keys and links, and
-    /// [`Tree::validate`] pins the moments.
+    /// makes must equal its tree bit for bit. It records each node's cell as
+    /// it halves down to it, beside the arena, so the comparison holds
+    /// [`Tree::cell`]'s derived cells to the cells a builder had. Its moments
+    /// come from the builder's own [`monopole`], so they match by
+    /// construction; what the comparison pins is `order`, the cells, sides,
+    /// keys and links, and [`Tree::validate`] pins the moments.
     mod oracle {
         use crate::build::{octant_at, BuildParams, MAX_LEVEL};
-        use crate::node::{monopole, Node, NodeId, Tree, NIL};
+        use crate::node::{monopole, Node, NodeId, Tree};
         use bhut_geom::{Aabb, Particle, Vec3};
         use bhut_morton::encode_3d;
         use bhut_morton::NodeKey;
@@ -532,14 +520,18 @@ mod tests {
             encode_3d(q(p.x, cell.min.x), q(p.y, cell.min.y), q(p.z, cell.min.z))
         }
 
+        /// The tree, and the cell of each of its nodes.
         pub(super) fn build_in_cell(
             particles: &[Particle],
             cell: Aabb,
             params: BuildParams,
-        ) -> Tree {
+        ) -> (Tree, Vec<Aabb>) {
             let n = particles.len();
             if n == 0 {
-                return Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell };
+                return (
+                    Tree { nodes: Vec::new(), order: Vec::new(), root_cell: cell },
+                    Vec::new(),
+                );
             }
             let mut keyed: Vec<(u64, u32)> = particles
                 .iter()
@@ -550,11 +542,18 @@ mod tests {
             let codes: Vec<u64> = keyed.iter().map(|&(c, _)| c).collect();
             let order: Vec<u32> = keyed.iter().map(|&(_, i)| i).collect();
 
-            let mut b =
-                Builder { particles, codes: &codes, order: &order, params, nodes: Vec::new() };
+            let mut b = Builder {
+                particles,
+                codes: &codes,
+                order: &order,
+                params,
+                nodes: Vec::new(),
+                cells: Vec::new(),
+            };
             b.nodes.reserve(2 * n / params.leaf_capacity.max(1) + 8);
             b.rec(cell, NodeKey::ROOT, 0, 0, n as u32);
-            Tree { nodes: b.nodes, order, root_cell: cell }
+            let (nodes, cells) = (b.nodes, b.cells);
+            (Tree { nodes, order, root_cell: cell }, cells)
         }
 
         struct Builder<'a> {
@@ -563,6 +562,7 @@ mod tests {
             order: &'a [u32],
             params: BuildParams,
             nodes: Vec<Node>,
+            cells: Vec<Aabb>,
         }
 
         impl Builder<'_> {
@@ -605,16 +605,16 @@ mod tests {
 
                 let id = self.nodes.len() as NodeId;
                 self.nodes.push(Node {
-                    cell,
-                    key,
-                    mass: 0.0,
                     com: Vec3::ZERO,
-                    children: [NIL; 8],
-                    child_mask: 0,
+                    mass: 0.0,
+                    side: cell.side(),
+                    key,
                     start,
                     end,
                     next: id + 1,
+                    child_mask: 0,
                 });
+                self.cells.push(cell);
 
                 let deep_enough = level >= self.params.min_split_level;
                 if (count as usize <= self.params.leaf_capacity && deep_enough)
@@ -626,7 +626,6 @@ mod tests {
                 // Partition the (sorted) range by the octant field at this level and
                 // recurse. Children are built in octant order so particle ranges
                 // tile the parent's range along the Z-curve.
-                let mut children = [NIL; 8];
                 let mut lo = start;
                 while lo < end {
                     let oct = octant_at(self.codes[lo as usize], level);
@@ -635,13 +634,12 @@ mod tests {
                         hi += 1;
                     }
                     let child_cell = cell.octant(oct);
-                    children[oct] = self.rec(child_cell, key.child(oct as u8), level + 1, lo, hi);
+                    self.rec(child_cell, key.child(oct as u8), level + 1, lo, hi);
+                    self.nodes[id as usize].child_mask |= 1 << oct;
                     lo = hi;
                 }
                 let next = self.nodes.len() as NodeId;
-                let node = &mut self.nodes[id as usize];
-                node.set_children(children);
-                node.next = next;
+                self.nodes[id as usize].next = next;
                 self.fold_moments(id)
             }
 
@@ -694,22 +692,46 @@ mod tests {
             .collect()
     }
 
-    /// Every field of every node, and `order`, equal bit for bit.
-    fn assert_same_tree(got: &Tree, want: &Tree) {
+    /// Every field of every node, and `order`, equal bit for bit, and every
+    /// node's derived cell ([`Tree::cell`]) the cell the oracle halved down
+    /// to.
+    fn assert_same_tree(got: &Tree, (want, cells): &(Tree, Vec<Aabb>)) {
         let bits = |v: Vec3| [v.x, v.y, v.z].map(f64::to_bits);
         assert_eq!(got.len(), want.len(), "node count");
         assert_eq!(got.order, want.order, "order");
         assert_eq!(bits(got.root_cell.min), bits(want.root_cell.min));
         assert_eq!(bits(got.root_cell.max), bits(want.root_cell.max));
         for (id, (g, w)) in got.nodes.iter().zip(&want.nodes).enumerate() {
-            assert_eq!(bits(g.cell.min), bits(w.cell.min), "node {id} cell");
-            assert_eq!(bits(g.cell.max), bits(w.cell.max), "node {id} cell");
+            let cell = got.cell(id as NodeId);
+            assert_eq!(bits(cell.min), bits(cells[id].min), "node {id} cell");
+            assert_eq!(bits(cell.max), bits(cells[id].max), "node {id} cell");
+            assert_eq!(g.side.to_bits(), w.side.to_bits(), "node {id} side");
             assert_eq!(g.key, w.key, "node {id} key");
             assert_eq!(g.mass.to_bits(), w.mass.to_bits(), "node {id} mass");
             assert_eq!(bits(g.com), bits(w.com), "node {id} com");
-            assert_eq!(g.children, w.children, "node {id} children");
             assert_eq!(g.child_mask, w.child_mask, "node {id} child mask");
             assert_eq!((g.start, g.end, g.next), (w.start, w.end, w.next), "node {id} links");
+        }
+    }
+
+    /// Each non-empty node of a [`build_incremental`] tree has the cell that
+    /// the injection of its first particle passed through at the node's
+    /// level: replayed from the root cell by `octant_of`, the builder's own
+    /// descent, without reading the key, whose digits it must match.
+    fn assert_injection_cells(tree: &Tree, ps: &[Particle]) {
+        let bits =
+            |c: Aabb| [c.min.x, c.min.y, c.min.z, c.max.x, c.max.y, c.max.z].map(f64::to_bits);
+        let root = tree.root_cell;
+        for (id, n) in tree.nodes.iter().enumerate().filter(|(_, n)| n.count() > 0) {
+            let at = ps[tree.order[n.start as usize] as usize].pos.min(root.max).max(root.min);
+            let mut cell = root;
+            for level in 0..n.key.level() {
+                let o = cell.octant_of(at);
+                assert_eq!(o as u8, n.key.octant_at(level), "node {id}: digit {level}");
+                cell = cell.octant(o);
+            }
+            assert_eq!(bits(tree.cell(id as NodeId)), bits(cell), "node {id} cell");
+            assert_eq!(n.side.to_bits(), cell.side().to_bits(), "node {id} side");
         }
     }
 
@@ -842,8 +864,9 @@ mod tests {
         let set = uniform_cube(300, 1.0, 5);
         let t = build(&set.particles, BuildParams::default());
         for p in set.iter().take(50) {
-            let id = t.locate(p.pos).unwrap();
-            assert!(t.node(id).cell.contains(p.pos));
+            let (id, cell) = t.locate(p.pos).unwrap();
+            assert!(cell.contains(p.pos));
+            assert_eq!(cell, t.cell(id));
         }
         assert!(t.locate(Vec3::splat(50.0)).is_none());
     }
@@ -893,8 +916,12 @@ mod tests {
         /// capacities, collapsing, forced levels (down to chains of internal
         /// nodes over one particle), sizes from empty up, extents of 1 and
         /// 1e±150, and duplicated, collinear, clustered, massless, negative,
-        /// mixed-sign and coincident points; and both builders' trees pass
-        /// [`Tree::validate`], whose invariants hold every `com` finite.
+        /// mixed-sign and coincident points; every cell [`Tree::cell`]
+        /// derives from a key is the cell the builder halved down to, for the
+        /// bulk builder against the oracle's record and for
+        /// [`build_incremental`] against the descent of its injections; and
+        /// both builders' trees pass [`Tree::validate`], whose invariants
+        /// hold every `com` finite and every `side` its derived cell's.
         #[test]
         fn build_is_the_comparison_sort_builder_bit_for_bit(
             s_at in 0usize..4,
@@ -918,6 +945,7 @@ mod tests {
                 &oracle::build_in_cell(&ps, shifted, params),
             );
             let incremental = build_incremental(&ps, shifted, params);
+            assert_injection_cells(&incremental, &ps);
             for t in [&tree, &incremental] {
                 if let Err(e) = t.validate(&ps, s) {
                     prop_assert!(false, "{e}");

@@ -90,7 +90,7 @@
 
 use crate::kernel::{accel_slab_member_f64, SlabView};
 use crate::mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
-use crate::node::{Node, NodeId, Tree, NIL};
+use crate::node::{Node, NodeId, Tree};
 use crate::replay::{ReplayLanes, REPLAY_LANES};
 use crate::traverse::TraversalStats;
 use bhut_geom::{Aabb, Particle, Vec3};
@@ -172,8 +172,9 @@ pub struct InteractionBuffers {
     /// past `depth` only keep their allocations for reuse.
     levels: Vec<ChainLevel>,
     depth: usize,
-    /// Scratch for the ancestors a [`GroupSweep`] still has to walk.
-    path: Vec<NodeId>,
+    /// Scratch for the ancestors a [`GroupSweep`] still has to walk, each
+    /// with its cell.
+    path: Vec<(NodeId, Aabb)>,
 }
 
 /// Where the shared slabs and counters stood at some point of a gather —
@@ -191,10 +192,12 @@ struct Mark {
 }
 
 /// One settled ancestor level of a [`GroupSweep`]'s chain.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct ChainLevel {
     /// The ancestor whose cell was this level's bucket.
     node: NodeId,
+    /// That cell, carried down from the level above.
+    cell: Aabb,
     /// What the level left Mixed, in depth-first order: the next level's
     /// roots.
     frontier: Vec<NodeId>,
@@ -502,11 +505,16 @@ impl<'a> GroupSweep<'a> {
             }
             depth -= 1;
         }
-        // The proper ancestors still to walk, down to the unit's parent.
+        // The proper ancestors still to walk, down to the unit's parent, each
+        // with its cell carried down from the one above.
         path.clear();
-        let mut cur = if depth > 0 { levels[depth - 1].node } else { 0 };
+        let (mut cur, mut cell) = if depth > 0 {
+            (levels[depth - 1].node, levels[depth - 1].cell)
+        } else {
+            (0, tree.cell(0))
+        };
         if depth == 0 && unit != 0 {
-            path.push(0);
+            path.push((0, cell));
         }
         while cur != unit {
             let below = tree.children_of(cur).find(|&c| {
@@ -516,7 +524,8 @@ impl<'a> GroupSweep<'a> {
             match below {
                 Some(c) if c == unit => break,
                 Some(c) => {
-                    path.push(c);
+                    cell = tree.cell_below(cell, cur, c);
+                    path.push((c, cell));
                     cur = c;
                 }
                 // `unit` is not below `cur` (it is not a node of this tree's
@@ -528,25 +537,32 @@ impl<'a> GroupSweep<'a> {
                 }
             }
         }
-        let parent = path.last().copied().or_else(|| (depth > 0).then(|| levels[depth - 1].node));
-        if parent.is_some_and(|p| !tree.node(p).cell.contains_box(&tight)) {
+        let parent = path
+            .last()
+            .map(|&(_, cell)| cell)
+            .or_else(|| (depth > 0).then(|| levels[depth - 1].cell));
+        if parent.is_some_and(|cell| !cell.contains_box(&tight)) {
             depth = 0;
             path.clear();
         }
 
         buf.rewind(if depth > 0 { levels[depth - 1].mark } else { Mark::default() });
         buf.set_unit(tree, node);
-        for &ancestor in &path {
+        for &(ancestor, cell) in &path {
             if levels.len() == depth {
-                levels.push(ChainLevel::default());
+                levels.push(ChainLevel {
+                    node: ancestor,
+                    cell,
+                    frontier: Vec::new(),
+                    mark: Mark::default(),
+                });
             }
             let (above, below) = levels.split_at_mut(depth);
             let roots = above.last().map_or(&[0][..], |l| &l.frontier);
             let level = &mut below[0];
-            level.node = ancestor;
+            (level.node, level.cell) = (ancestor, cell);
             level.frontier.clear();
-            let cell = &tree.node(ancestor).cell;
-            settle_level(tree, particles, roots, cell, mac, buf, &mut level.frontier);
+            settle_level(tree, particles, roots, &cell, mac, buf, &mut level.frontier);
             level.mark = buf.mark();
             depth += 1;
         }
@@ -630,7 +646,7 @@ fn push_classified(
     for id in nodes {
         let node = tree.node(id);
         if node.count() >= 2 {
-            batch.push(&node.cell, node.com);
+            batch.push(node.side, node.com);
         }
         stack.push(WalkEntry { id, count: node.count(), class: GroupClass::Mixed });
     }
@@ -641,7 +657,7 @@ fn push_classified(
             #[cfg(test)]
             {
                 let node = tree.node(e.id);
-                let scalar = mac.classify(&node.cell, node.com, bucket);
+                let scalar = mac.classify(node.side, node.com, bucket);
                 assert_eq!(class, scalar, "node {}: batch vs scalar against {bucket:?}", e.id);
             }
             e.class = class;
@@ -934,20 +950,19 @@ const UNIT_TARGETS: u32 = 128;
 /// above that (a leaf cannot be split, so it stays a unit of its own).
 fn unit_schedule(tree: &Tree, keep: impl Fn(NodeId) -> bool) -> Vec<NodeId> {
     let mut units = Vec::new();
-    let mut stack: Vec<NodeId> = if tree.is_empty() { vec![] } else { vec![0] };
-    while let Some(id) = stack.pop() {
+    // In preorder: a unit (or an empty node) skips its subtree to `next`;
+    // a node above the cap goes on at its first child.
+    let mut id = 0;
+    while (id as usize) < tree.len() {
         let n = tree.node(id);
-        if n.count() == 0 {
+        if n.count() > 0 && !n.is_leaf() && n.count() > UNIT_TARGETS {
+            id += 1;
             continue;
         }
-        if n.is_leaf() || n.count() <= UNIT_TARGETS {
-            if keep(id) {
-                units.push(id);
-            }
-        } else {
-            // Reversed, so the children pop in octant (Morton) order.
-            stack.extend(n.children.iter().rev().filter(|&&c| c != NIL));
+        if n.count() > 0 && keep(id) {
+            units.push(id);
         }
+        id = n.next;
     }
     units
 }
@@ -1722,7 +1737,7 @@ mod tests {
                 .filter(|&u| {
                     let members = tree.particles_under(u).iter().map(|&pi| ps[pi as usize].pos);
                     let tight = Aabb::bounding(members).expect("a unit holds a particle");
-                    parent_of(&tree, u).is_some_and(|p| !tree.node(p).cell.contains_box(&tight))
+                    parent_of(&tree, u).is_some_and(|p| !tree.cell(p).contains_box(&tight))
                 })
                 .collect();
             let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());

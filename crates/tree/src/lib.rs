@@ -34,5 +34,5 @@ pub use group::{
     QueryTarget,
 };
 pub use mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
-pub use node::{Node, NodeId, Tree, NIL};
+pub use node::{Node, NodeId, Tree};
 pub use traverse::{accel_on, potential_at, Interaction, TraversalStats};

@@ -62,29 +62,28 @@ impl BarnesHutMac {
         BarnesHutMac { alpha }
     }
 
-    /// `true` if the node `(cell, com)` is acceptable for evaluation at
-    /// `point`: `side² < α²·d²` with `side = cell.side()`, `α² = α·α` and
+    /// `true` if the node `(side, com)` — `side` its cell's
+    /// [`Aabb::side`], as [`crate::Node::side`] stores it — is acceptable for
+    /// evaluation at `point`: `side² < α²·d²` with `α² = α·α` and
     /// `d² = (dx² + dy²) + dz²` of `d = com − point`, in that order.
     #[inline]
-    pub fn accept(&self, cell: &Aabb, com: Vec3, point: Vec3) -> bool {
+    pub fn accept(&self, side: f64, com: Vec3, point: Vec3) -> bool {
         // side/dist < alpha  ⇔  side² < α² · dist²  (avoids the sqrt)
-        let side = cell.side();
         let d2 = com.dist_sq(point);
         side * side < self.alpha * self.alpha * d2
     }
 
-    /// Classify the node `(cell, com)` against every point of `bucket` in
+    /// Classify the node `(side, com)` against every point of `bucket` in
     /// one test, by bracketing the per-point distance term between its
     /// minimum and maximum over the bucket.
     ///
     /// Contract (what the grouped walk's exactness rests on): for every
-    /// point `p` inside `bucket`, `AcceptAll` implies `accept(cell, com, p)`
-    /// and `RejectAll` implies `!accept(cell, com, p)`.
+    /// point `p` inside `bucket`, `AcceptAll` implies `accept(side, com, p)`
+    /// and `RejectAll` implies `!accept(side, com, p)`.
     #[inline]
-    pub fn classify(&self, cell: &Aabb, com: Vec3, bucket: &Aabb) -> GroupClass {
+    pub fn classify(&self, side: f64, com: Vec3, bucket: &Aabb) -> GroupClass {
         // Per-member test: side² < α² · dist²(com, p). Over p ∈ bucket the
         // distance to the com ranges over [dmin, dmax].
-        let side = cell.side();
         let s2 = side * side;
         let a2 = self.alpha * self.alpha;
         if s2 < a2 * bucket.dist_sq_to(com) {
@@ -111,18 +110,12 @@ impl BarnesHutMac {
 pub const MAC_BATCH: usize = 8;
 
 /// Up to [`MAC_BATCH`] tree nodes transposed into structure-of-arrays form
-/// for one batched classification: cell bounds, center of mass, and the
-/// pre-squared cell side (`side * side`, computed with the exact scalar
-/// [`Aabb::side`] so decisions stay bitwise-identical).
+/// for one batched classification: center of mass and the pre-squared cell
+/// side (`side * side`, as the scalar `classify` squares it, so decisions
+/// stay bitwise-identical).
 #[derive(Debug, Clone)]
 pub struct NodeBatch {
     len: usize,
-    min_x: [f64; MAC_BATCH],
-    min_y: [f64; MAC_BATCH],
-    min_z: [f64; MAC_BATCH],
-    max_x: [f64; MAC_BATCH],
-    max_y: [f64; MAC_BATCH],
-    max_z: [f64; MAC_BATCH],
     com_x: [f64; MAC_BATCH],
     com_y: [f64; MAC_BATCH],
     com_z: [f64; MAC_BATCH],
@@ -133,12 +126,6 @@ impl Default for NodeBatch {
     fn default() -> Self {
         NodeBatch {
             len: 0,
-            min_x: [0.0; MAC_BATCH],
-            min_y: [0.0; MAC_BATCH],
-            min_z: [0.0; MAC_BATCH],
-            max_x: [0.0; MAC_BATCH],
-            max_y: [0.0; MAC_BATCH],
-            max_z: [0.0; MAC_BATCH],
             com_x: [0.0; MAC_BATCH],
             com_y: [0.0; MAC_BATCH],
             com_z: [0.0; MAC_BATCH],
@@ -167,20 +154,14 @@ impl NodeBatch {
         self.len == 0
     }
 
-    /// Append one node. Panics if the batch is full ([`MAC_BATCH`] entries).
+    /// Append the node `(side, com)`, as [`BarnesHutMac::classify`] takes
+    /// it. Panics if the batch is full ([`MAC_BATCH`] entries).
     #[inline(always)]
-    pub fn push(&mut self, cell: &Aabb, com: Vec3) {
+    pub fn push(&mut self, side: f64, com: Vec3) {
         let i = self.len;
-        self.min_x[i] = cell.min.x;
-        self.min_y[i] = cell.min.y;
-        self.min_z[i] = cell.min.z;
-        self.max_x[i] = cell.max.x;
-        self.max_y[i] = cell.max.y;
-        self.max_z[i] = cell.max.z;
         self.com_x[i] = com.x;
         self.com_y[i] = com.y;
         self.com_z[i] = com.z;
-        let side = cell.side();
         self.side2[i] = side * side;
         self.len = i + 1;
     }
@@ -230,14 +211,17 @@ mod tests {
         Aabb::origin_cube(1.0)
     }
 
+    /// The unit cell's side, as a node stores it.
+    const UNIT: f64 = 1.0;
+
     #[test]
     fn bh_accepts_far_rejects_near() {
         let mac = BarnesHutMac::new(1.0);
         let com = unit_cell().center();
         // dist 10 ≫ side 1 → accept
-        assert!(mac.accept(&unit_cell(), com, Vec3::new(10.0, 0.5, 0.5)));
+        assert!(mac.accept(UNIT, com, Vec3::new(10.0, 0.5, 0.5)));
         // dist 0.6 < side 1 → reject
-        assert!(!mac.accept(&unit_cell(), com, Vec3::new(1.1, 0.5, 0.5)));
+        assert!(!mac.accept(UNIT, com, Vec3::new(1.1, 0.5, 0.5)));
     }
 
     #[test]
@@ -246,8 +230,8 @@ mod tests {
         let strict = BarnesHutMac::new(0.5);
         let com = unit_cell().center();
         let p = Vec3::new(2.0, 0.5, 0.5); // dist 1.5, side 1: ratio 0.67
-        assert!(loose.accept(&unit_cell(), com, p));
-        assert!(!strict.accept(&unit_cell(), com, p));
+        assert!(loose.accept(UNIT, com, p));
+        assert!(!strict.accept(UNIT, com, p));
     }
 
     #[test]
@@ -256,7 +240,7 @@ mod tests {
         let mac = BarnesHutMac::new(0.5);
         let com = unit_cell().center();
         let p = Vec3::new(0.5 + 2.0, 0.5, 0.5); // dist = 2.0, side 1 → ratio 0.5
-        assert!(!mac.accept(&unit_cell(), com, p));
+        assert!(!mac.accept(UNIT, com, p));
     }
 
     /// Zero, negative, infinite and NaN α are all refused: an infinite α
@@ -276,7 +260,6 @@ mod tests {
     /// point accepts, RejectAll ⇒ every sampled bucket point rejects.
     #[test]
     fn group_classification_is_conservative() {
-        let cell = unit_cell();
         let com = Vec3::new(0.45, 0.55, 0.6); // slightly off-center
         for alpha in [0.4, 0.67, 1.0, 1.5] {
             let bh = BarnesHutMac::new(alpha);
@@ -294,9 +277,9 @@ mod tests {
                         )
                 });
                 for p in samples {
-                    match bh.classify(&cell, com, &bucket) {
-                        GroupClass::AcceptAll => assert!(bh.accept(&cell, com, p)),
-                        GroupClass::RejectAll => assert!(!bh.accept(&cell, com, p)),
+                    match bh.classify(UNIT, com, &bucket) {
+                        GroupClass::AcceptAll => assert!(bh.accept(UNIT, com, p)),
+                        GroupClass::RejectAll => assert!(!bh.accept(UNIT, com, p)),
                         GroupClass::Mixed => {}
                     }
                 }
@@ -307,15 +290,14 @@ mod tests {
     #[test]
     fn far_bucket_accepts_near_bucket_rejects() {
         let mac = BarnesHutMac::new(0.67);
-        let cell = unit_cell();
-        let com = cell.center();
+        let com = unit_cell().center();
         let far = Aabb::cube(Vec3::splat(50.0), 1.0);
-        assert_eq!(mac.classify(&cell, com, &far), GroupClass::AcceptAll);
+        assert_eq!(mac.classify(UNIT, com, &far), GroupClass::AcceptAll);
         let near = Aabb::cube(Vec3::splat(0.6), 0.4);
-        assert_eq!(mac.classify(&cell, com, &near), GroupClass::RejectAll);
+        assert_eq!(mac.classify(UNIT, com, &near), GroupClass::RejectAll);
         // A bucket spanning the α boundary is Mixed.
         let straddling = Aabb::new(Vec3::splat(0.5), Vec3::splat(40.0));
-        assert_eq!(mac.classify(&cell, com, &straddling), GroupClass::Mixed);
+        assert_eq!(mac.classify(UNIT, com, &straddling), GroupClass::Mixed);
     }
 
     /// A deterministic little generator (no external deps in unit tests).
@@ -358,12 +340,12 @@ mod tests {
                     rng.range(cell.min.y, cell.max.y),
                     rng.range(cell.min.z, cell.max.z),
                 );
-                batch.push(&cell, com);
+                batch.push(cell.side(), com);
                 cells.push((cell, com));
             }
             let got = mac.classify_batch(&batch, &bucket);
             for (j, (cell, com)) in cells.iter().enumerate() {
-                let want = mac.classify(cell, *com, &bucket);
+                let want = mac.classify(cell.side(), *com, &bucket);
                 assert_eq!(
                     got[j], want,
                     "case {case} lane {j}: batch {:?} != scalar {:?} (cell {cell:?}, com \
@@ -397,11 +379,11 @@ mod tests {
             let bh = BarnesHutMac::new(alpha);
             let mut batch = NodeBatch::new();
             for cell in &cells {
-                batch.push(cell, cell.center());
+                batch.push(cell.side(), cell.center());
             }
             let got = bh.classify_batch(&batch, &bucket);
             for (j, cell) in cells.iter().enumerate() {
-                assert_eq!(got[j], bh.classify(cell, cell.center(), &bucket));
+                assert_eq!(got[j], bh.classify(cell.side(), cell.center(), &bucket));
             }
         }
     }

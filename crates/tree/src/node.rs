@@ -1,17 +1,20 @@
 //! Arena-based oct-tree storage.
 //!
-//! Nodes live in one flat `Vec`; children are looked up through a
-//! `[NodeId; 8]` table indexed by octant (0 = absent, valid because slot 0
-//! always holds the root). Every node — internal or leaf — covers a
-//! contiguous range of `Tree::order`, the Morton-permuted particle index
-//! array, so "the particles under node X" is always a slice. That property
-//! is load-bearing for the DPDA costzones scheme, which carves the in-order
-//! particle sequence at load boundaries.
+//! Nodes live in one flat `Vec` of 64-byte records, a cache line's worth each.
+//! Every node — internal or leaf — covers a contiguous range of
+//! `Tree::order`, the Morton-permuted particle index array, so "the
+//! particles under node X" is always a slice. That property is load-bearing
+//! for the DPDA costzones scheme, which carves the in-order particle
+//! sequence at load boundaries.
 //!
 //! Every builder lays the arena out in *preorder* (a node, then its
 //! children's subtrees in octant order), so a subtree is also a contiguous
-//! id range, `id..next` ([`Node::next`]). The lane replay
-//! ([`crate::replay`]) walks a subtree forward through that range instead of
+//! id range, `id..next` ([`Node::next`]). That is what makes the child ids
+//! derivable: the first child of `id` is `id + 1` and each next sibling is
+//! the previous child's `next` ([`Tree::children_of`]). The cell is derived
+//! too, from the node's key ([`Tree::cell`]); a node stores only what the
+//! walks read. The lane replay ([`crate::replay`]) and the per-target walk
+//! ([`crate::traverse::walk`]) go forward through the id range instead of
 //! pushing and popping children on a stack.
 
 use bhut_geom::{Aabb, Particle, Vec3};
@@ -24,29 +27,27 @@ pub type NodeId = u32;
 /// than the leaf capacity.
 pub(crate) const DEPTH_CAP: u32 = crate::build::MAX_LEVEL - 1;
 
-/// Absent-child sentinel. Slot 0 of the arena is the root, which is never
-/// anybody's child, so 0 is free to mean "no child".
-pub const NIL: NodeId = 0;
-
-/// One oct-tree node.
+/// One oct-tree node: the record a walk reads, 64 bytes.
+///
+/// Stored: the monopole (`com`, `mass`), the side of the node's cell (the
+/// MAC's only operand from the cell), the key, the particle range, the
+/// preorder link `next` and the octant occupancy. Derived: the cell itself,
+/// [`Tree::cell`], which replays the key's octant digits from the root cell;
+/// and the child ids, [`Tree::children_of`], which follows the preorder
+/// links.
 #[derive(Debug, Clone)]
 pub struct Node {
-    /// The (cubic, axis-aligned) cell this node covers. With box collapsing
-    /// this can be a strict descendant cell of the parent's octant.
-    pub cell: Aabb,
-    /// Warren–Salmon path key of this node (see `bhut_morton::keys`).
-    pub key: NodeKey,
-    /// Total mass of the subtree.
-    pub mass: f64,
     /// Center of mass of the subtree.
     pub com: Vec3,
-    /// Children by octant; `NIL` where the octant is empty. All-`NIL` for
-    /// leaves.
-    pub children: [NodeId; 8],
-    /// Occupancy bitmask over `children`: bit `o` set iff octant `o` is
-    /// present. Cached so `is_leaf`/`children_of` don't scan eight slots on
-    /// every traversal step; keep in sync via [`Node::set_children`].
-    pub child_mask: u8,
+    /// Total mass of the subtree.
+    pub mass: f64,
+    /// `cell.side()` of the node's cell ([`Tree::cell`]), taken once by the
+    /// builder from the cell it halved down to. With box collapsing the cell
+    /// can be a strict descendant cell of the parent's octant.
+    pub side: f64,
+    /// Warren–Salmon path key of this node (see `bhut_morton::keys`); its
+    /// octant digits name the cell.
+    pub key: NodeKey,
     /// Range `[start, end)` into [`Tree::order`] of the particles below this
     /// node.
     pub start: u32,
@@ -56,10 +57,16 @@ pub struct Node {
     /// [`Tree::len`] for the root (and for every node whose subtree ends
     /// the arena). Skipping a subtree is one jump to `next`.
     pub next: NodeId,
+    /// Occupancy bitmask: bit `o` set iff a child lies in octant `o` (the
+    /// child key's digit at this node's level). 0 for leaves.
+    pub child_mask: u8,
 }
 
-// `next` fills tail padding: the node must not grow past its 136 bytes.
-const _: () = assert!(std::mem::size_of::<Node>() <= 136);
+// One cache line's worth. Not `repr(align(64))`: the arena then comes from
+// the allocator's aligned path, and on the served workload, which clones and
+// frees a tree every republish, glibc's heap fragmented around those blocks
+// (peak RSS 28.9 MiB against 18.8 with the default alignment).
+const _: () = assert!(std::mem::size_of::<Node>() == 64);
 
 impl Node {
     #[inline]
@@ -67,30 +74,38 @@ impl Node {
         self.child_mask == 0
     }
 
-    /// The occupancy mask implied by a child table.
-    #[inline]
-    pub fn mask_of(children: &[NodeId; 8]) -> u8 {
-        let mut m = 0u8;
-        for (o, &c) in children.iter().enumerate() {
-            if c != NIL {
-                m |= 1 << o;
-            }
-        }
-        m
-    }
-
-    /// Install a child table and recompute the cached occupancy mask.
-    #[inline]
-    pub fn set_children(&mut self, children: [NodeId; 8]) {
-        self.children = children;
-        self.child_mask = Self::mask_of(&children);
-    }
-
     /// Number of particles in the subtree.
     #[inline]
     pub fn count(&self) -> u32 {
         self.end - self.start
     }
+}
+
+/// The children of node `id` of the preorder arena `nodes`, in octant order:
+/// `id + 1`, then each child's `next`, up to the parent's `next`.
+fn children(nodes: &[Node], id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+    let end = nodes[id as usize].next;
+    let mut at = id + 1;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let c = at;
+            at = nodes[c as usize].next;
+            c
+        })
+    })
+}
+
+/// The cell keyed `key`, from `cell`, the cell keyed `above` on its root
+/// path: one [`Aabb::octant`] per octant digit of `key` below `above`, the
+/// halving both builders do as they extend a key, so the cell comes out bit
+/// for bit as they had it.
+#[inline]
+fn cell_below(mut cell: Aabb, above: NodeKey, key: NodeKey) -> Aabb {
+    debug_assert!(above.is_ancestor_of(key), "{above} is not on the root path of {key}");
+    for level in above.level()..key.level() {
+        cell = cell.octant(key.octant_at(level) as usize);
+    }
+    cell
 }
 
 /// The monopole of node `id` of the arena `nodes`, its `(mass, com)`: the
@@ -103,7 +118,8 @@ impl Node {
 /// positive, the count-weighted mean of the positions (children's `com`s).
 /// The mass is thus degree-0 M2M, the zeroth moment of an upward pass bit
 /// for bit, and a build reads each particle once, at its leaf. The node's
-/// range and, for an internal node, its children's moments must be set.
+/// range, its `next` and, for an internal node, its children's moments must
+/// be set.
 pub(crate) fn monopole(
     nodes: &[Node],
     id: NodeId,
@@ -120,7 +136,7 @@ pub(crate) fn monopole(
             spread += p.pos;
         }
     } else {
-        for c in n.children.iter().filter(|&&c| c != NIL).map(|&c| &nodes[c as usize]) {
+        for c in children(nodes, id).map(|c| &nodes[c as usize]) {
             mass += c.mass;
             weighted += c.com * c.mass;
             spread += c.com * c.count() as f64;
@@ -143,7 +159,8 @@ pub struct Tree {
     /// range. The identity once [`Tree::permute_to_order`] has stored the
     /// particles in this order.
     pub order: Vec<u32>,
-    /// The root cell used for the build.
+    /// The root cell used for the build: the cell of [`NodeKey::ROOT`],
+    /// from which every node's cell is derived.
     pub root_cell: Aabb,
 }
 
@@ -169,20 +186,30 @@ impl Tree {
         self.nodes.is_empty()
     }
 
-    /// Ids of the present children of `id`, in octant (Z-curve) order.
-    /// Drives the iteration off the cached occupancy mask instead of
-    /// scanning all eight slots.
+    /// Ids of the present children of `id`, in octant (Z-curve) order. Not
+    /// stored: the arena is in preorder, so the first child is `id + 1`
+    /// and each next sibling is the previous child's `next`, up to `id`'s
+    /// own `next`.
     pub fn children_of(&self, id: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        let n = self.node(id);
-        let mut mask = n.child_mask;
-        std::iter::from_fn(move || {
-            if mask == 0 {
-                return None;
-            }
-            let o = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            Some(n.children[o])
-        })
+        children(&self.nodes, id)
+    }
+
+    /// The cell of node `id`. Not stored: the key's octant digits are
+    /// replayed from [`Tree::root_cell`] through [`Aabb::octant`], the
+    /// builders' own halving, so the cell is the builder's bit for bit (and
+    /// its `side()` is [`Node::side`]). This costs one halving per level;
+    /// a walk that needs the cells on its way down carries them with
+    /// [`Tree::cell_below`] instead.
+    pub fn cell(&self, id: NodeId) -> Aabb {
+        cell_below(self.root_cell, NodeKey::ROOT, self.node(id).key)
+    }
+
+    /// The cell of node `id` from `cell`, the cell of node `above` on its
+    /// root path: one halving per level between the two, so a walk carries
+    /// cells down at the cost of the levels it descends.
+    #[inline]
+    pub fn cell_below(&self, cell: Aabb, above: NodeId, id: NodeId) -> Aabb {
+        cell_below(cell, self.node(above).key, self.node(id).key)
     }
 
     /// Indices (into the original particle slice) of the particles under
@@ -195,17 +222,8 @@ impl Tree {
 
     /// Depth of the tree (root = depth 1; empty tree = 0).
     pub fn depth(&self) -> u32 {
-        if self.nodes.is_empty() {
-            return 0;
-        }
         let mut max = 0;
-        let mut stack = vec![(0 as NodeId, 1u32)];
-        while let Some((id, d)) = stack.pop() {
-            max = max.max(d);
-            for c in self.children_of(id) {
-                stack.push((c, d + 1));
-            }
-        }
+        self.walk(|_, level| max = max.max(level + 1));
         max
     }
 
@@ -215,45 +233,51 @@ impl Tree {
     }
 
     /// Walk the tree depth-first in octant order, calling `f(id, level)` on
-    /// every node. This is the "in-order" (left-to-right) order the DPDA
-    /// load-boundary search uses — with Morton child ordering it enumerates
-    /// particles along the Z-curve.
+    /// every node (`level` counts the node's ancestors). This is the
+    /// "in-order" (left-to-right) order the DPDA load-boundary search uses —
+    /// with Morton child ordering it enumerates particles along the Z-curve
+    /// — and, the arena being in preorder, it is arena order.
     pub fn walk(&self, mut f: impl FnMut(NodeId, u32)) {
-        if self.nodes.is_empty() {
-            return;
-        }
-        // Recursion via explicit stack; children pushed in reverse so they
-        // pop in octant order.
-        let mut stack = vec![(0 as NodeId, 0u32)];
-        while let Some((id, level)) = stack.pop() {
-            f(id, level);
-            let n = self.node(id);
-            for &c in n.children.iter().rev() {
-                if c != NIL {
-                    stack.push((c, level + 1));
-                }
+        // The `next` of every ancestor of the current node.
+        let mut open: Vec<NodeId> = Vec::new();
+        for (id, n) in self.nodes.iter().enumerate() {
+            let id = id as NodeId;
+            while open.last().is_some_and(|&end| end <= id) {
+                open.pop();
             }
+            f(id, open.len() as u32);
+            open.push(n.next);
         }
     }
 
     /// Find the deepest node whose cell contains `p`, starting from the
-    /// root. Returns `None` for an empty tree or a point outside the root
-    /// node's cell (the root cell, or the smaller cell box collapsing
-    /// shrank it to).
-    pub fn locate(&self, p: Vec3) -> Option<NodeId> {
-        if self.nodes.is_empty() || !self.root().cell.contains(p) {
+    /// root, and return it with its cell. `None` for an empty tree or a
+    /// point outside the root node's cell (the root cell, or the smaller
+    /// cell box collapsing shrank it to). The cells are carried down the
+    /// descent, one halving per level.
+    pub fn locate(&self, p: Vec3) -> Option<(NodeId, Aabb)> {
+        if self.nodes.is_empty() {
             return None;
         }
-        let mut id: NodeId = 0;
+        let (mut id, mut cell) = (0, self.cell(0));
+        if !cell.contains(p) {
+            return None;
+        }
         loop {
-            let n = self.node(id);
-            let c = n.children[n.cell.octant_of(p)];
+            let mask = self.node(id).child_mask;
+            let o = cell.octant_of(p);
+            if mask >> o & 1 == 0 {
+                return Some((id, cell));
+            }
+            let before = (mask & ((1u8 << o) - 1)).count_ones() as usize;
+            let c = self.children_of(id).nth(before).expect("a child per mask bit");
+            let inner = self.cell_below(cell, id, c);
             // Box collapsing can shrink the child's cell away from `p`: then
             // `id` is the deepest cell that holds it.
-            if c == NIL || !self.node(c).cell.contains(p) {
-                return Some(id);
+            if !inner.contains(p) {
+                return Some((id, cell));
             }
-            id = c;
+            (id, cell) = (c, inner);
         }
     }
 
@@ -291,8 +315,34 @@ impl Tree {
         }
     }
 
+    /// Every node's cell, in arena order, each carried down from its
+    /// parent's ([`Tree::cell_below`]). The `next` links must hold.
+    fn cells(&self) -> Vec<Aabb> {
+        let mut cells: Vec<Aabb> = Vec::with_capacity(self.nodes.len());
+        // The ids of the current node's ancestors.
+        let mut open: Vec<NodeId> = Vec::new();
+        for id in 0..self.nodes.len() as NodeId {
+            while open.last().is_some_and(|&a| self.node(a).next <= id) {
+                open.pop();
+            }
+            cells.push(match open.last() {
+                Some(&parent) => self.cell_below(cells[parent as usize], parent, id),
+                None => self.cell(id),
+            });
+            open.push(id);
+        }
+        cells
+    }
+
     /// Sanity-check structural invariants; returns a description of the
     /// first violation. Used by tests and debug assertions, not hot paths.
+    ///
+    /// The arena is in preorder: every subtree is the id range `id..next`,
+    /// tiled by the children's subtrees in octant order (each child's key
+    /// extends its parent's; its octant is its key's digit at the parent's
+    /// level), and `child_mask` names exactly those octants. The children's
+    /// particle ranges tile their parent's, and every `side` is its derived
+    /// cell's.
     pub fn check_invariants(&self, particles_len: usize) -> Result<(), String> {
         if self.nodes.is_empty() {
             return if self.order.is_empty() {
@@ -313,69 +363,67 @@ impl Tree {
             }
             seen[i] = true;
         }
-        // A depth-first walk in octant order: the arena is in preorder iff it
-        // reaches the ids in arena order.
-        let mut preorder: NodeId = 0;
-        let mut stack = vec![0 as NodeId];
-        while let Some(id) = stack.pop() {
-            if id != preorder {
-                return Err(format!("arena not in preorder: node {id} where {preorder} belongs"));
-            }
-            preorder += 1;
-            let n = self.node(id);
+        let len = self.nodes.len() as NodeId;
+        if self.root().next != len {
+            return Err(format!("unreachable nodes in arena: the root's subtree ends at {}", len));
+        }
+        for (id, n) in self.nodes.iter().enumerate() {
+            let id = id as NodeId;
             if n.start > n.end || n.end as usize > particles_len {
                 return Err(format!("node {id} bad range {}..{}", n.start, n.end));
             }
-            if n.child_mask != Node::mask_of(&n.children) {
-                return Err(format!(
-                    "node {id}: child_mask {:#010b} disagrees with child table (expected {:#010b})",
-                    n.child_mask,
-                    Node::mask_of(&n.children)
-                ));
+            if n.next <= id || n.next > len {
+                return Err(format!("node {id}: next {} outside {}..={len}", n.next, id + 1));
             }
-            if !n.is_leaf() {
-                // children ranges tile the parent range in octant order
-                let mut cursor = n.start;
-                let mut child_total = 0;
-                for &c in &n.children {
-                    if c == NIL {
-                        continue;
-                    }
-                    if c as usize >= self.nodes.len() {
-                        return Err(format!("node {id}: child {c} outside the arena"));
-                    }
-                    let ch = self.node(c);
-                    if ch.start != cursor {
-                        return Err(format!(
-                            "node {id}: child {c} starts at {} expected {cursor}",
-                            ch.start
-                        ));
-                    }
-                    cursor = ch.end;
-                    child_total += ch.count();
-                    if !n.cell.contains_box(&ch.cell) {
-                        return Err(format!("node {id}: child {c} cell escapes parent"));
-                    }
-                }
-                if child_total != n.count() || cursor != n.end {
-                    return Err(format!("node {id}: children don't tile range"));
-                }
-                stack.extend(n.children.iter().rev().filter(|&&c| c != NIL));
-            }
-            // `next` is the id past the subtree: each child's subtree starts
-            // where the one before it ends, the first right after `id`, and
-            // the node's ends with its last child's (a leaf's at `id + 1`).
-            let mut past = id + 1;
-            for c in self.children_of(id) {
-                if c != past {
+            // The children: the preorder chain from `id + 1` to `next`, each
+            // link landing inside the parent's subtree, in octant order.
+            let (level, mut mask, mut at) = (n.key.level(), 0u8, id + 1);
+            while at < n.next {
+                let ch = self.node(at);
+                if ch.next <= at || ch.next > n.next {
                     return Err(format!(
-                        "arena not in preorder: node {id}'s child {c} is not at {past}"
+                        "arena not in preorder: node {id}'s child {at} ends at {}, outside {}..={}",
+                        ch.next,
+                        at + 1,
+                        n.next
                     ));
                 }
-                past = self.node(c).next;
+                if !(ch.key.level() > level && n.key.is_ancestor_of(ch.key)) {
+                    return Err(format!(
+                        "node {id}: child {at} key {} not below {}",
+                        ch.key, n.key
+                    ));
+                }
+                let o = ch.key.octant_at(level);
+                if mask >> o != 0 {
+                    return Err(format!(
+                        "arena not in preorder: node {id}'s child {at} in octant {o} follows octant {}",
+                        7 - mask.leading_zeros()
+                    ));
+                }
+                mask |= 1 << o;
+                at = ch.next;
             }
-            if n.next != past {
-                return Err(format!("node {id}: next {} but its subtree ends at {past}", n.next));
+            if n.child_mask != mask {
+                return Err(format!(
+                    "node {id}: child_mask {:#010b} disagrees with its children (expected {mask:#010b})",
+                    n.child_mask
+                ));
+            }
+            // Children ranges tile the parent range in octant order.
+            let mut cursor = n.start;
+            for c in self.children_of(id) {
+                let ch = self.node(c);
+                if ch.start != cursor {
+                    return Err(format!(
+                        "node {id}: child {c} starts at {} expected {cursor}",
+                        ch.start
+                    ));
+                }
+                cursor = ch.end;
+            }
+            if !n.is_leaf() && cursor != n.end {
+                return Err(format!("node {id}: children don't tile range"));
             }
             // The moments against the particles are `validate`'s to check;
             // here only their finiteness.
@@ -383,17 +431,23 @@ impl Tree {
                 return Err(format!("node {id}: non-finite mass/com"));
             }
         }
-        if preorder as usize != self.nodes.len() {
-            return Err("unreachable nodes in arena".into());
+        for (id, (n, cell)) in self.nodes.iter().zip(self.cells()).enumerate() {
+            if n.side.to_bits() != cell.side().to_bits() {
+                return Err(format!(
+                    "node {id}: side {} but its cell {cell:?} is {}",
+                    n.side,
+                    cell.side()
+                ));
+            }
         }
         Ok(())
     }
 
-    /// [`Tree::check_invariants`] (ranges tile, preorder, `next` links) and
-    /// what a tree built from `particles` at leaf capacity `leaf_capacity`
-    /// must also hold; returns a description of the first violation. Tests,
-    /// debug builds and diagnostics: it re-reads every particle once, at its
-    /// leaf, and every internal node's children.
+    /// [`Tree::check_invariants`] (ranges tile, preorder, `next` links,
+    /// sides) and what a tree built from `particles` at leaf capacity
+    /// `leaf_capacity` must also hold; returns a description of the first
+    /// violation. Tests, debug builds and diagnostics: it re-reads every
+    /// particle once, at its leaf, and every internal node's children.
     ///
     /// * Each node's `mass` and `com` are what `monopole` gives, bit for
     ///   bit: a leaf's folded from its range of `order`, an internal node's
@@ -409,15 +463,20 @@ impl Tree {
     ///   n = 50k seed 1: body 24890, 1.8e-15 outside its unit's parent).
     pub fn validate(&self, particles: &[Particle], leaf_capacity: usize) -> Result<(), String> {
         self.check_invariants(particles.len())?;
-        let Some(root) = self.nodes.first() else { return Ok(()) };
-        let reach = [root.cell.min, root.cell.max]
+        if self.nodes.is_empty() {
+            return Ok(());
+        }
+        let cells = self.cells();
+        let reach = [cells[0].min, cells[0].max]
             .iter()
             .flat_map(|v| [v.x, v.y, v.z])
             .fold(0.0f64, |m, x| m.max(x.abs()));
         let ulp = f64::from_bits(reach.to_bits() + 1) - reach;
         // Cells and occupancy first: a body out of place also shifts the
         // moments of every node above it, and the cell names the cause.
-        for (id, n) in self.nodes.iter().enumerate().filter(|(_, n)| n.is_leaf()) {
+        for (id, (n, cell)) in
+            self.nodes.iter().zip(&cells).enumerate().filter(|(_, (n, _))| n.is_leaf())
+        {
             if n.count() as usize > leaf_capacity && n.key.level() < DEPTH_CAP {
                 return Err(format!(
                     "node {id}: leaf of {} particles above capacity {leaf_capacity} at level {}",
@@ -425,13 +484,13 @@ impl Tree {
                     n.key.level()
                 ));
             }
-            let slack = Aabb::new(n.cell.min - Vec3::splat(ulp), n.cell.max + Vec3::splat(ulp));
+            let slack = Aabb::new(cell.min - Vec3::splat(ulp), cell.max + Vec3::splat(ulp));
             let members = &self.order[n.start as usize..n.end as usize];
             if let Some(&i) = members.iter().find(|&&i| !slack.contains(particles[i as usize].pos))
             {
                 return Err(format!(
-                    "node {id}: particle {i} at {:?} outside its cell {:?} by more than {ulp:e}",
-                    particles[i as usize].pos, n.cell
+                    "node {id}: particle {i} at {:?} outside its cell {cell:?} by more than {ulp:e}",
+                    particles[i as usize].pos
                 ));
             }
         }
@@ -481,14 +540,91 @@ mod tests {
         tree.check_invariants(set.len()).unwrap();
         let p = Vec3::new(0.4, 0.4, 0.05);
         let run = tree.children_of(0).next().unwrap();
-        assert_eq!(tree.node(run).cell.side(), 1.0 / 64.0, "the run's cell is collapsed");
-        assert_eq!(tree.node(0).cell.octant_of(p), tree.node(0).cell.octant_of(Vec3::splat(0.1)));
-        assert_eq!(tree.locate(p), Some(0));
+        assert_eq!(tree.node(run).side, 1.0 / 64.0, "the run's cell is collapsed");
+        assert_eq!(tree.cell(run).side(), 1.0 / 64.0);
+        assert_eq!(tree.cell(0).octant_of(p), tree.cell(0).octant_of(Vec3::splat(0.1)));
+        assert_eq!(tree.locate(p), Some((0, Aabb::origin_cube(1.0))));
         // Inside the run's cell the descent goes on as before.
         let inside = Vec3::new(0.1005, 0.1003, 0.1002);
-        let id = tree.locate(inside).unwrap();
+        let (id, cell) = tree.locate(inside).unwrap();
         assert_ne!(id, 0);
-        assert!(tree.node(id).cell.contains(inside));
+        assert!(cell.contains(inside));
+        assert_eq!(cell, tree.cell(id));
+    }
+
+    /// The child tables and cells a node no longer stores, rebuilt from the
+    /// keys alone: a node's parent is the deepest node keyed by a proper
+    /// ancestor of its key, and its slot there is its key's digit at the
+    /// parent's level. `children_of` yields the table's entries in octant
+    /// order, and `locate` answers as the descent through that table and
+    /// each node's own [`Tree::cell`] did, cell and all — on collapsed,
+    /// forced-level and depth-capped trees, at the particles, beside them and
+    /// outside the root.
+    #[test]
+    fn children_of_and_locate_are_what_the_child_table_gave() {
+        let (set, collapsed) = cluster_and_one();
+        let sphere = bhut_geom::plummer(bhut_geom::PlummerSpec { n: 2000, ..Default::default() });
+        let forced = BuildParams { leaf_capacity: 4, collapse: false, min_split_level: 3 };
+        let coincident = ParticleSet::from_positions(std::iter::repeat_n(Vec3::splat(0.25), 6));
+        let chain = BuildParams { leaf_capacity: 2, collapse: false, min_split_level: 0 };
+        let (cube, sphere_cell) = (Aabb::origin_cube(1.0), sphere.bounding_cube().unwrap());
+        let cases = [
+            (set.particles.clone(), collapsed),
+            (sphere.particles.clone(), build(&sphere.particles, BuildParams::default())),
+            (sphere.particles.clone(), build_in_cell(&sphere.particles, sphere_cell, forced)),
+            (coincident.particles.clone(), build_incremental(&coincident.particles, cube, chain)),
+        ];
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut unit = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng >> 11) as f64 / (1u64 << 53) as f64
+        };
+        for (case, (ps, tree)) in cases.iter().enumerate() {
+            let ids: std::collections::HashMap<NodeKey, NodeId> =
+                tree.nodes.iter().enumerate().map(|(id, n)| (n.key, id as NodeId)).collect();
+            let mut table = vec![[None; 8]; tree.len()];
+            for (id, n) in tree.nodes.iter().enumerate().skip(1) {
+                let mut up = n.key.parent().expect("only the root has the root key");
+                let parent = loop {
+                    match ids.get(&up) {
+                        Some(&p) => break p,
+                        None => up = up.parent().expect("the root node is an ancestor"),
+                    }
+                };
+                let slot = &mut table[parent as usize][n.key.octant_at(up.level()) as usize];
+                assert_eq!(*slot, None, "case {case}: two children in one octant");
+                *slot = Some(id as NodeId);
+            }
+            for (id, row) in table.iter().enumerate() {
+                let want: Vec<NodeId> = row.iter().flatten().copied().collect();
+                let got: Vec<NodeId> = tree.children_of(id as NodeId).collect();
+                assert_eq!(got, want, "case {case} node {id}");
+            }
+            // The descent as it was: the child in the point's octant of the
+            // node's cell, unless that child's cell misses the point.
+            let old_locate = |p: Vec3| {
+                let mut id = 0;
+                if !tree.cell(0).contains(p) {
+                    return None;
+                }
+                loop {
+                    match table[id as usize][tree.cell(id).octant_of(p)] {
+                        Some(c) if tree.cell(c).contains(p) => id = c,
+                        _ => return Some((id, tree.cell(id))),
+                    }
+                }
+            };
+            let (lo, side) = (tree.root_cell.min, tree.root_cell.side());
+            let probes =
+                ps.iter().map(|p| p.pos).chain((0..500).map(|_| {
+                    lo + (Vec3::new(unit(), unit(), unit()) * 1.2 - Vec3::splat(0.1)) * side
+                }));
+            for p in probes {
+                assert_eq!(tree.locate(p), old_locate(p), "case {case} at {p:?}");
+            }
+        }
     }
 
     /// `next` on the edge cases of the builders: no particles, one, and
@@ -616,8 +752,9 @@ mod tests {
         assert!(err.contains(&format!("particle {i} at")), "{err}");
     }
 
-    /// The invariant check notices a `next` off by one, and a subtree the
-    /// arena does not hold in preorder.
+    /// The invariant check notices a `next` off by one, a subtree the arena
+    /// does not hold in preorder, an occupancy mask that is not the
+    /// children's, and a side that is not the derived cell's.
     #[test]
     fn check_invariants_rejects_a_wrong_next_and_a_non_preorder_arena() {
         let (set, tree) = cluster_and_one();
@@ -627,13 +764,13 @@ mod tests {
             assert!(bad.check_invariants(set.len()).is_err(), "next of node {id}");
         }
         // Move the root's first subtree behind the rest of the arena and
-        // renumber the child links: the same tree, not in preorder.
+        // renumber the `next` links: the same subtrees, the root's children
+        // out of octant order.
         let (first, len) = (tree.children_of(0).next().unwrap(), tree.len() as NodeId);
         let end = tree.node(first).next;
         let moved = |id: NodeId| match id {
-            NIL => NIL,
-            id if id < first => id,
-            id if id < end => id + (len - end),
+            id if id <= first => id,
+            id if id <= end => id + (len - end),
             id => id - (end - first),
         };
         let mut shuffled = tree.clone();
@@ -642,11 +779,20 @@ mod tests {
             .chain(first..end)
             .map(|old| {
                 let mut node = tree.node(old).clone();
-                node.children = node.children.map(moved);
+                node.next = if old == 0 { len } else { moved(node.next) };
                 node
             })
             .collect();
         let err = shuffled.check_invariants(set.len()).unwrap_err();
         assert!(err.contains("preorder"), "{err}");
+
+        let mut bad = tree.clone();
+        bad.nodes[0].child_mask ^= 0b0100_0000;
+        let err = bad.check_invariants(set.len()).unwrap_err();
+        assert!(err.contains("child_mask"), "{err}");
+        let mut bad = tree.clone();
+        bad.nodes[first as usize].side *= 2.0;
+        let err = bad.check_invariants(set.len()).unwrap_err();
+        assert!(err.contains("side"), "{err}");
     }
 }

@@ -294,8 +294,8 @@ unsafe fn run<K: LaneKernel>(
                     K::particle(cols, &particles[pi as usize], eps2, live);
                 }
                 _ => {
-                    let side = node.cell.side();
-                    let accept = K::node(cols, node.com, node.mass, eps2, live, side * side, a2);
+                    let s2 = node.side * node.side;
+                    let accept = K::node(cols, node.com, node.mass, eps2, live, s2, a2);
                     let reject = live & !accept;
                     if reject != 0 {
                         if node.is_leaf() {
@@ -1050,7 +1050,7 @@ mod tests {
             for l in (0..REPLAY_LANES).filter(|&l| live >> l & 1 == 1) {
                 let p = Vec3::new(cols.pts.x[l], cols.pts.y[l], cols.pts.z[l]);
                 unfused.mac_tests[l] += 1;
-                if mac.accept(&cell, com, p) {
+                if mac.accept(side, com, p) {
                     want |= 1 << l;
                     let (d, d2) = Portable::offset(&unfused, l, com);
                     Portable::interact(&mut unfused, l, d, d2 + eps2, m);

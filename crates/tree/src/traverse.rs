@@ -22,7 +22,7 @@
 //!   walk reports.
 
 use crate::mac::BarnesHutMac;
-use crate::node::{NodeId, Tree, NIL};
+use crate::node::{NodeId, Tree};
 use bhut_geom::{Particle, Vec3};
 
 /// Counters describing one (or many accumulated) traversals.
@@ -60,7 +60,7 @@ pub enum Interaction {
     Particle(u32),
 }
 
-/// What [`walk`] did with one non-empty node it popped.
+/// What [`walk`] did with one non-empty node it took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Visit {
     /// The node holds exactly one particle: a direct interaction, with no
@@ -76,12 +76,12 @@ pub enum Visit {
     Cut,
 }
 
-/// The per-target descent of §2, from `root`: pop a node, skip it if empty,
-/// apply `mac` unless it is a singleton, and on rejection push the children
-/// (octant order) — except below a node for which `opaque` holds, which may
-/// be tested but never opened. Every non-empty popped node is reported to
-/// `visit` with what happened to it; every outcome but [`Visit::Singleton`]
-/// cost one MAC test.
+/// The per-target descent of §2, from `root`: take a node, skip it if
+/// empty, apply `mac` unless it is a singleton, and on rejection descend
+/// into the children (octant order) — except below a node for which
+/// `opaque` holds, which may be tested but never opened. Every non-empty
+/// node taken is reported to `visit` with what happened to it; every
+/// outcome but [`Visit::Singleton`] cost one MAC test.
 pub fn walk(
     tree: &Tree,
     root: NodeId,
@@ -93,21 +93,30 @@ pub fn walk(
     if tree.is_empty() {
         return;
     }
-    let mut stack: Vec<NodeId> = vec![root];
-    while let Some(id) = stack.pop() {
+    // The arena is in preorder: opening a node goes on at its first child,
+    // `id + 1`, and anything else skips its subtree to `next`, so the ids
+    // come in the order a stack of children pushed in reverse pops them.
+    let end = tree.node(root).next;
+    let mut id = root;
+    while id < end {
         let node = tree.node(id);
+        let mut to = node.next;
         let outcome = match node.count() {
-            0 => continue,
+            0 => {
+                id = to;
+                continue;
+            }
             1 => Visit::Singleton,
-            _ if mac.accept(&node.cell, node.com, point) => Visit::Accepted,
+            _ if mac.accept(node.side, node.com, point) => Visit::Accepted,
             _ if opaque(id) => Visit::Cut,
             _ if node.is_leaf() => Visit::Leaf,
             _ => {
-                stack.extend(node.children.iter().rev().filter(|&&c| c != NIL));
+                to = id + 1;
                 Visit::Opened
             }
         };
         visit(id, outcome);
+        id = to;
     }
 }
 

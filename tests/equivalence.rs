@@ -203,15 +203,15 @@ proptest! {
             }
         }
         let bh = BarnesHutMac::new(alpha);
-        match bh.classify(&cell, com, &bucket) {
+        match bh.classify(cell.side(), com, &bucket) {
             GroupClass::AcceptAll => {
                 for &p in &samples {
-                    prop_assert!(bh.accept(&cell, com, p));
+                    prop_assert!(bh.accept(cell.side(), com, p));
                 }
             }
             GroupClass::RejectAll => {
                 for &p in &samples {
-                    prop_assert!(!bh.accept(&cell, com, p));
+                    prop_assert!(!bh.accept(cell.side(), com, p));
                 }
             }
             GroupClass::Mixed => {}
