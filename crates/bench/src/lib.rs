@@ -17,6 +17,8 @@
 //! scheme wins, how times scale with `p`, `k`, α and cluster count, where
 //! efficiency rises and falls.
 
+#![forbid(unsafe_code)]
+
 pub mod gate;
 pub mod runner;
 pub mod tables;

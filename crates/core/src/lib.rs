@@ -39,6 +39,8 @@
 //!   breakdown.
 //! * [`kruskal`] — the Kruskal–Weiss completion-time model of §4.1.
 
+#![forbid(unsafe_code)]
+
 pub mod balance;
 pub mod branch;
 pub mod dataship;

@@ -8,6 +8,8 @@
 //! varying irregularity — plus a registry of the paper's named problem
 //! instances (`g_160535`, `p_353992`, `s_10g_a`, ...).
 
+#![forbid(unsafe_code)]
+
 pub mod aabb;
 pub mod datasets;
 pub mod distributions;

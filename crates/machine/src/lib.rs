@@ -30,6 +30,8 @@
 //! volume, both of which are computed exactly; only the constants come from
 //! the cost model instead of silicon.
 
+#![forbid(unsafe_code)]
+
 pub mod bsp;
 pub mod collectives;
 pub mod cost;

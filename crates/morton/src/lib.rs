@@ -14,6 +14,8 @@
 //!   paths); the function-shipping protocol stamps each branch node with one
 //!   so remote processors can name it in O(1).
 
+#![forbid(unsafe_code)]
+
 pub mod gray;
 pub mod hilbert;
 pub mod keys;

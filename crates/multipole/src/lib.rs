@@ -19,6 +19,8 @@
 //! `13 + 16k²` flops per particle–cluster interaction — the numbers the
 //! simulated-machine experiments charge per event.
 
+#![forbid(unsafe_code)]
+
 pub mod expansion;
 pub mod flops;
 pub mod multiindex;

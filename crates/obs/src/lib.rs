@@ -21,6 +21,8 @@
 //! per-profile origin on the real path, virtual machine seconds on the
 //! simulated path. Only relative placement matters for plotting.
 
+#![forbid(unsafe_code)]
+
 use serde::{Deserialize, Serialize, Value};
 
 /// Canonical phase names used by the instrumented crates. Free-form strings

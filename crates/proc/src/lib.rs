@@ -24,6 +24,8 @@
 //! * [`launch`] — parent-side process orchestration
 //!   ([`launch::Launcher`]) and the child hook ([`launch::maybe_child`]).
 
+#![forbid(unsafe_code)]
+
 pub mod ckpt;
 pub mod collectives;
 pub mod fault;

@@ -2,49 +2,28 @@
 //! simulation loop (single writer) and concurrent query batches (many
 //! readers).
 //!
-//! The design goal is a *lock-free read path*: pinning the current epoch is
-//! two atomic RMWs and an `Arc` clone — no mutex, no allocation, no
-//! coordination with the publisher. The publisher takes a private mutex
-//! (publishes are already serialized by the simulation loop; the lock just
-//! makes the store misuse-proof) and never blocks readers.
-//!
 //! ## Protocol
 //!
-//! The store keeps a small ring of slots. Each slot holds an
-//! `Option<Arc<TreeEpoch>>` plus a pin count; `current` names the slot
-//! readers should pin.
+//! An epoch is immutable once published, so the only shared state is which
+//! epoch is current: one [`Mutex`] around the generation counter and an
+//! `Option<Arc<TreeEpoch>>`. A pin locks, clones the `Arc` out and unlocks;
+//! the clone is the pin. A publish permutes the particles into tree order
+//! (and, in debug builds, validates the tree) before it takes the lock,
+//! then numbers the epoch, swaps it in and unlocks; the `Arc` it displaced
+//! is dropped after the unlock, so a superseded tree is freed off the lock.
+//! Every critical section is a counter bump and an `Arc` clone or swap, so
+//! a pin waits at most for one such section of the publisher, never for a
+//! build, a permutation or a free.
 //!
-//! * **Pin** (reader): load `current`, `fetch_add` the slot's pin count,
-//!   then re-load `current`. If it still names the slot, clone the `Arc`
-//!   out and unpin; otherwise unpin and retry. The re-check means a reader
-//!   only ever dereferences a slot the publisher is *not* mutating: the
-//!   publisher writes only slots that are not `current` and have zero pins,
-//!   and it flips `current` (release) strictly after the slot's contents
-//!   are in place, so a verify that passes happens-after the write.
-//! * **Publish** (writer): pick any slot that is neither `current` nor
-//!   pinned (spinning across the ring until one frees — with `SLOTS` ≥ 3
-//!   this only waits for the nanoseconds a lagging reader needs between its
-//!   failed verify and its unpin), write the new epoch into it, then flip
-//!   `current`. Then empty the previous `current` slot as soon as its pin
-//!   count reads zero (the victim's `slot != current && pins == 0`
-//!   condition, and the same short wait); every other slot is already
-//!   empty, so the store holds one epoch between publishes. All atomics
-//!   are `SeqCst`; the total order makes the pin-then-verify /
-//!   check-pins-then-write handshake airtight (a reader whose verify
-//!   passed holds its pin *visibly* before any publisher pin-check that
-//!   could target the slot).
-//!
-//! Retirement is reference counting: emptying a slot drops the store's
-//! `Arc`, so once `publish` returns the store holds exactly one epoch, and
-//! a superseded one lives exactly as long as the batches that pinned it.
-//! Whichever party drops the *last* reference (the publisher, or a query
-//! worker finishing a batch against an old epoch) runs `TreeEpoch::drop`,
-//! which bumps the shared retired counter surfaced through
-//! [`bhut_obs::ServeCounters`].
+//! Retirement is reference counting: once `publish` returns the store holds
+//! exactly one epoch, and a superseded one lives exactly as long as the
+//! batches that pinned it. Whichever party drops the *last* reference (the
+//! publisher, or a query worker finishing a batch against an old epoch)
+//! runs `TreeEpoch::drop`, which bumps the shared retired counter surfaced
+//! through [`bhut_obs::ServeCounters`].
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::SeqCst};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use bhut_geom::Particle;
 use bhut_tree::Tree;
@@ -97,42 +76,22 @@ impl Drop for TreeEpoch {
     }
 }
 
-/// Ring size. Only the current slot holds an epoch between publishes; the
-/// others are empty and may carry a straggler's transient pin (a reader
-/// between its failed verify and its unpin). Three is the minimum for the
-/// publisher to always find a free victim (one current, one pinned by a
-/// straggler, one free); four gives slack for a reader preempted mid-pin.
-const SLOTS: usize = 4;
-
-/// `current` value before the first publish.
-const NONE: usize = usize::MAX;
-
-struct Slot {
-    pins: AtomicUsize,
-    epoch: UnsafeCell<Option<Arc<TreeEpoch>>>,
+/// What the store's lock guards.
+#[derive(Default)]
+struct Current {
+    /// Highest generation published (0 = none).
+    generation: u64,
+    /// The epoch readers pin; `None` until the first publish.
+    epoch: Option<Arc<TreeEpoch>>,
 }
 
 /// Single-publisher / many-reader epoch exchange. See the module docs for
-/// the protocol and its safety argument.
+/// the protocol.
 pub struct EpochStore {
-    slots: [Slot; SLOTS],
-    /// Index of the slot readers should pin; [`NONE`] until first publish.
-    current: AtomicUsize,
-    /// Serializes publishers and owns the generation counter.
-    publish: Mutex<u64>,
-    /// Highest generation published (readable without the lock).
-    published: AtomicU64,
+    current: Mutex<Current>,
     /// Epochs fully released (shared with every [`TreeEpoch`] it vends).
     retired: Arc<AtomicU64>,
 }
-
-// SAFETY: the `UnsafeCell`s are only written by the publisher while it can
-// prove (pins == 0, slot != current, publish mutex held) that no reader is
-// or can start dereferencing the slot, and only read by readers whose
-// pin+verify handshake proves the publisher cannot pick the slot as a
-// victim. See the module docs.
-unsafe impl Sync for EpochStore {}
-unsafe impl Send for EpochStore {}
 
 impl Default for EpochStore {
     fn default() -> Self {
@@ -142,16 +101,14 @@ impl Default for EpochStore {
 
 impl EpochStore {
     pub fn new() -> Self {
-        EpochStore {
-            slots: std::array::from_fn(|_| Slot {
-                pins: AtomicUsize::new(0),
-                epoch: UnsafeCell::new(None),
-            }),
-            current: AtomicUsize::new(NONE),
-            publish: Mutex::new(0),
-            published: AtomicU64::new(0),
-            retired: Arc::new(AtomicU64::new(0)),
-        }
+        EpochStore { current: Mutex::default(), retired: Arc::new(AtomicU64::new(0)) }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Current> {
+        // No critical section can panic (a counter bump and an `Arc` clone
+        // or swap; the displaced epoch drops after the unlock), so the lock
+        // is never poisoned.
+        self.current.lock().expect("no epoch-store critical section panics")
     }
 
     /// Publish a new epoch and return its generation. `particles` is the
@@ -173,93 +130,29 @@ impl EpochStore {
         // is not checked here: only that the tree still describes the
         // permuted particles (moments, cells, links).
         debug_assert_eq!(tree.validate(&particles, usize::MAX), Ok(()), "publishing a broken tree");
-        let mut gen_guard = self.publish.lock().unwrap();
-        *gen_guard += 1;
-        let generation = *gen_guard;
-        let epoch = Arc::new(TreeEpoch {
-            generation,
-            tree,
-            particles,
-            alpha,
-            eps,
-            retired: Some(Arc::clone(&self.retired)),
-        });
-        // `current` only changes under the publish lock, so it is stable
-        // for the duration of this call.
-        let cur = self.current.load(SeqCst);
-        let victim = loop {
-            let free = (0..SLOTS).find(|&i| i != cur && self.slots[i].pins.load(SeqCst) == 0);
-            match free {
-                Some(i) => break i,
-                // Every non-current slot is momentarily pinned by readers
-                // between a failed verify and their unpin; yield and retry.
-                None => std::thread::yield_now(),
-            }
-        };
-        // SAFETY: victim != current and pins == 0 under the publish lock;
-        // no reader can begin a dereference of this slot until `current`
-        // names it again (below), which happens-after this write.
-        unsafe {
-            *self.slots[victim].epoch.get() = Some(epoch);
-        }
-        self.current.store(victim, SeqCst);
-        self.published.store(generation, SeqCst);
-
-        // Between publishes only the current slot is occupied, so the one
-        // superseded epoch the store still references sits in the slot
-        // `current` named before the flip. A reader pinning it now loaded
-        // `current` before the flip: its verify fails and it unpins, or it
-        // passed and is cloning the `Arc` out; either way the pin drains.
-        if cur != NONE {
-            while self.slots[cur].pins.load(SeqCst) != 0 {
-                std::thread::yield_now();
-            }
-            // SAFETY: cur != current and pins == 0 under the publish lock,
-            // the victim's argument: no reader can dereference this slot
-            // until a later publish names it `current` again.
-            unsafe {
-                *self.slots[cur].epoch.get() = None;
-            }
-        }
+        let retired = Some(Arc::clone(&self.retired));
+        let mut current = self.lock();
+        current.generation += 1;
+        let generation = current.generation;
+        let epoch = TreeEpoch { generation, tree, particles, alpha, eps, retired };
+        let displaced = current.epoch.replace(Arc::new(epoch));
+        drop(current);
+        // Freed here, off the lock, unless a reader still holds it.
+        drop(displaced);
         generation
     }
 
     /// Pin the current epoch: returns a reference that keeps the epoch
-    /// alive (and un-reusable by the publisher) until dropped. `None` until
-    /// the first [`publish`](Self::publish). Lock-free; never blocks the
-    /// publisher or other readers.
+    /// alive until dropped. `None` until the first
+    /// [`publish`](Self::publish).
     pub fn pin(&self) -> Option<Arc<TreeEpoch>> {
-        loop {
-            let cur = self.current.load(SeqCst);
-            if cur == NONE {
-                return None;
-            }
-            let slot = &self.slots[cur];
-            slot.pins.fetch_add(1, SeqCst);
-            if self.current.load(SeqCst) == cur {
-                // Verified: the publisher cannot write this slot while our
-                // pin is visible, and the epoch it holds is fully
-                // published. Clone out and release the slot pin; the Arc
-                // itself is the long-lived pin.
-                // SAFETY: see module docs — verify-after-pin passed.
-                let arc = unsafe { (*slot.epoch.get()).clone() };
-                slot.pins.fetch_sub(1, SeqCst);
-                if let Some(a) = arc {
-                    return Some(a);
-                }
-                // Unreachable in practice (a current slot is never empty),
-                // but loop rather than panic if it ever is.
-            } else {
-                // Publisher moved on between our load and our pin; retry.
-                slot.pins.fetch_sub(1, SeqCst);
-            }
-        }
+        self.lock().epoch.clone()
     }
 
     /// Highest generation published so far (0 = none). The *epoch lag* of a
     /// batch is `store.generation() - pinned.generation`.
     pub fn generation(&self) -> u64 {
-        self.published.load(SeqCst)
+        self.lock().generation
     }
 
     /// Epochs whose last reference has dropped.
@@ -360,12 +253,12 @@ mod tests {
             store.publish(t, p, 0.5, 1e-4);
         };
         let resident = || store.generation() - store.retired();
-        for s in 0..SLOTS as u64 + 2 {
+        for s in 0..6 {
             publish(s);
             assert_eq!(resident(), 1, "publish {} with no pin held", s + 1);
         }
         let held = store.pin().unwrap();
-        for s in 0..SLOTS as u64 + 2 {
+        for s in 0..6 {
             publish(100 + s);
             assert_eq!(resident(), 2, "the held epoch and the current one");
         }
@@ -396,8 +289,8 @@ mod tests {
         let (t, p) = epoch_for(32, 9);
         store.publish(t, p, 0.5, 1e-4);
         let held = store.pin().unwrap();
-        // Cycle the ring well past the slot that holds generation 1.
-        for s in 0..SLOTS as u64 + 2 {
+        // Publish well past generation 1.
+        for s in 0..6 {
             let (t, p) = epoch_for(32, 10 + s);
             store.publish(t, p, 0.5, 1e-4);
         }

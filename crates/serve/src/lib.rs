@@ -8,9 +8,9 @@
 //!
 //! * [`epoch`] — immutable [`TreeEpoch`] snapshots (tree + the particle
 //!   array it indexes, in tree order + the MAC/softening parameters it was
-//!   built under) published through a lock-free [`EpochStore`]. The
-//!   simulation publishes a new epoch per step; in-flight query batches
-//!   keep evaluating against the epoch they pinned, and an epoch is retired
+//!   built under) published through an [`EpochStore`]. The simulation
+//!   publishes a new epoch per step; in-flight query batches keep
+//!   evaluating against the epoch they pinned, and an epoch is retired
 //!   only when the last pin drops.
 //! * [`engine`] — [`FieldQuery`], a batched evaluator for force, potential
 //!   and density at *arbitrary* points (not just particle positions). Query
@@ -26,6 +26,8 @@
 //!   evaluator workers that coalesce small requests into slab-sized
 //!   batches; per-request spans and [`bhut_obs::ServeCounters`] surface
 //!   through the S11 [`bhut_obs::StepProfile`] schema.
+
+#![forbid(unsafe_code)]
 
 pub mod client;
 pub mod engine;

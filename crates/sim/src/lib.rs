@@ -9,6 +9,8 @@
 //! direct-summation reference; and JSON snapshot I/O so long experiments are
 //! resumable and the figure data regenerable.
 
+#![forbid(unsafe_code)]
+
 pub mod diagnostics;
 pub mod leapfrog;
 pub mod simulation;

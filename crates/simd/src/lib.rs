@@ -6,16 +6,13 @@
 //!
 //! * **A fixed-width lane type** — [`F64s`] (4 × f64), a plain array with
 //!   `#[inline(always)]` element-wise ops: compiled inside a
-//!   `#[target_feature(enable = "avx2")]` context (see [`simd_dispatch!`])
-//!   LLVM lowers every op to one 256-bit vector instruction; compiled at the
-//!   baseline ISA the ops stay correct scalar/SSE2 code. This is the same
-//!   multiversioning idiom `pulp`/`multiversion` package, without the
-//!   dependency.
+//!   `#[target_feature(enable = "avx2")]` context LLVM lowers every op to
+//!   one 256-bit vector instruction; compiled at the baseline ISA the ops
+//!   stay correct scalar/SSE2 code.
 //! * **Runtime dispatch** — [`isa`] probes the CPU once (cached) into three
-//!   tiers (AVX-512F ⊃ AVX2+FMA ⊃ portable) and the [`simd_dispatch!`]
-//!   macro emits a portable body plus an AVX2+FMA-compiled clone of it,
-//!   selecting per call. The `force-scalar` feature pins the portable body
-//!   everywhere, which is also the only path on non-x86_64.
+//!   tiers (AVX-512F ⊃ AVX2+FMA ⊃ portable); each kernel selects its
+//!   intrinsic body by it explicitly. The `force-scalar` feature pins the
+//!   portable body everywhere, which is also the only path on non-x86_64.
 //! * **Aligned, padded slab storage** — [`AlignedF64Slab`] /
 //!   [`AlignedU32Slab`] back the reusable SoA scratch with 64-byte-aligned
 //!   blocks, so every [`PAD_MULTIPLE`]-element chunk
@@ -131,46 +128,6 @@ fn probe() -> Isa {
 #[cfg(not(all(target_arch = "x86_64", not(feature = "force-scalar"))))]
 fn probe() -> Isa {
     Isa::Portable
-}
-
-/// Emit a function twice — once portable, once compiled with
-/// `#[target_feature(enable = "avx2,fma")]` on x86_64 — plus a thin runtime
-/// dispatcher choosing by [`isa`] (the AVX-512 tier also takes the AVX2
-/// clone). The body must be safe code; marking the clone `target_feature`
-/// is what lets LLVM lower the lane types' loops to 256-bit instructions.
-///
-/// ```
-/// bhut_simd::simd_dispatch! {
-///     /// Sum of squares.
-///     pub fn sum_sq(xs: &[f64]) -> f64 {
-///         xs.iter().map(|x| x * x).sum()
-///     }
-/// }
-/// assert_eq!(sum_sq(&[3.0, 4.0]), 25.0);
-/// ```
-#[macro_export]
-macro_rules! simd_dispatch {
-    ($(#[$meta:meta])* $vis:vis fn $name:ident( $($arg:ident : $ty:ty),* $(,)? ) -> $ret:ty $body:block) => {
-        $(#[$meta])*
-        $vis fn $name($($arg: $ty),*) -> $ret {
-            #[inline(always)]
-            fn portable($($arg: $ty),*) -> $ret $body
-
-            #[cfg(target_arch = "x86_64")]
-            #[target_feature(enable = "avx2,fma")]
-            unsafe fn avx2($($arg: $ty),*) -> $ret {
-                portable($($arg),*)
-            }
-
-            #[cfg(target_arch = "x86_64")]
-            if $crate::isa() != $crate::Isa::Portable {
-                // SAFETY: both non-portable tiers runtime-detected AVX2+FMA
-                // on this CPU (AVX-512F implies them).
-                return unsafe { avx2($($arg),*) };
-            }
-            portable($($arg),*)
-        }
-    };
 }
 
 /// Four f64 lanes (one 256-bit register under AVX2).
@@ -552,33 +509,6 @@ mod tests {
         let ids = [7u32, 9, 11, 13];
         assert_eq!(masked_mass_f64(&ms, &ids, 11).0, [1.0, 2.0, 0.0, 4.0]);
         assert_eq!(masked_mass_f64(&ms, &ids, 99).0, ms);
-    }
-
-    #[test]
-    fn dispatched_body_matches_portable() {
-        simd_dispatch! {
-            fn dot(xs: &[f64], ys: &[f64]) -> f64 {
-                let mut acc = F64s::zero();
-                for i in (0..xs.len()).step_by(F64_LANES) {
-                    acc = acc.add(F64s::load(&xs[i..]).mul(F64s::load(&ys[i..])));
-                }
-                acc.hsum()
-            }
-        }
-        let xs: Vec<f64> = (0..64).map(|i| i as f64).collect();
-        let ys: Vec<f64> = (0..64).map(|i| (i as f64).sin()).collect();
-        let want: f64 = {
-            // Same order of operations as the lane body: per-lane partial
-            // sums, then a fixed-order horizontal reduction.
-            let mut lanes = [0.0f64; F64_LANES];
-            for i in (0..xs.len()).step_by(F64_LANES) {
-                for j in 0..F64_LANES {
-                    lanes[j] += xs[i + j] * ys[i + j];
-                }
-            }
-            lanes.iter().sum()
-        };
-        assert_eq!(dot(&xs, &ys), want, "dispatch must never change results");
     }
 
     #[test]

@@ -27,6 +27,8 @@
 //! correctness and work accounting rather than wall-clock (CI machines may
 //! have a single core).
 
+#![forbid(unsafe_code)]
+
 pub mod executor;
 pub mod pool;
 

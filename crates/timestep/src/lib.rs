@@ -28,6 +28,8 @@
 //! integrator: the simulation driver runs a global timestep as
 //! `max_rung = 0`.
 
+#![forbid(unsafe_code)]
+
 pub mod active;
 pub mod config;
 pub mod stepper;

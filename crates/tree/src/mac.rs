@@ -26,9 +26,8 @@
 //! The group walk packs the children of an opened node into a [`NodeBatch`]
 //! (struct of `[f64; 8]` arrays), and the batch classifier runs the exact
 //! per-node arithmetic of `classify`, only laid out as lane-parallel loops
-//! that the `simd_dispatch!` AVX2/AVX-512 clone lowers to 256-bit
-//! instructions (the portable body *is* the `force-scalar` fallback). For
-//! every lane the expression order replicates [`Aabb::dist_sq_to`],
+//! over fixed-size arrays that the compiler vectorises at the baseline ISA.
+//! For every lane the expression order replicates [`Aabb::dist_sq_to`],
 //! [`Aabb::max_dist_sq_to`] and the comparisons of `classify` term for term,
 //! so the decisions are identical on every input — held to `classify` by
 //! the tests at the bottom of this file and, under test, at the walk's one
@@ -100,7 +99,34 @@ impl BarnesHutMac {
     /// at index ≥ `batch.len()` are unspecified.
     #[inline]
     pub fn classify_batch(&self, batch: &NodeBatch, bucket: &Aabb) -> [GroupClass; MAC_BATCH] {
-        classify_lanes(self.alpha * self.alpha, batch, bucket)
+        let a2 = self.alpha * self.alpha;
+        let mut dmin2 = [0.0f64; MAC_BATCH];
+        let mut dmax2 = [0.0f64; MAC_BATCH];
+        for j in 0..MAC_BATCH {
+            let (cx, cy, cz) = (batch.com_x[j], batch.com_y[j], batch.com_z[j]);
+            // bucket.dist_sq_to(com), term for term per axis.
+            let dx = (bucket.min.x - cx).max(0.0).max(cx - bucket.max.x);
+            let dy = (bucket.min.y - cy).max(0.0).max(cy - bucket.max.y);
+            let dz = (bucket.min.z - cz).max(0.0).max(cz - bucket.max.z);
+            dmin2[j] = dx * dx + dy * dy + dz * dz;
+            // bucket.max_dist_sq_to(com).
+            let ex = (cx - bucket.min.x).abs().max((bucket.max.x - cx).abs());
+            let ey = (cy - bucket.min.y).abs().max((bucket.max.y - cy).abs());
+            let ez = (cz - bucket.min.z).abs().max((bucket.max.z - cz).abs());
+            dmax2[j] = ex * ex + ey * ey + ez * ez;
+        }
+        let mut out = [GroupClass::Mixed; MAC_BATCH];
+        for j in 0..batch.len {
+            let s2 = batch.side2[j];
+            out[j] = if s2 < a2 * dmin2[j] {
+                GroupClass::AcceptAll
+            } else if s2 >= a2 * dmax2[j] {
+                GroupClass::RejectAll
+            } else {
+                GroupClass::Mixed
+            };
+        }
+        out
     }
 }
 
@@ -164,42 +190,6 @@ impl NodeBatch {
         self.com_z[i] = com.z;
         self.side2[i] = side * side;
         self.len = i + 1;
-    }
-}
-
-bhut_simd::simd_dispatch! {
-    /// The body of [`BarnesHutMac::classify_batch`]: `a2` is
-    /// `alpha * alpha`. Lanes beyond `batch.len()` compute garbage (on
-    /// zeroed state) and are masked out by the caller; lanes below it are
-    /// bitwise-identical to the scalar decision.
-    fn classify_lanes(a2: f64, batch: &NodeBatch, bucket: &Aabb) -> [GroupClass; MAC_BATCH] {
-        let mut dmin2 = [0.0f64; MAC_BATCH];
-        let mut dmax2 = [0.0f64; MAC_BATCH];
-        for j in 0..MAC_BATCH {
-            let (cx, cy, cz) = (batch.com_x[j], batch.com_y[j], batch.com_z[j]);
-            // bucket.dist_sq_to(com), term for term per axis.
-            let dx = (bucket.min.x - cx).max(0.0).max(cx - bucket.max.x);
-            let dy = (bucket.min.y - cy).max(0.0).max(cy - bucket.max.y);
-            let dz = (bucket.min.z - cz).max(0.0).max(cz - bucket.max.z);
-            dmin2[j] = dx * dx + dy * dy + dz * dz;
-            // bucket.max_dist_sq_to(com).
-            let ex = (cx - bucket.min.x).abs().max((bucket.max.x - cx).abs());
-            let ey = (cy - bucket.min.y).abs().max((bucket.max.y - cy).abs());
-            let ez = (cz - bucket.min.z).abs().max((bucket.max.z - cz).abs());
-            dmax2[j] = ex * ex + ey * ey + ez * ez;
-        }
-        let mut out = [GroupClass::Mixed; MAC_BATCH];
-        for j in 0..batch.len {
-            let s2 = batch.side2[j];
-            out[j] = if s2 < a2 * dmin2[j] {
-                GroupClass::AcceptAll
-            } else if s2 >= a2 * dmax2[j] {
-                GroupClass::RejectAll
-            } else {
-                GroupClass::Mixed
-            };
-        }
-        out
     }
 }
 

@@ -17,6 +17,8 @@
 //! the force-equivalence gates demand ≤1e-12 (in practice: bitwise)
 //! against the single-process path.
 
+#![forbid(unsafe_code)]
+
 use bhut_geom::{Particle, Vec3};
 use std::io::{Read, Write};
 use std::time::Duration;

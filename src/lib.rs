@@ -20,6 +20,8 @@
 //!
 //! See `README.md` for a quickstart and `DESIGN.md` for the experiment map.
 
+#![forbid(unsafe_code)]
+
 pub use bhut_core as core;
 pub use bhut_geom as geom;
 pub use bhut_machine as machine;
