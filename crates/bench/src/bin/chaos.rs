@@ -24,6 +24,7 @@
 //!
 //! Child ranks re-execute this binary: [`maybe_child`] runs first.
 
+use bhut_bench::cli::Cli;
 use bhut_bench::gate::GateTable;
 use bhut_core::balance::Scheme;
 use bhut_proc::{
@@ -84,19 +85,13 @@ struct Args {
     force_tol: f64,
 }
 
-fn parse_schemes(spec: &str) -> Vec<Scheme> {
-    match spec {
-        "all" => vec![Scheme::Spsa, Scheme::Spda, Scheme::Dpda],
-        "spsa" => vec![Scheme::Spsa],
-        "spda" => vec![Scheme::Spda],
-        "dpda" => vec![Scheme::Dpda],
-        other => panic!("unknown scheme {other:?} (want spsa|spda|dpda|all)"),
-    }
-}
+const USAGE: &str = "usage: chaos [--scheme spsa|spda|dpda|all] [--ranks N] [--n N] \
+    [--steps N] [--fault kill-at-step|wedge-read|none] [--fault-rank R] [--fault-step S] \
+    [--mode respawn|degrade] [--ckpt-every N] [--timeout-s N] [--out FILE] [--force-tol F]";
 
 fn parse_args() -> Args {
     let mut args = Args {
-        schemes: parse_schemes("all"),
+        schemes: vec![Scheme::Spsa, Scheme::Spda, Scheme::Dpda],
         ranks: 4,
         n: 5_000,
         steps: 3,
@@ -109,27 +104,30 @@ fn parse_args() -> Args {
         out: PathBuf::from("results/chaos.json"),
         force_tol: 1e-12,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("missing value for {name}"));
-        match arg.as_str() {
-            "--scheme" => args.schemes = parse_schemes(&val("--scheme")),
-            "--ranks" => args.ranks = val("--ranks").parse().expect("--ranks"),
-            "--n" => args.n = val("--n").parse().expect("--n"),
-            "--steps" => args.steps = val("--steps").parse().expect("--steps"),
-            "--fault" => args.fault = val("--fault"),
-            "--fault-rank" => args.fault_rank = val("--fault-rank").parse().expect("--fault-rank"),
-            "--fault-step" => args.fault_step = val("--fault-step").parse().expect("--fault-step"),
-            "--mode" => args.mode = val("--mode"),
-            "--ckpt-every" => args.ckpt_every = val("--ckpt-every").parse().expect("--ckpt-every"),
-            "--timeout-s" => args.timeout_s = val("--timeout-s").parse().expect("--timeout-s"),
-            "--out" => args.out = PathBuf::from(val("--out")),
-            "--force-tol" => args.force_tol = val("--force-tol").parse().expect("--force-tol"),
-            other => panic!("unknown argument {other:?}"),
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--scheme" => args.schemes = cli.schemes("--scheme"),
+            "--ranks" => args.ranks = cli.parse("--ranks"),
+            "--n" => args.n = cli.parse("--n"),
+            "--steps" => args.steps = cli.parse("--steps"),
+            "--fault" => args.fault = cli.value("--fault"),
+            "--fault-rank" => args.fault_rank = cli.parse("--fault-rank"),
+            "--fault-step" => args.fault_step = cli.parse("--fault-step"),
+            "--mode" => args.mode = cli.value("--mode"),
+            "--ckpt-every" => args.ckpt_every = cli.parse("--ckpt-every"),
+            "--timeout-s" => args.timeout_s = cli.parse("--timeout-s"),
+            "--out" => args.out = PathBuf::from(cli.value("--out")),
+            "--force-tol" => args.force_tol = cli.parse("--force-tol"),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
-    assert!(matches!(args.fault.as_str(), "kill-at-step" | "wedge-read" | "none"), "--fault");
-    assert!(matches!(args.mode.as_str(), "respawn" | "degrade"), "--mode");
+    if !matches!(args.fault.as_str(), "kill-at-step" | "wedge-read" | "none") {
+        cli.fail(format!("unknown --fault {:?}", args.fault));
+    }
+    if !matches!(args.mode.as_str(), "respawn" | "degrade") {
+        cli.fail(format!("unknown --mode {:?}", args.mode));
+    }
     args
 }
 

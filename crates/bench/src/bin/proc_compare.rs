@@ -26,6 +26,7 @@
 //! is the first statement of `main`, so a rank environment diverts straight
 //! into the step loop.
 
+use bhut_bench::cli::Cli;
 use bhut_bench::gate::{parse_baseline, require_baseline, GateTable};
 use bhut_core::balance::Scheme;
 use bhut_core::driver::{ParallelSim, SimConfig};
@@ -82,19 +83,13 @@ struct Args {
     timeout_s: u64,
 }
 
-fn parse_schemes(spec: &str) -> Vec<Scheme> {
-    match spec {
-        "all" => vec![Scheme::Spsa, Scheme::Spda, Scheme::Dpda],
-        "spsa" => vec![Scheme::Spsa],
-        "spda" => vec![Scheme::Spda],
-        "dpda" => vec![Scheme::Dpda],
-        other => panic!("unknown scheme {other:?} (want spsa|spda|dpda|all)"),
-    }
-}
+const USAGE: &str = "usage: proc_compare [--scheme spsa|spda|dpda|all] [--ranks N] [--n N] \
+    [--steps N] [--out FILE] [--baseline FILE] [--force-tol F] [--max-share-error F] \
+    [--headroom F] [--timeout-s N]";
 
 fn parse_args() -> Args {
     let mut args = Args {
-        schemes: parse_schemes("all"),
+        schemes: vec![Scheme::Spsa, Scheme::Spda, Scheme::Dpda],
         ranks: 4,
         n: 5_000,
         steps: 3,
@@ -105,23 +100,20 @@ fn parse_args() -> Args {
         headroom: 0.20,
         timeout_s: 120,
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut val = |name: &str| it.next().unwrap_or_else(|| panic!("missing value for {name}"));
-        match arg.as_str() {
-            "--scheme" => args.schemes = parse_schemes(&val("--scheme")),
-            "--ranks" => args.ranks = val("--ranks").parse().expect("--ranks"),
-            "--n" => args.n = val("--n").parse().expect("--n"),
-            "--steps" => args.steps = val("--steps").parse().expect("--steps"),
-            "--out" => args.out = PathBuf::from(val("--out")),
-            "--baseline" => args.baseline = Some(PathBuf::from(val("--baseline"))),
-            "--force-tol" => args.force_tol = val("--force-tol").parse().expect("--force-tol"),
-            "--max-share-error" => {
-                args.max_share_error = val("--max-share-error").parse().expect("--max-share-error")
-            }
-            "--headroom" => args.headroom = val("--headroom").parse().expect("--headroom"),
-            "--timeout-s" => args.timeout_s = val("--timeout-s").parse().expect("--timeout-s"),
-            other => panic!("unknown argument {other:?}"),
+    let mut cli = Cli::from_env(USAGE);
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
+            "--scheme" => args.schemes = cli.schemes("--scheme"),
+            "--ranks" => args.ranks = cli.parse("--ranks"),
+            "--n" => args.n = cli.parse("--n"),
+            "--steps" => args.steps = cli.parse("--steps"),
+            "--out" => args.out = PathBuf::from(cli.value("--out")),
+            "--baseline" => args.baseline = Some(PathBuf::from(cli.value("--baseline"))),
+            "--force-tol" => args.force_tol = cli.parse("--force-tol"),
+            "--max-share-error" => args.max_share_error = cli.parse("--max-share-error"),
+            "--headroom" => args.headroom = cli.parse("--headroom"),
+            "--timeout-s" => args.timeout_s = cli.parse("--timeout-s"),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
     args

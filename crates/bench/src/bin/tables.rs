@@ -9,8 +9,10 @@
 //! order. `--scale` shrinks the large instances (default 0.02 ≈ tens of
 //! thousands of particles, minutes of wall-clock); `--full` runs the paper's
 //! exact particle counts. Output goes to stdout and, with `--out`, to one
-//! text file per artifact (plus `figure8.csv`).
+//! text file per artifact (plus `figure8.csv`). An unknown flag or artifact
+//! name prints the usage and exits 2 before anything runs.
 
+use bhut_bench::cli::Cli;
 use bhut_bench::tables::{run_artifact, ARTIFACTS};
 use std::fs;
 use std::path::PathBuf;
@@ -22,41 +24,46 @@ struct Args {
 }
 
 fn parse_args() -> Args {
-    let mut artifacts = Vec::new();
-    let mut scale = 0.02;
-    let mut out = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
+    let mut cli = Cli::from_env(format!(
+        "usage: tables [--artifact names] [--table N] [--figure N] [--scale F | --full] \
+         [--out DIR]\nartifacts: {}",
+        ARTIFACTS.join(", ")
+    ));
+    let mut args = Args { artifacts: Vec::new(), scale: 0.02, out: None };
+    while let Some(flag) = cli.next_flag() {
+        match flag.as_str() {
             "--artifact" | "--table" | "--figure" | "--analysis" => {
-                let v = it.next().expect("missing value");
-                for a in v.split(',') {
+                for a in cli.value(&flag).split(',') {
                     // allow bare numbers after --table / --figure
-                    let name = match (arg.as_str(), a.parse::<u32>()) {
+                    let name = match (flag.as_str(), a.parse::<u32>()) {
                         ("--table", Ok(n)) => format!("table{n}"),
                         ("--figure", Ok(n)) => format!("figure{n}"),
                         _ => a.to_string(),
                     };
-                    artifacts.push(name);
+                    if !ARTIFACTS.contains(&name.as_str()) {
+                        cli.fail(format!("unknown artifact {name:?}"));
+                    }
+                    args.artifacts.push(name);
                 }
             }
-            "--scale" => scale = it.next().expect("missing value").parse().expect("bad scale"),
-            "--full" => scale = 1.0,
-            "--out" => out = Some(PathBuf::from(it.next().expect("missing value"))),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: tables [--artifact names] [--table N] [--figure N] \
-                     [--scale F | --full] [--out DIR]\nartifacts: {ARTIFACTS:?}"
-                );
-                std::process::exit(0);
+            "--scale" => {
+                args.scale = cli.parse("--scale");
+                if !(args.scale > 0.0 && args.scale <= 1.0) {
+                    cli.fail(format!(
+                        "--scale {} is out of range: it must be in (0, 1]",
+                        args.scale
+                    ));
+                }
             }
-            other => panic!("unknown argument {other:?}"),
+            "--full" => args.scale = 1.0,
+            "--out" => args.out = Some(PathBuf::from(cli.value("--out"))),
+            other => cli.fail(format!("unknown argument {other:?}")),
         }
     }
-    if artifacts.is_empty() {
-        artifacts = ARTIFACTS.iter().map(|s| s.to_string()).collect();
+    if args.artifacts.is_empty() {
+        args.artifacts = ARTIFACTS.iter().map(|s| s.to_string()).collect();
     }
-    Args { artifacts, scale, out }
+    args
 }
 
 fn main() {

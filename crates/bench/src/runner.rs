@@ -4,7 +4,7 @@
 use bhut_core::balance::Scheme;
 use bhut_core::{IterationOutcome, ParallelSim, SimConfig};
 use bhut_geom::{dataset_domain, dataset_scaled, ParticleSet};
-use bhut_machine::{CostModel, FatTree, Hypercube, Machine};
+use bhut_machine::{CostModel, FatTree, Hypercube, Machine, Topology};
 use bhut_tree::direct;
 use rand::rngs::SmallRng;
 use rand::{seq::index::sample, SeedableRng};
@@ -100,7 +100,22 @@ pub fn run_once(spec: RunSpec) -> RunRecord {
 
 /// Execute one experiment cell on an already-generated particle set.
 pub fn run_on_set(spec: RunSpec, set: &ParticleSet) -> RunRecord {
-    let config = SimConfig {
+    let config = sim_config(&spec);
+    let cost = spec.machine.cost();
+    let outcome = match spec.machine {
+        TargetMachine::Ncube2 => {
+            warm_then_time(Hypercube::new(spec.p), cost, config, spec.warmup, set)
+        }
+        TargetMachine::Cm5 => warm_then_time(FatTree::cm5(spec.p), cost, config, spec.warmup, set),
+    };
+    let error = (spec.error_sample > 0)
+        .then(|| sampled_fractional_error(set, &outcome.potentials, spec.error_sample));
+    RunRecord { spec, n: set.len(), outcome, error }
+}
+
+/// The simulator configuration of one experiment cell.
+pub fn sim_config(spec: &RunSpec) -> SimConfig {
+    SimConfig {
         scheme: spec.scheme,
         clusters_per_axis: spec.clusters_per_axis,
         alpha: spec.alpha,
@@ -108,28 +123,23 @@ pub fn run_on_set(spec: RunSpec, set: &ParticleSet) -> RunRecord {
         eps: EPS,
         domain: dataset_domain(spec.dataset),
         ..Default::default()
-    };
-    let outcome = match spec.machine {
-        TargetMachine::Ncube2 => {
-            let machine = Machine::new(Hypercube::new(spec.p), spec.machine.cost());
-            let mut sim = ParallelSim::new(machine, config);
-            for _ in 0..spec.warmup {
-                let _ = sim.run_iteration(&set.particles);
-            }
-            sim.run_iteration(&set.particles)
-        }
-        TargetMachine::Cm5 => {
-            let machine = Machine::new(FatTree::cm5(spec.p), spec.machine.cost());
-            let mut sim = ParallelSim::new(machine, config);
-            for _ in 0..spec.warmup {
-                let _ = sim.run_iteration(&set.particles);
-            }
-            sim.run_iteration(&set.particles)
-        }
-    };
-    let error = (spec.error_sample > 0)
-        .then(|| sampled_fractional_error(set, &outcome.potentials, spec.error_sample));
-    RunRecord { spec, n: set.len(), outcome, error }
+    }
+}
+
+/// The §5.1 protocol on any interconnect: `warmup` iterations so the
+/// assignment settles, then the timed one.
+pub fn warm_then_time<T: Topology>(
+    topo: T,
+    cost: CostModel,
+    config: SimConfig,
+    warmup: usize,
+    set: &ParticleSet,
+) -> IterationOutcome {
+    let mut sim = ParallelSim::new(Machine::new(topo, cost), config);
+    for _ in 0..warmup {
+        let _ = sim.run_iteration(&set.particles);
+    }
+    sim.run_iteration(&set.particles)
 }
 
 /// Fractional error `‖x_k − x‖/‖x‖` (§5.2.2) over a deterministic sample of

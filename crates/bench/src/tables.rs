@@ -1,19 +1,23 @@
-//! Generators for every table and figure of §5, plus the §4 analyses.
+//! Generators for every table and figure of §5, the §4 analyses, and the
+//! ablations of the design choices the paper weighs.
 //!
 //! Each function mirrors one artifact of the paper's evaluation. `scale`
 //! scales the particle counts of the large `g_*`/`p_*` instances (1.0 = the
 //! paper's sizes); the Table-4 irregularity family is always run at its full
 //! 25 130 particles (it is small by construction).
 
-use crate::runner::{run_once, RunSpec, TargetMachine};
+use crate::runner::{run_once, sim_config, warm_then_time, RunSpec, TargetMachine};
 use crate::text::{pct, ratio, secs, Table};
-use bhut_core::balance::{spsa_assignment, Scheme};
+use bhut_core::balance::{spsa_assignment, Curve, Scheme};
 use bhut_core::dataship::compare_shipping;
 use bhut_core::domain::ClusterGrid;
 use bhut_core::evalcore::{eval_owned, EvalEnv};
+use bhut_core::funcship::ForceConfig;
 use bhut_core::kruskal;
 use bhut_core::partition::Partition;
+use bhut_core::{IterationOutcome, SimConfig};
 use bhut_geom::{dataset_scaled, ParticleSet};
+use bhut_machine::{Crossbar, FatTree, Hypercube, Mesh2D};
 use bhut_multipole::series_words_3d;
 use bhut_tree::build::{build_in_cell, BuildParams};
 use bhut_tree::BarnesHutMac;
@@ -441,6 +445,68 @@ pub fn analysis_shipping(scale: f64) -> Table {
     t
 }
 
+/// The design choices the paper weighs, in simulated seconds on the nCUBE2
+/// (`g_160535`, SPDA, p = 16, 16×16 clusters, α 0.67, one warm-up
+/// iteration, as [`RunSpec::default`]): the request-bin size of §3.2, then
+/// SPDA's cluster order (Morton vs Hilbert) and the interconnect.
+pub fn ablations(scale: f64) -> (Table, Table) {
+    let spec = RunSpec { scale, ..Default::default() };
+    let set = dataset_scaled(spec.dataset, scale);
+    let base = sim_config(&spec);
+    let (p, cost, warmup) = (spec.p, spec.machine.cost(), spec.warmup);
+    let on_hypercube =
+        |config: SimConfig| warm_then_time(Hypercube::new(p), cost, config, warmup, &set);
+
+    let mut bins = Table::new(
+        "Ablation — request-bin size (SPDA, p=16, nCUBE2 hypercube)",
+        &["bin size", "force (s)", "messages", "words", "shipped particles"],
+    );
+    for bin_size in [10usize, 30, 100, 300, 1000] {
+        let force = ForceConfig { bin_size, ..Default::default() };
+        let out = on_hypercube(SimConfig { force, ..base });
+        bins.row(vec![
+            bin_size.to_string(),
+            secs(out.phases.force),
+            out.messages.to_string(),
+            out.words.to_string(),
+            out.requests.to_string(),
+        ]);
+    }
+    bins.note(format!("scale = {scale} of g_160535 ({} particles)", set.len()));
+    bins.note("messages and words count the whole iteration; its merge and balance traffic is the same in every row");
+    bins.note("paper (§3.2): bins of ~100 particles; a bin changes how many messages carry the words, not the words");
+
+    let mut variants = Table::new(
+        "Ablation — SPDA cluster order and interconnect (p=16, nCUBE2 constants)",
+        &["variant", "setting", "total (s)", "force (s)", "other phases (s)", "efficiency"],
+    );
+    let mut row = |variant: &str, setting: &str, out: IterationOutcome| {
+        let ph = out.phases;
+        variants.row(vec![
+            variant.into(),
+            setting.into(),
+            format!("{:.4}", ph.total),
+            format!("{:.4}", ph.force),
+            format!("{:.4}", ph.total - ph.force),
+            ratio(out.efficiency),
+        ]);
+    };
+    for (name, curve) in [("morton", Curve::Morton), ("hilbert", Curve::Hilbert)] {
+        row("curve", name, on_hypercube(SimConfig { curve, ..base }));
+    }
+    row("topology", "hypercube", on_hypercube(base));
+    row(
+        "topology",
+        "mesh2d 4x4 torus",
+        warm_then_time(Mesh2D::new(4, 4, true), cost, base, warmup, &set),
+    );
+    row("topology", "fat-tree (CM5)", warm_then_time(FatTree::cm5(p), cost, base, warmup, &set));
+    row("topology", "crossbar", warm_then_time(Crossbar::new(p), cost, base, warmup, &set));
+    variants.note("the topology rows run the default SPDA iteration (Morton order)");
+    variants.note("nCUBE2 constants: a hop costs 1 us against a 160 us message start-up");
+    (bins, variants)
+}
+
 /// Run a single named artifact. Returns rendered text (plus Figure 8's CSV).
 pub fn run_artifact(which: &str, scale: f64) -> (String, Option<String>) {
     match which {
@@ -458,14 +524,28 @@ pub fn run_artifact(which: &str, scale: f64) -> (String, Option<String>) {
         "figure9" => (figure9(scale).render(), None),
         "kruskal" => (analysis_kruskal(scale).render(), None),
         "shipping" => (analysis_shipping(scale).render(), None),
+        "ablations" => {
+            let (bins, variants) = ablations(scale);
+            (format!("{}\n{}", bins.render(), variants.render()), None)
+        }
         other => panic!("unknown artifact {other:?}"),
     }
 }
 
 /// All artifact names, in paper order.
 pub const ARTIFACTS: &[&str] = &[
-    "table1", "table2", "table3", "table4", "table5", "table6", "table7", "figure8", "figure9",
-    "kruskal", "shipping",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "table6",
+    "table7",
+    "figure8",
+    "figure9",
+    "kruskal",
+    "shipping",
+    "ablations",
 ];
 
 #[cfg(test)]
@@ -496,6 +576,29 @@ mod tests {
         let (text, csv) = run_artifact("figure8", 1.0);
         assert!(text.contains("Figure 8"));
         assert!(csv.is_some());
+    }
+
+    #[test]
+    fn ablations_are_deterministic_and_complete() {
+        let (text, _) = run_artifact("ablations", 0.01);
+        assert_eq!(run_artifact("ablations", 0.01).0, text);
+        let (bins, variants) = ablations(0.01);
+        let column = |name: &str| -> Vec<u64> {
+            let c = bins.header.iter().position(|h| h == name).unwrap();
+            bins.rows.iter().map(|r| r[c].parse().unwrap()).collect()
+        };
+        // §3.2: binning changes how many messages carry the shipped
+        // particles, never how many words they are.
+        let words = column("words");
+        assert!(words.iter().all(|&w| w == words[0]), "{words:?}");
+        let messages = column("messages");
+        assert!(messages.windows(2).all(|w| w[0] > w[1]), "{messages:?}");
+        let settings: Vec<&str> = variants.rows.iter().map(|r| r[1].as_str()).collect();
+        for want in
+            ["morton", "hilbert", "hypercube", "mesh2d 4x4 torus", "fat-tree (CM5)", "crossbar"]
+        {
+            assert!(settings.contains(&want), "no {want} row in {settings:?}");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Branch-node lookup: the two key-location schemes of §4.2.3.
+//! Branch-node lookup (§4.2.3).
 //!
 //! "We implement two schemes for locating branch nodes. Both schemes compute
 //! a unique key for each branch node. The first scheme maintains a hash
@@ -6,46 +6,14 @@
 //! The second scheme maintains a sorted table of keys. Branch nodes are
 //! located using a binary search of this sorted table." The paper found no
 //! significant performance difference because each lookup amortizes over an
-//! entire subtree interaction; `bench_branch_lookup` reproduces that
-//! comparison.
+//! entire subtree interaction. Only the sorted table is kept: at the
+//! hundreds to low thousands of branches the paper's tables produce, the
+//! two differ by a few nanoseconds a lookup (DESIGN.md, A3).
 
 use bhut_tree::NodeId;
-use std::collections::HashMap;
 
-/// Resolve a branch key (raw `NodeKey` bits) to the local tree node.
-pub trait BranchLookup {
-    fn find(&self, key_raw: u64) -> Option<NodeId>;
-    fn len(&self) -> usize;
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Hash-table lookup ("a hashed list of pointers that point to the actual
-/// branch nodes", §3.2).
-#[derive(Debug, Clone, Default)]
-pub struct HashedLookup {
-    map: HashMap<u64, NodeId>,
-}
-
-impl HashedLookup {
-    pub fn new(entries: impl IntoIterator<Item = (u64, NodeId)>) -> Self {
-        HashedLookup { map: entries.into_iter().collect() }
-    }
-}
-
-impl BranchLookup for HashedLookup {
-    #[inline]
-    fn find(&self, key_raw: u64) -> Option<NodeId> {
-        self.map.get(&key_raw).copied()
-    }
-
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-}
-
-/// Sorted-table lookup with binary search.
+/// Sorted-table lookup with binary search: resolves a branch key (raw
+/// `NodeKey` bits) to the local tree node.
 #[derive(Debug, Clone, Default)]
 pub struct SortedLookup {
     table: Vec<(u64, NodeId)>,
@@ -58,16 +26,18 @@ impl SortedLookup {
         table.dedup_by_key(|&mut (k, _)| k);
         SortedLookup { table }
     }
-}
 
-impl BranchLookup for SortedLookup {
     #[inline]
-    fn find(&self, key_raw: u64) -> Option<NodeId> {
+    pub fn find(&self, key_raw: u64) -> Option<NodeId> {
         self.table.binary_search_by_key(&key_raw, |&(k, _)| k).ok().map(|i| self.table[i].1)
     }
 
-    fn len(&self) -> usize {
+    pub fn len(&self) -> usize {
         self.table.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.table.is_empty()
     }
 }
 
@@ -76,38 +46,26 @@ mod tests {
     use super::*;
     use bhut_morton::NodeKey;
 
-    fn entries() -> Vec<(u64, NodeId)> {
-        let mut v = Vec::new();
+    #[test]
+    fn finds_every_entry_and_no_other_key() {
+        let mut e = Vec::new();
         for oct in 0..8u8 {
             let k = NodeKey::ROOT.child(oct);
-            v.push((k.raw(), 100 + oct as NodeId));
-            v.push((k.child(3).raw(), 200 + oct as NodeId));
+            e.push((k.raw(), 100 + oct as NodeId));
+            e.push((k.child(3).raw(), 200 + oct as NodeId));
         }
-        v
-    }
-
-    #[test]
-    fn both_schemes_agree() {
-        let e = entries();
-        let h = HashedLookup::new(e.clone());
         let s = SortedLookup::new(e.clone());
-        assert_eq!(h.len(), e.len());
         assert_eq!(s.len(), e.len());
         for (k, id) in &e {
-            assert_eq!(h.find(*k), Some(*id));
             assert_eq!(s.find(*k), Some(*id));
         }
-        let missing = NodeKey::ROOT.child(1).child(1).raw();
-        assert_eq!(h.find(missing), None);
-        assert_eq!(s.find(missing), None);
+        assert_eq!(s.find(NodeKey::ROOT.child(1).child(1).raw()), None);
     }
 
     #[test]
     fn empty_lookup() {
-        let h = HashedLookup::default();
         let s = SortedLookup::default();
-        assert!(h.is_empty() && s.is_empty());
-        assert_eq!(h.find(1), None);
+        assert!(s.is_empty());
         assert_eq!(s.find(1), None);
     }
 

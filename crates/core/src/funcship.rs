@@ -16,7 +16,7 @@
 //! (§4.2.3), computes the contribution of the whole subtree, and returns the
 //! accumulated potential and force (one reply message per request bin).
 
-use crate::branch::{BranchLookup, SortedLookup};
+use crate::branch::SortedLookup;
 use crate::evalcore::{eval_from, eval_owned, EvalEnv, EvalResult};
 use crate::partition::Partition;
 use bhut_geom::Vec3;

@@ -21,8 +21,8 @@
 //! * [`partition`] — the unified [`partition::Partition`] (branch nodes,
 //!   node/particle ownership) that the force engine consumes; builders for
 //!   cluster-based schemes and for costzones.
-//! * [`branch`] — branch-node key lookup: hashed and sorted-table schemes
-//!   (§4.2.3).
+//! * [`branch`] — branch-node key lookup by binary search of a sorted table
+//!   (§4.2.3's second scheme).
 //! * [`evalcore`] — ownership-aware local traversal + remote-subtree service
 //!   evaluation, with the paper's flop accounting.
 //! * [`funcship`] — the function-shipping force computation as a BSP

@@ -43,17 +43,6 @@ pub fn subdomain_to_processor_2d(i: u64, j: u64, d: u32) -> u64 {
     (gray_code(j, dy) << dx) | gray_code(i, dx)
 }
 
-/// SPSA mapping for a 3-D subdomain grid onto a `d`-dimensional hypercube;
-/// the dimensions are split as evenly as possible (`x` gets the remainder
-/// first).
-#[inline]
-pub fn subdomain_to_processor_3d(i: u64, j: u64, k: u64, d: u32) -> u64 {
-    let dx = d.div_ceil(3);
-    let dy = (d + 1) / 3;
-    let dz = d / 3;
-    (gray_code(k, dz) << (dx + dy)) | (gray_code(j, dy) << dx) | gray_code(i, dx)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,22 +117,6 @@ mod tests {
             }
         }
         assert_eq!(seen.len(), 32);
-    }
-
-    #[test]
-    fn mapping_3d_is_bijective() {
-        // d=6: 64 processors as 4×4×4.
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..4u64 {
-            for j in 0..4u64 {
-                for k in 0..4u64 {
-                    let p = subdomain_to_processor_3d(i, j, k, 6);
-                    assert!(p < 64);
-                    assert!(seen.insert(p));
-                }
-            }
-        }
-        assert_eq!(seen.len(), 64);
     }
 
     proptest! {

@@ -2,14 +2,12 @@
 //!
 //! The Costzones scheme of Singh et al. (the shared-memory ancestor of DPDA,
 //! §1 and §3.3.3) uses a Peano–Hilbert ordering; the paper's SPDA uses Morton
-//! instead. We provide Hilbert indices so the `bench_ordering` ablation can
-//! compare the two curve choices for cluster assignment: Hilbert has strictly
-//! better worst-case locality (no long Z jumps) at a slightly higher
-//! per-index cost.
+//! instead. `Curve::Hilbert` orders SPDA's 2-D cluster grid with
+//! [`hilbert_index_2d`], and `tables --artifact ablations` compares the two
+//! curves in simulated seconds: Hilbert has strictly better worst-case
+//! locality (no long Z jumps) at a slightly higher per-index cost.
 //!
-//! 2-D uses the classic rotation-based algorithm; 3-D uses Skilling's
-//! transpose construction (J. Skilling, "Programming the Hilbert curve",
-//! AIP Conf. Proc. 707, 2004).
+//! The index uses the classic rotation-based algorithm.
 
 /// Hilbert index of cell `(x, y)` on a `2^order × 2^order` grid.
 pub fn hilbert_index_2d(mut x: u32, mut y: u32, order: u32) -> u64 {
@@ -56,62 +54,6 @@ fn rot_2d(s: u32, x: &mut u32, y: &mut u32, rx: u32, ry: u32) {
     }
 }
 
-/// Hilbert index of cell `(x, y, z)` on a `2^order` cube, via Skilling's
-/// transpose algorithm: convert axes to transposed Hilbert form, then
-/// interleave.
-pub fn hilbert_index_3d(x: u32, y: u32, z: u32, order: u32) -> u64 {
-    debug_assert!(order <= 21);
-    let mut axes = [x, y, z];
-    axes_to_transpose(&mut axes, order);
-    // Interleave bit-planes: bit b of axes[i] becomes bit (3*b + (2 - i)).
-    let mut key: u64 = 0;
-    for b in 0..order {
-        for (i, &a) in axes.iter().enumerate() {
-            let bit = ((a >> b) & 1) as u64;
-            key |= bit << (3 * b + (2 - i as u32));
-        }
-    }
-    key
-}
-
-/// Skilling's AxestoTranspose for n=3 dimensions.
-fn axes_to_transpose(x: &mut [u32; 3], bits: u32) {
-    if bits == 0 {
-        return;
-    }
-    let n = 3;
-    let mut q: u32 = 1 << (bits - 1);
-    // Inverse undo
-    while q > 1 {
-        let p = q - 1;
-        for i in 0..n {
-            if x[i] & q != 0 {
-                x[0] ^= p; // invert
-            } else {
-                let t = (x[0] ^ x[i]) & p;
-                x[0] ^= t;
-                x[i] ^= t;
-            }
-        }
-        q >>= 1;
-    }
-    // Gray encode
-    for i in 1..n {
-        x[i] ^= x[i - 1];
-    }
-    let mut t: u32 = 0;
-    q = 1 << (bits - 1);
-    while q > 1 {
-        if x[n - 1] & q != 0 {
-            t ^= q - 1;
-        }
-        q >>= 1;
-    }
-    for xi in x.iter_mut() {
-        *xi ^= t;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,25 +86,6 @@ mod tests {
         assert_eq!(idx, (0..(n as u64 * n as u64)).collect::<Vec<_>>());
     }
 
-    #[test]
-    fn hilbert_3d_is_a_permutation_and_adjacent() {
-        let order = 3;
-        let n = 1u32 << order;
-        let mut cells: Vec<(u32, u32, u32)> =
-            (0..n).flat_map(|z| (0..n).flat_map(move |y| (0..n).map(move |x| (x, y, z)))).collect();
-        cells.sort_by_key(|&(x, y, z)| hilbert_index_3d(x, y, z, order));
-        for w in cells.windows(2) {
-            let ((x0, y0, z0), (x1, y1, z1)) = (w[0], w[1]);
-            let d = (x0 as i64 - x1 as i64).abs()
-                + (y0 as i64 - y1 as i64).abs()
-                + (z0 as i64 - z1 as i64).abs();
-            assert_eq!(d, 1, "non-adjacent 3d step {:?} -> {:?}", w[0], w[1]);
-        }
-        let idx: Vec<u64> =
-            cells.iter().map(|&(x, y, z)| hilbert_index_3d(x, y, z, order)).collect();
-        assert_eq!(idx, (0..(n as u64).pow(3)).collect::<Vec<_>>());
-    }
-
     proptest! {
         #[test]
         fn hilbert_2d_roundtrip(x in 0u32..(1<<10), y in 0u32..(1<<10)) {
@@ -173,11 +96,6 @@ mod tests {
         #[test]
         fn hilbert_2d_in_range(x in 0u32..(1<<8), y in 0u32..(1<<8)) {
             prop_assert!(hilbert_index_2d(x, y, 8) < (1u64 << 16));
-        }
-
-        #[test]
-        fn hilbert_3d_in_range(x in 0u32..(1<<7), y in 0u32..(1<<7), z in 0u32..(1<<7)) {
-            prop_assert!(hilbert_index_3d(x, y, z, 7) < (1u64 << 21));
         }
     }
 }

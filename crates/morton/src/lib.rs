@@ -9,7 +9,8 @@
 //!   of SPSA (§3.3.1): subdomain `(i, j)` goes to processor
 //!   `(gray(i, d/2), gray(j, d/2))` on a `d`-dimensional hypercube.
 //! * [`hilbert`] — the Peano–Hilbert ordering used by the Costzones scheme of
-//!   Singh et al., provided for comparison (`bench_ordering`).
+//!   Singh et al., SPDA's alternative cluster order (`Curve::Hilbert`; the
+//!   `ablations` artifact of `tables` compares the two curves).
 //! * [`keys`] — Warren–Salmon style *node path keys* (level-prefixed Morton
 //!   paths); the function-shipping protocol stamps each branch node with one
 //!   so remote processors can name it in O(1).
@@ -21,9 +22,7 @@ pub mod hilbert;
 pub mod keys;
 pub mod morton;
 
-pub use gray::{
-    gray_code, gray_code_inverse, subdomain_to_processor_2d, subdomain_to_processor_3d,
-};
-pub use hilbert::{hilbert_index_2d, hilbert_index_3d, hilbert_xy_from_index_2d};
+pub use gray::{gray_code, gray_code_inverse, subdomain_to_processor_2d};
+pub use hilbert::{hilbert_index_2d, hilbert_xy_from_index_2d};
 pub use keys::NodeKey;
-pub use morton::{decode_2d, decode_3d, encode_2d, encode_3d, morton_order_2d, morton_order_3d};
+pub use morton::{decode_2d, decode_3d, encode_2d, encode_3d};

@@ -89,23 +89,6 @@ pub fn decode_3d(key: u64) -> (u32, u32, u32) {
     (compact1by2(key), compact1by2(key >> 1), compact1by2(key >> 2))
 }
 
-/// The permutation of an `n×n` 2-D cluster grid in Morton order: element `k`
-/// of the result is the `(col, row)` of the `k`-th cluster along the Z-curve.
-/// This is the "sorted list" the SPDA scheme computes once up front.
-pub fn morton_order_2d(n: u32) -> Vec<(u32, u32)> {
-    let mut cells: Vec<(u32, u32)> = (0..n).flat_map(|y| (0..n).map(move |x| (x, y))).collect();
-    cells.sort_by_key(|&(x, y)| encode_2d(x, y));
-    cells
-}
-
-/// The permutation of an `n×n×n` 3-D cluster grid in Morton order.
-pub fn morton_order_3d(n: u32) -> Vec<(u32, u32, u32)> {
-    let mut cells: Vec<(u32, u32, u32)> =
-        (0..n).flat_map(|z| (0..n).flat_map(move |y| (0..n).map(move |x| (x, y, z)))).collect();
-    cells.sort_by_key(|&(x, y, z)| encode_3d(x, y, z));
-    cells
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,47 +112,6 @@ mod tests {
         assert_eq!(encode_3d(0, 0, 1), 0b100);
         assert_eq!(encode_3d(1, 1, 1), 0b111);
         assert_eq!(encode_3d(2, 0, 0), 0b001_000);
-    }
-
-    #[test]
-    fn morton_order_2d_is_z_curve() {
-        // 2×2 grid: Z order is (0,0), (1,0), (0,1), (1,1).
-        assert_eq!(morton_order_2d(2), vec![(0, 0), (1, 0), (0, 1), (1, 1)]);
-        // 4×4: the first quadrant (2×2 block) comes first.
-        let o = morton_order_2d(4);
-        assert_eq!(&o[..4], &[(0, 0), (1, 0), (0, 1), (1, 1)]);
-        assert_eq!(&o[4..8], &[(2, 0), (3, 0), (2, 1), (3, 1)]);
-        assert_eq!(o.len(), 16);
-    }
-
-    #[test]
-    fn morton_order_3d_is_octant_recursive() {
-        let o = morton_order_3d(2);
-        assert_eq!(
-            o,
-            vec![
-                (0, 0, 0),
-                (1, 0, 0),
-                (0, 1, 0),
-                (1, 1, 0),
-                (0, 0, 1),
-                (1, 0, 1),
-                (0, 1, 1),
-                (1, 1, 1)
-            ]
-        );
-    }
-
-    #[test]
-    fn morton_order_is_a_permutation() {
-        let o = morton_order_2d(8);
-        let mut seen = [false; 64];
-        for (x, y) in o {
-            let idx = (y * 8 + x) as usize;
-            assert!(!seen[idx]);
-            seen[idx] = true;
-        }
-        assert!(seen.iter().all(|&b| b));
     }
 
     proptest! {

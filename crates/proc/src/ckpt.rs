@@ -135,30 +135,31 @@ impl CkptStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use bhut_geom::Vec3;
 
     fn particle(id: u32) -> Particle {
         Particle::new(id, 1.0 + id as f64, Vec3::new(id as f64, 0.5, -1.0), Vec3::ZERO)
     }
 
-    fn tmp_store(name: &str) -> CkptStore {
-        let dir = std::env::temp_dir().join(format!("bhut_ckpt_store_{name}"));
-        std::fs::remove_dir_all(&dir).ok();
-        CkptStore::new(dir)
+    /// A store in a fresh directory, removed when the guard drops.
+    fn tmp_store(name: &str) -> (ScratchDir, CkptStore) {
+        let dir = ScratchDir::new(&format!("ckpt_store_{name}"));
+        let store = CkptStore::new(dir.path());
+        (dir, store)
     }
 
     #[test]
     fn empty_or_missing_dir_has_no_epoch() {
-        let store = tmp_store("empty");
+        let (_dir, store) = tmp_store("empty");
         assert_eq!(store.latest_complete_epoch(), None);
         std::fs::create_dir_all(store.dir()).unwrap();
         assert_eq!(store.latest_complete_epoch(), None);
-        std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
     fn complete_epochs_win_over_newer_incomplete_ones() {
-        let store = tmp_store("incomplete");
+        let (_dir, store) = tmp_store("incomplete");
         for rank in 0..3 {
             store.write_shard(2, rank, 3, &[particle(rank as u32)]).unwrap();
         }
@@ -190,12 +191,11 @@ mod tests {
         store.write_shard(8, 0, 0, &[]).unwrap();
         assert_eq!(store.latest_complete_epoch(), Some((6, 2)));
         assert_eq!(store.complete_epochs(), 2);
-        std::fs::remove_dir_all(store.dir()).ok();
     }
 
     #[test]
     fn load_epoch_roundtrips_shards_bitwise() {
-        let store = tmp_store("roundtrip");
+        let (_dir, store) = tmp_store("roundtrip");
         let owned: Vec<Vec<Particle>> =
             vec![vec![particle(0), particle(2)], vec![], vec![particle(1)]];
         for (rank, shard) in owned.iter().enumerate() {
@@ -209,6 +209,5 @@ mod tests {
             assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
             assert_eq!(a.mass.to_bits(), b.mass.to_bits());
         }
-        std::fs::remove_dir_all(store.dir()).ok();
     }
 }

@@ -31,6 +31,8 @@ pub mod collectives;
 pub mod fault;
 pub mod launch;
 pub mod rank;
+#[cfg(test)]
+mod scratch;
 pub mod transport;
 pub mod wire;
 

@@ -660,8 +660,8 @@ mod tests {
         use std::time::Duration;
 
         for scheme in [Scheme::Spsa, Scheme::Spda, Scheme::Dpda] {
-            let dir = std::env::temp_dir().join(format!("bhut_resume_test_{scheme:?}"));
-            std::fs::remove_dir_all(&dir).ok();
+            let scratch = crate::scratch::ScratchDir::new(&format!("resume_test_{scheme:?}"));
+            let dir = scratch.path();
 
             let reference = run_scheme(scheme, 4, small());
             let (ref_parts, ref_forces) = by_id(&reference);
@@ -692,7 +692,7 @@ mod tests {
                 assert!(h.join().expect("no panic").is_err(), "{scheme:?}: rank survived kill");
             }
             assert_eq!(
-                crate::ckpt::CkptStore::new(&dir).latest_complete_epoch(),
+                crate::ckpt::CkptStore::new(dir).latest_complete_epoch(),
                 Some((1, 4)),
                 "{scheme:?}: epoch 1 must be complete after the step-1 kill"
             );
@@ -727,7 +727,6 @@ mod tests {
                 assert_eq!(q.pos.x.to_bits(), r.pos.x.to_bits(), "{scheme:?} id {id} degraded");
                 assert_eq!(q.vel.z.to_bits(), r.vel.z.to_bits());
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 
@@ -735,10 +734,9 @@ mod tests {
     /// reports complete owned state (and non-empty forces).
     #[test]
     fn resume_past_the_end_still_reports() {
-        let dir = std::env::temp_dir().join("bhut_resume_past_end");
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = crate::scratch::ScratchDir::new("resume_past_end");
         let cfg = ProcConfig {
-            ckpt_dir: Some(dir.to_string_lossy().into_owned()),
+            ckpt_dir: Some(dir.path().to_string_lossy().into_owned()),
             ckpt_every: 1,
             ..small()
         };
@@ -753,7 +751,6 @@ mod tests {
         for (id, q) in &parts {
             assert_eq!(q.pos.x.to_bits(), ref_parts[id].pos.x.to_bits());
         }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

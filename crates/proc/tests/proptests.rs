@@ -21,7 +21,7 @@ use bhut_proc::{
 };
 use bhut_sim::snapshot::{load_checkpoint, load_snapshot, save_snapshot};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::OnceLock;
 use std::time::Duration;
 
@@ -451,11 +451,14 @@ proptest! {
     }
 }
 
-/// A fresh scratch directory for one test of this binary.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("bhut_proptest_{name}"));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
+#[path = "../src/scratch.rs"]
+mod scratch;
+use scratch::ScratchDir;
+
+/// A fresh, empty scratch directory, removed when the guard drops.
+fn scratch_dir(name: &str) -> ScratchDir {
+    let dir = ScratchDir::new(&format!("proptest_{name}"));
+    std::fs::create_dir_all(dir.path()).unwrap();
     dir
 }
 
@@ -483,16 +486,14 @@ fn pristine() -> &'static Pristine {
     static FILES: OnceLock<Pristine> = OnceLock::new();
     FILES.get_or_init(|| {
         let dir = scratch_dir("pristine");
-        let store = CkptStore::new(&dir);
+        let store = CkptStore::new(dir.path());
         store.write_shard(2, 1, 2, &shard_particles(1)).unwrap();
-        let snap = dir.join("snap.json");
+        let snap = dir.path().join("snap.json");
         save_snapshot(&snap, 1.5, &ParticleSet::new(shard_particles(0))).unwrap();
-        let files = Pristine {
+        Pristine {
             shard: std::fs::read(store.shard_path(2, 1, 2)).unwrap(),
             snapshot: std::fs::read(&snap).unwrap(),
-        };
-        std::fs::remove_dir_all(&dir).ok();
-        files
+        }
     })
 }
 
@@ -545,19 +546,15 @@ proptest! {
     fn damaged_checkpoints_and_snapshots_load_or_err_and_never_complete_an_epoch(
         edits in prop::collection::vec((any::<u16>(), 0u8..4, any::<u8>()), 1..8),
     ) {
-        // Epoch 1 complete, epoch 2 missing only the shard each case damages.
-        static DIR: OnceLock<PathBuf> = OnceLock::new();
-        let dir = DIR.get_or_init(|| {
-            let dir = scratch_dir("damaged");
-            let store = CkptStore::new(dir.join("ckpt"));
-            for rank in 0..2 {
-                store.write_shard(1, rank, 2, &shard_particles(rank as u32)).unwrap();
-            }
-            store.write_shard(2, 0, 2, &shard_particles(0)).unwrap();
-            dir
-        });
-        let files = pristine();
+        // Epoch 1 complete, epoch 2 missing only the shard this case damages.
+        let scratch = scratch_dir("damaged");
+        let dir = scratch.path();
         let store = CkptStore::new(dir.join("ckpt"));
+        for rank in 0..2 {
+            store.write_shard(1, rank, 2, &shard_particles(rank as u32)).unwrap();
+        }
+        store.write_shard(2, 0, 2, &shard_particles(0)).unwrap();
+        let files = pristine();
         let damaged = store.shard_path(2, 1, 2);
         std::fs::write(&damaged, mutate(files.shard.clone(), &edits)).unwrap();
 
@@ -582,7 +579,8 @@ proptest! {
 /// with no bound, would overflow the stack and abort the process instead.
 #[test]
 fn deep_nesting_is_an_error_for_every_json_reader() {
-    let dir = scratch_dir("deep");
+    let scratch = scratch_dir("deep");
+    let dir = scratch.path();
     let marker = bhut_sim::snapshot::CHECKPOINT_MARKER;
     for text in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
         assert!(StepProfile::from_json(&text).is_err());
@@ -593,5 +591,4 @@ fn deep_nesting_is_an_error_for_every_json_reader() {
         std::fs::write(&ckpt, text + marker).unwrap();
         assert!(load_checkpoint(&ckpt).is_err());
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
