@@ -40,7 +40,8 @@ pub mod phase {
     pub const KERNEL: &str = "kernel";
     /// Fused walk+kernel evaluation: degree > 0's per-target walk.
     pub const EVAL: &str = "eval";
-    /// Main-thread scatter of per-worker staged results.
+    /// Main-thread reordering of the results: the executor's in-place
+    /// permutation of its outputs from tree order into id order.
     pub const SCATTER: &str = "scatter";
     /// Simulated: local tree construction (includes partitioning).
     pub const LOCAL_TREE: &str = "local_tree";

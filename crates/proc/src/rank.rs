@@ -398,7 +398,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         // its costzones from it below; it is freed before the migration.
         let tree = sim.build_tree(&all);
         let t_built = now();
-        let fr = sim.compute_forces_on(&tree, &all, &active, true);
+        let mut fr = sim.compute_forces_on(&tree, &all, &active, true);
         let t_force = now();
         if step + 1 == cfg.steps {
             last_forces = owned
@@ -410,6 +410,10 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         // ---- update: leapfrog the owned rows ----------------------------
         kick_drift_owned(&mut owned, &fr.accels, cfg.dt);
         let t_upd = now();
+        // The replicated state and the n force rows are read: free them
+        // before the load balance, keeping only the evaluation's profile.
+        let sub = fr.profile.take();
+        drop((all, fr));
 
         // ---- load_balance: scheme-specific reassignment + migration -----
         let weights = sim.work_weights().expect("weights exist after a force step");
@@ -443,18 +447,18 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         // The migration buffers must not sit on top of the tree in peak RSS.
         drop(tree);
 
+        // Partition `owned` in place: the kept particles stay, in order.
         let mut bins: Vec<Vec<Particle>> = vec![Vec::new(); p];
-        let mut keep = Vec::with_capacity(owned.len());
-        for (q, &dest) in owned.iter().zip(&new_owner) {
-            if dest == rank {
-                keep.push(*q);
-            } else {
+        let mut dests = new_owner.iter();
+        owned.retain(|q| match *dests.next().expect("one owner per owned particle") {
+            dest if dest == rank => true,
+            dest => {
                 bins[dest].push(*q);
+                false
             }
-        }
+        });
         let outgoing: Vec<Vec<u8>> = bins.iter().map(|b| encode_particles(b)).collect();
         let incoming = exchange(t, tags::MIGRATE, &outgoing)?;
-        owned = keep;
         for bytes in &incoming {
             owned.extend(particle_records(bytes).map_err(protocol)?);
         }
@@ -491,7 +495,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         // executor's own sub-phase profile (expansion build / walk /
         // kernel); an evaluation that recorded no time there has zero
         // totals, and its whole interval lands under `force`.
-        let sub = fr.profile.as_ref();
+        let sub = sub.as_ref();
         let b = sub.map_or(0.0, |pr| pr.phase_total(phase::BUILD));
         let wk = sub.map_or(0.0, |pr| pr.phase_total(phase::WALK) + pr.phase_total(phase::EVAL));
         let k = sub.map_or(0.0, |pr| pr.phase_total(phase::KERNEL));

@@ -16,6 +16,11 @@ pub mod leapfrog;
 pub mod simulation;
 pub mod snapshot;
 
+// The process mesh's scratch directories for tests, shared by path.
+#[cfg(test)]
+#[path = "../../proc/src/scratch.rs"]
+mod scratch;
+
 pub use diagnostics::{Diagnostics, EnergyReport};
 pub use leapfrog::{drift, kick, kick_drift_owned};
 pub use simulation::{Simulation, SimulationConfig, StepReport};

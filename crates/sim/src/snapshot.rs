@@ -140,14 +140,21 @@ pub fn write_positions_csv(out: &mut impl Write, particles: &ParticleSet) -> io:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scratch::ScratchDir;
     use bhut_geom::{plummer, PlummerSpec};
+
+    /// A fresh, empty scratch directory, removed when the guard drops.
+    fn scratch_dir(name: &str) -> ScratchDir {
+        let dir = ScratchDir::new(name);
+        std::fs::create_dir_all(dir.path()).unwrap();
+        dir
+    }
 
     #[test]
     fn snapshot_roundtrip() {
         let set = plummer(PlummerSpec { n: 50, seed: 3, ..Default::default() });
-        let dir = std::env::temp_dir().join("bhut_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
+        let dir = scratch_dir("snapshot_test");
+        let path = dir.path().join("snap.json");
         save_snapshot(&path, 1.25, &set).unwrap();
         let snap = load_snapshot(&path).unwrap();
         assert_eq!(snap.time, 1.25);
@@ -159,7 +166,6 @@ mod tests {
             assert!(a.pos.dist(b.pos) < 1e-12 * (1.0 + b.pos.norm()));
             assert!(a.vel.dist(b.vel) < 1e-12 * (1.0 + b.vel.norm()));
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -179,9 +185,8 @@ mod tests {
         let rungs: Vec<u32> = (0..set.len() as u32).map(|i| i % 4).collect();
         let snap =
             Snapshot { time: 0.75, particles: set, rungs: Some(rungs.clone()), config: Some(cfg) };
-        let dir = std::env::temp_dir().join("bhut_snapshot_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap_full.json");
+        let dir = scratch_dir("snapshot_test");
+        let path = dir.path().join("snap_full.json");
         save_snapshot_state(&path, &snap).unwrap();
         let back = load_snapshot(&path).unwrap();
         assert_eq!(back.time, snap.time);
@@ -189,7 +194,6 @@ mod tests {
         let got = back.config.expect("config survives the round trip");
         assert_eq!(got.timestep, cfg.timestep);
         assert_eq!(got.threads, cfg.threads);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -231,9 +235,8 @@ mod tests {
         assert_eq!(parse(with_degree(MAX_DEGREE)).unwrap().degree, MAX_DEGREE);
         assert_eq!(parse(with_rung(MAX_RUNG)).unwrap().timestep, with_rung(MAX_RUNG).timestep);
         let set = plummer(PlummerSpec { n: 4, seed: 9, ..Default::default() });
-        let dir = std::env::temp_dir().join("bhut_snapshot_degree_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("snap.json");
+        let dir = scratch_dir("snapshot_degree_test");
+        let path = dir.path().join("snap.json");
         for (config, names) in [
             (with_degree(MAX_DEGREE + 1), format!("degree {}", MAX_DEGREE + 1)),
             (with_rung(MAX_RUNG + 1), format!("`max_rung` {}", MAX_RUNG + 1)),
@@ -260,15 +263,13 @@ mod tests {
         assert_ne!(huge, json);
         let err = serde_json::from_str::<SimulationConfig>(&huge).unwrap_err().to_string();
         assert!(err.contains("`alpha` inf"), "{err}");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn checkpoint_roundtrips_and_leaves_no_temp_files() {
         let set = plummer(PlummerSpec { n: 12, seed: 7, ..Default::default() });
-        let dir = std::env::temp_dir().join("bhut_ckpt_marker_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("epoch.ckpt");
+        let dir = scratch_dir("ckpt_marker_test");
+        let path = dir.path().join("epoch.ckpt");
         let snap = Snapshot { time: 0.5, particles: set, rungs: None, config: None };
         save_checkpoint(&path, &snap).unwrap();
         let back = load_checkpoint(&path).unwrap();
@@ -280,21 +281,19 @@ mod tests {
             assert_eq!(a.vel.z.to_bits(), b.vel.z.to_bits());
             assert_eq!(a.mass.to_bits(), b.mass.to_bits());
         }
-        let leftovers: Vec<_> = std::fs::read_dir(&dir)
+        let leftovers: Vec<_> = std::fs::read_dir(dir.path())
             .unwrap()
             .filter_map(|e| e.ok())
             .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
             .collect();
         assert!(leftovers.is_empty(), "temp files must be renamed away");
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn torn_checkpoint_is_refused() {
         let set = plummer(PlummerSpec { n: 6, seed: 11, ..Default::default() });
-        let dir = std::env::temp_dir().join("bhut_ckpt_torn_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("torn.ckpt");
+        let dir = scratch_dir("ckpt_torn_test");
+        let path = dir.path().join("torn.ckpt");
         let snap = Snapshot { time: 0.25, particles: set, rungs: None, config: None };
         save_checkpoint(&path, &snap).unwrap();
         // Simulate a torn write: truncate the tail (losing the marker, and
@@ -306,7 +305,6 @@ mod tests {
         // Even a file that is valid JSON but lacks the marker is refused.
         save_snapshot_state(&path, &snap).unwrap();
         assert!(load_checkpoint(&path).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

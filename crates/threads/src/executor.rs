@@ -1,4 +1,14 @@
 //! The shared-memory force executor.
+//!
+//! One dispatch serves every degree. The walk units of
+//! [`bhut_tree::group::leaf_schedule`] are split into costzones, one per
+//! worker, and a worker that empties its zone takes units off the back of
+//! the others'. The outputs are written in place in tree order: a unit's
+//! members are a contiguous range of [`Tree::order`], so each unit owns one
+//! disjoint slice of each output, taken once by whichever worker claims the
+//! unit. Two workers share a cache line only where their units meet. After
+//! the join, one in-place permutation ([`Tree::permute_from_order`]) puts
+//! the outputs in id order; nothing is staged per worker.
 
 use crate::pool::{fork_join, Claims, ZoneCursors};
 use bhut_geom::{Particle, Vec3};
@@ -17,16 +27,18 @@ use std::sync::Mutex;
 /// How particles are distributed over threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Partitioning {
-    /// Costzones over the Morton-ordered sequence, weighted by the previous
-    /// step's measured per-particle interaction counts (by population before
-    /// any are measured); a worker whose zone is empty takes units off the
-    /// back of the others'. The only value; removed by ROADMAP direction
-    /// 3(e).
+    /// Costzones over the Morton-ordered walk units (every degree), weighted
+    /// by the previous step's measured per-particle interaction counts (by
+    /// population before any are measured); a worker whose zone is empty
+    /// takes units off the back of the others'. The only value; removed by
+    /// ROADMAP direction 3(e).
     MortonZones,
 }
 
-/// How monopole forces are evaluated once the tree is built (degree > 0
-/// always walks per target, through [`MultipoleTree::eval`]).
+/// How a unit's members are evaluated once the tree is built. Every degree
+/// runs on the same unit schedule and writes its rows the same way; the
+/// monopole takes the grouped walk below, degree > 0 walks each member
+/// through [`MultipoleTree::eval`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EvalMode {
     /// One tree walk per unit of [`bhut_tree::group::leaf_schedule`] (a
@@ -51,8 +63,8 @@ pub struct ThreadConfig {
     /// direction 3(e).
     pub partitioning: Partitioning,
     /// [`EvalMode::Grouped`], the only value; removed by ROADMAP direction
-    /// 3(e). The degree picks the path: the monopole takes the group sweep,
-    /// degree > 0 walks per target.
+    /// 3(e). The degree picks the evaluation of a unit's members: the
+    /// monopole takes the group sweep, degree > 0 walks per target.
     pub eval_mode: EvalMode,
     /// [`KernelPrecision::F64`], the only value; removed by ROADMAP
     /// direction 3(e).
@@ -86,7 +98,9 @@ impl Default for ThreadConfig {
     }
 }
 
-/// One force computation's output.
+/// One force computation's output. `accels` and `potentials` are indexed
+/// by particle id: the workers write them in tree order, and one in-place
+/// permutation (the profile's `scatter` span) reorders them after the join.
 #[derive(Debug, Clone, Default)]
 pub struct ForceResult {
     pub accels: Vec<Vec3>,
@@ -121,26 +135,36 @@ impl ForceResult {
     }
 }
 
-/// Per-thread evaluation scratch, reused across steps: the grouped walk's
-/// SoA slabs plus the output staging area each worker fills before the main
-/// thread scatters results. One entry per thread, so locks are uncontended.
-#[derive(Default)]
-struct Scratch {
-    buf: InteractionBuffers,
-    out: Vec<Row>,
+/// One schedule unit's rows of the three outputs, which the sweep fills in
+/// tree order: the members of a unit are a contiguous range of
+/// [`Tree::order`], so its rows are one disjoint slice of each output.
+/// Whichever worker claims the unit takes them, once.
+struct UnitRows<'a> {
+    accels: &'a mut [Vec3],
+    potentials: &'a mut [f64],
+    work: &'a mut [u64],
 }
 
-/// One staged result: `(id, interactions, potential, acceleration)`. The
-/// count is a `u32` so that a row packs into 40 bytes, not 48: a worker that
-/// steals stages more than its own zone's rows, and every worker keeps its
-/// high-water mark between steps.
-type Row = (u32, u32, f64, Vec3);
+impl UnitRows<'_> {
+    fn write(&mut self, k: usize, phi: f64, acc: Vec3, interactions: u64) {
+        (self.accels[k], self.potentials[k], self.work[k]) = (acc, phi, interactions);
+    }
+}
 
-/// A target's interaction count as a staged row holds it: at most one per
-/// source body or node, far below `u32::MAX` for any set that fits in
-/// memory.
-fn row_count(it: u64) -> u32 {
-    u32::try_from(it).expect("a target's interaction count fits u32")
+/// Split `all` into the rows of each unit, in schedule order; a masked
+/// schedule skips the rows of the units it leaves out.
+fn carve<'a, T>(mut all: &'a mut [T], tree: &Tree, units: &[NodeId]) -> Vec<&'a mut [T]> {
+    let mut at = 0;
+    units
+        .iter()
+        .map(|&u| {
+            let n = tree.node(u);
+            let (start, end) = (n.start as usize, n.end as usize);
+            let (rows, rest) = std::mem::take(&mut all)[start - at..].split_at_mut(end - start);
+            (all, at) = (rest, end);
+            rows
+        })
+        .collect()
 }
 
 /// Per-worker clock readings from one profiled force computation: the
@@ -166,17 +190,21 @@ struct ZoneWork {
 
 /// A reusable shared-memory simulator; carries per-particle work weights
 /// across steps (the costzones weights) and per-thread evaluation scratch
-/// across steps.
+/// across steps. Nothing is staged per target: the workers fill the outputs
+/// in place.
 pub struct ThreadSim {
     pub config: ThreadConfig,
     prev_work: Option<Vec<u64>>,
-    scratch: Vec<Mutex<Scratch>>,
+    /// The grouped walk's SoA slabs, one set per thread, so locks are
+    /// uncontended.
+    scratch: Vec<Mutex<InteractionBuffers>>,
 }
 
 impl ThreadSim {
     pub fn new(config: ThreadConfig) -> Self {
         assert!(config.threads > 0);
-        let scratch = (0..config.threads).map(|_| Mutex::new(Scratch::default())).collect();
+        let scratch =
+            (0..config.threads).map(|_| Mutex::new(InteractionBuffers::default())).collect();
         ThreadSim { config, prev_work: None, scratch }
     }
 
@@ -196,7 +224,8 @@ impl ThreadSim {
     }
 
     /// [`ThreadSim::compute_forces`] plus a phase-level [`StepProfile`]:
-    /// per-worker build/walk/kernel/scatter spans and work counters. Results
+    /// per-worker build/walk/kernel spans (eval for degree > 0), the
+    /// scatter span (the permutation into id order) and work counters. Results
     /// are identical to the unprofiled call; only wall-clock reads are added.
     pub fn compute_forces_profiled(&mut self, particles: &[Particle]) -> ForceResult {
         self.compute(particles, true, None)
@@ -282,63 +311,94 @@ impl ThreadSim {
         // Threads may have been reconfigured since `new`; grow the scratch
         // pool to match (never shrink — capacity is cheap).
         while self.scratch.len() < cfg.threads {
-            self.scratch.push(Mutex::new(Scratch::default()));
+            self.scratch.push(Mutex::new(InteractionBuffers::default()));
         }
         let scratch = &self.scratch;
 
-        // Costzones weights are only valid while the particle set has the
-        // same cardinality (ids are positional).
-        let zone_work = self.prev_work.as_deref().filter(|w| w.len() == n);
+        // A masked run schedules only units holding at least one active
+        // member; the walks themselves still see every source.
+        let units = match mask {
+            Some(m) => leaf_schedule_active(tree, m),
+            None => leaf_schedule(tree),
+        };
+        // Costzones: weight each unit by its members' measured work from the
+        // previous step, or by its population before any. The weights are
+        // only valid while the particle set has the same cardinality (ids
+        // are positional).
+        let prev_work = self.prev_work.take().filter(|w| w.len() == n);
+        let weight = |&u: &NodeId| match &prev_work {
+            Some(w) => tree.particles_under(u).iter().map(|&pi| w[pi as usize] + 1).sum(),
+            None => tree.node(u).count() as u64,
+        };
+        let weights = units.iter().map(weight).collect();
 
-        // Every worker may stage any target's row (which units it steals is
-        // decided as it runs), so each reserves room for all of them once:
-        // stolen rows never regrow a staging buffer mid-sweep, and capacity
-        // that is never written costs address space, not resident memory.
-        let targets = active.filter(|a| !a.is_full()).map_or(n, |a| a.count());
-        for s in &scratch[..cfg.threads] {
-            s.lock().expect("no worker runs between evaluations").out.reserve_exact(targets);
-        }
+        // The outputs, in tree order until the permutation after the join.
+        // A full run writes every row, so it takes the previous weights'
+        // buffer, read above; a masked run keeps them for its inactive rows.
+        let (mut work, prev_work) = match (mask, prev_work) {
+            (None, Some(w)) => (w, None),
+            (_, prev) => (vec![0u64; n], prev),
+        };
+        let mut accels = vec![Vec3::ZERO; n];
+        let mut potentials = vec![0.0f64; n];
+        // One slot per unit: whichever worker claims the unit takes its rows.
+        let slots: Vec<Mutex<Option<UnitRows>>> = carve(&mut accels, tree, &units)
+            .into_iter()
+            .zip(carve(&mut potentials, tree, &units))
+            .zip(carve(&mut work, tree, &units))
+            .map(|((accels, potentials), work)| {
+                Mutex::new(Some(UnitRows { accels, potentials, work }))
+            })
+            .collect();
 
-        // Workers stage results in their own scratch; the main thread
-        // scatters after the join, so no shared result locks exist.
-        let (zones, obs): (Vec<ZoneWork>, Vec<WorkerObs>) = match &mtree {
-            // The monopole: the group sweep.
-            None => {
-                // A masked run schedules only units holding at least one
-                // active member; the walks themselves still see every source.
-                let units = match mask {
-                    Some(m) => leaf_schedule_active(tree, m),
-                    None => leaf_schedule(tree),
-                };
-                // The one unit loop: gather → eval per unit into this
-                // thread's scratch, crediting each unit's work to its zone.
-                // A profiled run additionally splits the gather's clock
-                // (WALK) from the evaluation's (KERNEL: the mixed-frontier
-                // replay and the slab kernels) and harvests the
-                // classification counters; the force arithmetic is the same.
-                let run_range =
-                    |t: usize, claims: Claims<'_>, zones: &mut [ZoneWork], w: &mut WorkerObs| {
-                        let mut s = scratch[t].lock().unwrap();
-                        let Scratch { buf, out } = &mut *s;
-                        if profiled {
-                            // Discard lane counts a previous unprofiled run may
-                            // have left in this scratch.
-                            buf.take_lane_counters();
-                        }
-                        // The sweep holds the tree, the particles and this
-                        // thread's slabs for every unit the worker runs (its
-                        // zone front to back, then any it steals back to front),
-                        // so each unit is gathered through the ancestor levels
-                        // it shares with the one before instead of from the
-                        // root; a gather is the same bits in any unit order.
-                        let mut sweep = GroupSweep::new(tree, particles, &mac, buf);
-                        for (zone, i) in claims {
-                            let unit = units[i];
+        // The one unit loop, for every degree: per unit, take its rows,
+        // evaluate its targets into them, and credit its work to its zone.
+        // The monopole gathers the unit once and evaluates every member
+        // against the slabs; a profiled run additionally splits the gather's
+        // clock (WALK) from the evaluation's (KERNEL: the mixed-frontier
+        // replay and the slab kernels) and harvests the classification
+        // counters, with the same force arithmetic. Degree > 0 walks each
+        // member through `MultipoleTree::eval`.
+        let run_range =
+            |t: usize, claims: Claims<'_>, zones: &mut [ZoneWork], w: &mut WorkerObs| {
+                let mut buf = scratch[t].lock().expect("one worker per slab set");
+                if profiled {
+                    // Discard lane counts a previous unprofiled run may have left
+                    // in this scratch.
+                    buf.take_lane_counters();
+                }
+                // The sweep holds the tree, the particles and this thread's slabs
+                // for every unit the worker runs (its zone front to back, then any
+                // it steals back to front), so each unit is gathered through the
+                // ancestor levels it shares with the one before instead of from
+                // the root; a gather is the same bits in any unit order.
+                let mut sweep = GroupSweep::new(tree, particles, &mac, &mut buf);
+                for (zone, i) in claims {
+                    let unit = units[i];
+                    let slot = slots[i].lock().expect("a slot's one claim does not panic").take();
+                    let mut rows = slot.expect("a unit is claimed once");
+                    let members = tree.particles_under(unit);
+                    let is_target = |pi: u32| mask.is_none_or(|m| m[pi as usize]);
+                    let mut written = 0;
+                    let z = &mut zones[zone];
+                    let st = match &mtree {
+                        None => {
                             let t0 = if profiled { bhut_obs::now() } else { 0.0 };
                             sweep.gather(unit);
                             let buf = sweep.buffers();
                             let t1 = if profiled { bhut_obs::now() } else { 0.0 };
-                            let emit = |pi, phi, acc, it| out.push((pi, row_count(it), phi, acc));
+                            // Targets come in tree order, each once: a cursor
+                            // over the members finds each one's row.
+                            let mut k = 0;
+                            let emit = |pi, phi, acc, it| {
+                                debug_assert!(is_target(pi), "row {pi} written but not a target");
+                                k += members[k..]
+                                    .iter()
+                                    .position(|&m| m == pi)
+                                    .expect("targets come in tree order, each once");
+                                rows.write(k, phi, acc, it);
+                                (k, written) = (k + 1, written + 1);
+                            };
                             let st = eval_gathered_monopole_masked(
                                 tree,
                                 particles,
@@ -350,7 +410,6 @@ impl ThreadSim {
                                 mask,
                                 emit,
                             );
-                            let z = &mut zones[zone];
                             if profiled {
                                 w.walk_s += t1 - t0;
                                 w.kernel_s += bhut_obs::now() - t1;
@@ -363,41 +422,39 @@ impl ThreadSim {
                                 c.lane_slots += lane_slots;
                                 c.lane_useful += lane_useful;
                             }
-                            z.stats.merge(st);
+                            st
                         }
-                    };
-                // Costzones: weight each unit by its members' measured work
-                // from the previous step, or by its population before any.
-                let weight = |&u: &NodeId| match zone_work {
-                    Some(w) => tree.particles_under(u).iter().map(|&pi| w[pi as usize] + 1).sum(),
-                    None => tree.node(u).count() as u64,
-                };
-                dispatch(&cfg, profiled, units.iter().map(weight).collect(), run_range)
-            }
-            // Degree > 0: one walk per target, in Morton order so contiguous
-            // zones are spatially compact (cache locality + balanced tails).
-            Some(mt) => {
-                let run_range =
-                    |t: usize, claims: Claims<'_>, zones: &mut [ZoneWork], _: &mut WorkerObs| {
-                        let mut s = scratch[t].lock().unwrap();
-                        for (zone, i) in claims {
-                            let pi = tree.order[i];
-                            if let Some(m) = mask {
-                                if !m[pi as usize] {
-                                    continue;
-                                }
+                        Some(mt) => {
+                            let mut st = TraversalStats::default();
+                            for (k, &pi) in
+                                members.iter().enumerate().filter(|&(_, &pi)| is_target(pi))
+                            {
+                                let p = &particles[pi as usize];
+                                let (phi, acc, s) =
+                                    mt.eval(tree, particles, p.pos, Some(p.id), &mac, cfg.eps);
+                                rows.write(k, phi, acc, s.interactions());
+                                st.merge(s);
+                                written += 1;
                             }
-                            let p = &particles[pi as usize];
-                            let (phi, acc, st) =
-                                mt.eval(tree, particles, p.pos, Some(p.id), &mac, cfg.eps);
-                            zones[zone].stats.merge(st);
-                            s.out.push((pi, row_count(st.interactions()), phi, acc));
+                            st
                         }
                     };
-                let weight = |&pi: &u32| zone_work.map_or(0, |w| w[pi as usize]);
-                dispatch(&cfg, profiled, tree.order.iter().map(weight).collect(), run_range)
-            }
-        };
+                    // Stealing is where a unit could run twice or never: every
+                    // target of a claimed unit is written once.
+                    debug_assert_eq!(
+                        written,
+                        members.iter().filter(|&&pi| is_target(pi)).count(),
+                        "unit {unit}: rows written vs targets"
+                    );
+                    z.stats.merge(st);
+                }
+            };
+        let (zones, obs) = dispatch(&cfg, profiled, weights, run_range);
+        debug_assert!(
+            slots.iter().all(|s| s.lock().is_ok_and(|s| s.is_none())),
+            "every unit is claimed"
+        );
+        drop(slots);
 
         let mut total = TraversalStats::default();
         for z in &zones {
@@ -405,41 +462,29 @@ impl ThreadSim {
         }
         let per_thread_interactions = zones.iter().map(|z| z.stats.interactions()).collect();
 
-        // Scatter staged results; workers are joined, so the locks are free.
+        // Back to id order, in place: one pass over the three outputs.
         let t_scatter = if profiled { bhut_obs::now() } else { 0.0 };
-        let mut accels = vec![Vec3::ZERO; n];
-        let mut potentials = vec![0.0f64; n];
+        tree.permute_from_order(|a, b| {
+            accels.swap(a, b);
+            potentials.swap(a, b);
+            work.swap(a, b);
+        });
         // On a masked run only active particles report work; keep the
         // previous measurements for the inactive ones so the costzones
         // weights stay meaningful across substeps.
-        let mut work = match (mask, &self.prev_work) {
-            (Some(_), Some(w)) if w.len() == n => w.clone(),
-            _ => vec![0u64; n],
-        };
-        // Stealing is where a unit could run twice or never: debug builds
-        // check that the staged rows name every evaluated target once.
-        #[cfg(debug_assertions)]
-        let mut staged = vec![false; n];
-        for s in &self.scratch {
-            let mut s = s.lock().unwrap();
-            for (pi, it, phi, acc) in s.out.drain(..) {
-                #[cfg(debug_assertions)]
-                {
-                    let i = pi as usize;
-                    assert!(!std::mem::replace(&mut staged[i], true), "row {i} staged twice");
-                    assert!(mask.is_none_or(|m| m[i]), "row {i} staged but not a target");
+        if let (Some(m), Some(prev)) = (mask, prev_work) {
+            for ((w, &is_active), prev) in work.iter_mut().zip(m).zip(prev) {
+                if !is_active {
+                    *w = prev;
                 }
-                accels[pi as usize] = acc;
-                potentials[pi as usize] = phi;
-                work[pi as usize] = it.into();
             }
-            // High-water-mark shrink between steps: a transient dense group
-            // must not pin this worker's slab capacity forever.
-            s.buf.maybe_shrink();
         }
-        #[cfg(debug_assertions)]
-        assert_eq!(staged.iter().filter(|&&r| r).count(), targets, "staged rows vs targets");
         self.prev_work = Some(work);
+        // High-water-mark shrink between steps: a transient dense group must
+        // not pin a worker's slab capacity forever.
+        for buf in &self.scratch {
+            buf.lock().expect("the workers are joined").maybe_shrink();
+        }
 
         let profile = profiled.then(|| {
             let mut prof = StepProfile::new(cfg.threads);
@@ -490,15 +535,15 @@ impl ThreadSim {
     }
 }
 
-/// The one partition dispatch: split the items (units or particles, in
-/// Morton order, one `weights` entry each) into `cfg.threads` contiguous
-/// zones of ≈ equal total weight — costzones — and run
+/// The one partition dispatch: split the walk units (in Morton order, one
+/// `weights` entry each) into `cfg.threads` contiguous zones of ≈ equal
+/// total weight — costzones — and run
 /// `run_range(thread, claims, zones, obs)` on each zone's worker. The
-/// claims hand a worker item indices: its own zone front to back, then,
+/// claims hand a worker unit indices: its own zone front to back, then,
 /// once that is empty, the other zones' tails back to front
 /// ([`ZoneCursors`]), so the sweep ends when the work does, not when the
-/// slower worker does. `run_range` credits each item's work to
-/// `zones[zone]`, the zone the item belongs to, so the per-zone sums
+/// slower worker does. `run_range` credits each unit's work to
+/// `zones[zone]`, the zone the unit belongs to, so the per-zone sums
 /// returned (with each worker's clock window) do not depend on who ran
 /// what.
 fn dispatch(
@@ -927,6 +972,49 @@ mod tests {
                         assert_eq!(counts.0.len(), threads, "{ctx}");
                         let want = zone_counts.get_or_insert_with(|| counts.clone());
                         assert_eq!(&counts, want, "{ctx}: zone counts");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Rows are written in place, in tree order, then permuted to id order:
+    /// at 1, 3 and 8 threads, monopole and degree 2, full and a third
+    /// masked, every target's row is written once (debug builds check it as
+    /// they go) and is the full run's row with its work, inactive rows are
+    /// zero, and inactive work weights keep the previous step's, taken here
+    /// at other positions so that they differ.
+    #[test]
+    fn rows_are_written_in_place_once_per_target() {
+        let set = plummer(PlummerSpec { n: 700, seed: 47, ..Default::default() });
+        let ps = &set.particles;
+        let mut drifted = ps.clone();
+        drift(&mut drifted, 5);
+        let third: Vec<bool> = (0..ps.len()).map(|i| i % 3 == 1).collect();
+        for degree in [0u32, 2] {
+            for threads in [1, 3, 8] {
+                let ctx = format!("degree {degree}, {threads} threads");
+                let mk = || ThreadSim::new(ThreadConfig { degree, ..config(threads) });
+                let mut full_sim = mk();
+                let full = full_sim.compute_forces(ps);
+                let full_work = full_sim.work_weights().unwrap();
+                assert!(full_work.iter().all(|&w| w > 0), "{ctx}: a row kept no work");
+
+                let mut sim = mk();
+                let _ = sim.compute_forces(&drifted);
+                let before = sim.work_weights().unwrap().to_vec();
+                let masked = ActiveSet::from_mask(third.clone());
+                let part = sim.compute_forces_active(ps, &masked);
+                let after = sim.work_weights().unwrap();
+                assert_ne!(after, full_work, "{ctx}: the drift moved no work");
+                for (i, &is_active) in third.iter().enumerate() {
+                    let row = (part.accels[i], part.potentials[i]);
+                    if is_active {
+                        assert_eq!(row, (full.accels[i], full.potentials[i]), "{ctx}: row {i}");
+                        assert_eq!(after[i], full_work[i], "{ctx}: work {i}");
+                    } else {
+                        assert_eq!(row, (Vec3::ZERO, 0.0), "{ctx}: row {i}");
+                        assert_eq!(after[i], before[i], "{ctx}: work {i}");
                     }
                 }
             }

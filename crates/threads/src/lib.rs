@@ -15,10 +15,13 @@
 //! range. [`ThreadConfig::partitioning`] has that one value left,
 //! [`Partitioning::MortonZones`].
 //!
-//! The degree picks how forces are evaluated, and nothing else does: the
-//! monopole takes the group sweep ([`bhut_tree::group::GroupSweep`] per
-//! worker, then the lane replay and the f64 slab kernels), degree > 0 walks
-//! per target through `MultipoleTree::eval`. The per-target walk
+//! The degree picks how a unit's members are evaluated, and nothing else
+//! does: the monopole takes the group sweep
+//! ([`bhut_tree::group::GroupSweep`] per worker, then the lane replay and
+//! the f64 slab kernels), degree > 0 walks per member through
+//! `MultipoleTree::eval`. Every degree runs the same unit schedule and
+//! writes its rows in place, in tree order, into the outputs; one in-place
+//! permutation after the join puts them in id order. The per-target walk
 //! ([`bhut_tree::traverse`]) is the oracle the tests hold both to;
 //! [`ThreadConfig::eval_mode`] and [`ThreadConfig::precision`] each have
 //! one value left.

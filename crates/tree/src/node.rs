@@ -108,6 +108,54 @@ fn cell_below(mut cell: Aabb, above: NodeKey, key: NodeKey) -> Aabb {
     cell
 }
 
+/// Which way [`follow_cycles`] moves array entries along a permutation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    /// Position `k` takes what position `order[k]` held (a gather).
+    ToOrder,
+    /// Position `order[k]` takes what position `k` held (a scatter).
+    FromOrder,
+}
+
+/// Apply the permutation `order` in place through `swap(a, b)`, one cycle
+/// at a time: each cycle costs one swap per position but the first, and a
+/// bitset marks the positions already settled. Walking the cycle `start →
+/// order[start] → …`, the gather swaps each position `at` with `order[at]`
+/// (`at` takes its entry, and the one carried moves on); the scatter swaps
+/// `start` with each `order[at]` (the entry carried at `start` lands where
+/// it belongs).
+///
+/// # Panics
+/// If `order` names a position out of range or twice: the walk then reaches
+/// a settled position other than its cycle's start.
+fn follow_cycles(order: &[u32], direction: Direction, mut swap: impl FnMut(usize, usize)) {
+    let n = order.len();
+    let mut settled = vec![0u64; n.div_ceil(64)];
+    let is_settled = |settled: &[u64], k: usize| settled[k / 64] >> (k % 64) & 1 == 1;
+    for start in 0..n {
+        if is_settled(&settled, start) {
+            continue;
+        }
+        let mut at = start;
+        loop {
+            settled[at / 64] |= 1 << (at % 64);
+            let next = order[at] as usize;
+            if next == start {
+                break;
+            }
+            assert!(
+                next < n && !is_settled(&settled, next),
+                "tree order is not a permutation: position {at} names {next}, which is out of range or named twice"
+            );
+            match direction {
+                Direction::ToOrder => swap(at, next),
+                Direction::FromOrder => swap(start, next),
+            }
+            at = next;
+        }
+    }
+}
+
 /// The monopole of node `id` of the arena `nodes`, its `(mass, com)`: the
 /// one moment rule of both builders and [`Tree::validate`].
 ///
@@ -285,34 +333,37 @@ impl Tree {
     /// afterwards `particles[k]` is the particle `order[k]` named before,
     /// and `order` is the identity, so every node's particles are the slice
     /// `particles[start..end]`. The permutation runs in place, one cycle at
-    /// a time, with no second array. Every traversal reads the same particle
-    /// at the same step as before, so its results do not change; skip ids
-    /// are particle ids, which move with the particles.
+    /// a time, with no second array (a bitset of `n` bits marks the settled
+    /// positions). Every traversal reads the same particle at the same step
+    /// as before, so its results do not change; skip ids are particle ids,
+    /// which move with the particles.
     ///
     /// # Panics
     /// If `particles` is not as long as `order`, or `order` is not a
     /// permutation.
     pub fn permute_to_order<T>(&mut self, particles: &mut [T]) {
-        let n = particles.len();
-        assert_eq!(self.order.len(), n, "tree order and particle array lengths differ");
-        for start in 0..n {
-            // Slot `at` takes the particle at `order[at]`; a settled slot's
-            // entry becomes its own index, which marks it.
-            let mut at = start;
-            while self.order[at] as usize != at {
-                let from = self.order[at] as usize;
-                assert!(
-                    from < n && (from == start || self.order[from] as usize != from),
-                    "tree order is not a permutation: position {at} names {from}, which is out of range or named twice"
-                );
-                self.order[at] = at as u32;
-                if from == start {
-                    break;
-                }
-                particles.swap(at, from);
-                at = from;
-            }
+        assert_eq!(
+            self.order.len(),
+            particles.len(),
+            "tree order and particle array lengths differ"
+        );
+        follow_cycles(&self.order, Direction::ToOrder, |a, b| particles.swap(a, b));
+        for (k, o) in self.order.iter_mut().enumerate() {
+            *o = k as u32;
         }
+    }
+
+    /// The inverse of [`Tree::permute_to_order`], for arrays the caller
+    /// filled in tree order: `swap(a, b)` exchanges positions `a` and `b` of
+    /// every such array, and afterwards position `order[k]` holds what
+    /// position `k` held, so they are indexed by particle id. One pass
+    /// permutes all of them in place, one cycle at a time; the tree is only
+    /// borrowed (`order` is not touched).
+    ///
+    /// # Panics
+    /// If `order` is not a permutation.
+    pub fn permute_from_order(&self, swap: impl FnMut(usize, usize)) {
+        follow_cycles(&self.order, Direction::FromOrder, swap);
     }
 
     /// Every node's cell, in arena order, each carried down from its
@@ -710,10 +761,83 @@ mod tests {
             let mut bad = tree.clone();
             bad.order = (0..n).map(|k| (k + 1) % n).collect();
             bad.order[at as usize] = to;
-            let mut ps = set.particles.clone();
-            let err = std::panic::catch_unwind(move || bad.permute_to_order(&mut ps)).unwrap_err();
-            let msg = err.downcast_ref::<String>().expect("a formatted message");
-            assert!(msg.contains("not a permutation"), "order[{at}] = {to}: {msg}");
+            let (mut ps, mut back) = (set.particles.clone(), set.particles.clone());
+            let inverse = bad.clone();
+            let errs = [
+                std::panic::catch_unwind(move || bad.permute_to_order(&mut ps)).unwrap_err(),
+                std::panic::catch_unwind(move || {
+                    inverse.permute_from_order(|a, b| back.swap(a, b))
+                })
+                .unwrap_err(),
+            ];
+            for err in errs {
+                let msg = err.downcast_ref::<String>().expect("a formatted message");
+                assert!(msg.contains("not a permutation"), "order[{at}] = {to}: {msg}");
+            }
+        }
+    }
+
+    /// A tree over no nodes whose `order` is `order`: all the permutations
+    /// read.
+    fn with_order(order: Vec<u32>) -> Tree {
+        Tree { nodes: Vec::new(), order, root_cell: Aabb::origin_cube(1.0) }
+    }
+
+    /// `permute_from_order` by `order` is the naive scatter `out[order[k]] =
+    /// in[k]` on every array its `swap` moves, and it and `permute_to_order`
+    /// undo each other in either order.
+    fn check_inverse_permutation(order: &[u32]) {
+        let n = order.len();
+        let values: Vec<u64> = (0..n as u64).map(|k| k * 7919 + 3).collect();
+        let (mut want, mut want_ranks) = (vec![0; n], vec![0; n]);
+        for (k, &o) in order.iter().enumerate() {
+            (want[o as usize], want_ranks[o as usize]) = (values[k], k);
+        }
+        let tree = with_order(order.to_vec());
+        let (mut got, mut ranks) = (values.clone(), (0..n).collect::<Vec<_>>());
+        tree.permute_from_order(|a, b| {
+            got.swap(a, b);
+            ranks.swap(a, b);
+        });
+        assert_eq!(got, want, "{order:?}");
+        assert_eq!(ranks, want_ranks, "{order:?}");
+        assert_eq!(tree.order, order, "the tree is only borrowed");
+
+        let mut there_and_back = values.clone();
+        with_order(order.to_vec()).permute_to_order(&mut there_and_back);
+        tree.permute_from_order(|a, b| there_and_back.swap(a, b));
+        assert_eq!(there_and_back, values, "{order:?}");
+        got = values.clone();
+        tree.permute_from_order(|a, b| got.swap(a, b));
+        with_order(order.to_vec()).permute_to_order(&mut got);
+        assert_eq!(got, values, "{order:?}");
+    }
+
+    #[test]
+    fn the_inverse_permutation_of_fixed_orders() {
+        for n in [0u32, 1, 2, 5, 64, 65, 200] {
+            check_inverse_permutation(&(0..n).collect::<Vec<_>>());
+            // One n-cycle, each way round.
+            check_inverse_permutation(&(0..n).map(|k| (k + 1) % n).collect::<Vec<_>>());
+            check_inverse_permutation(&(0..n).map(|k| (k + n - 1) % n).collect::<Vec<_>>());
+        }
+        // A built tree's own order.
+        let (_, tree) = cluster_and_one();
+        check_inverse_permutation(&tree.order);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn the_inverse_permutation_of_random_orders(n in 0usize..300, seed in 0u64..u64::MAX) {
+            use rand::{rngs::SmallRng, Rng, SeedableRng};
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut order: Vec<u32> = (0..n as u32).collect();
+            for k in (1..n).rev() {
+                order.swap(k, rng.gen_range(0..=k));
+            }
+            check_inverse_permutation(&order);
         }
     }
 

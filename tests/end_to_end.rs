@@ -9,6 +9,9 @@ use barnes_hut::machine::{CostModel, FatTree, Hypercube, Machine};
 use barnes_hut::threads::{Partitioning, ThreadConfig, ThreadSim};
 use barnes_hut::tree::{build, direct, BarnesHutMac, BuildParams};
 
+#[path = "../crates/proc/src/scratch.rs"]
+mod scratch;
+
 /// The simulated-machine force phase and the real-thread executor compute
 /// the same potentials (identical traversal decisions on cluster-scheme
 /// trees is not guaranteed — different roots — so compare against direct
@@ -109,11 +112,12 @@ fn all_paper_datasets_build_valid_trees() {
 fn snapshot_roundtrip_via_facade() {
     use barnes_hut::sim::{load_snapshot, save_snapshot};
     let set = plummer(PlummerSpec { n: 64, seed: 5, ..Default::default() });
-    let path = std::env::temp_dir().join("bhut_e2e_snap.json");
+    let dir = scratch::ScratchDir::new("e2e_snap");
+    std::fs::create_dir_all(dir.path()).unwrap();
+    let path = dir.path().join("snap.json");
     save_snapshot(&path, 0.5, &set).unwrap();
     let snap = load_snapshot(&path).unwrap();
     assert_eq!(snap.particles.len(), 64);
-    std::fs::remove_file(&path).ok();
 }
 
 /// An unknown `--dataset` is a usage error naming the valid instances,
