@@ -35,8 +35,9 @@ use bhut_core::{ClusterGrid, Partition};
 use bhut_geom::{plummer, Aabb, Particle, PlummerSpec, Vec3};
 use bhut_obs::{now, phase, Span, StepProfile};
 use bhut_sim::kick_drift_owned;
-use bhut_threads::{ThreadConfig, ThreadSim};
+use bhut_threads::{ForceResult, ThreadConfig, ThreadSim};
 use bhut_timestep::ActiveSet;
+use bhut_tree::Tree;
 
 /// Frame tags of the rank↔rank mesh protocol.
 pub mod tags {
@@ -277,6 +278,70 @@ fn owned_set(n: usize, p: usize, owned: &[Particle]) -> ActiveSet {
     ActiveSet::from_mask(mask)
 }
 
+/// This rank's share of `all`, the whole state in id order, under the
+/// scheme's starting assignment: SPSA and SPDA look each particle's cluster
+/// up in `cluster_owner`; DPDA has no loads measured yet, so costzones with
+/// zero weights on a fresh tree degenerate to equal particle counts.
+fn initial_share(
+    sim: &mut ThreadSim,
+    scheme: Scheme,
+    grid: &ClusterGrid,
+    cluster_owner: &[usize],
+    all: &[Particle],
+    (rank, p): (usize, usize),
+) -> Vec<Particle> {
+    let owner: Vec<usize> = match scheme {
+        Scheme::Spsa | Scheme::Spda => {
+            all.iter().map(|q| cluster_owner[grid.cluster_of(q.pos) as usize]).collect()
+        }
+        Scheme::Dpda => {
+            let tree = sim.build_tree(all);
+            Partition::costzones_weighted(&tree, &vec![0.0; all.len()], p).owner_of_particle
+        }
+    };
+    all.iter().filter(|q| owner[q.id as usize] == rank).copied().collect()
+}
+
+/// One step's exchange and force evaluation: the replicated global state,
+/// the tree built from it, and the forces on the rows this rank owns, with
+/// the times the exchange and the build ended.
+struct Evaluated {
+    all: Vec<Particle>,
+    tree: Tree,
+    fr: ForceResult,
+    t_ex: f64,
+    traffic_ex: (u64, u64),
+    t_built: f64,
+}
+
+impl Evaluated {
+    /// All-gather the owned state into the canonical id-indexed array, build
+    /// the global tree and evaluate the owned rows on it (`profiled` asks
+    /// the executor for its sub-phase profile).
+    fn run(
+        t: &mut dyn Transport,
+        sim: &mut ThreadSim,
+        (n, p): (usize, usize),
+        owned: &[Particle],
+        profiled: bool,
+    ) -> Result<Evaluated, ProcError> {
+        let views = all_gather(t, tags::STATE, encode_particles(owned))?;
+        let all = assemble(n, views)?;
+        let (t_ex, traffic_ex) = (now(), t.traffic());
+        let active = owned_set(n, p, owned);
+        let tree = sim.build_tree(&all);
+        let t_built = now();
+        let fr = sim.compute_forces_on(&tree, &all, &active, profiled);
+        Ok(Evaluated { all, tree, fr, t_ex, traffic_ex, t_built })
+    }
+}
+
+/// The owned rows' `(id, accel, potential)` of `fr`: the run's force
+/// evidence.
+fn owned_forces(owned: &[Particle], fr: &ForceResult) -> Vec<(u32, Vec3, f64)> {
+    owned.iter().map(|q| (q.id, fr.accels[q.id as usize], fr.potentials[q.id as usize])).collect()
+}
+
 /// Run the full step loop on this rank. Deterministic: the outcome is a
 /// pure function of `cfg` and the transport's `(rank, size)`.
 pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, ProcError> {
@@ -314,21 +379,9 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         Scheme::Spda => spda_initial(&grid, p, cfg.curve),
         Scheme::Dpda => Vec::new(),
     };
-    let owner_of_ic: Vec<usize> = match cfg.scheme {
-        Scheme::Spsa | Scheme::Spda => {
-            ic.iter().map(|q| cluster_owner[grid.cluster_of(q.pos) as usize]).collect()
-        }
-        Scheme::Dpda => {
-            // No loads measured yet: costzones over the IC tree with zero
-            // weights degenerates to equal particle counts.
-            let tree = sim.build_tree(&ic);
-            Partition::costzones_weighted(&tree, &vec![0.0; n], p).owner_of_particle
-        }
-    };
-    let mut owned: Vec<Particle> =
-        ic.iter().filter(|q| owner_of_ic[q.id as usize] == rank).copied().collect();
+    let mut owned = initial_share(&mut sim, cfg.scheme, &grid, &cluster_owner, &ic, (rank, p));
     // Ownership is carved: the full IC is not held under any step's build.
-    drop((ic, owner_of_ic));
+    drop(ic);
 
     // Resume: replace the IC-derived start with the latest complete
     // checkpoint epoch. Every rank scans before its first STATE all-gather
@@ -363,16 +416,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
                         all.len()
                     )));
                 }
-                let owner: Vec<usize> = match cfg.scheme {
-                    Scheme::Spsa | Scheme::Spda => {
-                        all.iter().map(|q| cluster_owner[grid.cluster_of(q.pos) as usize]).collect()
-                    }
-                    Scheme::Dpda => {
-                        let tree = sim.build_tree(&all);
-                        Partition::costzones_weighted(&tree, &vec![0.0; n], p).owner_of_particle
-                    }
-                };
-                owned = all.iter().filter(|q| owner[q.id as usize] == rank).copied().collect();
+                owned = initial_share(&mut sim, cfg.scheme, &grid, &cluster_owner, &all, (rank, p));
             }
             start_step = epoch as usize;
         }
@@ -386,25 +430,15 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         let t0 = now();
         let traffic0 = t.traffic();
 
-        // ---- exchange: replicate the global state -----------------------
-        let views = all_gather(t, tags::STATE, encode_particles(&owned))?;
-        let all = assemble(n, views)?;
-        let t_ex = now();
-        let traffic_ex = t.traffic();
-
-        // ---- build + walk + kernel: masked force evaluation -------------
-        let active = owned_set(n, p, &owned);
-        // One tree per step: the force evaluation walks it and DPDA carves
-        // its costzones from it below; it is freed before the migration.
-        let tree = sim.build_tree(&all);
-        let t_built = now();
-        let mut fr = sim.compute_forces_on(&tree, &all, &active, true);
+        // ---- exchange + build + walk + kernel ---------------------------
+        // Replicate the global state, then evaluate the owned rows on one
+        // tree per step: DPDA carves its costzones from it below, and it is
+        // freed before the migration.
+        let Evaluated { all, tree, mut fr, t_ex, traffic_ex, t_built } =
+            Evaluated::run(t, &mut sim, (n, p), &owned, true)?;
         let t_force = now();
         if step + 1 == cfg.steps {
-            last_forces = owned
-                .iter()
-                .map(|q| (q.id, fr.accels[q.id as usize], fr.potentials[q.id as usize]))
-                .collect();
+            last_forces = owned_forces(&owned, &fr);
         }
 
         // ---- update: leapfrog the owned rows ----------------------------
@@ -528,14 +562,8 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     // entirely; evaluate forces for the final state anyway so the report —
     // and the force-equivalence evidence — is complete.
     if start_step >= cfg.steps && cfg.steps > 0 {
-        let views = all_gather(t, tags::STATE, encode_particles(&owned))?;
-        let all = assemble(n, views)?;
-        let tree = sim.build_tree(&all);
-        let fr = sim.compute_forces_on(&tree, &all, &owned_set(n, p, &owned), false);
-        last_forces = owned
-            .iter()
-            .map(|q| (q.id, fr.accels[q.id as usize], fr.potentials[q.id as usize]))
-            .collect();
+        let ev = Evaluated::run(t, &mut sim, (n, p), &owned, false)?;
+        last_forces = owned_forces(&owned, &ev.fr);
     }
 
     Ok(RankOutcome { owned, forces: last_forces, profiles })

@@ -69,8 +69,9 @@ pub struct ThreadConfig {
     /// [`KernelPrecision::F64`], the only value; removed by ROADMAP
     /// direction 3(e).
     pub precision: KernelPrecision,
-    /// Selects nothing: the group walk always classifies up to 8 sibling
-    /// nodes per test with [`BarnesHutMac::classify_batch`]. The field stays
+    /// Selects nothing: the group walk tests one node per
+    /// [`BarnesHutMac::classify`] call, in its one forward pass over the
+    /// preorder arena; there is no batched classifier left. The field stays
     /// only because the benchmark harness names it in a struct literal;
     /// ROADMAP direction 3(e) deletes it.
     pub mac_batch: bool,

@@ -487,7 +487,7 @@ pub fn build_incremental(particles: &[Particle], cell: Aabb, params: BuildParams
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bhut_geom::{plummer, uniform_cube, ParticleSet, PlummerSpec};
     use proptest::prelude::*;
@@ -660,7 +660,7 @@ mod tests {
     /// 0 with every mass negative, 6 like 0 with masses of either sign (sums
     /// that are not positive, or nearly cancel), 7 every particle at one
     /// point. Masses vary so every sum has rounding to get right.
-    fn shaped(shape: usize, n: usize, seed: u64, extent: f64) -> Vec<Particle> {
+    pub(crate) fn shaped(shape: usize, n: usize, seed: u64, extent: f64) -> Vec<Particle> {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut unit = || Vec3::new(rng.gen(), rng.gen(), rng.gen());
         let pool: Vec<Vec3> = (0..(n / 4).max(1)).map(|_| unit()).collect();

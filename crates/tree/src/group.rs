@@ -49,9 +49,12 @@
 //!
 //! # One walk, two uses
 //!
-//! There is one classification loop, the private `settle_level`: classify a
-//! list of roots against a bucket, append what settles, hand back what stays
-//! Mixed. [`gather_group_targets`] is one level from the root against a bucket
+//! There is one classification loop, the private `settle_level`: walk a list
+//! of roots forward through the preorder arena, as [`crate::traverse::walk`]
+//! walks it for one point, with one [`BarnesHutMac::classify`] per tested
+//! node — opening a node goes on at `id + 1`, settling it skips to `next` —
+//! append what settles, hand back what stays Mixed.
+//! [`gather_group_targets`] is one level from the root against a bucket
 //! of query targets. A unit's members are gathered *through the unit's
 //! ancestors* ([`GroupSweep`], of which [`gather_group`] is the one-unit
 //! case): the shared slabs are the concatenation, level by
@@ -89,7 +92,7 @@
 //! member on either.
 
 use crate::kernel::{accel_slab_member_f64, SlabView};
-use crate::mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
+use crate::mac::{BarnesHutMac, GroupClass};
 use crate::node::{Node, NodeId, Tree};
 use crate::replay::{ReplayLanes, REPLAY_LANES};
 use crate::traverse::TraversalStats;
@@ -138,7 +141,8 @@ pub struct InteractionBuffers {
     /// RejectAll classifications (leaf appends plus internal expansions).
     /// AcceptAll and Mixed counts are `node_ids.len()` and `mixed.len()`.
     pub class_reject: u64,
-    /// Internal nodes expanded (children pushed) during the shared walk.
+    /// Internal nodes opened (RejectAll, the walk going on at their first
+    /// child) during the shared walk.
     pub nodes_opened: u64,
     /// The gathered unit's range of `tree.order` (empty for a bucket of
     /// query targets, which are not tree particles).
@@ -161,8 +165,6 @@ pub struct InteractionBuffers {
     /// by [`InteractionBuffers::clear`].
     hwm_p2p: usize,
     hwm_m2p: usize,
-    /// DFS stack of pre-classified nodes, kept to avoid reallocation.
-    stack: Vec<WalkEntry>,
     /// Nodes whose particles the walk appended to the P2P slab, in append
     /// order: what a [`GroupSweep`] re-marks `self_cover` from after
     /// rewinding.
@@ -203,18 +205,6 @@ struct ChainLevel {
     frontier: Vec<NodeId>,
     /// The buffers right after the level.
     mark: Mark,
-}
-
-/// One pre-classified stack entry of the batched walk: the class and the
-/// population (empty nodes and singletons are never tested), captured when
-/// the node was classified together with its siblings. Twelve bytes: the
-/// payload of an accepted or opened node is read from the node itself at the
-/// pop, which measured faster than carrying it through the stack.
-#[derive(Debug, Clone, Copy)]
-struct WalkEntry {
-    id: NodeId,
-    count: u32,
-    class: GroupClass,
 }
 
 impl InteractionBuffers {
@@ -623,63 +613,16 @@ fn settle_last_level(
     buf.pad();
 }
 
-/// Classify `nodes` against `bucket` — one [`BarnesHutMac::classify_batch`]
-/// call for those of two or more particles; singletons and empty nodes are
-/// never tested and keep a placeholder class — and push them on `stack` so
-/// that they pop in the order given.
-///
-/// This is the walk's one batching site, so under test it holds every batch
-/// decision to the scalar [`BarnesHutMac::classify`] of the same node and
-/// bucket: every walk test of this crate pins the batch classifier on the
-/// trees it builds.
-#[inline(always)]
-fn push_classified(
-    tree: &Tree,
-    nodes: impl Iterator<Item = NodeId>,
-    bucket: &Aabb,
-    mac: &BarnesHutMac,
-    batch: &mut NodeBatch,
-    stack: &mut Vec<WalkEntry>,
-) {
-    batch.clear();
-    let first = stack.len();
-    for id in nodes {
-        let node = tree.node(id);
-        if node.count() >= 2 {
-            batch.push(node.side, node.com);
-        }
-        stack.push(WalkEntry { id, count: node.count(), class: GroupClass::Mixed });
-    }
-    if !batch.is_empty() {
-        let classes = mac.classify_batch(batch, bucket);
-        let tested = stack[first..].iter_mut().filter(|e| e.count >= 2);
-        for (e, class) in tested.zip(classes) {
-            #[cfg(test)]
-            {
-                let node = tree.node(e.id);
-                let scalar = mac.classify(node.side, node.com, bucket);
-                assert_eq!(class, scalar, "node {}: batch vs scalar against {bucket:?}", e.id);
-            }
-            e.class = class;
-        }
-    }
-    stack[first..].reverse();
-}
-
 /// The one classification walk: settle the subtrees under `roots` against
-/// `bucket`. AcceptAll nodes go to the M2P slab, RejectAll leaves (and
-/// singletons, which like the per-particle walk skip the MAC) to the P2P
-/// slab, RejectAll internal nodes are opened, and the roots of what stays
-/// Mixed are appended to `mixed`, in depth-first order. `buf` is appended
-/// to, not cleared, and left unpadded.
-///
-/// Nodes are classified *in batch* — the roots in runs of [`MAC_BATCH`], an
-/// opened node's children together ([`BarnesHutMac::classify_batch`], SIMD
-/// where the CPU has it) — and consumed from the stack with their stored
-/// class, in the order given: traversal order, slab fill order and every
-/// counter are exactly those of a one-classify-per-pop scalar walk, and the
-/// batch classifier decides as the scalar one does — so forces do not
-/// depend on the batching down to the bit.
+/// `bucket`, each root's a forward pass over its id range `root..next` of
+/// the preorder arena. An empty node is skipped and a singleton, which like
+/// the per-particle walk skips the MAC, goes to the P2P slab. Any other node
+/// takes one [`BarnesHutMac::classify`]: AcceptAll goes to the M2P slab and
+/// Mixed to `mixed`, both skipping the subtree to `next`; RejectAll appends
+/// a leaf's particles to the P2P slab and opens an internal node, going on at
+/// its first child, `id + 1`. This is [`crate::traverse::walk`]'s loop with
+/// the bucket for the point, so the nodes come in its depth-first order.
+/// `buf` is appended to, not cleared, and left unpadded.
 fn settle_level(
     tree: &Tree,
     particles: &[Particle],
@@ -689,42 +632,36 @@ fn settle_level(
     buf: &mut InteractionBuffers,
     mixed: &mut Vec<NodeId>,
 ) {
-    let mut stack = std::mem::take(&mut buf.stack);
-    stack.clear();
-    let mut batch = NodeBatch::new();
-    for run in roots.chunks(MAC_BATCH) {
-        push_classified(tree, run.iter().copied(), bucket, mac, &mut batch, &mut stack);
-        while let Some(e) = stack.pop() {
-            if e.count == 0 {
-                continue;
-            }
-            if e.count == 1 {
-                buf.push_leaf(tree, particles, e.id);
-                continue;
-            }
-            match e.class {
-                GroupClass::AcceptAll => {
-                    buf.shared_mac_tests += 1;
-                    let node = tree.node(e.id);
-                    buf.push_node(e.id, node.com, node.mass);
-                }
-                GroupClass::RejectAll => {
-                    buf.shared_mac_tests += 1;
-                    buf.class_reject += 1;
-                    let node = tree.node(e.id);
-                    if node.is_leaf() {
-                        buf.push_leaf(tree, particles, e.id);
-                    } else {
-                        buf.nodes_opened += 1;
-                        let children = tree.children_of(e.id);
-                        push_classified(tree, children, bucket, mac, &mut batch, &mut stack);
+    for &root in roots {
+        let end = tree.node(root).next;
+        let mut id = root;
+        while id < end {
+            let node = tree.node(id);
+            let mut to = node.next;
+            match node.count() {
+                0 => {}
+                1 => buf.push_leaf(tree, particles, id),
+                _ => match mac.classify(node.side, node.com, bucket) {
+                    GroupClass::AcceptAll => {
+                        buf.shared_mac_tests += 1;
+                        buf.push_node(id, node.com, node.mass);
                     }
-                }
-                GroupClass::Mixed => mixed.push(e.id),
+                    GroupClass::RejectAll => {
+                        buf.shared_mac_tests += 1;
+                        buf.class_reject += 1;
+                        if node.is_leaf() {
+                            buf.push_leaf(tree, particles, id);
+                        } else {
+                            buf.nodes_opened += 1;
+                            to = id + 1;
+                        }
+                    }
+                    GroupClass::Mixed => mixed.push(id),
+                },
             }
+            id = to;
         }
     }
-    buf.stack = stack;
 }
 
 /// A target of the grouped force path: an evaluation position plus the
@@ -1812,5 +1749,139 @@ mod tests {
             );
         }
         assert!(fell_back);
+    }
+
+    /// What a walk settles against one bucket, by the plain recursion of §2:
+    /// test a node, open it on RejectAll by recursing into
+    /// [`Tree::children_of`], with one scalar [`BarnesHutMac::classify`] per
+    /// node of two or more particles.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Settled {
+        accepted: Vec<NodeId>,
+        /// The particle ids appended for direct interaction.
+        direct: Vec<u32>,
+        mixed: Vec<NodeId>,
+        shared_mac_tests: u64,
+        class_reject: u64,
+        nodes_opened: u64,
+    }
+
+    impl Settled {
+        /// The recursion from the root of `tree` against `bucket`.
+        fn from_root(tree: &Tree, ps: &[Particle], bucket: &Aabb, mac: &BarnesHutMac) -> Self {
+            let mut out = Settled::default();
+            if !tree.is_empty() {
+                out.settle(tree, ps, 0, bucket, mac);
+            }
+            out
+        }
+
+        fn settle(
+            &mut self,
+            tree: &Tree,
+            ps: &[Particle],
+            id: NodeId,
+            b: &Aabb,
+            mac: &BarnesHutMac,
+        ) {
+            let node = tree.node(id);
+            let under = tree.particles_under(id).iter().map(|&pi| ps[pi as usize].id);
+            match node.count() {
+                0 => {}
+                1 => self.direct.extend(under),
+                _ => match mac.classify(node.side, node.com, b) {
+                    GroupClass::AcceptAll => {
+                        self.shared_mac_tests += 1;
+                        self.accepted.push(id);
+                    }
+                    GroupClass::RejectAll => {
+                        self.shared_mac_tests += 1;
+                        self.class_reject += 1;
+                        if node.is_leaf() {
+                            self.direct.extend(under);
+                        } else {
+                            self.nodes_opened += 1;
+                            for c in tree.children_of(id) {
+                                self.settle(tree, ps, c, b, mac);
+                            }
+                        }
+                    }
+                    GroupClass::Mixed => self.mixed.push(id),
+                },
+            }
+        }
+
+        /// What `buf` holds, in slab order.
+        fn of(buf: &InteractionBuffers) -> Self {
+            Settled {
+                accepted: buf.node_ids.clone(),
+                direct: buf.pid.to_vec(),
+                mixed: buf.mixed.clone(),
+                shared_mac_tests: buf.shared_mac_tests,
+                class_reject: buf.class_reject,
+                nodes_opened: buf.nodes_opened,
+            }
+        }
+
+        /// The same, with the slab rows sorted: a chain fills them by level.
+        fn sorted(mut self) -> Self {
+            self.accepted.sort_unstable();
+            self.direct.sort_unstable();
+            self
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+        /// Every gather settles what the plain recursion settles against the
+        /// unit's tight box — the accepted nodes, the direct particles, the
+        /// mixed roots in order and every counter — for one-shot gathers and
+        /// for a sweep over the schedule, and a single-bucket gather fills
+        /// its slabs in the recursion's order row for row. On the builder
+        /// shapes that stress the arena: negative, mixed-sign and massless
+        /// bodies, coincident points chained down to the depth cap, forced
+        /// split levels, and extents of 1e±150.
+        #[test]
+        fn gathers_settle_what_the_recursive_classification_settles(
+            s_at in 0usize..4,
+            n_at in 0usize..5,
+            shape in 0usize..8,
+            extent_at in 0usize..3,
+            forced in 0u32..3,
+            collapse: bool,
+            incremental: bool,
+            alpha_pick in 0usize..3,
+            seed in 0u64..1000,
+        ) {
+            let s = [1, 2, 8, 16][s_at];
+            let n = [0, 1, 2, 9, 600][n_at];
+            let extent = [1.0, 1e150, 1e-150][extent_at];
+            let params = BuildParams { leaf_capacity: s, collapse, min_split_level: 2 * forced };
+            let ps = crate::build::tests::shaped(shape, n, seed, extent);
+            let cell = Aabb::cube(Vec3::splat(0.375 * extent), 1.5 * extent);
+            let tree = if incremental {
+                crate::build::build_incremental(&ps, cell, params)
+            } else {
+                build(&ps, params)
+            };
+            let mac = BarnesHutMac::new([0.4, 0.67, 1.0][alpha_pick]);
+            let (mut swept, mut fresh) = (InteractionBuffers::new(), InteractionBuffers::new());
+            let mut sweep = GroupSweep::new(&tree, &ps, &mac, &mut swept);
+            for unit in leaf_schedule(&tree) {
+                let members = tree.particles_under(unit).iter().map(|&pi| ps[pi as usize].pos);
+                let tight = Aabb::bounding(members).expect("a unit holds a particle");
+                let want = Settled::from_root(&tree, &ps, &tight, &mac);
+                let by_row = want.clone().sorted();
+                let ctx = format!("n {n} s {s} shape {shape} extent {extent:e} unit {unit}");
+                sweep.gather(unit);
+                let got = Settled::of(sweep.buffers()).sorted();
+                proptest::prop_assert_eq!(&got, &by_row, "{}: sweep", ctx);
+                gather_group(&tree, &ps, unit, &mac, &mut fresh);
+                let got = Settled::of(&fresh).sorted();
+                proptest::prop_assert_eq!(&got, &by_row, "{}: one-shot", ctx);
+                gather_group_targets(&tree, &ps, &tight, &mac, &mut fresh);
+                proptest::prop_assert_eq!(&Settled::of(&fresh), &want, "{}: single bucket", ctx);
+            }
+        }
     }
 }

@@ -12,8 +12,7 @@
 //!   insertion build (the "particle injection" formulation of §3.1 used by
 //!   the distributed construction).
 //! * [`mac`] — the multipole acceptance criterion: the Barnes–Hut
-//!   α-criterion, per target, bracketed over a bucket of targets, and for a
-//!   batch of sibling nodes at once.
+//!   α-criterion, per target and bracketed over a bucket of targets.
 //! * [`traverse`] — force/potential evaluation with per-node interaction
 //!   counting (the unit of load for the paper's balancing schemes, §3.3).
 //! * [`direct`] — exact `O(n²)` summation.
@@ -33,6 +32,6 @@ pub use group::{
     eval_gathered_targets, gather_group, gather_group_targets, leaf_schedule, InteractionBuffers,
     QueryTarget,
 };
-pub use mac::{BarnesHutMac, GroupClass, NodeBatch, MAC_BATCH};
+pub use mac::{BarnesHutMac, GroupClass};
 pub use node::{Node, NodeId, Tree};
 pub use traverse::{accel_on, potential_at, Interaction, TraversalStats};

@@ -6,6 +6,9 @@
 //! bhut schemes   --dataset g_326214 --scale 0.02 --p 16,64 [--clusters 32]
 //! bhut datasets
 //! ```
+//!
+//! A flag the subcommand does not read is refused with the usage and exit
+//! status 2, as is a bad value; `--help` prints the usage and exits 0.
 
 use barnes_hut::core::balance::Scheme;
 use barnes_hut::core::{ParallelSim, SimConfig};
@@ -19,24 +22,53 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::exit;
 
+const USAGE: &str = "usage:
+  bhut simulate --dataset NAME [--scale F] [--steps N] [--dt F] [--alpha F] [--degree K]
+                [--eps F] [--threads N] [--diag-every N] [--snapshot FILE]
+  bhut forces --dataset NAME [--scale F] [--alpha F] [--degree K] [--eps F] [--threads N] [--check]
+  bhut schemes --dataset NAME [--scale F] [--p LIST] [--clusters C] [--alpha F]
+  bhut datasets";
+
+/// The flags each subcommand reads; any other is refused.
+const SIMULATE_FLAGS: &[&str] = &[
+    "dataset",
+    "scale",
+    "steps",
+    "dt",
+    "alpha",
+    "degree",
+    "eps",
+    "threads",
+    "diag-every",
+    "snapshot",
+];
+const FORCES_FLAGS: &[&str] = &["dataset", "scale", "alpha", "degree", "eps", "threads", "check"];
+const SCHEMES_FLAGS: &[&str] = &["dataset", "scale", "p", "clusters", "alpha"];
+
 fn usage() -> ! {
-    eprintln!(
-        "usage:\n  bhut simulate --dataset NAME [--scale F] [--steps N] [--dt F] \
-         [--threads N] [--alpha F] [--snapshot FILE]\n  bhut forces --dataset NAME \
-         [--scale F] [--alpha F] [--degree K] [--threads N] [--check]\n  bhut schemes \
-         --dataset NAME [--scale F] [--p LIST] [--clusters C] [--alpha F]\n  bhut datasets"
-    );
+    eprintln!("{USAGE}");
     exit(2);
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// The `--key value` pairs of `args` (`--check` takes no value). A flag
+/// not in `allowed` is refused with the usage; `--help` / `-h` prints the
+/// usage and exits 0.
+fn parse_flags(args: &[String], allowed: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(a) = it.next() {
+        if a == "--help" || a == "-h" {
+            println!("{USAGE}");
+            exit(0);
+        }
         let Some(key) = a.strip_prefix("--") else {
             eprintln!("unexpected argument {a:?}");
             usage();
         };
+        if !allowed.contains(&key) {
+            eprintln!("unknown flag {a:?}");
+            usage();
+        }
         // boolean flags (--check) take no value
         let val = match it.peek() {
             Some(next) if !next.starts_with("--") => it.next().cloned().unwrap(),
@@ -251,12 +283,16 @@ fn cmd_schemes(flags: HashMap<String, String>) {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first() else { usage() };
-    let flags = parse_flags(&args[1..]);
+    let rest = &args[1..];
     match cmd.as_str() {
-        "simulate" => cmd_simulate(flags),
-        "forces" => cmd_forces(flags),
-        "schemes" => cmd_schemes(flags),
-        "datasets" => cmd_datasets(),
+        "simulate" => cmd_simulate(parse_flags(rest, SIMULATE_FLAGS)),
+        "forces" => cmd_forces(parse_flags(rest, FORCES_FLAGS)),
+        "schemes" => cmd_schemes(parse_flags(rest, SCHEMES_FLAGS)),
+        "datasets" => {
+            parse_flags(rest, &[]);
+            cmd_datasets()
+        }
+        "--help" | "-h" => println!("{USAGE}"),
         _ => usage(),
     }
 }
