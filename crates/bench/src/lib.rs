@@ -11,8 +11,7 @@
 //! [`gate`]: `proc_compare` (simulator prediction vs a real multi-process
 //! run) and `chaos` (fault injection and recovery); all three parse flags
 //! through [`cli`]. Wall-clock speed of the step, the served query and the
-//! mesh is measured by the `spine/` package, not here; the one bench,
-//! `benches/overhead.rs`, times only the phase instrumentation.
+//! mesh is measured by the `spine/` package, not here.
 //!
 //! Absolute numbers come from the simulated machine's cost model
 //! (nCUBE2/CM5 presets); the reproduction target is the *shape*: which

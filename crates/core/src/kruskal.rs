@@ -22,12 +22,6 @@ pub fn kruskal_weiss_time(r: usize, p: usize, mu: f64, sigma: f64) -> f64 {
     rp * mu + sigma * (2.0 * rp * lg).sqrt()
 }
 
-/// The load-imbalance overhead term alone.
-pub fn imbalance_term(r: usize, p: usize, sigma: f64) -> f64 {
-    let rp = r as f64 / p as f64;
-    sigma * (2.0 * rp * (p as f64).ln().max(0.0)).sqrt()
-}
-
 /// Predicted efficiency: essential / (essential + overhead).
 pub fn predicted_efficiency(r: usize, p: usize, mu: f64, sigma: f64) -> f64 {
     let essential = (r as f64 / p as f64) * mu;
@@ -58,7 +52,6 @@ mod tests {
     fn deterministic_tasks_have_no_overhead() {
         let t = kruskal_weiss_time(1024, 16, 2.0, 0.0);
         assert!((t - 128.0).abs() < 1e-12);
-        assert_eq!(imbalance_term(1024, 16, 0.0), 0.0);
     }
 
     #[test]

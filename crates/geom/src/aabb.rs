@@ -123,13 +123,6 @@ impl Aabb {
         Aabb::new(Vec3::new(x0, y0, z0), Vec3::new(x1, y1, z1))
     }
 
-    /// Grow the box to include `p`.
-    #[inline]
-    pub fn expand_to(&mut self, p: Vec3) {
-        self.min = self.min.min(p);
-        self.max = self.max.max(p);
-    }
-
     /// Union of two boxes.
     #[inline]
     pub fn union(&self, other: &Aabb) -> Aabb {
@@ -242,10 +235,7 @@ mod tests {
     }
 
     #[test]
-    fn expand_and_union() {
-        let mut b = unit();
-        b.expand_to(Vec3::splat(2.0));
-        assert!(b.contains(Vec3::splat(2.0)));
+    fn union_covers_both_boxes() {
         let u = unit().union(&Aabb::cube(Vec3::splat(3.0), 1.0));
         assert!(u.contains(Vec3::splat(3.4)));
         assert!(u.contains(Vec3::ZERO));

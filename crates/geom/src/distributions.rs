@@ -299,7 +299,8 @@ mod tests {
     fn uniform_fills_domain() {
         let s = uniform_cube(4000, 10.0, 11);
         let bb = crate::aabb::Aabb::bounding(s.iter().map(|p| p.pos)).unwrap();
-        assert!(bb.extent().min_component() > 9.0);
+        let e = bb.extent();
+        assert!(e.x.min(e.y).min(e.z) > 9.0);
         assert!((s.total_mass() - 1.0).abs() < 1e-9);
     }
 

@@ -81,12 +81,6 @@ impl Vec3 {
         self.x.max(self.y).max(self.z)
     }
 
-    /// Smallest component.
-    #[inline]
-    pub fn min_component(self) -> f64 {
-        self.x.min(self.y).min(self.z)
-    }
-
     /// Squared distance to another point.
     #[inline]
     pub fn dist_sq(self, o: Vec3) -> f64 {
@@ -274,7 +268,6 @@ mod tests {
         assert_eq!(a.min(b), Vec3::new(0.0, -2.0, 2.0));
         assert_eq!(a.max(b), Vec3::new(1.0, 4.0, 5.0));
         assert_eq!(a.max_component(), 5.0);
-        assert_eq!(a.min_component(), -2.0);
     }
 
     #[test]

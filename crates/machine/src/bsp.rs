@@ -266,7 +266,7 @@ mod tests {
         ]);
         assert_eq!(report.clocks, vec![5.0, 9.0, 1.0, 0.0]);
         assert_eq!(report.parallel_time(), 9.0);
-        assert_eq!(report.total_flops(), 15);
+        assert_eq!(report.flops.iter().sum::<u64>(), 15);
         assert_eq!(report.messages, 0);
     }
 

@@ -4,9 +4,11 @@
 //! communication operations" — an **all-to-all broadcast** that replicates
 //! branch nodes / top-of-tree levels, and (for DPDA) an **all-to-all
 //! personalized communication** that redistributes particles to their new
-//! owners. These helpers move real data between the per-processor state
-//! vectors of a phase-structured simulation and charge every processor's
-//! clock with the topology's closed-form collective cost.
+//! owners (the driver prices that one with
+//! [`Collective::AllToAllPersonalized`] directly). These helpers move real
+//! data between the per-processor state vectors of a phase-structured
+//! simulation and charge every processor's clock with the topology's
+//! closed-form collective cost.
 //!
 //! They operate on a `&mut [f64]` of processor clocks: collectives are
 //! bulk-synchronous, so all clocks first synchronize to the maximum (the
@@ -63,35 +65,6 @@ impl<'a, T: Topology> Collectives<'a, T> {
         contrib.iter().flat_map(|c| c.iter().cloned()).collect()
     }
 
-    /// All-to-all personalized exchange: `send[src][dst]` is delivered to
-    /// `dst`; returns `recv[dst]` as a vec of `(src, items)`.
-    pub fn all_to_all_personalized<C>(
-        &self,
-        clocks: &mut [f64],
-        send: Vec<Vec<Vec<C>>>,
-        words_per_item: u64,
-    ) -> Vec<Vec<(usize, Vec<C>)>> {
-        let p = self.topo.p();
-        assert_eq!(send.len(), p);
-        self.sync(clocks);
-        let m = send
-            .iter()
-            .flat_map(|row| row.iter().map(|v| v.len() as u64 * words_per_item))
-            .max()
-            .unwrap_or(0);
-        self.charge(clocks, Collective::AllToAllPersonalized, m);
-        let mut recv: Vec<Vec<(usize, Vec<C>)>> = (0..p).map(|_| Vec::new()).collect();
-        for (src, row) in send.into_iter().enumerate() {
-            assert_eq!(row.len(), p, "send matrix must be p×p");
-            for (dst, items) in row.into_iter().enumerate() {
-                if !items.is_empty() {
-                    recv[dst].push((src, items));
-                }
-            }
-        }
-        recv
-    }
-
     /// All-reduce of per-processor `f64` values with `op`; everyone gets the
     /// reduction.
     pub fn all_reduce_f64(
@@ -104,21 +77,6 @@ impl<'a, T: Topology> Collectives<'a, T> {
         self.sync(clocks);
         self.charge(clocks, Collective::Reduce, 1);
         values.iter().copied().reduce(op).unwrap_or(0.0)
-    }
-
-    /// Exclusive prefix sum (scan) of per-processor values: result `i` is the
-    /// sum of values `0..i`.
-    pub fn exscan_f64(&self, clocks: &mut [f64], values: &[f64]) -> Vec<f64> {
-        assert_eq!(values.len(), self.topo.p());
-        self.sync(clocks);
-        self.charge(clocks, Collective::Scan, 1);
-        let mut out = Vec::with_capacity(values.len());
-        let mut acc = 0.0;
-        for v in values {
-            out.push(acc);
-            acc += v;
-        }
-        out
     }
 
     /// One-to-all broadcast of `m_words` from `root` (data handled by
@@ -182,37 +140,13 @@ mod tests {
     }
 
     #[test]
-    fn personalized_routes_correctly() {
-        let (topo, cost) = setup();
-        let coll = Collectives::new(&topo, cost);
-        let mut clocks = vec![0.0; 8];
-        // src sends vec![src*10 + dst] to each dst ≠ src.
-        let send: Vec<Vec<Vec<u32>>> = (0..8)
-            .map(|src| {
-                (0..8)
-                    .map(|dst| if src == dst { vec![] } else { vec![(src * 10 + dst) as u32] })
-                    .collect()
-            })
-            .collect();
-        let recv = coll.all_to_all_personalized(&mut clocks, send, 1);
-        for (dst, items) in recv.iter().enumerate() {
-            assert_eq!(items.len(), 7);
-            for (src, data) in items {
-                assert_eq!(data, &vec![(src * 10 + dst) as u32]);
-            }
-        }
-    }
-
-    #[test]
-    fn reduce_and_scan() {
+    fn reduce() {
         let (topo, cost) = setup();
         let coll = Collectives::new(&topo, cost);
         let mut clocks = vec![0.0; 8];
         let vals: Vec<f64> = (0..8).map(|i| i as f64).collect();
         assert_eq!(coll.all_reduce_f64(&mut clocks, &vals, f64::max), 7.0);
         assert_eq!(coll.all_reduce_f64(&mut clocks, &vals, |a, b| a + b), 28.0);
-        let scan = coll.exscan_f64(&mut clocks, &vals);
-        assert_eq!(scan, vec![0.0, 0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 21.0]);
     }
 
     #[test]
@@ -223,16 +157,5 @@ mod tests {
         coll.barrier(&mut clocks);
         assert!(clocks.iter().all(|&c| (c - clocks[0]).abs() < 1e-12));
         assert!(clocks[0] >= 14.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "p×p")]
-    fn personalized_rejects_ragged_matrix() {
-        let (topo, cost) = setup();
-        let coll = Collectives::new(&topo, cost);
-        let mut clocks = vec![0.0; 8];
-        let mut send: Vec<Vec<Vec<u32>>> = vec![vec![Vec::new(); 8]; 8];
-        send[3] = vec![Vec::new(); 5];
-        let _ = coll.all_to_all_personalized(&mut clocks, send, 1);
     }
 }

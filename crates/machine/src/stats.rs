@@ -41,11 +41,6 @@ impl RunReport {
         }
     }
 
-    /// Total flops over all processors.
-    pub fn total_flops(&self) -> u64 {
-        self.flops.iter().sum()
-    }
-
     /// Efficiency against a given sequential time:
     /// `E = T_serial / (p · T_parallel)`.
     pub fn efficiency(&self, serial_time: f64) -> f64 {

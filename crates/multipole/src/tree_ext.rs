@@ -90,27 +90,6 @@ impl MultipoleTree {
         });
         (phi, acc, stats)
     }
-
-    /// Potentials for every particle in the set (each excluding itself) —
-    /// the `x_k` vector of the fractional-error metric (§5.2.2).
-    pub fn all_potentials(
-        &self,
-        tree: &Tree,
-        particles: &[Particle],
-        mac: &BarnesHutMac,
-        eps: f64,
-    ) -> (Vec<f64>, TraversalStats) {
-        let mut stats = TraversalStats::default();
-        let phis = particles
-            .iter()
-            .map(|p| {
-                let (phi, _, st) = self.eval(tree, particles, p.pos, Some(p.id), mac, eps);
-                stats.merge(st);
-                phi
-            })
-            .collect();
-        (phis, stats)
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +125,9 @@ mod tests {
         let mut prev = f64::INFINITY;
         for k in [0u32, 2, 4] {
             let mt = MultipoleTree::new(&t, &set.particles, k);
-            let (phis, _) = mt.all_potentials(&t, &set.particles, &mac, EPS);
+            let ps = &set.particles;
+            let phis: Vec<f64> =
+                ps.iter().map(|p| mt.eval(&t, ps, p.pos, Some(p.id), &mac, EPS).0).collect();
             let err = direct::fractional_error(&phis, &exact);
             assert!(err < prev, "degree {k}: {err} !< {prev}");
             prev = err;
@@ -232,8 +213,10 @@ mod tests {
             .iter()
             .map(|&k| {
                 let mt = MultipoleTree::new(&t, &set.particles, k);
-                let (_, st) = mt.all_potentials(&t, &set.particles, &mac, EPS);
-                st.interactions()
+                let ps = &set.particles;
+                ps.iter()
+                    .map(|p| mt.eval(&t, ps, p.pos, Some(p.id), &mac, EPS).2.interactions())
+                    .sum()
             })
             .collect();
         assert_eq!(counts[0], counts[1]);

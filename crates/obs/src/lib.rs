@@ -12,10 +12,10 @@
 //!   accept/reject/mixed classifications, P2P vs. M2P work, message
 //!   traffic), one per worker, merged after the join,
 //! * [`StepProfile`] — a per-time-step bundle of spans + counters with
-//!   utilization / imbalance / phase-share queries, serializable to JSON,
-//! * [`now`] / [`Stopwatch`] — a process-epoch wall clock. Instrumented
-//!   code reads it only on a profiled call, so an unprofiled run never
-//!   touches it.
+//!   utilization / imbalance / phase-total queries, serializable to JSON,
+//! * [`now`] — a process-epoch wall clock. The executor reads it around
+//!   every phase of every force computation: a profile is part of every
+//!   result, not a mode.
 //!
 //! Spans carry `f64` seconds: wall-clock seconds since an arbitrary
 //! per-profile origin on the real path, virtual machine seconds on the
@@ -69,8 +69,6 @@ pub mod phase {
     pub const SERVE_EVAL: &str = "serve_eval";
     /// Query server: encoding and writing result frames back to clients.
     pub const SERVE_REPLY: &str = "serve_reply";
-    /// Simulation side: freezing and publishing a tree epoch to the store.
-    pub const EPOCH_PUBLISH: &str = "epoch_publish";
 }
 
 /// Query-service counters (S11 schema, S15 producer): request/batch flow,
@@ -308,37 +306,6 @@ pub fn now() -> f64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_secs_f64()
 }
 
-/// A tiny split timer over [`now`].
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    last: f64,
-}
-
-impl Stopwatch {
-    pub fn start() -> Self {
-        Stopwatch { last: now() }
-    }
-
-    /// Seconds since start/last lap.
-    pub fn elapsed(&self) -> f64 {
-        now() - self.last
-    }
-
-    /// Seconds since the last lap, and reset the lap point.
-    pub fn lap(&mut self) -> f64 {
-        let t = now();
-        let d = t - self.last;
-        self.last = t;
-        d
-    }
-}
-
-impl Default for Stopwatch {
-    fn default() -> Self {
-        Self::start()
-    }
-}
-
 /// One time-step's phase profile: spans plus per-worker and total counters.
 ///
 /// Real runs fill `spans` with wall-clock intervals relative to the step
@@ -477,16 +444,6 @@ impl StepProfile {
         self.spans.iter().filter(|s| s.phase == phase).map(Span::duration).sum()
     }
 
-    /// `phase`'s share of all recorded busy time (0 when nothing recorded).
-    pub fn phase_share(&self, phase: &str) -> f64 {
-        let total: f64 = self.spans.iter().map(Span::duration).sum();
-        if total == 0.0 {
-            0.0
-        } else {
-            self.phase_total(phase) / total
-        }
-    }
-
     /// Distinct phase names in first-appearance order.
     pub fn phases(&self) -> Vec<String> {
         let mut out: Vec<String> = Vec::new();
@@ -507,24 +464,6 @@ impl StepProfile {
         let max = self.per_worker.iter().map(Counters::interactions).max().unwrap_or(0) as f64;
         let mean = self.per_worker.iter().map(Counters::interactions).sum::<u64>() as f64
             / self.per_worker.len() as f64;
-        if mean == 0.0 {
-            1.0
-        } else {
-            max / mean
-        }
-    }
-
-    /// max/mean busy time across workers within one phase (1.0 when the
-    /// phase was not recorded).
-    pub fn time_imbalance(&self, phase: &str) -> f64 {
-        let mut busy = vec![0.0f64; self.threads.max(1)];
-        for s in self.spans.iter().filter(|s| s.phase == phase) {
-            if s.rank < busy.len() {
-                busy[s.rank] += s.duration();
-            }
-        }
-        let max = busy.iter().copied().fold(0.0, f64::max);
-        let mean = busy.iter().sum::<f64>() / busy.len() as f64;
         if mean == 0.0 {
             1.0
         } else {
@@ -580,12 +519,8 @@ mod tests {
     fn phase_queries() {
         let p = demo();
         assert_eq!(p.phase_total(phase::WALK), 1.5);
-        assert!((p.phase_share(phase::WALK) - 1.5 / 4.0).abs() < 1e-12);
         assert_eq!(p.phases(), vec!["build", "walk", "kernel"]);
         assert_eq!(p.phase_total("nonexistent"), 0.0);
-        // walk busy: rank0 = 1.0, rank1 = 0.5 → max/mean = 1.0/0.75.
-        assert!((p.time_imbalance(phase::WALK) - 1.0 / 0.75).abs() < 1e-12);
-        assert_eq!(p.time_imbalance("nonexistent"), 1.0);
     }
 
     #[test]
@@ -602,7 +537,7 @@ mod tests {
         let p = StepProfile::new(3);
         assert_eq!(p.makespan(), 0.0);
         assert_eq!(p.utilization(), 1.0);
-        assert_eq!(p.phase_share(phase::FORCE), 0.0);
+        assert_eq!(p.phase_total(phase::FORCE), 0.0);
         assert!(p.phases().is_empty());
     }
 
@@ -746,15 +681,6 @@ mod tests {
         let c = Counters { lane_slots: 80, lane_useful: 60, ..Default::default() };
         assert!((c.lane_utilization() - 0.75).abs() < 1e-12);
         assert_eq!(Counters::default().lane_utilization(), 1.0);
-    }
-
-    #[test]
-    fn stopwatch_is_monotonic() {
-        let mut sw = Stopwatch::start();
-        let a = sw.lap();
-        let b = sw.elapsed();
-        assert!(a >= 0.0 && b >= 0.0);
-        assert!(now() >= 0.0);
     }
 
     #[test]

@@ -316,14 +316,13 @@ struct Evaluated {
 
 impl Evaluated {
     /// All-gather the owned state into the canonical id-indexed array, build
-    /// the global tree and evaluate the owned rows on it (`profiled` asks
-    /// the executor for its sub-phase profile).
+    /// the global tree and evaluate the owned rows on it; the result carries
+    /// the executor's sub-phase profile.
     fn run(
         t: &mut dyn Transport,
         sim: &mut ThreadSim,
         (n, p): (usize, usize),
         owned: &[Particle],
-        profiled: bool,
     ) -> Result<Evaluated, ProcError> {
         let views = all_gather(t, tags::STATE, encode_particles(owned))?;
         let all = assemble(n, views)?;
@@ -331,7 +330,7 @@ impl Evaluated {
         let active = owned_set(n, p, owned);
         let tree = sim.build_tree(&all);
         let t_built = now();
-        let fr = sim.compute_forces_on(&tree, &all, &active, profiled);
+        let fr = sim.compute_forces_on(&tree, &all, &active);
         Ok(Evaluated { all, tree, fr, t_ex, traffic_ex, t_built })
     }
 }
@@ -435,7 +434,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
         // tree per step: DPDA carves its costzones from it below, and it is
         // freed before the migration.
         let Evaluated { all, tree, mut fr, t_ex, traffic_ex, t_built } =
-            Evaluated::run(t, &mut sim, (n, p), &owned, true)?;
+            Evaluated::run(t, &mut sim, (n, p), &owned)?;
         let t_force = now();
         if step + 1 == cfg.steps {
             last_forces = owned_forces(&owned, &fr);
@@ -562,7 +561,7 @@ pub fn run_rank(t: &mut dyn Transport, cfg: &ProcConfig) -> Result<RankOutcome, 
     // entirely; evaluate forces for the final state anyway so the report —
     // and the force-equivalence evidence — is complete.
     if start_step >= cfg.steps && cfg.steps > 0 {
-        let ev = Evaluated::run(t, &mut sim, (n, p), &owned, false)?;
+        let ev = Evaluated::run(t, &mut sim, (n, p), &owned)?;
         last_forces = owned_forces(&owned, &ev.fr);
     }
 

@@ -43,7 +43,7 @@ use std::time::Duration;
 use bhut_obs::{now, phase, Counters, ServeCounters, Span, StepProfile};
 use bhut_tree::replay::REPLAY_LANES;
 use bhut_tree::{KernelPrecision, QueryTarget};
-use bhut_wire::{get_u64, write_frame, MAX_FRAME};
+use bhut_wire::{get_u64, read_payload, write_frame, MAX_FRAME};
 use serde::{Deserialize, Serialize};
 
 use crate::engine::{FieldQuery, FieldSample};
@@ -417,11 +417,16 @@ fn conn_loop(
             send(&writer, TAG_ERROR, &encode_error(0, &format!("frame too large: {len}")));
             return;
         }
-        let mut payload = vec![0u8; len as usize];
-        match read_full(&mut *reader, &mut payload, &shared, false) {
-            Ok(true) => {}
-            _ => return,
-        }
+        // Allocated as the bytes arrive: a header alone pins one chunk.
+        let read = |chunk: &mut [u8]| read_full(&mut *reader, chunk, &shared, false).map(drop);
+        let payload = match read_payload(len, read) {
+            Ok(payload) => payload,
+            Err(e) => {
+                let msg = format!("frame of {len} bytes cut short: {:?}", e.kind());
+                send(&writer, TAG_ERROR, &encode_error(0, &msg));
+                return;
+            }
+        };
         match tag {
             TAG_QUERY => match decode_query(&payload) {
                 Ok(req) => {

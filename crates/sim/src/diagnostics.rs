@@ -5,7 +5,6 @@
 //! shows up immediately as secular energy drift.
 
 use bhut_geom::{ParticleSet, Vec3};
-use bhut_threads::{ThreadConfig, ThreadSim};
 use bhut_tree::direct;
 use serde::{Deserialize, Serialize};
 
@@ -25,24 +24,6 @@ impl EnergyReport {
     pub fn measure(set: &ParticleSet, eps: f64) -> EnergyReport {
         let kinetic = set.kinetic_energy();
         let potential = direct::potential_energy(&set.particles, eps);
-        let momentum = set.particles.iter().map(|p| p.vel * p.mass).sum();
-        let angular_momentum = set.particles.iter().map(|p| p.pos.cross(p.vel) * p.mass).sum();
-        EnergyReport { kinetic, potential, total: kinetic + potential, momentum, angular_momentum }
-    }
-
-    /// Tree-based approximate energies: the potential comes from one
-    /// single-thread monopole force sweep ([`ThreadSim::compute_forces`]
-    /// over a freshly built octree, leaf capacity 8), `U = ½·Σ mᵢ·φᵢ`, so
-    /// the cost is `O(n log n)` instead of [`EnergyReport::measure`]'s
-    /// `O(n²)`. `alpha` is the opening criterion (must be positive); as
-    /// `alpha → 0` every node is opened and the sweep reduces to exact
-    /// pairwise summation, reproducing `measure`.
-    pub fn measure_tree(set: &ParticleSet, eps: f64, alpha: f64) -> EnergyReport {
-        let particles = &set.particles;
-        let config = ThreadConfig { threads: 1, alpha, eps, degree: 0, ..Default::default() };
-        let phi = ThreadSim::new(config).compute_forces(particles).potentials;
-        let potential = 0.5 * particles.iter().zip(&phi).map(|(p, &ph)| p.mass * ph).sum::<f64>();
-        let kinetic = set.kinetic_energy();
         let momentum = set.particles.iter().map(|p| p.vel * p.mass).sum();
         let angular_momentum = set.particles.iter().map(|p| p.pos.cross(p.vel) * p.mass).sum();
         EnergyReport { kinetic, potential, total: kinetic + potential, momentum, angular_momentum }
@@ -102,30 +83,6 @@ mod tests {
         assert!((e.kinetic - 0.125).abs() < 1e-12);
         assert!((e.potential + 0.5).abs() < 1e-12);
         assert!((e.total + 0.375).abs() < 1e-12);
-    }
-
-    #[test]
-    fn tree_measure_with_zero_alpha_is_exact() {
-        // A vanishing α opens every node: the grouped sweep degenerates to
-        // pairwise summation and must agree with the direct O(n²) report.
-        let set = plummer(PlummerSpec { n: 500, seed: 14, ..Default::default() });
-        let exact = EnergyReport::measure(&set, 0.02);
-        let tree = EnergyReport::measure_tree(&set, 0.02, 1e-6);
-        let rel = (tree.potential - exact.potential).abs() / exact.potential.abs();
-        assert!(rel < 1e-9, "potential relative error {rel}");
-        assert_eq!(tree.kinetic, exact.kinetic);
-        assert_eq!(tree.momentum, exact.momentum);
-        assert_eq!(tree.angular_momentum, exact.angular_momentum);
-    }
-
-    #[test]
-    fn tree_measure_approximates_at_production_alpha() {
-        let set = plummer(PlummerSpec { n: 2000, seed: 15, ..Default::default() });
-        let exact = EnergyReport::measure(&set, 0.02);
-        let tree = EnergyReport::measure_tree(&set, 0.02, 0.67);
-        let rel = (tree.potential - exact.potential).abs() / exact.potential.abs();
-        assert!(rel < 5e-3, "potential relative error {rel}");
-        assert!(tree.potential < 0.0);
     }
 
     #[test]

@@ -25,6 +25,6 @@ pub use diagnostics::{Diagnostics, EnergyReport};
 pub use leapfrog::{drift, kick, kick_drift_owned};
 pub use simulation::{Simulation, SimulationConfig, StepReport};
 pub use snapshot::{
-    load_snapshot, save_snapshot, save_snapshot_state, write_atomically, write_positions_csv,
-    write_text_atomically, Snapshot,
+    load_snapshot, save_snapshot, save_snapshot_state, write_atomically, write_text_atomically,
+    Snapshot,
 };

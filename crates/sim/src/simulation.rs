@@ -34,8 +34,8 @@ pub struct SimulationConfig {
     /// the default for large runs).
     pub diag_every: usize,
     /// Attach a phase-level [`StepProfile`] to every this-many-th step's
-    /// report (0 = never, the default). Profiled steps pay the span/counter
-    /// bookkeeping; unprofiled steps run the plain force path.
+    /// report (0 = never, the default). Only an output selector: every force
+    /// evaluation records its profile, and the other steps drop it.
     pub profile_every: usize,
     /// Global-dt leapfrog (default) or hierarchical block timesteps (S12).
     pub timestep: TimestepMode,
@@ -206,7 +206,7 @@ impl Simulation {
             ),
             TimestepMode::Block(bcfg) => (bcfg, true),
         };
-        let profiled = self.config.profile_every > 0
+        let keep_profile = self.config.profile_every > 0
             && (self.step_count + 1).is_multiple_of(self.config.profile_every);
         let stepper = self.stepper.get_or_insert_with(|| BlockStepper::new(bcfg));
         // A fresh stepper opens with a priming evaluation: set-up, not this
@@ -220,17 +220,12 @@ impl Simulation {
             if std::mem::take(&mut priming) {
                 return executor.compute_forces(ps).accels;
             }
-            // The final substep of every big step is fully synchronized
-            // (every rung completes at the last tick), so it takes the
-            // unmasked path and is the one we profile.
-            let mut out = if profiled && active.is_full() {
-                executor.compute_forces_profiled(ps)
-            } else {
-                executor.compute_forces_active(ps, active)
-            };
+            let mut out = executor.compute_forces_active(ps, active);
             interactions += out.stats.interactions();
             imbalance = out.imbalance();
-            if out.profile.is_some() {
+            // The final substep of every big step is fully synchronized
+            // (every rung completes at the last tick); a kept profile is its.
+            if keep_profile && active.is_full() {
                 profile = out.profile.take();
             }
             out.accels

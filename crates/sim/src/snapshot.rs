@@ -128,15 +128,6 @@ pub fn write_text_atomically(path: &Path, text: &str) -> io::Result<()> {
     write_atomically(path, |w| w.write_all(text.as_bytes()))
 }
 
-/// Dump particle positions as `x,y,z` CSV (with header) for plotting.
-pub fn write_positions_csv(out: &mut impl Write, particles: &ParticleSet) -> io::Result<()> {
-    writeln!(out, "x,y,z")?;
-    for p in particles.iter() {
-        writeln!(out, "{},{},{}", p.pos.x, p.pos.y, p.pos.z)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,17 +301,5 @@ mod tests {
     #[test]
     fn load_missing_file_errors() {
         assert!(load_snapshot(Path::new("/definitely/not/here.json")).is_err());
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let set = plummer(PlummerSpec { n: 5, seed: 1, ..Default::default() });
-        let mut buf = Vec::new();
-        write_positions_csv(&mut buf, &set).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 6);
-        assert_eq!(lines[0], "x,y,z");
-        assert_eq!(lines[1].split(',').count(), 3);
     }
 }

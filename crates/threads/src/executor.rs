@@ -112,8 +112,11 @@ pub struct ForceResult {
     /// same at every run of one state. Time is per worker, in the profile's
     /// spans; a worker that empties its zone first takes the others' tails.
     pub per_thread_interactions: Vec<u64>,
-    /// Phase-level profile; `Some` only from
-    /// [`ThreadSim::compute_forces_profiled`].
+    /// Phase-level profile: per-worker build/walk/kernel spans (eval for
+    /// degree > 0), the scatter span (the permutation into id order) and
+    /// work counters. Always `Some` from every [`ThreadSim`] computation;
+    /// an `Option` only because the benchmark harness takes it out with
+    /// [`Option::take`] (ROADMAP direction 3(e) makes it a plain field).
     pub profile: Option<StepProfile>,
 }
 
@@ -168,7 +171,7 @@ fn carve<'a, T>(mut all: &'a mut [T], tree: &Tree, units: &[NodeId]) -> Vec<&'a 
         .collect()
 }
 
-/// Per-worker clock readings from one profiled force computation: the
+/// Per-worker clock readings from one force computation: the
 /// wall-clock window, and on the monopole's group sweep the walk (the shared
 /// gather) and kernel (the evaluation: per-target replay of the mixed
 /// frontier plus the slab kernels) durations accumulated separately;
@@ -181,8 +184,8 @@ struct WorkerObs {
     kernel_s: f64,
 }
 
-/// The work of one costzone: the stats and (when profiled) counters of every
-/// item in it, whichever worker ran the item.
+/// The work of one costzone: the stats and counters of every item in it,
+/// whichever worker ran the item.
 #[derive(Debug, Clone, Copy, Default)]
 struct ZoneWork {
     stats: TraversalStats,
@@ -219,17 +222,10 @@ impl ThreadSim {
     }
 
     /// Build the tree (and expansions if degree > 0) and compute the force
-    /// and potential on every particle, in parallel.
+    /// and potential on every particle, in parallel, with its phase-level
+    /// [`StepProfile`] ([`ForceResult::profile`]).
     pub fn compute_forces(&mut self, particles: &[Particle]) -> ForceResult {
-        self.compute(particles, false, None)
-    }
-
-    /// [`ThreadSim::compute_forces`] plus a phase-level [`StepProfile`]:
-    /// per-worker build/walk/kernel spans (eval for degree > 0), the
-    /// scatter span (the permutation into id order) and work counters. Results
-    /// are identical to the unprofiled call; only wall-clock reads are added.
-    pub fn compute_forces_profiled(&mut self, particles: &[Particle]) -> ForceResult {
-        self.compute(particles, true, None)
+        self.compute(particles, None)
     }
 
     /// [`ThreadSim::compute_forces`] restricted to an active subset: the
@@ -245,22 +241,23 @@ impl ThreadSim {
         particles: &[Particle],
         active: &ActiveSet,
     ) -> ForceResult {
-        self.compute(particles, false, Some(active))
+        self.compute(particles, Some(active))
     }
 
-    /// One block-substep force computation:
-    /// [`ThreadSim::compute_forces_active`], optionally profiled. `reuse`
-    /// selects nothing — every substep builds its tree from the particles it
-    /// is given. The argument stays only because the benchmark harness
-    /// passes it; ROADMAP direction 3(e) deletes it.
+    /// One block-substep force computation: exactly
+    /// [`ThreadSim::compute_forces_active`]. Neither flag selects anything:
+    /// every computation records its profile, and every substep builds its
+    /// tree from the particles it is given. The call and its flags stay only
+    /// because the benchmark harness passes them; ROADMAP direction 3(e)
+    /// deletes them.
     pub fn compute_forces_substep(
         &mut self,
         particles: &[Particle],
         active: &ActiveSet,
-        profiled: bool,
+        _profiled: bool,
         _reuse: bool,
     ) -> ForceResult {
-        self.compute(particles, profiled, Some(active))
+        self.compute(particles, Some(active))
     }
 
     /// [`ThreadSim::compute_forces_substep`] without the build: evaluate on
@@ -274,35 +271,28 @@ impl ThreadSim {
         tree: &Tree,
         particles: &[Particle],
         active: &ActiveSet,
-        profiled: bool,
     ) -> ForceResult {
-        let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
-        self.evaluate(tree, particles, profiled, Some(active), t_origin)
+        let t_origin = bhut_obs::now();
+        self.evaluate(tree, particles, Some(active), t_origin)
     }
 
-    fn compute(
-        &mut self,
-        particles: &[Particle],
-        profiled: bool,
-        active: Option<&ActiveSet>,
-    ) -> ForceResult {
-        let t_origin = if profiled { bhut_obs::now() } else { 0.0 };
+    fn compute(&mut self, particles: &[Particle], active: Option<&ActiveSet>) -> ForceResult {
+        let t_origin = bhut_obs::now();
         let tree = self.build_tree(particles);
-        self.evaluate(&tree, particles, profiled, active, t_origin)
+        self.evaluate(&tree, particles, active, t_origin)
     }
 
     fn evaluate(
         &mut self,
         tree: &Tree,
         particles: &[Particle],
-        profiled: bool,
         active: Option<&ActiveSet>,
         t_origin: f64,
     ) -> ForceResult {
         let cfg = self.config;
         let mac = BarnesHutMac::new(cfg.alpha);
         let mtree = (cfg.degree > 0).then(|| MultipoleTree::new(tree, particles, cfg.degree));
-        let t_build_end = if profiled { bhut_obs::now() } else { 0.0 };
+        let t_build_end = bhut_obs::now();
         let n = particles.len();
         // A full active set is indistinguishable from "no mask": route it
         // down the unmasked path so results stay bitwise identical to
@@ -355,19 +345,13 @@ impl ThreadSim {
         // The one unit loop, for every degree: per unit, take its rows,
         // evaluate its targets into them, and credit its work to its zone.
         // The monopole gathers the unit once and evaluates every member
-        // against the slabs; a profiled run additionally splits the gather's
-        // clock (WALK) from the evaluation's (KERNEL: the mixed-frontier
-        // replay and the slab kernels) and harvests the classification
-        // counters, with the same force arithmetic. Degree > 0 walks each
-        // member through `MultipoleTree::eval`.
+        // against the slabs, timing the gather (WALK) apart from the
+        // evaluation (KERNEL: the mixed-frontier replay and the slab
+        // kernels) and harvesting the classification counters. Degree > 0
+        // walks each member through `MultipoleTree::eval`.
         let run_range =
             |t: usize, claims: Claims<'_>, zones: &mut [ZoneWork], w: &mut WorkerObs| {
                 let mut buf = scratch[t].lock().expect("one worker per slab set");
-                if profiled {
-                    // Discard lane counts a previous unprofiled run may have left
-                    // in this scratch.
-                    buf.take_lane_counters();
-                }
                 // The sweep holds the tree, the particles and this thread's slabs
                 // for every unit the worker runs (its zone front to back, then any
                 // it steals back to front), so each unit is gathered through the
@@ -384,10 +368,10 @@ impl ThreadSim {
                     let z = &mut zones[zone];
                     let st = match &mtree {
                         None => {
-                            let t0 = if profiled { bhut_obs::now() } else { 0.0 };
+                            let t0 = bhut_obs::now();
                             sweep.gather(unit);
                             let buf = sweep.buffers();
-                            let t1 = if profiled { bhut_obs::now() } else { 0.0 };
+                            let t1 = bhut_obs::now();
                             // Targets come in tree order, each once: a cursor
                             // over the members finds each one's row.
                             let mut k = 0;
@@ -411,18 +395,16 @@ impl ThreadSim {
                                 mask,
                                 emit,
                             );
-                            if profiled {
-                                w.walk_s += t1 - t0;
-                                w.kernel_s += bhut_obs::now() - t1;
-                                let c = &mut z.counters;
-                                c.nodes_opened += buf.nodes_opened;
-                                c.group_accept += buf.node_ids.len() as u64;
-                                c.group_reject += buf.class_reject;
-                                c.group_mixed += buf.mixed.len() as u64;
-                                let (lane_slots, lane_useful) = buf.take_lane_counters();
-                                c.lane_slots += lane_slots;
-                                c.lane_useful += lane_useful;
-                            }
+                            w.walk_s += t1 - t0;
+                            w.kernel_s += bhut_obs::now() - t1;
+                            let c = &mut z.counters;
+                            c.nodes_opened += buf.nodes_opened;
+                            c.group_accept += buf.node_ids.len() as u64;
+                            c.group_reject += buf.class_reject;
+                            c.group_mixed += buf.mixed.len() as u64;
+                            let (lane_slots, lane_useful) = buf.take_lane_counters();
+                            c.lane_slots += lane_slots;
+                            c.lane_useful += lane_useful;
                             st
                         }
                         Some(mt) => {
@@ -450,7 +432,7 @@ impl ThreadSim {
                     z.stats.merge(st);
                 }
             };
-        let (zones, obs) = dispatch(&cfg, profiled, weights, run_range);
+        let (zones, obs) = dispatch(&cfg, weights, run_range);
         debug_assert!(
             slots.iter().all(|s| s.lock().is_ok_and(|s| s.is_none())),
             "every unit is claimed"
@@ -464,7 +446,7 @@ impl ThreadSim {
         let per_thread_interactions = zones.iter().map(|z| z.stats.interactions()).collect();
 
         // Back to id order, in place: one pass over the three outputs.
-        let t_scatter = if profiled { bhut_obs::now() } else { 0.0 };
+        let t_scatter = bhut_obs::now();
         tree.permute_from_order(|a, b| {
             accels.swap(a, b);
             potentials.swap(a, b);
@@ -487,44 +469,46 @@ impl ThreadSim {
             buf.lock().expect("the workers are joined").maybe_shrink();
         }
 
-        let profile = profiled.then(|| {
-            let mut prof = StepProfile::new(cfg.threads);
-            let rel = |t: f64| (t - t_origin).max(0.0);
-            prof.record(Span::new(0, 0, phase::BUILD, 0.0, rel(t_build_end)));
-            // Counters are per zone, credited to the zone a unit belongs to
-            // whoever ran it; spans are per worker, which is where stealing
-            // shows. Workers that never ran still get (zero-width) spans and
-            // zero counters, so the profile's shape depends only on
-            // `threads`.
-            for z in &zones {
-                let c = Counters {
-                    p2p: z.stats.p2p,
-                    m2p: z.stats.p2n,
-                    mac_tests: z.stats.mac_tests,
-                    ..z.counters
-                };
-                prof.totals.merge(&c);
-                prof.per_worker.push(c);
+        let mut prof = StepProfile::new(cfg.threads);
+        let rel = |t: f64| (t - t_origin).max(0.0);
+        prof.record(Span::new(0, 0, phase::BUILD, 0.0, rel(t_build_end)));
+        // Counters are per zone, credited to the zone a unit belongs to
+        // whoever ran it; spans are per worker, which is where stealing
+        // shows. Workers that never ran still get (zero-width) spans and
+        // zero counters, so the profile's shape depends only on `threads`.
+        for z in &zones {
+            let c = Counters {
+                p2p: z.stats.p2p,
+                m2p: z.stats.p2n,
+                mac_tests: z.stats.mac_tests,
+                ..z.counters
+            };
+            prof.totals.merge(&c);
+            prof.per_worker.push(c);
+        }
+        for (t, w) in obs.iter().enumerate() {
+            if mtree.is_none() {
+                // Walk and kernel interleave per unit; their accumulated
+                // durations are reported as contiguous sub-intervals of the
+                // worker's evaluation window.
+                let s = rel(w.start);
+                prof.record(Span::new(t, 1, phase::WALK, s, s + w.walk_s));
+                let kernel_end = s + w.walk_s + w.kernel_s;
+                prof.record(Span::new(t, 1, phase::KERNEL, s + w.walk_s, kernel_end));
+            } else {
+                prof.record(Span::new(t, 1, phase::EVAL, rel(w.start), rel(w.end)));
             }
-            for (t, w) in obs.iter().enumerate() {
-                if mtree.is_none() {
-                    // Walk and kernel interleave per unit; their accumulated
-                    // durations are reported as contiguous sub-intervals of
-                    // the worker's evaluation window.
-                    let s = rel(w.start);
-                    prof.record(Span::new(t, 1, phase::WALK, s, s + w.walk_s));
-                    let kernel_end = s + w.walk_s + w.kernel_s;
-                    prof.record(Span::new(t, 1, phase::KERNEL, s + w.walk_s, kernel_end));
-                } else {
-                    prof.record(Span::new(t, 1, phase::EVAL, rel(w.start), rel(w.end)));
-                }
-            }
-            prof.record(Span::new(0, 2, phase::SCATTER, rel(t_scatter), rel(bhut_obs::now())));
-            prof.wall_s = rel(bhut_obs::now());
-            prof
-        });
+        }
+        prof.record(Span::new(0, 2, phase::SCATTER, rel(t_scatter), rel(bhut_obs::now())));
+        prof.wall_s = rel(bhut_obs::now());
 
-        ForceResult { accels, potentials, stats: total, per_thread_interactions, profile }
+        ForceResult {
+            accels,
+            potentials,
+            stats: total,
+            per_thread_interactions,
+            profile: Some(prof),
+        }
     }
 
     /// The exact tree the force path evaluates: the one sequential build in
@@ -549,7 +533,6 @@ impl ThreadSim {
 /// what.
 fn dispatch(
     cfg: &ThreadConfig,
-    profiled: bool,
     weights: Vec<u64>,
     run_range: impl Fn(usize, Claims<'_>, &mut [ZoneWork], &mut WorkerObs) + Sync,
 ) -> (Vec<ZoneWork>, Vec<WorkerObs>) {
@@ -557,14 +540,9 @@ fn dispatch(
     let cursors = ZoneCursors::new(&split_by_weight(&weights, p));
     let per_worker = fork_join(p, |t| {
         let mut zones = vec![ZoneWork::default(); p];
-        let mut w = WorkerObs::default();
-        if profiled {
-            w.start = bhut_obs::now();
-        }
+        let mut w = WorkerObs { start: bhut_obs::now(), ..WorkerObs::default() };
         run_range(t, cursors.claims(t), &mut zones, &mut w);
-        if profiled {
-            w.end = bhut_obs::now();
-        }
+        w.end = bhut_obs::now();
         (zones, w)
     });
     let mut zones = vec![ZoneWork::default(); p];
@@ -723,7 +701,7 @@ mod tests {
     fn profile_reports_lane_utilization() {
         let set = plummer(PlummerSpec { n: 800, seed: 15, ..Default::default() });
         let mut sim = ThreadSim::new(config(2));
-        let prof = sim.compute_forces_profiled(&set.particles).profile.unwrap();
+        let prof = sim.compute_forces(&set.particles).profile.unwrap();
         assert!(prof.totals.lane_useful > 0);
         assert!(prof.totals.lane_slots >= prof.totals.lane_useful);
         let u = prof.totals.lane_utilization();
@@ -731,7 +709,7 @@ mod tests {
         // Degree > 0 walks per target and runs no slab kernels, so no lanes
         // are counted.
         let mut pp = ThreadSim::new(ThreadConfig { degree: 2, ..config(2) });
-        let prof = pp.compute_forces_profiled(&set.particles).profile.unwrap();
+        let prof = pp.compute_forces(&set.particles).profile.unwrap();
         assert_eq!(prof.totals.lane_slots, 0);
         assert_eq!(prof.totals.lane_utilization(), 1.0);
     }
@@ -747,53 +725,58 @@ mod tests {
         assert_eq!(out.accels[0], Vec3::ZERO);
     }
 
-    #[test]
-    fn profiled_matches_unprofiled_exactly() {
-        let set = plummer(PlummerSpec { n: 700, seed: 3, ..Default::default() });
-        for degree in [0u32, 2] {
-            let mut a = ThreadSim::new(ThreadConfig { degree, ..config(3) });
-            let mut b = ThreadSim::new(ThreadConfig { degree, ..config(3) });
-            let plain = a.compute_forces(&set.particles);
-            let prof = b.compute_forces_profiled(&set.particles);
-            assert_eq!(plain.stats, prof.stats);
-            for i in 0..set.len() {
-                assert_eq!(plain.potentials[i], prof.potentials[i]);
-                assert_eq!(plain.accels[i], prof.accels[i]);
-            }
-            assert!(plain.profile.is_none());
-            assert!(prof.profile.is_some());
-        }
-    }
-
+    /// Every computation carries its profile, and the profile's counters
+    /// are the computation's own numbers: at 1, 2 and 4 threads, monopole
+    /// and degree 2, full and masked, the totals are `stats` field by field
+    /// and the per-worker counters are `per_thread_interactions`.
     #[test]
     fn profile_counters_agree_with_stats() {
         let set = plummer(PlummerSpec { n: 1200, seed: 4, ..Default::default() });
-        let mut sim = ThreadSim::new(config(4));
-        let mut out = sim.compute_forces_profiled(&set.particles);
-        let profile = out.profile.take().expect("profiled run attaches a profile");
-        // Counter totals reproduce the traversal stats field by field.
-        assert_eq!(profile.totals.p2p, out.stats.p2p);
-        assert_eq!(profile.totals.m2p, out.stats.p2n);
-        assert_eq!(profile.totals.mac_tests, out.stats.mac_tests);
-        assert_eq!(profile.totals.interactions(), out.stats.interactions());
-        // Per-worker counters reproduce the per-thread interaction split and
-        // hence the imbalance diagnostic.
-        assert_eq!(profile.per_worker.len(), sim.config.threads);
-        let per: Vec<u64> = profile.per_worker.iter().map(|c| c.interactions()).collect();
-        assert_eq!(per, out.per_thread_interactions);
-        assert_eq!(profile.imbalance(), out.imbalance());
-        // The grouped walk classified something in every category on a
-        // thousand-body Plummer model.
-        assert!(profile.totals.group_accept > 0);
-        assert!(profile.totals.group_reject > 0);
-        assert!(profile.totals.nodes_opened > 0);
+        let ps = &set.particles;
+        let masked = ActiveSet::from_mask((0..ps.len()).map(|i| i % 3 == 0).collect());
+        for (degree, threads) in [(0u32, 1), (0, 2), (0, 4), (2, 1), (2, 2)] {
+            for active in [None, Some(&masked)] {
+                let ctx =
+                    format!("degree {degree}, {threads} thread(s), masked {}", active.is_some());
+                let mut sim = ThreadSim::new(ThreadConfig { degree, ..config(threads) });
+                let mut out = match active {
+                    None => sim.compute_forces(ps),
+                    Some(a) => sim.compute_forces_active(ps, a),
+                };
+                let profile = out.profile.take().expect("every computation has a profile");
+                // Counter totals reproduce the traversal stats field by field.
+                assert_eq!(profile.totals.p2p, out.stats.p2p, "{ctx}");
+                assert_eq!(profile.totals.m2p, out.stats.p2n, "{ctx}");
+                assert_eq!(profile.totals.mac_tests, out.stats.mac_tests, "{ctx}");
+                assert_eq!(profile.totals.interactions(), out.stats.interactions(), "{ctx}");
+                // Per-worker counters reproduce the per-thread interaction
+                // split and hence the imbalance diagnostic.
+                assert_eq!(profile.per_worker.len(), threads, "{ctx}");
+                let per: Vec<u64> = profile.per_worker.iter().map(|c| c.interactions()).collect();
+                assert_eq!(per, out.per_thread_interactions, "{ctx}");
+                assert_eq!(profile.imbalance(), out.imbalance(), "{ctx}");
+                // The monopole's grouped walk classified something in every
+                // category on a thousand-body Plummer model; degree 2 walks
+                // per target and classifies no group.
+                let grouped = [
+                    profile.totals.group_accept,
+                    profile.totals.group_reject,
+                    profile.totals.nodes_opened,
+                ];
+                if degree == 0 {
+                    assert!(grouped.iter().all(|&c| c > 0), "{ctx}: {grouped:?}");
+                } else {
+                    assert_eq!(grouped, [0; 3], "{ctx}");
+                }
+            }
+        }
     }
 
     #[test]
     fn profile_spans_cover_the_phases() {
         let set = plummer(PlummerSpec { n: 500, seed: 6, ..Default::default() });
         let mut sim = ThreadSim::new(config(2));
-        let prof = sim.compute_forces_profiled(&set.particles).profile.unwrap();
+        let prof = sim.compute_forces(&set.particles).profile.unwrap();
         let phases = prof.phases();
         for want in ["build", "walk", "kernel", "scatter"] {
             assert!(phases.iter().any(|p| p == want), "missing phase {want}: {phases:?}");
@@ -807,7 +790,7 @@ mod tests {
         }
         // Degree > 0 walks per target and reports a fused eval phase instead.
         let mut pp = ThreadSim::new(ThreadConfig { degree: 2, ..config(2) });
-        let prof = pp.compute_forces_profiled(&set.particles).profile.unwrap();
+        let prof = pp.compute_forces(&set.particles).profile.unwrap();
         assert!(prof.phases().iter().any(|p| p == "eval"));
     }
 
@@ -873,23 +856,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn active_profiled_matches_active_unprofiled() {
-        let set = plummer(PlummerSpec { n: 700, seed: 24, ..Default::default() });
-        let m: Vec<bool> = (0..set.len()).map(|i| i % 2 == 0).collect();
-        let active = ActiveSet::from_mask(m);
-        let mut a = ThreadSim::new(config(3));
-        let mut b = ThreadSim::new(config(3));
-        let plain = a.compute_forces_active(&set.particles, &active);
-        let prof = b.compute_forces_substep(&set.particles, &active, true, false);
-        assert_eq!(plain.stats, prof.stats);
-        for i in 0..set.len() {
-            assert_eq!(plain.accels[i], prof.accels[i]);
-            assert_eq!(plain.potentials[i], prof.potentials[i]);
-        }
-        assert!(prof.profile.is_some());
-    }
-
     /// Deterministic position drift between substeps, up to 1.2e-2: enough
     /// to change which nodes a walk accepts and which cell a body lands in.
     fn drift(particles: &mut [Particle], k: u64) {
@@ -924,7 +890,7 @@ mod tests {
                     let ctx = format!("{threads} thread(s), every {every}, step {step}");
                     let want = rebuilding.compute_forces_substep(ps, &active, true, false);
                     let tree = on_tree.build_tree(ps);
-                    let got = on_tree.compute_forces_on(&tree, ps, &active, true);
+                    let got = on_tree.compute_forces_on(&tree, ps, &active);
                     assert_results_bitwise(&got, &want, &ctx);
                     assert_eq!(got.per_thread_interactions, want.per_thread_interactions, "{ctx}");
                     assert_eq!(on_tree.work_weights(), rebuilding.work_weights(), "{ctx}");

@@ -275,11 +275,6 @@ impl Tree {
         max
     }
 
-    /// Count of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
     /// Walk the tree depth-first in octant order, calling `f(id, level)` on
     /// every node (`level` counts the node's ancestors). This is the
     /// "in-order" (left-to-right) order the DPDA load-boundary search uses —

@@ -13,13 +13,12 @@
 //! * [`for_each_interaction`] turns them into [`Interaction`]s, which serve
 //!   monopole force / potential evaluation ([`accel_on`], [`potential_at`])
 //!   and degree-k multipole evaluation (in `bhut-multipole`);
-//! * per-node *load* accounting ([`accumulate_loads`]) — "each node in the
-//!   tree keeps track of the number of particles it interacts with" (§3.3) —
-//!   which is what the SPDA/DPDA balancers consume;
 //! * the function-shipping engine in `bhut-core` (`evalcore`), which marks
-//!   non-local branch nodes opaque so the walk is *cut* there, and its
-//!   data-shipping comparator (`dataship`), which records every node the
-//!   walk reports.
+//!   non-local branch nodes opaque so the walk is *cut* there and keeps the
+//!   per-node loads the SPDA/DPDA balancers consume — "each node in the
+//!   tree keeps track of the number of particles it interacts with" (§3.3)
+//!   — and its data-shipping comparator (`dataship`), which records every
+//!   node the walk reports.
 
 use crate::mac::BarnesHutMac;
 use crate::node::{NodeId, Tree};
@@ -238,39 +237,6 @@ pub fn potential_at(
     (phi, stats)
 }
 
-/// Accumulate per-node interaction loads for a batch of targets: `loads[id]`
-/// gains 1 for each accepted particle–node interaction with node `id`, and
-/// the *enclosing leaf* gains 1 for each direct particle–particle
-/// interaction. This is the per-node load measure the DPDA costzones
-/// balancer sums up the tree (§3.3.3).
-pub fn accumulate_loads(
-    tree: &Tree,
-    particles: &[Particle],
-    targets: impl IntoIterator<Item = (Vec3, Option<u32>)>,
-    mac: &BarnesHutMac,
-    loads: &mut [u64],
-) -> TraversalStats {
-    assert_eq!(loads.len(), tree.len(), "loads slice must match node count");
-    // Map each particle index to its containing leaf once.
-    let mut leaf_of: Vec<NodeId> = vec![0; tree.order.len()];
-    for (idx, n) in tree.nodes.iter().enumerate() {
-        if n.is_leaf() {
-            for &pi in tree.particles_under(idx as NodeId) {
-                leaf_of[pi as usize] = idx as NodeId;
-            }
-        }
-    }
-    let mut total = TraversalStats::default();
-    for (point, skip) in targets {
-        let stats = for_each_interaction(tree, particles, point, skip, mac, |i| match i {
-            Interaction::Node(id) => loads[id as usize] += 1,
-            Interaction::Particle(pi) => loads[leaf_of[pi as usize] as usize] += 1,
-        });
-        total.merge(stats);
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,23 +342,6 @@ mod tests {
         let b = per(4000);
         // 8× the particles should cost far less than 8× per-particle work.
         assert!(b < a * 3.0, "per-particle work grew too fast: {a} -> {b}");
-    }
-
-    #[test]
-    fn loads_sum_to_total_interactions() {
-        let set = uniform_cube(300, 1.0, 8);
-        let t = build(&set.particles, BuildParams::default());
-        let mac = BarnesHutMac::new(0.8);
-        let mut loads = vec![0u64; t.len()];
-        let stats = accumulate_loads(
-            &t,
-            &set.particles,
-            set.iter().map(|p| (p.pos, Some(p.id))),
-            &mac,
-            &mut loads,
-        );
-        assert_eq!(loads.iter().sum::<u64>(), stats.interactions());
-        assert!(stats.interactions() > 0);
     }
 
     #[test]

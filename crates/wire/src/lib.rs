@@ -27,6 +27,10 @@ use std::time::Duration;
 /// prefix must not trigger an unbounded allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
+/// The first slice of a payload [`read_payload`] reserves before any of
+/// its bytes have arrived (64 KiB).
+const FIRST_CHUNK: usize = 64 << 10;
+
 /// Encoded size of one [`Particle`]: id + mass + pos + vel.
 pub const PARTICLE_BYTES: usize = 4 + 8 * 7;
 
@@ -45,7 +49,8 @@ pub fn write_frame(w: &mut impl Write, tag: u16, payload: &[u8]) -> std::io::Res
 }
 
 /// Read one frame. `read_exact` absorbs short reads; a length prefix over
-/// [`MAX_FRAME`] is rejected as corruption instead of allocated.
+/// [`MAX_FRAME`] is rejected as corruption instead of allocated, and one
+/// under it allocates only as its bytes arrive ([`read_payload`]).
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<(u16, Vec<u8>)> {
     let mut header = [0u8; 6];
     r.read_exact(&mut header)?;
@@ -57,9 +62,29 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<(u16, Vec<u8>)> {
             format!("frame length {len} exceeds cap {MAX_FRAME}"),
         ));
     }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
+    let payload = read_payload(len, |chunk| r.read_exact(chunk))?;
     Ok((tag, payload))
+}
+
+/// Read a `len`-byte payload through `fill`, which must fill the slice it
+/// is given or fail. The buffer grows as the bytes arrive: each step
+/// reserves as much again as has been received (the first, 64 KiB), never
+/// past `len`. So a peer that sends a length prefix and then stalls or
+/// hangs up pins at most one chunk, not `len`.
+pub fn read_payload(
+    len: u32,
+    mut fill: impl FnMut(&mut [u8]) -> std::io::Result<()>,
+) -> std::io::Result<Vec<u8>> {
+    let len = len as usize;
+    let mut payload = Vec::new();
+    while payload.len() < len {
+        let got = payload.len();
+        let grow = got.max(FIRST_CHUNK).min(len - got);
+        payload.reserve_exact(grow);
+        payload.resize(got + grow, 0);
+        fill(&mut payload[got..])?;
+    }
+    Ok(payload)
 }
 
 /// Append an f64's little-endian bit pattern.
@@ -289,6 +314,26 @@ mod tests {
             let (tag, got) = read_frame(&mut stream).unwrap();
             assert_eq!(tag, 7);
             assert!(got.is_empty());
+        }
+    }
+
+    /// Payloads that span one, two and several growth steps come back
+    /// whole through one-page reads, and cut anywhere they fail as EOF.
+    #[test]
+    fn payloads_grow_across_chunks() {
+        for len in [FIRST_CHUNK - 1, FIRST_CHUNK, FIRST_CHUNK + 1, 3 * FIRST_CHUNK + 5] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+            let mut stream = Trickle { data: Vec::new(), pos: 0, chunk: 4096 };
+            write_frame(&mut stream, 3, &payload).unwrap();
+            let whole = stream.data.clone();
+            let (tag, got) = read_frame(&mut stream).unwrap();
+            assert_eq!((tag, got.len()), (3, len));
+            assert!(got == payload, "payload of {len} bytes differs");
+            for cut in [7, FIRST_CHUNK, len] {
+                let data = whole[..whole.len().min(cut)].to_vec();
+                let err = read_frame(&mut Trickle { data, pos: 0, chunk: 4096 }).unwrap_err();
+                assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{len} cut at {cut}");
+            }
         }
     }
 

@@ -32,6 +32,3 @@ pub use bhut_sim as sim;
 pub use bhut_threads as threads;
 pub use bhut_timestep as timestep;
 pub use bhut_tree as tree;
-
-/// Workspace version, for embedding in experiment records.
-pub const VERSION: &str = env!("CARGO_PKG_VERSION");
